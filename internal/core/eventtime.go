@@ -99,24 +99,29 @@ func (c *lateCounter) add(n int, weight float64) {
 
 // closedWindow is one event-time window a node has closed: its start
 // instant and the weighted sample batches that survived the node's sampler.
+// theta views the storage of node, the window's retired sampling node; once
+// theta is dead the owner hands the window to eventWindows.recycle.
 type closedWindow struct {
 	start int64 // unix nanos of the window start
 	theta []stream.Batch
+	node  *Node
 }
 
 // startTime returns the window's start as a time.Time.
 func (c closedWindow) startTime() time.Time { return time.Unix(0, c.start).UTC() }
 
 // eventWindows buckets a node's Ψ store by event-time tumbling window: one
-// private sampling Node per open window, created on first assignment.
-// Closing is watermark-driven and monotone — once the close bound passes a
-// window start, records assigned below the bound are counted late and
-// dropped. Not safe for concurrent use; owners serialize access exactly as
-// they do for Node.
+// private sampling Node per open window, created on first assignment, all
+// drawing their item storage from the one slab store the eventWindows owns
+// across windows. Closing is watermark-driven and monotone — once the close
+// bound passes a window start, records assigned below the bound are counted
+// late and dropped. Not safe for concurrent use; owners serialize access
+// exactly as they do for Node.
 type eventWindows struct {
 	window   time.Duration
 	lateness time.Duration
-	newNode  func() *Node
+	mkNode   func() *Node
+	slabs    slabStore
 
 	open     map[int64]*Node
 	bound    int64 // window starts below this are closed territory
@@ -135,9 +140,25 @@ func newEventWindows(window, lateness time.Duration, late *lateCounter, newNode 
 	return &eventWindows{
 		window:   window,
 		lateness: lateness,
-		newNode:  newNode,
+		mkNode:   newNode,
 		open:     make(map[int64]*Node),
 		late:     late,
+	}
+}
+
+// newNode builds the sampling node of one window (or of one window restored
+// from a checkpoint) on the shared slab store.
+func (ew *eventWindows) newNode() *Node {
+	n := ew.mkNode()
+	n.slabs = &ew.slabs
+	return n
+}
+
+// recycle takes back the item storage of closed windows whose theta nobody
+// reads any more.
+func (ew *eventWindows) recycle(closed []closedWindow) {
+	for _, cw := range closed {
+		cw.node.Recycle()
 	}
 }
 
@@ -248,7 +269,7 @@ func (ew *eventWindows) advance(wm time.Time) []closedWindow {
 			ew.emit.Add(int64(len(b.Items)))
 		}
 		ew.wins.Add(1)
-		out = append(out, closedWindow{start: s, theta: theta})
+		out = append(out, closedWindow{start: s, theta: theta, node: n})
 	}
 	return out
 }

@@ -297,9 +297,9 @@ type samplingProcessor struct {
 	// link (lock-free; folded into the account at read time).
 	bwc *metrics.BandwidthCounter
 	// enc and outMsgs are the member's outbound-hop scratch: every flush
-	// encodes all of its batches into enc's reusable buffer via
-	// AppendMarshal, then forwards them as one message batch (one broker
-	// append downstream). See flushEmits for the buffer-ownership rule.
+	// queues all of its batches in enc, encodes them into one block, and
+	// forwards them as one message batch (one broker append downstream).
+	// See flushEmits for the buffer-ownership rule.
 	enc     batchEncoder
 	outMsgs []streams.Message
 
@@ -339,85 +339,83 @@ type samplingProcessor struct {
 	recover   func(p *samplingProcessor, ctx streams.ProcessorContext) error
 }
 
-// encSpan locates one encoded record inside a batchEncoder's buffer: the
-// key occupies [ks, ke) and the marshaled batch payload [ke, ve).
-type encSpan struct{ ks, ke, ve int }
-
-// batchEncoder accumulates (key, batch) encodings for one outbound flush in
-// a single reusable scratch buffer — AppendMarshal instead of per-batch
-// Marshal allocations. Because the mq broker retains produced Key/Value
-// bytes in its partition logs, the scratch itself must never be handed to a
-// send: materialize (messages / records) copies the accumulated encodings
-// into ONE freshly-allocated block per flush, slices the keys and values out
-// of it, and the block is never written again. The pool thus applies to the
-// transient encoding only; retained bytes still cost exactly one allocation
-// per flush, not one per record.
+// batchEncoder collects the batches of one outbound flush and
+// encodes them once, straight into the block the broker will retain. The mq
+// broker keeps produced Key/Value bytes in its partition logs, so those bytes
+// must live in storage nobody writes again: materialize (messages / records)
+// sizes ONE fresh block per flush from the batches' exact WireSize, marshals
+// every record into it, and slices the keys and values out. Retained bytes
+// thus cost one allocation per flush — not one per record, and no scratch
+// copy. add only notes the batch: its items must stay untouched until the
+// flush has materialized (the Ψ storage behind a closed window is recycled
+// after flushEmits, never before).
 type batchEncoder struct {
-	buf   []byte
-	spans []encSpan
-	wms   []mq.Watermark
+	batches []stream.Batch
+	wms     []mq.Watermark
+	size    int   // block bytes: keys + payloads
+	payload int64 // payload bytes alone
 }
 
-// add encodes one outbound record: key bytes, then the batch payload.
-func (e *batchEncoder) add(key stream.SourceID, b stream.Batch, wm mq.Watermark) {
-	ks := len(e.buf)
-	e.buf = append(e.buf, key...)
-	ke := len(e.buf)
-	e.buf = b.AppendMarshal(e.buf)
-	e.spans = append(e.spans, encSpan{ks, ke, len(e.buf)})
+// add queues one outbound record: the batch, keyed by its sub-stream so a
+// stratum sticks to one partition.
+func (e *batchEncoder) add(b stream.Batch, wm mq.Watermark) {
+	ws := b.WireSize()
+	e.batches = append(e.batches, b)
 	e.wms = append(e.wms, wm)
+	e.size += len(b.Source) + ws
+	e.payload += int64(ws)
 }
 
-func (e *batchEncoder) empty() bool { return len(e.spans) == 0 }
+func (e *batchEncoder) empty() bool { return len(e.batches) == 0 }
 
 // payloadBytes totals the encoded batch payloads (produce-side bandwidth;
 // keys are broker-internal routing metadata and are not accounted, matching
 // the per-record path).
-func (e *batchEncoder) payloadBytes() int64 {
-	var n int64
-	for _, sp := range e.spans {
-		n += int64(sp.ve - sp.ke)
-	}
-	return n
+func (e *batchEncoder) payloadBytes() int64 { return e.payload }
+
+// encode marshals record i onto block and returns the extended block with
+// the record's key and value, each capped so a consumer's append can never
+// run into its neighbour.
+func (e *batchEncoder) encode(block []byte, i int) (extended, key, value []byte) {
+	ks := len(block)
+	block = append(block, e.batches[i].Source...)
+	ke := len(block)
+	block = e.batches[i].AppendMarshal(block)
+	return block, block[ks:ke:ke], block[ke:len(block):len(block)]
 }
 
-// messages materializes the accumulated encodings as streams messages
-// appended onto dst, backed by one retained block (see type comment).
+// messages materializes the queued records as streams messages appended
+// onto dst, backed by one retained block (see type comment).
 func (e *batchEncoder) messages(dst []streams.Message, ts time.Time) []streams.Message {
-	block := make([]byte, len(e.buf))
-	copy(block, e.buf)
-	for i, sp := range e.spans {
-		dst = append(dst, streams.Message{
-			Key:       block[sp.ks:sp.ke:sp.ke],
-			Value:     block[sp.ke:sp.ve:sp.ve],
-			Ts:        ts,
-			Watermark: e.wms[i],
-		})
+	block := make([]byte, 0, e.size)
+	for i := range e.batches {
+		var key, value []byte
+		block, key, value = e.encode(block, i)
+		dst = append(dst, streams.Message{Key: key, Value: value, Ts: ts, Watermark: e.wms[i]})
 	}
 	return dst
 }
 
-// records materializes the accumulated encodings as mq records appended onto
-// dst, backed by one retained block — the direct-produce form the Ingester
-// valve hands to SendBatch.
+// records materializes the queued records as mq records appended onto dst,
+// backed by one retained block — the direct-produce form the Ingester valve
+// hands to SendBatch.
 func (e *batchEncoder) records(dst []mq.Record) []mq.Record {
-	block := make([]byte, len(e.buf))
-	copy(block, e.buf)
-	for i, sp := range e.spans {
-		dst = append(dst, mq.Record{
-			Key:       block[sp.ks:sp.ke:sp.ke],
-			Value:     block[sp.ke:sp.ve:sp.ve],
-			Watermark: e.wms[i],
-		})
+	block := make([]byte, 0, e.size)
+	for i := range e.batches {
+		var key, value []byte
+		block, key, value = e.encode(block, i)
+		dst = append(dst, mq.Record{Key: key, Value: value, Watermark: e.wms[i]})
 	}
 	return dst
 }
 
-// reset recycles the scratch for the next flush.
+// reset empties the encoder for the next flush, dropping its views of the
+// flushed batches' items.
 func (e *batchEncoder) reset() {
-	e.buf = e.buf[:0]
-	e.spans = e.spans[:0]
+	clear(e.batches)
+	e.batches = e.batches[:0]
 	e.wms = e.wms[:0]
+	e.size, e.payload = 0, 0
 }
 
 var (
@@ -551,9 +549,10 @@ func ownedLanesOf(ctx streams.ProcessorContext) []int {
 // flushEmits forwards everything the member's encoder accumulated as one
 // message batch — one downstream broker append — and accounts the bytes.
 // The broker retains produced Key/Value bytes, so the encoder materializes
-// them into one fresh block per flush; the encoder scratch (and the message
-// slice header) are recycled. outMsgs is scrubbed after the forward so spare
-// capacity never pins a retired block.
+// them into one fresh block per flush; the message slice header is recycled,
+// scrubbed after the forward so spare capacity never pins a retired block.
+// Once it returns, the batches queued in the encoder are dead: callers that
+// queued a closed window's Θ recycle its storage next.
 func (p *samplingProcessor) flushEmits() {
 	if p.enc.empty() {
 		return
@@ -599,9 +598,10 @@ func (p *samplingProcessor) flush() {
 	}
 	p.applyControl()
 	for _, b := range p.node.CloseInterval() {
-		p.enc.add(b.Source, b, mq.Watermark{})
+		p.enc.add(b, mq.Watermark{})
 	}
 	p.flushEmits()
+	p.node.Recycle()
 	// Zero pending only after forwarding: the drain probe must always see
 	// in-flight data as either buffered Ψ here or lag on the parent topic.
 	p.pending.Store(int64(p.node.Observed()))
@@ -643,9 +643,10 @@ func (p *samplingProcessor) drainAll(now time.Time) {
 	p.applyControl()
 	if p.ew == nil {
 		for _, b := range p.node.CloseInterval() {
-			p.enc.add(b.Source, b, mq.Watermark{})
+			p.enc.add(b, mq.Watermark{})
 		}
 		p.flushEmits()
+		p.node.Recycle()
 		p.pending.Store(0)
 		return
 	}
@@ -654,7 +655,7 @@ func (p *samplingProcessor) drainAll(now time.Time) {
 	for _, cw := range closed {
 		stamp := mq.Watermark{From: p.id, At: p.ew.dataWatermark(cw.start)}
 		for _, b := range cw.theta {
-			p.enc.add(b.Source, b, stamp)
+			p.enc.add(b, stamp)
 		}
 	}
 	out := mq.Watermark{From: p.id, At: eosWatermark}
@@ -665,9 +666,10 @@ func (p *samplingProcessor) drainAll(now time.Time) {
 		srcs = []stream.SourceID{stream.SourceID(p.id)}
 	}
 	for _, src := range srcs {
-		p.enc.add(src, heartbeat(src), out)
+		p.enc.add(heartbeat(src), out)
 	}
 	p.flushEmits()
+	p.ew.recycle(closed)
 	p.signalEOS()
 	p.pending.Store(0)
 }
@@ -722,14 +724,15 @@ func (p *samplingProcessor) advanceEventTime(now time.Time) bool {
 	for _, cw := range closed {
 		stamp := mq.Watermark{From: p.id, At: p.ew.dataWatermark(cw.start)}
 		for _, b := range cw.theta {
-			p.enc.add(b.Source, b, stamp)
+			p.enc.add(b, stamp)
 		}
 	}
 	out := mq.Watermark{From: p.id, At: p.ew.outboundWatermark()}
 	for _, src := range p.wt.activeSources(now) {
-		p.enc.add(src, heartbeat(src), out)
+		p.enc.add(heartbeat(src), out)
 	}
 	p.flushEmits()
+	p.ew.recycle(closed)
 	if !out.At.Before(eosHorizon) {
 		// The member's own promise reached end-of-stream tier: cover every
 		// parent lane so the parent's floors for this member all lift.
@@ -769,7 +772,7 @@ func (p *samplingProcessor) keepalive(now time.Time) {
 	}
 	out := mq.Watermark{From: p.id, At: p.ew.outboundWatermark()}
 	for _, src := range srcs {
-		p.enc.add(src, heartbeat(src), out)
+		p.enc.add(heartbeat(src), out)
 	}
 	p.flushEmits()
 }
@@ -785,7 +788,7 @@ func (p *samplingProcessor) announce(src stream.SourceID) {
 	if wm.IsZero() {
 		return
 	}
-	p.enc.add(src, heartbeat(src), mq.Watermark{From: p.id, At: wm})
+	p.enc.add(heartbeat(src), mq.Watermark{From: p.id, At: wm})
 	p.flushEmits()
 }
 
@@ -915,16 +918,21 @@ func (p *rootProcessor) processLocked(msg streams.Message) int64 {
 	}
 	spin(time.Duration(len(p.scratch.Items)) * p.work)
 	now := time.Now()
-	for _, it := range p.scratch.Items {
-		// Items are stamped with their wall-clock publish instant at the
-		// source (Pub — and in processing-time mode Ts is the same
-		// instant), so this is genuine end-to-end latency: edge window
-		// waits, broker hops, and the root's own service time all count.
-		ref := it.Pub
-		if ref.IsZero() {
-			ref = it.Ts
+	// Items are stamped with their wall-clock publish instant at the source
+	// (Pub — and in processing-time mode Ts is the same instant), so this is
+	// genuine end-to-end latency: edge window waits, broker hops, and the
+	// root's own service time all count. Every item of one Push carries the
+	// same instant, so the histogram takes each run of equal instants in one
+	// observation instead of one per item.
+	items := p.scratch.Items
+	for lo := 0; lo < len(items); {
+		ref := latencyRef(&items[lo])
+		hi := lo + 1
+		for hi < len(items) && latencyRef(&items[hi]).Equal(ref) {
+			hi++
 		}
-		p.latency.Observe(now.Sub(ref))
+		p.latency.ObserveN(now.Sub(ref), int64(hi-lo))
+		lo = hi
 	}
 	if p.ew != nil {
 		// Ingest before folding the watermark, mirroring the edge members.
@@ -936,13 +944,30 @@ func (p *rootProcessor) processLocked(msg streams.Message) int64 {
 	return int64(len(p.scratch.Items))
 }
 
+// latencyRef is the instant an item's end-to-end latency is measured from:
+// its publish stamp, or its event timestamp when it carries none.
+func latencyRef(it *stream.Item) time.Time {
+	if it.Pub.IsZero() {
+		return it.Ts
+	}
+	return it.Pub
+}
+
 func (p *rootProcessor) Close() error { return nil }
 
 // closeInterval drains the member's Θ under its lock (processing-time mode).
+// The caller hands the storage back with recycleInterval once the window's
+// queries have run.
 func (p *rootProcessor) closeInterval() []stream.Batch {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.node.CloseInterval()
+}
+
+func (p *rootProcessor) recycleInterval() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.node.Recycle()
 }
 
 // watermarkState returns the member's current event-time watermark (zero
@@ -961,6 +986,18 @@ func (p *rootProcessor) advanceTo(wm time.Time) []closedWindow {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.ew.advance(wm)
+}
+
+// recycle hands back the storage of windows advanceTo closed, once the
+// session has run their queries: Θ is dead, and the member's lock is the
+// one its ingest path takes the slabs under.
+func (p *rootProcessor) recycle(closed []closedWindow) {
+	if len(closed) == 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ew.recycle(closed)
 }
 
 // stats returns the member's lifetime counters, whichever store owns them.

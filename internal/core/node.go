@@ -35,6 +35,13 @@ type Node struct {
 	lineage  map[lineageKey]int // (source, weight) → index into psi
 	observed int
 
+	// Ψ item storage (see slabStore): psi's item slices are drawn from
+	// slabs, closed holds the pairs of the interval CloseInterval last ended
+	// — whose storage the returned batches still view — until Recycle hands
+	// it back. slabs is nil for a node nobody recycles for.
+	slabs  *slabStore
+	closed []stream.Batch
+
 	totalObserved atomic.Int64
 	totalEmitted  atomic.Int64
 	intervals     atomic.Int64
@@ -87,14 +94,19 @@ func (n *Node) IngestItems(items []stream.Item) {
 
 func (n *Node) addPair(src stream.SourceID, w float64, items []stream.Item) {
 	key := lineageKey{src: src, w: w}
-	if idx, ok := n.lineage[key]; ok {
-		n.psi[idx].Items = append(n.psi[idx].Items, items...)
-	} else {
-		n.lineage[key] = len(n.psi)
-		batch := stream.Batch{Source: src, Weight: w}
-		batch.Items = append(batch.Items, items...) // own the storage
-		n.psi = append(n.psi, batch)
+	idx, ok := n.lineage[key]
+	if !ok {
+		idx = len(n.psi)
+		n.lineage[key] = idx
+		n.psi = append(n.psi, stream.Batch{Source: src, Weight: w, Items: n.slabs.get(len(items))})
 	}
+	pair := &n.psi[idx]
+	if need := len(pair.Items) + len(items); need > cap(pair.Items) {
+		grown := append(n.slabs.get(need), pair.Items...)
+		n.slabs.put(pair.Items)
+		pair.Items = grown
+	}
+	pair.Items = append(pair.Items, items...) // copies: the node owns its storage
 	n.observed += len(items)
 	n.totalObserved.Add(int64(len(items)))
 }
@@ -108,7 +120,9 @@ func (n *Node) LastWeight(src stream.SourceID) float64 { return n.weights.Get(sr
 // CloseInterval ends the current interval: the sampler reduces Ψ under the
 // cost function's budget and the node resets for the next interval. The
 // returned batches carry W^out and are ready to forward to the parent (or,
-// at the root, to append to Θ).
+// at the root, to append to Θ). Their items are views of the node's Ψ
+// storage (the sampler works in place): they stay valid until Recycle, and
+// indefinitely if Recycle is never called.
 func (n *Node) CloseInterval() []stream.Batch {
 	n.intervals.Add(1)
 	if len(n.psi) == 0 {
@@ -128,10 +142,24 @@ func (n *Node) CloseInterval() []stream.Batch {
 		emitted += int64(len(b.Items))
 	}
 	n.totalEmitted.Add(emitted)
-	n.psi = nil
-	n.lineage = make(map[lineageKey]int)
+	n.closed, n.psi = n.psi, nil
+	clear(n.lineage)
 	n.observed = 0
 	return out
+}
+
+// Recycle declares the batches CloseInterval last returned dead — encoded
+// for the parent, or queried at the root — and keeps their item storage for
+// the intervals to come. Same owner as every other mutation; ingest may
+// have resumed in between.
+func (n *Node) Recycle() {
+	if n.slabs == nil {
+		n.slabs = new(slabStore)
+	}
+	for i := range n.closed {
+		n.slabs.put(n.closed[i].Items)
+	}
+	n.closed = nil
 }
 
 // Stats reports lifetime counters for instrumentation. Safe to call from

@@ -384,27 +384,7 @@ func (n *NodeSession) sweep(at time.Time) {
 func (n *NodeSession) emitDue(at time.Time, wm time.Time) {
 	n.windowMu.Lock()
 	defer n.windowMu.Unlock()
-	merged := make(map[int64][]stream.Batch)
-	for _, rp := range n.rootProcs {
-		for _, cw := range rp.advanceTo(wm) {
-			merged[cw.start] = append(merged[cw.start], cw.theta...)
-		}
-	}
-	if len(merged) == 0 {
-		return
-	}
-	starts := make([]int64, 0, len(merged))
-	for st := range merged {
-		starts = append(starts, st)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, st := range starts {
-		win := NewWindowResult(at, n.engine, n.plan.Queries, merged[st])
-		win.Start = time.Unix(0, st).UTC()
-		win.End = win.Start.Add(n.plan.Spec.Window)
-		if win.SampleSize == 0 {
-			continue
-		}
+	for _, win := range closeRootWindows(n.rootProcs, wm, at, n.engine, n.plan) {
 		n.windows = append(n.windows, win)
 		n.windowsClosed.Add(1)
 		if n.cfg.OnWindow != nil {
@@ -814,7 +794,7 @@ func (v *NodePusher) Push(items ...stream.Item) error {
 			}
 		}
 		v.marks[src] = mark
-		v.enc.add(src, b, mq.Watermark{From: v.from, At: mark})
+		v.enc.add(b, mq.Watermark{From: v.from, At: mark})
 		lo = hi
 	}
 	if !v.enc.empty() {

@@ -740,6 +740,9 @@ func (s *LiveSession) closeWindow(at time.Time) {
 		theta = append(theta, rp.closeInterval()...)
 	}
 	win := NewWindowResult(at, s.engine, s.plan.Queries, theta)
+	for _, rp := range s.rootProcs {
+		rp.recycleInterval() // the queries have run: Θ is dead
+	}
 	if win.SampleSize == 0 {
 		return
 	}
@@ -781,29 +784,48 @@ func (s *LiveSession) closeEventWindows(at, wm time.Time) {
 	if wm.IsZero() {
 		return
 	}
+	for _, win := range closeRootWindows(s.rootProcs, wm, at, s.engine, s.plan) {
+		s.emitWindowLocked(win)
+	}
+}
+
+// closeRootWindows advances every root member to wm, merges the members'
+// closed windows by window start, and runs the queries over each merged Θ;
+// it returns the non-empty windows in ascending event-time order. A window's
+// result carries estimates only, never items, so once the queries have run
+// every member gets its closed windows' item storage back — under the
+// member's own lock, which is also what its ingest path draws slabs under.
+// Shared by both session forms; callers hold their windowMu.
+func closeRootWindows(procs []*rootProcessor, wm, at time.Time, engine *query.Engine, plan *Plan) []WindowResult {
 	merged := make(map[int64][]stream.Batch)
-	for _, rp := range s.rootProcs {
-		for _, cw := range rp.advanceTo(wm) {
+	closed := make([][]closedWindow, len(procs))
+	for i, rp := range procs {
+		closed[i] = rp.advanceTo(wm)
+		for _, cw := range closed[i] {
 			merged[cw.start] = append(merged[cw.start], cw.theta...)
 		}
 	}
 	if len(merged) == 0 {
-		return
+		return nil
 	}
 	starts := make([]int64, 0, len(merged))
 	for st := range merged {
 		starts = append(starts, st)
 	}
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	var out []WindowResult
 	for _, st := range starts {
-		win := NewWindowResult(at, s.engine, s.plan.Queries, merged[st])
+		win := NewWindowResult(at, engine, plan.Queries, merged[st])
 		win.Start = time.Unix(0, st).UTC()
-		win.End = win.Start.Add(s.plan.Spec.Window)
-		if win.SampleSize == 0 {
-			continue
+		win.End = win.Start.Add(plan.Spec.Window)
+		if win.SampleSize > 0 {
+			out = append(out, win)
 		}
-		s.emitWindowLocked(win)
 	}
+	for i, rp := range procs {
+		rp.recycle(closed[i])
+	}
+	return out
 }
 
 // emitWindowLocked records one closed window, steps the feedback loop, and
@@ -1222,11 +1244,11 @@ type Ingester struct {
 	// event timestamp seen — the sub-stream's low watermark, piggybacked
 	// on every record the valve publishes (event-time mode only).
 	marks map[stream.SourceID]time.Time
-	// enc / outRecs are the valve's publish scratch: one push encodes every
-	// same-source run into enc via AppendMarshal and lands the whole set
-	// with a single SendBatch (one topic lock, one consumer wakeup). The
-	// broker retains the produced bytes, so enc materializes them into one
-	// fresh block per push — see batchEncoder.
+	// enc / outRecs are the valve's publish scratch: one push queues every
+	// same-source run in enc and lands the whole set with a single
+	// SendBatch (one topic lock, one consumer wakeup). The broker retains
+	// the produced bytes, so enc encodes them into one fresh block per push
+	// — see batchEncoder.
 	enc     batchEncoder
 	outRecs []mq.Record
 }
@@ -1346,7 +1368,7 @@ func (in *Ingester) Push(items ...stream.Item) error {
 				return err
 			}
 		} else {
-			in.enc.add(src, b, wm)
+			in.enc.add(b, wm)
 		}
 		lo = hi
 	}

@@ -689,12 +689,16 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		}
 	}
 	closeRootEvent := func(now, wm time.Time) {
-		for _, cw := range root.ew.advance(wm) {
+		closed := root.ew.advance(wm)
+		for _, cw := range closed {
 			win := NewWindowResult(now, engine, plan.Queries, cw.theta)
 			win.Start = cw.startTime()
 			win.End = win.Start.Add(spec.Window)
 			emitRootWindow(win)
 		}
+		// Edge nodes hand their Θ to the network by reference, so only the
+		// root — whose Θ dies with the query run — recycles in simulation.
+		root.ew.recycle(closed)
 	}
 
 	// Root window ticks: run the queries over Θ — every event-time window
@@ -707,6 +711,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 				closeRootEvent(now, root.wt.watermark(now))
 			} else {
 				result, _ := root.root.CloseWindow(now)
+				root.root.Node().Recycle()
 				emitRootWindow(result)
 			}
 			if !now.Add(spec.Window).After(drainEnd) {

@@ -132,13 +132,21 @@ func NewHistogram() *Histogram {
 }
 
 // Observe records one latency sample.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n samples of the same latency d — the state n Observe(d)
+// calls leave, for the price of one. The root feeds it runs of items that
+// share a publish instant (every item of one Push does). n <= 0 is a no-op.
+func (h *Histogram) ObserveN(d time.Duration, n int64) {
+	if n <= 0 {
+		return
+	}
 	if d < 0 {
 		d = 0
 	}
-	h.buckets[bucketIndex(d)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
+	h.buckets[bucketIndex(d)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(n * int64(d))
 	storeMin(&h.min, int64(d))
 	storeMax(&h.max, int64(d))
 }

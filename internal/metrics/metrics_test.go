@@ -232,6 +232,43 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
+// ObserveN(d, n) must leave exactly the integer state n Observe(d) calls
+// leave — buckets, count, sum, min and max — including for clamped negative
+// durations, over-range ones, and the n <= 0 no-op.
+func TestHistogramObserveNEqualsLoop(t *testing.T) {
+	type state struct {
+		buckets               [histBuckets]int64
+		count, sum, min, max_ int64
+	}
+	load := func(h *Histogram) (s state) {
+		for i := range h.buckets {
+			s.buckets[i] = h.buckets[i].Load()
+		}
+		s.count, s.sum, s.min, s.max_ = h.count.Load(), h.sum.Load(), h.min.Load(), h.max.Load()
+		return s
+	}
+	runs := []struct {
+		d time.Duration
+		n int64
+	}{
+		{3 * time.Millisecond, 512}, {0, 7}, {-time.Second, 3}, {17 * time.Microsecond, 1},
+		{3 * time.Millisecond, 2}, {400 * time.Hour, 5}, {time.Nanosecond, 64}, {time.Second, 0}, {time.Second, -4},
+	}
+	loop, bulk := NewHistogram(), NewHistogram()
+	for _, r := range runs {
+		for i := int64(0); i < r.n; i++ {
+			loop.Observe(r.d)
+		}
+		bulk.ObserveN(r.d, r.n)
+		if got, want := load(bulk), load(loop); got != want {
+			t.Fatalf("after ObserveN(%v, %d): state %+v, per-item loop %+v", r.d, r.n, got, want)
+		}
+	}
+	if bulk.Quantile(0.5) != loop.Quantile(0.5) || bulk.Mean() != loop.Mean() {
+		t.Fatalf("derived stats differ: %v vs %v", bulk, loop)
+	}
+}
+
 func TestHistogramSnapshotWhileWriting(t *testing.T) {
 	// The live session reads latency mid-run: Snapshot must return a
 	// consistent, independent copy while observers keep writing (run under

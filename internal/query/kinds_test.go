@@ -1,7 +1,10 @@
 package query
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/approxiot/approxiot/internal/stream"
@@ -150,5 +153,33 @@ func TestRunAllMixedKinds(t *testing.T) {
 	}
 	if results[3].Quantile == nil {
 		t.Fatal("quantile missing from RunAll")
+	}
+}
+
+// RunAll stratifies Θ once and answers every kind from the shared strata;
+// each answer must be Run's, to the bit — linear, top-k and quantile kinds,
+// per-sub-stream estimates included, over a Θ with several lineages (and
+// weights) per sub-stream.
+func TestRunAllEqualsRunPerKind(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var theta []stream.Batch
+	for b := 0; b < 40; b++ {
+		src := stream.SourceID(fmt.Sprintf("s%d", rng.Intn(9)))
+		batch := stream.Batch{Source: src, Weight: 1 + float64(rng.Intn(4))*0.75}
+		for i, n := 0, rng.Intn(30); i < n; i++ {
+			batch.Items = append(batch.Items, stream.Item{Source: src, Value: rng.NormFloat64()*50 + 10})
+		}
+		theta = append(theta, batch)
+	}
+	kinds := []Kind{Sum, Mean, Count, TopKOf(3), TopKOf(50), QuantileOf(0.5), QuantileOf(0.9)}
+	for name, e := range map[string]*Engine{"plain": NewEngine(), "per-substream": NewEngine(WithPerSubstream())} {
+		for _, th := range [][]stream.Batch{theta, nil} {
+			all := e.RunAll(kinds, th)
+			for i, k := range kinds {
+				if one := e.Run(k, th); !reflect.DeepEqual(all[i], one) {
+					t.Errorf("%s, %d batches: RunAll[%v] = %+v, Run = %+v", name, len(th), k, all[i], one)
+				}
+			}
+		}
 	}
 }

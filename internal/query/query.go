@@ -174,7 +174,7 @@ func Strata(theta []stream.Batch) ([]*stats.Stratum, []stream.SourceID) {
 			s = &stats.Stratum{}
 			bySource[b.Source] = s
 		}
-		s.AddBatch(b.Weight, b.Values())
+		s.AddItems(b.Weight, b.Items)
 	}
 	sources := make([]stream.SourceID, 0, len(bySource))
 	for src := range bySource {
@@ -191,6 +191,11 @@ func Strata(theta []stream.Batch) ([]*stats.Stratum, []stream.SourceID) {
 // Run evaluates one query over the window's Θ store.
 func (e *Engine) Run(kind Kind, theta []stream.Batch) Result {
 	strata, sources := Strata(theta)
+	return e.eval(kind, theta, strata, sources)
+}
+
+// eval answers one query kind from a Θ store and its stratification.
+func (e *Engine) eval(kind Kind, theta []stream.Batch, strata []*stats.Stratum, sources []stream.SourceID) Result {
 	res := Result{Kind: kind, Confidence: e.conf}
 	for _, s := range strata {
 		res.SampleSize += s.SampleCount()
@@ -237,11 +242,13 @@ func (e *Engine) Run(kind Kind, theta []stream.Batch) Result {
 }
 
 // RunAll evaluates several query kinds over the same Θ store, sharing the
-// stratification pass.
+// stratification pass: Θ is folded into strata once per window, not once
+// per kind, and every answer equals Run's exactly.
 func (e *Engine) RunAll(kinds []Kind, theta []stream.Batch) []Result {
+	strata, sources := Strata(theta)
 	out := make([]Result, len(kinds))
 	for i, k := range kinds {
-		out[i] = e.Run(k, theta)
+		out[i] = e.eval(k, theta, strata, sources)
 	}
 	return out
 }

@@ -60,6 +60,10 @@ func lineageShare(n, lineageCount, totalCount int) int {
 // (fairly, per the Allocator), each sub-stream's share is divided over its
 // weight lineages, and every lineage is reservoir-sampled with its weight
 // updated per Eq. 1–2.
+//
+// Every lineage is sampled in place (reservoirInPlace): an output batch's
+// Items is a prefix of the input pair's own slice, so the interval costs no
+// item storage at all.
 func (s *WHSampler) SampleInterval(pairs []stream.Batch, budget int) []stream.Batch {
 	bySource, sources, counts := groupPairs(pairs)
 	if len(sources) == 0 || budget <= 0 {
@@ -79,12 +83,11 @@ func (s *WHSampler) SampleInterval(pairs []stream.Batch, budget int) []stream.Ba
 		}
 		total := counts[src]
 		for _, pair := range bySource[src] {
-			res := NewReservoir(lineageShare(ni, len(pair.Items), total), s.rng)
-			res.AddAll(pair.Items)
+			kept, w := reservoirInPlace(pair.Items, lineageShare(ni, len(pair.Items), total), s.rng)
 			out = append(out, stream.Batch{
 				Source: src,
-				Weight: pair.Weight * res.Weight(),
-				Items:  res.Items(),
+				Weight: pair.Weight * w,
+				Items:  kept,
 			})
 		}
 	}

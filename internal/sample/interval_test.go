@@ -162,3 +162,146 @@ func TestPassthroughIntervalDropsEmpty(t *testing.T) {
 		t.Fatalf("empty pair forwarded: %v", out)
 	}
 }
+
+// referenceInterval is WHSampler.SampleInterval as it was before it sampled
+// in place: every lineage offered, item by item, to a fresh Reservoir. The
+// in-place form must reproduce it draw for draw.
+func referenceInterval(rng *xrand.Rand, alloc Allocator, pairs []stream.Batch, budget int) []stream.Batch {
+	bySource, sources, counts := groupPairs(pairs)
+	if len(sources) == 0 || budget <= 0 {
+		return nil
+	}
+	var sizes map[stream.SourceID]int
+	if va, ok := alloc.(ValueAware); ok {
+		sizes = va.AllocateByVariance(budget, counts, stddevBySource(bySource, sources))
+	} else {
+		sizes = alloc.Allocate(budget, counts)
+	}
+	var out []stream.Batch
+	for _, src := range sources {
+		if sizes[src] <= 0 {
+			continue
+		}
+		for _, pair := range bySource[src] {
+			res := NewReservoir(lineageShare(sizes[src], len(pair.Items), counts[src]), rng)
+			res.AddAll(pair.Items)
+			out = append(out, stream.Batch{Source: src, Weight: pair.Weight * res.Weight(), Items: res.Items()})
+		}
+	}
+	return out
+}
+
+func clonePairs(pairs []stream.Batch) []stream.Batch {
+	out := make([]stream.Batch, len(pairs))
+	for i, p := range pairs {
+		out[i] = p.Clone()
+	}
+	return out
+}
+
+func sameBatches(a, b []stream.Batch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Source != b[i].Source || a[i].Weight != b[i].Weight || len(a[i].Items) != len(b[i].Items) {
+			return false
+		}
+		for j := range a[i].Items {
+			if a[i].Items[j] != b[i].Items[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// The in-place reservoir against its oracle on the shares that matter: one
+// slot, fewer slots than items, exactly as many, and more.
+func TestReservoirInPlaceEqualsReservoir(t *testing.T) {
+	for _, n := range []int{1, 2, 17, 256} {
+		for _, share := range []int{1, n / 2, n - 1, n, n + 1, 4 * n} {
+			if share < 1 {
+				continue
+			}
+			items := mkItems("a", n)
+			res := NewReservoir(share, xrand.New(uint64(31*n+share)))
+			res.AddAll(items)
+			rng := xrand.New(uint64(31*n + share))
+			kept, w := reservoirInPlace(items, share, rng)
+			if w != res.Weight() || !sameBatches([]stream.Batch{{Items: kept}}, []stream.Batch{{Items: res.Items()}}) {
+				t.Fatalf("n=%d share=%d: in place kept %d items at weight %g, Reservoir %d at %g (or different items)",
+					n, share, len(kept), w, res.Len(), res.Weight())
+			}
+			if share < n && &kept[0] != &items[0] {
+				t.Fatalf("n=%d share=%d: sample does not alias the lineage's own storage", n, share)
+			}
+			// Same draws consumed: the generators are in the same state.
+			if rng.Uint64() != xrandAfter(uint64(31*n+share), n, share) {
+				t.Fatalf("n=%d share=%d: in-place sampling consumed different RNG draws", n, share)
+			}
+		}
+	}
+}
+
+// xrandAfter returns the next value of a generator seeded with seed after a
+// Reservoir of capacity share has been offered n items from it.
+func xrandAfter(seed uint64, n, share int) uint64 {
+	rng := xrand.New(seed)
+	res := NewReservoir(share, rng)
+	res.AddAll(mkItems("a", n))
+	return rng.Uint64()
+}
+
+// Property: for random intervals — several sub-streams, several weight
+// lineages per sub-stream, lineage lengths from 1 up, budgets from starved
+// (every share floors at 1) through exact to oversized (every share covers
+// its lineage) — in-place SampleInterval returns exactly what the
+// Reservoir-built reference returns from the same seed, for every allocator,
+// and two intervals in a row stay in step (the generators agree afterwards).
+func TestWHSIntervalInPlaceEqualsReservoirReference(t *testing.T) {
+	allocs := map[string]Allocator{"equal": EqualSplit{}, "waterfill": WaterFill{}, "neyman": Neyman{}}
+	for name, alloc := range allocs {
+		f := func(seed uint64, budgetRaw uint16) bool {
+			gen := xrand.New(seed)
+			mkInterval := func() ([]stream.Batch, int) {
+				var pairs []stream.Batch
+				total := 0
+				for i, k := 0, 1+gen.Intn(6); i < k; i++ {
+					src := stream.SourceID(string(rune('a' + gen.Intn(3)))) // shared sub-streams on purpose
+					n := 1 + gen.Intn(200)
+					if gen.Intn(4) == 0 {
+						n = 1 + gen.Intn(3) // tiny lineages: share >= len
+					}
+					pairs = append(pairs, stream.Batch{Source: src, Weight: 1 + float64(gen.Intn(5))/2, Items: mkItems(src, n)})
+					total += n
+				}
+				return pairs, total
+			}
+			inPlace := NewWHS(xrand.New(seed+1), WithAllocator(alloc))
+			refRng := xrand.New(seed + 1)
+			for round := 0; round < 2; round++ {
+				pairs, total := mkInterval()
+				var budget int
+				switch budgetRaw % 4 {
+				case 0:
+					budget = 1 // starved
+				case 1:
+					budget = total // exactly everything
+				case 2:
+					budget = 3 * total // oversized
+				default:
+					budget = 1 + int(budgetRaw)%total
+				}
+				want := referenceInterval(refRng, alloc, clonePairs(pairs), budget)
+				if got := inPlace.SampleInterval(pairs, budget); !sameBatches(got, want) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}

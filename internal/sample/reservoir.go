@@ -75,3 +75,23 @@ func (r *Reservoir) Reset() {
 	r.items = r.items[:0]
 	r.seen = 0
 }
+
+// reservoirInPlace runs Algorithm R over items using the slice itself as the
+// reservoir: items [0, n) are the first n offers, item i ≥ n draws
+// Int63n(i+1) and overwrites slot j when j < n, and the result is the
+// prefix items[:n] with the Eq. 1 local weight len(items)/n (1 when
+// everything fits). It consumes exactly the draws a Reservoir of capacity n
+// consumes when offered the same items, so both keep the same sample — the
+// tests hold it to that oracle — but it needs no storage of its own, which
+// is what Algorithm R is for. n must be at least 1.
+func reservoirInPlace(items []stream.Item, n int, rng *xrand.Rand) ([]stream.Item, float64) {
+	if len(items) <= n {
+		return items, 1
+	}
+	for i := n; i < len(items); i++ {
+		if j := rng.Int63n(int64(i + 1)); j < int64(n) {
+			items[j] = items[i]
+		}
+	}
+	return items[:n], float64(len(items)) / float64(n)
+}

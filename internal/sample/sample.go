@@ -27,6 +27,13 @@ import (
 // and budget is the interval's total sample size from the node's cost
 // function. The result is the interval's outgoing (W^out, sample) batches.
 //
+// SampleInterval consumes pairs: an output batch's Items may alias an input
+// pair's Items, and the input item slices may be reordered or overwritten
+// (WHSampler samples each lineage in place, Passthrough forwards the pairs
+// themselves). A caller that needs its items intact afterwards passes a
+// copy; core.Node hands over the Ψ storage it owns and treats the outputs
+// as views of it until the interval's Θ is dead.
+//
 // Implementations must preserve the Eq. 8 invariant per pair:
 // Σ |out.Items|·out.Weight over a pair's outputs = in.Weight·|in.Items|.
 type Sampler interface {

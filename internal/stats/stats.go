@@ -8,6 +8,8 @@ package stats
 import (
 	"fmt"
 	"math"
+
+	"github.com/approxiot/approxiot/internal/stream"
 )
 
 // Welford accumulates count, mean and variance of a value stream in one pass
@@ -124,6 +126,19 @@ func (s *Stratum) AddBatch(weight float64, values []float64) {
 	}
 	s.weightedSum += sum * weight
 	s.estCount += float64(len(values)) * weight
+}
+
+// AddItems is AddBatch over the pair's items themselves — the same additions
+// in the same order, so the same bits — without a copy of their values.
+func (s *Stratum) AddItems(weight float64, items []stream.Item) {
+	var sum float64
+	for i := range items {
+		v := items[i].Value
+		s.moments.Add(v)
+		sum += v
+	}
+	s.weightedSum += sum * weight
+	s.estCount += float64(len(items)) * weight
 }
 
 // AddWeighted folds a single item carrying weight into the stratum.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/approxiot/approxiot/internal/stream"
 	"github.com/approxiot/approxiot/internal/xrand"
 )
 
@@ -137,6 +138,23 @@ func TestStratumPaperFigure3Example(t *testing.T) {
 	}
 	if got := s.SampleCount(); got != 2 {
 		t.Fatalf("SampleCount = %d, want 2", got)
+	}
+}
+
+// AddItems is the no-copy form of AddBatch: identical state, to the bit.
+func TestStratumAddItemsEqualsAddBatch(t *testing.T) {
+	var a, b Stratum
+	for batch := 0; batch < 5; batch++ {
+		vals := []float64{0.1, 1e9, -3.7, 2.5e-7, 42, float64(batch) / 3}
+		items := make([]stream.Item, len(vals))
+		for i, v := range vals {
+			items[i].Value = v
+		}
+		a.AddBatch(1.5+float64(batch), vals)
+		b.AddItems(1.5+float64(batch), items)
+	}
+	if a != b {
+		t.Fatalf("AddItems state %+v, AddBatch state %+v", b, a)
 	}
 }
 

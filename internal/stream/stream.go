@@ -129,12 +129,12 @@ func (b Batch) Marshal() []byte {
 // Callers that own their buffers (and hand encoded bytes to consumers that
 // do not retain them) can reuse one buffer across batches to avoid the
 // per-batch allocation Marshal pays. Note the mq broker retains produced
-// values in its partition logs (zero-copy append), so encode scratch must
-// never be sent directly: the hot produce path accumulates AppendMarshal
-// encodings in a reusable scratch and copies each flush into one freshly
-// allocated, never-rewritten block that the records are sliced from (the
-// batchEncoder in internal/core — one allocation per flush instead of one
-// Marshal per batch); anything simpler should keep using Marshal.
+// values in its partition logs (zero-copy append), so a reused buffer must
+// never be sent: the hot produce path sizes one fresh block per flush from
+// WireSize, which is exact, and AppendMarshals every batch of the flush
+// straight into it (the batchEncoder in internal/core — one allocation per
+// flush instead of one Marshal per batch, and the block is never written
+// again); anything simpler should keep using Marshal.
 func (b Batch) AppendMarshal(buf []byte) []byte {
 	buf = append(buf, codecVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Source)))
