@@ -497,7 +497,6 @@ func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberC
 	}
 	now := time.Now()
 	var buf []mq.Record
-	var scratch stream.Batch
 	var err error
 	for _, po := range killed {
 		start := int64(0)
@@ -526,20 +525,21 @@ func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberC
 					break
 				}
 				off = rec.Offset + 1
-				if stream.UnmarshalBatchInto(&scratch, rec.Value) != nil {
+				h, herr := stream.ParseHeader(rec.Value, p.names)
+				if herr != nil {
 					continue // already counted into DecodeErrors by the dead member
 				}
 				if p.ew != nil {
-					p.ew.ingest(scratch)
+					p.ew.ingestWire(h)
 					// Fold the piggybacked watermark lanewise — the same
 					// per-lane floor rule the live path applies, so replayed
 					// end-of-stream copies lift exactly the lanes they rode —
 					// but never announce (the dead member announced this
 					// chain when it first heard it) and never advance
 					// (replay rebuilds buffered state only).
-					p.wt.fold(rec.Watermark, scratch.Source, rec.Partition, now)
+					p.wt.fold(rec.Watermark, h.Source, rec.Partition, now)
 				} else {
-					p.node.IngestBatch(scratch)
+					p.node.IngestWire(h, 0, h.Count)
 				}
 			}
 		}

@@ -111,17 +111,20 @@ type closedWindow struct {
 func (c closedWindow) startTime() time.Time { return time.Unix(0, c.start).UTC() }
 
 // eventWindows buckets a node's Ψ store by event-time tumbling window: one
-// private sampling Node per open window, created on first assignment, all
+// private sampling Node per open window, opened on first assignment, all
 // drawing their item storage from the one slab store the eventWindows owns
-// across windows. Closing is watermark-driven and monotone — once the close
-// bound passes a window start, records assigned below the bound are counted
-// late and dropped. Not safe for concurrent use; owners serialize access
-// exactly as they do for Node.
+// across windows. Retired window nodes are kept beside the slabs and reopened
+// for the windows that come next, so opening a window builds (and seeds)
+// nothing. Closing is watermark-driven and monotone — once the close bound
+// passes a window start, records assigned below the bound are counted late
+// and dropped. Not safe for concurrent use; owners serialize access exactly
+// as they do for Node.
 type eventWindows struct {
 	window   time.Duration
 	lateness time.Duration
 	mkNode   func() *Node
 	slabs    slabStore
+	idle     []*Node // retired window nodes, recycled and ready to reopen
 
 	open     map[int64]*Node
 	bound    int64 // window starts below this are closed territory
@@ -146,46 +149,95 @@ func newEventWindows(window, lateness time.Duration, late *lateCounter, newNode 
 	}
 }
 
-// newNode builds the sampling node of one window (or of one window restored
-// from a checkpoint) on the shared slab store.
+// newNode returns the sampling node of one window (or of one window restored
+// from a checkpoint) on the shared slab store: a retired node reopened when
+// there is one, a new one otherwise. Either samples identically — mkNode
+// seeds every window from the same plan lineage, and reopen rewinds to it.
 func (ew *eventWindows) newNode() *Node {
+	if last := len(ew.idle) - 1; last >= 0 {
+		n := ew.idle[last]
+		ew.idle[last] = nil
+		ew.idle = ew.idle[:last]
+		n.reopen()
+		return n
+	}
 	n := ew.mkNode()
 	n.slabs = &ew.slabs
 	return n
 }
 
-// recycle takes back the item storage of closed windows whose theta nobody
-// reads any more.
+// idleNodesMax bounds the retired window nodes an eventWindows keeps (each
+// holds a ~5 kB generator). Only windows open at once can retire together,
+// so steady state sits at a handful; the bound is for the burst — an
+// end-of-stream drain or a wildly out-of-order record closing hundreds of
+// windows at once — whose nodes must not stay resident forever.
+const idleNodesMax = 32
+
+// recycle takes back closed windows whose theta nobody reads any more: their
+// item storage goes to the slab store and their nodes wait to be reopened.
 func (ew *eventWindows) recycle(closed []closedWindow) {
 	for _, cw := range closed {
 		cw.node.Recycle()
+		if len(ew.idle) < idleNodesMax {
+			ew.idle = append(ew.idle, cw.node)
+		}
 	}
+}
+
+// place returns the node of the window starting at start, for a run of count
+// items of the given weight to land in, opening the window on first
+// assignment — or nil, with the run counted late, when the close bound has
+// already passed the window.
+func (ew *eventWindows) place(start int64, count int, weight float64) *Node {
+	if ew.boundSet && start < ew.bound {
+		ew.late.add(count, weight)
+		return nil
+	}
+	n := ew.open[start]
+	if n == nil {
+		n = ew.newNode()
+		ew.open[start] = n
+	}
+	ew.obs.Add(int64(count))
+	return n
 }
 
 // ingest assigns a weighted batch's items to their event-time windows,
 // splitting the batch at window boundaries. Items that belong to a window
-// the close bound has already passed are dropped and counted late.
+// the close bound has already passed are dropped and counted late. This is
+// the form for batches already in memory (the simulator's network hands
+// them over by reference); a live hop uses ingestWire.
 func (ew *eventWindows) ingest(b stream.Batch) {
 	items := b.Items
 	for lo := 0; lo < len(items); {
-		w := windowFloor(items[lo].Ts.UnixNano(), ew.window)
+		start := windowFloor(items[lo].Ts.UnixNano(), ew.window)
+		end := start + int64(ew.window)
 		hi := lo + 1
-		for hi < len(items) && windowFloor(items[hi].Ts.UnixNano(), ew.window) == w {
+		for hi < len(items) {
+			if ts := items[hi].Ts.UnixNano(); ts < start || ts >= end {
+				break
+			}
 			hi++
 		}
-		run := items[lo:hi]
-		if ew.boundSet && w < ew.bound {
-			ew.late.add(len(run), b.Weight)
-		} else {
-			n := ew.open[w]
-			if n == nil {
-				n = ew.newNode()
-				ew.open[w] = n
-			}
+		if n := ew.place(start, hi-lo, b.Weight); n != nil {
 			// IngestBatch copies items out, so handing it a sub-slice of
 			// the caller's storage is safe.
-			n.IngestBatch(stream.Batch{Source: b.Source, Weight: b.Weight, Items: run})
-			ew.obs.Add(int64(len(run)))
+			n.IngestBatch(stream.Batch{Source: b.Source, Weight: b.Weight, Items: items[lo:hi]})
+		}
+		lo = hi
+	}
+}
+
+// ingestWire is ingest for a record still on the wire: the batch is split
+// into window runs by the int64 timestamps read off the wire block — two
+// integer compares per item against the current run's [start, end) — and
+// each run is decoded once, straight into its window's Ψ storage.
+func (ew *eventWindows) ingestWire(h stream.Header) {
+	for lo := 0; lo < h.Count; {
+		start := windowFloor(h.TsNanos(lo), ew.window)
+		hi := h.TsRun(lo+1, start, start+int64(ew.window))
+		if n := ew.place(start, hi-lo, h.Weight); n != nil {
+			n.IngestWire(h, lo, hi)
 		}
 		lo = hi
 	}

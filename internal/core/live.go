@@ -291,7 +291,7 @@ type samplingProcessor struct {
 	pending    atomic.Int64 // items buffered in Ψ awaiting the window flush
 	ctx        streams.ProcessorContext
 	cancel     func()
-	scratch    stream.Batch // reused decode buffer; IngestBatch copies out
+	names      stream.SourceTable // sub-stream names this member has decoded
 
 	// bwc is the member's private produce-side byte counter for its parent
 	// link (lock-free; folded into the account at read time).
@@ -425,6 +425,7 @@ var (
 
 func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
 	p.ctx = ctx
+	p.names = make(stream.SourceTable)
 	if p.wt != nil {
 		// The tracker's lane floors need the consumer's partition
 		// assignment — installed before recovery, so the offset-gap replay
@@ -456,16 +457,27 @@ func (p *samplingProcessor) Process(msg streams.Message) error {
 		p.pending.Store(int64(p.ew.buffered()))
 		return nil
 	}
-	if err := stream.UnmarshalBatchInto(&p.scratch, msg.Value); err != nil {
-		p.decodeErrs.Add(1)
+	if !p.ingest(msg.Value) {
 		return nil
 	}
-	p.node.IngestBatch(p.scratch)
 	p.pending.Store(int64(p.node.Observed()))
 	if p.streaming {
 		p.flush()
 	}
 	return nil
+}
+
+// ingest is the processing-time per-message step: the record is decoded
+// straight into the member's Ψ. A record that does not parse is counted and
+// skipped; ingest reports whether it was taken.
+func (p *samplingProcessor) ingest(value []byte) bool {
+	h, err := stream.ParseHeader(value, p.names)
+	if err != nil {
+		p.decodeErrs.Add(1)
+		return false
+	}
+	p.node.IngestWire(h, 0, h.Count)
+	return true
 }
 
 // ProcessBatch handles one polled batch: decode and ingest stay per-message
@@ -494,11 +506,7 @@ func (p *samplingProcessor) ProcessBatch(msgs []streams.Message) error {
 		return nil
 	}
 	for i := range msgs {
-		if err := stream.UnmarshalBatchInto(&p.scratch, msgs[i].Value); err != nil {
-			p.decodeErrs.Add(1)
-			continue
-		}
-		p.node.IngestBatch(p.scratch)
+		p.ingest(msgs[i].Value)
 	}
 	p.pending.Store(int64(p.node.Observed()))
 	return nil
@@ -511,19 +519,20 @@ func (p *samplingProcessor) ProcessBatch(msgs []streams.Message) error {
 // unbatched and later records in the same batch are judged late against the
 // same bound.
 func (p *samplingProcessor) processEvent(msg streams.Message, now time.Time) {
-	if err := stream.UnmarshalBatchInto(&p.scratch, msg.Value); err != nil {
+	h, err := stream.ParseHeader(msg.Value, p.names)
+	if err != nil {
 		p.decodeErrs.Add(1)
 		return
 	}
 	// Ingest before folding the record's watermark: the piggybacked
 	// watermark may close the very window this record's items belong
 	// to, and they must land inside it, not be counted late.
-	p.ew.ingest(p.scratch)
-	if p.wt.fold(msg.Watermark, p.scratch.Source, msg.Partition, now) {
+	p.ew.ingestWire(h)
+	if p.wt.fold(msg.Watermark, h.Source, msg.Partition, now) {
 		// First sight of this chain: announce it upstream before any
 		// record can lift the parent's minimum past windows the chain
 		// still holds data for.
-		p.announce(p.scratch.Source)
+		p.announce(h.Source)
 	}
 	p.advanceEventTime(now)
 }
@@ -866,7 +875,7 @@ type rootProcessor struct {
 	decodeErrs   *atomic.Int64
 	lastActivity *atomic.Int64      // unix nanos of last root-side processing
 	latency      *metrics.Histogram // private per member; merged into the result at shutdown
-	scratch      stream.Batch       // reused decode buffer; IngestBatch copies out
+	names        stream.SourceTable // sub-stream names this member has decoded (under mu)
 }
 
 var (
@@ -876,6 +885,7 @@ var (
 
 func (p *rootProcessor) Init(ctx streams.ProcessorContext) error {
 	p.ctx = ctx
+	p.names = make(stream.SourceTable)
 	if p.wt != nil {
 		p.wt.ownedFn = func() []int { return ownedLanesOf(p.ctx) }
 	}
@@ -912,45 +922,48 @@ func (p *rootProcessor) ProcessBatch(msgs []streams.Message) error {
 
 // processLocked is the per-message root step. Callers hold p.mu.
 func (p *rootProcessor) processLocked(msg streams.Message) int64 {
-	if err := stream.UnmarshalBatchInto(&p.scratch, msg.Value); err != nil {
+	h, err := stream.ParseHeader(msg.Value, p.names)
+	if err != nil {
 		p.decodeErrs.Add(1)
 		return 0
 	}
-	spin(time.Duration(len(p.scratch.Items)) * p.work)
+	spin(time.Duration(h.Count) * p.work)
 	now := time.Now()
 	// Items are stamped with their wall-clock publish instant at the source
 	// (Pub — and in processing-time mode Ts is the same instant), so this is
 	// genuine end-to-end latency: edge window waits, broker hops, and the
 	// root's own service time all count. Every item of one Push carries the
-	// same instant, so the histogram takes each run of equal instants in one
-	// observation instead of one per item.
-	items := p.scratch.Items
-	for lo := 0; lo < len(items); {
-		ref := latencyRef(&items[lo])
+	// same instant, so the histogram takes each run of equal instants — read
+	// off the wire block, before anything is decoded — in one observation
+	// instead of one per item.
+	nowNanos := now.UnixNano()
+	for lo := 0; lo < h.Count; {
+		ref := latencyRef(h, lo)
 		hi := lo + 1
-		for hi < len(items) && latencyRef(&items[hi]).Equal(ref) {
+		for hi < h.Count && latencyRef(h, hi) == ref {
 			hi++
 		}
-		p.latency.ObserveN(now.Sub(ref), int64(hi-lo))
+		p.latency.ObserveN(time.Duration(nowNanos-ref), int64(hi-lo))
 		lo = hi
 	}
 	if p.ew != nil {
 		// Ingest before folding the watermark, mirroring the edge members.
-		p.ew.ingest(p.scratch)
-		p.wt.fold(msg.Watermark, p.scratch.Source, msg.Partition, now)
+		p.ew.ingestWire(h)
+		p.wt.fold(msg.Watermark, h.Source, msg.Partition, now)
 	} else {
-		p.node.IngestBatch(p.scratch)
+		p.node.IngestWire(h, 0, h.Count)
 	}
-	return int64(len(p.scratch.Items))
+	return int64(h.Count)
 }
 
-// latencyRef is the instant an item's end-to-end latency is measured from:
-// its publish stamp, or its event timestamp when it carries none.
-func latencyRef(it *stream.Item) time.Time {
-	if it.Pub.IsZero() {
-		return it.Ts
+// latencyRef is the instant (unix nanoseconds) item i's end-to-end latency is
+// measured from: its publish stamp, or its event timestamp when it carries
+// none.
+func latencyRef(h stream.Header, i int) int64 {
+	if pub := h.PubNanos(i); pub != 0 {
+		return pub
 	}
-	return it.Pub
+	return h.TsNanos(i)
 }
 
 func (p *rootProcessor) Close() error { return nil }

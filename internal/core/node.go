@@ -92,23 +92,44 @@ func (n *Node) IngestItems(items []stream.Item) {
 	}
 }
 
+// IngestWire is IngestBatch for a batch still on the wire: the items
+// [lo, hi) of h are decoded once, straight into the tail of their lineage's
+// slab. The wire block is only read.
+func (n *Node) IngestWire(h stream.Header, lo, hi int) {
+	if lo == hi {
+		return
+	}
+	n.weights.Set(h.Source, h.Weight)
+	h.Decode(n.reserve(h.Source, h.Weight, hi-lo), lo)
+}
+
 func (n *Node) addPair(src stream.SourceID, w float64, items []stream.Item) {
+	copy(n.reserve(src, w, len(items)), items) // copies: the node owns its storage
+}
+
+// reserve extends the pair of lineage (src, w) by count item slots at the
+// tail of its slab and returns them. The slots hold stale items of earlier
+// windows: the caller is their only writer and must fill every one before
+// anything reads the pair.
+func (n *Node) reserve(src stream.SourceID, w float64, count int) []stream.Item {
 	key := lineageKey{src: src, w: w}
 	idx, ok := n.lineage[key]
 	if !ok {
 		idx = len(n.psi)
 		n.lineage[key] = idx
-		n.psi = append(n.psi, stream.Batch{Source: src, Weight: w, Items: n.slabs.get(len(items))})
+		n.psi = append(n.psi, stream.Batch{Source: src, Weight: w, Items: n.slabs.get(count)})
 	}
 	pair := &n.psi[idx]
-	if need := len(pair.Items) + len(items); need > cap(pair.Items) {
+	have := len(pair.Items)
+	if need := have + count; need > cap(pair.Items) {
 		grown := append(n.slabs.get(need), pair.Items...)
 		n.slabs.put(pair.Items)
 		pair.Items = grown
 	}
-	pair.Items = append(pair.Items, items...) // copies: the node owns its storage
-	n.observed += len(items)
-	n.totalObserved.Add(int64(len(items)))
+	pair.Items = pair.Items[:have+count]
+	n.observed += count
+	n.totalObserved.Add(int64(count))
+	return pair.Items[have:]
 }
 
 // Observed returns the number of items received in the current interval.
@@ -159,7 +180,24 @@ func (n *Node) Recycle() {
 	for i := range n.closed {
 		n.slabs.put(n.closed[i].Items)
 	}
+	clear(n.closed)
+	if n.psi == nil {
+		n.psi = n.closed[:0] // the pair headers serve the next interval too
+	}
 	n.closed = nil
+}
+
+// reopen returns a retired window's node to the state its constructor left
+// it in — no carried weights, counters at zero, the sampler rewound to its
+// seed — so the window it serves next samples exactly as a freshly built
+// node would. The node keeps its maps, its pair headers and its sampler's
+// generator: reopening allocates nothing.
+func (n *Node) reopen() {
+	clear(n.weights)
+	n.sampler.Reseed()
+	n.totalObserved.Store(0)
+	n.totalEmitted.Store(0)
+	n.intervals.Store(0)
 }
 
 // Stats reports lifetime counters for instrumentation. Safe to call from

@@ -660,14 +660,16 @@ func (n *NodeSession) Pusher(slot int) (*NodePusher, error) {
 	leaf := n.plan.Layers[0][src.ParentIndex]
 	v := &NodePusher{
 		n:        n,
-		slot:     slot,
-		topic:    src.Topic,
 		lagGroup: leaf.ID + "-in", // the leaf node's consumer group (streams source node "in")
-		producer: n.bus.NewProducer(),
-		bwc:      n.bw.Counter(src.Topic),
 		rate:     n.cfg.SourceRate,
-		from:     sourceFrom(slot),
-		marks:    make(map[stream.SourceID]time.Time),
+		valve: valve{
+			slot:     slot,
+			topic:    src.Topic,
+			producer: n.bus.NewProducer(),
+			bwc:      n.bw.Counter(src.Topic),
+			from:     sourceFrom(slot),
+			marks:    make(map[stream.SourceID]time.Time),
+		},
 	}
 	n.valves[slot] = v
 	return v, nil
@@ -708,26 +710,17 @@ func (n *NodeSession) FinishIngest() error {
 // valve are serialized; distinct slots push concurrently.
 type NodePusher struct {
 	n        *NodeSession
-	slot     int
-	topic    string
 	lagGroup string
-	producer transport.Producer
-	bwc      *metrics.BandwidthCounter
 	rate     float64
-	from     string
 
 	// sent is atomic so observers (tests, telemetry) can read it while a
 	// Push is parked in backpressure holding mu.
 	sent atomic.Int64
 
 	mu       sync.Mutex
+	valve         // the publishing half, shared with Ingester (under mu)
 	finished bool // end-of-stream sent; further pushes are rejected
 	epoch    time.Time
-	// marks tracks, per sub-stream, the highest event timestamp pushed —
-	// the sub-stream's low watermark, piggybacked on every record.
-	marks   map[stream.SourceID]time.Time
-	enc     batchEncoder
-	outRecs []mq.Record
 }
 
 // Slot returns the source slot this valve feeds.
@@ -766,53 +759,8 @@ func (v *NodePusher) Push(items ...stream.Item) error {
 	}
 	n.markStarted()
 
-	pub := time.Now()
-	defaultSrc := stream.SourceID("")
-	for j := range items {
-		if items[j].Source == "" {
-			if defaultSrc == "" {
-				defaultSrc = stream.SourceID(fmt.Sprintf("source%d", v.slot))
-			}
-			items[j].Source = defaultSrc
-		}
-		items[j].Pub = pub
-		if items[j].Ts.IsZero() {
-			items[j].Ts = pub
-		}
-	}
-	for lo := 0; lo < len(items); {
-		hi := lo + 1
-		src := items[lo].Source
-		for hi < len(items) && items[hi].Source == src {
-			hi++
-		}
-		b := stream.Batch{Source: src, Weight: 1, Items: items[lo:hi]}
-		mark := v.marks[src]
-		for _, it := range b.Items {
-			if it.Ts.After(mark) {
-				mark = it.Ts
-			}
-		}
-		v.marks[src] = mark
-		v.enc.add(b, mq.Watermark{From: v.from, At: mark})
-		lo = hi
-	}
-	if !v.enc.empty() {
-		v.bwc.Add(v.enc.payloadBytes())
-		recs := v.enc.records(v.outRecs[:0])
-		v.enc.reset()
-		err := v.producer.SendBatch(v.topic, recs)
-		// Scrub before recycling: spare capacity must not pin the block.
-		for i := range recs {
-			recs[i] = mq.Record{}
-		}
-		v.outRecs = recs[:0]
-		if err != nil {
-			if errors.Is(err, mq.ErrClosed) {
-				return ErrSessionClosed
-			}
-			return err
-		}
+	if err := v.publish(items, nil); err != nil {
+		return err
 	}
 	sent := v.sent.Add(int64(len(items)))
 	n.produced.Add(int64(len(items)))

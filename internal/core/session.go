@@ -608,19 +608,20 @@ func (s *LiveSession) Ingester(slot int) (*Ingester, error) {
 	src := s.plan.Sources[slot]
 	leaf := s.plan.Layers[0][src.ParentIndex]
 	in := &Ingester{
-		s:         s,
-		slot:      slot,
-		topic:     src.Topic,
-		leafID:    leaf.ID,
-		lagGroup:  leaf.ID + "-in", // the leaf node's consumer group (streams source node "in")
-		producer:  s.bus.NewProducer(),
-		bwc:       s.res.Bandwidth.Counter(src.Topic),
-		rate:      s.cfg.SourceRate,
-		eventTime: s.cfg.EventTime,
-		perRecord: s.cfg.recordAtATime,
-		from:      sourceFrom(slot),
+		s:        s,
+		leafID:   leaf.ID,
+		lagGroup: leaf.ID + "-in", // the leaf node's consumer group (streams source node "in")
+		rate:     s.cfg.SourceRate,
+		valve: valve{
+			slot:      slot,
+			topic:     src.Topic,
+			producer:  s.bus.NewProducer(),
+			bwc:       s.res.Bandwidth.Counter(src.Topic),
+			perRecord: s.cfg.recordAtATime,
+			from:      sourceFrom(slot),
+		},
 	}
-	if in.eventTime {
+	if s.cfg.EventTime {
 		in.marks = make(map[stream.SourceID]time.Time)
 	}
 	s.ingesters[slot] = in
@@ -1225,32 +1226,15 @@ func (s *LiveSession) finalize(end time.Time) {
 // LiveSession.Ingester. Pushes through one Ingester are serialized (the
 // valve preserves per-stratum order); distinct slots push concurrently.
 type Ingester struct {
-	s         *LiveSession
-	slot      int
-	topic     string
-	leafID    string // the layer-0 node this valve feeds (detach checks)
-	lagGroup  string
-	producer  transport.Producer
-	bwc       *metrics.BandwidthCounter // private leaf-link byte counter
-	rate      float64
-	eventTime bool
-	perRecord bool   // recordAtATime: publish one record per broker append
-	from      string // watermark origin: this valve's chain identity
+	s        *LiveSession
+	leafID   string // the layer-0 node this valve feeds (detach checks)
+	lagGroup string
+	rate     float64
 
 	mu    sync.Mutex
+	valve // the publishing half, shared with NodePusher (under mu)
 	sent  int64
 	epoch time.Time // pacing schedule origin: the valve's first push
-	// marks tracks, per sub-stream pushed through this valve, the highest
-	// event timestamp seen — the sub-stream's low watermark, piggybacked
-	// on every record the valve publishes (event-time mode only).
-	marks map[stream.SourceID]time.Time
-	// enc / outRecs are the valve's publish scratch: one push queues every
-	// same-source run in enc and lands the whole set with a single
-	// SendBatch (one topic lock, one consumer wakeup). The broker retains
-	// the produced bytes, so enc encodes them into one fresh block per push
-	// — see batchEncoder.
-	enc     batchEncoder
-	outRecs []mq.Record
 }
 
 // Slot returns the source slot this valve feeds.
@@ -1308,88 +1292,11 @@ func (in *Ingester) Push(items ...stream.Item) error {
 	}
 	s.markStarted()
 
-	// Stamp the wall-clock publish instant (Pub — end-to-end latency is
-	// measured from here to root-side processing). Processing-time mode
-	// re-stamps Ts with the same instant, the pre-event-time contract;
-	// event-time mode preserves caller-supplied event timestamps and only
-	// defaults a zero Ts to the publish instant.
-	pub := time.Now()
-	defaultSrc := stream.SourceID("")
-	for j := range items {
-		if items[j].Source == "" {
-			if defaultSrc == "" {
-				defaultSrc = stream.SourceID(fmt.Sprintf("source%d", in.slot))
-			}
-			items[j].Source = defaultSrc
-		}
-		items[j].Pub = pub
-		if !in.eventTime || items[j].Ts.IsZero() {
-			items[j].Ts = pub
-		}
-	}
-	// Ground truth: item-by-item into the slot's running sum, so the
-	// per-slot total is bit-identical to the pre-session accumulator and
-	// the final fold (slot order, in finalize) is deterministic.
-	t := &s.truth[in.slot]
-	t.mu.Lock()
-	for j := range items {
-		t.v += items[j].Value
-	}
-	t.mu.Unlock()
-	for lo := 0; lo < len(items); {
-		hi := lo + 1
-		src := items[lo].Source
-		for hi < len(items) && items[hi].Source == src {
-			hi++
-		}
-		b := stream.Batch{Source: src, Weight: 1, Items: items[lo:hi]}
-		// Event-time mode: advance the sub-stream's low watermark to the
-		// highest event timestamp in the run and piggyback it, so the leaf
-		// member's per-chain watermark tracks this valve exactly.
-		var wm mq.Watermark
-		if in.eventTime {
-			mark := in.marks[src]
-			for _, it := range b.Items {
-				if it.Ts.After(mark) {
-					mark = it.Ts
-				}
-			}
-			in.marks[src] = mark
-			wm = mq.Watermark{From: in.from, At: mark}
-		}
-		if in.perRecord {
-			// Seed path (equivalence reference): one append per run.
-			payload := b.Marshal()
-			in.bwc.Add(int64(len(payload)))
-			if _, _, err := in.producer.SendWatermarked(in.topic, []byte(src), payload, wm); err != nil {
-				if errors.Is(err, mq.ErrClosed) {
-					return ErrSessionClosed
-				}
-				return err
-			}
-		} else {
-			in.enc.add(b, wm)
-		}
-		lo = hi
-	}
-	if !in.enc.empty() {
-		// Land every run with one batched append: one topic lock, one
-		// consumer wakeup, and one retained block for the whole push.
-		in.bwc.Add(in.enc.payloadBytes())
-		recs := in.enc.records(in.outRecs[:0])
-		in.enc.reset()
-		err := in.producer.SendBatch(in.topic, recs)
-		// Scrub before recycling: spare capacity must not pin the block.
-		for i := range recs {
-			recs[i] = mq.Record{}
-		}
-		in.outRecs = recs[:0]
-		if err != nil {
-			if errors.Is(err, mq.ErrClosed) {
-				return ErrSessionClosed
-			}
-			return err
-		}
+	// Ground truth goes item by item into the slot's running sum, so the
+	// per-slot total is bit-identical to the pre-session accumulator and the
+	// final fold (slot order, in finalize) is deterministic.
+	if err := in.publish(items, &s.truth[in.slot]); err != nil {
+		return err
 	}
 	in.sent += int64(len(items))
 	s.produced.Add(int64(len(items)))

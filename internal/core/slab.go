@@ -18,11 +18,15 @@ import (
 // synchronization of its own. A slab belongs to exactly one lineage from
 // get until the window it served has been closed AND its Θ is dead (encoded
 // into the retained block on an edge tier, queried at the root); only then
-// is it put back. Entries beyond a slab's length are stale items of earlier
-// windows and are never cleared: nothing reads past len, an append
-// overwrites them before they become visible, and what they pin — a
-// sub-stream name and the shared UTC location — the store's owner holds
-// anyway.
+// is it put back. While a lineage owns a slab, the decoder is the only writer
+// of its tail: Node.reserve hands out the next slots and stream.Header.Decode
+// (or the copy in addPair) fills every one before anything reads the pair;
+// the wire block the items come from is only read, and stays with the
+// broker. Entries beyond a slab's length are stale items of earlier windows
+// and are never cleared: nothing reads past len, and what they pin — a
+// sub-stream name the owner keeps decoding under anyway (its source table
+// holds it) and, for items copied in rather than decoded, a shared time
+// zone — outlives the slab regardless.
 //
 // Slabs come in power-of-two capacities so that a request is served by
 // needed length, never by whichever slab happened to come back first: the
@@ -33,7 +37,7 @@ const (
 	slabMinShift = 3  // smallest class: 8 items
 	slabClasses  = 18 // largest class: 8 << 17 = 1 Mi items
 	// slabRetainItems bounds the capacity a store may hold idle, in items
-	// (72 B each, so 18 MiB). The free list only ever holds storage its
+	// (56 B each, so 14 MiB). The free list only ever holds storage its
 	// owner had in use at once, so the bound matters for bursts: one huge
 	// window must not stay resident forever. Beyond it slabs go to the GC.
 	slabRetainItems = 1 << 18

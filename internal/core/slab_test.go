@@ -245,19 +245,36 @@ func TestCheckpointRestoredWindowsShareTheStore(t *testing.T) {
 	}
 }
 
+// hopWire is the upstream side of hopCycle: it re-stamps the window-0
+// payloads for window w and re-encodes them into a buffer it reuses, standing
+// in for the valve whose records a hop receives.
+type hopWire struct {
+	batch stream.Batch
+	buf   []byte
+}
+
+func (hw *hopWire) record(payload []byte, shift time.Duration) []byte {
+	if err := stream.UnmarshalBatchInto(&hw.batch, payload); err != nil {
+		panic(err)
+	}
+	for i := range hw.batch.Items { // the same window shape, one window later
+		hw.batch.Items[i].Ts = hw.batch.Items[i].Ts.Add(shift)
+	}
+	hw.buf = hw.batch.AppendMarshal(hw.buf[:0])
+	return hw.buf
+}
+
 // hopCycle is one steady-state window of an edge hop, from the layers' own
-// functions: decode → eventWindows.ingest → advance → encode → recycle. It
-// returns the size of the one block the flush retains.
-func hopCycle(ew *eventWindows, enc *batchEncoder, scratch *stream.Batch, recs []mq.Record, w int, payloads [][]byte) int {
+// functions: ParseHeader → eventWindows.ingestWire → advance → encode →
+// recycle. It returns the size of the one block the flush retains.
+func hopCycle(ew *eventWindows, enc *batchEncoder, hw *hopWire, names stream.SourceTable, recs []mq.Record, w int, payloads [][]byte) int {
 	shift := time.Duration(w) * hopWindow
 	for _, payload := range payloads {
-		if err := stream.UnmarshalBatchInto(scratch, payload); err != nil {
+		h, err := stream.ParseHeader(hw.record(payload, shift), names)
+		if err != nil {
 			panic(err)
 		}
-		for i := range scratch.Items { // the same window shape, one window later
-			scratch.Items[i].Ts = scratch.Items[i].Ts.Add(shift)
-		}
-		ew.ingest(*scratch)
+		ew.ingestWire(h)
 	}
 	closed := ew.advance(simEpoch.Add(shift + hopWindow))
 	for _, cw := range closed {
@@ -288,22 +305,23 @@ func hopCycleFixture(perWindow int) (*eventWindows, [][]byte) {
 }
 
 // In steady state a hop allocates the block the broker retains and a fixed
-// handful of per-window headers (the window's node, its sampler and maps) —
-// nothing that grows with the items. Two window shapes, one sixteen times
-// the other, must therefore cost the same number of allocations, and the
-// bytes beyond the retained block must stay far below the 72 B an item's
-// storage would cost.
+// handful of per-window headers (the sampler's per-interval maps; the
+// window's node and generator are reopened, not rebuilt) — nothing that grows
+// with the items. Two window shapes, one sixteen times the other, must
+// therefore cost the same number of allocations, and the bytes beyond the
+// retained block must stay far below the 56 B an item's storage would cost.
 func TestHopSteadyStateAllocatesNoItemStorage(t *testing.T) {
 	measure := func(scale int) (allocs float64, bytesPerCycle, block, items int) {
 		ew, payloads := hopCycleFixture(scale * hopPerWindow)
 		var (
-			enc     batchEncoder
-			scratch stream.Batch
-			recs    = make([]mq.Record, 0, hopSources)
-			w       int
+			enc   batchEncoder
+			hw    hopWire
+			names = make(stream.SourceTable)
+			recs  = make([]mq.Record, 0, hopSources)
+			w     int
 		)
 		cycle := func() {
-			block = hopCycle(ew, &enc, &scratch, recs, w, payloads)
+			block = hopCycle(ew, &enc, &hw, names, recs, w, payloads)
 			w++
 		}
 		for i := 0; i < 4; i++ {
@@ -321,9 +339,9 @@ func TestHopSteadyStateAllocatesNoItemStorage(t *testing.T) {
 	if smallAllocs != bigAllocs {
 		t.Fatalf("allocations per window grow with the window: %.0f for one shape, %.0f for sixteen times the items", smallAllocs, bigAllocs)
 	}
-	if extra := bigBytes - block; extra > items*72/20 {
+	if extra := bigBytes - block; extra > items*56/20 {
 		t.Fatalf("a %d-item window allocates %d B beyond its %d B retained block: item storage is back (it would be %d B)",
-			items, extra, block, items*72)
+			items, extra, block, items*56)
 	}
 	t.Logf("%d-item window: %.0f allocs, %d B/cycle of which %d B is the retained block", items, bigAllocs, bigBytes, block)
 }
@@ -333,23 +351,24 @@ func TestHopSteadyStateAllocatesNoItemStorage(t *testing.T) {
 func BenchmarkHopSteadyState(b *testing.B) {
 	ew, payloads := hopCycleFixture(2048) // the closed-loop workloads' items per slot per window
 	var (
-		enc     batchEncoder
-		scratch stream.Batch
-		recs    = make([]mq.Record, 0, hopSources)
-		wire    int
+		enc   batchEncoder
+		hw    hopWire
+		names = make(stream.SourceTable)
+		recs  = make([]mq.Record, 0, hopSources)
+		wire  int
 	)
 	for _, p := range payloads {
 		wire += len(p)
 	}
 	w := 0
 	for ; w < 4; w++ {
-		hopCycle(ew, &enc, &scratch, recs, w, payloads)
+		hopCycle(ew, &enc, &hw, names, recs, w, payloads)
 	}
 	b.ReportAllocs()
 	b.SetBytes(int64(wire))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hopCycle(ew, &enc, &scratch, recs, w, payloads)
+		hopCycle(ew, &enc, &hw, names, recs, w, payloads)
 		w++
 	}
 }

@@ -305,3 +305,31 @@ func TestWHSIntervalInPlaceEqualsReservoirReference(t *testing.T) {
 		}
 	}
 }
+
+// Reseed rewinds every sampler to its construction seed: an interval sampled
+// after any number of earlier intervals and a Reseed equals the interval a
+// freshly built sampler returns — which is what lets an event-time node keep
+// one sampler across windows instead of building one per window.
+func TestReseedEqualsAFreshSampler(t *testing.T) {
+	samplers := map[string]func() Sampler{
+		"whs":         func() Sampler { return NewWHS(xrand.New(5), WithAllocator(WaterFill{})) },
+		"parallel":    func() Sampler { return NewParallelWHS(3, 5) },
+		"coinflip":    func() Sampler { return NewCoinFlip(xrand.New(5)) },
+		"passthrough": func() Sampler { return Passthrough{} },
+	}
+	interval := func() []stream.Batch {
+		return mkPairs(pairSpec{"a", 1, 400}, pairSpec{"b", 2, 90}, pairSpec{"a", 1.5, 60})
+	}
+	for name, mk := range samplers {
+		want := mk().SampleInterval(interval(), 120)
+		s := mk()
+		s.Reseed() // nothing drawn yet
+		for round := 0; round < 3; round++ {
+			if got := s.SampleInterval(interval(), 120); !sameBatches(got, want) {
+				t.Fatalf("%s: interval %d after Reseed differs from a fresh sampler's", name, round)
+			}
+			s.SampleInterval(interval(), 37) // leave the generator somewhere else
+			s.Reseed()
+		}
+	}
+}

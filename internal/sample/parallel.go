@@ -59,6 +59,13 @@ func NewParallelWHS(workers int, seed uint64, opts ...ParallelOption) *ParallelW
 	return p
 }
 
+// Reseed rewinds every worker's generator to its construction seed.
+func (p *ParallelWHS) Reseed() {
+	for _, r := range p.rngs {
+		r.Reseed()
+	}
+}
+
 // Workers returns the configured worker count.
 func (p *ParallelWHS) Workers() int { return p.workers }
 

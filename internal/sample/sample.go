@@ -36,8 +36,15 @@ import (
 //
 // Implementations must preserve the Eq. 8 invariant per pair:
 // Σ |out.Items|·out.Weight over a pair's outputs = in.Weight·|in.Items|.
+//
+// Reseed rewinds the sampler's random state, in place, to what its
+// constructor left: the intervals that follow draw exactly what a freshly
+// built sampler with the same seed would. Event-time nodes keep one sampler
+// per retired window and rewind it for the window that opens next, instead
+// of building (and seeding) a new one per window.
 type Sampler interface {
 	SampleInterval(pairs []stream.Batch, budget int) []stream.Batch
+	Reseed()
 }
 
 // stratify groups items by source, preserving arrival order, and returns the
@@ -60,6 +67,9 @@ func stratify(items []stream.Item) (map[stream.SourceID][]stream.Item, []stream.
 type Passthrough struct{}
 
 var _ Sampler = Passthrough{}
+
+// Reseed is a no-op: forwarding draws nothing.
+func (Passthrough) Reseed() {}
 
 // Sample forwards all items grouped per sub-stream; budget is ignored.
 func (Passthrough) Sample(items []stream.Item, weights stream.WeightMap, _ int) []stream.Batch {
@@ -89,6 +99,9 @@ type CoinFlip struct {
 }
 
 var _ Sampler = (*CoinFlip)(nil)
+
+// Reseed rewinds the coin to its construction seed.
+func (c *CoinFlip) Reseed() { c.rng.Reseed() }
 
 // NewCoinFlip returns an SRS sampler whose keep probability tracks the
 // interval budget (expected sample size = budget).

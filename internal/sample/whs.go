@@ -42,6 +42,9 @@ func NewWHS(rng *xrand.Rand, opts ...WHSOption) *WHSampler {
 	return s
 }
 
+// Reseed rewinds the sampler's generator to its construction seed.
+func (s *WHSampler) Reseed() { s.rng.Reseed() }
+
 // Sample runs WHSamp (Algorithm 1) over one (W^in, items) pair.
 func (s *WHSampler) Sample(items []stream.Item, weights stream.WeightMap, budget int) []stream.Batch {
 	if len(items) == 0 {

@@ -30,12 +30,13 @@ type Item struct {
 	Ts time.Time
 	// Value is the measured quantity the query aggregates.
 	Value float64
-	// Pub is the wall-clock publish instant, stamped by the live ingestion
-	// valve and carried end to end so the root can measure genuine
-	// source-to-root latency even after edge nodes re-batch items.
-	// Simulated runs leave it zero (their latency uses Ts, which is the
-	// same instant in virtual time).
-	Pub time.Time
+	// Pub is the wall-clock publish instant in unix nanoseconds (0 = unset),
+	// stamped by the live ingestion valve and carried end to end so the
+	// root can measure genuine source-to-root latency even after edge nodes
+	// re-batch items. It is the wire's own form, so a hop neither converts
+	// it on the way in nor on the way out. Simulated runs leave it zero
+	// (their latency uses Ts, which is the same instant in virtual time).
+	Pub int64
 }
 
 // Batch is the (weight, items) pair that flows between nodes: a set of items
@@ -141,16 +142,159 @@ func (b Batch) AppendMarshal(buf []byte) []byte {
 	buf = append(buf, b.Source...)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.Weight))
 	buf = binary.AppendUvarint(buf, uint64(len(b.Items)))
-	for _, it := range b.Items {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it.Value))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(it.Ts.UnixNano()))
-		var pub int64
-		if !it.Pub.IsZero() {
-			pub = it.Pub.UnixNano()
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(pub))
+	// The item block is extended once and filled by index: no per-item
+	// append, and no copy of the item out of the slice.
+	off, need := len(buf), itemWireSize*len(b.Items)
+	if cap(buf)-off >= need {
+		buf = buf[:off+need]
+	} else {
+		buf = append(buf, make([]byte, need)...)
+	}
+	wire := buf[off:]
+	for i := range b.Items {
+		it := &b.Items[i]
+		w := wire[i*itemWireSize:][:itemWireSize]
+		binary.LittleEndian.PutUint64(w[0:8], math.Float64bits(it.Value))
+		binary.LittleEndian.PutUint64(w[8:16], uint64(it.Ts.UnixNano()))
+		binary.LittleEndian.PutUint64(w[16:24], uint64(it.Pub))
 	}
 	return buf
+}
+
+// SourceTable interns the sub-stream names a decoder reads off the wire, so
+// a record costs no string allocation once its sub-stream has been seen. One
+// table per decoding owner (it is a plain map, not safe for concurrent use);
+// it grows with the distinct sub-streams that owner has decoded, as the
+// owner's lineage and watermark maps already do.
+type SourceTable map[string]SourceID
+
+// intern returns the SourceID for name, allocating it on first sight. A nil
+// table allocates every time.
+func (t SourceTable) intern(name []byte) SourceID {
+	if id, ok := t[string(name)]; ok { // no allocation: the conversion is only a map key
+		return id
+	}
+	id := SourceID(name)
+	if t != nil {
+		t[string(id)] = id
+	}
+	return id
+}
+
+// Header is a parsed batch header over the wire block it came from: the
+// batch's sub-stream, weight and item count, plus a read-only view of the
+// still-encoded items. A hop reads timestamps straight off it (TsNanos,
+// PubNanos) to assign items to windows and decodes each run of items exactly
+// once, into its final place (Decode).
+type Header struct {
+	Source SourceID
+	Weight float64
+	Count  int
+	// wire is the encoded item block: exactly Count*itemWireSize bytes.
+	wire []byte
+}
+
+// parseHeader validates a wire batch and splits it into its header fields
+// and item block. It is the one place the format's framing is checked.
+func parseHeader(data []byte) (source []byte, weight float64, wire []byte, err error) {
+	if len(data) < 1 {
+		return nil, 0, nil, ErrTruncated
+	}
+	if data[0] != codecVersion {
+		return nil, 0, nil, fmt.Errorf("%w: %d", ErrCodecVersion, data[0])
+	}
+	data = data[1:]
+
+	srcLen, n := binary.Uvarint(data)
+	if n <= 0 || uint64(len(data[n:])) < srcLen {
+		return nil, 0, nil, ErrTruncated
+	}
+	data = data[n:]
+	source, data = data[:srcLen], data[srcLen:]
+
+	if len(data) < 8 {
+		return nil, 0, nil, ErrTruncated
+	}
+	weight = math.Float64frombits(binary.LittleEndian.Uint64(data))
+	data = data[8:]
+
+	count, n := binary.Uvarint(data)
+	if n <= 0 {
+		return nil, 0, nil, ErrTruncated
+	}
+	data = data[n:]
+	// Divide instead of multiplying: a crafted count near 2^64 would wrap
+	// count*itemWireSize past the length check and panic in the callers'
+	// allocations.
+	if count > uint64(len(data))/itemWireSize {
+		return nil, 0, nil, ErrTruncated
+	}
+	return source, weight, data[:count*itemWireSize], nil
+}
+
+// ParseHeader validates an encoded batch and returns its header, with the
+// sub-stream name interned through names. Nothing is decoded yet and data is
+// only read, never retained past the Header's own lifetime.
+func ParseHeader(data []byte, names SourceTable) (Header, error) {
+	source, weight, wire, err := parseHeader(data)
+	if err != nil {
+		return Header{}, err
+	}
+	return Header{
+		Source: names.intern(source),
+		Weight: weight,
+		Count:  len(wire) / itemWireSize,
+		wire:   wire,
+	}, nil
+}
+
+// TsNanos returns item i's event timestamp in unix nanoseconds, read off the
+// wire without decoding the item.
+func (h Header) TsNanos(i int) int64 {
+	return int64(binary.LittleEndian.Uint64(h.wire[i*itemWireSize+8:]))
+}
+
+// TsRun returns the end hi of the longest run of items [lo, hi) whose event
+// timestamps all lie in [start, end) — how a hop finds the items of one
+// window without decoding any.
+func (h Header) TsRun(lo int, start, end int64) int {
+	for w := h.wire[lo*itemWireSize:]; len(w) >= itemWireSize; w = w[itemWireSize:] {
+		if ts := int64(binary.LittleEndian.Uint64(w[8:16])); ts < start || ts >= end {
+			break
+		}
+		lo++
+	}
+	return lo
+}
+
+// PubNanos returns item i's publish instant in unix nanoseconds (0 = unset),
+// read off the wire without decoding the item.
+func (h Header) PubNanos(i int) int64 {
+	return int64(binary.LittleEndian.Uint64(h.wire[i*itemWireSize+16:]))
+}
+
+// Decode fills dst with the items [lo, lo+len(dst)) of the batch. The caller
+// passes the storage the items are to live in — the reserved tail of a Ψ
+// slab on a live hop — so decoding is the only copy.
+func (h Header) Decode(dst []Item, lo int) {
+	decodeItems(dst, h.Source, h.wire[lo*itemWireSize:])
+}
+
+// decodeItems is the codec's one item-decode loop: it fills dst from the
+// first len(dst) encoded items of wire.
+func decodeItems(dst []Item, src SourceID, wire []byte) {
+	wire = wire[:len(dst)*itemWireSize]
+	for i := range dst {
+		w := wire[i*itemWireSize:][:itemWireSize]
+		ts := int64(binary.LittleEndian.Uint64(w[8:16]))
+		it := &dst[i]
+		it.Source = src
+		it.Value = math.Float64frombits(binary.LittleEndian.Uint64(w[0:8]))
+		// Split by hand: time.Unix(0, ts) would take its out-of-range path
+		// (two divisions and a branch) for every item.
+		it.Ts = time.Unix(ts/1e9, ts%1e9).UTC()
+		it.Pub = int64(binary.LittleEndian.Uint64(w[16:24]))
+	}
 }
 
 // UnmarshalBatch decodes a batch previously produced by Marshal.
@@ -164,61 +308,25 @@ func UnmarshalBatch(data []byte) (Batch, error) {
 
 // UnmarshalBatchInto decodes data into b, reusing b's Items capacity and —
 // when the batch carries the same sub-stream as the previous decode — b's
-// Source string. This is the hot-path form: a pipeline stage that decodes
-// one batch per message can hold a single scratch Batch and decode with
-// zero steady-state allocations (ingest stages copy items out, so aliasing
-// the scratch storage is safe).
+// Source string. It is ParseHeader plus Decode into storage the Batch owns:
+// the form for callers that want a self-contained Batch (tests, tools, the
+// checkpoint reader). A live hop decodes into Ψ instead and never holds a
+// scratch batch.
 func UnmarshalBatchInto(b *Batch, data []byte) error {
-	if len(data) < 1 {
-		return ErrTruncated
+	source, weight, wire, err := parseHeader(data)
+	if err != nil {
+		return err
 	}
-	if data[0] != codecVersion {
-		return fmt.Errorf("%w: %d", ErrCodecVersion, data[0])
+	if string(b.Source) != string(source) {
+		b.Source = SourceID(source)
 	}
-	data = data[1:]
-
-	srcLen, n := binary.Uvarint(data)
-	if n <= 0 || uint64(len(data[n:])) < srcLen {
-		return ErrTruncated
-	}
-	data = data[n:]
-	if string(b.Source) != string(data[:srcLen]) {
-		b.Source = SourceID(data[:srcLen])
-	}
-	data = data[srcLen:]
-
-	if len(data) < 8 {
-		return ErrTruncated
-	}
-	b.Weight = math.Float64frombits(binary.LittleEndian.Uint64(data))
-	data = data[8:]
-
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return ErrTruncated
-	}
-	data = data[n:]
-	// Divide instead of multiplying: a crafted count near 2^64 would wrap
-	// count*itemWireSize past the length check and panic in make below.
-	if count > uint64(len(data))/itemWireSize {
-		return ErrTruncated
-	}
-	if uint64(cap(b.Items)) >= count {
+	b.Weight = weight
+	if count := len(wire) / itemWireSize; cap(b.Items) >= count {
 		b.Items = b.Items[:count]
 	} else {
 		b.Items = make([]Item, count)
 	}
-	for i := range b.Items {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
-		ts := int64(binary.LittleEndian.Uint64(data[8:]))
-		pub := int64(binary.LittleEndian.Uint64(data[16:]))
-		it := Item{Source: b.Source, Value: v, Ts: time.Unix(0, ts).UTC()}
-		if pub != 0 {
-			it.Pub = time.Unix(0, pub).UTC()
-		}
-		b.Items[i] = it
-		data = data[itemWireSize:]
-	}
+	decodeItems(b.Items, b.Source, wire)
 	return nil
 }
 

@@ -16,12 +16,35 @@ import (
 // paper's workloads need (Gaussian sub-streams, Poisson sub-streams with λ up
 // to 10^7, and heavy-tailed value models for the trace generators).
 type Rand struct {
-	src *rand.Rand
+	src  *rand.Rand
+	seed int64 // what src was seeded with
+	// drawn records that src has advanced since it was last seeded, so
+	// Reseed can skip the (607-word) seeding of a generator nobody drew from.
+	drawn bool
 }
 
 // New returns a generator seeded with seed.
 func New(seed uint64) *Rand {
-	return &Rand{src: rand.New(rand.NewSource(int64(mix(seed))))}
+	s := int64(mix(seed))
+	return &Rand{src: rand.New(rand.NewSource(s)), seed: s}
+}
+
+// Reseed rewinds the generator, in place, to the state New left it in: the
+// draws that follow repeat the draws of a freshly built generator with the
+// same seed bit for bit (rand.Rand.Seed(s) yields the stream of
+// rand.NewSource(s)). Owners that would otherwise build one generator per
+// time window keep one and rewind it instead.
+func (r *Rand) Reseed() {
+	if r.drawn {
+		r.src.Seed(r.seed)
+		r.drawn = false
+	}
+}
+
+// gen returns the underlying generator for one or more draws.
+func (r *Rand) gen() *rand.Rand {
+	r.drawn = true
+	return r.src
 }
 
 // Split derives the i-th child generator. Children of distinct (seed, i)
@@ -41,22 +64,22 @@ func mix(x uint64) uint64 {
 }
 
 // Float64 returns a uniform sample in [0, 1).
-func (r *Rand) Float64() float64 { return r.src.Float64() }
+func (r *Rand) Float64() float64 { return r.gen().Float64() }
 
 // Intn returns a uniform sample in [0, n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int { return r.src.Intn(n) }
+func (r *Rand) Intn(n int) int { return r.gen().Intn(n) }
 
 // Int63n returns a uniform sample in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 { return r.src.Int63n(n) }
+func (r *Rand) Int63n(n int64) int64 { return r.gen().Int63n(n) }
 
 // Uint64 returns a uniform 64-bit sample.
-func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
+func (r *Rand) Uint64() uint64 { return r.gen().Uint64() }
 
 // Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
+func (r *Rand) Perm(n int) []int { return r.gen().Perm(n) }
 
 // Shuffle randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
+func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.gen().Shuffle(n, swap) }
 
 // Bernoulli reports true with probability p (clamped to [0, 1]).
 func (r *Rand) Bernoulli(p float64) bool {
@@ -66,13 +89,13 @@ func (r *Rand) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.src.Float64() < p
+	return r.gen().Float64() < p
 }
 
 // Normal returns a Gaussian sample with the given mean and standard
 // deviation, matching the paper's Gaussian sub-streams A–D.
 func (r *Rand) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.src.NormFloat64()
+	return mean + stddev*r.gen().NormFloat64()
 }
 
 // LogNormal returns exp(N(mu, sigma)); used by the synthetic NYC-taxi fare
@@ -83,7 +106,7 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 
 // Exp returns an exponential sample with the given rate (mean 1/rate).
 func (r *Rand) Exp(rate float64) float64 {
-	return r.src.ExpFloat64() / rate
+	return r.gen().ExpFloat64() / rate
 }
 
 // poissonSwitch is the λ above which Poisson switches from Knuth's
@@ -110,7 +133,7 @@ func (r *Rand) poissonKnuth(lambda float64) int64 {
 	var k int64
 	p := 1.0
 	for {
-		p *= r.src.Float64()
+		p *= r.gen().Float64()
 		if p <= limit {
 			return k
 		}
@@ -128,8 +151,8 @@ func (r *Rand) poissonPTRS(lambda float64) int64 {
 	vr := 0.9277 - 3.6224/(b-2)
 	logLambda := math.Log(lambda)
 	for {
-		u := r.src.Float64() - 0.5
-		v := r.src.Float64()
+		u := r.gen().Float64() - 0.5
+		v := r.gen().Float64()
 		us := 0.5 - math.Abs(u)
 		k := math.Floor((2*a/us+b)*u + lambda + 0.43)
 		if us >= 0.07 && v <= vr {

@@ -234,3 +234,34 @@ func BenchmarkNormal(b *testing.B) {
 		r.Normal(1000, 50)
 	}
 }
+
+// Reseed must put the generator back where New left it: every kind of draw
+// afterwards repeats a fresh generator's, and rewinding a generator nobody
+// drew from (the skipped seeding) is no different.
+func TestReseedReplaysAFreshGenerator(t *testing.T) {
+	draw := func(r *Rand) []float64 {
+		out := []float64{float64(r.Int63n(1 << 40)), r.Float64(), r.Normal(0, 1), r.Exp(2), float64(r.Poisson(50)), float64(r.Uint64() >> 11)}
+		for _, v := range r.Perm(5) {
+			out = append(out, float64(v))
+		}
+		return out
+	}
+	want := draw(New(77))
+	r := New(77)
+	r.Reseed() // untouched: nothing to rewind
+	for round := 0; round < 3; round++ {
+		got := draw(r)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d draw %d = %v, want %v", round, i, got[i], want[i])
+			}
+		}
+		r.Reseed()
+	}
+	child := Split(9, 3)
+	first := child.Uint64()
+	child.Reseed()
+	if again := child.Uint64(); again != first || again != Split(9, 3).Uint64() {
+		t.Fatalf("Split child does not rewind to its own seed: %d then %d", first, again)
+	}
+}
