@@ -357,17 +357,11 @@ func (p *samplingProcessor) restoreCheckpoint(ck *memberCkpt, now time.Time) {
 	// serialized chain (placeholder included) supersedes the static
 	// expectation for the same origin.
 	for _, c := range ck.chains {
-		key := chainKey{from: c.from, src: c.src}
 		var wm time.Time
 		if c.wm != 0 {
 			wm = time.Unix(0, c.wm).UTC()
 		}
-		if !wm.IsZero() {
-			// A real chain resolves the origin's expectation placeholder,
-			// exactly as watermarkTracker.update would have.
-			delete(p.wt.chains, chainKey{from: c.from})
-		}
-		p.wt.chains[key] = &sourceMark{wm: wm, seen: now}
+		p.wt.restoreChain(c.from, c.src, wm, now)
 	}
 	p.pending.Store(int64(p.ew.buffered()))
 }

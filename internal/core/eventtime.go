@@ -399,6 +399,11 @@ type laneKey struct {
 // installed — single-FIFO transports (the simulator's network) need no
 // floors, and their behavior is unchanged. Chains and floors share the idle
 // and end-of-stream exemption rules. Not safe for concurrent use.
+//
+// The minimum is incremental: cache holds the result of the last full scan
+// and every change to an entry goes through stamp, which keeps it exact, so
+// a record costs O(1) instead of a walk over every chain and floor. The
+// cache's validity rule is on wmCache.
 type watermarkTracker struct {
 	idle   time.Duration
 	chains map[chainKey]*sourceMark
@@ -407,14 +412,48 @@ type watermarkTracker struct {
 	laneSet []int        // cached owned lanes (refreshed on unknown-lane sight)
 	lanes   map[laneKey]*sourceMark
 	known   map[string]bool // producers whose floors have been materialized
+
+	cache wmCache
+	scans int // full scans run (tests bound it)
+
+	// activeSources scratch; callers consume the result before the next call.
+	srcSeen map[stream.SourceID]struct{}
+	srcs    []stream.SourceID
+}
+
+// wmCache is the result of a watermarkTracker's last full scan, kept exact
+// by stamp until something it cannot account for happens:
+//
+//   - the entry set changes (a chain, floor or placeholder is created or
+//     deleted): dropped;
+//   - an entry the scan left out as idle is stamped, so it is alive again:
+//     dropped. That covers the unheard placeholders too — one that is not
+//     idle blocks, and a blocked result is never cached;
+//   - the last entry sitting at the minimum is raised: dropped. Per-entry
+//     watermarks are monotone, so while atMin entries still hold min no
+//     raise elsewhere can move it, and none can undercut it;
+//   - the clock leaves [at, until]: not served. until is at most
+//     min(seen)+idle over the included entries, the earliest instant one of
+//     them can turn idle; an entry excluded as idle at `at` stays idle at
+//     any later instant until it is stamped, which drops the cache.
+//
+// A blocked result has no minimum (the scan stops at the first live
+// placeholder), so there is nothing to cache.
+type wmCache struct {
+	valid bool
+	min   time.Time // minimum over included entries; zero when there are none
+	atMin int       // included entries sitting exactly at min
+	at    time.Time // the scan's clock reading
+	until time.Time // last instant the included set is known to hold (idle > 0)
 }
 
 func newWatermarkTracker(idle time.Duration) *watermarkTracker {
 	return &watermarkTracker{
-		idle:   idle,
-		chains: make(map[chainKey]*sourceMark),
-		lanes:  make(map[laneKey]*sourceMark),
-		known:  make(map[string]bool),
+		idle:    idle,
+		chains:  make(map[chainKey]*sourceMark),
+		lanes:   make(map[laneKey]*sourceMark),
+		known:   make(map[string]bool),
+		srcSeen: make(map[stream.SourceID]struct{}),
 	}
 }
 
@@ -432,6 +471,7 @@ func containsLane(lanes []int, lane int) bool {
 // own floors guard them) and missing floors for every known producer ×
 // owned lane are materialized as placeholders aged from now.
 func (t *watermarkTracker) refreshOwned(lanes []int, now time.Time) {
+	t.cache.valid = false
 	t.laneSet = lanes
 	for key := range t.lanes {
 		if !containsLane(t.laneSet, key.lane) {
@@ -448,6 +488,7 @@ func (t *watermarkTracker) materialize(from string, now time.Time) {
 		key := laneKey{from: from, lane: l}
 		if _, ok := t.lanes[key]; !ok {
 			t.lanes[key] = &sourceMark{seen: now}
+			t.cache.valid = false
 		}
 	}
 }
@@ -478,11 +519,41 @@ func (t *watermarkTracker) observeLane(from string, lane int, at, now time.Time)
 	if m == nil {
 		m = &sourceMark{}
 		t.lanes[key] = m
+		t.cache.valid = false
+	}
+	t.stamp(m, at, now)
+}
+
+// aged reports whether m is excluded from the minimum at clock reading now:
+// silent past the idle timeout, and not an end-of-stream promise.
+func (t *watermarkTracker) aged(m *sourceMark, now time.Time) bool {
+	return t.idle > 0 && now.Sub(m.seen) > t.idle && m.wm.Before(eosHorizon)
+}
+
+// stamp is the one way an existing entry changes: the watermark max-folds
+// at (a zero instant promises nothing) and the arrival clock is refreshed.
+// It keeps the cached minimum exact, or drops it (see wmCache).
+func (t *watermarkTracker) stamp(m *sourceMark, at, now time.Time) {
+	if c := &t.cache; c.valid {
+		switch {
+		case !t.cacheCovers(now), t.aged(m, c.at):
+			c.valid = false
+		case at.After(m.wm) && m.wm.Equal(c.min):
+			c.atMin--
+			c.valid = c.atMin > 0
+		}
 	}
 	if at.After(m.wm) {
 		m.wm = at
 	}
 	m.seen = now
+}
+
+// cacheCovers reports whether the cached scan still describes the tracker at
+// clock reading now. Without an idle timeout nothing depends on the clock.
+func (t *watermarkTracker) cacheCovers(now time.Time) bool {
+	c := &t.cache
+	return c.valid && (t.idle <= 0 || !(now.Before(c.at) || now.After(c.until)))
 }
 
 // fold routes one record's piggybacked watermark into the tracker: the lane
@@ -536,6 +607,7 @@ func (t *watermarkTracker) expect(from string, now time.Time) {
 	key := chainKey{from: from}
 	if _, ok := t.chains[key]; !ok {
 		t.chains[key] = &sourceMark{seen: now}
+		t.cache.valid = false
 	}
 }
 
@@ -554,11 +626,9 @@ func (t *watermarkTracker) update(wm mq.Watermark, src stream.SourceID, now time
 		t.chains[key] = m
 		isNew = true
 		delete(t.chains, chainKey{from: wm.From})
+		t.cache.valid = false
 	}
-	if wm.At.After(m.wm) {
-		m.wm = wm.At
-	}
-	m.seen = now
+	t.stamp(m, wm.At, now)
 	return isNew
 }
 
@@ -573,14 +643,11 @@ func (t *watermarkTracker) update(wm mq.Watermark, src stream.SourceID, now time
 func (t *watermarkTracker) resolveEOS(from string, now time.Time) {
 	t.ensureFrom(from, now)
 	delete(t.chains, chainKey{from: from})
+	t.cache.valid = false
 	for key, m := range t.chains {
-		if key.from != from {
-			continue
+		if key.from == from {
+			t.stamp(m, eosWatermark, now)
 		}
-		if eosWatermark.After(m.wm) {
-			m.wm = eosWatermark
-		}
-		m.seen = now
 	}
 }
 
@@ -596,13 +663,25 @@ func (t *watermarkTracker) keepalive(from string, now time.Time) {
 	refreshed := false
 	for key, m := range t.chains {
 		if key.from == from {
-			m.seen = now
+			t.stamp(m, time.Time{}, now)
 			refreshed = true
 		}
 	}
 	if !refreshed {
 		t.chains[chainKey{from: from}] = &sourceMark{seen: now}
+		t.cache.valid = false
 	}
+}
+
+// restoreChain installs one chain from a checkpoint, stamped alive at now. A
+// real chain resolves its producer's expectation placeholder, exactly as
+// update would have; a serialized placeholder (zero wm) stands as one.
+func (t *watermarkTracker) restoreChain(from string, src stream.SourceID, wm, now time.Time) {
+	if !wm.IsZero() {
+		delete(t.chains, chainKey{from: from})
+	}
+	t.chains[chainKey{from: from, src: src}] = &sourceMark{wm: wm, seen: now}
+	t.cache.valid = false
 }
 
 // watermark returns the node's current low watermark: the minimum over
@@ -627,12 +706,12 @@ func (t *watermarkTracker) allStale(now time.Time) bool {
 		return false
 	}
 	for _, m := range t.chains {
-		if now.Sub(m.seen) <= t.idle || !m.wm.Before(eosHorizon) {
+		if !t.aged(m, now) {
 			return false
 		}
 	}
 	for _, m := range t.lanes {
-		if now.Sub(m.seen) <= t.idle || !m.wm.Before(eosHorizon) {
+		if !t.aged(m, now) {
 			return false
 		}
 	}
@@ -643,18 +722,39 @@ func (t *watermarkTracker) allStale(now time.Time) bool {
 // reports that a non-idle expectation placeholder is holding the node —
 // as opposed to the tracker being empty or fully idle. Merging layers (the
 // live root ticker) must treat a blocked member as a veto, not as a member
-// with no opinion.
+// with no opinion. It answers from the cached scan while that still covers
+// now, and scans otherwise.
 func (t *watermarkTracker) watermarkState(now time.Time) (wm time.Time, blocked bool) {
-	var min time.Time
+	if t.cacheCovers(now) {
+		return t.cache.min, false
+	}
+	return t.scan(now)
+}
+
+// scan computes the watermark from scratch — the minimum over every chain
+// and floor not aged out at now — and caches it with what stamp needs to
+// keep it exact: how many entries sit at the minimum, and how long the
+// included set holds.
+func (t *watermarkTracker) scan(now time.Time) (wm time.Time, blocked bool) {
+	t.scans++
+	t.cache.valid = false
+	c := wmCache{valid: true, at: now}
+	oldest := now // earliest arrival stamp among included entries that can age
 	take := func(m *sourceMark) bool {
-		if t.idle > 0 && now.Sub(m.seen) > t.idle && m.wm.Before(eosHorizon) {
+		if t.aged(m, now) {
 			return true // idle chain or floor: excluded from the minimum
 		}
 		if m.wm.IsZero() {
 			return false // expected producer (or untouched lane) unheard
 		}
-		if min.IsZero() || m.wm.Before(min) {
-			min = m.wm
+		switch {
+		case c.atMin == 0 || m.wm.Before(c.min):
+			c.min, c.atMin = m.wm, 1
+		case m.wm.Equal(c.min):
+			c.atMin++
+		}
+		if m.seen.Before(oldest) && m.wm.Before(eosHorizon) {
+			oldest = m.seen
 		}
 		return true
 	}
@@ -668,7 +768,9 @@ func (t *watermarkTracker) watermarkState(now time.Time) (wm time.Time, blocked 
 			return time.Time{}, true
 		}
 	}
-	return min, false
+	c.until = oldest.Add(t.idle)
+	t.cache = c
+	return c.min, false
 }
 
 // activeSources lists the distinct sub-streams of the tracked, non-idle
@@ -676,22 +778,24 @@ func (t *watermarkTracker) watermarkState(now time.Time) (wm time.Time, blocked 
 // closes windows, so its parent's per-chain watermarks keep advancing.
 // Idle chains are deliberately left out: heartbeating them would keep them
 // artificially fresh upstream and re-introduce the stall the idle timeout
-// exists to break.
+// exists to break. The returned slice is the tracker's scratch, valid until
+// the next call.
 func (t *watermarkTracker) activeSources(now time.Time) []stream.SourceID {
-	seen := make(map[stream.SourceID]bool, len(t.chains))
-	out := make([]stream.SourceID, 0, len(t.chains))
+	clear(t.srcSeen)
+	out := t.srcs[:0]
 	for key, m := range t.chains {
-		if t.idle > 0 && now.Sub(m.seen) > t.idle && m.wm.Before(eosHorizon) {
+		if t.aged(m, now) {
 			continue
 		}
 		if m.wm.IsZero() {
 			continue // expectation placeholder, not a sub-stream
 		}
-		if !seen[key.src] {
-			seen[key.src] = true
+		if _, dup := t.srcSeen[key.src]; !dup {
+			t.srcSeen[key.src] = struct{}{}
 			out = append(out, key.src)
 		}
 	}
+	t.srcs = out
 	return out
 }
 

@@ -314,6 +314,7 @@ type samplingProcessor struct {
 	// forward, so every downstream lane floor gets its lifting copy.
 	ew        *eventWindows
 	wt        *watermarkTracker
+	triedWM   time.Time // watermark of the last advanceEventTime attempt
 	quiesce   *atomic.Bool
 	eosNotify func()
 	eosSent   bool
@@ -725,6 +726,13 @@ func memberEOSBroadcast(prod transport.Producer, topic, id string, partitions in
 // like the processing-time flush.
 func (p *samplingProcessor) advanceEventTime(now time.Time) bool {
 	wm := p.wt.watermark(now)
+	if wm.Equal(p.triedWM) {
+		// Nearly every record: the minimum has not moved since the last
+		// attempt, which either left the bound where this watermark puts it
+		// or found it already there — and the bound never falls.
+		return false
+	}
+	p.triedWM = wm
 	if !p.ew.wouldAdvance(wm) {
 		return false
 	}

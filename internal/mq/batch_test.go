@@ -302,3 +302,63 @@ func TestTryPollIntoEmptyReturnsDst(t *testing.T) {
 		t.Fatalf("scratch slice replaced: cap %d vs %d", cap(out), cap(scratch))
 	}
 }
+
+// TestGroupPollAllocatesNothing pins the group poll path at zero: the
+// assignment snapshot is kept on the consumer and recomputed only when the
+// group's fencing epoch moves, so neither a poll that finds records nor one
+// that finds none touches the heap.
+func TestGroupPollAllocatesNothing(t *testing.T) {
+	b := NewBroker()
+	newTestTopic(t, b, "t", 4)
+	p := NewProducer(b)
+	c, err := NewGroupConsumer(b, "t", "g")
+	if err != nil {
+		t.Fatalf("NewGroupConsumer: %v", err)
+	}
+	defer c.Close()
+
+	const batch, runs = 32, 50
+	recs := make([]Record, batch)
+	for i := range recs {
+		recs[i] = Record{Key: []byte{byte(i)}, Value: []byte("payload")}
+	}
+	for i := 0; i <= runs; i++ { // AllocsPerRun calls once to warm up
+		if err := p.SendBatch("t", recs); err != nil {
+			t.Fatalf("SendBatch: %v", err)
+		}
+	}
+	scratch := make([]Record, 0, batch)
+	polled := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		out, err := c.TryPollInto(scratch[:0], batch)
+		if err != nil {
+			t.Fatalf("TryPollInto: %v", err)
+		}
+		polled += len(out)
+	}); allocs != 0 {
+		t.Fatalf("a group poll that finds records allocates %.0f objects, want 0", allocs)
+	}
+	if polled != (runs+1)*batch {
+		t.Fatalf("polled %d records, want %d", polled, (runs+1)*batch)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if out, _ := c.TryPollInto(scratch[:0], batch); len(out) != 0 {
+			t.Fatalf("drained topic returned %d records", len(out))
+		}
+	}); allocs != 0 {
+		t.Fatalf("a group poll that finds nothing allocates %.0f objects, want 0", allocs)
+	}
+
+	// A rebalance moves the epoch: the next poll re-reads the assignment.
+	c2, err := NewGroupConsumer(b, "t", "g")
+	if err != nil {
+		t.Fatalf("NewGroupConsumer: %v", err)
+	}
+	defer c2.Close()
+	if _, err := c.TryPollInto(scratch[:0], batch); err != nil {
+		t.Fatalf("TryPollInto: %v", err)
+	}
+	if got, want := c.owned, c.Assignment(); fmt.Sprint(got) != fmt.Sprint(want) || len(got) != 2 {
+		t.Fatalf("after a join the poll snapshot is %v, assignment %v", got, want)
+	}
+}

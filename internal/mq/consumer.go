@@ -190,6 +190,15 @@ type Consumer struct {
 	positions map[int]int64 // standalone mode read positions
 	rrStart   int           // fairness rotation across partitions
 	closed    bool
+
+	// owned is the assignment pollOnce reads under: every partition for a
+	// standalone consumer; for a group member the snapshot taken at fencing
+	// epoch ownedEpoch, recomputed only once the group's epoch has moved on
+	// (the assignment is a pure function of the membership, and membership
+	// changes only with an epoch bump). The slice is replaced, never
+	// mutated, so a concurrent poll holding the old one stays valid.
+	owned      []int
+	ownedEpoch int64 // 0: no snapshot yet (a joined group's epoch is ≥ 1)
 }
 
 // NewConsumer returns a standalone consumer over every partition of topic,
@@ -202,6 +211,7 @@ func NewConsumer(b *Broker, topic string) (*Consumer, error) {
 	c := &Consumer{topic: t, positions: make(map[int]int64, t.Partitions())}
 	for p := 0; p < t.Partitions(); p++ {
 		c.positions[p] = t.LowWatermark(p)
+		c.owned = append(c.owned, p)
 	}
 	return c, nil
 }
@@ -220,11 +230,7 @@ func NewGroupConsumer(b *Broker, topic, groupName string) (*Consumer, error) {
 // Assignment returns the partitions this consumer currently owns.
 func (c *Consumer) Assignment() []int {
 	if c.grp == nil {
-		parts := make([]int, c.topic.Partitions())
-		for i := range parts {
-			parts[i] = i
-		}
-		return parts
+		return append([]int(nil), c.owned...)
 	}
 	return c.grp.assignment(c.id, c.topic.Partitions())
 }
@@ -309,17 +315,19 @@ func (c *Consumer) TopicClosed() bool {
 // slice (dst unextended when nothing is ready). The append-into shape keeps
 // the hot poll path allocation-free once dst's capacity has warmed up.
 func (c *Consumer) pollOnce(dst []Record, max int) ([]Record, error) {
-	var owned []int
-	var epoch int64
+	var cur int64 // the group's fencing epoch now; 0 standalone
 	if c.grp != nil {
-		owned, epoch = c.grp.assignmentEpoch(c.id, c.topic.Partitions())
-	} else {
-		owned = c.Assignment()
-	}
-	if len(owned) == 0 {
-		return dst, nil
+		cur = c.grp.currentEpoch()
 	}
 	c.mu.Lock()
+	if cur != c.ownedEpoch {
+		c.owned, c.ownedEpoch = c.grp.assignmentEpoch(c.id, c.topic.Partitions())
+	}
+	owned, epoch := c.owned, c.ownedEpoch
+	if len(owned) == 0 {
+		c.mu.Unlock()
+		return dst, nil
+	}
 	start := c.rrStart % len(owned)
 	c.rrStart++
 	c.mu.Unlock()

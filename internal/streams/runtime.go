@@ -333,6 +333,11 @@ func (r *Runtime) pump(ctx context.Context) {
 	// between the empty poll and the wait is never missed.
 	var wake <-chan struct{}
 	single := len(sources) == 1
+	// One timer bounds every idle wait of this pump: stopped, drained and
+	// re-armed per wait, so an expiry nobody waited for (a wake or a Sync
+	// ended the wait first) is never taken for the next wait's.
+	idle := time.NewTimer(time.Hour)
+	defer idle.Stop()
 	for {
 		if ctx.Err() != nil {
 			return
@@ -418,18 +423,28 @@ func (r *Runtime) pump(ctx context.Context) {
 			// Idle: block until records arrive (single source), bounded by
 			// the nearest punctuation or the configured poll wait.
 			r.busy.Store(false)
-			timer := time.NewTimer(r.idleWait())
+			stopTimer(idle)
+			idle.Reset(r.idleWait())
 			select {
 			case <-ctx.Done():
-				timer.Stop()
 				return
 			case fn := <-r.syncCh: // Sync while idle: run without waiting out the timer
-				timer.Stop()
 				fn()
 			case <-wake: // nil (multi-source): never fires, timer bounds
-				timer.Stop()
-			case <-timer.C:
+			case <-idle.C:
 			}
+		}
+	}
+}
+
+// stopTimer stops t and empties its channel, leaving it safe to Reset: the
+// module's go line predates Go 1.23, so an expiry the pump did not wait for
+// stays buffered in t.C until it is taken out.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
 	}
 }

@@ -97,8 +97,9 @@ func TestMemPollAllocDiscipline(t *testing.T) {
 		consumed += len(out)
 		scratch = out
 	})
-	// A group poll's floor is the assignment snapshot plus the per-partition
-	// claim closure; the cap catches per-record copying creeping in.
+	// The in-memory group poll itself allocates nothing (mq's
+	// TestGroupPollAllocatesNothing); the budget is the boundary's, and the
+	// cap catches per-record copying creeping in.
 	if allocs > 4 {
 		t.Fatalf("steady-state TryPollInto allocates %.1f times per poll, budget is <=4", allocs)
 	}

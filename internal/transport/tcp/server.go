@@ -20,9 +20,9 @@ const maxWaitMs = 30_000
 // counters is the shared atomic backing for transport.Counters. Both the
 // server and every client handle own one; conns account into it directly.
 type counters struct {
-	bytesOut, bytesIn    atomic.Int64
-	reconnects           atomic.Int64
-	sendErrs, pollErrs   atomic.Int64
+	bytesOut, bytesIn  atomic.Int64
+	reconnects         atomic.Int64
+	sendErrs, pollErrs atomic.Int64
 }
 
 func (c *counters) snapshot() transport.Counters {
@@ -149,7 +149,7 @@ type connState struct {
 	conn net.Conn
 
 	producer transport.Producer
-	owned    map[uint64]struct{}         // consumer handles this conn opened
+	owned    map[uint64]struct{}           // consumer handles this conn opened
 	waiters  map[string]transport.Consumer // opWait epoch consumers, per topic
 
 	fetchScratch []mq.Record
@@ -592,7 +592,9 @@ func (s *Server) handleWait(cs *connState, r *wireReader, resp []byte) []byte {
 		cur := uint64(c.Lag())
 		closed := c.TopicClosed()
 		remaining := time.Until(deadline)
-		if cur != epoch || closed || remaining <= 0 {
+		if cur != epoch || closed || remaining <= 0 || s.baseCtx.Err() != nil {
+			// Changed, due, or the server is shutting down: answer now. A
+			// shutdown answers the unchanged epoch — a clean empty round.
 			var flags byte
 			if closed {
 				flags |= 1
@@ -628,7 +630,7 @@ func (s *Server) handleRebalanceWait(r *wireReader, resp []byte) []byte {
 		ch := c.RebalanceChan() // arm before reading the generation
 		cur := uint64(c.Generation())
 		remaining := time.Until(deadline)
-		if cur != gen || remaining <= 0 {
+		if cur != gen || remaining <= 0 || s.baseCtx.Err() != nil {
 			resp = append(resp, stOK)
 			return appendUvarint(resp, cur)
 		}

@@ -297,3 +297,38 @@ func TestDialFailsFast(t *testing.T) {
 		t.Fatal("Dial to closed address succeeded")
 	}
 }
+
+// TestServerCloseAnswersParkedLongPolls: a daemon whose handlers sit in the
+// watchers' long-polls (opWait behind WaitChan, opRebalanceWait behind
+// RebalanceChan) answers them when it shuts down instead of looping on its
+// cancelled context until their two-second deadlines. The clients take it
+// as a round that ended — at worst a spurious wakeup, which WaitChan allows —
+// not as a closed topic and not as an error on any counter.
+func TestServerCloseAnswersParkedLongPolls(t *testing.T) {
+	h := newHarness(t)
+	if err := h.client.CreateTopic("t", 2, 0); err != nil {
+		t.Fatalf("CreateTopic: %v", err)
+	}
+	c, err := h.client.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatalf("NewGroupConsumer: %v", err)
+	}
+	defer c.Close()
+	c.WaitChan()
+	c.RebalanceChan()
+	time.Sleep(150 * time.Millisecond) // both watchers primed and parked
+
+	start := time.Now()
+	if err := h.srv.Close(); err != nil {
+		t.Fatalf("server close: %v", err)
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Fatalf("Close took %v with two long-polls parked, want well under their 2 s deadline", took)
+	}
+	if c.TopicClosed() {
+		t.Fatal("shutdown reported the topic closed; the bus is still up")
+	}
+	if got := h.client.Counters(); got.SendErrors != 0 || got.PollErrors != 0 || got.Reconnects != 0 {
+		t.Fatalf("client counted the shutdown as errors: %+v", got)
+	}
+}
