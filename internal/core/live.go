@@ -340,21 +340,34 @@ type samplingProcessor struct {
 	recover   func(p *samplingProcessor, ctx streams.ProcessorContext) error
 }
 
-// batchEncoder collects the batches of one outbound flush and
-// encodes them once, straight into the block the broker will retain. The mq
-// broker keeps produced Key/Value bytes in its partition logs, so those bytes
-// must live in storage nobody writes again: materialize (messages / records)
-// sizes ONE fresh block per flush from the batches' exact WireSize, marshals
-// every record into it, and slices the keys and values out. Retained bytes
-// thus cost one allocation per flush — not one per record, and no scratch
-// copy. add only notes the batch: its items must stay untouched until the
-// flush has materialized (the Ψ storage behind a closed window is recycled
-// after flushEmits, never before).
+// batchEncoder collects the batches of one outbound flush and encodes them
+// once, into one block sized from the batches' exact WireSize, with the keys
+// and values sliced out of it — one allocation per flush at most, never one
+// per record, and no scratch copy. Whose block that is follows the bus
+// (transport.Bus.RetainsSent): the in-memory broker keeps produced Key/Value
+// bytes in its partition logs, so there every flush gets a fresh block nobody
+// writes again — the retained one; a network client has written them to the
+// socket by the time the send returns, so there the encoder keeps block and
+// encodes every flush into it (reuse). add only notes the batch: its items
+// must stay untouched until the flush has materialized (the Ψ storage behind
+// a closed window is recycled after flushEmits, never before).
 type batchEncoder struct {
 	batches []stream.Batch
 	wms     []mq.Watermark
 	size    int   // block bytes: keys + payloads
 	payload int64 // payload bytes alone
+
+	// reuse is !bus.RetainsSent() (encoderFor, where the owner is built).
+	// The sends are synchronous (the sink's SendBatch inside ForwardBatch,
+	// the valve's own), so the block is dead when flushEmits / valve.send
+	// return.
+	reuse bool
+	block []byte
+}
+
+// encoderFor returns the encoder of a member or valve that sends on bus.
+func encoderFor(bus transport.Bus) batchEncoder {
+	return batchEncoder{reuse: !bus.RetainsSent()}
 }
 
 // add queues one outbound record: the batch, keyed by its sub-stream so a
@@ -385,10 +398,23 @@ func (e *batchEncoder) encode(block []byte, i int) (extended, key, value []byte)
 	return block, block[ks:ke:ke], block[ke:len(block):len(block)]
 }
 
+// newBlock returns the empty block the queued records encode into: fresh
+// where the bus retains it, the encoder's own (grown to the largest flush
+// seen) where it does not.
+func (e *batchEncoder) newBlock() []byte {
+	if !e.reuse {
+		return make([]byte, 0, e.size)
+	}
+	if cap(e.block) < e.size {
+		e.block = make([]byte, 0, e.size)
+	}
+	return e.block
+}
+
 // messages materializes the queued records as streams messages appended
-// onto dst, backed by one retained block (see type comment).
+// onto dst, backed by one block (see type comment).
 func (e *batchEncoder) messages(dst []streams.Message, ts time.Time) []streams.Message {
-	block := make([]byte, 0, e.size)
+	block := e.newBlock()
 	for i := range e.batches {
 		var key, value []byte
 		block, key, value = e.encode(block, i)
@@ -398,10 +424,9 @@ func (e *batchEncoder) messages(dst []streams.Message, ts time.Time) []streams.M
 }
 
 // records materializes the queued records as mq records appended onto dst,
-// backed by one retained block — the direct-produce form the Ingester valve
-// hands to SendBatch.
+// backed by one block — the direct-produce form the valves hand to SendBatch.
 func (e *batchEncoder) records(dst []mq.Record) []mq.Record {
-	block := make([]byte, 0, e.size)
+	block := e.newBlock()
 	for i := range e.batches {
 		var key, value []byte
 		block, key, value = e.encode(block, i)
@@ -410,14 +435,27 @@ func (e *batchEncoder) records(dst []mq.Record) []mq.Record {
 	return dst
 }
 
-// reset empties the encoder for the next flush, dropping its views of the
-// flushed batches' items.
+// reset empties the encoder once its flush has been sent, dropping its views
+// of the flushed batches' items.
 func (e *batchEncoder) reset() {
 	clear(e.batches)
 	e.batches = e.batches[:0]
 	e.wms = e.wms[:0]
 	e.size, e.payload = 0, 0
+	if poisonSentBlocks && e.reuse {
+		sent := e.block[:cap(e.block)]
+		for i := range sent {
+			sent[i] = 0xA5
+		}
+	}
 }
+
+// poisonSentBlocks, which only tests set, makes an encoder that reuses its
+// block scribble over it as soon as the flush has been sent — the earliest
+// the next flush could. A bus that still reads the sender's bytes after the
+// send returned then delivers garbage at once, on every record, instead of
+// whenever two flushes happen to race.
+var poisonSentBlocks bool
 
 var (
 	_ streams.Processor      = (*samplingProcessor)(nil)
@@ -558,9 +596,10 @@ func ownedLanesOf(ctx streams.ProcessorContext) []int {
 
 // flushEmits forwards everything the member's encoder accumulated as one
 // message batch — one downstream broker append — and accounts the bytes.
-// The broker retains produced Key/Value bytes, so the encoder materializes
-// them into one fresh block per flush; the message slice header is recycled,
-// scrubbed after the forward so spare capacity never pins a retired block.
+// The encoder materializes them into one block (fresh where the bus retains
+// it, its own where not — see batchEncoder); the message slice header is
+// recycled, scrubbed after the forward so spare capacity never pins a retired
+// block.
 // Once it returns, the batches queued in the encoder are dead: callers that
 // queued a closed window's Θ recycle its storage next.
 func (p *samplingProcessor) flushEmits() {
@@ -569,8 +608,8 @@ func (p *samplingProcessor) flushEmits() {
 	}
 	p.bwc.Add(p.enc.payloadBytes())
 	msgs := p.enc.messages(p.outMsgs[:0], p.ctx.Now())
-	p.enc.reset()
 	p.ctx.ForwardBatch(msgs)
+	p.enc.reset()
 	for i := range msgs {
 		msgs[i] = streams.Message{}
 	}

@@ -287,6 +287,7 @@ func (n *NodeSession) buildEdgeGroup(desc NodeDesc, now time.Time) (*shardGroup,
 			window:     n.cfg.Window,
 			decodeErrs: &n.decodeErrs,
 			bwc:        n.bw.Counter(desc.ParentTopic),
+			enc:        encoderFor(n.bus),
 		}
 		mk := func() *Node { return n.plan.NewNodeShard(desc, shard) }
 		if gb != nil {
@@ -669,6 +670,7 @@ func (n *NodeSession) Pusher(slot int) (*NodePusher, error) {
 			bwc:      n.bw.Counter(src.Topic),
 			from:     sourceFrom(slot),
 			marks:    make(map[stream.SourceID]time.Time),
+			enc:      encoderFor(n.bus),
 		},
 	}
 	n.valves[slot] = v

@@ -33,6 +33,9 @@ func startNodeBroker(t *testing.T) string {
 	return srv.Addr().String()
 }
 
+// dialNodeBus mounts the broker as a tier process would, with every lent
+// byte poisoned the moment it may be rewritten (poison_test.go): a node-mode
+// test's results are right only if nothing reads a stale alias.
 func dialNodeBus(t *testing.T, addr string) transport.Bus {
 	t.Helper()
 	c, err := tcp.Dial(addr)
@@ -40,7 +43,7 @@ func dialNodeBus(t *testing.T, addr string) transport.Bus {
 		t.Fatalf("tcp.Dial(%s): %v", addr, err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c
+	return poisonBus{c}
 }
 
 // nodeTestConfig is the LiveConfig every "process" of a node-mode test
@@ -71,6 +74,7 @@ func nodeTestConfig(spec topology.TreeSpec, cost CostFunction, lateness time.Dur
 // counts because per-window estimated input telescopes independently of
 // which items the samplers kept.
 func TestNodeTiersMatchSingleProcess(t *testing.T) {
+	poisonStaleBytes(t)
 	spec := topology.Testbed() // 8 sources, layers 4/2/1, 1 s windows
 	const slots, perSlot = 8, 120
 	span := 4 * time.Second
@@ -238,6 +242,7 @@ func TestNodeTiersMatchSingleProcess(t *testing.T) {
 // measured in records, as everywhere else — each Push below publishes one
 // single-item batch record so the arithmetic is exact.
 func TestNodeBackpressureOverTCP(t *testing.T) {
+	poisonStaleBytes(t)
 	spec := topology.TreeSpec{
 		Sources: 1,
 		Layers: []topology.LayerSpec{

@@ -302,6 +302,7 @@ func OpenLive(ctx context.Context, cfg LiveConfig) (*LiveSession, error) {
 				// Private lock-free byte counter for the member's parent
 				// link; the account folds it in at read time.
 				bwc: s.res.Bandwidth.Counter(desc.ParentTopic),
+				enc: encoderFor(s.bus),
 			}
 			mk := func() *Node { return plan.NewNodeShard(desc, shard) }
 			if gb != nil {
@@ -619,6 +620,7 @@ func (s *LiveSession) Ingester(slot int) (*Ingester, error) {
 			bwc:       s.res.Bandwidth.Counter(src.Topic),
 			perRecord: s.cfg.recordAtATime,
 			from:      sourceFrom(slot),
+			enc:       encoderFor(s.bus),
 		},
 	}
 	if s.cfg.EventTime {

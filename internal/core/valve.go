@@ -29,9 +29,9 @@ type valve struct {
 	marks map[stream.SourceID]time.Time
 	// enc / outRecs are the valve's publish scratch: one push queues every
 	// same-source run in enc and lands the whole set with a single
-	// SendBatch (one topic lock, one consumer wakeup). The broker retains
-	// the produced bytes, so enc encodes them into one fresh block per push
-	// — see batchEncoder.
+	// SendBatch (one topic lock, one consumer wakeup), encoded into one
+	// block per push — fresh or the encoder's own, as the bus retains sent
+	// bytes or not (batchEncoder; encoderFor, where the valve is built).
 	enc     batchEncoder
 	outRecs []mq.Record
 }
@@ -106,7 +106,7 @@ func (v *valve) queue(src stream.SourceID, run []stream.Item, mark time.Time) {
 }
 
 // send lands the queued runs: one batched append — one topic lock, one
-// consumer wakeup, one retained block for the whole push — or, on the
+// consumer wakeup, one block for the whole push — or, on the
 // equivalence suite's record-at-a-time reference path, one append per run.
 func (v *valve) send() error {
 	v.bwc.Add(v.enc.payloadBytes())
@@ -120,9 +120,9 @@ func (v *valve) send() error {
 		return nil
 	}
 	recs := v.enc.records(v.outRecs[:0])
-	v.enc.reset()
 	err := v.producer.SendBatch(v.topic, recs)
-	// Scrub before recycling: spare capacity must not pin the block.
+	v.enc.reset()
+	// Scrub before recycling: spare capacity must not pin a retained block.
 	clear(recs)
 	v.outRecs = recs[:0]
 	return err

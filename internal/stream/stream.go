@@ -131,11 +131,12 @@ func (b Batch) Marshal() []byte {
 // do not retain them) can reuse one buffer across batches to avoid the
 // per-batch allocation Marshal pays. Note the mq broker retains produced
 // values in its partition logs (zero-copy append), so a reused buffer must
-// never be sent: the hot produce path sizes one fresh block per flush from
+// never be sent to it: the hot produce path sizes one block per flush from
 // WireSize, which is exact, and AppendMarshals every batch of the flush
 // straight into it (the batchEncoder in internal/core — one allocation per
-// flush instead of one Marshal per batch, and the block is never written
-// again); anything simpler should keep using Marshal.
+// flush instead of one Marshal per batch; a fresh block never written again
+// on a bus that retains sent bytes, the same block every flush on one that
+// does not); anything simpler should keep using Marshal.
 func (b Batch) AppendMarshal(buf []byte) []byte {
 	buf = append(buf, codecVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Source)))

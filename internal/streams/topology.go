@@ -23,7 +23,11 @@ import (
 	"github.com/approxiot/approxiot/internal/mq"
 )
 
-// Message is the unit that flows through a topology.
+// Message is the unit that flows through a topology. The Key and Value of a
+// message a source delivers are lent by the bus (the pump polls with
+// TryPollInto; see the transport package's buffer-ownership rule): read-only,
+// and valid until the Process or ProcessBatch call they arrived in returns.
+// A processor that keeps them past that copies them.
 type Message struct {
 	Key   []byte
 	Value []byte

@@ -3,7 +3,8 @@
 // implementation to the in-memory broker's observable semantics — per-key
 // ordering, group rebalance with generation-fenced exactly-once commits,
 // bit-for-bit watermark propagation, end-of-stream broadcast, truthful lag
-// probes, seek/replay, blocking-poll wakeups, and shutdown behavior. The
+// probes, seek/replay, blocking-poll wakeups, who owns which bytes across
+// the boundary and until when, and shutdown behavior. The
 // in-memory Mem backend runs it as a self-check; the TCP backend runs it to
 // prove the wire adds latency but not semantics.
 //
@@ -13,6 +14,7 @@
 package conformance
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -49,6 +51,7 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("SeekReplay", func(t *testing.T) { testSeekReplay(t, mk(t)) })
 	t.Run("BlockingWakeup", func(t *testing.T) { testBlockingWakeup(t, mk(t)) })
 	t.Run("FetchAt", func(t *testing.T) { testFetchAt(t, mk(t)) })
+	t.Run("BufferOwnership", func(t *testing.T) { testBufferOwnership(t, mk(t)) })
 	t.Run("BackendShutdown", func(t *testing.T) {
 		be := mk(t)
 		if be.ShutdownBackend == nil {
@@ -553,6 +556,142 @@ func testFetchAt(t *testing.T, be Backend) {
 	if _, err := bus.FetchInto(nil, "t", 9, 0, 1); err == nil {
 		t.Fatal("FetchInto on bogus partition succeeded")
 	}
+}
+
+// testBufferOwnership pins the package's buffer-ownership rule from both
+// sides of the bus. Every record of the test has the same size, so a backend
+// that recycles a buffer it had promised away rewrites exactly the bytes an
+// earlier record still points at.
+func testBufferOwnership(t *testing.T, be Backend) {
+	bus := be.Bus
+	mustCreate(t, bus, "t", 1)
+	c, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := bus.NewProducer()
+
+	seq := 0
+	// send appends n records (key k<seq>, value 256 bytes of seq) and returns
+	// private copies of what it sent, in order.
+	send := func(n int) (want []transport.Record) {
+		t.Helper()
+		batch := make([]transport.Record, n)
+		for i := range batch {
+			batch[i] = transport.Record{
+				Key:   []byte(fmt.Sprintf("k%06d", seq)),
+				Value: bytes.Repeat([]byte{byte(seq), byte(seq >> 8)}, 128),
+			}
+			want = append(want, transport.Record{Key: bytes.Clone(batch[i].Key), Value: bytes.Clone(batch[i].Value)})
+			seq++
+		}
+		if err := p.SendBatch("t", batch); err != nil {
+			t.Fatalf("SendBatch: %v", err)
+		}
+		return want
+	}
+	same := func(what string, got, want []transport.Record) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
+				t.Fatalf("%s: record %d reads key %q value % x..., sent key %q value % x...",
+					what, i, got[i].Key, got[i].Value[:4], want[i].Key, want[i].Value[:4])
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), suiteDeadline)
+	defer cancel()
+	// lend drains n records through the lending polls, alternating the two
+	// forms, checking each fetch against what was sent before the next one.
+	scratch := make([]transport.Record, 0, 16)
+	lend := func(want []transport.Record) {
+		t.Helper()
+		for round := 0; len(want) > 0; round++ {
+			var err error
+			if round%2 == 0 {
+				scratch, err = c.PollInto(ctx, scratch[:0], 3)
+			} else if scratch, err = c.TryPollInto(scratch[:0], 3); len(scratch) == 0 && err == nil {
+				continue // not there yet; the blocking form is next
+			}
+			if err != nil {
+				t.Fatalf("lending poll: %v", err)
+			}
+			same("lending poll, read before the next one", scratch, want[:len(scratch)])
+			want = want[len(scratch):]
+		}
+	}
+
+	// Owned bytes: what Poll, TryPoll and FetchInto return is the caller's
+	// for good.
+	wantPoll := send(4)
+	gotPoll := drainN(t, c, 4)
+	wantTry := send(4)
+	var gotTry []transport.Record
+	waitFor(t, "TryPoll delivers", func() bool {
+		recs, err := c.TryPoll(4 - len(gotTry))
+		if err != nil {
+			t.Fatalf("TryPoll: %v", err)
+		}
+		gotTry = append(gotTry, recs...)
+		return len(gotTry) == 4
+	})
+	gotFetch, err := bus.FetchInto(nil, "t", 0, 0, 8)
+	if err != nil {
+		t.Fatalf("FetchInto: %v", err)
+	}
+	wantFetch := append(append([]transport.Record(nil), wantPoll...), wantTry...)
+
+	// Lent bytes: valid until the next lending poll — an owning poll in
+	// between is not one.
+	wantLent := send(2)
+	lent, err := c.PollInto(ctx, nil, 2)
+	if err != nil || len(lent) != 2 {
+		t.Fatalf("PollInto = %d records, %v; want the batch of 2", len(lent), err)
+	}
+	send(2)
+	drainN(t, c, 2)
+	same("PollInto after an owning Poll", lent, wantLent)
+
+	// 64 further sends and polls, frames of varying size.
+	for i := 0; i < 64; i++ {
+		n := 1 + i%4
+		lend(send(n))
+		if _, err := bus.FetchInto(nil, "t", 0, int64(seq-n), n); err != nil {
+			t.Fatalf("FetchInto: %v", err)
+		}
+	}
+	same("Poll after 64 further sends and polls", gotPoll, wantPoll)
+	same("TryPoll after 64 further sends and polls", gotTry, wantTry)
+	same("FetchInto after 64 further sends and polls", gotFetch, wantFetch)
+
+	// Sent bytes: where the bus does not retain them they are the sender's
+	// again once the send returns, and the sender here overwrites them at
+	// once. (Where it does retain them, the log now aliases this block and
+	// nobody writes it again.)
+	block := make([]byte, 0, 4*(7+256))
+	batch := make([]transport.Record, 4)
+	var want []transport.Record
+	for i := range batch {
+		ks := len(block)
+		block = append(block, fmt.Sprintf("r%06d", i)...)
+		ke := len(block)
+		block = append(block, bytes.Repeat([]byte{0xC0 | byte(i)}, 256)...)
+		batch[i] = transport.Record{Key: block[ks:ke:ke], Value: block[ke:len(block):len(block)]}
+		want = append(want, transport.Record{Key: bytes.Clone(batch[i].Key), Value: bytes.Clone(batch[i].Value)})
+	}
+	if err := p.SendBatch("t", batch); err != nil {
+		t.Fatalf("SendBatch: %v", err)
+	}
+	if !bus.RetainsSent() {
+		for i := range block {
+			block[i] = 0xEE
+		}
+	}
+	lend(want)
 }
 
 func testShutdown(t *testing.T, be Backend) {

@@ -73,6 +73,9 @@ func (m *Mem) NewProducer() Producer {
 	return mq.NewProducer(m.b)
 }
 
+// RetainsSent implements Bus: the broker's partition logs alias sent bytes.
+func (m *Mem) RetainsSent() bool { return true }
+
 // NewConsumer implements Bus.
 func (m *Mem) NewConsumer(topic string) (Consumer, error) {
 	return mq.NewConsumer(m.b, topic)

@@ -135,7 +135,7 @@ func (cl *Client) GroupCommitted(topic, group string) ([]int64, error) {
 		req = appendStr(req, topic)
 		return appendStr(req, group)
 	}, func(r *wireReader) error {
-		n := int(r.uvarint())
+		n := r.count(1)
 		if r.err != nil {
 			return r.err
 		}
@@ -149,8 +149,8 @@ func (cl *Client) GroupCommitted(topic, group string) ([]int64, error) {
 }
 
 // FetchInto reads up to max records from a partition starting at offset
-// from, appending onto dst. Payload bytes are materialized into one fresh
-// block per batch, so the records outlive the connection's frame buffer.
+// from, appending onto dst. Payload bytes are copied into one fresh block
+// per batch: the records own them.
 func (cl *Client) FetchInto(dst []transport.Record, topic string, partition int, from int64, max int) ([]transport.Record, error) {
 	out := dst
 	err := cl.admin.call(0, func(req []byte) []byte {
@@ -160,12 +160,8 @@ func (cl *Client) FetchInto(dst []transport.Record, topic string, partition int,
 		req = appendUvarint(req, uint64(from))
 		return appendUvarint(req, uint64(max))
 	}, func(r *wireReader) error {
-		n := int(r.uvarint())
-		if r.err != nil {
-			return r.err
-		}
 		var derr error
-		out, derr = decodeRecords(r, out, n)
+		out, derr = decodeRecords(r, out, false)
 		return derr
 	})
 	if err != nil {
@@ -173,6 +169,11 @@ func (cl *Client) FetchInto(dst []transport.Record, topic string, partition int,
 	}
 	return out, nil
 }
+
+// RetainsSent implements transport.Bus: a send has been written to the
+// socket (and answered) by the time it returns, so the caller's bytes are
+// its own again.
+func (cl *Client) RetainsSent() bool { return false }
 
 // NewProducer returns a producer with its own connection, dialed lazily on
 // first send.
@@ -212,7 +213,7 @@ func (cl *Client) newConsumer(topic, group string) (*clientConsumer, error) {
 }
 
 func (cl *Client) newRconn(hook func(raw rawCall) error) *rconn {
-	rc := &rconn{cl: cl, hook: hook}
+	rc := &rconn{cl: cl, hook: hook, reqBuf: make([]byte, frameStart, 64)}
 	cl.mu.Lock()
 	if cl.closed {
 		rc.closed = true
@@ -233,7 +234,8 @@ func (cl *Client) dropConn(rc *rconn) {
 
 // rawCall performs one request/response on an rconn's live connection with
 // no locking or retry — the primitive reconnect hooks are handed to rebuild
-// session state. The returned reader is valid until the next call.
+// session state. req is a bare frame (no headroom; the hook path is cold
+// and copies it into one); the returned reader is valid until the next call.
 type rawCall func(req []byte, waitMs uint64) (*wireReader, error)
 
 // rconn is one client connection: calls are serialized by mu, and a call
@@ -246,9 +248,9 @@ type rconn struct {
 	hook func(raw rawCall) error
 
 	mu     sync.Mutex // serializes calls
-	reqBuf []byte
-	rbuf   []byte
-	sbuf   []byte
+	reqBuf []byte     // request under construction, frameStart headroom first
+	rbuf   []byte     // response frame, unless the call brings its own buffer
+	rd     wireReader // walks the response; reset per call
 
 	cmu        sync.Mutex
 	conn       net.Conn
@@ -330,11 +332,12 @@ func (rc *rconn) ensureLocked() error {
 	rc.cmu.Unlock()
 	if rc.hook != nil {
 		raw := func(req []byte, waitMs uint64) (*wireReader, error) {
-			frame, err := rc.exchange(conn, req, waitMs)
+			framed := append(make([]byte, frameStart, frameStart+len(req)), req...)
+			frame, err := rc.exchange(conn, framed, waitMs, &rc.rbuf)
 			if err != nil {
 				return nil, err
 			}
-			return parseResp(frame)
+			return &rc.rd, parseResp(&rc.rd, frame)
 		}
 		if err := rc.hook(raw); err != nil {
 			rc.dropLive(conn)
@@ -344,19 +347,19 @@ func (rc *rconn) ensureLocked() error {
 	return nil
 }
 
-// exchange writes one request frame and reads the response frame. Callers
-// hold rc.mu; the returned frame aliases rc.rbuf and is valid until the
-// next exchange.
-func (rc *rconn) exchange(conn net.Conn, req []byte, waitMs uint64) ([]byte, error) {
+// exchange seals and writes one request — built after frameStart bytes of
+// headroom, so it goes out as it stands, in one Write — and reads the
+// response frame into *rbuf (grown as needed). Callers hold rc.mu; the
+// returned frame aliases *rbuf and is valid until the next exchange into it.
+func (rc *rconn) exchange(conn net.Conn, req []byte, waitMs uint64, rbuf *[]byte) ([]byte, error) {
 	conn.SetDeadline(time.Now().Add(ioGrace + time.Duration(waitMs)*time.Millisecond))
-	n, sbuf, err := writeFrame(conn, rc.sbuf, req)
-	rc.sbuf = sbuf
+	n, err := conn.Write(sealFrame(req))
 	rc.cl.ctr.bytesOut.Add(int64(n))
 	if err != nil {
 		return nil, err
 	}
-	frame, rn, err := readFrame(conn, rc.rbuf)
-	rc.rbuf = frame
+	frame, rn, err := readFrame(conn, *rbuf)
+	*rbuf = frame
 	rc.cl.ctr.bytesIn.Add(int64(rn))
 	if err != nil {
 		return nil, err
@@ -371,6 +374,14 @@ func (rc *rconn) exchange(conn net.Conn, req []byte, waitMs uint64) ([]byte, err
 // as-is and never retried — only conn-level I/O failures trigger the
 // redial.
 func (rc *rconn) call(waitMs uint64, build func(req []byte) []byte, decode func(*wireReader) error) error {
+	return rc.callInto(&rc.rbuf, waitMs, build, decode)
+}
+
+// callInto is call reading the response into the caller's frame buffer
+// instead of the connection's — for a caller that keeps views into the frame
+// after the call returns, which rbuf cannot promise: any goroutine's next
+// call on this connection overwrites it.
+func (rc *rconn) callInto(rbuf *[]byte, waitMs uint64, build func(req []byte) []byte, decode func(*wireReader) error) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	var lastErr error
@@ -385,51 +396,64 @@ func (rc *rconn) call(waitMs uint64, build func(req []byte) []byte, decode func(
 		if err != nil {
 			return err
 		}
-		rc.reqBuf = build(rc.reqBuf[:0])
-		frame, err := rc.exchange(conn, rc.reqBuf, waitMs)
+		rc.reqBuf = build(rc.reqBuf[:frameStart])
+		frame, err := rc.exchange(conn, rc.reqBuf, waitMs, rbuf)
 		if err != nil {
 			rc.dropLive(conn)
 			lastErr = err
 			continue
 		}
-		r, err := parseResp(frame)
-		if err != nil {
+		if err := parseResp(&rc.rd, frame); err != nil {
 			return err
 		}
 		if decode != nil {
-			return decode(r)
+			return decode(&rc.rd)
 		}
 		return nil
 	}
 	return lastErr
 }
 
-// parseResp splits a response frame into its status and payload reader.
-func parseResp(frame []byte) (*wireReader, error) {
-	r := &wireReader{buf: frame}
+// parseResp points r at a response frame and consumes its status: nil leaves
+// r at the stOK payload, anything else is the error the frame carries.
+func parseResp(r *wireReader, frame []byte) error {
+	r.reset(frame)
 	st := r.byteVal()
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if st != stOK {
-		return nil, errOf(st, r.str())
+		return errOf(st, r.str())
 	}
-	return r, nil
+	return nil
 }
 
-// decodeRecords appends n records from r onto dst. Key/Value views into the
-// frame buffer are materialized into one fresh block per batch, so returned
-// records stay valid after the next poll — the boundary's ownership rule.
-func decodeRecords(r *wireReader, dst []mq.Record, n int) ([]mq.Record, error) {
+// minRecordBytes is the least a record occupies in a fetch response: two
+// empty length-prefixed fields, two absent instants, an empty origin, and
+// one-byte partition and offset.
+const minRecordBytes = 7
+
+// decodeRecords appends the counted records at r onto dst. With lend, Key
+// and Value stay views into r's frame — valid for as long as the frame's
+// owner leaves it alone (the lending polls). Without, they are copied into
+// one fresh block per batch and the records own them.
+func decodeRecords(r *wireReader, dst []mq.Record, lend bool) ([]mq.Record, error) {
+	n := r.count(minRecordBytes)
 	base := len(dst)
 	total := 0
 	for i := 0; i < n; i++ {
 		rec := r.record()
 		if r.err != nil {
-			return dst[:base], r.err
+			break
 		}
 		total += len(rec.Key) + len(rec.Value)
 		dst = append(dst, rec)
+	}
+	if r.err != nil {
+		return dst[:base], r.err
+	}
+	if lend {
+		return dst, nil
 	}
 	block := make([]byte, 0, total)
 	for i := base; i < len(dst); i++ {
@@ -537,6 +561,13 @@ type clientConsumer struct {
 	closed      atomic.Bool
 	topicClosed atomic.Bool
 
+	// frame is the response buffer of the lending polls, whose records point
+	// into it until the next one. The consumer's own, not the connection's
+	// rbuf: Lag, Committed or Close from another goroutine run their calls
+	// on the same connection and would overwrite views the poller still
+	// reads.
+	frame []byte
+
 	// positions tracks a standalone consumer's next offset per partition so
 	// a reconnect can re-seek the fresh server-side consumer to exactly
 	// where this one left off (group offsets live server-side and need no
@@ -599,23 +630,28 @@ func (cc *clientConsumer) reopen(raw rawCall) error {
 }
 
 // fetch runs one poll round: non-blocking at waitMs 0, else a server-side
-// long poll. Topic-closed state piggybacks on every response.
-func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64) ([]mq.Record, error) {
+// long poll. Topic-closed state piggybacks on every response. With lend the
+// response lands in cc.frame and the records alias it; without, in the
+// connection's buffer, copied out before the call returns.
+func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64, lend bool) ([]mq.Record, error) {
 	if cc.closed.Load() {
 		return dst, mq.ErrClosed
 	}
 	if max <= 0 {
 		max = 1
 	}
+	rbuf := &cc.rc.rbuf
+	if lend {
+		rbuf = &cc.frame
+	}
 	out := dst
-	err := cc.rc.call(waitMs, func(req []byte) []byte {
+	err := cc.rc.callInto(rbuf, waitMs, func(req []byte) []byte {
 		req = append(req, opFetch)
 		req = appendUvarint(req, cc.handle.Load())
 		req = appendUvarint(req, uint64(max))
 		return appendUvarint(req, waitMs)
 	}, func(r *wireReader) error {
 		flags := r.byteVal()
-		n := int(r.uvarint())
 		if r.err != nil {
 			return r.err
 		}
@@ -623,7 +659,7 @@ func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64) ([]mq.R
 			cc.topicClosed.Store(true)
 		}
 		var derr error
-		out, derr = decodeRecords(r, out, n)
+		out, derr = decodeRecords(r, out, lend)
 		return derr
 	})
 	if err != nil {
@@ -645,12 +681,18 @@ func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64) ([]mq.R
 }
 
 func (cc *clientConsumer) Poll(ctx context.Context, max int) ([]mq.Record, error) {
-	return cc.PollInto(ctx, nil, max)
+	return cc.poll(ctx, nil, max, false)
 }
 
+// PollInto lends: the records' Key/Value point into the fetch frame and are
+// valid until the next PollInto or TryPollInto on this consumer.
 func (cc *clientConsumer) PollInto(ctx context.Context, dst []mq.Record, max int) ([]mq.Record, error) {
+	return cc.poll(ctx, dst, max, true)
+}
+
+func (cc *clientConsumer) poll(ctx context.Context, dst []mq.Record, max int, lend bool) ([]mq.Record, error) {
 	for {
-		out, err := cc.fetch(dst, max, longPollMs)
+		out, err := cc.fetch(dst, max, longPollMs, lend)
 		if err != nil {
 			return dst, err
 		}
@@ -669,11 +711,12 @@ func (cc *clientConsumer) PollInto(ctx context.Context, dst []mq.Record, max int
 }
 
 func (cc *clientConsumer) TryPoll(max int) ([]mq.Record, error) {
-	return cc.TryPollInto(nil, max)
+	return cc.fetch(nil, max, 0, false)
 }
 
+// TryPollInto lends, as PollInto does.
 func (cc *clientConsumer) TryPollInto(dst []mq.Record, max int) ([]mq.Record, error) {
-	return cc.fetch(dst, max, 0)
+	return cc.fetch(dst, max, 0, true)
 }
 
 // meta fetches the handle's lag/generation/assignment snapshot.
@@ -685,7 +728,7 @@ func (cc *clientConsumer) meta() (lag, gen int64, assign []int, err error) {
 		flags := r.byteVal()
 		lag = int64(r.uvarint())
 		gen = int64(r.uvarint())
-		n := int(r.uvarint())
+		n := r.count(1)
 		if r.err != nil {
 			return r.err
 		}

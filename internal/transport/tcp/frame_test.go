@@ -1,0 +1,312 @@
+package tcp
+
+import (
+	"bytes"
+	"encoding/binary"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+	"unsafe"
+
+	"github.com/approxiot/approxiot/internal/mq"
+	"github.com/approxiot/approxiot/internal/transport"
+)
+
+// Both ends of the wire alias the frames they parse — the daemon's log points
+// into its clone of a send request, a lending poll's records into the fetch
+// response — so the parsers are held to: an error, or fields that lie inside
+// the frame; never a panic; never memory the frame's own bytes do not pay
+// for.
+
+// fetchResponse builds a fetch response frame (status, flags, records) for n
+// records of valueLen-byte values, origins cycling through froms.
+func fetchResponse(n, valueLen int, froms ...string) []byte {
+	resp := []byte{stOK, 0}
+	resp = appendUvarint(resp, uint64(n))
+	at := time.Unix(1723000000, 0)
+	for i := 0; i < n; i++ {
+		resp = appendRecord(resp, &mq.Record{
+			Key:       []byte{'k', byte(i)},
+			Value:     bytes.Repeat([]byte{byte(i)}, valueLen),
+			Ts:        at,
+			Watermark: mq.Watermark{From: froms[i%len(froms)], At: at.Add(time.Duration(i))},
+			Partition: i % 4,
+			Offset:    int64(i),
+		})
+	}
+	return resp
+}
+
+// A lending fetch decode allocates nothing: the records point into the frame
+// and the watermark origin is the one string the connection's reader already
+// holds (at the parent commit every record made its own). A change of origin
+// costs one string.
+func TestLendingFetchDecodeAllocatesNothing(t *testing.T) {
+	var rd wireReader
+	scratch := make([]mq.Record, 0, 64)
+	decode := func(frame []byte) {
+		if err := parseResp(&rd, frame); err != nil {
+			t.Fatal(err)
+		}
+		rd.byteVal() // flags
+		recs, err := decodeRecords(&rd, scratch[:0], true)
+		if err != nil || len(recs) != 64 {
+			t.Fatalf("decoded %d records, %v", len(recs), err)
+		}
+		if recs[63].Watermark.From != "edge1-3" || recs[63].Value[0] != 63 {
+			t.Fatalf("record 63 = %+v", recs[63])
+		}
+	}
+	one := fetchResponse(64, 96, "edge1-3")
+	if allocs := testing.AllocsPerRun(50, func() { decode(one) }); allocs != 0 {
+		t.Fatalf("a 64-record lending fetch decode allocates %.0f times, want 0", allocs)
+	}
+	two := fetchResponse(64, 96, "edge1-2", "edge1-3")
+	if allocs := testing.AllocsPerRun(50, func() { decode(two) }); allocs != 64 {
+		t.Fatalf("64 records of alternating origin allocate %.0f times, want one string each", allocs)
+	}
+}
+
+// inside reports whether view lies within frame's backing bytes.
+func inside(frame, view []byte) bool {
+	if len(view) == 0 {
+		return true
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(frame)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(view)))
+	return p >= lo && p+uintptr(len(view)) <= lo+uintptr(len(frame))
+}
+
+// allocated runs fn and returns the heap bytes allocated meanwhile.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// recordBytes bounds what decoding costs per frame byte: a record is at
+// least minRecordBytes on the wire and one mq.Record in the caller's slice,
+// which append may have grown to a little over twice what it holds.
+const recordBytes = 3 * int(unsafe.Sizeof(mq.Record{})) / minRecordBytes
+
+// slack is what a measurement may read beyond the decode's own bytes: the
+// process-wide counter also sees the fuzz worker's goroutines.
+const slack = 64 << 10
+
+// FuzzFetchResponse feeds arbitrary bytes to the client's response path,
+// read both as a consumer fetch (status, flags, records) and as a FetchInto
+// (status, records), lending and owning.
+func FuzzFetchResponse(f *testing.F) {
+	f.Add(fetchResponse(3, 40, "leaf-1", "leaf-2"))
+	f.Add(fetchResponse(0, 0, ""))
+	f.Add(appendErr(nil, mq.ErrClosed))
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		for _, flagged := range []bool{true, false} {
+			var rd wireReader
+			if err := parseResp(&rd, frame); err != nil {
+				return
+			}
+			if flagged {
+				rd.byteVal()
+			}
+			at := rd
+			var lent, owned []mq.Record
+			var lendErr, ownErr error
+			cost := allocated(func() { lent, lendErr = decodeRecords(&rd, nil, true) })
+			rd = at
+			cost += allocated(func() { owned, ownErr = decodeRecords(&rd, nil, false) })
+			if limit := uint64(2*recordBytes*len(frame) + len(frame) + slack); cost > limit {
+				t.Fatalf("decoding a %d-byte frame allocated %d bytes (limit %d)", len(frame), cost, limit)
+			}
+			if (lendErr == nil) != (ownErr == nil) || len(lent) != len(owned) {
+				t.Fatalf("lending decode: %d records, %v; owning decode: %d records, %v", len(lent), lendErr, len(owned), ownErr)
+			}
+			if lendErr != nil {
+				if len(lent) != 0 {
+					t.Fatalf("%d records alongside %v", len(lent), lendErr)
+				}
+				continue
+			}
+			if len(lent) > len(frame)/minRecordBytes {
+				t.Fatalf("%d records from %d bytes", len(lent), len(frame))
+			}
+			for i := range lent {
+				l, o := lent[i], owned[i]
+				if !inside(frame, l.Key) || !inside(frame, l.Value) {
+					t.Fatalf("lent record %d points outside its frame", i)
+				}
+				if cap(l.Key) != len(l.Key) || cap(l.Value) != len(l.Value) {
+					t.Fatalf("lent record %d can be appended into its neighbour", i)
+				}
+				if len(o.Key) > 0 && inside(frame, o.Key) || len(o.Value) > 0 && inside(frame, o.Value) {
+					t.Fatalf("owned record %d points into the frame", i)
+				}
+				if !bytes.Equal(l.Key, o.Key) || !bytes.Equal(l.Value, o.Value) || l.Watermark != o.Watermark ||
+					!l.Ts.Equal(o.Ts) || l.Partition != o.Partition || l.Offset != o.Offset {
+					t.Fatalf("record %d: lent %+v, owned %+v", i, l, o)
+				}
+			}
+		}
+	})
+}
+
+// dispatchFixture is a daemon's dispatch state over a fresh in-memory bus,
+// without a listener: topic "t" (2 partitions, 3 records), a standalone
+// consumer under handle 1 and a member of group "g" under handle 2 — opened
+// through dispatch itself. The server's context is already cancelled, so a
+// request that would park (a long-poll fetch, opWait, opRebalanceWait)
+// answers at once.
+func dispatchFixture(t testing.TB) (*Server, *connState) {
+	broker := mq.NewBroker()
+	t.Cleanup(broker.Close)
+	s := newServer(transport.WrapBroker(broker))
+	s.cancel()
+	cs := s.newConnState(nil)
+	ok := func(req []byte) {
+		if resp := s.dispatch(cs, req, nil); len(resp) == 0 || resp[0] != stOK {
+			t.Fatalf("fixture request % x answered % x", req, resp)
+		}
+	}
+	ok(appendUvarint(appendUvarint(appendStr([]byte{opCreateTopic}, "t"), 2), 0))
+	ok(sendBatchRequest("t", 3, 24))
+	ok(appendStr(appendStr([]byte{opOpenConsumer}, "t"), ""))
+	ok(appendStr(appendStr([]byte{opOpenConsumer}, "t"), "g"))
+	return s, cs
+}
+
+// sendBatchRequest builds an opSendBatch frame of n records.
+func sendBatchRequest(topic string, n, valueLen int) []byte {
+	req := appendStr([]byte{opSendBatch}, topic)
+	req = appendUvarint(req, uint64(n))
+	for i := 0; i < n; i++ {
+		req = appendBytes(req, []byte{'k', byte(i)})
+		req = appendBytes(req, bytes.Repeat([]byte{byte(i)}, valueLen))
+		req = appendWatermark(req, mq.Watermark{From: "leaf-1", At: time.Unix(1723000000, int64(i))})
+	}
+	return req
+}
+
+// FuzzDispatch feeds arbitrary request frames to the daemon's dispatch. The
+// frame's numbers reach a broker that trusts its callers, so whatever they
+// are the answer is a well-formed response — status, then a result or an
+// error text — from a daemon that is still standing, for no more memory than
+// the frame's size accounts for (beyond the constant a legitimate request of
+// the same op may cost: a topic of maxPartitions partitions is the largest).
+func FuzzDispatch(f *testing.F) {
+	u := appendUvarint
+	f.Add(u(u(appendStr([]byte{opCreateTopic}, "t2"), 4), 0))
+	f.Add(appendStr([]byte{opTopicParts}, "t"))
+	f.Add(appendWatermark(appendBytes(appendBytes(appendStr([]byte{opSend}, "t"), []byte("k")), []byte("v")), mq.Watermark{From: "s"}))
+	f.Add(appendWatermark(appendBytes(appendBytes(u(appendStr([]byte{opSendTo}, "t"), 1), nil), []byte("v")), mq.Watermark{}))
+	f.Add(sendBatchRequest("t", 2, 16))
+	f.Add(appendStr(appendStr([]byte{opOpenConsumer}, "t"), "g2"))
+	f.Add(u(u(u([]byte{opFetch}, 1), 16), 0))
+	f.Add(u(u(u([]byte{opFetch}, 2), 16), 250))
+	f.Add(u([]byte{opMeta}, 2))
+	f.Add(u(u([]byte{opCommitted}, 2), 1))
+	f.Add(u(u(u([]byte{opSeek}, 1), 0), 2))
+	f.Add(u([]byte{opCloseConsumer}, 1))
+	f.Add(appendStr(appendStr([]byte{opGroupLag}, "t"), "g"))
+	f.Add(appendStr(appendStr([]byte{opGroupCommitted}, "t"), "g"))
+	f.Add(u(u(u(appendStr([]byte{opFetchAt}, "t"), 0), 1), 8))
+	f.Add(u(u(appendStr([]byte{opWait}, "t"), 0), 2000))
+	f.Add(u(u(u([]byte{opRebalanceWait}, 2), 0), 2000))
+	const standing = 1 << 20
+	f.Fuzz(func(t *testing.T, req []byte) {
+		s, cs := dispatchFixture(t)
+		var resp []byte
+		cost := allocated(func() { resp = s.dispatch(cs, req, nil) })
+		if limit := uint64(4*len(req) + standing); cost > limit {
+			t.Fatalf("a %d-byte request allocated %d bytes (limit %d)", len(req), cost, limit)
+		}
+		var rd wireReader
+		rd.reset(resp)
+		switch st := rd.byteVal(); {
+		case rd.err != nil:
+			t.Fatal("empty response")
+		case st > stUnknownHandle:
+			t.Fatalf("response status %d", st)
+		case st != stOK:
+			if rd.str(); rd.err != nil || rd.off != len(resp) {
+				t.Fatalf("error response % x is not a status and a text", resp)
+			}
+		}
+		// The daemon still serves.
+		if again := s.dispatch(cs, appendStr([]byte{opTopicParts}, "t"), nil); !bytes.Equal(again, []byte{stOK, 2}) {
+			t.Fatalf("after the frame, TopicPartitions(t) answers % x", again)
+		}
+	})
+}
+
+// A response's element counts size the client's allocations, so one the
+// frame's remaining bytes cannot hold is refused as a malformed frame. The
+// peer here answers every request with status OK and a count of 2^40.
+func TestHostileResponseCountsAreRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var buf []byte
+				for {
+					req, _, err := readFrame(conn, buf)
+					if err != nil {
+						return
+					}
+					buf = req
+					resp := append(make([]byte, frameStart), stOK)
+					switch req[0] {
+					case opOpenConsumer:
+						resp = appendUvarint(resp, 1)
+					case opMeta:
+						resp = append(resp, 0, 0, 0) // flags, lag, generation
+						fallthrough
+					default:
+						resp = binary.AppendUvarint(resp, 1<<40)
+					}
+					if _, err := conn.Write(sealFrame(resp)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	cl, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	c, err := cl.NewConsumer("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cost := allocated(func() {
+		if offs, err := cl.GroupCommitted("t", "g"); err == nil {
+			t.Errorf("GroupCommitted took a count of 2^40 from an 7-byte frame: %d offsets", len(offs))
+		}
+		if a := c.Assignment(); a != nil {
+			t.Errorf("Assignment took a count of 2^40: %d partitions", len(a))
+		}
+		if recs, err := cl.FetchInto(nil, "t", 0, 0, 8); err == nil {
+			t.Errorf("FetchInto took a count of 2^40: %d records", len(recs))
+		}
+		if recs, err := c.TryPoll(8); err == nil {
+			t.Errorf("TryPoll took a count of 2^40: %d records", len(recs))
+		}
+	})
+	if cost > 1<<20 {
+		t.Fatalf("four refused responses allocated %d bytes", cost)
+	}
+}

@@ -1,8 +1,10 @@
 package tcp
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -16,6 +18,18 @@ import (
 // rebalance-wait) may park server-side. Clients re-issue; the cap bounds how
 // long a dispatch loop can sit in one request after the peer vanishes.
 const maxWaitMs = 30_000
+
+// Bounds on the numbers a request frame supplies. They size allocations and
+// index the broker's tables, and the broker trusts its in-process callers:
+// the daemon is where a remote peer's input is checked.
+const (
+	// maxPartitions bounds a created topic's partition count (each one is a
+	// log, a lock and a committed-offset slot per group).
+	maxPartitions = 1 << 12
+	// maxFetch bounds the records of one fetch; anything larger is served as
+	// this many and the client polls again.
+	maxFetch = 1 << 16
+)
 
 // counters is the shared atomic backing for transport.Counters. Both the
 // server and every client handle own one; conns account into it directly.
@@ -65,24 +79,32 @@ type Server struct {
 type serverHandle struct {
 	c     transport.Consumer
 	owner net.Conn
+	parts int // the topic's partition count: the range a wire-supplied partition is checked against
 }
 
 // Serve starts serving bus on ln and returns immediately. The server does
 // not own bus: Close stops serving but leaves the bus (and its topics)
 // intact, so a daemon owner decides the shutdown order.
 func Serve(ln net.Listener, bus transport.Bus) *Server {
+	s := newServer(bus)
+	s.ln = ln
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s
+}
+
+// newServer builds the dispatch state of a daemon over bus, not yet
+// listening (Serve adds the listener; the frame fuzzer dispatches without
+// one).
+func newServer(bus transport.Bus) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
+	return &Server{
 		bus:     bus,
-		ln:      ln,
 		baseCtx: ctx,
 		cancel:  cancel,
 		conns:   make(map[net.Conn]struct{}),
 		handles: make(map[uint64]*serverHandle),
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s
 }
 
 // Listen is Serve over a fresh TCP listener on addr (e.g. ":9090" or
@@ -152,20 +174,26 @@ type connState struct {
 	owned    map[uint64]struct{}           // consumer handles this conn opened
 	waiters  map[string]transport.Consumer // opWait epoch consumers, per topic
 
+	rd           wireReader // walks the request; reset per frame
 	fetchScratch []mq.Record
 	batchScratch []mq.Record
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	cs := &connState{
+func (s *Server) newConnState(conn net.Conn) *connState {
+	return &connState{
 		srv:     s,
 		conn:    conn,
 		owned:   make(map[uint64]struct{}),
 		waiters: make(map[string]transport.Consumer),
 	}
+}
+
+func (s *Server) serveConn(conn net.Conn) {
+	defer s.wg.Done()
+	cs := s.newConnState(conn)
 	defer cs.teardown()
-	var reqBuf, respBuf, scratch []byte
+	var reqBuf []byte
+	respBuf := make([]byte, frameStart, 64)
 	for {
 		req, n, err := readFrame(conn, reqBuf)
 		reqBuf = req
@@ -173,8 +201,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		respBuf = s.dispatch(cs, req, respBuf[:0])
-		n, scratch, err = writeFrame(conn, scratch, respBuf)
+		// The response is built after the headroom its length goes into and
+		// written from where it was built.
+		respBuf = s.dispatch(cs, req, respBuf[:frameStart])
+		n, err = conn.Write(sealFrame(respBuf))
 		s.ctr.bytesOut.Add(int64(n))
 		if err != nil {
 			return
@@ -204,13 +234,14 @@ func (cs *connState) teardown() {
 	}
 }
 
-// register files a new server-side consumer under a fresh handle id.
-func (s *Server) register(cs *connState, c transport.Consumer) uint64 {
+// register files a new server-side consumer on a topic of parts partitions
+// under a fresh handle id.
+func (s *Server) register(cs *connState, c transport.Consumer, parts int) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
 	id := s.nextID
-	s.handles[id] = &serverHandle{c: c, owner: cs.conn}
+	s.handles[id] = &serverHandle{c: c, owner: cs.conn, parts: parts}
 	cs.owned[id] = struct{}{}
 	return id
 }
@@ -218,12 +249,29 @@ func (s *Server) register(cs *connState, c transport.Consumer) uint64 {
 // lookup resolves a handle id to its consumer; nil if unknown (closed, or
 // reaped when its conn dropped).
 func (s *Server) lookup(id uint64) transport.Consumer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h, ok := s.handles[id]; ok {
+	if h := s.lookupHandle(id); h != nil {
 		return h.c
 	}
 	return nil
+}
+
+func (s *Server) lookupHandle(id uint64) *serverHandle {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.handles[id]
+}
+
+// partitionOf resolves a handle and checks a wire-supplied partition against
+// its topic: the broker indexes its per-partition tables with it unchecked.
+func (s *Server) partitionOf(id, part uint64) (transport.Consumer, int, error) {
+	h := s.lookupHandle(id)
+	if h == nil {
+		return nil, 0, errUnknownHandle
+	}
+	if part >= uint64(h.parts) {
+		return nil, 0, fmt.Errorf("%w: partition %d of %d", mq.ErrOutOfRange, part, h.parts)
+	}
+	return h.c, int(part), nil
 }
 
 func (s *Server) unregister(cs *connState, id uint64) transport.Consumer {
@@ -244,18 +292,25 @@ func appendErr(resp []byte, err error) []byte {
 }
 
 // dispatch decodes one request frame and appends the response onto resp.
+// Every number the frame supplies is range-checked here, before it reaches
+// the bus: a malformed or hostile frame gets an error response, never a
+// panic and never an allocation it did not pay for in frame bytes.
 func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
-	r := &wireReader{buf: req}
+	r := &cs.rd
+	r.reset(req)
 	op := r.byteVal()
 	switch op {
 	case opCreateTopic:
 		name := r.str()
-		parts := int(r.uvarint())
-		retain := int(r.uvarint())
+		parts := r.uvarint()
+		retain := r.uvarint()
 		if r.err != nil {
 			return appendErr(resp, r.err)
 		}
-		if err := s.bus.CreateTopic(name, parts, retain); err != nil {
+		if parts > maxPartitions {
+			return appendErr(resp, fmt.Errorf("tcp: %d partitions exceeds the limit of %d", parts, maxPartitions))
+		}
+		if err := s.bus.CreateTopic(name, int(parts), int(retain)); err != nil {
 			return appendErr(resp, err)
 		}
 		return append(resp, stOK)
@@ -311,8 +366,11 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		if r.err != nil {
 			return appendErr(resp, r.err)
 		}
+		parts, err := s.bus.TopicPartitions(topic)
+		if err != nil {
+			return appendErr(resp, err)
+		}
 		var c transport.Consumer
-		var err error
 		if group == "" {
 			c, err = s.bus.NewConsumer(topic)
 		} else {
@@ -321,7 +379,7 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		if err != nil {
 			return appendErr(resp, err)
 		}
-		id := s.register(cs, c)
+		id := s.register(cs, c, parts)
 		resp = append(resp, stOK)
 		return appendUvarint(resp, id)
 
@@ -353,27 +411,27 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 
 	case opCommitted:
 		id := r.uvarint()
-		part := int(r.uvarint())
+		wirePart := r.uvarint()
 		if r.err != nil {
 			return appendErr(resp, r.err)
 		}
-		c := s.lookup(id)
-		if c == nil {
-			return appendErr(resp, errUnknownHandle)
+		c, part, err := s.partitionOf(id, wirePart)
+		if err != nil {
+			return appendErr(resp, err)
 		}
 		resp = append(resp, stOK)
 		return appendUvarint(resp, uint64(c.Committed(part)))
 
 	case opSeek:
 		id := r.uvarint()
-		part := int(r.uvarint())
+		wirePart := r.uvarint()
 		off := int64(r.uvarint())
 		if r.err != nil {
 			return appendErr(resp, r.err)
 		}
-		c := s.lookup(id)
-		if c == nil {
-			return appendErr(resp, errUnknownHandle)
+		c, part, err := s.partitionOf(id, wirePart)
+		if err != nil {
+			return appendErr(resp, err)
 		}
 		if err := c.Seek(part, off); err != nil {
 			return appendErr(resp, err)
@@ -425,7 +483,7 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		topic := r.str()
 		part := int(r.uvarint())
 		from := int64(r.uvarint())
-		max := int(r.uvarint())
+		max := int(min(r.uvarint(), maxFetch))
 		if r.err != nil {
 			return appendErr(resp, r.err)
 		}
@@ -460,36 +518,32 @@ func (cs *connState) prod() transport.Producer {
 	return cs.producer
 }
 
-// handleSendBatch decodes a batch, copies payloads out of the request frame
-// into one fresh block (the backing bus retains Key/Value bytes, and the
-// frame buffer is recycled on the next request), and appends it.
+// handleSendBatch keeps the one copy of a batch the hop retains: the backing
+// bus aliases Key/Value bytes in its log and the request buffer is recycled
+// on the next frame, so the frame's record region is cloned once — unzeroed:
+// append does not clear what it is about to overwrite — and the records are
+// parsed out of the clone, their fields views into it.
 func (s *Server) handleSendBatch(cs *connState, r *wireReader, resp []byte) []byte {
 	topic := r.str()
-	n := int(r.uvarint())
+	n := r.count(3) // a record is at least two empty fields and an empty origin
+	if r.err != nil {
+		return appendErr(resp, r.err)
+	}
+	r.reset(bytes.Clone(r.buf[r.off:]))
 	recs := cs.batchScratch[:0]
-	total := 0
 	for i := 0; i < n && r.err == nil; i++ {
 		var rec mq.Record
 		rec.Key = r.bytesVal()
 		rec.Value = r.bytesVal()
 		rec.Watermark = r.watermark()
-		total += len(rec.Key) + len(rec.Value)
 		recs = append(recs, rec)
 	}
-	cs.batchScratch = recs
-	if r.err != nil {
-		return appendErr(resp, r.err)
+	err := r.err
+	if err == nil {
+		err = cs.prod().SendBatch(topic, recs)
 	}
-	block := make([]byte, 0, total)
-	for i := range recs {
-		block, recs[i].Key = blockCopy(block, recs[i].Key)
-		block, recs[i].Value = blockCopy(block, recs[i].Value)
-	}
-	err := cs.prod().SendBatch(topic, recs)
-	// Drop the aliases into the sent block before recycling the scratch.
-	for i := range recs {
-		recs[i] = mq.Record{}
-	}
+	// Drop the aliases into the retained block before recycling the scratch.
+	clear(recs)
 	cs.batchScratch = recs[:0]
 	if err != nil {
 		return appendErr(resp, err)
@@ -523,7 +577,7 @@ func copyKV(key, value []byte) ([]byte, []byte) {
 // the broker's wakeup machinery instead of spinning.
 func (s *Server) handleFetch(cs *connState, r *wireReader, resp []byte) []byte {
 	id := r.uvarint()
-	max := int(r.uvarint())
+	max := int(min(r.uvarint(), maxFetch))
 	waitMs := r.uvarint()
 	if r.err != nil {
 		return appendErr(resp, r.err)

@@ -1,6 +1,7 @@
 package tcp_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -20,7 +21,7 @@ type harness struct {
 	client *tcp.Client
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB) *harness {
 	t.Helper()
 	b := mq.NewBroker()
 	srv, err := tcp.Listen("127.0.0.1:0", transport.WrapBroker(b))
@@ -330,5 +331,68 @@ func TestServerCloseAnswersParkedLongPolls(t *testing.T) {
 	}
 	if got := h.client.Counters(); got.SendErrors != 0 || got.PollErrors != 0 || got.Reconnects != 0 {
 		t.Fatalf("client counted the shutdown as errors: %+v", got)
+	}
+}
+
+// BenchmarkTCPHop is the transport's share of one hop on loopback, as the
+// tree drives it: four 12 KB records encoded into a block the sender reuses,
+// one SendBatch, lending polls until all four are back. The one copy the hop
+// retains is the daemon's clone of the request, so B/op sits just above the
+// payload (57.9 kB for 49.2 kB: a large allocation rounds up to whole pages).
+// CI's bench-smoke job fails it above 1.25 × payload, never on time. With the
+// daemon's zeroed copy and the poll's copy it read 115 kB, 2.35 ×; the third
+// block of the old hop, the encoder's, was core's and is not in this loop.
+func BenchmarkTCPHop(b *testing.B) {
+	h := newHarness(b)
+	// Retention lets the broker drop what the group has consumed, so the log
+	// does not grow with b.N.
+	if err := h.client.CreateTopic("t", 1, 64); err != nil {
+		b.Fatal(err)
+	}
+	c, err := h.client.NewGroupConsumer("t", "g")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	p := h.client.NewProducer()
+	const records, size = 4, 12 << 10
+	var (
+		payload = bytes.Repeat([]byte{0x5A}, size)
+		block   = make([]byte, 0, records*(size+1))
+		recs    = make([]transport.Record, records)
+		scratch = make([]transport.Record, 0, records)
+		ctx     = context.Background()
+	)
+	hop := func(i int) {
+		block = block[:0]
+		for j := range recs {
+			at := len(block)
+			block = append(block, 'a'+byte(j))
+			block = append(block, payload...)
+			block[len(block)-1] = byte(i)
+			recs[j] = transport.Record{Key: block[at : at+1 : at+1], Value: block[at+1 : len(block) : len(block)]}
+		}
+		if err := p.SendBatch("t", recs); err != nil {
+			b.Fatal(err)
+		}
+		for got := 0; got < records; got += len(scratch) {
+			if scratch, err = c.PollInto(ctx, scratch[:0], records); err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range scratch {
+				if len(r.Value) != size || r.Value[size-1] != byte(i) {
+					b.Fatalf("hop %d read back a %d-byte value ending % x", i, len(r.Value), r.Value[len(r.Value)-1:])
+				}
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		hop(i) // buffers on both sides reach their working size
+	}
+	b.SetBytes(records * size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hop(i)
 	}
 }

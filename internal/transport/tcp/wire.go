@@ -171,11 +171,19 @@ func appendRecord(dst []byte, r *mq.Record) []byte {
 // ---- cursor-style decoder with a latched error ----
 
 // wireReader walks a frame; the first malformed field latches err and every
-// later read returns zero values, so call sites stay linear.
+// later read returns zero values, so call sites stay linear. A connection
+// keeps one reader and resets it per frame, which carries from — the last
+// watermark origin read — across frames.
 type wireReader struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	from string
+}
+
+// reset points the reader at a new frame.
+func (r *wireReader) reset(buf []byte) {
+	r.buf, r.off, r.err = buf, 0, nil
 }
 
 func (r *wireReader) fail() {
@@ -210,16 +218,27 @@ func (r *wireReader) byteVal() byte {
 	return b
 }
 
-// bytesVal returns a view into the frame — NOT a copy. Callers that retain
-// the bytes past the frame's lifetime must copy (see clientConsumer's
-// fetch, which materializes records into one fresh block per batch).
-func (r *wireReader) bytesVal() []byte {
-	n := int(r.uvarint())
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.buf) {
+// count reads an element count the frame's remaining bytes must be able to
+// hold at each bytes per element. A count is wire input: it sizes loops and
+// allocations, so one the frame cannot back is a malformed frame, not a
+// request for memory.
+func (r *wireReader) count(each int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.buf)-r.off)/uint64(each) {
 		r.fail()
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// bytesVal returns a view into the frame — NOT a copy. Callers that keep
+// the bytes past the frame's lifetime must copy (decodeRecords does, on the
+// owning polls) or own the frame (handleSendBatch parses its own clone).
+func (r *wireReader) bytesVal() []byte {
+	n := r.count(1)
+	if r.err != nil {
 		return nil
 	}
 	b := r.buf[r.off : r.off+n : r.off+n]
@@ -243,8 +262,15 @@ func (r *wireReader) timeVal() time.Time {
 	return time.Unix(0, int64(n))
 }
 
+// watermark decodes a piggybacked watermark. Consecutive records mostly
+// share their origin, so the last one is kept and returned while the bytes
+// match — the comparison converts without allocating; only a change of
+// origin makes a string.
 func (r *wireReader) watermark() mq.Watermark {
-	return mq.Watermark{From: r.str(), At: r.timeVal()}
+	if b := r.bytesVal(); string(b) != r.from {
+		r.from = string(b)
+	}
+	return mq.Watermark{From: r.from, At: r.timeVal()}
 }
 
 // record decodes one record; Key/Value alias the frame buffer.
@@ -261,15 +287,17 @@ func (r *wireReader) record() mq.Record {
 
 // ---- framing ----
 
-// writeFrame writes [len][frame] with a single Write call (scratch holds
-// the length prefix + frame so short writes can't interleave across
-// concurrent connections). Returns bytes written.
-func writeFrame(w io.Writer, scratch, frame []byte) (int, []byte, error) {
-	scratch = scratch[:0]
-	scratch = binary.LittleEndian.AppendUint32(scratch, uint32(len(frame)))
-	scratch = append(scratch, frame...)
-	n, err := w.Write(scratch)
-	return n, scratch, err
+// frameStart is the headroom a frame builder leaves in front of the frame:
+// requests and responses are appended onto buf[:frameStart], sealFrame
+// stores the length prefix into the headroom, and the whole buffer goes out
+// in one Write — the frame is written where it was built.
+const frameStart = 4
+
+// sealFrame stores the length of the frame built after buf's headroom into
+// the headroom and returns buf, ready for a single Write.
+func sealFrame(buf []byte) []byte {
+	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-frameStart))
+	return buf
 }
 
 // readFrame reads one frame into buf (grown as needed) and returns it plus

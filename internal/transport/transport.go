@@ -17,13 +17,26 @@
 // semantics remain the executable specification every other backend's
 // conformance run is held to (internal/transport/conformance).
 //
-// Buffer-ownership rule across the boundary: a backend retains the Key and
-// Value bytes handed to a producer send (the in-memory broker aliases them
-// in its partition logs; a network backend serializes them, but callers
-// must not assume which). Callers therefore never mutate sent bytes —
-// materialize into a fresh block per flush, exactly as the core encoder
-// does. Symmetrically, records returned by a poll stay valid after the
-// next poll; only the scratch slice header is recycled by the caller.
+// Buffer-ownership rule across the boundary — one retained block per record
+// per hop, and nobody else's bytes outlive the call that handed them over:
+//
+//   - Sent bytes. A bus either retains the Key and Value bytes handed to a
+//     producer send (the in-memory broker aliases them in its partition
+//     logs) or has serialized them by the time the send returns (a network
+//     client). Bus.RetainsSent says which. Where it is true the sender never
+//     writes those bytes again — it materializes each flush into a fresh
+//     block, which becomes the retained one. Where it is false the bytes are
+//     the sender's again the moment the send returns, and the core encoder
+//     encodes every flush into the same block; the retained copy is made by
+//     whoever does retain (the daemon behind the wire, once per request).
+//   - Polled bytes. Poll, TryPoll and Bus.FetchInto return records that own
+//     their Key and Value: they stay valid for as long as the caller keeps
+//     them. PollInto and TryPollInto — the caller-owned-scratch forms the
+//     hot loops use — lend them: Key and Value are valid until the next
+//     PollInto or TryPollInto on the same consumer, and are read-only. A
+//     caller that keeps a lent record past that point copies it. (The
+//     in-memory backend lends views of its immutable log, which happen to
+//     stay valid; callers must not lean on that.)
 package transport
 
 import (
@@ -58,8 +71,10 @@ type Producer interface {
 	// SendBatch appends a batch in one shot — the amortization the hot path
 	// is built on. Each record's Key, Value, and Watermark are taken as
 	// given; Ts/Partition/Offset are assigned by the backend. recs may be
-	// written in place but is not retained; Values ARE retained (see the
-	// package buffer-ownership rule).
+	// written in place but is not retained. The send is synchronous: when it
+	// returns, the backend has either retained the Key/Value bytes or is done
+	// with them — Bus.RetainsSent says which, and so whether the caller may
+	// write them again (see the package buffer-ownership rule).
 	SendBatch(topic string, recs []Record) error
 	// SendTo appends directly to a specific partition.
 	SendTo(topic string, partition int, key, value []byte) (int64, error)
@@ -75,16 +90,20 @@ type Producer interface {
 // partitions, private positions).
 type Consumer interface {
 	// Poll returns up to max records, blocking until at least one is
-	// available, ctx is cancelled, or the topic closes.
+	// available, ctx is cancelled, or the topic closes. The records own
+	// their Key/Value bytes.
 	Poll(ctx context.Context, max int) ([]Record, error)
 	// PollInto is Poll with a caller-owned scratch slice: records are
 	// appended onto dst and the extended slice returned, so a steady-state
-	// poll loop allocates nothing per poll.
+	// poll loop allocates nothing per poll. The records' Key/Value bytes are
+	// lent, not given: read-only, and valid until the next PollInto or
+	// TryPollInto on this consumer (a network backend points them into the
+	// frame it just read). One goroutine polls a consumer at a time.
 	PollInto(ctx context.Context, dst []Record, max int) ([]Record, error)
 	// TryPoll is a non-blocking Poll; (nil, nil) when nothing is ready.
 	TryPoll(max int) ([]Record, error)
-	// TryPollInto is a non-blocking PollInto; dst unextended when nothing
-	// is ready.
+	// TryPollInto is a non-blocking PollInto (same lending rule); dst
+	// unextended when nothing is ready.
 	TryPollInto(dst []Record, max int) ([]Record, error)
 	// WaitChan returns a channel closed when new records may be available
 	// (or already closed if the topic is shut down). Arm it BEFORE a
@@ -135,6 +154,13 @@ type Bus interface {
 	TopicPartitions(name string) (int, error)
 	// NewProducer returns a producer bound to this bus.
 	NewProducer() Producer
+	// RetainsSent reports whether the bus keeps the Key/Value bytes handed
+	// to a producer send after the send returns (the in-memory broker: its
+	// log aliases them) or is done with them by then (a network client: they
+	// are on the wire). A property of the backend, fixed for its lifetime —
+	// senders read it once to decide whether their encode block can serve
+	// the next flush too.
+	RetainsSent() bool
 	// NewConsumer returns a standalone consumer over every partition of
 	// topic, starting at the current low watermarks.
 	NewConsumer(topic string) (Consumer, error)
@@ -152,7 +178,7 @@ type Bus interface {
 	// FetchInto reads up to max records from a partition starting at
 	// offset from, appending onto dst — the offset-addressed replay read
 	// crash recovery uses (never blocks; mq.ErrOutOfRange below the low
-	// watermark).
+	// watermark). The records own their Key/Value bytes.
 	FetchInto(dst []Record, topic string, partition int, from int64, max int) ([]Record, error)
 	// Close releases the bus handle. The in-memory backend closes its
 	// broker (waking every blocked poll with mq.ErrClosed); a network
