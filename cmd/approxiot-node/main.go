@@ -153,8 +153,8 @@ func runBroker(addr string) int {
 	srv.Close()
 	b.Close()
 	ctr := srv.Counters()
-	fmt.Printf("final role=broker bytes_in=%d bytes_out=%d send_errors=%d poll_errors=%d\n",
-		ctr.BytesIn, ctr.BytesOut, ctr.SendErrors, ctr.PollErrors)
+	fmt.Printf("final role=broker bytes_in=%d bytes_out=%d round_trips=%d send_errors=%d poll_errors=%d\n",
+		ctr.BytesIn, ctr.BytesOut, ctr.RoundTrips, ctr.SendErrors, ctr.PollErrors)
 	return 0
 }
 
@@ -259,8 +259,8 @@ func runTier(role, addr, opsAddr string, cfg core.LiveConfig, items int, span, d
 	ctr := client.Counters()
 	fmt.Printf("final role=%s produced=%d rootProcessed=%d windows=%d lateDropped=%d decodeErrors=%d interrupted=%v\n",
 		role, res.Produced, res.RootProcessed, len(res.Windows), res.LateDropped, res.DecodeErrors, interrupted)
-	fmt.Printf("transport bytes_out=%d bytes_in=%d reconnects=%d send_errors=%d poll_errors=%d\n",
-		ctr.BytesOut, ctr.BytesIn, ctr.Reconnects, ctr.SendErrors, ctr.PollErrors)
+	fmt.Printf("transport bytes_out=%d bytes_in=%d round_trips=%d reconnects=%d send_errors=%d poll_errors=%d\n",
+		ctr.BytesOut, ctr.BytesIn, ctr.RoundTrips, ctr.Reconnects, ctr.SendErrors, ctr.PollErrors)
 	return 0
 }
 

@@ -136,6 +136,7 @@ type NodeSession struct {
 
 	valveMu sync.Mutex
 	valves  []*NodePusher
+	lags    map[string]*carriedLag // per leaf topic, shared by every valve on it
 
 	cancelTick context.CancelFunc
 	tickWG     sync.WaitGroup
@@ -190,6 +191,7 @@ func OpenNode(ctx context.Context, cfg LiveConfig, tier NodeTier) (*NodeSession,
 		bus:    cfg.Bus,
 		bw:     metrics.NewBandwidthAccount(),
 		valves: make([]*NodePusher, plan.Spec.Sources),
+		lags:   make(map[string]*carriedLag),
 		done:   make(chan struct{}),
 		closed: make(chan struct{}),
 	}
@@ -659,6 +661,13 @@ func (n *NodeSession) Pusher(slot int) (*NodePusher, error) {
 	}
 	src := n.plan.Sources[slot]
 	leaf := n.plan.Layers[0][src.ParentIndex]
+	lag := n.lags[src.Topic]
+	if lag == nil {
+		lag = new(carriedLag)
+		// No probe has answered yet: past the mark, so the first push asks.
+		lag.offset.Store(int64(n.cfg.MaxIngestLag) + 1)
+		n.lags[src.Topic] = lag
+	}
 	v := &NodePusher{
 		n:        n,
 		lagGroup: leaf.ID + "-in", // the leaf node's consumer group (streams source node "in")
@@ -666,12 +675,13 @@ func (n *NodeSession) Pusher(slot int) (*NodePusher, error) {
 		valve: valve{
 			slot:     slot,
 			topic:    src.Topic,
-			producer: n.bus.NewProducer(),
+			producer: countingProducer{n.bus.NewProducer(), lag},
 			bwc:      n.bw.Counter(src.Topic),
 			from:     sourceFrom(slot),
 			marks:    make(map[stream.SourceID]time.Time),
 			enc:      encoderFor(n.bus),
 		},
+		carried: lag,
 	}
 	n.valves[slot] = v
 	return v, nil
@@ -713,6 +723,7 @@ func (n *NodeSession) FinishIngest() error {
 type NodePusher struct {
 	n        *NodeSession
 	lagGroup string
+	carried  *carriedLag // the leaf topic's, shared with every other valve on it
 	rate     float64
 
 	// sent is atomic so observers (tests, telemetry) can read it while a
@@ -779,18 +790,65 @@ func (v *NodePusher) Push(items ...stream.Item) error {
 	return nil
 }
 
+// carriedLag is one leaf topic's group lag as this process can bound it
+// without asking: the last GroupLag answer plus every record the process has
+// sent to the topic since. Consumption only lowers the true lag, so the
+// figure never understates what this process has put there (records other
+// processes send to the topic show at the next probe, as they did between two
+// per-push probes). It is kept as the running count of records sent and an
+// offset — a probe's answer minus the count read BEFORE that probe — so a
+// send racing the probe is counted on top of the answer, never lost under it;
+// two probes racing each leave a valid bound.
+type carriedLag struct {
+	sent   atomic.Int64
+	offset atomic.Int64
+}
+
+func (c *carriedLag) bound() int64 { return c.offset.Load() + c.sent.Load() }
+
+// countingProducer is a node valve's producer: it tells the topic's carried
+// lag of every record before the record is sent, in each of the three sends a
+// valve makes — the batched push, the record-at-a-time path and the
+// end-of-stream broadcast — so nothing a valve puts on the topic goes
+// uncounted, and the publishing half it shares with the Ingester need not
+// know.
+type countingProducer struct {
+	transport.Producer
+	lag *carriedLag
+}
+
+func (p countingProducer) SendWatermarked(topic string, key, value []byte, wm mq.Watermark) (int, int64, error) {
+	p.lag.sent.Add(1)
+	return p.Producer.SendWatermarked(topic, key, value, wm)
+}
+
+func (p countingProducer) SendBatch(topic string, recs []mq.Record) error {
+	p.lag.sent.Add(int64(len(recs)))
+	return p.Producer.SendBatch(topic, recs)
+}
+
+func (p countingProducer) SendToWatermarked(topic string, partition int, key, value []byte, wm mq.Watermark) (int64, error) {
+	p.lag.sent.Add(1)
+	return p.Producer.SendToWatermarked(topic, partition, key, value, wm)
+}
+
 // backpressure blocks while the leaf group's unconsumed backlog exceeds the
-// configured high-water mark. Unlike the single-process valve — where an
-// unknown group can only be a wiring bug — a node-mode probe failure is
-// usually a startup race (the tier running the leaf group is not up yet),
-// so the valve WAITS on probe errors instead of failing or admitting: a
-// push is never admitted on a lag the probe could not vouch for, which is
-// exactly the guarantee that keeps MaxIngestLag meaningful over a remote
-// backend (a transport error that silently admitted pushes would disable
-// backpressure). A closed topic still fails fast.
+// configured high-water mark. Over a remote bus the GroupLag probe is a round
+// trip, so the valve does not ask per push: it admits on the lag it carries
+// forward (carriedLag) while that is within the mark and probes — storing
+// the answer — only past it, which with a consumer that keeps up is once per
+// MaxIngestLag records. Unlike the single-process valve — where an unknown
+// group can only be a wiring bug — a node-mode probe failure is usually a
+// startup race (the tier running the leaf group is not up yet), so the valve
+// WAITS on probe errors instead of failing or admitting: a push is never
+// admitted on a lag no probe has vouched for, which is exactly the guarantee
+// that keeps MaxIngestLag meaningful over a remote backend (a transport error
+// that silently admitted pushes would disable backpressure). A closed topic
+// still fails fast.
 func (v *NodePusher) backpressure() error {
 	n := v.n
-	if n.cfg.MaxIngestLag < 0 {
+	mark := int64(n.cfg.MaxIngestLag)
+	if mark < 0 || v.carried.bound() <= mark {
 		return nil
 	}
 	wait := n.cfg.Window / 8
@@ -798,9 +856,13 @@ func (v *NodePusher) backpressure() error {
 		wait = time.Millisecond
 	}
 	for {
+		sent := v.carried.sent.Load()
 		lag, err := n.bus.GroupLag(v.topic, v.lagGroup)
-		if err == nil && lag <= int64(n.cfg.MaxIngestLag) {
-			return nil
+		if err == nil {
+			v.carried.offset.Store(lag - sent)
+			if v.carried.bound() <= mark {
+				return nil
+			}
 		}
 		if errors.Is(err, mq.ErrClosed) {
 			return ErrSessionClosed

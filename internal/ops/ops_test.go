@@ -411,7 +411,7 @@ func TestMetricsTransportFamilies(t *testing.T) {
 		t.Fatal("transport families rendered without a Transport hook")
 	}
 
-	ctr := transport.Counters{BytesOut: 111, BytesIn: 222, Reconnects: 3, SendErrors: 4, PollErrors: 5}
+	ctr := transport.Counters{BytesOut: 111, BytesIn: 222, RoundTrips: 66, Reconnects: 3, SendErrors: 4, PollErrors: 5}
 	srv := NewServer(src, Config{
 		now:       func() time.Time { return now },
 		Transport: func() transport.Counters { return ctr },
@@ -422,6 +422,7 @@ func TestMetricsTransportFamilies(t *testing.T) {
 	for _, want := range []string{
 		"approxiot_transport_bytes_out_total 111",
 		"approxiot_transport_bytes_in_total 222",
+		"approxiot_transport_round_trips_total 66",
 		"approxiot_transport_reconnects_total 3",
 		"approxiot_transport_send_errors_total 4",
 		"approxiot_transport_poll_errors_total 5",

@@ -50,6 +50,9 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("LagProbes", func(t *testing.T) { testLagProbes(t, mk(t)) })
 	t.Run("SeekReplay", func(t *testing.T) { testSeekReplay(t, mk(t)) })
 	t.Run("BlockingWakeup", func(t *testing.T) { testBlockingWakeup(t, mk(t)) })
+	t.Run("WakeAfterDrained", func(t *testing.T) { testWakeAfterDrained(t, mk(t)) })
+	t.Run("RebalanceBacklogFound", func(t *testing.T) { testRebalanceBacklogFound(t, mk(t)) })
+	t.Run("TryPollStaysExact", func(t *testing.T) { testTryPollStaysExact(t, mk(t)) })
 	t.Run("FetchAt", func(t *testing.T) { testFetchAt(t, mk(t)) })
 	t.Run("BufferOwnership", func(t *testing.T) { testBufferOwnership(t, mk(t)) })
 	t.Run("BackendShutdown", func(t *testing.T) {
@@ -528,6 +531,156 @@ func testBlockingWakeup(t *testing.T, be Backend) {
 		t.Fatal("WaitChan never fired after produce")
 	}
 	drainN(t, c, 1)
+}
+
+// findNothingTwice runs the pump's arm/try sequence until two lending
+// try-polls in a row come back empty — by then a remote backend has been told
+// the consumer is drained and has its wake path parked — and returns what the
+// polls before that delivered. The channel returned was armed before the last
+// empty poll.
+func findNothingTwice(t *testing.T, c transport.Consumer) (got int, armed <-chan struct{}) {
+	t.Helper()
+	var scratch []transport.Record
+	for empties := 0; empties < 2; {
+		armed = c.WaitChan()
+		var err error
+		if scratch, err = c.TryPollInto(scratch[:0], 64); err != nil {
+			t.Fatalf("TryPollInto: %v", err)
+		}
+		if len(scratch) == 0 {
+			empties++
+		} else {
+			empties = 0
+			got += len(scratch)
+		}
+	}
+	return got, armed
+}
+
+// testWakeAfterDrained hunts the lost wakeup: a consumer that has found
+// nothing — and, on a remote backend, stopped asking — must be woken by the
+// next append to a partition it owns, and the lending try-poll after the
+// wakeup must find the record. Back to back, no sleeps: every round's send
+// races the wake path's re-parking after the previous one.
+func testWakeAfterDrained(t *testing.T, be Backend) {
+	bus := be.Bus
+	mustCreate(t, bus, "t", 2)
+	c, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := bus.NewProducer()
+	var scratch []transport.Record
+	for round := 0; round < 200; round++ {
+		stray, armed := findNothingTwice(t, c)
+		if stray != 0 {
+			t.Fatalf("round %d: %d records nobody sent", round, stray)
+		}
+		if _, err := p.SendTo("t", round%2, nil, []byte{byte(round)}); err != nil {
+			t.Fatalf("round %d: SendTo: %v", round, err)
+		}
+		select {
+		case <-armed:
+		case <-time.After(suiteDeadline):
+			t.Fatalf("round %d: the channel armed before the empty poll never fired after a completed send — a lost wakeup", round)
+		}
+		if scratch, err = c.TryPollInto(scratch[:0], 4); err != nil {
+			t.Fatalf("round %d: TryPollInto: %v", round, err)
+		}
+		if len(scratch) != 1 || scratch[0].Value[0] != byte(round) {
+			t.Fatalf("round %d: the poll after the wakeup found %d records, want the one just sent", round, len(scratch))
+		}
+	}
+}
+
+// testRebalanceBacklogFound: a member that has drained its own partitions
+// and gone quiet must find the backlog a departing member leaves behind
+// without waiting for anyone to append — the rebalance itself is the news.
+func testRebalanceBacklogFound(t *testing.T, be Backend) {
+	bus := be.Bus
+	mustCreate(t, bus, "t", 2)
+	a, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	waitFor(t, "partitions dealt across both members", func() bool {
+		return len(a.Assignment()) == 1 && len(b.Assignment()) == 1
+	})
+	const perPart = 8
+	p := bus.NewProducer()
+	for i := 0; i < perPart; i++ {
+		for part := 0; part < 2; part++ {
+			if _, err := p.SendTo("t", part, nil, []byte{byte(part), byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The survivor takes its own half, finds nothing twice, and sits out one
+	// idle wait as a pump would — long enough for a remote backend's wake path
+	// to be parked on the old assignment. b never polls: its half stays queued.
+	own, idle := findNothingTwice(t, a)
+	if own != perPart {
+		t.Fatalf("survivor drained %d records of its own partition, want %d", own, perPart)
+	}
+	select {
+	case <-idle:
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	b.Close()
+	start := time.Now()
+	orphaned := 0
+	var scratch []transport.Record
+	for orphaned < perPart {
+		if time.Since(start) > time.Second {
+			t.Fatalf("survivor found %d of the %d orphaned records within 1 s of the rebalance, with no further append", orphaned, perPart)
+		}
+		wake := a.WaitChan()
+		if scratch, err = a.TryPollInto(scratch[:0], 64); err != nil {
+			t.Fatalf("TryPollInto: %v", err)
+		}
+		if orphaned += len(scratch); len(scratch) > 0 {
+			continue
+		}
+		select {
+		case <-wake:
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+}
+
+// testTryPollStaysExact: the owning try-poll always looks. However quiet the
+// consumer has been told it may go, a TryPoll issued after a send completed
+// returns that record.
+func testTryPollStaysExact(t *testing.T, be Backend) {
+	bus := be.Bus
+	mustCreate(t, bus, "t", 1)
+	c, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := bus.NewProducer()
+	for round := 0; round < 50; round++ {
+		findNothingTwice(t, c)
+		if _, _, err := p.Send("t", nil, []byte{byte(round)}); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := c.TryPoll(4)
+		if err != nil {
+			t.Fatalf("round %d: TryPoll: %v", round, err)
+		}
+		if len(recs) != 1 || recs[0].Value[0] != byte(round) {
+			t.Fatalf("round %d: TryPoll right after a completed send returned %d records, want that one", round, len(recs))
+		}
+	}
 }
 
 func testFetchAt(t *testing.T, be Backend) {

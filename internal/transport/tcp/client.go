@@ -26,6 +26,9 @@ const (
 	// RebalanceChan watchers — longer than fetch rounds because an idle
 	// watcher's only cost is holding a parked request open.
 	watchPollMs = 2000
+	// watchRetry is the beat a watcher waits after a failed round before it
+	// tries again, rather than spinning on a dead daemon or a stale handle.
+	watchRetry = 100 * time.Millisecond
 )
 
 // Client mounts a remote Server as a transport.Bus. Producers and consumers
@@ -196,10 +199,11 @@ func (cl *Client) NewGroupConsumer(topic, group string) (transport.Consumer, err
 
 func (cl *Client) newConsumer(topic, group string) (*clientConsumer, error) {
 	cc := &clientConsumer{
-		cl:        cl,
-		topic:     topic,
-		group:     group,
-		positions: make(map[int]int64),
+		cl:         cl,
+		topic:      topic,
+		group:      group,
+		positions:  make(map[int]int64),
+		drainedSig: make(chan struct{}, 1),
 	}
 	// The open runs inside the reconnect hook so a redial re-establishes the
 	// server-side handle (rejoin the group / re-seek standalone positions)
@@ -349,7 +353,7 @@ func (rc *rconn) ensureLocked() error {
 
 // exchange seals and writes one request — built after frameStart bytes of
 // headroom, so it goes out as it stands, in one Write — and reads the
-// response frame into *rbuf (grown as needed). Callers hold rc.mu; the
+// response frame through *rbuf (grown as needed). Callers hold rc.mu; the
 // returned frame aliases *rbuf and is valid until the next exchange into it.
 func (rc *rconn) exchange(conn net.Conn, req []byte, waitMs uint64, rbuf *[]byte) ([]byte, error) {
 	conn.SetDeadline(time.Now().Add(ioGrace + time.Duration(waitMs)*time.Millisecond))
@@ -358,8 +362,8 @@ func (rc *rconn) exchange(conn net.Conn, req []byte, waitMs uint64, rbuf *[]byte
 	if err != nil {
 		return nil, err
 	}
-	frame, rn, err := readFrame(conn, *rbuf)
-	*rbuf = frame
+	rc.cl.ctr.roundTrips.Add(1)
+	frame, rn, err := readFrame(conn, rbuf)
 	rc.cl.ctr.bytesIn.Add(int64(rn))
 	if err != nil {
 		return nil, err
@@ -575,12 +579,26 @@ type clientConsumer struct {
 	pmu       sync.Mutex
 	positions map[int]int64
 
-	// WaitChan machinery: a lazily-started watcher long-polls the topic's
-	// append epoch over its own conn and closes waitCh on movement.
-	wmu         sync.Mutex
-	waitCh      chan struct{}
-	waitStarted bool
-	waitRC      *rconn
+	// drained is the daemon's last word on this handle: the latest fetch came
+	// back short with no lag behind it, and no wait-ready round has said
+	// ready since. While it stands — and a watcher runs to take it down —
+	// TryPollInto finds nothing without asking. Every fetch answer sets or
+	// clears it; a fetch error, a Seek and Close clear it; a closed topic
+	// overrides it.
+	drained atomic.Bool
+	// watching reports that the WaitChan watcher is running: without one
+	// nothing would ever clear drained, so nobody may act on it.
+	watching atomic.Bool
+
+	// WaitChan machinery: a lazily-started watcher that, while the consumer
+	// is drained, long-polls the handle's readiness over its own conn and
+	// closes waitCh when there is something to fetch. drainedSig (one slot:
+	// it carries "look at drained again", not a count) is how the fetch path
+	// rouses it.
+	wmu        sync.Mutex
+	waitCh     chan struct{}
+	waitRC     *rconn
+	drainedSig chan struct{}
 
 	// RebalanceChan machinery, same shape over the handle's generation.
 	rmu        sync.Mutex
@@ -608,6 +626,7 @@ func (cc *clientConsumer) reopen(raw rawCall) error {
 		return r.err
 	}
 	cc.handle.Store(h)
+	cc.drained.Store(false) // a fresh handle: nothing is known about it yet
 	if cc.group != "" {
 		return nil
 	}
@@ -630,9 +649,9 @@ func (cc *clientConsumer) reopen(raw rawCall) error {
 }
 
 // fetch runs one poll round: non-blocking at waitMs 0, else a server-side
-// long poll. Topic-closed state piggybacks on every response. With lend the
-// response lands in cc.frame and the records alias it; without, in the
-// connection's buffer, copied out before the call returns.
+// long poll. Topic-closed and drained state piggyback on every response. With
+// lend the response lands in cc.frame and the records alias it; without, in
+// the connection's buffer, copied out before the call returns.
 func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64, lend bool) ([]mq.Record, error) {
 	if cc.closed.Load() {
 		return dst, mq.ErrClosed
@@ -655,14 +674,18 @@ func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64, lend bo
 		if r.err != nil {
 			return r.err
 		}
-		if flags&1 != 0 {
+		if flags&flagTopicClosed != 0 {
 			cc.topicClosed.Store(true)
 		}
 		var derr error
-		out, derr = decodeRecords(r, out, lend)
-		return derr
+		if out, derr = decodeRecords(r, out, lend); derr != nil {
+			return derr
+		}
+		cc.setDrained(flags&flagDrained != 0)
+		return nil
 	})
 	if err != nil {
+		cc.drained.Store(false)
 		if errors.Is(err, mq.ErrClosed) {
 			cc.topicClosed.Store(true)
 		} else {
@@ -714,9 +737,33 @@ func (cc *clientConsumer) TryPoll(max int) ([]mq.Record, error) {
 	return cc.fetch(nil, max, 0, false)
 }
 
-// TryPollInto lends, as PollInto does.
+// TryPollInto lends, as PollInto does. It alone takes the daemon's word that
+// the consumer is drained: while that stands, with a watcher running to take
+// it down and fire WaitChan when it falls, the answer is "nothing" and costs
+// no round trip. The owning and the blocking polls always ask.
 func (cc *clientConsumer) TryPollInto(dst []mq.Record, max int) ([]mq.Record, error) {
+	if cc.drained.Load() && cc.watching.Load() && !cc.topicClosed.Load() {
+		return dst, nil
+	}
 	return cc.fetch(dst, max, 0, true)
+}
+
+// setDrained records the daemon's latest word and, when it is "drained",
+// rouses the watcher to ask the daemon when that stops being true.
+func (cc *clientConsumer) setDrained(drained bool) {
+	cc.drained.Store(drained)
+	if drained {
+		cc.rouseWatcher()
+	}
+}
+
+// rouseWatcher has a watcher asleep on drainedSig look at drained (and
+// closed) again.
+func (cc *clientConsumer) rouseWatcher() {
+	select {
+	case cc.drainedSig <- struct{}{}:
+	default:
+	}
 }
 
 // meta fetches the handle's lag/generation/assignment snapshot.
@@ -732,7 +779,7 @@ func (cc *clientConsumer) meta() (lag, gen int64, assign []int, err error) {
 		if r.err != nil {
 			return r.err
 		}
-		if flags&1 != 0 {
+		if flags&flagTopicClosed != 0 {
 			cc.topicClosed.Store(true)
 		}
 		assign = make([]int, n)
@@ -802,6 +849,7 @@ func (cc *clientConsumer) Seek(p int, offset int64) error {
 	if err != nil {
 		return err
 	}
+	cc.drained.Store(false) // the new position may have records in front of it
 	cc.pmu.Lock()
 	cc.positions[p] = offset
 	cc.pmu.Unlock()
@@ -816,10 +864,12 @@ func (cc *clientConsumer) TopicClosed() bool {
 }
 
 // WaitChan returns a channel closed when new records may be available. The
-// first call starts a background watcher that long-polls the topic's append
-// epoch on a dedicated conn; a wakeup therefore lags an append by up to a
-// round trip, and spurious wakeups are possible after transport errors —
-// both within the interface's stated contract (callers bound their waits).
+// first call starts a background watcher on a dedicated conn. It makes no
+// traffic while the consumer keeps finding records: only once a fetch has
+// come back drained does it park one wait-ready long-poll at the daemon, and
+// fire when that answers ready. A wakeup therefore lags an append by up to a
+// round trip, and spurious wakeups are possible after transport errors — both
+// within the interface's stated contract (callers bound their waits).
 func (cc *clientConsumer) WaitChan() <-chan struct{} {
 	if cc.closed.Load() || cc.topicClosed.Load() {
 		return closedChan
@@ -829,9 +879,9 @@ func (cc *clientConsumer) WaitChan() <-chan struct{} {
 	if cc.waitCh == nil {
 		cc.waitCh = make(chan struct{})
 	}
-	if !cc.waitStarted {
-		cc.waitStarted = true
+	if cc.waitRC == nil {
 		cc.waitRC = cc.cl.newRconn(nil)
+		cc.watching.Store(true)
 		go cc.waitWatcher(cc.waitRC)
 	}
 	return cc.waitCh
@@ -846,49 +896,53 @@ func (cc *clientConsumer) fireWait() {
 	cc.wmu.Unlock()
 }
 
+// waitWatcher turns "drained" back into a wakeup. While the consumer is not
+// drained it sleeps on drainedSig; while it is, it keeps one opWaitReady
+// parked at the daemon. A ready answer takes drained down BEFORE firing, so
+// the woken caller's TryPollInto asks the daemon. The answer is a level (the
+// handle's lag when the request is looked at), so it does not matter how the
+// request, the fetch that reported drained and an append interleave; a fetch
+// that re-reports drained after a ready answer only costs one more round.
 func (cc *clientConsumer) waitWatcher(rc *rconn) {
 	defer rc.close()
 	defer cc.fireWait()
-	var epoch uint64
-	primed := false
+	defer cc.watching.Store(false) // whatever ended it: polls ask the daemon again
 	for !cc.closed.Load() {
-		var cur uint64
-		var topicDone bool
-		wait := uint64(watchPollMs)
-		if !primed {
-			wait = 0 // first round just learns the current epoch
-		}
-		err := rc.call(wait, func(req []byte) []byte {
-			req = append(req, opWait)
-			req = appendStr(req, cc.topic)
-			req = appendUvarint(req, epoch)
-			return appendUvarint(req, wait)
-		}, func(r *wireReader) error {
-			flags := r.byteVal()
-			cur = r.uvarint()
-			topicDone = flags&1 != 0
-			return r.err
-		})
-		if err != nil {
-			if rc.isClosed() || errors.Is(err, mq.ErrClosed) {
-				cc.topicClosed.Store(errors.Is(err, mq.ErrClosed))
-				return
-			}
-			// Transient: wake waiters (spurious wakeups are allowed) and
-			// retry after a beat rather than spinning on a dead daemon.
-			cc.fireWait()
-			time.Sleep(100 * time.Millisecond)
+		if !cc.drained.Load() {
+			<-cc.drainedSig // a drained fetch answer, or Close
 			continue
 		}
-		if topicDone {
+		var flags byte
+		err := rc.call(watchPollMs, func(req []byte) []byte {
+			req = append(req, opWaitReady)
+			req = appendUvarint(req, cc.handle.Load())
+			return appendUvarint(req, watchPollMs)
+		}, func(r *wireReader) error {
+			flags = r.byteVal()
+			return r.err
+		})
+		switch {
+		case err == nil && flags&flagTopicClosed != 0:
 			cc.topicClosed.Store(true)
 			return
-		}
-		if primed && cur != epoch {
+		case err == nil && flags&flagReady != 0:
+			cc.drained.Store(false)
 			cc.fireWait()
+		case err == nil:
+			// The round ran out (or the daemon is shutting down) with nothing
+			// to fetch: still drained, park again.
+		case rc.isClosed() || errors.Is(err, mq.ErrClosed):
+			cc.topicClosed.Store(errors.Is(err, mq.ErrClosed))
+			return
+		default:
+			// Transient — or, after the main conn reconnected, a handle the
+			// daemon no longer knows: stop trusting drained, wake waiters
+			// (spurious wakeups are allowed) and let the next fetch, through
+			// the re-opened handle, say where things stand.
+			cc.drained.Store(false)
+			cc.fireWait()
+			time.Sleep(watchRetry)
 		}
-		epoch = cur
-		primed = true
 	}
 }
 
@@ -973,7 +1027,7 @@ func (cc *clientConsumer) rebWatcher(rc *rconn, gen uint64, primed bool) {
 			// back off, re-read the (possibly refreshed) handle, retry. The
 			// generation moved during the reconnect, so the next successful
 			// round reports the change — no wakeup is lost.
-			time.Sleep(100 * time.Millisecond)
+			time.Sleep(watchRetry)
 			continue
 		}
 		if primed && cur != gen {
@@ -1002,6 +1056,8 @@ func (cc *clientConsumer) Close() {
 	if wrc != nil {
 		wrc.close()
 	}
+	cc.drained.Store(false)
+	cc.rouseWatcher() // it sees closed and exits
 	cc.rmu.Lock()
 	rrc := cc.rebRC
 	cc.rmu.Unlock()

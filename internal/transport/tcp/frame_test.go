@@ -3,9 +3,11 @@ package tcp
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 	"unsafe"
 
@@ -157,7 +159,7 @@ func FuzzFetchResponse(f *testing.F) {
 // without a listener: topic "t" (2 partitions, 3 records), a standalone
 // consumer under handle 1 and a member of group "g" under handle 2 — opened
 // through dispatch itself. The server's context is already cancelled, so a
-// request that would park (a long-poll fetch, opWait, opRebalanceWait)
+// request that would park (a long-poll fetch, opWaitReady, opRebalanceWait)
 // answers at once.
 func dispatchFixture(t testing.TB) (*Server, *connState) {
 	broker := mq.NewBroker()
@@ -212,8 +214,11 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(appendStr(appendStr([]byte{opGroupLag}, "t"), "g"))
 	f.Add(appendStr(appendStr([]byte{opGroupCommitted}, "t"), "g"))
 	f.Add(u(u(u(appendStr([]byte{opFetchAt}, "t"), 0), 1), 8))
-	f.Add(u(u(appendStr([]byte{opWait}, "t"), 0), 2000))
+	f.Add(u(u([]byte{opWaitReady}, 2), 2000))
 	f.Add(u(u(u([]byte{opRebalanceWait}, 2), 0), 2000))
+	f.Add(u([]byte{opWaitReady}, 1))                // cut before waitMs
+	f.Add(u(u([]byte{opWaitReady}, 99), 2000))      // a handle nobody opened
+	f.Add(u(u([]byte{opWaitReady}, 1), ^uint64(0))) // waitMs 2^64-1: capped, not slept
 	const standing = 1 << 20
 	f.Fuzz(func(t *testing.T, req []byte) {
 		s, cs := dispatchFixture(t)
@@ -260,11 +265,10 @@ func TestHostileResponseCountsAreRefused(t *testing.T) {
 				defer conn.Close()
 				var buf []byte
 				for {
-					req, _, err := readFrame(conn, buf)
+					req, _, err := readFrame(conn, &buf)
 					if err != nil {
 						return
 					}
-					buf = req
 					resp := append(make([]byte, frameStart), stOK)
 					switch req[0] {
 					case opOpenConsumer:
@@ -308,5 +312,124 @@ func TestHostileResponseCountsAreRefused(t *testing.T) {
 	})
 	if cost > 1<<20 {
 		t.Fatalf("four refused responses allocated %d bytes", cost)
+	}
+}
+
+// readFrameTwoReads is the framing reference: the length prefix and the body
+// taken with one ReadFull each, as readFrame did before it read both at once.
+func readFrameTwoReads(r io.Reader) ([]byte, int, error) {
+	var hdr [frameStart]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, 0, err
+	}
+	body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, frameStart, err
+	}
+	return body, frameStart + len(body), nil
+}
+
+// prefixAndHalfReader hands out a frame's length prefix together with half of
+// its body in the first Read and the rest in the second — the split that sends
+// readFrame from its one Read into the remainder's ReadFull mid-body.
+type prefixAndHalfReader struct {
+	r     io.Reader
+	first bool
+}
+
+func (p *prefixAndHalfReader) Read(b []byte) (int, error) {
+	if !p.first {
+		p.first = true
+		var hdr [frameStart]byte
+		if _, err := io.ReadFull(p.r, hdr[:]); err != nil {
+			return 0, err
+		}
+		n := copy(b, hdr[:])
+		m, err := io.ReadFull(p.r, b[n:min(len(b), n+int(binary.LittleEndian.Uint32(hdr[:]))/2)])
+		return n + m, err
+	}
+	return p.r.Read(b)
+}
+
+// One connection buffer reads every frame of a conversation, however the
+// stream is cut into Reads: same frames, same byte counts as the two-read
+// reference. 508 bytes is the frame that fills a fresh buffer exactly.
+func TestReadFrameUnderHostileChunking(t *testing.T) {
+	chunkers := map[string]func(io.Reader) io.Reader{
+		"whole":         func(r io.Reader) io.Reader { return r },
+		"OneByteReader": iotest.OneByteReader,
+		"HalfReader":    iotest.HalfReader,
+		"DataErrReader": iotest.DataErrReader,
+		"prefix+half":   func(r io.Reader) io.Reader { return &prefixAndHalfReader{r: r} },
+	}
+	sizes := []int{0, 1, 507, 508, 509, 65536, 509, 508, 507, 1, 0}
+	for name, chunk := range chunkers {
+		t.Run(name, func(t *testing.T) {
+			var buf []byte
+			for i, size := range sizes {
+				body := bytes.Repeat([]byte{byte(i + 1)}, size)
+				if size > 0 {
+					body[size-1] = 0xFE
+				}
+				wire := sealFrame(append(make([]byte, frameStart), body...))
+				// One frame per reader: the peer sends the next only after
+				// this one is answered.
+				want, wantN, err := readFrameTwoReads(chunk(bytes.NewReader(wire)))
+				if err != nil {
+					t.Fatalf("reference read of a %d-byte frame: %v", size, err)
+				}
+				got, gotN, err := readFrame(chunk(bytes.NewReader(wire)), &buf)
+				if err != nil {
+					t.Fatalf("frame %d (%d bytes): %v", i, size, err)
+				}
+				if !bytes.Equal(got, want) || gotN != wantN {
+					t.Fatalf("frame %d: read %d bytes of frame for %d wire bytes, reference %d for %d", i, len(got), gotN, len(want), wantN)
+				}
+				if len(buf) == 0 || !inside(buf[:cap(buf)], got) {
+					t.Fatalf("frame %d was not read into the connection's buffer", i)
+				}
+			}
+			if cap(buf) < frameStart+65536 || cap(buf) > 2*65536 {
+				t.Fatalf("the buffer ended at %d bytes after frames of up to 65536", cap(buf))
+			}
+		})
+	}
+}
+
+// The protocol is one request, one response: a second frame before the first
+// is answered is a peer that has lost its place, and is refused — not merged
+// into the first, not dropped, not kept for later.
+func TestReadFrameRefusesBackToBackFrames(t *testing.T) {
+	one := sealFrame(append(make([]byte, frameStart), "first"...))
+	two := sealFrame(append(make([]byte, frameStart), "second"...))
+	var buf []byte
+	frame, n, err := readFrame(bytes.NewReader(append(one, two...)), &buf)
+	if err == nil {
+		t.Fatalf("two frames written back to back were read as %q (%d wire bytes)", frame, n)
+	}
+	if frame != nil {
+		t.Fatalf("the refusal still handed out a frame: %q", frame)
+	}
+	// The same two frames, each waiting for its answer, are fine.
+	for _, wire := range [][]byte{one, two} {
+		if _, _, err := readFrame(bytes.NewReader(wire), &buf); err != nil {
+			t.Fatalf("a lone frame after the refusal: %v", err)
+		}
+	}
+}
+
+// A length prefix over maxFrame is refused on the prefix alone: no buffer is
+// grown for it.
+func TestReadFrameRefusesOversizeBeforeAllocating(t *testing.T) {
+	wire := binary.LittleEndian.AppendUint32(nil, maxFrame+1)
+	wire = append(wire, make([]byte, 64)...)
+	buf := make([]byte, minReadBuf)
+	var err error
+	cost := allocated(func() { _, _, err = readFrame(bytes.NewReader(wire), &buf) })
+	if err == nil {
+		t.Fatal("a frame length over maxFrame was accepted")
+	}
+	if cap(buf) != minReadBuf || cost > slack {
+		t.Fatalf("refusing the length left a %d-byte buffer and allocated %d bytes", cap(buf), cost)
 	}
 }

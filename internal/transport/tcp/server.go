@@ -14,9 +14,10 @@ import (
 	"github.com/approxiot/approxiot/internal/transport"
 )
 
-// maxWaitMs caps how long a single blocking request (fetch long-poll, wait,
-// rebalance-wait) may park server-side. Clients re-issue; the cap bounds how
-// long a dispatch loop can sit in one request after the peer vanishes.
+// maxWaitMs caps how long a single blocking request (fetch long-poll,
+// wait-ready, rebalance-wait) may park server-side. Clients re-issue; the cap
+// bounds how long a dispatch loop can sit in one request after the peer
+// vanishes.
 const maxWaitMs = 30_000
 
 // Bounds on the numbers a request frame supplies. They size allocations and
@@ -35,6 +36,7 @@ const (
 // server and every client handle own one; conns account into it directly.
 type counters struct {
 	bytesOut, bytesIn  atomic.Int64
+	roundTrips         atomic.Int64
 	reconnects         atomic.Int64
 	sendErrs, pollErrs atomic.Int64
 }
@@ -43,6 +45,7 @@ func (c *counters) snapshot() transport.Counters {
 	return transport.Counters{
 		BytesOut:   c.bytesOut.Load(),
 		BytesIn:    c.bytesIn.Load(),
+		RoundTrips: c.roundTrips.Load(),
 		Reconnects: c.reconnects.Load(),
 		SendErrors: c.sendErrs.Load(),
 		PollErrors: c.pollErrs.Load(),
@@ -60,7 +63,7 @@ type Server struct {
 	ln  net.Listener
 
 	// baseCtx is cancelled by Close so blocking requests (long-poll fetch,
-	// opWait) return promptly instead of riding out their waitMs.
+	// opWaitReady) return promptly instead of riding out their waitMs.
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
@@ -171,8 +174,7 @@ type connState struct {
 	conn net.Conn
 
 	producer transport.Producer
-	owned    map[uint64]struct{}           // consumer handles this conn opened
-	waiters  map[string]transport.Consumer // opWait epoch consumers, per topic
+	owned    map[uint64]struct{} // consumer handles this conn opened
 
 	rd           wireReader // walks the request; reset per frame
 	fetchScratch []mq.Record
@@ -180,12 +182,7 @@ type connState struct {
 }
 
 func (s *Server) newConnState(conn net.Conn) *connState {
-	return &connState{
-		srv:     s,
-		conn:    conn,
-		owned:   make(map[uint64]struct{}),
-		waiters: make(map[string]transport.Consumer),
-	}
+	return &connState{srv: s, conn: conn, owned: make(map[uint64]struct{})}
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -195,8 +192,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var reqBuf []byte
 	respBuf := make([]byte, frameStart, 64)
 	for {
-		req, n, err := readFrame(conn, reqBuf)
-		reqBuf = req
+		req, n, err := readFrame(conn, &reqBuf)
 		s.ctr.bytesIn.Add(int64(n))
 		if err != nil {
 			return
@@ -204,6 +200,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// The response is built after the headroom its length goes into and
 		// written from where it was built.
 		respBuf = s.dispatch(cs, req, respBuf[:frameStart])
+		s.ctr.roundTrips.Add(1) // before the write: a client that has its answer finds it counted
 		n, err = conn.Write(sealFrame(respBuf))
 		s.ctr.bytesOut.Add(int64(n))
 		if err != nil {
@@ -227,9 +224,6 @@ func (cs *connState) teardown() {
 	s.mu.Unlock()
 	// Close outside the lock: group members leaving takes the group lock.
 	for _, c := range dead {
-		c.Close()
-	}
-	for _, c := range cs.waiters {
 		c.Close()
 	}
 }
@@ -397,7 +391,7 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		}
 		var flags byte
 		if c.TopicClosed() {
-			flags |= 1
+			flags |= flagTopicClosed
 		}
 		assign := c.Assignment()
 		resp = append(resp, stOK, flags)
@@ -500,8 +494,8 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		cs.fetchScratch = recs[:0]
 		return resp
 
-	case opWait:
-		return s.handleWait(cs, r, resp)
+	case opWaitReady:
+		return s.handleWaitReady(r, resp)
 
 	case opRebalanceWait:
 		return s.handleRebalanceWait(r, resp)
@@ -574,7 +568,11 @@ func copyKV(key, value []byte) ([]byte, []byte) {
 // handleFetch runs one poll round against the handle's server-side
 // consumer: non-blocking when waitMs is 0, otherwise parked up to waitMs
 // (capped) in a real blocking PollInto so the client's long-poll inherits
-// the broker's wakeup machinery instead of spinning.
+// the broker's wakeup machinery instead of spinning. A poll that came back
+// short of max from a consumer with no lag left is flagged drained: the
+// client may take it that further fetches find nothing until an opWaitReady
+// on the handle says ready. Lag is read after the poll, so an append — or a
+// rebalance handing over a backlog — that the poll missed shows in it.
 func (s *Server) handleFetch(cs *connState, r *wireReader, resp []byte) []byte {
 	id := r.uvarint()
 	max := int(min(r.uvarint(), maxFetch))
@@ -607,7 +605,10 @@ func (s *Server) handleFetch(cs *connState, r *wireReader, resp []byte) []byte {
 	}
 	var flags byte
 	if c.TopicClosed() {
-		flags |= 1
+		flags |= flagTopicClosed
+	}
+	if len(recs) < max && c.Lag() == 0 {
+		flags |= flagDrained
 	}
 	resp = append(resp, stOK, flags)
 	resp = appendUvarint(resp, uint64(len(recs)))
@@ -618,47 +619,42 @@ func (s *Server) handleFetch(cs *connState, r *wireReader, resp []byte) []byte {
 	return resp
 }
 
-// handleWait is the topic-level long-poll behind client WaitChans. The
-// epoch is the Lag() of a conn-scoped, never-polled standalone consumer on
-// the topic: its positions are frozen at creation, so the value is a
-// monotone count of appends since — a change means "new records may be
-// available", exactly the WaitChan contract. Handle-free, so one watcher
-// conn serves every consumer a client process has on the topic.
-func (s *Server) handleWait(cs *connState, r *wireReader, resp []byte) []byte {
-	topic := r.str()
-	epoch := r.uvarint()
+// handleWaitReady is the long-poll behind client WaitChans: it answers as
+// soon as the handle's consumer has something to fetch. Readiness is a level
+// on the handle — its lag, read after both channels are armed — not an edge
+// on the topic, so no wakeup can be lost however the request and the append
+// interleave, an append to a partition another member owns wakes nobody
+// (the handler looks and parks again), and a rebalance that hands this member
+// a partition with a backlog wakes it without a new append. Otherwise it
+// answers not-ready at the deadline or at shutdown, and closed with the topic.
+func (s *Server) handleWaitReady(r *wireReader, resp []byte) []byte {
+	id := r.uvarint()
 	waitMs := r.uvarint()
 	if r.err != nil {
 		return appendErr(resp, r.err)
 	}
-	c, ok := cs.waiters[topic]
-	if !ok {
-		var err error
-		c, err = s.bus.NewConsumer(topic)
-		if err != nil {
-			return appendErr(resp, err)
-		}
-		cs.waiters[topic] = c
+	c := s.lookup(id)
+	if c == nil {
+		return appendErr(resp, errUnknownHandle)
 	}
 	deadline := time.Now().Add(time.Duration(min(waitMs, maxWaitMs)) * time.Millisecond)
 	for {
-		wait := c.WaitChan() // arm before reading the epoch: no lost wakeups
-		cur := uint64(c.Lag())
-		closed := c.TopicClosed()
+		wait, reb := c.WaitChan(), c.RebalanceChan() // arm before reading the lag
+		var flags byte
+		if c.Lag() > 0 {
+			flags |= flagReady
+		}
+		if c.TopicClosed() {
+			flags |= flagTopicClosed
+		}
 		remaining := time.Until(deadline)
-		if cur != epoch || closed || remaining <= 0 || s.baseCtx.Err() != nil {
-			// Changed, due, or the server is shutting down: answer now. A
-			// shutdown answers the unchanged epoch — a clean empty round.
-			var flags byte
-			if closed {
-				flags |= 1
-			}
-			resp = append(resp, stOK, flags)
-			return appendUvarint(resp, cur)
+		if flags != 0 || remaining <= 0 || s.baseCtx.Err() != nil {
+			return append(resp, stOK, flags)
 		}
 		timer := time.NewTimer(remaining)
 		select {
 		case <-wait:
+		case <-reb:
 		case <-timer.C:
 		case <-s.baseCtx.Done():
 		}

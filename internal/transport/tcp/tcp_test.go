@@ -300,7 +300,7 @@ func TestDialFailsFast(t *testing.T) {
 }
 
 // TestServerCloseAnswersParkedLongPolls: a daemon whose handlers sit in the
-// watchers' long-polls (opWait behind WaitChan, opRebalanceWait behind
+// watchers' long-polls (opWaitReady behind WaitChan, opRebalanceWait behind
 // RebalanceChan) answers them when it shuts down instead of looping on its
 // cancelled context until their two-second deadlines. The clients take it
 // as a round that ended — at worst a spurious wakeup, which WaitChan allows —
@@ -316,6 +316,11 @@ func TestServerCloseAnswersParkedLongPolls(t *testing.T) {
 	}
 	defer c.Close()
 	c.WaitChan()
+	// The wait watcher parks at the daemon only once a fetch has come back
+	// drained.
+	if recs, err := c.TryPollInto(nil, 4); err != nil || len(recs) != 0 {
+		t.Fatalf("TryPollInto on an idle topic = %d records, %v", len(recs), err)
+	}
 	c.RebalanceChan()
 	time.Sleep(150 * time.Millisecond) // both watchers primed and parked
 
@@ -331,6 +336,100 @@ func TestServerCloseAnswersParkedLongPolls(t *testing.T) {
 	}
 	if got := h.client.Counters(); got.SendErrors != 0 || got.PollErrors != 0 || got.Reconnects != 0 {
 		t.Fatalf("client counted the shutdown as errors: %+v", got)
+	}
+}
+
+// armTryWait is the streams pump's consuming loop: arm the wake channel, try
+// a lending poll, wait (bounded) only if it found nothing. It hands every
+// fetched batch to take and returns when take says it has enough or the
+// deadline passes.
+func armTryWait(t *testing.T, c transport.Consumer, until time.Time, take func([]transport.Record) (done bool)) {
+	t.Helper()
+	var scratch []transport.Record
+	for time.Now().Before(until) {
+		wake := c.WaitChan()
+		var err error
+		if scratch, err = c.TryPollInto(scratch[:0], 64); err != nil {
+			t.Fatalf("TryPollInto: %v", err)
+		}
+		if len(scratch) > 0 {
+			if take(scratch) {
+				return
+			}
+			continue
+		}
+		select {
+		case <-wake:
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+}
+
+// TestIdleConsumerMakesNoTraffic: a consumer that has been told it is
+// drained asks nothing more — its pump loop's bounded waits expire and its
+// try-polls answer locally — while one wait-ready long-poll sits at the
+// daemon. A second of that is one fetch and one parked request (it was a
+// fetch per expired wait plus the watcher's rounds).
+func TestIdleConsumerMakesNoTraffic(t *testing.T) {
+	h := newHarness(t)
+	if err := h.client.CreateTopic("t", 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := h.client.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before := h.client.Counters().RoundTrips
+	armTryWait(t, c, time.Now().Add(time.Second), func([]transport.Record) bool {
+		t.Error("an idle topic delivered records")
+		return true
+	})
+	if got := h.client.Counters().RoundTrips - before; got > 2 {
+		t.Fatalf("an idle consumer issued %d requests in 1 s, want <= 2 (one drained fetch, one parked wait)", got)
+	}
+}
+
+// TestRoundTripsPerRecord pins the transport's overhead where it is worst:
+// records arriving one at a time at a consumer that has drained in between,
+// so every one needs a wakeup. That costs three round trips — the send, the
+// wait-ready answer, the fetch — and no fourth: no fetch to find out it has
+// drained (the fetch that took the record said so), no wakeup for anything
+// but data. The daemon counts the same requests the client does.
+func TestRoundTripsPerRecord(t *testing.T) {
+	h := newHarness(t)
+	if err := h.client.CreateTopic("t", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := h.client.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := h.client.NewProducer()
+	const records = 1000
+	before, beforeSrv := h.client.Counters().RoundTrips, h.srv.Counters().RoundTrips
+	for i := 0; i < records; i++ {
+		if err := p.SendBatch("t", []transport.Record{{Value: []byte{byte(i)}}}); err != nil {
+			t.Fatalf("SendBatch %d: %v", i, err)
+		}
+		got := 0
+		armTryWait(t, c, time.Now().Add(10*time.Second), func(recs []transport.Record) bool {
+			got += len(recs)
+			return true
+		})
+		if got != 1 {
+			t.Fatalf("record %d: took %d records", i, got)
+		}
+	}
+	trips := h.client.Counters().RoundTrips - before
+	if trips > 3100 {
+		t.Fatalf("%d records cost %d round trips, want <= 3100 (send + wait-ready + fetch each)", records, trips)
+	}
+	// The daemon counts a request once it has answered it, so it may be short
+	// of the client by the wait-ready still parked.
+	if srv := h.srv.Counters().RoundTrips - beforeSrv; srv > trips || srv < trips-1 {
+		t.Fatalf("daemon answered %d requests, client issued %d", srv, trips)
 	}
 }
 
@@ -391,8 +490,10 @@ func BenchmarkTCPHop(b *testing.B) {
 	}
 	b.SetBytes(records * size)
 	b.ReportAllocs()
+	trips := h.client.Counters().RoundTrips
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hop(i)
 	}
+	b.ReportMetric(float64(h.client.Counters().RoundTrips-trips)/float64(b.N), "roundtrips/op")
 }

@@ -49,8 +49,20 @@ const (
 	opGroupLag
 	opGroupCommitted
 	opFetchAt
-	opWait
+	opWaitReady
 	opRebalanceWait
+)
+
+// Flag bits of a fetch, meta or wait-ready response.
+const (
+	// flagTopicClosed: the topic has been shut down.
+	flagTopicClosed byte = 1 << iota
+	// flagDrained (fetch): the poll came back short of its max and the
+	// handle's consumer had no lag left — nothing more to fetch until the
+	// daemon says otherwise. flagReady (wait-ready) is the daemon saying
+	// otherwise: the handle's consumer has lag. One bit, two responses.
+	flagDrained
+	flagReady = flagDrained
 )
 
 // Response status codes (response frame byte 0). Non-zero statuses carry an
@@ -300,23 +312,47 @@ func sealFrame(buf []byte) []byte {
 	return buf
 }
 
-// readFrame reads one frame into buf (grown as needed) and returns it plus
-// the total wire bytes consumed.
-func readFrame(r io.Reader, buf []byte) ([]byte, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return buf, 0, err
+// minReadBuf is the least a connection's read buffer holds: room for the
+// length prefix and any control frame, so those arrive in one Read.
+const minReadBuf = 512
+
+// readFrame reads one frame through *buf — the connection's read buffer,
+// kept across calls and grown to the largest frame seen — and returns it (a
+// view into *buf, valid until the next call) plus the wire bytes consumed.
+// One Read takes the length prefix and whatever of the frame has arrived
+// with it; only a frame that outruns that Read costs a second. The protocol
+// is strictly request/response per connection, so nothing may follow a frame
+// before it is answered: bytes past its end are a protocol error, refused
+// rather than dropped or taken for the next frame.
+func readFrame(r io.Reader, buf *[]byte) ([]byte, int, error) {
+	b := *buf
+	if cap(b) < minReadBuf {
+		b = make([]byte, minReadBuf)
+		*buf = b
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	b = b[:cap(b)]
+	got, err := io.ReadAtLeast(r, b, frameStart)
+	if err != nil {
+		return nil, got, err
+	}
+	n := binary.LittleEndian.Uint32(b)
 	if n > maxFrame {
-		return buf, 4, fmt.Errorf("tcp: frame length %d exceeds limit", n)
+		return nil, got, fmt.Errorf("tcp: frame length %d exceeds limit", n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	end := frameStart + int(n)
+	if got > end {
+		return nil, got, fmt.Errorf("tcp: %d bytes follow a frame of %d before its answer", got-end, n)
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, 4, err
+	if end > len(b) {
+		b = append(make([]byte, 0, end), b[:got]...)[:end]
+		*buf = b
 	}
-	return buf, 4 + int(n), nil
+	if got < end {
+		m, err := io.ReadFull(r, b[got:end])
+		got += m
+		if err != nil {
+			return nil, got, err
+		}
+	}
+	return b[frameStart:end], got, nil
 }

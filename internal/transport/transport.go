@@ -103,14 +103,25 @@ type Consumer interface {
 	// TryPoll is a non-blocking Poll; (nil, nil) when nothing is ready.
 	TryPoll(max int) ([]Record, error)
 	// TryPollInto is a non-blocking PollInto (same lending rule); dst
-	// unextended when nothing is ready.
+	// unextended when nothing is ready. Once WaitChan has been called on the
+	// consumer, "nothing is ready" may be answered from what the backend last
+	// learned rather than by asking again: a remote backend that has been
+	// told the consumer is drained finds nothing, for no round trip, until
+	// its wake path hears otherwise — so a TryPollInto may find nothing for
+	// up to a round trip after an append, and the channel armed before it
+	// fires when it would find something. TryPoll, Poll and PollInto always
+	// ask; a caller that must not miss a completed send uses one of those.
 	TryPollInto(dst []Record, max int) ([]Record, error)
 	// WaitChan returns a channel closed when new records may be available
-	// (or already closed if the topic is shut down). Arm it BEFORE a
-	// TryPoll, block on it only if the poll came back empty. Backends may
-	// deliver spurious wakeups (a woken caller re-polls and finds nothing);
-	// remote backends may also delay a wakeup by a network round trip —
-	// callers bound the wait with their own timer, as the streams pump does.
+	// to this consumer (or already closed if the topic is shut down). Arm it
+	// BEFORE a TryPoll or TryPollInto, block on it only if the poll came
+	// back empty: an armed channel fires whenever a TryPollInto that found
+	// nothing would now find something — after an append to a partition the
+	// consumer owns, and after a rebalance that hands it a partition with a
+	// backlog. Backends may deliver spurious wakeups (a woken caller re-polls
+	// and finds nothing); remote backends may also delay a wakeup by a
+	// network round trip — callers bound the wait with their own timer, as
+	// the streams pump does.
 	WaitChan() <-chan struct{}
 	// TopicClosed reports whether the topic has been shut down: retained
 	// records can still be fetched, but no new records will arrive.
@@ -194,6 +205,11 @@ type Counters struct {
 	// BytesOut / BytesIn count wire bytes written and read by this handle,
 	// frame headers included.
 	BytesOut, BytesIn int64
+	// RoundTrips counts request/response exchanges: requests a client handle
+	// issued, requests a server answered. Every one is a write and a read on
+	// each side whether or not it moved a record, so round trips per record
+	// is the transport's overhead figure.
+	RoundTrips int64
 	// Reconnects counts connections re-established after a loss.
 	Reconnects int64
 	// SendErrors / PollErrors count producer sends and consumer polls that
