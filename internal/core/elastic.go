@@ -695,8 +695,12 @@ func (s *LiveSession) AddEdgeNode(nodeID string) error {
 // as the fallback replay origin for any state a later crash's checkpoint
 // does not cover. A member that stops between the mutation and the barrier
 // (concurrent shutdown) is skipped: the barrier is best-effort on a dying
-// session, whose final result no longer depends on it.
+// session, whose final result no longer depends on it. A change to a leaf
+// group also makes the next push on its topic probe the group's lag afresh.
 func (s *LiveSession) postChange(g *shardGroup) error {
+	if g.desc.Layer == 0 {
+		s.forceProbe(g.desc.Topic)
+	}
 	for _, m := range g.live() {
 		if m.proc == nil {
 			continue

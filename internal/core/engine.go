@@ -1,0 +1,806 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"github.com/approxiot/approxiot/internal/metrics"
+	"github.com/approxiot/approxiot/internal/query"
+	"github.com/approxiot/approxiot/internal/stream"
+	"github.com/approxiot/approxiot/internal/streams"
+	"github.com/approxiot/approxiot/internal/transport"
+)
+
+// engine is the one session engine behind both entry points. OpenLive runs
+// every tier of the compiled plan in one process; OpenNode runs the slice a
+// NodeTier names against a shared bus. Both get the same thing from
+// openEngine: topics created, the tier's shard groups built with one edge-
+// and one root-member constructor and started, the sweep ticker, the run
+// counters and bandwidth account, the root watermark merge and emit path,
+// the base snapshot, the quiescence probe and the push valves. What a session
+// adds on top — the in-process lifecycle and elastic verbs, the node-mode
+// completion marker — lives with that session.
+type engine struct {
+	cfg  LiveConfig
+	plan *Plan
+	bus  transport.Bus
+	tier NodeTier
+	eval *query.Engine
+
+	groups    []*shardGroup          // this process's groups, bottom-up, root last
+	groupByID map[string]*shardGroup // node ID → its group (root included)
+	rootGrp   *shardGroup            // nil unless the tier runs the root
+	rootProcs []*rootProcessor
+	rootCosts []*dynamicCost
+
+	// ckptErrs counts checkpoint-save failures across every member
+	// (LiveSnapshot.CheckpointErrors) — counted, never fatal.
+	ckptErrs atomic.Int64
+	// quiesce silences the event-time keepalive punctuations from the
+	// moment shutdown starts (see samplingProcessor.keepalive).
+	quiesce atomic.Bool
+
+	// res is the run's result as it is assembled: Latency and Bandwidth from
+	// the start, Windows and Fractions under windowMu, the counters at
+	// finalize. final publishes it atomically once finalize has fully
+	// assembled it (nil until then); Snapshot reads closed-run fields only
+	// through final, so a Snapshot racing Close never sees half a result.
+	res   *LiveResult
+	final atomic.Pointer[LiveResult]
+
+	// Run-wide counters, written by member pumps and valves, read by
+	// Snapshot at any time.
+	produced      atomic.Int64
+	rootProcessed atomic.Int64
+	decodeErrs    atomic.Int64
+	late          lateCounter  // event-time mode: records past the lateness horizon
+	lastActivity  atomic.Int64 // unix nanos of last root-side processing
+	startNanos    atomic.Int64 // run start: first push (open time until then)
+	started       atomic.Bool
+
+	// The root emit path. windowMu serializes window closes and guards
+	// res.Windows / res.Fractions. windowsClosed mirrors len(res.Windows)
+	// atomically so Snapshot never needs windowMu — the OnWindow hook runs
+	// under it, and a hook that reads a Snapshot must not self-deadlock.
+	windowMu      sync.Mutex
+	windowsClosed atomic.Int64
+	ctlProducer   transport.Producer // feedback runs only
+	ctlSeq        uint64
+	// sliding composes pane estimates when LiveConfig.Slide ≥ 2 (nil
+	// otherwise); driven only under windowMu by emitWindowLocked.
+	sliding *slidingState
+	// lastWindow publishes the most recently emitted window for Snapshot.
+	lastWindow atomic.Pointer[WindowResult]
+	// atEOS runs on the ticker once the merged root watermark carries the
+	// end-of-stream promise, after the final windows are out (node mode's
+	// completion marker; nil in process, where Close ends the stream).
+	atEOS func()
+
+	// Windows() subscriptions.
+	subMu      sync.Mutex
+	subs       []chan WindowResult
+	subsClosed bool
+	subDrops   atomic.Int64
+
+	// Push valves, one per source slot, created on demand; lags holds one
+	// carried lag per leaf topic, shared by every valve on it.
+	valveMu sync.Mutex
+	valves  []*Ingester
+	lags    map[string]*carriedLag
+
+	// Lifecycle. drainCh is closed when the session stops admitting pushes,
+	// waking pacing sleeps and backpressure waits.
+	state      atomic.Int32
+	ctx        context.Context
+	drainCh    chan struct{}
+	cancelTick context.CancelFunc
+	tickWG     sync.WaitGroup
+}
+
+// everyTier is the tier OpenLive runs: every edge layer, the root, and the
+// source valves.
+func everyTier(plan *Plan) NodeTier {
+	tier := NodeTier{Root: true, Ingest: true}
+	for l := 0; l < plan.RootLayer(); l++ {
+		tier.Layers = append(tier.Layers, l)
+	}
+	return tier
+}
+
+// openEngine creates the plan's topics, builds and starts the shard groups
+// tier selects, and — on a root tier — starts the sweep ticker, with atEOS
+// run once the merged watermark reaches end of stream. It returns as soon as
+// the groups are pumping; on failure every group it started is stopped again.
+func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, bus transport.Bus, tier NodeTier, atEOS func()) (*engine, error) {
+	e := &engine{
+		cfg:  cfg,
+		plan: plan,
+		bus:  bus,
+		tier: tier,
+		eval: query.NewEngine(query.WithConfidence(cfg.Confidence)),
+		res: &LiveResult{
+			Latency:   metrics.NewHistogram(),
+			Bandwidth: metrics.NewBandwidthAccount(),
+		},
+		groupByID: make(map[string]*shardGroup),
+		sliding:   newSlidingState(cfg.Slide, plan.Spec.Window, cfg.Confidence, plan.Queries),
+		atEOS:     atEOS,
+		valves:    make([]*Ingester, plan.Spec.Sources),
+		lags:      make(map[string]*carriedLag),
+		ctx:       ctx,
+		drainCh:   make(chan struct{}),
+	}
+	now := time.Now()
+	e.startNanos.Store(now.UnixNano())
+	e.lastActivity.Store(now.UnixNano())
+
+	// The plan names every topic and fixes its partition count; create them
+	// before any runtime subscribes. Creation is idempotent across bus
+	// clients at equal partition counts, so processes sharing a bus race
+	// their startups safely and no tier depends on another being up first.
+	for _, td := range plan.Topics() {
+		if err := bus.CreateTopic(td.Name, td.Partitions, 4096); err != nil {
+			return nil, err
+		}
+	}
+	fail := func(err error) (*engine, error) {
+		e.stopAll()
+		return nil, err
+	}
+	for _, l := range tier.Layers {
+		for _, desc := range plan.Layers[l] {
+			if err := e.addEdgeGroup(desc, now); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	if tier.Root {
+		if err := e.addRootGroup(now); err != nil {
+			return fail(err)
+		}
+		if cfg.corruptRoot > 0 {
+			// Test hook: poison the root topic before anything consumes it.
+			p := bus.NewProducer()
+			for i := 0; i < cfg.corruptRoot; i++ {
+				if _, _, err := p.Send(plan.Root().Topic, nil, []byte{0xFF, 0xBA, 0xD0}); err != nil {
+					return fail(err)
+				}
+			}
+		}
+	}
+	for _, g := range e.groups {
+		if err := g.start(); err != nil {
+			return fail(err)
+		}
+	}
+	if cfg.Feedback != nil {
+		e.ctlProducer = bus.NewProducer()
+	}
+	if tier.Root {
+		// The sweep ticker: a blocking select — no busy branch — closes
+		// windows while the members pump. Its context is private: shutdown
+		// stops it in order.
+		tickCtx, cancel := context.WithCancel(context.Background())
+		e.cancelTick = cancel
+		e.tickWG.Add(1)
+		go func() {
+			defer e.tickWG.Done()
+			ticker := time.NewTicker(cfg.Window)
+			defer ticker.Stop()
+			for {
+				select {
+				case <-tickCtx.Done():
+					return
+				case at := <-ticker.C:
+					e.sweep(at)
+				}
+			}
+		}()
+	}
+	return e, nil
+}
+
+// addEdgeGroup instantiates one compiled edge node as a consumer group of
+// desc.Shards members. Every process builds a node's members the same way —
+// same member IDs, seed lineages, FixedBudget split and watermark
+// expectations — which is what makes a multi-process run's windows equal a
+// single-process run's. Adaptive runs give every member a private dynamic
+// cost plus a standalone control consumer (the root publishes, the members
+// drain at window close); only OpenLive reaches the Feedback and Checkpoint
+// branches.
+func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
+	cfg, plan := e.cfg, e.plan
+	// FixedBudget groups get a dynamic splitter so membership changes
+	// re-split the node's total cap across however many members are live.
+	// Initial members join in shard order, so the initial shares reproduce
+	// the static NewNodeShardCost split exactly. Feedback runs own their
+	// budget already (control-plane fractions are input-relative and compose
+	// at any member count).
+	var gb *groupBudget
+	if fb, ok := cfg.Cost.(FixedBudget); ok && cfg.Feedback == nil {
+		gb = newGroupBudget(fb.Size)
+	}
+	var memberErr error
+	grp, err := newShardGroup(e.bus, desc, cfg.recordAtATime, func(shard int) (streams.Processor, *samplingProcessor) {
+		sp := &samplingProcessor{
+			id:         memberID(desc, shard),
+			quiesce:    &e.quiesce,
+			window:     cfg.Window,
+			streaming:  cfg.Streaming,
+			decodeErrs: &e.decodeErrs,
+			ckpt:       cfg.Checkpoint,
+			ckptErrs:   &e.ckptErrs,
+			// Private lock-free byte counter for the member's parent link;
+			// the account folds it in at read time.
+			bwc: e.res.Bandwidth.Counter(desc.ParentTopic),
+			enc: encoderFor(e.bus),
+		}
+		mk := func() *Node { return plan.NewNodeShard(desc, shard) }
+		if gb != nil {
+			mb := gb.join(memberID(desc, shard))
+			mk = func() *Node { return plan.NewNodeShardCost(desc, shard, mb) }
+		}
+		if cfg.Feedback != nil {
+			sp.cost = newDynamicCost(cfg.Feedback.Fraction())
+			mk = func() *Node { return plan.NewNodeShardCost(desc, shard, sp.cost) }
+			c, cerr := e.bus.NewConsumer(plan.ControlTopic)
+			if cerr != nil && memberErr == nil {
+				memberErr = cerr // keep the first failure; later shards must not clobber it
+			}
+			sp.control = c
+		}
+		if cfg.EventTime {
+			// Ψ lives in per-event-window nodes; mk seeds each window
+			// identically from the plan's lineage, so a window's sampling is
+			// independent of how many windows preceded it.
+			sp.ew = newEventWindows(plan.Spec.Window, cfg.AllowedLateness, &e.late, mk)
+			sp.eosNotify = memberEOSBroadcast(e.bus.NewProducer(), desc.ParentTopic,
+				sp.id, plan.Partitions, sp.bwc)
+			sp.wt = newWatermarkTracker(cfg.IdleTimeout)
+			// Every producer the plan says can feed this node holds the
+			// watermark until heard from (or idled out) — sibling pumps race,
+			// and a chain must never be invisible to the minimum just
+			// because it is slow.
+			for _, from := range plan.ExpectedProducers(desc) {
+				sp.wt.expect(from, now)
+			}
+		} else {
+			sp.node = mk()
+		}
+		return sp, sp
+	})
+	if err == nil {
+		err = memberErr
+	}
+	if err != nil {
+		return err
+	}
+	grp.budget = gb
+	grp.changeOffsets = make([]int64, plan.Partitions)
+	e.groups = append(e.groups, grp)
+	e.groupByID[desc.ID] = grp
+	return nil
+}
+
+// addRootGroup instantiates the root consumer group: RootShards members
+// split the root topic's partitions, each aggregating its share under its own
+// lock, and the sweep merges every member's Θ and runs the queries once. The
+// controller is colocated with the root (the paper's datacenter), so adaptive
+// root members take fraction updates directly at the merge instead of
+// round-tripping through the control topic.
+func (e *engine) addRootGroup(now time.Time) error {
+	cfg, plan := e.cfg, e.plan
+	e.rootProcs = make([]*rootProcessor, plan.RootShards)
+	grp, err := newShardGroup(e.bus, plan.Root(), cfg.recordAtATime, func(shard int) (streams.Processor, *samplingProcessor) {
+		p := &rootProcessor{
+			id:           memberID(plan.Root(), shard),
+			work:         cfg.RootWork,
+			processed:    &e.rootProcessed,
+			decodeErrs:   &e.decodeErrs,
+			lastActivity: &e.lastActivity,
+			// Private histogram: shards must not serialize on one mutex in
+			// the per-item hot path. Merged into res.Latency at finalize (and
+			// into fresh histograms by mid-run Snapshots).
+			latency: metrics.NewHistogram(),
+		}
+		mk := func() *Node { return plan.NewRootShard(shard) }
+		if cfg.Feedback != nil {
+			dc := newDynamicCost(cfg.Feedback.Fraction())
+			e.rootCosts = append(e.rootCosts, dc)
+			mk = func() *Node { return plan.NewNodeShardCost(plan.Root(), shard, dc) }
+		}
+		if cfg.EventTime {
+			p.ew = newEventWindows(plan.Spec.Window, cfg.AllowedLateness, &e.late, mk)
+			p.wt = newWatermarkTracker(cfg.IdleTimeout)
+			for _, from := range plan.ExpectedProducers(plan.Root()) {
+				p.wt.expect(from, now)
+			}
+		} else {
+			p.node = mk()
+		}
+		e.rootProcs[shard] = p
+		return p, nil
+	})
+	if err != nil {
+		return err
+	}
+	grp.changeOffsets = make([]int64, plan.Partitions)
+	e.rootGrp = grp
+	e.groups = append(e.groups, grp)
+	e.groupByID[plan.Root().ID] = grp
+	return nil
+}
+
+// stopAll stops every group in reverse start order. Safe on never-started
+// members.
+func (e *engine) stopAll() {
+	for i := len(e.groups) - 1; i >= 0; i-- {
+		e.groups[i].stop()
+	}
+}
+
+// stop ends the engine in order: the ticker, then the root group — whose
+// members fully drain the records they fetched — then one final close of
+// everything that reached the root (event time: to the end-of-stream
+// watermark; processing time: the last partial window), then every other
+// group.
+func (e *engine) stop() {
+	if e.cancelTick != nil {
+		e.cancelTick()
+		e.tickWG.Wait()
+	}
+	if e.rootGrp != nil {
+		e.rootGrp.stop()
+		if e.cfg.EventTime {
+			e.closeEventWindows(time.Now(), eosWatermark)
+		} else {
+			e.closeWindow(time.Now())
+		}
+	}
+	e.stopAll()
+}
+
+// State returns the session's lifecycle phase.
+func (e *engine) State() SessionState { return SessionState(e.state.Load()) }
+
+// ingestAllowed returns the state-specific rejection for pushes, nil while
+// ingesting.
+func (e *engine) ingestAllowed() error {
+	switch e.State() {
+	case StateIngesting:
+		if e.ctx.Err() != nil {
+			return ErrSessionClosed
+		}
+		return nil
+	case StateDraining:
+		return ErrSessionDraining
+	default:
+		return ErrSessionClosed
+	}
+}
+
+// markStarted pins the run's start instant to the first push, so Elapsed and
+// throughput measure the traffic span, not time the session idled before it.
+func (e *engine) markStarted() {
+	if e.started.CompareAndSwap(false, true) {
+		now := time.Now().UnixNano()
+		e.startNanos.Store(now)
+		e.lastActivity.Store(now)
+	}
+}
+
+// sweep is one tick of the window ticker. In processing-time mode it closes
+// one window; in event-time mode it merges the root members' watermarks and
+// emits every event window the merged watermark makes due, in event-time
+// order — and once that watermark carries the end-of-stream promise, empties
+// every member and runs atEOS.
+func (e *engine) sweep(at time.Time) {
+	if !e.cfg.EventTime {
+		e.closeWindow(at)
+		return
+	}
+	wm := e.rootWatermark(at)
+	e.closeEventWindows(at, wm)
+	if e.atEOS != nil && !wm.Before(eosHorizon) {
+		// Every chain has promised it is done forever, so one final advance
+		// to the absolute bound empties every member.
+		e.closeEventWindows(at, eosWatermark)
+		e.atEOS()
+	}
+}
+
+// rootWatermark merges the root members' event-time watermarks: the minimum
+// over members that have one. A member still waiting on an expected producer
+// vetoes the merge (its windows would close incomplete); a member with
+// nothing live — every chain idle, a shard whose partitions are empty past
+// the idle timeout — has no opinion and is skipped, so it cannot stall event
+// time forever.
+func (e *engine) rootWatermark(now time.Time) time.Time {
+	var min time.Time
+	for _, rp := range e.rootProcs {
+		wm, blocked := rp.watermarkState(now)
+		if blocked {
+			return time.Time{}
+		}
+		if wm.IsZero() {
+			continue
+		}
+		if min.IsZero() || wm.Before(min) {
+			min = wm
+		}
+	}
+	return min
+}
+
+// closeEventWindows advances every root member to the merged watermark,
+// merges the members' closed windows by window start, and emits each merged
+// window in ascending event-time order. Windows are exact: a member's
+// contribution to window s can only arrive before the merged watermark
+// passes s's close threshold (per-source watermark ordering), so a window
+// is complete when it closes and is never emitted twice.
+func (e *engine) closeEventWindows(at, wm time.Time) {
+	e.windowMu.Lock()
+	defer e.windowMu.Unlock()
+	if wm.IsZero() {
+		return
+	}
+	for _, win := range closeRootWindows(e.rootProcs, wm, at, e.eval, e.plan) {
+		e.emitWindowLocked(win)
+	}
+}
+
+// closeRootWindows advances every root member to wm, merges the members'
+// closed windows by window start, and runs the queries over each merged Θ;
+// it returns the non-empty windows in ascending event-time order. A window's
+// result carries estimates only, never items, so once the queries have run
+// every member gets its closed windows' item storage back — under the
+// member's own lock, which is also what its ingest path draws slabs under.
+// Callers hold windowMu.
+func closeRootWindows(procs []*rootProcessor, wm, at time.Time, eval *query.Engine, plan *Plan) []WindowResult {
+	merged := make(map[int64][]stream.Batch)
+	closed := make([][]closedWindow, len(procs))
+	for i, rp := range procs {
+		closed[i] = rp.advanceTo(wm)
+		for _, cw := range closed[i] {
+			merged[cw.start] = append(merged[cw.start], cw.theta...)
+		}
+	}
+	if len(merged) == 0 {
+		return nil
+	}
+	starts := make([]int64, 0, len(merged))
+	for st := range merged {
+		starts = append(starts, st)
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	var out []WindowResult
+	for _, st := range starts {
+		win := NewWindowResult(at, eval, plan.Queries, merged[st])
+		win.Start = time.Unix(0, st).UTC()
+		win.End = win.Start.Add(plan.Spec.Window)
+		if win.SampleSize > 0 {
+			out = append(out, win)
+		}
+	}
+	for i, rp := range procs {
+		rp.recycle(closed[i])
+	}
+	return out
+}
+
+// emitWindowLocked is the one emit path: it composes the sliding estimates,
+// records the window, steps the feedback loop, and fans the result out to
+// the OnWindow hook and the subscribers. Callers hold windowMu.
+func (e *engine) emitWindowLocked(win WindowResult) {
+	if e.sliding != nil {
+		e.sliding.observe(&win)
+	}
+	e.res.Windows = append(e.res.Windows, win)
+	e.windowsClosed.Add(1)
+	last := win
+	e.lastWindow.Store(&last)
+	if e.cfg.Feedback != nil {
+		// §IV-B feedback step: observe the merged window, then fan the
+		// adjusted fraction out — directly to the colocated root members,
+		// via the control topic to every edge member. Edge windows already
+		// open keep their old fraction; the update lands at their next
+		// boundary.
+		f := e.cfg.Feedback.Observe(win.Result(feedbackKind(e.plan.Queries)))
+		for _, dc := range e.rootCosts {
+			dc.set(f)
+		}
+		e.ctlSeq++
+		payload := encodeControl(e.ctlSeq, f)
+		e.res.Bandwidth.Add(e.plan.ControlTopic, int64(len(payload)))
+		// The broker outlives every window close, so the only send failure
+		// mode is a deleted topic — impossible mid-run.
+		_, _, _ = e.ctlProducer.Send(e.plan.ControlTopic, nil, payload)
+		e.res.Fractions = append(e.res.Fractions, f)
+	}
+	if e.cfg.OnWindow != nil {
+		e.cfg.OnWindow(win)
+	}
+	e.publishWindow(win)
+}
+
+// Windows returns a subscription to window results: every WindowResult the
+// root closes from now on is delivered in order, and the channel is closed
+// when the session closes. The per-subscriber buffer holds windowSubBuffer
+// results; a subscriber that falls further behind misses intermediate
+// results (every window remains in the final result) — the window ticker
+// never blocks on a slow reader.
+func (e *engine) Windows() <-chan WindowResult {
+	ch := make(chan WindowResult, windowSubBuffer)
+	e.subMu.Lock()
+	defer e.subMu.Unlock()
+	if e.subsClosed {
+		close(ch)
+		return ch
+	}
+	e.subs = append(e.subs, ch)
+	return ch
+}
+
+// publishWindow fans one closed window out to every subscriber.
+func (e *engine) publishWindow(win WindowResult) {
+	e.subMu.Lock()
+	defer e.subMu.Unlock()
+	if e.subsClosed {
+		return
+	}
+	for _, ch := range e.subs {
+		select {
+		case ch <- win:
+		default:
+			e.subDrops.Add(1)
+		}
+	}
+}
+
+// closeSubs ends every Windows subscription.
+func (e *engine) closeSubs() {
+	e.subMu.Lock()
+	defer e.subMu.Unlock()
+	if e.subsClosed {
+		return
+	}
+	e.subsClosed = true
+	for _, ch := range e.subs {
+		close(ch)
+	}
+	e.subs = nil
+}
+
+// Snapshot captures the session's telemetry mid-run: counters, latency,
+// bandwidth, per-member throughput, the last window and the adaptive
+// fraction, all safe to read while every member keeps writing. Fields
+// another tier owns read zero on a node session: a leaf process reports no
+// windows, a root process no produced count. Once the session has closed,
+// Elapsed and Throughput are the final result's.
+func (e *engine) Snapshot() LiveSnapshot {
+	now := time.Now()
+	snap := LiveSnapshot{
+		State:            e.State(),
+		Produced:         e.produced.Load(),
+		RootProcessed:    e.rootProcessed.Load(),
+		DecodeErrors:     e.decodeErrs.Load(),
+		LateDropped:      e.late.items.Load(),
+		LateDroppedInput: e.late.input.load(),
+		WindowsClosed:    int(e.windowsClosed.Load()),
+		CheckpointErrors: e.ckptErrs.Load(),
+		Latency:          metrics.NewHistogram(),
+		Bandwidth:        e.res.Bandwidth.Snapshot(),
+		SubscriberDrops:  e.subDrops.Load(),
+		Window:           e.cfg.Window,
+		MaxIngestLag:     e.cfg.MaxIngestLag,
+		EventTime:        e.cfg.EventTime,
+		Adaptive:         e.cfg.Feedback != nil,
+		Start:            time.Unix(0, e.startNanos.Load()),
+		LastActivity:     time.Unix(0, e.lastActivity.Load()),
+		LastWindow:       e.lastWindow.Load(),
+	}
+	if e.cfg.Feedback != nil {
+		snap.Fraction = e.cfg.Feedback.Fraction()
+		snap.Target = e.cfg.Feedback.Target()
+	}
+	elapsed := now.Sub(snap.Start)
+	if fin := e.final.Load(); fin != nil {
+		elapsed = fin.Elapsed
+	} else {
+		snap.IngestLag = e.ingestLag()
+		if e.cfg.EventTime && e.tier.Root {
+			snap.Watermark = e.rootWatermark(now)
+		}
+	}
+	if elapsed < 0 {
+		elapsed = 0
+	}
+	snap.Elapsed = elapsed
+	if elapsed > 0 {
+		snap.Throughput = float64(snap.Produced) / elapsed.Seconds()
+	}
+	for _, rp := range e.rootProcs {
+		snap.Latency.Merge(rp.latency)
+	}
+	snap.Nodes = e.nodeTelemetry(elapsed)
+	return snap
+}
+
+// nodeTelemetry assembles the per-member lifetime counters at this instant,
+// scaled to the given elapsed span. Shared by mid-run Snapshots and the
+// final result, so the two can never diverge in shape.
+func (e *engine) nodeTelemetry(elapsed time.Duration) map[string]NodeTelemetry {
+	nodes := make(map[string]NodeTelemetry, len(e.groups)+len(e.rootProcs))
+	record := func(id string, st NodeStats) {
+		tel := NodeTelemetry{Observed: st.Observed, Emitted: st.Emitted, Intervals: st.Intervals}
+		if elapsed > 0 {
+			tel.Throughput = float64(st.Observed) / elapsed.Seconds()
+		}
+		nodes[id] = tel
+	}
+	for _, g := range e.groups {
+		g.mu.Lock()
+		members := append([]*groupMember(nil), g.members...)
+		g.mu.Unlock()
+		// Dead and retired members included: their counters are the
+		// last-known truth, and a restarted member replaces its dead
+		// predecessor in the list under the same ID.
+		for _, m := range members {
+			if m.proc != nil {
+				record(m.id, m.proc.stats())
+			}
+		}
+	}
+	for _, rp := range e.rootProcs {
+		record(rp.id, rp.stats())
+	}
+	return nodes
+}
+
+// finalize merges the run's measurements into res once every group has
+// stopped (the members are quiescent, so lifetime counters are final). The
+// caller publishes res through final.
+func (e *engine) finalize(end time.Time) {
+	res := e.res
+	res.Produced = e.produced.Load()
+	res.RootProcessed = e.rootProcessed.Load()
+	res.DecodeErrors = e.decodeErrs.Load()
+	res.LateDropped = e.late.items.Load()
+	res.LateDroppedInput = e.late.input.load()
+	res.Elapsed = end.Sub(time.Unix(0, e.startNanos.Load()))
+	if res.Elapsed > 0 {
+		res.Throughput = float64(res.Produced) / res.Elapsed.Seconds()
+	}
+	e.windowMu.Lock()
+	windows := res.Windows
+	e.windowMu.Unlock()
+	for _, w := range windows {
+		res.EstimateSum += w.Result(query.Sum).Estimate.Value
+		res.EstimateCount += w.EstimatedInput
+	}
+	res.Nodes = e.nodeTelemetry(res.Elapsed)
+	for _, rp := range e.rootProcs {
+		res.Latency.Merge(rp.latency)
+	}
+}
+
+// ingestLag totals the unconsumed backlog across every leaf topic — the
+// records the valves have published that the layer-0 consumer groups have
+// not yet committed past, summed for telemetry. Topics shared by several
+// source slots count once; a detached node's topic, and a group another
+// process has not registered yet, contribute nothing.
+func (e *engine) ingestLag() int64 {
+	var total int64
+	seen := make(map[string]struct{}, len(e.plan.Sources))
+	for _, src := range e.plan.Sources {
+		if _, dup := seen[src.Topic]; dup {
+			continue
+		}
+		seen[src.Topic] = struct{}{}
+		leaf := e.plan.Layers[0][src.ParentIndex]
+		if g := e.groupByID[leaf.ID]; g != nil && g.isDetached() {
+			continue // nothing consumes a detached node's topic
+		}
+		lag, err := e.bus.GroupLag(src.Topic, leaf.ID+"-in")
+		if err != nil {
+			continue // topic gone (bus closed) or group not yet registered
+		}
+		total += lag
+	}
+	return total
+}
+
+// quiescent is the drain probe: whether nothing is in flight through this
+// process's groups. Every in-flight item is visible to it as exactly one of
+// unfetched topic lag, a busy member pump (records dispatch after their
+// offsets commit), or Ψ buffered in an edge member awaiting its window flush,
+// so it cannot report quiescence early however the scheduler starves the
+// pipeline. Read order matters: pending is sampled before the lags, so a
+// batch that flushes mid-probe is caught either in Ψ or as parent-topic lag
+// later in the sweep (flushes forward before zeroing pending). Detached
+// groups are drained and stopped and are skipped.
+func (e *engine) quiescent() bool {
+	var lag, pending int64
+	busy := false
+	for _, g := range e.groups {
+		if g.isDetached() {
+			continue
+		}
+		pending += g.pending()
+		lag += g.lag()
+		busy = busy || g.busy()
+	}
+	return lag == 0 && !busy && pending == 0
+}
+
+// ingester returns the push valve for one source slot, creating it on first
+// use; live is the in-process session the valve fences against (nil in node
+// mode).
+func (e *engine) ingester(slot int, live *LiveSession) (*Ingester, error) {
+	if slot < 0 || slot >= e.plan.Spec.Sources {
+		return nil, fmt.Errorf("%w: slot %d of %d sources", ErrBadSourceSlot, slot, e.plan.Spec.Sources)
+	}
+	e.valveMu.Lock()
+	defer e.valveMu.Unlock()
+	if in := e.valves[slot]; in != nil {
+		return in, nil
+	}
+	src := e.plan.Sources[slot]
+	leaf := e.plan.Layers[0][src.ParentIndex]
+	lag := e.lags[src.Topic]
+	if lag == nil {
+		// No probe has answered yet: past the mark, so the first push asks.
+		lag = new(carriedLag)
+		lag.pastMark(e.cfg.MaxIngestLag)
+		e.lags[src.Topic] = lag
+	}
+	in := &Ingester{
+		e:        e,
+		live:     live,
+		leafID:   leaf.ID,
+		lagGroup: leaf.ID + "-in", // the leaf node's consumer group (streams source node "in")
+		carried:  lag,
+		rate:     e.cfg.SourceRate,
+		valve: valve{
+			slot:      slot,
+			topic:     src.Topic,
+			producer:  countingProducer{e.bus.NewProducer(), lag},
+			bwc:       e.res.Bandwidth.Counter(src.Topic),
+			perRecord: e.cfg.recordAtATime,
+			from:      sourceFrom(slot),
+			enc:       encoderFor(e.bus),
+		},
+	}
+	if e.cfg.EventTime {
+		in.marks = make(map[stream.SourceID]time.Time)
+	}
+	e.valves[slot] = in
+	return in, nil
+}
+
+// sendEOS fans the end-of-stream watermark out through every source slot
+// (event-time only), creating valves for slots that were never pushed so
+// that every expected producer chain terminates explicitly.
+func (e *engine) sendEOS(live *LiveSession) {
+	for slot := 0; slot < e.plan.Spec.Sources; slot++ {
+		if in, err := e.ingester(slot, live); err == nil {
+			in.sendEOS()
+		}
+	}
+}
+
+// forceProbe puts topic's carried lag past the mark, so the next push on it
+// asks the broker instead of trusting a figure from before an elastic change
+// to the group consuming it.
+func (e *engine) forceProbe(topic string) {
+	e.valveMu.Lock()
+	lag := e.lags[topic]
+	e.valveMu.Unlock()
+	if lag != nil {
+		lag.pastMark(e.cfg.MaxIngestLag)
+	}
+}

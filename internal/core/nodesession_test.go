@@ -93,6 +93,140 @@ func TestNodeTiersMatchSingleProcess(t *testing.T) {
 		shuffled[s] = perm
 	}
 
+	// run pushes the workload through a single-process reference and through
+	// the same deployment as three tiers over TCP, checks that they close the
+	// same windows, and returns both sides' windows.
+	run := func(t *testing.T, cfg LiveConfig, exact bool) (single, node []WindowResult) {
+		t.Helper()
+		// Reference: the whole tree in one process on the in-memory bus.
+		ref := func() *LiveResult {
+			s, err := OpenLive(nil, cfg)
+			if err != nil {
+				t.Fatalf("OpenLive: %v", err)
+			}
+			for slot, its := range shuffled {
+				ing, err := s.Ingester(slot)
+				if err != nil {
+					t.Fatalf("ref Ingester(%d): %v", slot, err)
+				}
+				buf := append([]stream.Item(nil), its...)
+				if err := ing.Push(buf...); err != nil {
+					t.Fatalf("ref push slot %d: %v", slot, err)
+				}
+			}
+			res, err := s.Close()
+			if err != nil {
+				t.Fatalf("ref close: %v", err)
+			}
+			return res
+		}()
+
+		// The same deployment as three tiers over TCP.
+		addr := startNodeBroker(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+
+		rootCfg := cfg
+		rootCfg.Bus = dialNodeBus(t, addr)
+		root, err := OpenNode(ctx, rootCfg, NodeTier{Root: true})
+		if err != nil {
+			t.Fatalf("OpenNode(root): %v", err)
+		}
+		defer root.Close()
+		midCfg := cfg
+		midCfg.Bus = dialNodeBus(t, addr)
+		mid, err := OpenNode(ctx, midCfg, NodeTier{Layers: []int{1}})
+		if err != nil {
+			t.Fatalf("OpenNode(mid): %v", err)
+		}
+		defer mid.Close()
+		leafCfg := cfg
+		leafCfg.Bus = dialNodeBus(t, addr)
+		leaf, err := OpenNode(ctx, leafCfg, NodeTier{Layers: []int{0}, Ingest: true})
+		if err != nil {
+			t.Fatalf("OpenNode(leaf): %v", err)
+		}
+		defer leaf.Close()
+
+		for slot, its := range shuffled {
+			buf := append([]stream.Item(nil), its...)
+			if err := leaf.Push(slot, buf...); err != nil {
+				t.Fatalf("leaf push slot %d: %v", slot, err)
+			}
+		}
+		if err := leaf.FinishIngest(); err != nil {
+			t.Fatalf("FinishIngest: %v", err)
+		}
+		if err := root.WaitDone(ctx); err != nil {
+			t.Fatalf("root WaitDone: %v", err)
+		}
+		// Edge tiers learn of completion from the control topic, the way
+		// separate processes must.
+		if err := mid.WaitDone(ctx); err != nil {
+			t.Fatalf("mid WaitDone: %v", err)
+		}
+		if err := leaf.WaitDone(ctx); err != nil {
+			t.Fatalf("leaf WaitDone: %v", err)
+		}
+		if err := leaf.Drain(ctx); err != nil {
+			t.Fatalf("leaf Drain: %v", err)
+		}
+		if err := mid.Drain(ctx); err != nil {
+			t.Fatalf("mid Drain: %v", err)
+		}
+		leafRes := leaf.Close()
+		midRes := mid.Close()
+		rootRes := root.Close()
+
+		total := int64(slots * perSlot)
+		if leafRes.Produced != total {
+			t.Fatalf("leaf produced %d, want %d", leafRes.Produced, total)
+		}
+		if rootRes.Produced != 0 || len(leafRes.Windows) != 0 {
+			t.Fatalf("tier results bled across tiers: root produced %d, leaf closed %d windows",
+				rootRes.Produced, len(leafRes.Windows))
+		}
+		late := leafRes.LateDropped + midRes.LateDropped + rootRes.LateDropped
+		if late != 0 {
+			t.Fatalf("dropped %d items pushed within the horizon", late)
+		}
+		if errs := leafRes.DecodeErrors + midRes.DecodeErrors + rootRes.DecodeErrors; errs != 0 {
+			t.Fatalf("%d decode errors crossing the wire", errs)
+		}
+
+		if len(rootRes.Windows) != len(ref.Windows) {
+			t.Fatalf("node run closed %d windows, single-process %d", len(rootRes.Windows), len(ref.Windows))
+		}
+		var nodeInput float64
+		for i, rw := range ref.Windows {
+			nw := rootRes.Windows[i]
+			if !nw.Start.Equal(rw.Start) || !nw.End.Equal(rw.End) {
+				t.Fatalf("window %d bounds node [%v,%v) vs single [%v,%v)",
+					i, nw.Start, nw.End, rw.Start, rw.End)
+			}
+			rc, nc := rw.Result(query.Count).Estimate.Value, nw.Result(query.Count).Estimate.Value
+			if rc != nc {
+				t.Fatalf("window %d count node %.2f vs single %.2f", i, nc, rc)
+			}
+			if nw.EstimatedInput != rw.EstimatedInput {
+				t.Fatalf("window %d estimated input node %.2f vs single %.2f",
+					i, nw.EstimatedInput, rw.EstimatedInput)
+			}
+			if exact {
+				rs, ns := rw.Result(query.Sum).Estimate.Value, nw.Result(query.Sum).Estimate.Value
+				if rel := math.Abs(ns-rs) / math.Abs(rs); rel > 1e-9 {
+					t.Fatalf("window %d sum node %.6f vs single %.6f (rel %.2e)", i, ns, rs, rel)
+				}
+			}
+			nodeInput += nw.EstimatedInput
+		}
+		// The accounting identity holds assembled across tiers: window
+		// input plus every tier's late drops equals what the valves sent.
+		nodeInput += leafRes.LateDroppedInput + midRes.LateDroppedInput + rootRes.LateDroppedInput
+		assertCountInvariant(t, "node event-time", nodeInput, float64(leafRes.Produced))
+		return ref.Windows, rootRes.Windows
+	}
+
 	for _, tc := range []struct {
 		name  string
 		cost  CostFunction
@@ -102,136 +236,41 @@ func TestNodeTiersMatchSingleProcess(t *testing.T) {
 		{"half-budget", FractionBudget{Fraction: 0.5}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := nodeTestConfig(spec, tc.cost, span)
-
-			// Reference: the whole tree in one process on the in-memory bus.
-			ref := func() *LiveResult {
-				s, err := OpenLive(nil, cfg)
-				if err != nil {
-					t.Fatalf("OpenLive: %v", err)
-				}
-				for slot, its := range shuffled {
-					ing, err := s.Ingester(slot)
-					if err != nil {
-						t.Fatalf("ref Ingester(%d): %v", slot, err)
-					}
-					buf := append([]stream.Item(nil), its...)
-					if err := ing.Push(buf...); err != nil {
-						t.Fatalf("ref push slot %d: %v", slot, err)
-					}
-				}
-				res, err := s.Close()
-				if err != nil {
-					t.Fatalf("ref close: %v", err)
-				}
-				return res
-			}()
-
-			// The same deployment as three tiers over TCP.
-			addr := startNodeBroker(t)
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			defer cancel()
-
-			rootCfg := cfg
-			rootCfg.Bus = dialNodeBus(t, addr)
-			root, err := OpenNode(ctx, rootCfg, NodeTier{Root: true})
-			if err != nil {
-				t.Fatalf("OpenNode(root): %v", err)
-			}
-			defer root.Close()
-			midCfg := cfg
-			midCfg.Bus = dialNodeBus(t, addr)
-			mid, err := OpenNode(ctx, midCfg, NodeTier{Layers: []int{1}})
-			if err != nil {
-				t.Fatalf("OpenNode(mid): %v", err)
-			}
-			defer mid.Close()
-			leafCfg := cfg
-			leafCfg.Bus = dialNodeBus(t, addr)
-			leaf, err := OpenNode(ctx, leafCfg, NodeTier{Layers: []int{0}, Ingest: true})
-			if err != nil {
-				t.Fatalf("OpenNode(leaf): %v", err)
-			}
-			defer leaf.Close()
-
-			for slot, its := range shuffled {
-				buf := append([]stream.Item(nil), its...)
-				if err := leaf.Push(slot, buf...); err != nil {
-					t.Fatalf("leaf push slot %d: %v", slot, err)
-				}
-			}
-			if err := leaf.FinishIngest(); err != nil {
-				t.Fatalf("FinishIngest: %v", err)
-			}
-			if err := root.WaitDone(ctx); err != nil {
-				t.Fatalf("root WaitDone: %v", err)
-			}
-			// Edge tiers learn of completion from the control topic, the way
-			// separate processes must.
-			if err := mid.WaitDone(ctx); err != nil {
-				t.Fatalf("mid WaitDone: %v", err)
-			}
-			if err := leaf.WaitDone(ctx); err != nil {
-				t.Fatalf("leaf WaitDone: %v", err)
-			}
-			if err := leaf.Drain(ctx); err != nil {
-				t.Fatalf("leaf Drain: %v", err)
-			}
-			if err := mid.Drain(ctx); err != nil {
-				t.Fatalf("mid Drain: %v", err)
-			}
-			leafRes := leaf.Close()
-			midRes := mid.Close()
-			rootRes := root.Close()
-
-			total := int64(slots * perSlot)
-			if leafRes.Produced != total {
-				t.Fatalf("leaf produced %d, want %d", leafRes.Produced, total)
-			}
-			if rootRes.Produced != 0 || len(leafRes.Windows) != 0 {
-				t.Fatalf("tier results bled across tiers: root produced %d, leaf closed %d windows",
-					rootRes.Produced, len(leafRes.Windows))
-			}
-			late := leafRes.LateDropped + midRes.LateDropped + rootRes.LateDropped
-			if late != 0 {
-				t.Fatalf("dropped %d items pushed within the horizon", late)
-			}
-			if errs := leafRes.DecodeErrors + midRes.DecodeErrors + rootRes.DecodeErrors; errs != 0 {
-				t.Fatalf("%d decode errors crossing the wire", errs)
-			}
-
-			if len(rootRes.Windows) != len(ref.Windows) {
-				t.Fatalf("node run closed %d windows, single-process %d", len(rootRes.Windows), len(ref.Windows))
-			}
-			var nodeInput float64
-			for i, rw := range ref.Windows {
-				nw := rootRes.Windows[i]
-				if !nw.Start.Equal(rw.Start) || !nw.End.Equal(rw.End) {
-					t.Fatalf("window %d bounds node [%v,%v) vs single [%v,%v)",
-						i, nw.Start, nw.End, rw.Start, rw.End)
-				}
-				rc, nc := rw.Result(query.Count).Estimate.Value, nw.Result(query.Count).Estimate.Value
-				if rc != nc {
-					t.Fatalf("window %d count node %.2f vs single %.2f", i, nc, rc)
-				}
-				if nw.EstimatedInput != rw.EstimatedInput {
-					t.Fatalf("window %d estimated input node %.2f vs single %.2f",
-						i, nw.EstimatedInput, rw.EstimatedInput)
-				}
-				if tc.exact {
-					rs, ns := rw.Result(query.Sum).Estimate.Value, nw.Result(query.Sum).Estimate.Value
-					if rel := math.Abs(ns-rs) / math.Abs(rs); rel > 1e-9 {
-						t.Fatalf("window %d sum node %.6f vs single %.6f (rel %.2e)", i, ns, rs, rel)
-					}
-				}
-				nodeInput += nw.EstimatedInput
-			}
-			// The accounting identity holds assembled across tiers: window
-			// input plus every tier's late drops equals what the valves sent.
-			nodeInput += leafRes.LateDroppedInput + midRes.LateDroppedInput + rootRes.LateDroppedInput
-			assertCountInvariant(t, "node event-time", nodeInput, float64(leafRes.Produced))
+			run(t, nodeTestConfig(spec, tc.cost, span), tc.exact)
 		})
 	}
+
+	// Sliding windows compose at the root's one emit path, so a root tier
+	// carries the same sliding estimates as the single-process root.
+	t.Run("sliding", func(t *testing.T) {
+		cfg := nodeTestConfig(spec, FractionBudget{Fraction: 1}, span)
+		cfg.Slide = 3
+		ref, node := run(t, cfg, true)
+		for i, rw := range ref {
+			nw := node[i]
+			if len(rw.Sliding) == 0 || len(nw.Sliding) != len(rw.Sliding) {
+				t.Fatalf("window %d carries %d sliding estimates, single-process %d", i, len(nw.Sliding), len(rw.Sliding))
+			}
+			for j, rs := range rw.Sliding {
+				ns := nw.Sliding[j]
+				if ns.Kind != rs.Kind || ns.Panes != rs.Panes {
+					t.Fatalf("window %d sliding %d: %v over %d panes, single-process %v over %d",
+						i, j, ns.Kind, ns.Panes, rs.Kind, rs.Panes)
+				}
+				rv, nv := rs.Estimate.Value, ns.Estimate.Value
+				switch rs.Kind {
+				case query.Count:
+					if nv != rv {
+						t.Fatalf("window %d sliding count node %v vs single %v", i, nv, rv)
+					}
+				default:
+					if rel := math.Abs(nv-rv) / math.Abs(rv); rel > 1e-9 {
+						t.Fatalf("window %d sliding %v node %.6f vs single %.6f (rel %.2e)", i, rs.Kind, nv, rv, rel)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestNodeBackpressureOverTCP is the satellite-5 regression: MaxIngestLag

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/approxiot/approxiot/internal/metrics"
@@ -11,9 +13,8 @@ import (
 	"github.com/approxiot/approxiot/internal/transport"
 )
 
-// valve is what the two push valves — the live session's Ingester and the
-// node session's NodePusher — have in common: the publishing half of one
-// source slot. The owner serializes every use under its own mutex.
+// valve is the publishing half of one source slot's Ingester. The Ingester
+// serializes every use under its mutex.
 type valve struct {
 	slot      int
 	topic     string
@@ -126,4 +127,240 @@ func (v *valve) send() error {
 	clear(recs)
 	v.outRecs = recs[:0]
 	return err
+}
+
+// Ingester is the push valve for one source slot: it stamps, batches, paces
+// and publishes items into the slot's leaf topic, with backpressure against
+// the leaf node's consumer group. Both sessions hand out the same valve —
+// LiveSession.Ingester in process, NodeSession.Pusher in a process-per-tier
+// deployment — and only the in-process one adds the push/close barrier, the
+// detach check and the ground-truth sum. Pushes through one valve are
+// serialized (the valve preserves per-stratum order); distinct slots push
+// concurrently.
+type Ingester struct {
+	e        *engine
+	live     *LiveSession // the in-process session; nil in node mode
+	leafID   string       // the layer-0 node this valve feeds (detach checks)
+	lagGroup string
+	carried  *carriedLag // the leaf topic's, shared with every other valve on it
+	rate     float64
+
+	// sent is atomic so observers (tests, telemetry) can read it while a
+	// Push is parked in backpressure holding mu.
+	sent atomic.Int64
+
+	mu    sync.Mutex
+	valve           // the publishing half (under mu)
+	epoch time.Time // pacing schedule origin: the valve's first push
+}
+
+// NodePusher is the name a node session's valve goes by.
+type NodePusher = Ingester
+
+// Slot returns the source slot this valve feeds.
+func (in *Ingester) Slot() int { return in.slot }
+
+// Sent returns the number of items pushed through this valve so far.
+func (in *Ingester) Sent() int64 { return in.sent.Load() }
+
+// Push publishes items into the session: consecutive runs of the same
+// sub-stream become one weighted batch (weight 1 — the census), keyed by
+// SourceID so a stratum sticks to one partition. Every item's Pub is
+// stamped with the wall-clock publish instant (end-to-end latency is
+// measured from here). In processing-time mode Ts is re-stamped with the
+// same instant; in event-time mode a caller-supplied Ts is the item's event
+// timestamp and is preserved (zero Ts defaults to the publish instant), and
+// the sub-stream's low watermark piggybacks on the published records. Items
+// with an empty Source default to the slot's stratum ("source<slot>"). Push
+// applies backpressure — it blocks while the leaf group's backlog exceeds
+// LiveConfig.MaxIngestLag records — and pacing: with LiveConfig.SourceRate
+// set, it sleeps off any lead over the rate schedule before returning.
+// Returns ErrSessionDraining once the session stops admitting pushes (Close
+// started, or FinishIngest) and ErrSessionClosed once it has closed.
+func (in *Ingester) Push(items ...stream.Item) error {
+	e, s := in.e, in.live
+	var truth *paddedFloat
+	if s != nil {
+		// The read half of the Push/Close barrier: held until the last Send
+		// so shutdown's write-lock acquisition is a fence behind every
+		// admitted push — none can land records or truth after the drain
+		// probe starts.
+		s.pushMu.RLock()
+		defer s.pushMu.RUnlock()
+		truth = &s.truth[in.slot]
+	}
+	// The state is read under mu: a node session's FinishIngest sends the
+	// end-of-stream records under it, so no push can land behind them.
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if err := e.ingestAllowed(); err != nil {
+		return err
+	}
+	if s != nil {
+		if g := s.groupByID[in.leafID]; g != nil && g.isDetached() {
+			// The valve's leaf node is detached (RemoveEdgeNode): nothing
+			// consumes its topic, so an admitted push would strand records
+			// and wedge the final drain. RemoveEdgeNode fences in-flight
+			// pushes via pushMu after setting the flag, so this check is
+			// race-free.
+			return fmt.Errorf("%w: %q", ErrNodeDetached, in.leafID)
+		}
+	}
+	if len(items) == 0 {
+		return nil
+	}
+	if in.epoch.IsZero() {
+		in.epoch = time.Now()
+	}
+	if err := in.backpressure(); err != nil {
+		return err
+	}
+	e.markStarted()
+
+	// Ground truth goes item by item into the slot's running sum, so the
+	// per-slot total is bit-identical to a per-item accumulator and the
+	// final fold (slot order, at shutdown) is deterministic.
+	if err := in.publish(items, truth); err != nil {
+		return err
+	}
+	sent := in.sent.Add(int64(len(items)))
+	e.produced.Add(int64(len(items)))
+
+	if in.rate > 0 {
+		// Pace to the configured rate: sleep off any lead over the ideal
+		// sent/rate schedule.
+		ahead := time.Duration(float64(sent)/in.rate*float64(time.Second)) - time.Since(in.epoch)
+		if ahead > 0 {
+			select {
+			case <-e.ctx.Done():
+			case <-e.drainCh: // Close must not wait out a pacing sleep
+			case <-time.After(ahead):
+			}
+		}
+	}
+	return nil
+}
+
+// carriedLag is one leaf topic's group lag as this process can bound it
+// without asking: the last GroupLag answer plus every record the process has
+// sent to the topic since. Consumption only lowers the true lag, and
+// crash-recovery replay reads the log without moving commits, so the figure
+// never understates what this process has put there (records other
+// processes send to the topic show at the next probe, as they did between
+// two per-push probes). It is kept as the running count of records sent and
+// an offset — a probe's answer minus the count read BEFORE that probe — so a
+// send racing the probe is counted on top of the answer, never lost under
+// it; two probes racing each leave a valid bound.
+type carriedLag struct {
+	sent   atomic.Int64
+	offset atomic.Int64
+}
+
+func (c *carriedLag) bound() int64 { return c.offset.Load() + c.sent.Load() }
+
+// pastMark sets the figure just past mark, so the next push probes.
+func (c *carriedLag) pastMark(mark int) { c.offset.Store(int64(mark) + 1 - c.sent.Load()) }
+
+// countingProducer is a valve's producer: it tells the topic's carried lag of
+// every record before the record is sent, in each of the three sends a valve
+// makes — the batched push, the record-at-a-time path and the end-of-stream
+// broadcast — so nothing a valve puts on the topic goes uncounted, and the
+// publishing half need not know.
+type countingProducer struct {
+	transport.Producer
+	lag *carriedLag
+}
+
+func (p countingProducer) SendWatermarked(topic string, key, value []byte, wm mq.Watermark) (int, int64, error) {
+	p.lag.sent.Add(1)
+	return p.Producer.SendWatermarked(topic, key, value, wm)
+}
+
+func (p countingProducer) SendBatch(topic string, recs []mq.Record) error {
+	p.lag.sent.Add(int64(len(recs)))
+	return p.Producer.SendBatch(topic, recs)
+}
+
+func (p countingProducer) SendToWatermarked(topic string, partition int, key, value []byte, wm mq.Watermark) (int64, error) {
+	p.lag.sent.Add(1)
+	return p.Producer.SendToWatermarked(topic, partition, key, value, wm)
+}
+
+// backpressure blocks while the leaf group's unconsumed backlog exceeds the
+// configured high-water mark, so a pusher can never outrun the pipeline into
+// unbounded broker memory. The valve does not ask per push — over a remote
+// bus the GroupLag probe is a round trip: it admits on the lag it carries
+// forward (carriedLag) while that is within the mark and probes — storing
+// the answer — only past it, which with a consumer that keeps up is once per
+// MaxIngestLag records. It admits exactly when a per-push probe would. A
+// probe that fails WAITS instead of failing or admitting: in node mode that
+// is usually a startup race (the tier running the leaf group is not up yet),
+// and a push is never admitted on a lag no probe has vouched for — the
+// guarantee that keeps MaxIngestLag meaningful over a remote backend. A
+// closed topic or session fails fast.
+func (in *Ingester) backpressure() error {
+	e := in.e
+	mark := int64(e.cfg.MaxIngestLag)
+	if mark < 0 || in.carried.bound() <= mark {
+		return nil
+	}
+	wait := e.cfg.Window / 8
+	if wait <= 0 {
+		wait = time.Millisecond
+	}
+	for {
+		sent := in.carried.sent.Load()
+		lag, err := e.bus.GroupLag(in.topic, in.lagGroup)
+		if err == nil {
+			in.carried.offset.Store(lag - sent)
+			if in.carried.bound() <= mark {
+				return nil
+			}
+		}
+		if errors.Is(err, mq.ErrClosed) || errors.Is(err, mq.ErrUnknownTopic) {
+			return ErrSessionClosed
+		}
+		if err := e.ingestAllowed(); err != nil {
+			return err
+		}
+		select {
+		case <-e.ctx.Done():
+			return ErrSessionClosed
+		case <-e.drainCh:
+		case <-time.After(wait):
+		}
+	}
+}
+
+// sendEOS publishes an end-of-stream watermark heartbeat for every
+// sub-stream that ever pushed through this valve — or for the slot's
+// default stratum if nothing ever did: a zero-item batch carrying
+// eosWatermark, which closes every remaining event window at the leaf and
+// lets the close wave cascade to the root. An unused valve still speaks:
+// every member statically expects it (Plan.ExpectedProducers), and
+// resolving the expectation in-band makes the close cascade deterministic
+// instead of waiting on the idle timeout. End of stream is topic-global, so
+// it is broadcast to EVERY partition rather than keyed: after a rebalance a
+// member can buffer windows for sub-streams whose partitions it no longer
+// owns, and a keyed end-of-stream would never reach it.
+func (in *Ingester) sendEOS() {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	srcs := make([]stream.SourceID, 0, len(in.marks)+1)
+	for src := range in.marks {
+		srcs = append(srcs, src)
+	}
+	if len(srcs) == 0 {
+		srcs = append(srcs, stream.SourceID(fmt.Sprintf("source%d", in.slot)))
+	}
+	for _, src := range srcs {
+		payload := heartbeat(src).Marshal()
+		wm := mq.Watermark{From: in.from, At: eosWatermark}
+		for part := 0; part < in.e.plan.Partitions; part++ {
+			in.bwc.Add(int64(len(payload)))
+			// The bus outlives the drain; a send can only fail once the
+			// deployment is past caring about these heartbeats.
+			_, _ = in.producer.SendToWatermarked(in.topic, part, []byte(src), payload, wm)
+		}
+	}
 }

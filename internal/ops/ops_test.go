@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,9 @@ import (
 
 	"github.com/approxiot/approxiot/internal/core"
 	"github.com/approxiot/approxiot/internal/metrics"
+	"github.com/approxiot/approxiot/internal/query"
+	"github.com/approxiot/approxiot/internal/stream"
+	"github.com/approxiot/approxiot/internal/topology"
 	"github.com/approxiot/approxiot/internal/transport"
 )
 
@@ -439,5 +443,93 @@ func TestMetricsTransportFamilies(t *testing.T) {
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if !strings.Contains(rec.Body.String(), "approxiot_transport_reconnects_total 9") {
 		t.Fatal("transport counters are stale: hook not polled per scrape")
+	}
+}
+
+// TestNodeRootSnapshotServesQueryGauges renders a node-mode root tier's
+// snapshot the way approxiot-node -ops does: the per-query gauges come from
+// the last emitted window, and once the tier has closed its elapsed span and
+// throughput stay put.
+func TestNodeRootSnapshotServesQueryGauges(t *testing.T) {
+	bus := transport.NewMem()
+	defer bus.Close()
+	cfg := core.LiveConfig{
+		Spec: topology.TreeSpec{
+			Sources: 2,
+			Layers:  []topology.LayerSpec{{Name: "edge", Nodes: 1}, {Name: "root", Nodes: 1}},
+			Window:  100 * time.Millisecond,
+		},
+		Bus:         bus,
+		NewSampler:  core.WHSFactory(),
+		Cost:        core.FractionBudget{Fraction: 1},
+		Window:      10 * time.Millisecond,
+		Queries:     []query.Kind{query.Sum, query.Count},
+		Seed:        5,
+		EventTime:   true,
+		IdleTimeout: 30 * time.Second,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	root, err := core.OpenNode(ctx, cfg, core.NodeTier{Root: true})
+	if err != nil {
+		t.Fatalf("OpenNode(root): %v", err)
+	}
+	defer root.Close()
+	leaf, err := core.OpenNode(ctx, cfg, core.NodeTier{Layers: []int{0}, Ingest: true})
+	if err != nil {
+		t.Fatalf("OpenNode(leaf): %v", err)
+	}
+	defer leaf.Close()
+
+	epoch := time.Date(2018, 7, 2, 0, 0, 0, 0, time.UTC)
+	for slot := 0; slot < cfg.Spec.Sources; slot++ {
+		items := make([]stream.Item, 200)
+		for k := range items {
+			items[k] = stream.Item{Value: float64(k % 7), Ts: epoch.Add(time.Duration(k) * 5 * time.Millisecond)}
+		}
+		if err := leaf.Push(slot, items...); err != nil {
+			t.Fatalf("push slot %d: %v", slot, err)
+		}
+	}
+	if err := leaf.FinishIngest(); err != nil {
+		t.Fatalf("FinishIngest: %v", err)
+	}
+	if err := root.WaitDone(ctx); err != nil {
+		t.Fatalf("root WaitDone: %v", err)
+	}
+	res := root.Close()
+	if len(res.Windows) == 0 {
+		t.Fatal("the root tier closed no windows")
+	}
+
+	snap := root.Snapshot()
+	last := res.Windows[len(res.Windows)-1]
+	if snap.LastWindow == nil || !snap.LastWindow.Start.Equal(last.Start) ||
+		snap.LastWindow.SampleSize != last.SampleSize {
+		t.Fatalf("snapshot LastWindow %+v, want the last emitted window (start %v, ζ %d)", snap.LastWindow, last.Start, last.SampleSize)
+	}
+	rec := httptest.NewRecorder()
+	NewServer(root, Config{}).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	for _, want := range []string{
+		`approxiot_query_estimate{kind="SUM"}`,
+		`approxiot_query_estimate{kind="COUNT"}`,
+		"approxiot_window_sample_size ",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("node root /metrics lacks %q:\n%s", want, body)
+		}
+	}
+
+	// The leaf tier's figures are frozen at its Close.
+	leaf.Close()
+	a := leaf.Snapshot()
+	time.Sleep(20 * time.Millisecond)
+	b := leaf.Snapshot()
+	if a.Elapsed <= 0 || a.Elapsed != b.Elapsed || a.Throughput != b.Throughput {
+		t.Fatalf("closed tier's elapsed %v → %v, throughput %v → %v: want both frozen", a.Elapsed, b.Elapsed, a.Throughput, b.Throughput)
+	}
+	if a.State != core.StateClosed {
+		t.Fatalf("closed tier reports state %v", a.State)
 	}
 }

@@ -602,3 +602,66 @@ func TestIdlePumpAllocatesNothing(t *testing.T) {
 		t.Fatalf("an idle pump allocated %.0f objects per 6 ms (about a dozen cycles), want 0", allocs)
 	}
 }
+
+func TestFanInMergesParents(t *testing.T) {
+	b := buildBroker(t, "in1", "in2", "out")
+	merge := func() Processor {
+		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
+			ctx.Forward(msg)
+			return nil
+		})
+	}
+	topo, err := NewTopology().
+		Source("s1", "in1").
+		Source("s2", "in2").
+		Processor("merge", merge, "s1", "s2").
+		Sink("snk", "out", "merge").
+		Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
+	rt.Start()
+	defer rt.Stop()
+
+	p := mq.NewProducer(b)
+	p.Send("in1", nil, []byte("a"))
+	p.Send("in2", nil, []byte("b"))
+	recs := drain(t, b, "out", 2, 2*time.Second)
+	if len(recs) != 2 {
+		t.Fatalf("merged %d records, want 2", len(recs))
+	}
+}
+
+func TestProcessorForwardsZeroOrMany(t *testing.T) {
+	// Odd records are dropped, an even record n becomes n records.
+	b := buildBroker(t, "in", "out")
+	expand := func() Processor {
+		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
+			n := int(msg.Value[0])
+			if n%2 == 1 {
+				return nil
+			}
+			for i := 0; i < n; i++ {
+				ctx.Forward(Message{Value: []byte{byte(i)}})
+			}
+			return nil
+		})
+	}
+	topo, _ := NewTopology().
+		Source("src", "in").
+		Processor("expand", expand, "src").
+		Sink("snk", "out", "expand").
+		Build()
+	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
+	rt.Start()
+	defer rt.Stop()
+
+	p := mq.NewProducer(b)
+	for _, n := range []byte{1, 2, 3, 4} {
+		p.Send("in", nil, []byte{n})
+	}
+	if recs := drain(t, b, "out", 6, 2*time.Second); len(recs) != 6 {
+		t.Fatalf("forwarded %d records, want 2 + 4", len(recs))
+	}
+}
