@@ -633,35 +633,82 @@ func TestFanInMergesParents(t *testing.T) {
 	}
 }
 
-func TestProcessorForwardsZeroOrMany(t *testing.T) {
-	// Odd records are dropped, an even record n becomes n records.
+// TestDSLFilterMap chains a processor that drops odd records into one that
+// maps each survivor to a new value: the filter-then-map pipeline, built
+// from plain TopologyBuilder processors.
+func TestDSLFilterMap(t *testing.T) {
 	b := buildBroker(t, "in", "out")
-	expand := func() Processor {
+	filter := func() Processor {
 		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
-			n := int(msg.Value[0])
-			if n%2 == 1 {
-				return nil
-			}
-			for i := 0; i < n; i++ {
-				ctx.Forward(Message{Value: []byte{byte(i)}})
+			if msg.Value[0]%2 == 0 {
+				ctx.Forward(msg)
 			}
 			return nil
 		})
 	}
-	topo, _ := NewTopology().
+	scale := func() Processor {
+		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
+			ctx.Forward(Message{Key: msg.Key, Value: []byte{msg.Value[0] * 10}})
+			return nil
+		})
+	}
+	topo, err := NewTopology().
 		Source("src", "in").
-		Processor("expand", expand, "src").
-		Sink("snk", "out", "expand").
+		Processor("filter", filter, "src").
+		Processor("map", scale, "filter").
+		Sink("snk", "out", "map").
 		Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
 	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
 	rt.Start()
 	defer rt.Stop()
 
 	p := mq.NewProducer(b)
-	for _, n := range []byte{1, 2, 3, 4} {
-		p.Send("in", nil, []byte{n})
+	for i := byte(0); i < 6; i++ {
+		p.Send("in", nil, []byte{i})
 	}
-	if recs := drain(t, b, "out", 6, 2*time.Second); len(recs) != 6 {
-		t.Fatalf("forwarded %d records, want 2 + 4", len(recs))
+	recs := drain(t, b, "out", 3, 2*time.Second)
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3 (evens only)", len(recs))
+	}
+	sum := 0
+	for _, r := range recs {
+		sum += int(r.Value[0])
+	}
+	if sum != 0+20+40 {
+		t.Fatalf("mapped values sum = %d, want 60", sum)
+	}
+}
+
+// TestDSLFlatMap has one processor forward many records per input: a record
+// carrying n becomes n records.
+func TestDSLFlatMap(t *testing.T) {
+	b := buildBroker(t, "in", "out")
+	expand := func() Processor {
+		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
+			for i := 0; i < int(msg.Value[0]); i++ {
+				ctx.Forward(Message{Value: []byte{byte(i)}})
+			}
+			return nil
+		})
+	}
+	topo, err := NewTopology().
+		Source("src", "in").
+		Processor("expand", expand, "src").
+		Sink("snk", "out", "expand").
+		Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
+	rt.Start()
+	defer rt.Stop()
+
+	mq.NewProducer(b).Send("in", nil, []byte{4})
+	recs := drain(t, b, "out", 4, 2*time.Second)
+	if len(recs) != 4 {
+		t.Fatalf("expand emitted %d, want 4", len(recs))
 	}
 }
