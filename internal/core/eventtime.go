@@ -38,8 +38,11 @@ import (
 // outboundWatermark ladder); and members re-assert liveness upstream
 // (keepalives) while they hold buffered state, so a parent cannot age a
 // slow-but-live child out of the minimum and close windows over its data.
-// Empty windows forward zero-item heartbeat batches, so a quiet sub-stream
-// does not stall its ancestors.
+// A keepalive goes out only when it carries news (keepaliveDue): the first
+// presence beat, a chain back from idle, or a quarter of the idle timeout
+// since the last full beat — the parent ages nothing sooner, and with aging
+// off nothing ages at all. Empty windows forward zero-item heartbeat
+// batches, so a quiet sub-stream does not stall its ancestors.
 
 // eosWatermark is the end-of-stream watermark: far enough in the future to
 // close every window that could ever hold data, while staying inside the
@@ -416,6 +419,13 @@ type watermarkTracker struct {
 	cache wmCache
 	scans int // full scans run (tests bound it)
 
+	// revivals counts stamps on entries that had aged out: chains or floors
+	// back from idle. lastBeat is the owning member's last full beat and
+	// beatRevivals the count then (see keepaliveDue).
+	revivals     int
+	lastBeat     time.Time
+	beatRevivals int
+
 	// activeSources scratch; callers consume the result before the next call.
 	srcSeen map[stream.SourceID]struct{}
 	srcs    []stream.SourceID
@@ -517,7 +527,7 @@ func (t *watermarkTracker) observeLane(from string, lane int, at, now time.Time)
 	key := laneKey{from: from, lane: lane}
 	m := t.lanes[key]
 	if m == nil {
-		m = &sourceMark{}
+		m = &sourceMark{seen: now} // born alive: its first stamp is no revival
 		t.lanes[key] = m
 		t.cache.valid = false
 	}
@@ -532,16 +542,25 @@ func (t *watermarkTracker) aged(m *sourceMark, now time.Time) bool {
 
 // stamp is the one way an existing entry changes: the watermark max-folds
 // at (a zero instant promises nothing) and the arrival clock is refreshed.
-// It keeps the cached minimum exact, or drops it (see wmCache).
+// It keeps the cached minimum exact, or drops it (see wmCache), and counts
+// the entry as revived if it had aged out.
 func (t *watermarkTracker) stamp(m *sourceMark, at, now time.Time) {
-	if c := &t.cache; c.valid {
-		switch {
-		case !t.cacheCovers(now), t.aged(m, c.at):
-			c.valid = false
-		case at.After(m.wm) && m.wm.Equal(c.min):
-			c.atMin--
-			c.valid = c.atMin > 0
+	c := &t.cache
+	switch {
+	case !t.cacheCovers(now):
+		c.valid = false
+		if t.aged(m, now) {
+			t.revivals++
 		}
+	case t.aged(m, c.at):
+		// While the cache covers now, an entry is aged at now exactly when it
+		// was at the scan: one the scan left out stays aged until stamped,
+		// and one it included cannot age before c.until.
+		c.valid = false
+		t.revivals++
+	case at.After(m.wm) && m.wm.Equal(c.min):
+		c.atMin--
+		c.valid = c.atMin > 0
 	}
 	if at.After(m.wm) {
 		m.wm = at
@@ -622,7 +641,7 @@ func (t *watermarkTracker) update(wm mq.Watermark, src stream.SourceID, now time
 	key := chainKey{from: wm.From, src: src}
 	m := t.chains[key]
 	if m == nil {
-		m = &sourceMark{}
+		m = &sourceMark{seen: now}
 		t.chains[key] = m
 		isNew = true
 		delete(t.chains, chainKey{from: wm.From})
@@ -797,6 +816,32 @@ func (t *watermarkTracker) activeSources(now time.Time) []stream.SourceID {
 	}
 	t.srcs = out
 	return out
+}
+
+// keepaliveDivisor sets how often a member with nothing to advance re-asserts
+// liveness: every IdleTimeout/keepaliveDivisor since its last full beat. A
+// parent ages a chain out only after a whole IdleTimeout of silence, so a
+// beat each quarter leaves three quarters of the horizon for queueing between
+// the beat and the parent consuming it.
+const keepaliveDivisor = 4
+
+// keepaliveDue reports whether the member owning this tracker, at a
+// punctuation that advanced nothing, must re-assert liveness upstream. A full
+// beat (beat) is a flush that heartbeats every active sub-stream: an
+// advance's, or a keepalive's. One is due when the member has never sent one;
+// when a chain or floor came back from idle since (beats left it out while it
+// was idle, so the parent has aged the member's chain for it out); or, with
+// aging on, once a quarter of the idle timeout has passed.
+// With aging off nothing ages, so after the first presence beat a keepalive
+// carries no information. The live members and the simulator share this rule.
+func (t *watermarkTracker) keepaliveDue(now time.Time) bool {
+	return t.lastBeat.IsZero() || t.revivals != t.beatRevivals ||
+		t.idle > 0 && now.Sub(t.lastBeat) >= t.idle/keepaliveDivisor
+}
+
+// beat records a full beat sent at now.
+func (t *watermarkTracker) beat(now time.Time) {
+	t.lastBeat, t.beatRevivals = now, t.revivals
 }
 
 // heartbeat returns a zero-item batch for src: the payload a node forwards

@@ -1,0 +1,223 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"github.com/approxiot/approxiot/internal/mq"
+	"github.com/approxiot/approxiot/internal/query"
+	"github.com/approxiot/approxiot/internal/stream"
+	"github.com/approxiot/approxiot/internal/streams"
+	"github.com/approxiot/approxiot/internal/topology"
+	"github.com/approxiot/approxiot/internal/workload"
+)
+
+// Tests for the keepalive rule (watermarkTracker.keepaliveDue): an event-time
+// member whose punctuation advances nothing re-asserts liveness upstream only
+// when its parent could otherwise age it out, when a chain came back from
+// idle, or for its first presence beat.
+
+// sweepTick is the punctuation cadence the member tests drive, the
+// benchmark's and the examples' sweep.
+const sweepTick = 10 * time.Millisecond
+
+// beatMember is a census edge member (hopMember) named id whose tracker ages
+// chains after idle (≤ 0: never).
+func beatMember(id string, idle time.Duration) (*samplingProcessor, *hopCtx) {
+	p, ctx := hopMember(1)
+	p.id = id
+	p.wt = newWatermarkTracker(idle)
+	return p, ctx
+}
+
+// valveRecord is one source record of one item at event time ts, stamped
+// with ts as its producer's watermark.
+func valveRecord(from string, src stream.SourceID, ts time.Time) streams.Message {
+	b := stream.Batch{Source: src, Weight: 1, Items: []stream.Item{{Source: src, Value: 1, Ts: ts}}}
+	return streams.Message{Key: []byte(src), Value: b.Marshal(), Watermark: mq.Watermark{From: from, At: ts}}
+}
+
+// forwarded decodes the records a member sent since index from.
+func forwarded(t *testing.T, ctx *hopCtx, from int) []stream.Batch {
+	t.Helper()
+	var out []stream.Batch
+	for _, m := range ctx.retained[from:] {
+		b, err := stream.UnmarshalBatch(m.Value)
+		if err != nil {
+			t.Fatalf("forwarded record does not decode: %v", err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// With a 1 s idle timeout and a watermark that stays still, a member beats
+// once per quarter second — four times in a second of 10 ms punctuations
+// (its first advance, then three keepalives), not once per punctuation.
+func TestKeepaliveOnIdleHorizon(t *testing.T) {
+	p, ctx := beatMember("edge#0", time.Second)
+	wall := time.Unix(5000, 0)
+	ts := simEpoch.Add(100 * time.Millisecond) // window 0 never closes: the watermark stays here
+	for tick := 0; tick < 100; tick++ {
+		now := wall.Add(time.Duration(tick) * sweepTick)
+		p.processEvent(valveRecord("valve", "a", ts), now)
+		p.punctuate(now)
+	}
+	sent := forwarded(t, ctx, 0)
+	if len(sent) != 4 {
+		t.Fatalf("%d records forwarded in a second of still watermark, want 4 (one beat per IdleTimeout/%d)", len(sent), keepaliveDivisor)
+	}
+	for i, b := range sent {
+		if len(b.Items) != 0 || b.Source != "a" {
+			t.Fatalf("record %d is %d items of %q, want a heartbeat of a", i, len(b.Items), b.Source)
+		}
+	}
+}
+
+// A chain that comes back from idle makes the next punctuation beat, however
+// recent the last beat: the member's beats left it out while it was idle, so
+// its parent has aged the member's chain for it out.
+func TestKeepaliveOnRevival(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	p, ctx := beatMember("edge#0", idle)
+	wall := time.Unix(5000, 0)
+	ts := simEpoch.Add(100 * time.Millisecond)
+	p.processEvent(valveRecord("valve", "b", ts), wall)
+	var now time.Time
+	for tick := 0; tick < 20; tick++ { // b is silent for 200 ms: idle at the member
+		now = wall.Add(time.Duration(tick) * sweepTick)
+		p.processEvent(valveRecord("valve", "a", ts), now)
+		p.punctuate(now)
+	}
+	if srcs := p.wt.activeSources(now); len(srcs) != 1 || srcs[0] != "a" {
+		t.Fatalf("active sources %v after b's silence, want [a]", srcs)
+	}
+	// b speaks again a millisecond after a beat; the next punctuation, a
+	// millisecond later, is far inside the quarter horizon.
+	now = p.wt.lastBeat.Add(time.Millisecond)
+	p.processEvent(valveRecord("valve", "b", ts), now)
+	before := len(ctx.retained)
+	p.punctuate(now.Add(time.Millisecond))
+	got := map[stream.SourceID]bool{}
+	for _, b := range forwarded(t, ctx, before) {
+		got[b.Source] = len(b.Items) == 0
+	}
+	if len(got) != 2 || !got["a"] || !got["b"] {
+		t.Fatalf("punctuation after b's revival sent heartbeats %v, want one each for a and b", got)
+	}
+}
+
+// With a 100 ms idle timeout, a member that holds buffered windows behind the
+// lateness horizon for five idle timeouts, while a sibling's event time races
+// ahead at their parent, is never aged out there: nothing is late at the
+// parent, and forwarded plus late-dropped input is exactly what was produced.
+func TestKeepaliveHoldsBufferedMember(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	leaf, leafOut := beatMember("leaf0", idle)
+	parent, parentOut := beatMember("edge2", idle)
+	wall := time.Unix(5000, 0)
+	parent.wt.expect("leaf0", wall)
+	parent.wt.expect("leaf1", wall)
+
+	produced, delivered := 0, 0
+	pipe := func(now time.Time) { // leaf0 → parent, in send order
+		for _, m := range leafOut.retained[delivered:] {
+			parent.processEvent(m, now)
+		}
+		delivered = len(leafOut.retained)
+	}
+	held := simEpoch.Add(100 * time.Millisecond) // leaf0's watermark stays in window 0
+	var now time.Time
+	for tick := 0; tick < int(5*idle/sweepTick); tick++ {
+		now = wall.Add(time.Duration(tick) * sweepTick)
+		leaf.processEvent(valveRecord("valve", "a", held), now)
+		leaf.punctuate(now)
+		pipe(now)
+		// leaf1 moves ten windows of event time per second of wall clock.
+		parent.processEvent(valveRecord("leaf1", "b", simEpoch.Add(time.Duration(tick)*100*time.Millisecond)), now)
+		parent.punctuate(now)
+		produced += 2
+	}
+	leaf.drainAll(now)
+	pipe(now)
+	parent.drainAll(now)
+
+	late := parent.ew.late
+	if n := late.items.Load(); n != 0 {
+		t.Fatalf("%d items late at the parent: it aged the buffering leaf out", n)
+	}
+	var input float64
+	for _, b := range forwarded(t, parentOut, 0) {
+		input += b.Weight * float64(len(b.Items))
+	}
+	assertCountInvariant(t, "forwarded + late", input+late.input.load(), float64(produced))
+}
+
+// Without aging (IdleTimeout < 0) nothing a keepalive refreshes can expire:
+// a member whose watermark is held by a producer it never hears sends its one
+// zero-instant presence beat, and nothing after it.
+func TestKeepaliveWithoutAging(t *testing.T) {
+	p, ctx := beatMember("edge#0", -1)
+	wall := time.Unix(5000, 0)
+	p.wt.expect("unheard", wall)
+	for tick := 0; tick < 100; tick++ {
+		now := wall.Add(time.Duration(tick) * sweepTick)
+		p.processEvent(valveRecord("valve", "a", simEpoch.Add(time.Duration(tick)*time.Millisecond)), now)
+		p.punctuate(now)
+	}
+	if len(ctx.retained) != 1 {
+		t.Fatalf("%d records forwarded, want exactly one presence beat", len(ctx.retained))
+	}
+	if wm := ctx.retained[0].Watermark; wm.From != "edge#0" || !wm.At.IsZero() {
+		t.Fatalf("beat stamped %+v, want a zero-instant presence record from edge#0", wm)
+	}
+}
+
+// stillSource emits one item per chunk, always at the same event instant, so
+// the watermark of every node above it stands still after its first advance.
+type stillSource struct {
+	src stream.SourceID
+	ts  time.Time
+}
+
+func (s stillSource) Generate(time.Time, time.Duration) []stream.Item {
+	return []stream.Item{{Source: s.src, Value: 1, Ts: s.ts}}
+}
+
+// The simulator's window tick runs the same rule. Testbed's eight sub-streams
+// enter four edge1 nodes, whose watermarks stand still: every record they
+// send up mid-run is a beat (the end-of-stream flush bypasses the links). The
+// first advance covers a node's first sub-stream and the second is announced,
+// so each sub-stream goes up once; with aging off nothing follows. With an
+// 8 s idle timeout a node re-beats each 2 s: at the 3, 5, 7 and 9 s ticks.
+func TestKeepaliveSim(t *testing.T) {
+	for _, c := range []struct {
+		idle time.Duration
+		want int64
+	}{
+		{-1, 8},
+		{8 * time.Second, 8 + 8*4},
+	} {
+		res, err := RunSim(SimConfig{
+			Spec: topology.Testbed(),
+			Source: func(i int) workload.Source {
+				return stillSource{src: stream.SourceID(string(rune('a' + i))), ts: simEpoch.Add(100 * time.Millisecond)}
+			},
+			NewSampler:  WHSFactory(),
+			Cost:        EffectiveFractionBudget{Fraction: 1},
+			Duration:    4 * time.Second,
+			Queries:     []query.Kind{query.Count},
+			EventTime:   true,
+			IdleTimeout: c.idle,
+		})
+		if err != nil {
+			t.Fatalf("IdleTimeout %v: RunSim: %v", c.idle, err)
+		}
+		if got := res.LayerMessages[1]; got != c.want {
+			t.Fatalf("IdleTimeout %v: %d records into edge2, want %d", c.idle, got, c.want)
+		}
+		if res.LateDropped != 0 || len(res.Windows) != 1 || res.Windows[0].EstimatedInput != float64(res.Generated) {
+			t.Fatalf("IdleTimeout %v: %d late, %d windows — want every item in one window", c.idle, res.LateDropped, len(res.Windows))
+		}
+	}
+}

@@ -618,31 +618,7 @@ func (p *samplingProcessor) flushEmits() {
 
 func (p *samplingProcessor) flush() {
 	if p.ew != nil {
-		// Event-time punctuation: re-derive the watermark (idle sources
-		// may now be excluded) and sweep windows that became due, then
-		// re-assert liveness upstream — a member buffering data behind
-		// the lateness horizon has forwarded nothing yet, and without the
-		// keepalive its parent could age it out of the minimum and close
-		// windows its buffered data belongs to.
-		now := time.Now()
-		switch {
-		case p.advanceEventTime(now):
-			// An advance already re-asserted liveness (its heartbeats
-			// carry the outbound watermark for every active source);
-			// duplicate keepalives would only double the traffic.
-		case p.quiesce.Load() && p.ew.buffered() > 0 && p.wt.allStale(now):
-			// Shutdown backstop: every chain is stranded — a rebalance
-			// moved this member's sub-streams to partitions it no longer
-			// owns, so no record, heartbeat, or EOS will ever arrive to
-			// close what it buffers. No further input is possible past
-			// quiesce, so force the end-of-stream drain; any straggler
-			// is late-dropped with honest LateDroppedInput accounting.
-			p.drainAll(now)
-		default:
-			p.keepalive(now)
-		}
-		p.pending.Store(int64(p.ew.buffered()))
-		p.saveCheckpoint()
+		p.punctuate(time.Now())
 		return
 	}
 	p.applyControl()
@@ -654,6 +630,32 @@ func (p *samplingProcessor) flush() {
 	// Zero pending only after forwarding: the drain probe must always see
 	// in-flight data as either buffered Ψ here or lag on the parent topic.
 	p.pending.Store(int64(p.node.Observed()))
+	p.saveCheckpoint()
+}
+
+// punctuate is the event-time flush at clock reading now: re-derive the
+// watermark (idle sources may now be excluded) and sweep windows that became
+// due, then re-assert liveness upstream if that is due — a member buffering
+// data behind the lateness horizon has forwarded nothing yet, and without the
+// keepalive its parent could age it out of the minimum and close windows its
+// buffered data belongs to.
+func (p *samplingProcessor) punctuate(now time.Time) {
+	switch {
+	case p.advanceEventTime(now):
+		// An advance already re-asserted liveness (its heartbeats carry the
+		// outbound watermark for every active source).
+	case p.quiesce.Load() && p.ew.buffered() > 0 && p.wt.allStale(now):
+		// Shutdown backstop: every chain is stranded — a rebalance moved
+		// this member's sub-streams to partitions it no longer owns, so no
+		// record, heartbeat, or EOS will ever arrive to close what it
+		// buffers. No further input is possible past quiesce, so force the
+		// end-of-stream drain; any straggler is late-dropped with honest
+		// LateDroppedInput accounting.
+		p.drainAll(now)
+	default:
+		p.keepalive(now)
+	}
+	p.pending.Store(int64(p.ew.buffered()))
 	p.saveCheckpoint()
 }
 
@@ -783,10 +785,7 @@ func (p *samplingProcessor) advanceEventTime(now time.Time) bool {
 			p.enc.add(b, stamp)
 		}
 	}
-	out := mq.Watermark{From: p.id, At: p.ew.outboundWatermark()}
-	for _, src := range p.wt.activeSources(now) {
-		p.enc.add(heartbeat(src), out)
-	}
+	out := p.beatActive(now)
 	p.flushEmits()
 	p.ew.recycle(closed)
 	if !out.At.Before(eosHorizon) {
@@ -811,26 +810,34 @@ func (p *samplingProcessor) AfterCycle() {
 	}
 }
 
-// keepalive re-asserts the member's liveness upstream for every active
-// sub-stream: at the outbound watermark once one exists, else as a
-// zero-instant presence record that refreshes the parent's idle clocks
-// without promising anything. Idle sub-streams are deliberately not
-// covered — the member has excluded them from its own minimum, and
-// keeping them artificially fresh upstream would re-introduce the stall
-// the idle timeout exists to break.
+// keepalive re-asserts the member's liveness upstream when that is due
+// (watermarkTracker.keepaliveDue) with a full beat: at the outbound watermark
+// once one exists, else as zero-instant presence records that refresh the
+// parent's idle clocks without promising anything.
 func (p *samplingProcessor) keepalive(now time.Time) {
-	if p.quiesce.Load() {
+	if p.quiesce.Load() || !p.wt.keepaliveDue(now) {
 		return
 	}
-	srcs := p.wt.activeSources(now)
-	if len(srcs) == 0 {
-		return
-	}
+	p.beatActive(now)
+	p.flushEmits()
+}
+
+// beatActive queues the member's full beat: a zero-item heartbeat for every
+// active sub-stream at the outbound watermark, which it returns. Idle
+// sub-streams are deliberately not covered — the member has excluded them
+// from its own minimum, and keeping them artificially fresh upstream would
+// re-introduce the stall the idle timeout exists to break. A member with no
+// active sub-stream sends nothing, and so has not beaten.
+func (p *samplingProcessor) beatActive(now time.Time) mq.Watermark {
 	out := mq.Watermark{From: p.id, At: p.ew.outboundWatermark()}
+	srcs := p.wt.activeSources(now)
 	for _, src := range srcs {
 		p.enc.add(heartbeat(src), out)
 	}
-	p.flushEmits()
+	if len(srcs) > 0 {
+		p.wt.beat(now)
+	}
+	return out
 }
 
 // announce forwards a zero-item heartbeat for a newly-seen chain's

@@ -519,13 +519,24 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			forward(sn, layerIdx, ob, mq.Watermark{})
 		}
 	}
+	// beatActive is the live members' beatActive: a heartbeat per active
+	// sub-stream at the outbound watermark, recorded as a full beat.
+	beatActive := func(sn *simNode, layerIdx int, now time.Time) {
+		out := mq.Watermark{From: sn.id, At: sn.ew.outboundWatermark()}
+		srcs := sn.wt.activeSources(now)
+		for _, src := range srcs {
+			forward(sn, layerIdx, heartbeat(src), out)
+		}
+		if len(srcs) > 0 {
+			sn.wt.beat(now)
+		}
+	}
 	// advanceEvent closes every event window the node's watermark makes
 	// due, forwards the results, and reports whether the close bound
 	// moved: data stamped with each window's dataWatermark (the watermark
-	// ladder — see the live runner's advanceEventTime), then a heartbeat
-	// per active sub-stream at the outbound watermark so parents advance
-	// across empty windows. A crashed node still resets its windows but
-	// forwards nothing, like the processing-time tick.
+	// ladder — see the live runner's advanceEventTime), then a full beat
+	// so parents advance across empty windows. A crashed node still resets
+	// its windows but forwards nothing, like the processing-time tick.
 	advanceEvent = func(sn *simNode, layerIdx int) bool {
 		now := sim.Now()
 		wm := sn.wt.watermark(now)
@@ -542,10 +553,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 				forward(sn, layerIdx, b, stamp)
 			}
 		}
-		out := mq.Watermark{From: sn.id, At: sn.ew.outboundWatermark()}
-		for _, src := range sn.wt.activeSources(now) {
-			forward(sn, layerIdx, heartbeat(src), out)
-		}
+		beatActive(sn, layerIdx, now)
 		return true
 	}
 
@@ -637,15 +645,12 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 				now := sim.Now()
 				if cfg.EventTime {
 					// Re-assert liveness upstream when the advance did not
-					// (its own heartbeats already do — see the live
-					// members' keepalive): a node buffering behind the
-					// lateness horizon has forwarded nothing, and its
-					// parent must not age it out of the minimum meanwhile.
-					if !advanceEvent(sn, l) && !sn.down(now) {
-						out := mq.Watermark{From: sn.id, At: sn.ew.outboundWatermark()}
-						for _, src := range sn.wt.activeSources(now) {
-							forward(sn, l, heartbeat(src), out)
-						}
+					// and it is due (the live members' keepalive rule): a
+					// node buffering behind the lateness horizon has
+					// forwarded nothing, and its parent must not age it out
+					// of the minimum meanwhile.
+					if !advanceEvent(sn, l) && !sn.down(now) && sn.wt.keepaliveDue(now) {
+						beatActive(sn, l, now)
 					}
 				} else {
 					out := sn.node.CloseInterval()

@@ -373,6 +373,69 @@ func TestRetentionCompactsConsumedPrefix(t *testing.T) {
 	}
 }
 
+// A retained partition that fills allocates its full log once: it grows by
+// append while it holds at most smallLog records, then moves once to the
+// 2 × retain records compaction keeps it under and keeps that block. A lane
+// that carries a few records stays small, one nothing appends to allocates
+// nothing, and a topic without retention grows its logs by append as before.
+func TestRetainedLogAllocatedOnce(t *testing.T) {
+	const retain = 256
+	b := NewBroker()
+	topic := newTestTopic(t, b, "t", 3, WithRetention(retain))
+	plain := newTestTopic(t, b, "plain", 1)
+	p := NewProducer(b)
+	log := func(tp *Topic, part int) []Record {
+		tp.parts[part].mu.Lock()
+		defer tp.parts[part].mu.Unlock()
+		return tp.parts[part].records
+	}
+	var full *Record // the full-size block, once the log has moved there
+	for i := 1; i <= 2*retain; i++ {
+		var err error
+		if i%2 == 0 {
+			_, err = p.SendTo("t", 0, nil, []byte{byte(i)})
+		} else {
+			err = topic.appendBatch([]Record{{Partition: 0, Value: []byte{byte(i)}}})
+		}
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		recs := log(topic, 0)
+		switch {
+		case cap(recs) == 2*retain && full == nil:
+			full = &recs[:1][0]
+		case cap(recs) == 2*retain && &recs[:1][0] != full:
+			t.Fatalf("a log of %d records moved again after reaching its full size", i)
+		case cap(recs) != 2*retain && (full != nil || cap(recs) > 2*smallLog):
+			t.Fatalf("a log of %d records has capacity %d: grown step by step", i, cap(recs))
+		}
+	}
+	if full == nil {
+		t.Fatalf("a log of %d records never moved to its full size %d", 2*retain, 2*retain)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := p.SendTo("t", 1, nil, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recs := log(topic, 1); cap(recs) >= smallLog {
+		t.Fatalf("a lane of 3 records holds a log of capacity %d", cap(recs))
+	}
+	if recs := log(topic, 2); recs != nil {
+		t.Fatalf("a partition nothing appended to holds a log of capacity %d", cap(recs))
+	}
+	var ref []Record
+	for i := 0; i <= smallLog; i++ {
+		if _, err := p.SendTo("plain", 0, nil, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, Record{})
+	}
+	if recs := log(plain, 0); cap(recs) != cap(ref) {
+		t.Fatalf("an unretained log of %d records has capacity %d, want append's %d", len(recs), cap(recs), cap(ref))
+	}
+}
+
 func TestFetchBelowLowWatermark(t *testing.T) {
 	b := NewBroker()
 	topic := newTestTopic(t, b, "t", 1, WithRetention(1))

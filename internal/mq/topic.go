@@ -78,11 +78,13 @@ func newTopic(name string, partitions int, opts ...TopicOption) *Topic {
 		groups:  make(map[string]*group),
 		changed: make(chan struct{}),
 	}
-	for i := range t.parts {
-		t.parts[i] = &partition{}
-	}
 	for _, opt := range opts {
 		opt(t)
+	}
+	for i := range t.parts {
+		// While its groups keep up, compaction holds a retained log under
+		// 2 × retain records: the log to allocate once (see room).
+		t.parts[i] = &partition{logCap: 2 * t.retain}
 	}
 	return t
 }
@@ -303,11 +305,31 @@ type partition struct {
 	mu      sync.Mutex
 	records []Record
 	base    int64 // offset of records[0]
+	logCap  int   // 2 × retain: the retained log's one full-size allocation; 0 = grow by append
+}
+
+// smallLog is how many records a retained log holds before it moves to its
+// full size: a lane that only ever carries a few records (an end-of-stream
+// broadcast, a partition a rescale left idle) costs kilobytes, not a full log.
+const smallLog = 64
+
+// room makes space for n more records. A retained log grows by append up to
+// smallLog records and then, the first time it needs more, is allocated once
+// at its full 2 × retain — not grown step by step, which costs about five
+// times the final log in allocations. Callers hold mu.
+func (p *partition) room(n int) {
+	need := len(p.records) + n
+	if need > smallLog && need > cap(p.records) && cap(p.records) < p.logCap {
+		grown := make([]Record, len(p.records), max(p.logCap, need))
+		copy(grown, p.records)
+		p.records = grown
+	}
 }
 
 func (p *partition) append(rec Record, idx int) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.room(1)
 	rec.Partition = idx
 	rec.Offset = p.base + int64(len(p.records))
 	p.records = append(p.records, rec)
@@ -320,6 +342,7 @@ func (p *partition) append(rec Record, idx int) int64 {
 func (p *partition) appendRun(recs []Record, idx int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.room(len(recs))
 	for _, rec := range recs {
 		rec.Partition = idx
 		rec.Offset = p.base + int64(len(p.records))

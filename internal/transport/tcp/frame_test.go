@@ -179,6 +179,22 @@ func dispatchFixture(t testing.TB) (*Server, *connState) {
 	return s, cs
 }
 
+// A retained partition allocates its log for 2 × retain records in one piece,
+// so the daemon refuses a retention past maxRetain: a few small sends must
+// not make it allocate whatever a create-topic frame names.
+func TestCreateTopicRetentionIsBounded(t *testing.T) {
+	s, cs := dispatchFixture(t)
+	create := func(name string, retain uint64) byte {
+		return s.dispatch(cs, appendUvarint(appendUvarint(appendStr([]byte{opCreateTopic}, name), 1), retain), nil)[0]
+	}
+	if st := create("huge", 1<<40); st == stOK {
+		t.Fatal("a retention of 2^40 records was accepted")
+	}
+	if st := create("limit", maxRetain); st != stOK {
+		t.Fatalf("a retention of maxRetain answered status %d", st)
+	}
+}
+
 // sendBatchRequest builds an opSendBatch frame of n records.
 func sendBatchRequest(topic string, n, valueLen int) []byte {
 	req := appendStr([]byte{opSendBatch}, topic)

@@ -27,6 +27,10 @@ const (
 	// maxPartitions bounds a created topic's partition count (each one is a
 	// log, a lock and a committed-offset slot per group).
 	maxPartitions = 1 << 12
+	// maxRetain bounds a created topic's per-partition retention: a retained
+	// partition allocates its log, 2 × retain records, in one piece once it
+	// outgrows a few records.
+	maxRetain = 1 << 16
 	// maxFetch bounds the records of one fetch; anything larger is served as
 	// this many and the client polls again.
 	maxFetch = 1 << 16
@@ -200,10 +204,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		// The response is built after the headroom its length goes into and
 		// written from where it was built.
 		respBuf = s.dispatch(cs, req, respBuf[:frameStart])
-		s.ctr.roundTrips.Add(1) // before the write: a client that has its answer finds it counted
-		n, err = conn.Write(sealFrame(respBuf))
-		s.ctr.bytesOut.Add(int64(n))
+		// Counted before the write: a client that has its answer finds it
+		// counted. A short write takes back what did not go out.
+		frame := sealFrame(respBuf)
+		s.ctr.roundTrips.Add(1)
+		s.ctr.bytesOut.Add(int64(len(frame)))
+		n, err = conn.Write(frame)
 		if err != nil {
+			s.ctr.bytesOut.Add(int64(n - len(frame)))
 			return
 		}
 	}
@@ -303,6 +311,9 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		}
 		if parts > maxPartitions {
 			return appendErr(resp, fmt.Errorf("tcp: %d partitions exceeds the limit of %d", parts, maxPartitions))
+		}
+		if retain > maxRetain {
+			return appendErr(resp, fmt.Errorf("tcp: retention of %d records exceeds the limit of %d", retain, maxRetain))
 		}
 		if err := s.bus.CreateTopic(name, int(parts), int(retain)); err != nil {
 			return appendErr(resp, err)
