@@ -452,21 +452,22 @@ func TestOpsSurface(t *testing.T) {
 }
 
 // TestDrainTimeoutKnob verifies the facade plumbs Config.DrainTimeout to
-// the session and surfaces ErrDrainTimeout: a census-sampling run whose
-// root spins longer per item than the pushers take to produce cannot
-// quiesce before a tiny deadline.
+// the session and surfaces ErrDrainTimeout: a census-sampling run with a
+// backlog in flight cannot quiesce before a deadline that has passed by the
+// drain's first probe.
 func TestDrainTimeoutKnob(t *testing.T) {
 	d, err := Open(context.Background(), Config{
 		Strategy:     Native,
 		Window:       25 * time.Millisecond,
 		Seed:         7,
-		DrainTimeout: 50 * time.Millisecond,
+		DrainTimeout: time.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	// A big backlog against a root that has to process it exactly: with a
-	// 50 ms deadline the drain cannot finish behind ~8 windows of data.
+	// A big backlog against a root that has to process it exactly: the drain
+	// needs three quiescent probes a quarter window apart, and the deadline
+	// has passed by the first.
 	items := make([]Item, 20000)
 	for k := range items {
 		items[k] = Item{Value: 1}
@@ -474,8 +475,6 @@ func TestDrainTimeoutKnob(t *testing.T) {
 	if err := d.Ingest("wedge", items...); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	// The drain probe requires 4×Window (100 ms) of root-side silence, and
-	// the root was active moments ago — a 50 ms deadline must expire.
 	res, err := d.Close()
 	if !errors.Is(err, ErrDrainTimeout) {
 		t.Fatalf("Close = %v, want ErrDrainTimeout", err)

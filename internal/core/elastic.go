@@ -572,43 +572,24 @@ func (s *LiveSession) RemoveEdgeNode(nodeID string) error {
 	if g.isDetached() {
 		return fmt.Errorf("%w: %q", ErrNodeDetached, nodeID)
 	}
-	// 1. Stop admitting: set the flag, then fence — taking the push barrier
-	// for writing waits out every push admitted before the flag, so after
-	// this line no new record can land in the node's topic.
+	// 1. Stop admitting: set the flag, then fence the node's valves — Push
+	// reads the flag under its valve's mutex, so after this line no new
+	// record can land in the node's topic.
 	g.mu.Lock()
 	g.detached = true
 	g.mu.Unlock()
-	s.pushMu.Lock()
-	s.pushMu.Unlock() //nolint:staticcheck // empty critical section IS the fence
+	s.fence(g)
 	// 2. Wait for the members to consume what was already admitted: records
 	// stranded in the topic after the members stop would break the
 	// invariant (pushed and counted, never processed).
-	undo := func(cause error) error {
+	if err := s.settle(s.ctx, func() bool { return g.lag() == 0 && !g.busy() }); err != nil {
 		g.mu.Lock()
 		g.detached = false
 		g.mu.Unlock()
-		return cause
-	}
-	var deadline time.Time
-	if s.cfg.DrainTimeout > 0 {
-		deadline = time.Now().Add(s.cfg.DrainTimeout)
-	}
-	for g.lag() > 0 || g.busy() {
-		if s.ctx.Err() != nil {
-			return undo(ErrSessionClosed)
+		if !errors.Is(err, ErrDrainTimeout) {
+			err = ErrSessionClosed
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return undo(ErrDrainTimeout)
-		}
-		wait := s.cfg.Window / 8
-		if wait <= 0 {
-			wait = time.Millisecond
-		}
-		select {
-		case <-s.ctx.Done():
-			return undo(ErrSessionClosed)
-		case <-time.After(wait):
-		}
+		return err
 	}
 	// Wait for pending == 0 too? No: pending is buffered Ψ awaiting a
 	// window flush, and in event-time mode nothing flushes it until the

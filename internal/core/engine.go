@@ -21,8 +21,10 @@ import (
 // openEngine: topics created, the tier's shard groups built with one edge-
 // and one root-member constructor and started, the sweep ticker, the run
 // counters and bandwidth account, the root watermark merge and emit path,
-// the base snapshot, the quiescence probe and the push valves. What a session
-// adds on top — the in-process lifecycle and elastic verbs, the node-mode
+// the base snapshot, the quiescence probe and the push valves — and one
+// lifecycle: one push fence (stopAdmitting), one drain loop (settle), one
+// close sequence (shutdown) and one context watcher. What a session adds on
+// top — the in-process bus, truth fold and elastic verbs, the node-mode
 // completion marker — lives with that session.
 type engine struct {
 	cfg  LiveConfig
@@ -41,7 +43,7 @@ type engine struct {
 	// (LiveSnapshot.CheckpointErrors) — counted, never fatal.
 	ckptErrs atomic.Int64
 	// quiesce silences the event-time keepalive punctuations from the
-	// moment shutdown starts (see samplingProcessor.keepalive).
+	// moment a session drain starts (see samplingProcessor.keepalive).
 	quiesce atomic.Bool
 
 	// res is the run's result as it is assembled: Latency and Bandwidth from
@@ -87,18 +89,34 @@ type engine struct {
 	subDrops   atomic.Int64
 
 	// Push valves, one per source slot, created on demand; lags holds one
-	// carried lag per leaf topic, shared by every valve on it.
+	// carried lag per leaf topic, shared by every valve on it. truth is the
+	// per-slot ground truth the valves sum (TruthSum), in process only: nil
+	// on a node tier.
 	valveMu sync.Mutex
 	valves  []*Ingester
 	lags    map[string]*carriedLag
+	truth   []paddedFloat
 
 	// Lifecycle. drainCh is closed when the session stops admitting pushes,
-	// waking pacing sleeps and backpressure waits.
+	// waking pacing sleeps and backpressure waits; closed when the close
+	// sequence has run; watched when the context watcher has exited.
 	state      atomic.Int32
 	ctx        context.Context
 	drainCh    chan struct{}
+	admitOnce  sync.Once
+	closeOnce  sync.Once
+	closed     chan struct{}
+	watched    chan struct{}
 	cancelTick context.CancelFunc
 	tickWG     sync.WaitGroup
+}
+
+// paddedFloat is one slot's ground-truth sum, written only under its valve's
+// mutex and padded to a cache line of its own so the slots don't
+// false-share.
+type paddedFloat struct {
+	v float64
+	_ [56]byte
 }
 
 // everyTier is the tier OpenLive runs: every edge layer, the root, and the
@@ -133,6 +151,8 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, bus transport.B
 		lags:      make(map[string]*carriedLag),
 		ctx:       ctx,
 		drainCh:   make(chan struct{}),
+		closed:    make(chan struct{}),
+		watched:   make(chan struct{}),
 	}
 	now := time.Now()
 	e.startNanos.Store(now.UnixNano())
@@ -364,6 +384,120 @@ func (e *engine) stop() {
 	e.stopAll()
 }
 
+// stopAdmitting is the one push fence, run once: the state goes to draining,
+// drainCh closes (waking pacing sleeps and backpressure waits), and each
+// valve's mutex is taken in turn. Push reads the state under that mutex, so
+// once the last one has been taken no push admitted before the flip is still
+// in flight: a drain probe cannot miss one, and none can reach the broker,
+// the counters or the truth sums after finalize. With eos every slot's valve
+// — created if it was never pushed, so every expected producer chain
+// terminates in-band — sends the end of stream while it holds the mutex.
+// Concurrent callers wait for the first.
+func (e *engine) stopAdmitting(eos bool) {
+	e.admitOnce.Do(func() {
+		e.state.Store(int32(StateDraining))
+		close(e.drainCh)
+		if !eos {
+			e.fence(nil)
+			return
+		}
+		for slot := 0; slot < e.plan.Spec.Sources; slot++ {
+			if in, err := e.ingester(slot); err == nil {
+				in.sendEOS()
+			}
+		}
+	})
+}
+
+// fence waits out every push in flight through the valves feeding leaf —
+// every valve when leaf is nil — after the caller has changed what Push
+// checks under the valve's mutex (the state, the leaf's detach flag). A valve
+// created after the fence reads the change on its first push.
+func (e *engine) fence(leaf *shardGroup) {
+	e.valveMu.Lock()
+	valves := append([]*Ingester(nil), e.valves...)
+	e.valveMu.Unlock()
+	for _, in := range valves {
+		if in != nil && (leaf == nil || in.leaf == leaf) {
+			in.mu.Lock()
+			in.mu.Unlock() //nolint:staticcheck // empty critical section IS the fence
+		}
+	}
+}
+
+// drain is the session drain: keepalives go quiet — which also arms the
+// shutdown backstop in samplingProcessor.punctuate — and settle waits for the
+// whole engine to be quiescent.
+func (e *engine) drain(ctx context.Context) error {
+	e.quiesce.Store(true)
+	return e.settle(ctx, e.quiescent)
+}
+
+// settle is the one drain loop. It returns nil once quiet has held for three
+// consecutive probes Window/4 apart — so a flush racing one probe cannot
+// fake it — or once the session has closed; ctx's error if ctx ends first;
+// and ErrDrainTimeout once LiveConfig.DrainTimeout has passed (never, when
+// that is negative).
+func (e *engine) settle(ctx context.Context, quiet func() bool) error {
+	var deadline time.Time
+	if e.cfg.DrainTimeout > 0 {
+		deadline = time.Now().Add(e.cfg.DrainTimeout)
+	}
+	probe := time.NewTicker(max(e.cfg.Window/4, time.Millisecond))
+	defer probe.Stop()
+	for clean := 0; ; {
+		if !quiet() {
+			clean = 0
+		} else if clean++; clean == 3 {
+			return nil
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return ErrDrainTimeout
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-e.closed:
+			return nil
+		case <-probe.C:
+		}
+	}
+}
+
+// shutdown is the one close sequence, run once after the fence: stop the
+// engine, finalize the result with the run ending at end, let own add what
+// only the session knows, publish the result as final — before the state
+// says closed, so a Snapshot racing Close never sees it half assembled — then
+// end every Windows subscription and close closed. Concurrent callers wait
+// for the first.
+func (e *engine) shutdown(end time.Time, own func()) {
+	e.closeOnce.Do(func() {
+		e.stop()
+		e.finalize(end)
+		own()
+		e.final.Store(e.res)
+		e.state.Store(int32(StateClosed))
+		e.closeSubs()
+		close(e.closed)
+	})
+}
+
+// watch aborts the session if its context ends before it closes: the fence,
+// no drain, then finish — the session's close sequence. The watcher closes
+// watched as it exits; a session's Close waits for that, so no goroutine
+// outlives Close (finish must not: it runs on the watcher).
+func (e *engine) watch(finish func()) {
+	go func() {
+		defer close(e.watched)
+		select {
+		case <-e.ctx.Done():
+			e.stopAdmitting(false)
+			finish()
+		case <-e.closed:
+		}
+	}()
+}
+
 // State returns the session's lifecycle phase.
 func (e *engine) State() SessionState { return SessionState(e.state.Load()) }
 
@@ -561,13 +695,10 @@ func (e *engine) publishWindow(win WindowResult) {
 	}
 }
 
-// closeSubs ends every Windows subscription.
+// closeSubs ends every Windows subscription (once, in the close sequence).
 func (e *engine) closeSubs() {
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
-	if e.subsClosed {
-		return
-	}
 	e.subsClosed = true
 	for _, ch := range e.subs {
 		close(ch)
@@ -738,9 +869,8 @@ func (e *engine) quiescent() bool {
 }
 
 // ingester returns the push valve for one source slot, creating it on first
-// use; live is the in-process session the valve fences against (nil in node
-// mode).
-func (e *engine) ingester(slot int, live *LiveSession) (*Ingester, error) {
+// use.
+func (e *engine) ingester(slot int) (*Ingester, error) {
 	if slot < 0 || slot >= e.plan.Spec.Sources {
 		return nil, fmt.Errorf("%w: slot %d of %d sources", ErrBadSourceSlot, slot, e.plan.Spec.Sources)
 	}
@@ -760,8 +890,7 @@ func (e *engine) ingester(slot int, live *LiveSession) (*Ingester, error) {
 	}
 	in := &Ingester{
 		e:        e,
-		live:     live,
-		leafID:   leaf.ID,
+		leaf:     e.groupByID[leaf.ID],
 		lagGroup: leaf.ID + "-in", // the leaf node's consumer group (streams source node "in")
 		carried:  lag,
 		rate:     e.cfg.SourceRate,
@@ -775,22 +904,14 @@ func (e *engine) ingester(slot int, live *LiveSession) (*Ingester, error) {
 			enc:       encoderFor(e.bus),
 		},
 	}
+	if e.truth != nil {
+		in.truth = &e.truth[slot]
+	}
 	if e.cfg.EventTime {
 		in.marks = make(map[stream.SourceID]time.Time)
 	}
 	e.valves[slot] = in
 	return in, nil
-}
-
-// sendEOS fans the end-of-stream watermark out through every source slot
-// (event-time only), creating valves for slots that were never pushed so
-// that every expected producer chain terminates explicitly.
-func (e *engine) sendEOS(live *LiveSession) {
-	for slot := 0; slot < e.plan.Spec.Sources; slot++ {
-		if in, err := e.ingester(slot, live); err == nil {
-			in.sendEOS()
-		}
-	}
 }
 
 // forceProbe puts topic's carried lag past the mark, so the next push on it

@@ -143,12 +143,14 @@ type LiveConfig struct {
 	// unbounded broker memory. 0 selects the default (8192); negative
 	// disables backpressure.
 	MaxIngestLag int
-	// DrainTimeout bounds how long Close waits for the pipeline to quiesce
-	// before assembling the final result anyway. A wedged pipeline then
-	// surfaces ErrDrainTimeout (on Close/Err and LiveResult.DrainTimedOut)
-	// instead of silently returning a result missing in-flight items.
-	// 0 selects the default (2 minutes); negative waits forever (context
-	// cancellation remains the only way out of a wedged drain).
+	// DrainTimeout bounds every drain — Close's, a node tier's Drain, and
+	// RemoveEdgeNode's wait for the detached topic — before it gives up. A
+	// wedged pipeline then surfaces ErrDrainTimeout (Close assembles the
+	// final result anyway, with the error on Close/Err and
+	// LiveResult.DrainTimedOut) instead of silently returning a result
+	// missing in-flight items. 0 selects the default (2 minutes); negative
+	// waits forever (context cancellation remains the only way out of a
+	// wedged drain).
 	DrainTimeout time.Duration
 	// OnWindow, if set, observes every non-empty window result as it
 	// closes, after the feedback step. It runs on the window ticker

@@ -30,13 +30,16 @@ import (
 // data, which is exactly what makes the multi-process run produce per-
 // window counts identical to a single-process run of the same workload.
 //
-// Completion flows with the data too. The source process pushes its items,
-// then FinishIngest broadcasts the end-of-stream watermark; the close wave
-// cascades bottom-up through every tier exactly as it does inside a single
-// process, and when the root's merged watermark reaches end-of-stream the
-// root session publishes a completion marker on the plan's control topic.
-// Edge-tier processes WaitDone on that marker — by then everything they
-// will ever consume has been forwarded — then Drain and exit.
+// Completion flows with the data too, through the engine's one lifecycle —
+// the steps an in-process Close takes in one call, spread across the tiers.
+// The source process pushes its items, then FinishIngest stops admitting and
+// broadcasts the end-of-stream watermark (the engine's push fence, the one
+// Close runs); the close wave cascades bottom-up through every tier exactly
+// as it does inside a single process, and when the root's merged watermark
+// reaches end-of-stream the root session publishes a completion marker on
+// the plan's control topic. Edge-tier processes WaitDone on that marker — by
+// then everything they will ever consume has been forwarded — then Drain
+// (the engine's drain loop) and Close (its close sequence).
 
 // Node-mode errors.
 var (
@@ -100,20 +103,19 @@ type NodeResult struct {
 }
 
 // NodeSession is one process's slice of a live deployment: the session
-// engine running the tier's groups, plus the tier's validation, the
-// completion marker (completeRoot / WaitDone), Drain, FinishIngest and Close.
-// Construct with OpenNode; all methods are safe for concurrent use. The
-// session never owns its bus — Close leaves the backend (and the topics it
-// holds) running for the other tiers.
+// engine running the tier's groups — with the engine's lifecycle: FinishIngest
+// and Close fence pushes as an in-process Close does, Drain is the engine's
+// drain — plus the tier's validation and the completion marker (completeRoot
+// / WaitDone). Construct with OpenNode; all methods are safe for concurrent
+// use. The session never owns its bus — Close leaves the backend (and the
+// topics it holds) running for the other tiers.
 type NodeSession struct {
 	*engine
 
 	doneOnce sync.Once
 	done     chan struct{} // the run completed: the root saw end of stream
 
-	closeOnce sync.Once
-	closed    chan struct{}
-	result    *NodeResult
+	result *NodeResult // set by the close sequence
 }
 
 // errNoIngest rejects valve operations on a tier without source valves.
@@ -157,20 +159,14 @@ func OpenNode(ctx context.Context, cfg LiveConfig, tier NodeTier) (*NodeSession,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := &NodeSession{done: make(chan struct{}), closed: make(chan struct{})}
+	n := &NodeSession{done: make(chan struct{})}
 	// The ticker may run atEOS before openEngine returns, so it must not
 	// reach the engine through n.
 	atEOS := func() { n.completeRoot(cfg.Bus, plan.ControlTopic) }
 	if n.engine, err = openEngine(ctx, cfg, plan, cfg.Bus, tier, atEOS); err != nil {
 		return nil, err
 	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			n.Close()
-		case <-n.closed:
-		}
-	}()
+	n.watch(n.finish)
 	return n, nil
 }
 
@@ -237,50 +233,36 @@ func (n *NodeSession) WaitDone(ctx context.Context) error {
 	}
 }
 
-// Drain blocks until this process's groups quiesce (engine.quiescent) for
-// three consecutive probes, so a flush racing one probe cannot fake
-// quiescence. Call after WaitDone (the pipeline upstream of this tier has
-// stopped producing) and before Close. Returns ctx's error on cancellation.
+// Drain blocks until this process's groups are quiescent — the engine's
+// drain, the one an in-process Close runs: keepalives go quiet and three
+// consecutive probes must find nothing in flight. Call after WaitDone (the
+// pipeline upstream of this tier has stopped producing) and before Close.
+// Returns ctx's error on cancellation and ErrDrainTimeout once
+// LiveConfig.DrainTimeout has passed; nil if the session closes meanwhile.
 func (n *NodeSession) Drain(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	wait := n.cfg.Window / 4
-	if wait <= 0 {
-		wait = time.Millisecond
-	}
-	for clean := 0; clean < 3; {
-		if n.quiescent() {
-			clean++
-		} else {
-			clean = 0
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-n.closed:
-			return nil
-		case <-time.After(wait):
-		}
-	}
-	return nil
+	return n.drain(ctx)
 }
 
-// Close stops this process's groups and assembles the tier's final
-// NodeResult; Snapshot's Elapsed and Throughput freeze at this instant. It
-// does NOT close the bus (the session never owns it) and it does not drain —
-// call Drain first for a graceful exit. Idempotent; every call returns the
-// same result.
+// Close stops admitting pushes (without the end of stream — that is
+// FinishIngest's), stops this process's groups and assembles the tier's
+// final NodeResult; Snapshot's Elapsed and Throughput freeze at this instant.
+// It does NOT close the bus (the session never owns it) and it does not
+// drain — call Drain first for a graceful exit. Idempotent; every call
+// returns the same result.
 func (n *NodeSession) Close() *NodeResult {
-	n.closeOnce.Do(func() {
-		n.quiesce.Store(true)
-		n.state.Store(int32(StateDraining))
-		close(n.drainCh)
-		n.stop()
-		n.finalize(time.Now())
-		n.final.Store(n.res)
-		n.state.Store(int32(StateClosed))
-		n.closeSubs()
+	n.stopAdmitting(false)
+	n.finish()
+	<-n.watched
+	return n.result
+}
+
+// finish runs the engine's close sequence, the run ending now, and assembles
+// the tier's NodeResult.
+func (n *NodeSession) finish() {
+	n.shutdown(time.Now(), func() {
 		n.result = &NodeResult{
 			Produced:         n.res.Produced,
 			RootProcessed:    n.res.RootProcessed,
@@ -289,10 +271,7 @@ func (n *NodeSession) Close() *NodeResult {
 			LateDroppedInput: n.res.LateDroppedInput,
 			Windows:          n.res.Windows,
 		}
-		close(n.closed)
 	})
-	<-n.closed
-	return n.result
 }
 
 // Pusher returns the push valve for one source slot (Ingest tiers only;
@@ -302,7 +281,7 @@ func (n *NodeSession) Pusher(slot int) (*NodePusher, error) {
 	if !n.tier.Ingest {
 		return nil, errNoIngest
 	}
-	return n.ingester(slot, nil)
+	return n.ingester(slot)
 }
 
 // Push publishes items onto source slot `slot` — the multi-arg convenience
@@ -315,22 +294,21 @@ func (n *NodeSession) Push(slot int, items ...stream.Item) error {
 	return v.Push(items...)
 }
 
-// FinishIngest ends this process's ingestion: further pushes are rejected
-// with ErrSessionDraining, and the end-of-stream watermark is broadcast
-// through every source slot's valve (valves for never-pushed slots are
-// created so every statically-expected producer chain terminates in-band).
-// The close wave then cascades through every tier and the root completes.
-// Calling it again is a no-op.
+// FinishIngest ends this process's ingestion with the engine's fence:
+// further pushes are rejected with ErrSessionDraining, a push parked in its
+// pacing sleep or backpressure wait wakes and returns, and once every push
+// admitted before has landed the end-of-stream watermark goes out through
+// every source slot's valve (valves for never-pushed slots are created so
+// every statically-expected producer chain terminates in-band). The close
+// wave then cascades through every tier and the root completes. Calling it
+// again is a no-op.
 func (n *NodeSession) FinishIngest() error {
 	if !n.tier.Ingest {
 		return errNoIngest
 	}
-	if !n.state.CompareAndSwap(int32(StateIngesting), int32(StateDraining)) {
-		if n.State() == StateClosed {
-			return ErrSessionClosed
-		}
-		return nil
+	if n.State() == StateClosed {
+		return ErrSessionClosed
 	}
-	n.sendEOS(nil)
+	n.stopAdmitting(true)
 	return nil
 }

@@ -26,8 +26,8 @@ import (
 //	ingesting   callers push items (Ingest / Ingester), subscribe to
 //	            window results (Windows), read telemetry (Snapshot), and
 //	            steer the adaptive controller (SetTarget)
-//	draining    Close stops accepting pushes and waits for in-flight
-//	            windows to reach the root
+//	draining    Close stops accepting pushes and waits until nothing is in
+//	            flight (the engine's drain, the one a node tier runs too)
 //	closed      the final LiveResult is merged and returned; context
 //	            cancellation jumps here directly, skipping the drain but
 //	            keeping every already-closed window intact
@@ -104,9 +104,9 @@ var ErrDrainTimeout = errors.New("core: drain deadline exceeded; final result ma
 // or any backend supplied via LiveConfig.Bus — accepting pushed items and
 // emitting window results until closed. It is the session engine running
 // every tier, plus what only an in-process deployment has: a bus it may own,
-// the draining/closed lifecycle with its push barrier, per-slot ground
-// truth, the elastic verbs (elastic.go) and checkpointed members. Construct
-// with OpenLive; all methods are safe for concurrent use.
+// the per-slot ground truth fold, Err/Done, the elastic verbs (elastic.go)
+// and checkpointed members. Construct with OpenLive; all methods are safe
+// for concurrent use.
 type LiveSession struct {
 	*engine
 	// ownsBus: the session created its own in-memory bus and shuts it down
@@ -119,32 +119,8 @@ type LiveSession struct {
 	// against the concurrent readers (drain probe, telemetry, valves).
 	elMu sync.Mutex
 
-	// Per-slot ground truth, folded into res.TruthSum in slot order at
-	// shutdown so the total is deterministic regardless of goroutine
-	// scheduling.
-	truth []paddedFloat
-
-	// Push/Close barrier. Every Push holds pushMu for reading from its
-	// state check to its last Send; shutdown flips the state, closes
-	// drainCh (waking pacing sleeps), and takes pushMu for writing — so no
-	// push admitted before the state flip can still be mid-flight when the
-	// drain probe starts, and none can touch the broker or the truth
-	// accumulators after finalize.
-	pushMu sync.RWMutex
-
-	watchWG   sync.WaitGroup
-	closeOnce sync.Once
-	done      chan struct{}
-	errMu     sync.Mutex
-	closeErr  error
-}
-
-// paddedFloat is a mutex-guarded accumulator with its own cache line's
-// worth of state, so per-slot truth sums don't false-share.
-type paddedFloat struct {
-	mu sync.Mutex
-	v  float64
-	_  [40]byte
+	errMu    sync.Mutex
+	closeErr error
 }
 
 // OpenLive compiles cfg's deployment plan, instantiates it as live shard
@@ -174,22 +150,9 @@ func OpenLive(ctx context.Context, cfg LiveConfig) (*LiveSession, error) {
 		}
 		return nil, err
 	}
-	s := &LiveSession{
-		engine:  e,
-		ownsBus: ownsBus,
-		truth:   make([]paddedFloat, plan.Spec.Sources),
-		done:    make(chan struct{}),
-	}
-	// Context watcher: a cancelled ctx aborts the session without a drain.
-	s.watchWG.Add(1)
-	go func() {
-		defer s.watchWG.Done()
-		select {
-		case <-ctx.Done():
-			s.shutdown(false, ctx.Err())
-		case <-s.done:
-		}
-	}()
+	e.truth = make([]paddedFloat, plan.Spec.Sources)
+	s := &LiveSession{engine: e, ownsBus: ownsBus}
+	s.watch(func() { s.finish(ctx.Err()) })
 	return s, nil
 }
 
@@ -279,7 +242,7 @@ func compileLive(cfg LiveConfig) (LiveConfig, *Plan, error) {
 // Done is closed when the session reaches the closed state — by Close or by
 // context cancellation. After Done, Close returns immediately with the
 // final result.
-func (s *LiveSession) Done() <-chan struct{} { return s.done }
+func (s *LiveSession) Done() <-chan struct{} { return s.closed }
 
 // Err returns the error the session closed with: nil after a clean Close,
 // the context's error after cancellation, nil while still running.
@@ -289,16 +252,6 @@ func (s *LiveSession) Err() error {
 	return s.closeErr
 }
 
-// closeBus shuts the bus down if the session owns it (it created an
-// in-memory bus because LiveConfig.Bus was nil). A caller-supplied bus is
-// left running: on a shared backend it serves other sessions and processes,
-// and shutting it down is its owner's call.
-func (s *LiveSession) closeBus() {
-	if s.ownsBus {
-		_ = s.bus.Close()
-	}
-}
-
 // Ingester returns the push valve for one source slot (0 ≤ slot <
 // Spec.Sources): the live analogue of "IoT source number slot". Pushes
 // through the valve publish into the slot's leaf topic, are paced to
@@ -306,7 +259,7 @@ func (s *LiveSession) closeBus() {
 // unconsumed backlog exceeds LiveConfig.MaxIngestLag. The valve is cached:
 // every call for the same slot returns the same *Ingester.
 func (s *LiveSession) Ingester(slot int) (*Ingester, error) {
-	return s.ingester(slot, s)
+	return s.ingester(slot)
 }
 
 // Ingest publishes items onto sub-stream src: every item's Source is set to
@@ -459,110 +412,48 @@ type LiveSnapshot struct {
 	LastWindow *WindowResult
 }
 
-// drain waits until every group is quiescent (engine.quiescent) and the
-// root has been idle for several windows (final punctuation flushes
-// included). A cancelled context ends the drain immediately (nil — the
-// context's error is surfaced by the caller). A pipeline still wedged at
-// cfg.DrainTimeout returns ErrDrainTimeout so the caller can mark the final
-// result incomplete instead of pretending the drain succeeded.
-func (s *LiveSession) drain() error {
-	var deadline time.Time
-	if s.cfg.DrainTimeout > 0 {
-		deadline = time.Now().Add(s.cfg.DrainTimeout)
-	}
-	for deadline.IsZero() || time.Now().Before(deadline) {
-		if s.ctx.Err() != nil {
-			return nil
-		}
-		idle := time.Since(time.Unix(0, s.lastActivity.Load()))
-		if s.quiescent() && idle > 4*s.cfg.Window {
-			return nil
-		}
-		select {
-		case <-s.ctx.Done():
-			return nil
-		case <-time.After(s.cfg.Window / 4):
-		}
-	}
-	return ErrDrainTimeout
-}
-
 // Close drains the deployment and returns the final merged LiveResult:
 // pushes are rejected from the moment Close is called (ErrSessionDraining),
-// in-flight windows reach the root, the final partial window is closed, and
-// every goroutine the session owns exits. Close is idempotent — every call
-// returns the same result — and safe to call after context cancellation, in
-// which case it reports the context's error alongside the result assembled
-// at abort time.
+// in event time the end of stream goes out through every valve, in-flight
+// windows reach the root, the final partial window is closed, and every
+// goroutine the session owns exits. Close is idempotent — every call returns
+// the same result — and safe to call after context cancellation, in which
+// case it reports the context's error alongside the result assembled at
+// abort time.
 func (s *LiveSession) Close() (*LiveResult, error) {
-	s.shutdown(true, nil)
-	// Wait for the context watcher here rather than in shutdown: when the
-	// watcher itself triggers the shutdown (ctx cancelled), waiting inside
-	// would be the watcher waiting on its own exit.
-	s.watchWG.Wait()
+	s.stopAdmitting(s.cfg.EventTime)
+	s.finish(s.drain(s.ctx))
+	<-s.watched
 	return s.res, s.Err()
 }
 
-// shutdown runs the end-of-life sequence exactly once: optional drain, stop
-// the ticker, stop the root group (members fully drain fetched records),
-// close the final partial window, stop everything else, and merge the
-// result. Concurrent callers (Close, the context watcher) block until the
-// first caller finishes.
-func (s *LiveSession) shutdown(drain bool, cause error) {
-	s.closeOnce.Do(func() {
-		s.quiesce.Store(true)
-		s.state.Store(int32(StateDraining))
-		// Barrier: wake pacing sleeps, then wait out every push that was
-		// admitted before the state flip. After this, no Push can reach
-		// the broker or the truth accumulators, so the drain probe cannot
-		// miss in-flight pushes and finalize reads settled counters.
-		close(s.drainCh)
-		s.pushMu.Lock()
-		s.pushMu.Unlock() //nolint:staticcheck // empty critical section IS the fence
-		if drain {
-			if s.cfg.EventTime {
-				// End of stream: push the end-of-stream watermark through
-				// every valve so the close wave cascades bottom-up through
-				// the same per-source machinery data used, and the drain
-				// probe below sees the buffered event windows flush.
-				s.sendEOS(s)
-			}
-			if derr := s.drain(); derr != nil {
-				// The pipeline never quiesced: assemble the result anyway,
-				// but say so — a silent partial drain is indistinguishable
-				// from a clean one to the caller.
-				s.res.DrainTimedOut = true
-				if cause == nil {
-					cause = derr
-				}
-			}
+// finish runs the engine's close sequence with what is the in-process
+// session's own: the run ends at the root's last activity; the drain's
+// verdict becomes the session's error — a timed-out drain also marks the
+// result DrainTimedOut, since a silent partial drain would be
+// indistinguishable from a clean one — and a context cancelled mid-Close
+// reports like an abort; the bus closes if the session owns it (a
+// caller-supplied one may serve other processes); and the per-slot truth
+// sums fold in slot order, so TruthSum is deterministic however the pushes
+// were scheduled.
+func (s *LiveSession) finish(cause error) {
+	s.shutdown(time.Unix(0, s.lastActivity.Load()), func() {
+		if errors.Is(cause, ErrDrainTimeout) {
+			s.res.DrainTimedOut = true
 		}
-		if err := s.ctx.Err(); err != nil && cause == nil {
-			cause = err // cancelled mid-Close: report it like an abort
+		if cause == nil {
+			cause = s.ctx.Err()
 		}
-		end := time.Unix(0, s.lastActivity.Load())
-		s.stop()
-		s.closeBus()
-		s.finalize(end)
+		if s.ownsBus {
+			_ = s.bus.Close()
+		}
 		for i := range s.truth {
-			s.truth[i].mu.Lock()
 			s.res.TruthSum += s.truth[i].v
-			s.truth[i].mu.Unlock()
 		}
-		// Publish the fully-assembled result atomically BEFORE the state
-		// flips to closed: concurrent Snapshots read closed-run fields only
-		// through this pointer, never through s.res directly, so no
-		// interleaving can observe a half-assembled result — regardless of
-		// how the stores below are ordered or reordered in the future.
-		s.final.Store(s.res)
 		s.errMu.Lock()
 		s.closeErr = cause
 		s.errMu.Unlock()
-		s.state.Store(int32(StateClosed))
-		s.closeSubs()
-		close(s.done)
 	})
-	<-s.done
 }
 
 // feed is the built-in generator ingestion client the RunLive wrapper uses:

@@ -268,20 +268,9 @@ func TestSessionCancelAfterQuiesceKeepsInvariant(t *testing.T) {
 		t.Fatalf("OpenLive: %v", err)
 	}
 	pushGenerated(t, s, 3, 4000)
-	// Wait until the pipeline is quiescent (same probe Close's drain uses).
+	// Wait until the pipeline is quiescent (the probe Close's drain uses).
 	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		var lag, pending int64
-		busy := false
-		for _, g := range s.groups {
-			pending += g.pending()
-			lag += g.lag()
-			busy = busy || g.busy()
-		}
-		if lag == 0 && !busy && pending == 0 &&
-			time.Since(time.Unix(0, s.lastActivity.Load())) > 4*s.cfg.Window {
-			break
-		}
+	for time.Now().Before(deadline) && !s.quiescent() {
 		time.Sleep(s.cfg.Window / 4)
 	}
 	cancel()

@@ -56,7 +56,6 @@ func (v *valve) publish(items []stream.Item, truth *paddedFloat) error {
 		sum        float64
 	)
 	if truth != nil {
-		truth.mu.Lock()
 		sum = truth.v
 	}
 	for j := range items {
@@ -85,7 +84,6 @@ func (v *valve) publish(items []stream.Item, truth *paddedFloat) error {
 	v.queue(src, items[lo:], mark)
 	if truth != nil {
 		truth.v = sum
-		truth.mu.Unlock()
 	}
 
 	err := v.send()
@@ -133,17 +131,16 @@ func (v *valve) send() error {
 // and publishes items into the slot's leaf topic, with backpressure against
 // the leaf node's consumer group. Both sessions hand out the same valve —
 // LiveSession.Ingester in process, NodeSession.Pusher in a process-per-tier
-// deployment — and only the in-process one adds the push/close barrier, the
-// detach check and the ground-truth sum. Pushes through one valve are
-// serialized (the valve preserves per-stratum order); distinct slots push
-// concurrently.
+// deployment — and only the in-process one sums ground truth. Pushes through
+// one valve are serialized (the valve preserves per-stratum order); distinct
+// slots push concurrently.
 type Ingester struct {
 	e        *engine
-	live     *LiveSession // the in-process session; nil in node mode
-	leafID   string       // the layer-0 node this valve feeds (detach checks)
+	leaf     *shardGroup // the layer-0 group this valve feeds; nil where another process runs it
 	lagGroup string
 	carried  *carriedLag // the leaf topic's, shared with every other valve on it
 	rate     float64
+	truth    *paddedFloat // the slot's ground-truth sum; nil on a node tier
 
 	// sent is atomic so observers (tests, telemetry) can read it while a
 	// Push is parked in backpressure holding mu.
@@ -178,33 +175,19 @@ func (in *Ingester) Sent() int64 { return in.sent.Load() }
 // Returns ErrSessionDraining once the session stops admitting pushes (Close
 // started, or FinishIngest) and ErrSessionClosed once it has closed.
 func (in *Ingester) Push(items ...stream.Item) error {
-	e, s := in.e, in.live
-	var truth *paddedFloat
-	if s != nil {
-		// The read half of the Push/Close barrier: held until the last Send
-		// so shutdown's write-lock acquisition is a fence behind every
-		// admitted push — none can land records or truth after the drain
-		// probe starts.
-		s.pushMu.RLock()
-		defer s.pushMu.RUnlock()
-		truth = &s.truth[in.slot]
-	}
-	// The state is read under mu: a node session's FinishIngest sends the
-	// end-of-stream records under it, so no push can land behind them.
+	e := in.e
+	// The state and the leaf's detach flag are read under mu, and both
+	// fences — engine.stopAdmitting and RemoveEdgeNode's — change them and
+	// then take mu, so no push a fence let in is still in flight past it.
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if err := e.ingestAllowed(); err != nil {
 		return err
 	}
-	if s != nil {
-		if g := s.groupByID[in.leafID]; g != nil && g.isDetached() {
-			// The valve's leaf node is detached (RemoveEdgeNode): nothing
-			// consumes its topic, so an admitted push would strand records
-			// and wedge the final drain. RemoveEdgeNode fences in-flight
-			// pushes via pushMu after setting the flag, so this check is
-			// race-free.
-			return fmt.Errorf("%w: %q", ErrNodeDetached, in.leafID)
-		}
+	if in.leaf != nil && in.leaf.isDetached() {
+		// Nothing consumes a detached node's topic: an admitted push would
+		// strand records and wedge the final drain.
+		return fmt.Errorf("%w: %q", ErrNodeDetached, in.leaf.desc.ID)
 	}
 	if len(items) == 0 {
 		return nil
@@ -220,7 +203,7 @@ func (in *Ingester) Push(items ...stream.Item) error {
 	// Ground truth goes item by item into the slot's running sum, so the
 	// per-slot total is bit-identical to a per-item accumulator and the
 	// final fold (slot order, at shutdown) is deterministic.
-	if err := in.publish(items, truth); err != nil {
+	if err := in.publish(items, in.truth); err != nil {
 		return err
 	}
 	sent := in.sent.Add(int64(len(items)))
