@@ -158,9 +158,10 @@ const (
 // for looking the control plane up in LiveResult.Bandwidth.
 const ControlTopic = core.ControlTopicName
 
-// ErrEventTimeStreaming rejects Config.EventTime combined with a streaming
-// strategy (SRS, Native): streaming forwards per batch with no windows to
-// assign records to, so event-time windowing has nothing to act on.
+// ErrEventTimeStreaming rejects a Simulate call combining Config.EventTime
+// with a streaming strategy (SRS, Native): the simulator's baselines forward
+// per batch with no edge windows to assign records to. Live runs window
+// every strategy and never return it.
 var ErrEventTimeStreaming = core.ErrEventTimeStreaming
 
 // ErrDrainTimeout reports that a live Close hit Config.DrainTimeout before
@@ -229,9 +230,9 @@ type Config struct {
 	// composed from the last Slide tumbling panes (pane composition): each
 	// WindowResult carries Sliding entries for the additive query kinds
 	// (SUM/COUNT) whose values and variances add across panes, so the
-	// composed bounds stay rigorous. Applies to both modes; with EventTime
-	// the sliding window spans exactly Slide × Tree.Window of event time
-	// (skipped empty panes contribute zero).
+	// composed bounds stay rigorous. Applies to both modes; live (and with
+	// EventTime in simulation) the sliding window spans exactly Slide
+	// windows of event time (skipped empty panes contribute zero).
 	Slide int
 	// Confidence is the error-bound level of every window result; defaults
 	// to TwoSigma (95%) in both modes.
@@ -254,28 +255,31 @@ type Config struct {
 	// apply it to pushed streams too. Simulated runs ignore it — their
 	// sources are rate-shaped by the workload generators.
 	SourceRate float64
-	// Window is the live processing-time sampling/query interval (default
-	// 50 ms). It paces how often the root closes a window and emits a
-	// result — the cadence of a Deployment's Windows subscription.
-	// Simulated runs ignore it (the TreeSpec's virtual-time window applies
-	// there). With EventTime set it is only the wall-clock sweep cadence —
-	// windows are then defined by record timestamps, not by this ticker.
+	// Window is the live sweep cadence (default 50 ms): how often the root
+	// merges due windows and emits results — the cadence of a Deployment's
+	// Windows subscription. With EventTime off it is also the window
+	// length. Simulated runs ignore it (the TreeSpec's virtual-time window
+	// applies there).
 	Window time.Duration
-	// EventTime switches both modes from processing-time windows
-	// ("whatever is buffered when the ticker fires") to event-time
-	// tumbling windows of Tree.Window length: records are assigned to
-	// windows by Item.Ts at every layer, per-source low watermarks ride
-	// the data path up the tree, and a window closes only when the
-	// watermark passes its end plus AllowedLateness. Live pushes keep
-	// caller-supplied event timestamps (a zero Ts defaults to the publish
-	// instant); WindowResult.Start/End identify each window. Records past
-	// the lateness horizon are counted into LiveResult.LateDropped (or
-	// SimResult.LateDropped) and dropped — closed windows stay exact.
-	// Incompatible with the streaming strategies (SRS, Native).
+	// EventTime selects who stamps the timestamps live windows are cut by.
+	// Live windows are always event-time tumbling windows: records are
+	// assigned to windows by Item.Ts at every layer, per-source low
+	// watermarks ride the data path up the tree, a window closes when the
+	// watermark passes its end plus AllowedLateness, and
+	// WindowResult.Start/End identify it. Off (the default), every push is
+	// stamped with its publish instant and windows are Window long: an
+	// ingest-stamped record is never late. On, windows are Tree.Window long
+	// and a caller-supplied Item.Ts is the event timestamp (a zero Ts
+	// defaults to the publish instant); records past the lateness horizon
+	// are counted into LiveResult.LateDropped (or SimResult.LateDropped)
+	// and dropped — closed windows stay exact. Simulated runs switch from
+	// arrival windows to event-time windows, which the streaming strategies
+	// (SRS, Native) do not support there (ErrEventTimeStreaming).
 	EventTime bool
 	// AllowedLateness is how far out of order records may arrive and still
 	// land in their window: window [s, s+W) closes once the watermark
-	// reaches s+W+AllowedLateness. Only meaningful with EventTime.
+	// reaches s+W+AllowedLateness. Only meaningful with EventTime (ingest
+	// stamps arrive in order).
 	AllowedLateness time.Duration
 	// IdleTimeout bounds how long a silent sub-stream may hold the
 	// watermark back before it is excluded from the minimum (live: wall
@@ -283,8 +287,8 @@ type Config struct {
 	// 4×Tree.Window — both raised to AllowedLateness if that is larger, so
 	// a source pausing within its promised lateness is never aged out).
 	// Negative disables the exclusion; live that requires single-member
-	// groups (RootShards and LayerShards of 1). Only meaningful with
-	// EventTime.
+	// groups (RootShards and LayerShards of 1). Simulated runs use it only
+	// with EventTime.
 	IdleTimeout time.Duration
 	// MaxIngestLag is the live push-side backpressure high-water mark: an
 	// Ingest call blocks while its leaf topic's unconsumed backlog exceeds
@@ -305,8 +309,9 @@ type Config struct {
 	// a crashed member without double-counting or losing committed input.
 	// Two backends ship with the package — NewMemoryCheckpointStore and
 	// NewFileCheckpointStore. Saves are best-effort and off the hot path;
-	// failures surface on Snapshot.CheckpointErrors. Requires a windowed
-	// strategy (WHS / ParallelWHS). Run and Simulate ignore it.
+	// failures surface on Snapshot.CheckpointErrors. Every strategy runs
+	// windowed live, so every strategy checkpoints. Run and Simulate ignore
+	// it.
 	Checkpoint CheckpointStore
 	// OpsAddr, when non-empty, makes Open serve the deployment's
 	// operational HTTP surface on this address ("127.0.0.1:9377", or ":0"
@@ -419,7 +424,8 @@ func (c Config) cost() core.CostFunction {
 	return core.EffectiveFractionBudget{Fraction: c.Fraction}
 }
 
-// streaming reports whether the strategy forwards without edge windows.
+// streaming reports whether the strategy forwards without edge windows in
+// simulation.
 func (c Config) streaming() bool { return c.Strategy == SRS || c.Strategy == Native }
 
 // Simulate runs the configured pipeline on deterministic virtual time for
@@ -480,7 +486,6 @@ func Run(cfg Config, source func(i int) Source, items int64) (*LiveResult, error
 		MaxIngestLag:    cfg.MaxIngestLag,
 		DrainTimeout:    cfg.DrainTimeout,
 		OnWindow:        cfg.OnWindow,
-		Streaming:       cfg.streaming(),
 		EventTime:       cfg.EventTime,
 		AllowedLateness: cfg.AllowedLateness,
 		IdleTimeout:     cfg.IdleTimeout,

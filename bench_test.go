@@ -239,16 +239,16 @@ func BenchmarkLiveLayerShards(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveEventTime prices the event-time machinery against
-// processing-time windows on the same single-member deployment: per-record
-// window assignment by timestamp, per-chain watermark tracking, and the
-// heartbeat ladder, versus "whatever the ticker finds buffered".
-// Generator timestamps advance with the feed, so watermarks progress and
-// windows close in-band, not just at the end-of-stream sweep. The two
-// rows are an end-to-end cost comparison, not like-for-like windows: the
-// event-time run closes 1 s event windows driven by the generator's
-// virtual timeline, the processing-time run closes 50 ms wall-clock ones,
-// so window counts (and with them per-window overheads) differ by design.
+// BenchmarkLiveEventTime prices caller timestamps against ingest stamps on
+// the same single-member deployment: both run the event-time machinery
+// (window assignment by timestamp, per-chain watermark tracking, the
+// heartbeat ladder). Generator timestamps advance with the feed, so
+// watermarks progress and windows close in-band, not just at the
+// end-of-stream sweep. The two rows are an end-to-end cost comparison, not
+// like-for-like windows: the caller-stamped run closes 1 s event windows
+// driven by the generator's virtual timeline, the ingest-stamped run 50 ms
+// windows of publish instants, so window counts (and with them per-window
+// overheads) differ by design.
 func BenchmarkLiveEventTime(b *testing.B) {
 	source := func(i int) approxiot.Source {
 		return workload.GaussianMicro(7+uint64(i)*131, 1500)
@@ -275,7 +275,7 @@ func BenchmarkLiveEventTime(b *testing.B) {
 		}
 		b.ReportMetric(throughput/float64(b.N), "items/s")
 	}
-	b.Run("processing-time", func(b *testing.B) { run(b, false) })
+	b.Run("ingest-stamped", func(b *testing.B) { run(b, false) })
 	b.Run("event-time", func(b *testing.B) { run(b, true) })
 }
 

@@ -112,7 +112,6 @@ func Open(ctx context.Context, cfg Config) (*Deployment, error) {
 		MaxIngestLag:    cfg.MaxIngestLag,
 		DrainTimeout:    cfg.DrainTimeout,
 		OnWindow:        cfg.OnWindow,
-		Streaming:       cfg.streaming(),
 		EventTime:       cfg.EventTime,
 		AllowedLateness: cfg.AllowedLateness,
 		IdleTimeout:     cfg.IdleTimeout,
@@ -133,11 +132,12 @@ func Open(ctx context.Context, cfg Config) (*Deployment, error) {
 
 // Ingest publishes items onto sub-stream src: every item's Source is set to
 // src, the batch is stamped with its wall-clock publish instant (end-to-end
-// latency is measured from here; with Config.EventTime a caller-supplied
-// Item.Ts is preserved as the event timestamp, a zero Ts defaults to the
-// publish instant), and src hashes to a stable source slot so one stratum
-// always enters the tree at the same leaf, preserving per-stratum
-// ordering. Subject to SourceRate pacing and MaxIngestLag backpressure.
+// latency is measured from here; without Config.EventTime that instant is
+// also every item's Ts, with it a caller-supplied Item.Ts is preserved as
+// the event timestamp, a zero Ts defaulting to the publish instant), and
+// src hashes to a stable source slot so one stratum always enters the tree
+// at the same leaf, preserving per-stratum ordering. Subject to SourceRate
+// pacing and MaxIngestLag backpressure.
 // Returns ErrDraining / ErrClosed once the Deployment has left the
 // ingesting state.
 func (d *Deployment) Ingest(src SourceID, items ...Item) error {

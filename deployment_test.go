@@ -264,8 +264,8 @@ func TestRunOnWindowHook(t *testing.T) {
 // TestOpenEventTime drives the event-time mode through the public facade:
 // out-of-order pushes within AllowedLateness land in the windows their
 // timestamps name (Start/End populated, exact per-window counts), a record
-// beyond the horizon is counted into LateDropped, and the streaming
-// baselines are rejected.
+// beyond the horizon is counted into LateDropped, and the simulator rejects
+// the streaming baselines.
 func TestOpenEventTime(t *testing.T) {
 	epoch := time.Now().Truncate(time.Second)
 	d, err := Open(context.Background(), Config{
@@ -313,8 +313,8 @@ func TestOpenEventTime(t *testing.T) {
 		t.Fatalf("dropped %d in-horizon records", res.LateDropped)
 	}
 
-	// Streaming strategies have no windows to assign records to.
-	if _, err := Open(context.Background(), Config{Strategy: SRS, EventTime: true}); !errors.Is(err, ErrEventTimeStreaming) {
+	// Streaming strategies have no edge windows to assign records to.
+	if _, err := Simulate(Config{Strategy: SRS, EventTime: true}, gaussianSources(5, 2000), time.Second); !errors.Is(err, ErrEventTimeStreaming) {
 		t.Fatalf("SRS+EventTime err = %v, want ErrEventTimeStreaming", err)
 	}
 }

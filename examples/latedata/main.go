@@ -1,9 +1,9 @@
 // Late data under event-time windows: a deployment ingests readings whose
 // arrival order is scrambled — a fraction of each sensor's records is held
 // back and delivered only after the rest of the stream, the shape of a
-// flaky uplink or a store-and-forward edge hop. Processing-time windows
-// would silently book those records into whatever window happens to be
-// open when they arrive; event-time windows assign every record to the
+// flaky uplink or a store-and-forward edge hop. Ingest-stamped windows
+// (EventTime off) would silently book those records into whatever window
+// was current when they arrived; caller-stamped event-time windows assign every record to the
 // window its timestamp names, hold windows open for AllowedLateness past
 // their end, and count anything beyond that horizon into
 // LiveResult.LateDropped instead of corrupting a closed window.

@@ -138,11 +138,9 @@ func liveFor(sys system, fraction float64, src func(i int) workload.Source, scal
 		cfg.NewSampler = core.WHSFactory()
 	case sysSRS:
 		cfg.NewSampler = core.SRSFactory(fraction)
-		cfg.Streaming = true
 	case sysNative:
 		cfg.NewSampler = core.NativeFactory()
 		cfg.Cost = core.FractionBudget{Fraction: 1}
-		cfg.Streaming = true
 	}
 	return core.RunLive(cfg)
 }

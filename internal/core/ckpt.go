@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"github.com/approxiot/approxiot/internal/checkpoint"
@@ -13,34 +14,29 @@ import (
 
 // This file is the member checkpoint codec: the serialized recovery state of
 // one edge shard-group member, written by samplingProcessor.saveCheckpoint at
-// punctuation-time flush (where committed consumer offsets and ingested items
-// coincide exactly — never mid-batch) and restored by a replacement member
-// before it replays the offset gap from the broker's retained log.
+// punctuation or at the end of a poll cycle (where committed consumer offsets
+// and ingested items coincide exactly — never mid-batch) and restored by a
+// replacement member before it replays the offset gap from the broker's
+// retained log.
 //
 // The blob is self-contained: consumer offsets for every owned partition, the
-// member's lifetime counters, and the full Ψ state — carried sub-stream
-// weights plus buffered weighted batches in processing-time mode; the close
-// bound, watermark chains, and every open event window in event-time mode.
+// member's lifetime counters, and the full Ψ state — the close bound, the
+// watermark chains, and every open event window with its carried sub-stream
+// weights and buffered weighted batches.
 // Sampler RNG state is deliberately NOT serialized: a restarted member is a
 // new member of the statistical population (the estimate stays unbiased by
 // Eq. 8 weighting, which is what the invariant checks), exactly as a
 // replacement Kafka Streams instance would re-seed its task state.
 
 // ckptVersion is the blob format version; a mismatch is corruption (the
-// store's job is integrity, the codec's job is meaning).
-const ckptVersion = 1
+// store's job is integrity, the codec's job is meaning). Version 1 carried a
+// mode byte and a second, single-interval layout.
+const ckptVersion = 2
 
 // memberCkpt is a decoded member checkpoint, ready to restore.
 type memberCkpt struct {
-	eventTime bool
-	offsets   []streams.PartitionOffset
-	stats     NodeStats
-
-	// Processing-time mode: the member's single interval store.
-	weights map[stream.SourceID]float64
-	psi     []stream.Batch
-
-	// Event-time mode: close bound, watermark chains, open windows.
+	offsets  []streams.PartitionOffset
+	stats    NodeStats
 	bound    int64
 	boundSet bool
 	chains   []ckptChain
@@ -70,11 +66,6 @@ type ckptWindow struct {
 // processor state is quiescent and offs reflects every ingested record.
 func encodeMemberCheckpoint(dst []byte, p *samplingProcessor, offs []streams.PartitionOffset) []byte {
 	dst = append(dst, ckptVersion)
-	mode := byte(0)
-	if p.ew != nil {
-		mode = 1
-	}
-	dst = append(dst, mode)
 	dst = binary.AppendUvarint(dst, uint64(len(offs)))
 	for _, po := range offs {
 		dst = binary.AppendUvarint(dst, uint64(po.Partition))
@@ -84,9 +75,6 @@ func encodeMemberCheckpoint(dst []byte, p *samplingProcessor, offs []streams.Par
 	dst = binary.AppendUvarint(dst, uint64(st.Observed))
 	dst = binary.AppendUvarint(dst, uint64(st.Emitted))
 	dst = binary.AppendUvarint(dst, uint64(st.Intervals))
-	if p.ew == nil {
-		return appendNodeSection(dst, p.node)
-	}
 	ew, wt := p.ew, p.wt
 	if ew.boundSet {
 		dst = append(dst, 1)
@@ -266,11 +254,7 @@ func decodeMemberCheckpoint(raw []byte) (*memberCkpt, error) {
 	if v := r.u8(); r.err == nil && v != ckptVersion {
 		return nil, errCkptDecode(fmt.Sprintf("version %d", v))
 	}
-	mode := r.u8()
-	if r.err == nil && mode > 1 {
-		return nil, errCkptDecode("unknown mode")
-	}
-	ck := &memberCkpt{eventTime: mode == 1}
+	ck := &memberCkpt{}
 	for i, n := 0, r.count(); i < n && r.err == nil; i++ {
 		po := streams.PartitionOffset{
 			Partition: int(r.uvarint()),
@@ -284,13 +268,6 @@ func decodeMemberCheckpoint(raw []byte) (*memberCkpt, error) {
 		Observed:  int64(r.uvarint()),
 		Emitted:   int64(r.uvarint()),
 		Intervals: int64(r.uvarint()),
-	}
-	if !ck.eventTime {
-		ck.weights, ck.psi = r.nodeSection()
-		if r.err != nil {
-			return nil, r.err
-		}
-		return ck, nil
 	}
 	ck.boundSet = r.u8() != 0
 	ck.bound = r.varint()
@@ -313,22 +290,18 @@ func decodeMemberCheckpoint(raw []byte) (*memberCkpt, error) {
 	return ck, nil
 }
 
-// restoreState rebuilds a node's interval state from a checkpoint's node
-// section. Ψ batches are re-ingested through addPair so the lineage index is
-// reconstructed, then the serialized weight map is applied on top (the
-// carried W^in at checkpoint time wins over whatever the psi replay set),
-// and finally the lifetime counters are overwritten with the checkpointed
-// values — addPair inflated them as a side effect of the rebuild.
-func (n *Node) restoreState(weights map[stream.SourceID]float64, psi []stream.Batch, st NodeStats) {
+// restoreState rebuilds a window node's interval state from a checkpoint's
+// node section. Ψ batches are re-ingested through addPair so the lineage
+// index is reconstructed, then the serialized weight map is applied on top
+// (the carried W^in at checkpoint time wins over whatever the psi replay
+// set).
+func (n *Node) restoreState(weights map[stream.SourceID]float64, psi []stream.Batch) {
 	for _, b := range psi {
 		n.addPair(b.Source, b.Weight, b.Items)
 	}
 	for src, w := range weights {
 		n.weights.Set(src, w)
 	}
-	n.totalObserved.Store(st.Observed)
-	n.totalEmitted.Store(st.Emitted)
-	n.intervals.Store(st.Intervals)
 }
 
 // restoreCheckpoint installs a decoded checkpoint into a freshly-built
@@ -336,18 +309,11 @@ func (n *Node) restoreState(weights map[stream.SourceID]float64, psi []stream.Ba
 // now stamps every restored watermark chain's arrival clock: the crash span
 // must not count against a chain's idle timeout retroactively.
 func (p *samplingProcessor) restoreCheckpoint(ck *memberCkpt, now time.Time) {
-	if p.ew == nil {
-		p.node.restoreState(ck.weights, ck.psi, ck.stats)
-		p.pending.Store(int64(p.node.Observed()))
-		return
-	}
 	p.ew.bound = ck.bound
 	p.ew.boundSet = ck.boundSet
 	for _, w := range ck.windows {
 		n := p.ew.newNode()
-		// Per-window nodes are ephemeral; their lifetime counters are
-		// irrelevant (ew aggregates), so restore with zero stats.
-		n.restoreState(w.weights, w.psi, NodeStats{})
+		n.restoreState(w.weights, w.psi)
 		p.ew.open[w.start] = n
 	}
 	p.ew.obs.Store(ck.stats.Observed)
@@ -355,7 +321,11 @@ func (p *samplingProcessor) restoreCheckpoint(ck *memberCkpt, now time.Time) {
 	p.ew.wins.Store(ck.stats.Intervals)
 	// Rebuild the chain map over whatever expectations Init registered: a
 	// serialized chain (placeholder included) supersedes the static
-	// expectation for the same origin.
+	// expectation for the same origin. Placeholders go first, so a real chain
+	// resolves its producer's placeholder whatever order the blob lists them.
+	sort.SliceStable(ck.chains, func(i, j int) bool {
+		return ck.chains[i].src == "" && ck.chains[j].src != ""
+	})
 	for _, c := range ck.chains {
 		var wm time.Time
 		if c.wm != 0 {

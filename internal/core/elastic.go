@@ -285,8 +285,7 @@ func (s *LiveSession) AddMember(nodeID string) (string, error) {
 
 // RemoveMember gracefully shrinks nodeID's consumer group by one: the
 // newest live member is frozen, everything it still buffers is flushed
-// downstream (a rescale is a window boundary — processing-time Ψ closes
-// early, event-time windows close at end-of-stream with honest per-window
+// downstream (its windows close at end-of-stream with honest per-window
 // watermark stamps and the member signs its chains off), and the member
 // leaves the group — its partitions rebalance to the survivors, who resume
 // at its committed offsets. Nothing is lost and nothing needs replaying.
@@ -416,9 +415,6 @@ func (s *LiveSession) RestartMember(id string) error {
 		if ck, err = decodeMemberCheckpoint(raw); err != nil {
 			return fmt.Errorf("core: restart %q: %w", id, err)
 		}
-		if ck.eventTime != s.cfg.EventTime {
-			return fmt.Errorf("core: restart %q: %w: checkpoint mode mismatch", id, checkpoint.ErrCorrupt)
-		}
 	case errors.Is(err, checkpoint.ErrNotFound):
 		ck = nil // fresh state; replay from the last membership barrier
 	default:
@@ -470,13 +466,7 @@ func (s *LiveSession) RestartMember(id string) error {
 // counters (late drops, decode errors) is re-counted; the first regular
 // cycle after the restart advances and forwards from the rebuilt state.
 func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberCkpt, killed []streams.PartitionOffset, changeOffs []int64) error {
-	defer func() {
-		if p.ew != nil {
-			p.pending.Store(int64(p.ew.buffered()))
-		} else if p.node != nil {
-			p.pending.Store(int64(p.node.Observed()))
-		}
-	}()
+	defer func() { p.pending.Store(int64(p.ew.buffered())) }()
 	if len(killed) == 0 {
 		return nil
 	}
@@ -486,15 +476,13 @@ func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberC
 			ckptOffs[po.Partition] = po.Offset
 		}
 	}
-	if p.ew != nil {
-		// Replay lates were already counted by the dead member — the
-		// restored bound equals the bound at death, so replay classifies
-		// identically — and must not be double-charged to the session.
-		var throwaway lateCounter
-		orig := p.ew.late
-		p.ew.late = &throwaway
-		defer func() { p.ew.late = orig }()
-	}
+	// Replay lates were already counted by the dead member — the restored
+	// bound equals the bound at death, so replay classifies identically —
+	// and must not be double-charged to the session.
+	var throwaway lateCounter
+	orig := p.ew.late
+	p.ew.late = &throwaway
+	defer func() { p.ew.late = orig }()
 	now := time.Now()
 	var buf []mq.Record
 	var err error
@@ -529,18 +517,13 @@ func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberC
 				if herr != nil {
 					continue // already counted into DecodeErrors by the dead member
 				}
-				if p.ew != nil {
-					p.ew.ingestWire(h)
-					// Fold the piggybacked watermark lanewise — the same
-					// per-lane floor rule the live path applies, so replayed
-					// end-of-stream copies lift exactly the lanes they rode —
-					// but never announce (the dead member announced this
-					// chain when it first heard it) and never advance
-					// (replay rebuilds buffered state only).
-					p.wt.fold(rec.Watermark, h.Source, rec.Partition, now)
-				} else {
-					p.node.IngestWire(h, 0, h.Count)
-				}
+				p.ew.ingestWire(h)
+				// Fold the piggybacked watermark lanewise — the same per-lane
+				// floor rule the live path applies, so replayed end-of-stream
+				// copies lift exactly the lanes they rode — but never announce
+				// (the dead member announced this chain when it first heard
+				// it) and never advance (replay rebuilds buffered state only).
+				p.wt.fold(rec.Watermark, h.Source, rec.Partition, now)
 			}
 		}
 	}
@@ -550,10 +533,10 @@ func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberC
 // RemoveEdgeNode detaches a whole layer-0 node from the running tree: the
 // session stops admitting pushes for its source slots (ErrNodeDetached),
 // waits for the node's input topic to drain (bounded by DrainTimeout), then
-// retires every member — freeze, flush all buffered state downstream (in
-// event-time mode the members close their windows at end-of-stream and sign
-// their watermark chains off, so the parent's minimum releases in-band
-// instead of waiting out the idle timeout), stop. The node's topology slot
+// retires every member — freeze, flush all buffered state downstream (the
+// members close their windows at end-of-stream and sign their watermark
+// chains off, so the parent's minimum releases in-band instead of waiting
+// out the idle timeout), stop. The node's topology slot
 // survives: AddEdgeNode rebuilds the group later. Only layer-0 nodes
 // detach — an interior node's topic is fed by live children.
 func (s *LiveSession) RemoveEdgeNode(nodeID string) error {
@@ -592,9 +575,9 @@ func (s *LiveSession) RemoveEdgeNode(nodeID string) error {
 		return err
 	}
 	// Wait for pending == 0 too? No: pending is buffered Ψ awaiting a
-	// window flush, and in event-time mode nothing flushes it until the
-	// watermark moves — which it never will again, the topic being fenced.
-	// retireMember's drainAll flushes it downstream explicitly instead.
+	// window flush, and nothing flushes it until the watermark moves — which
+	// it never will again, the topic being fenced. retireMember's drainAll
+	// flushes it downstream explicitly instead.
 	// 3. Retire every member.
 	live := g.live()
 	for _, m := range live {
@@ -687,7 +670,7 @@ func (s *LiveSession) postChange(g *shardGroup) error {
 			continue
 		}
 		proc := m.proc
-		_ = m.rt.Sync(func() { proc.flush() })
+		_ = m.rt.Sync(func() { proc.punctuate(time.Now()) })
 	}
 	offs, err := s.bus.GroupCommitted(g.desc.Topic, g.desc.ID+"-in")
 	if err != nil {

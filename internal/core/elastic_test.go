@@ -438,12 +438,8 @@ func TestCheckpointCodecGarbageRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	ck, err := decodeMemberCheckpoint(raw)
-	if err != nil {
+	if _, err := decodeMemberCheckpoint(raw); err != nil {
 		t.Fatalf("decode genuine blob: %v", err)
-	}
-	if ck.eventTime {
-		t.Fatal("proc-time blob decoded as event-time")
 	}
 	for name, bad := range map[string][]byte{
 		"nil":       nil,

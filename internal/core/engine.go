@@ -42,8 +42,8 @@ type engine struct {
 	// ckptErrs counts checkpoint-save failures across every member
 	// (LiveSnapshot.CheckpointErrors) — counted, never fatal.
 	ckptErrs atomic.Int64
-	// quiesce silences the event-time keepalive punctuations from the
-	// moment a session drain starts (see samplingProcessor.keepalive).
+	// quiesce silences the keepalive punctuations from the moment a session
+	// drain starts (see samplingProcessor.keepalive).
 	quiesce atomic.Bool
 
 	// res is the run's result as it is assembled: Latency and Bandwidth from
@@ -59,7 +59,7 @@ type engine struct {
 	produced      atomic.Int64
 	rootProcessed atomic.Int64
 	decodeErrs    atomic.Int64
-	late          lateCounter  // event-time mode: records past the lateness horizon
+	late          lateCounter  // records past the lateness horizon
 	lastActivity  atomic.Int64 // unix nanos of last root-side processing
 	startNanos    atomic.Int64 // run start: first push (open time until then)
 	started       atomic.Bool
@@ -200,10 +200,10 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, bus transport.B
 	if cfg.Feedback != nil {
 		e.ctlProducer = bus.NewProducer()
 	}
-	if tier.Root {
+	if tier.Root || tier.Ingest && !cfg.EventTime {
 		// The sweep ticker: a blocking select — no busy branch — closes
-		// windows while the members pump. Its context is private: shutdown
-		// stops it in order.
+		// windows while the members pump and beats idle ingest-stamping
+		// valves. Its context is private: shutdown stops it in order.
 		tickCtx, cancel := context.WithCancel(context.Background())
 		e.cancelTick = cancel
 		e.tickWG.Add(1)
@@ -231,7 +231,7 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, bus transport.B
 // single-process run's. Adaptive runs give every member a private dynamic
 // cost plus a standalone control consumer (the root publishes, the members
 // drain at window close); only OpenLive reaches the Feedback and Checkpoint
-// branches.
+// branches. Ψ lives in per-event-window nodes (newWindows).
 func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 	cfg, plan := e.cfg, e.plan
 	// FixedBudget groups get a dynamic splitter so membership changes
@@ -250,7 +250,6 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 			id:         memberID(desc, shard),
 			quiesce:    &e.quiesce,
 			window:     cfg.Window,
-			streaming:  cfg.Streaming,
 			decodeErrs: &e.decodeErrs,
 			ckpt:       cfg.Checkpoint,
 			ckptErrs:   &e.ckptErrs,
@@ -273,24 +272,10 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 			}
 			sp.control = c
 		}
-		if cfg.EventTime {
-			// Ψ lives in per-event-window nodes; mk seeds each window
-			// identically from the plan's lineage, so a window's sampling is
-			// independent of how many windows preceded it.
-			sp.ew = newEventWindows(plan.Spec.Window, cfg.AllowedLateness, &e.late, mk)
-			sp.eosNotify = memberEOSBroadcast(e.bus.NewProducer(), desc.ParentTopic,
-				sp.id, plan.Partitions, sp.bwc)
-			sp.wt = newWatermarkTracker(cfg.IdleTimeout)
-			// Every producer the plan says can feed this node holds the
-			// watermark until heard from (or idled out) — sibling pumps race,
-			// and a chain must never be invisible to the minimum just
-			// because it is slow.
-			for _, from := range plan.ExpectedProducers(desc) {
-				sp.wt.expect(from, now)
-			}
-		} else {
-			sp.node = mk()
-		}
+		sp.ew = e.newWindows(mk)
+		sp.eosNotify = memberEOSBroadcast(e.bus.NewProducer(), desc.ParentTopic,
+			sp.id, plan.Partitions, sp.bwc)
+		sp.wt = e.newTracker(desc, now)
 		return sp, sp
 	})
 	if err == nil {
@@ -333,15 +318,8 @@ func (e *engine) addRootGroup(now time.Time) error {
 			e.rootCosts = append(e.rootCosts, dc)
 			mk = func() *Node { return plan.NewNodeShardCost(plan.Root(), shard, dc) }
 		}
-		if cfg.EventTime {
-			p.ew = newEventWindows(plan.Spec.Window, cfg.AllowedLateness, &e.late, mk)
-			p.wt = newWatermarkTracker(cfg.IdleTimeout)
-			for _, from := range plan.ExpectedProducers(plan.Root()) {
-				p.wt.expect(from, now)
-			}
-		} else {
-			p.node = mk()
-		}
+		p.ew = e.newWindows(mk)
+		p.wt = e.newTracker(plan.Root(), now)
 		e.rootProcs[shard] = p
 		return p, nil
 	})
@@ -355,6 +333,29 @@ func (e *engine) addRootGroup(now time.Time) error {
 	return nil
 }
 
+// newWindows builds one member's Ψ store: a sampling node per event window of
+// the plan's length. mk seeds each window identically from the plan's
+// lineage, so a window's sampling is independent of how many windows preceded
+// it. With EventTime off the windows take in ingest stamps, which are never
+// late (eventWindows.ingestStamped).
+func (e *engine) newWindows(mk func() *Node) *eventWindows {
+	ew := newEventWindows(e.plan.Spec.Window, e.cfg.AllowedLateness, &e.late, mk)
+	ew.ingestStamped = !e.cfg.EventTime
+	return ew
+}
+
+// newTracker builds one member's watermark tracker for node desc. Every
+// producer the plan says can feed the node holds the watermark until heard
+// from (or idled out) — sibling pumps race, and a chain must never be
+// invisible to the minimum just because it is slow.
+func (e *engine) newTracker(desc NodeDesc, now time.Time) *watermarkTracker {
+	wt := newWatermarkTracker(e.cfg.IdleTimeout)
+	for _, from := range e.plan.ExpectedProducers(desc) {
+		wt.expect(from, now)
+	}
+	return wt
+}
+
 // stopAll stops every group in reverse start order. Safe on never-started
 // members.
 func (e *engine) stopAll() {
@@ -365,9 +366,8 @@ func (e *engine) stopAll() {
 
 // stop ends the engine in order: the ticker, then the root group — whose
 // members fully drain the records they fetched — then one final close of
-// everything that reached the root (event time: to the end-of-stream
-// watermark; processing time: the last partial window), then every other
-// group.
+// everything that reached the root, to the end-of-stream watermark, then
+// every other group.
 func (e *engine) stop() {
 	if e.cancelTick != nil {
 		e.cancelTick()
@@ -375,11 +375,7 @@ func (e *engine) stop() {
 	}
 	if e.rootGrp != nil {
 		e.rootGrp.stop()
-		if e.cfg.EventTime {
-			e.closeEventWindows(time.Now(), eosWatermark)
-		} else {
-			e.closeWindow(time.Now())
-		}
+		e.closeEventWindows(time.Now(), eosWatermark)
 	}
 	e.stopAll()
 }
@@ -527,14 +523,23 @@ func (e *engine) markStarted() {
 	}
 }
 
-// sweep is one tick of the window ticker. In processing-time mode it closes
-// one window; in event-time mode it merges the root members' watermarks and
+// sweep is one tick of the window ticker: it beats the tier's idle valves
+// when they stamp at ingest, then merges the root members' watermarks and
 // emits every event window the merged watermark makes due, in event-time
 // order — and once that watermark carries the end-of-stream promise, empties
 // every member and runs atEOS.
 func (e *engine) sweep(at time.Time) {
 	if !e.cfg.EventTime {
-		e.closeWindow(at)
+		e.valveMu.Lock()
+		valves := append([]*Ingester(nil), e.valves...)
+		e.valveMu.Unlock()
+		for _, in := range valves {
+			if in != nil {
+				in.beatIfIdle()
+			}
+		}
+	}
+	if !e.tier.Root {
 		return
 	}
 	wm := e.rootWatermark(at)
@@ -547,7 +552,7 @@ func (e *engine) sweep(at time.Time) {
 	}
 }
 
-// rootWatermark merges the root members' event-time watermarks: the minimum
+// rootWatermark merges the root members' watermarks: the minimum
 // over members that have one. A member still waiting on an expected producer
 // vetoes the merge (its windows would close incomplete); a member with
 // nothing live — every chain idle, a shard whose partitions are empty past
@@ -743,7 +748,7 @@ func (e *engine) Snapshot() LiveSnapshot {
 		elapsed = fin.Elapsed
 	} else {
 		snap.IngestLag = e.ingestLag()
-		if e.cfg.EventTime && e.tier.Root {
+		if e.tier.Root {
 			snap.Watermark = e.rootWatermark(now)
 		}
 	}
@@ -901,14 +906,13 @@ func (e *engine) ingester(slot int) (*Ingester, error) {
 			bwc:       e.res.Bandwidth.Counter(src.Topic),
 			perRecord: e.cfg.recordAtATime,
 			from:      sourceFrom(slot),
+			stampTs:   !e.cfg.EventTime,
+			marks:     make(map[stream.SourceID]time.Time),
 			enc:       encoderFor(e.bus),
 		},
 	}
 	if e.truth != nil {
 		in.truth = &e.truth[slot]
-	}
-	if e.cfg.EventTime {
-		in.marks = make(map[stream.SourceID]time.Time)
 	}
 	e.valves[slot] = in
 	return in, nil

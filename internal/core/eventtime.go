@@ -23,8 +23,8 @@ import (
 //     (producer, sub-stream) chain and takes the minimum as its own
 //     watermark. Producers the compiled plan expects
 //     (Plan.ExpectedProducers) hold the minimum until heard from; chains
-//     silent longer than the idle timeout are excluded (the wall-clock
-//     ticker retained from processing-time mode plays exactly this role),
+//     silent longer than the idle timeout are excluded (checked on the
+//     wall-clock sweep ticker live, on window ticks in the simulator),
 //     except end-of-stream promises, which never age;
 //   - a window [s, s+W) closes once the node's watermark reaches
 //     s+W+AllowedLateness; records assigned to a window that is already
@@ -133,6 +133,14 @@ type eventWindows struct {
 	bound    int64 // window starts below this are closed territory
 	boundSet bool
 	late     *lateCounter
+	// ingestStamped marks timestamps the system stamped at ingest rather
+	// than the caller: such a record is never late — it missed its window
+	// only by losing a race between pipeline paths (or to a crashed
+	// member's replay) — so one the close bound has passed reopens its
+	// window, and behind makes the next advance close it again whether or
+	// not the bound moves.
+	ingestStamped bool
+	behind        bool
 
 	// Lifetime counters (per-window nodes are ephemeral, so the window
 	// store aggregates them): observed items buffered, emitted items
@@ -190,11 +198,14 @@ func (ew *eventWindows) recycle(closed []closedWindow) {
 // place returns the node of the window starting at start, for a run of count
 // items of the given weight to land in, opening the window on first
 // assignment — or nil, with the run counted late, when the close bound has
-// already passed the window.
+// already passed the window and the run is not ingest-stamped.
 func (ew *eventWindows) place(start int64, count int, weight float64) *Node {
 	if ew.boundSet && start < ew.bound {
-		ew.late.add(count, weight)
-		return nil
+		if !ew.ingestStamped {
+			ew.late.add(count, weight)
+			return nil
+		}
+		ew.behind = true
 	}
 	n := ew.open[start]
 	if n == nil {
@@ -285,26 +296,32 @@ func (ew *eventWindows) outboundWatermark() time.Time {
 	return time.Unix(0, ew.bound+int64(ew.lateness)).UTC()
 }
 
-// wouldAdvance reports whether advance(wm) would move the close bound —
-// callers with a window-boundary obligation (draining the control topic)
-// use it to act only when a close is actually imminent.
+// moves reports whether wm moves the close bound.
+func (ew *eventWindows) moves(wm time.Time) bool {
+	return !wm.IsZero() && (!ew.boundSet || ew.closeBoundFor(wm) > ew.bound)
+}
+
+// wouldAdvance reports whether advance(wm) would close anything: the bound
+// moves, or a window behind it was reopened — callers with a window-boundary
+// obligation (draining the control topic) use it to act only when a close is
+// actually imminent.
 func (ew *eventWindows) wouldAdvance(wm time.Time) bool {
-	if wm.IsZero() {
-		return false
-	}
-	return !ew.boundSet || ew.closeBoundFor(wm) > ew.bound
+	return ew.behind || ew.moves(wm)
 }
 
 // advance moves the close bound to what wm implies and closes every open
 // window below it, in ascending event-time order. The bound is monotone: a
 // regressing watermark (an idle source resuming with old data) closes
-// nothing and cannot reopen closed territory.
+// nothing, and only an ingest-stamped record reopens closed territory.
 func (ew *eventWindows) advance(wm time.Time) []closedWindow {
 	if !ew.wouldAdvance(wm) {
 		return nil
 	}
-	ew.bound = ew.closeBoundFor(wm)
-	ew.boundSet = true
+	if ew.moves(wm) {
+		ew.bound = ew.closeBoundFor(wm)
+		ew.boundSet = true
+	}
+	ew.behind = false
 	var starts []int64
 	for s := range ew.open {
 		if s < ew.bound {

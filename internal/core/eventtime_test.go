@@ -603,7 +603,10 @@ func TestEventTimeIdleShardedRejected(t *testing.T) {
 	}
 }
 
-// TestEventTimeRejectsStreaming pins the config gate in both runners.
+// TestEventTimeRejectsStreaming pins the simulator's config gate. The live
+// runner has no streaming mode: SRS with EventTime opens there, windowed like
+// every strategy, and its count estimate is exact (a keep probability of 1
+// keeps every item at weight 1, so nothing but a lost item could move it).
 func TestEventTimeRejectsStreaming(t *testing.T) {
 	_, err := RunSim(SimConfig{
 		Spec:       topology.Testbed(),
@@ -617,14 +620,29 @@ func TestEventTimeRejectsStreaming(t *testing.T) {
 	if err != ErrEventTimeStreaming {
 		t.Fatalf("sim err = %v, want ErrEventTimeStreaming", err)
 	}
-	_, err = OpenLive(nil, LiveConfig{
+	s, err := OpenLive(nil, LiveConfig{
 		Spec:       topology.Testbed(),
-		NewSampler: SRSFactory(0.1),
+		NewSampler: SRSFactory(1),
 		Cost:       FractionBudget{Fraction: 1},
-		Streaming:  true,
+		Window:     10 * time.Millisecond,
+		Queries:    []query.Kind{query.Sum, query.Count},
 		EventTime:  true,
 	})
-	if err != ErrEventTimeStreaming {
-		t.Fatalf("live err = %v, want ErrEventTimeStreaming", err)
+	if err != nil {
+		t.Fatalf("OpenLive(SRS, EventTime): %v", err)
 	}
+	for slot, items := range eventItems(8, 50, 3*time.Second) {
+		ing, err := s.Ingester(slot)
+		if err != nil {
+			t.Fatalf("Ingester(%d): %v", slot, err)
+		}
+		if err := ing.Push(items...); err != nil {
+			t.Fatalf("Push slot %d: %v", slot, err)
+		}
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	assertCountInvariant(t, "SRS event time", res.EstimateCount, float64(res.Produced))
 }

@@ -50,20 +50,22 @@ type LiveConfig struct {
 	// Items is the total number of items to produce across all sources.
 	// Required by RunLive; ignored by OpenLive.
 	Items int64
-	// Window is the live processing-time sampling/query interval (default
-	// 50 ms — wall time is expensive, simulated seconds are not). In
-	// event-time mode it is the wall-clock ticker cadence only: how often
-	// idle-source timeouts are re-checked and due windows are swept, not
-	// what defines a window.
+	// Window is the live sweep cadence (default 50 ms — wall time is
+	// expensive, simulated seconds are not): how often the root merges due
+	// windows, members re-check idle-source timeouts, and drains probe. With
+	// EventTime off it is also the window length.
 	Window time.Duration
-	// EventTime switches window assignment from "whatever is buffered at
-	// the tick" to event-time tumbling windows of Spec.Window length:
-	// records are bucketed by Item.Ts at every layer, per-source low
-	// watermarks piggyback on data records up the tree, and a window
-	// closes only when the watermark passes its end plus AllowedLateness.
-	// The wall-clock ticker is retained as the idle-source timeout. The
-	// Ingester valves preserve caller-supplied event timestamps (zero Ts
-	// defaults to the publish instant). Incompatible with Streaming.
+	// EventTime selects who stamps the timestamps windows are cut by. The
+	// tree always runs event-time tumbling windows: records are bucketed by
+	// Item.Ts at every layer, per-source low watermarks piggyback on data
+	// records up the tree, and a window closes once the watermark passes its
+	// end plus AllowedLateness. Off (the default), the Ingester valves stamp
+	// every item's Ts with its publish instant (and an idle valve beats the
+	// current instant once a window), windows are Window long, and
+	// AllowedLateness is 0: an ingest-stamped record is never late — one a
+	// node's close bound has passed reopens its window, which the node closes
+	// again at once. On, windows are Spec.Window long and a caller-supplied
+	// Ts is the event timestamp (zero Ts defaults to the publish instant).
 	EventTime bool
 	// AllowedLateness is how far event time may run behind the watermark
 	// before a window closes: window [s, s+W) closes once the watermark
@@ -72,11 +74,11 @@ type LiveConfig struct {
 	// a closed window's exact count. Only meaningful with EventTime.
 	AllowedLateness time.Duration
 	// IdleTimeout bounds how long a silent sub-stream can hold the
-	// watermark back in event-time mode: a source with no records for this
-	// long (wall clock) is excluded from the watermark minimum until it
-	// speaks again. 0 selects the default — 4×Window, raised to
-	// AllowedLateness if that is larger, so a source pausing within its
-	// promised lateness is never aged out. Negative disables the exclusion
+	// watermark back: a source with no records for this long (wall clock)
+	// is excluded from the watermark minimum until it speaks again. 0
+	// selects the default — 4×Window, raised to AllowedLateness if that is
+	// larger, so a source pausing within its promised lateness is never
+	// aged out. Negative disables the exclusion
 	// (a silent source then stalls event time, by request); that requires
 	// single-member groups (ErrEventTimeIdleSharded otherwise).
 	IdleTimeout time.Duration
@@ -98,8 +100,6 @@ type LiveConfig struct {
 	// confidence toward the controller's target, so sim and live must
 	// agree on it for their trajectories to be comparable.
 	Confidence stats.Confidence
-	// Streaming forwards per batch without windowing (SRS / native).
-	Streaming bool
 	// Partitions is the partition count of every mq topic (default 1).
 	// Records are keyed by SourceID, so each sub-stream maps to exactly one
 	// partition and per-stratum ordering is preserved.
@@ -166,9 +166,8 @@ type LiveConfig struct {
 	// restarted after a crash (LiveSession.RestartMember) loads its blob,
 	// restores state, replays the offset gap from the broker's retained
 	// log, and rejoins its group without double-counting or losing items.
-	// Incompatible with Streaming (no window boundary exists to anchor a
-	// consistent cut). Save errors are counted (LiveSnapshot.
-	// CheckpointErrors), never fatal — a deployment outlives a full disk.
+	// Save errors are counted (LiveSnapshot.CheckpointErrors), never
+	// fatal — a deployment outlives a full disk.
 	Checkpoint checkpoint.Store
 
 	// corruptRoot injects this many undecodable records into the root
@@ -197,12 +196,12 @@ type LiveResult struct {
 	// here: every member reads the same record, so a shared counter would
 	// report one bad record once per member.)
 	DecodeErrors int64
-	// LateDropped counts items that arrived past the lateness horizon in
-	// event-time mode: their window had already closed at the node that
-	// would have buffered them, so they were counted here and dropped
-	// rather than corrupting a closed window's exact count. An item is
-	// counted once, at the first node that rejects it. Always 0 in
-	// processing-time mode.
+	// LateDropped counts items that arrived past the lateness horizon: their
+	// window had already closed at the node that would have buffered them,
+	// so they were counted here and dropped rather than corrupting a closed
+	// window's exact count. An item is counted once, at the first node that
+	// rejects it. Always 0 with EventTime off (ingest-stamped records are
+	// never late).
 	LateDropped int64
 	// LateDroppedInput is the estimated original input the late-dropped
 	// records represent: a leaf drops raw weight-1 items (equal to
@@ -258,14 +257,6 @@ type NodeTelemetry struct {
 // live-mode errors.
 var (
 	ErrNoItems = errors.New("core: LiveConfig.Items must be positive")
-	// ErrEventTimeStreaming rejects EventTime combined with Streaming:
-	// streaming mode forwards per batch with no windows to assign records
-	// to, so event-time windowing has nothing to act on.
-	ErrEventTimeStreaming = errors.New("core: EventTime requires windowed mode (Streaming must be false)")
-	// ErrCheckpointStreaming rejects Checkpoint combined with Streaming:
-	// streaming mode forwards per batch with no window boundary to anchor a
-	// consistent cut, so there is no safe instant to checkpoint at.
-	ErrCheckpointStreaming = errors.New("core: Checkpoint requires windowed mode (Streaming must be false)")
 	// ErrEventTimeIdleSharded rejects a disabled idle exclusion
 	// (IdleTimeout < 0) combined with multi-member consumer groups: a
 	// group member only hears the producers whose record keys hash to its
@@ -274,21 +265,16 @@ var (
 	ErrEventTimeIdleSharded = errors.New("core: IdleTimeout < 0 (no idle exclusion) requires single-member groups (RootShards 1, LayerShards 1)")
 )
 
-// samplingProcessor adapts a core.Node to the streams.Processor contract:
-// batches arrive as wire-encoded messages, windows flush on punctuation (or
-// immediately in streaming mode). One instance runs inside one shard-group
-// member and owns its Node exclusively.
-//
-// In event-time mode (ew non-nil) the member's Ψ store lives in ew instead
-// of node: records are bucketed by event timestamp, watermarks piggybacked
-// on arriving records feed wt, and windows close on watermark advance —
-// inline on Process when a record's watermark makes windows due, and on the
-// punctuation ticker, which is retained purely as the idle-source timeout.
+// samplingProcessor adapts the sampling nodes of one edge shard-group member
+// to the streams.Processor contract: batches arrive as wire-encoded messages
+// and the member's Ψ store lives in ew, one sampling Node per event window.
+// Records are bucketed by event timestamp, watermarks piggybacked on
+// arriving records feed wt, and windows close on watermark advance — inline
+// on Process when a record's watermark makes windows due, and on the
+// punctuation ticker (every window), which is also the idle-source timeout.
 type samplingProcessor struct {
 	id         string
-	node       *Node // processing-time Ψ (nil in event-time mode)
-	window     time.Duration
-	streaming  bool
+	window     time.Duration // punctuation cadence
 	decodeErrs *atomic.Int64
 	pending    atomic.Int64 // items buffered in Ψ awaiting the window flush
 	ctx        streams.ProcessorContext
@@ -305,15 +291,14 @@ type samplingProcessor struct {
 	enc     batchEncoder
 	outMsgs []streams.Message
 
-	// Event-time mode only: ew buckets Ψ per event window, wt tracks the
-	// member's per-source low watermark, and quiesce (session-owned) stops
-	// the punctuation keepalives once shutdown starts — the end-of-stream
-	// cascade carries every promise that still matters, and a steady
-	// keepalive stream would hold the drain probe's idle check open
-	// forever. eosNotify broadcasts this member's own terminal end-of-stream
-	// record to every parent-topic partition (nil for processing-time mode
-	// and the root tier), sent once — eosSent — after the member's final
-	// forward, so every downstream lane floor gets its lifting copy.
+	// ew buckets Ψ per event window, wt tracks the member's per-source low
+	// watermark, and quiesce (session-owned) stops the punctuation
+	// keepalives once shutdown starts — the end-of-stream cascade carries
+	// every promise that still matters, and a steady keepalive stream would
+	// hold the drain probe's idle check open forever. eosNotify broadcasts
+	// this member's own terminal end-of-stream record to every parent-topic
+	// partition, sent once — eosSent — after the member's final forward, so
+	// every downstream lane floor gets its lifting copy.
 	ew        *eventWindows
 	wt        *watermarkTracker
 	triedWM   time.Time // watermark of the last advanceEventTime attempt
@@ -335,7 +320,7 @@ type samplingProcessor struct {
 	ckptBuf  []byte
 	ckptErrs *atomic.Int64
 	// ckptDirty marks output forwarded since the last checkpoint by an
-	// inline event-time advance (mid-cycle, where offsets overcommit and a
+	// inline advance (mid-cycle, where offsets overcommit and a
 	// checkpoint would be inconsistent); AfterCycle saves at the next safe
 	// cut, so no forwarded window ever outlives the checkpoint covering it.
 	ckptDirty bool
@@ -467,12 +452,10 @@ var (
 func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
 	p.ctx = ctx
 	p.names = make(stream.SourceTable)
-	if p.wt != nil {
-		// The tracker's lane floors need the consumer's partition
-		// assignment — installed before recovery, so the offset-gap replay
-		// already classifies lanewise.
-		p.wt.ownedFn = func() []int { return ownedLanesOf(p.ctx) }
-	}
+	// The tracker's lane floors need the consumer's partition assignment —
+	// installed before recovery, so the offset-gap replay already
+	// classifies lanewise.
+	p.wt.ownedFn = func() []int { return ownedLanesOf(p.ctx) }
 	if p.recover != nil {
 		// Crash recovery runs here: Init is called synchronously by the
 		// runtime's Start, after the consumer has joined its group but
@@ -486,39 +469,14 @@ func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
 			return err
 		}
 	}
-	if !p.streaming {
-		p.cancel = ctx.Schedule(p.window, func(time.Time) { p.flush() })
-	}
+	p.cancel = ctx.Schedule(p.window, func(time.Time) { p.punctuate(time.Now()) })
 	return nil
 }
 
 func (p *samplingProcessor) Process(msg streams.Message) error {
-	if p.ew != nil {
-		p.processEvent(msg, time.Now())
-		p.pending.Store(int64(p.ew.buffered()))
-		return nil
-	}
-	if !p.ingest(msg.Value) {
-		return nil
-	}
-	p.pending.Store(int64(p.node.Observed()))
-	if p.streaming {
-		p.flush()
-	}
+	p.processEvent(msg, time.Now())
+	p.pending.Store(int64(p.ew.buffered()))
 	return nil
-}
-
-// ingest is the processing-time per-message step: the record is decoded
-// straight into the member's Ψ. A record that does not parse is counted and
-// skipped; ingest reports whether it was taken.
-func (p *samplingProcessor) ingest(value []byte) bool {
-	h, err := stream.ParseHeader(value, p.names)
-	if err != nil {
-		p.decodeErrs.Add(1)
-		return false
-	}
-	p.node.IngestWire(h, 0, h.Count)
-	return true
 }
 
 // ProcessBatch handles one polled batch: decode and ingest stay per-message
@@ -527,33 +485,15 @@ func (p *samplingProcessor) ingest(value []byte) bool {
 // amortizes the clock read, the pending-gauge store, and — via the emit
 // scratch — the downstream broker append.
 func (p *samplingProcessor) ProcessBatch(msgs []streams.Message) error {
-	if p.ew != nil {
-		now := time.Now()
-		for i := range msgs {
-			p.processEvent(msgs[i], now)
-		}
-		p.pending.Store(int64(p.ew.buffered()))
-		return nil
-	}
-	if p.streaming {
-		// Streaming mode forwards per ingested batch: a combined flush
-		// would hand the sampler one larger interval (different budget
-		// math), so batching must not regroup it.
-		for i := range msgs {
-			if err := p.Process(msgs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	now := time.Now()
 	for i := range msgs {
-		p.ingest(msgs[i].Value)
+		p.processEvent(msgs[i], now)
 	}
-	p.pending.Store(int64(p.node.Observed()))
+	p.pending.Store(int64(p.ew.buffered()))
 	return nil
 }
 
-// processEvent is the event-time per-message step, shared by Process and
+// processEvent is the per-message step, shared by Process and
 // ProcessBatch: ingest, fold the piggybacked watermark, and advance — the
 // advance runs per message, never deferred to the batch end, so a watermark
 // landing mid-batch closes exactly the windows it would have closed
@@ -618,24 +558,7 @@ func (p *samplingProcessor) flushEmits() {
 	p.outMsgs = msgs[:0]
 }
 
-func (p *samplingProcessor) flush() {
-	if p.ew != nil {
-		p.punctuate(time.Now())
-		return
-	}
-	p.applyControl()
-	for _, b := range p.node.CloseInterval() {
-		p.enc.add(b, mq.Watermark{})
-	}
-	p.flushEmits()
-	p.node.Recycle()
-	// Zero pending only after forwarding: the drain probe must always see
-	// in-flight data as either buffered Ψ here or lag on the parent topic.
-	p.pending.Store(int64(p.node.Observed()))
-	p.saveCheckpoint()
-}
-
-// punctuate is the event-time flush at clock reading now: re-derive the
+// punctuate is the member's flush at clock reading now: re-derive the
 // watermark (idle sources may now be excluded) and sweep windows that became
 // due, then re-assert liveness upstream if that is due — a member buffering
 // data behind the lateness horizon has forwarded nothing yet, and without the
@@ -657,19 +580,20 @@ func (p *samplingProcessor) punctuate(now time.Time) {
 	default:
 		p.keepalive(now)
 	}
+	// Zero pending only after forwarding: the drain probe must always see
+	// in-flight data as either buffered Ψ here or lag on the parent topic.
 	p.pending.Store(int64(p.ew.buffered()))
 	p.saveCheckpoint()
 }
 
 // saveCheckpoint serializes the member's recovery state into the session's
-// checkpoint store. It runs only from flush — punctuation time, between poll
-// cycles — where the committed consumer offsets account for exactly the
+// checkpoint store. It runs from punctuate — between poll cycles — and from
+// AfterCycle, where the committed consumer offsets account for exactly the
 // records the member has ingested; checkpointing mid-batch would commit a
 // cut with fetched-but-not-ingested records and recovery would skip them.
-// Streaming mode has no such boundary, so it never checkpoints (OpenLive
-// rejects the combination). Save failures are counted, not fatal.
+// Save failures are counted, not fatal.
 func (p *samplingProcessor) saveCheckpoint() {
-	if p.ckpt == nil || p.streaming {
+	if p.ckpt == nil {
 		return
 	}
 	or, ok := p.ctx.(streams.OffsetReader)
@@ -685,24 +609,13 @@ func (p *samplingProcessor) saveCheckpoint() {
 
 // drainAll is the graceful-removal flush: everything the member still
 // buffers is forwarded NOW, regardless of window boundaries, so a removed
-// member leaves nothing behind. Processing-time mode closes the interval
-// early — a rescale IS a window boundary, the same rule the barrier flush
-// applies. Event-time mode advances to the end-of-stream watermark (closing
-// every open window with the honest per-window ladder stamps) and signs off
-// with end-of-stream heartbeats for every active sub-stream, so the parent's
-// chains for this member resolve immediately instead of waiting out the
-// idle timeout. Runs on the frozen member's state, after its pump stopped.
+// member leaves nothing behind. It advances to the end-of-stream watermark
+// (closing every open window with the honest per-window ladder stamps) and
+// signs off with end-of-stream heartbeats for every active sub-stream, so the
+// parent's chains for this member resolve immediately instead of waiting out
+// the idle timeout. Runs on the frozen member's state, after its pump stopped.
 func (p *samplingProcessor) drainAll(now time.Time) {
 	p.applyControl()
-	if p.ew == nil {
-		for _, b := range p.node.CloseInterval() {
-			p.enc.add(b, mq.Watermark{})
-		}
-		p.flushEmits()
-		p.node.Recycle()
-		p.pending.Store(0)
-		return
-	}
 	srcs := p.wt.activeSources(now)
 	closed := p.ew.advance(eosWatermark)
 	for _, cw := range closed {
@@ -765,11 +678,10 @@ func memberEOSBroadcast(prod transport.Producer, topic, id string, partitions in
 // never close more at the parent than has already arrived — and after the
 // data, every active source gets a zero-item heartbeat at the outbound
 // watermark, so parents advance across empty windows and reach the final
-// bound. Control-topic drains stay pinned to window boundaries, exactly
-// like the processing-time flush.
+// bound. Control-topic drains stay pinned to window boundaries.
 func (p *samplingProcessor) advanceEventTime(now time.Time) bool {
 	wm := p.wt.watermark(now)
-	if wm.Equal(p.triedWM) {
+	if wm.Equal(p.triedWM) && !p.ew.behind {
 		// Nearly every record: the minimum has not moved since the last
 		// attempt, which either left the bound where this watermark puts it
 		// or found it already there — and the bound never falls.
@@ -799,8 +711,8 @@ func (p *samplingProcessor) advanceEventTime(now time.Time) bool {
 	return true
 }
 
-// AfterCycle implements streams.CycleObserver: if an inline event-time
-// advance forwarded windows this cycle, checkpoint now — the end-of-cycle
+// AfterCycle implements streams.CycleObserver: if an inline advance
+// forwarded windows this cycle, checkpoint now — the end-of-cycle
 // cut is the first point where committed offsets and ingested records
 // coincide again. This keeps the recovery contract airtight: the close
 // bound in the newest checkpoint always equals the bound at any later
@@ -857,16 +769,11 @@ func (p *samplingProcessor) announce(src stream.SourceID) {
 	p.flushEmits()
 }
 
-// stats returns the member's lifetime counters, whichever store owns them.
-func (p *samplingProcessor) stats() NodeStats {
-	if p.ew != nil {
-		return p.ew.stats()
-	}
-	return p.node.Stats()
-}
+// stats returns the member's lifetime counters.
+func (p *samplingProcessor) stats() NodeStats { return p.ew.stats() }
 
 // applyControl drains the member's control consumer and installs the
-// newest published fraction. It runs immediately before CloseInterval —
+// newest published fraction. It runs immediately before windows close —
 // the window boundary — so Eq. 8 weight compounding never sees a
 // mid-interval fraction change. Later records win. A malformed record is
 // skipped and the member keeps its current fraction (self-healing at the
@@ -905,22 +812,18 @@ func (p *samplingProcessor) Close() error {
 	return nil
 }
 
-// rootProcessor is the root-flavored shard member: it ingests into a
-// private sampling node under a mutex (the window ticker merges all members'
-// Θ at window close) instead of forwarding, spins the configured per-item
-// query cost, and maintains the run's root-side counters. In-flight records
-// are covered by the member Runtime's Busy gauge; buffered root Θ awaits
-// the window ticker, not the drain, so no pending counter is needed here.
-//
-// In event-time mode (ew non-nil) the member buckets Θ per event window and
-// tracks its per-source watermark in wt, both under mu; the session's
-// window ticker merges the members' watermarks and drives every member's
-// window closes to the same bound.
+// rootProcessor is the root-flavored shard member: it buckets Θ per event
+// window and tracks its per-source watermark in wt, both under mu, instead of
+// forwarding; the session's window ticker merges the members' watermarks and
+// drives every member's window closes to the same bound. It spins the
+// configured per-item query cost and maintains the run's root-side counters.
+// In-flight records are covered by the member Runtime's Busy gauge; buffered
+// root Θ awaits the window ticker, not the drain, so no pending counter is
+// needed here.
 type rootProcessor struct {
-	mu   sync.Mutex
-	node *Node // processing-time Θ (nil in event-time mode)
-	ew   *eventWindows
-	wt   *watermarkTracker
+	mu sync.Mutex
+	ew *eventWindows
+	wt *watermarkTracker
 	// ctx reports the consumer's partition assignment for the tracker's
 	// lane floors (the root consumes, it never signs off itself).
 	ctx streams.ProcessorContext
@@ -942,9 +845,7 @@ var (
 func (p *rootProcessor) Init(ctx streams.ProcessorContext) error {
 	p.ctx = ctx
 	p.names = make(stream.SourceTable)
-	if p.wt != nil {
-		p.wt.ownedFn = func() []int { return ownedLanesOf(p.ctx) }
-	}
+	p.wt.ownedFn = func() []int { return ownedLanesOf(p.ctx) }
 	return nil
 }
 
@@ -986,7 +887,7 @@ func (p *rootProcessor) processLocked(msg streams.Message) int64 {
 	spin(time.Duration(h.Count) * p.work)
 	now := time.Now()
 	// Items are stamped with their wall-clock publish instant at the source
-	// (Pub — and in processing-time mode Ts is the same instant), so this is
+	// (Pub — with EventTime off Ts is the same instant), so this is
 	// genuine end-to-end latency: edge window waits, broker hops, and the
 	// root's own service time all count. Every item of one Push carries the
 	// same instant, so the histogram takes each run of equal instants — read
@@ -1002,13 +903,9 @@ func (p *rootProcessor) processLocked(msg streams.Message) int64 {
 		p.latency.ObserveN(time.Duration(nowNanos-ref), int64(hi-lo))
 		lo = hi
 	}
-	if p.ew != nil {
-		// Ingest before folding the watermark, mirroring the edge members.
-		p.ew.ingestWire(h)
-		p.wt.fold(msg.Watermark, h.Source, msg.Partition, now)
-	} else {
-		p.node.IngestWire(h, 0, h.Count)
-	}
+	// Ingest before folding the watermark, mirroring the edge members.
+	p.ew.ingestWire(h)
+	p.wt.fold(msg.Watermark, h.Source, msg.Partition, now)
 	return int64(h.Count)
 }
 
@@ -1024,22 +921,7 @@ func latencyRef(h stream.Header, i int) int64 {
 
 func (p *rootProcessor) Close() error { return nil }
 
-// closeInterval drains the member's Θ under its lock (processing-time mode).
-// The caller hands the storage back with recycleInterval once the window's
-// queries have run.
-func (p *rootProcessor) closeInterval() []stream.Batch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.node.CloseInterval()
-}
-
-func (p *rootProcessor) recycleInterval() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.node.Recycle()
-}
-
-// watermarkState returns the member's current event-time watermark (zero
+// watermarkState returns the member's current watermark (zero
 // when the member has seen no live chains) and whether an expected-but-
 // unheard producer is holding it back.
 func (p *rootProcessor) watermarkState(now time.Time) (time.Time, bool) {
@@ -1069,13 +951,8 @@ func (p *rootProcessor) recycle(closed []closedWindow) {
 	p.ew.recycle(closed)
 }
 
-// stats returns the member's lifetime counters, whichever store owns them.
-func (p *rootProcessor) stats() NodeStats {
-	if p.ew != nil {
-		return p.ew.stats()
-	}
-	return p.node.Stats()
-}
+// stats returns the member's lifetime counters.
+func (p *rootProcessor) stats() NodeStats { return p.ew.stats() }
 
 // groupMember is one consumer-group member of a shardGroup: its runtime, its
 // shard identity (which fixes the member ID and seed lineage), and its

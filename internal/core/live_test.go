@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/approxiot/approxiot/internal/query"
+	"github.com/approxiot/approxiot/internal/stream"
 	"github.com/approxiot/approxiot/internal/streams"
 	"github.com/approxiot/approxiot/internal/topology"
 )
@@ -78,7 +79,6 @@ func TestLiveNativePassthrough(t *testing.T) {
 	cfg := liveConfig(8000, 1)
 	cfg.NewSampler = NativeFactory()
 	cfg.Cost = FractionBudget{Fraction: 1}
-	cfg.Streaming = true
 	res, err := RunLive(cfg)
 	if err != nil {
 		t.Fatalf("RunLive: %v", err)
@@ -95,7 +95,6 @@ func TestLiveNativePassthrough(t *testing.T) {
 func TestLiveSRSStreaming(t *testing.T) {
 	cfg := liveConfig(16000, 0.2)
 	cfg.NewSampler = SRSFactory(0.2)
-	cfg.Streaming = true
 	res, err := RunLive(cfg)
 	if err != nil {
 		t.Fatalf("RunLive: %v", err)
@@ -232,7 +231,6 @@ func TestLiveLayerShardedNativeExact(t *testing.T) {
 	cfg := liveConfig(8000, 1)
 	cfg.NewSampler = NativeFactory()
 	cfg.Cost = FractionBudget{Fraction: 1}
-	cfg.Streaming = true
 	cfg.Partitions = 4
 	cfg.LayerShards = []int{3, 2} // deliberately not dividing 4 evenly
 	cfg.RootShards = 3
@@ -279,7 +277,9 @@ func TestSamplingProcessorCountsDecodeErrors(t *testing.T) {
 	// failing the member's runtime.
 	var errs atomic.Int64
 	p := &samplingProcessor{
-		node:       NewNode("edge-test", WHSFactory()(0, 0, 1), EffectiveFractionBudget{Fraction: 0.5}),
+		ew: newEventWindows(time.Second, 0, new(lateCounter), func() *Node {
+			return NewNode("edge-test", WHSFactory()(0, 0, 1), EffectiveFractionBudget{Fraction: 0.5})
+		}),
 		window:     time.Second,
 		decodeErrs: &errs,
 	}
@@ -289,8 +289,8 @@ func TestSamplingProcessorCountsDecodeErrors(t *testing.T) {
 	if errs.Load() != 1 {
 		t.Fatalf("decode errors = %d, want 1", errs.Load())
 	}
-	if p.node.Observed() != 0 {
-		t.Fatalf("corrupt record ingested %d items", p.node.Observed())
+	if p.ew.buffered() != 0 {
+		t.Fatalf("corrupt record ingested %d items", p.ew.buffered())
 	}
 }
 
@@ -301,7 +301,6 @@ func TestLivePartitionedNativeExact(t *testing.T) {
 	cfg := liveConfig(8000, 1)
 	cfg.NewSampler = NativeFactory()
 	cfg.Cost = FractionBudget{Fraction: 1}
-	cfg.Streaming = true
 	cfg.Partitions = 4
 	cfg.RootShards = 3 // deliberately not dividing 4 evenly
 	res, err := RunLive(cfg)
@@ -366,7 +365,6 @@ func TestLiveThroughputImprovesWithSampling(t *testing.T) {
 		cfg := liveConfig(30000, 1)
 		cfg.NewSampler = NativeFactory()
 		cfg.Cost = FractionBudget{Fraction: 1}
-		cfg.Streaming = true
 		cfg.RootWork = 20 * time.Microsecond
 		res, err := RunLive(cfg)
 		if err != nil {
@@ -376,5 +374,71 @@ func TestLiveThroughputImprovesWithSampling(t *testing.T) {
 	}()
 	if sampled < 1.5*native {
 		t.Fatalf("10%% sampling throughput %.0f not well above native %.0f", sampled, native)
+	}
+}
+
+// TestIngestStampedNeverLate pins the ingest-stamped contract on a sharded
+// tree: four pushers drive every slot for a few dozen windows while one slot
+// pauses for three idle timeouts and then resumes. Nothing may be dropped
+// late, the census count must be exact, and every window must be one Window
+// of ingest time.
+func TestIngestStampedNeverLate(t *testing.T) {
+	cfg := liveConfig(0, 1)
+	cfg.Window = 20 * time.Millisecond
+	cfg.Partitions = 4
+	cfg.RootShards = 2
+	cfg.LayerShards = []int{2, 2}
+	s, err := OpenLive(nil, cfg)
+	if err != nil {
+		t.Fatalf("OpenLive: %v", err)
+	}
+	idle := s.cfg.IdleTimeout
+	// Ten windows, the pause, ten windows more.
+	runFor := 20*cfg.Window + 3*idle
+	pauseAt, resumeAt := 10*cfg.Window, 10*cfg.Window+3*idle
+	start := time.Now()
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			for k := 0; time.Since(start) < runFor; k++ {
+				for _, slot := range []int{2 * g, 2*g + 1} {
+					if since := time.Since(start); slot == 0 && since >= pauseAt && since < resumeAt {
+						continue
+					}
+					ing, err := s.Ingester(slot)
+					if err == nil {
+						err = ing.Push(stream.Item{Source: stream.SourceID(fmt.Sprintf("s%d", slot)), Value: float64(k)},
+							stream.Item{Source: stream.SourceID(fmt.Sprintf("s%d", slot)), Value: 0.5})
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+				time.Sleep(cfg.Window / 4)
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("push: %v", err)
+		}
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if res.LateDropped != 0 || res.LateDroppedInput != 0 {
+		t.Fatalf("dropped %d ingest-stamped items late", res.LateDropped)
+	}
+	assertCountInvariant(t, "ingest-stamped census", res.EstimateCount, float64(res.Produced))
+	if len(res.Windows) < 10 {
+		t.Fatalf("closed %d windows, want at least 10", len(res.Windows))
+	}
+	for i, w := range res.Windows {
+		if w.Start.IsZero() || w.End.Sub(w.Start) != cfg.Window {
+			t.Fatalf("window %d spans [%v, %v), want one %v window", i, w.Start, w.End, cfg.Window)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"time"
 
-	"sync/atomic"
-
 	"github.com/approxiot/approxiot/internal/query"
 	"github.com/approxiot/approxiot/internal/sample"
 	"github.com/approxiot/approxiot/internal/stream"
@@ -21,10 +19,8 @@ import (
 // that arrive in a later interval than their weight (the Fig. 3 case) are
 // processed with the carried, up-to-date weight.
 //
-// Node is not safe for concurrent *mutation*; runners own each node from a
-// single goroutine (live mode) or the event loop (simulated mode). The
-// lifetime counters behind Stats are atomic, so telemetry readers (the live
-// session's Snapshot) may call Stats at any time while the owner ingests.
+// Node is not safe for concurrent use; runners own each node from a single
+// goroutine (live mode) or the event loop (simulated mode).
 type Node struct {
 	id      string
 	sampler sample.Sampler
@@ -41,10 +37,6 @@ type Node struct {
 	// it back. slabs is nil for a node nobody recycles for.
 	slabs  *slabStore
 	closed []stream.Batch
-
-	totalObserved atomic.Int64
-	totalEmitted  atomic.Int64
-	intervals     atomic.Int64
 }
 
 type lineageKey struct {
@@ -128,7 +120,6 @@ func (n *Node) reserve(src stream.SourceID, w float64, count int) []stream.Item 
 	}
 	pair.Items = pair.Items[:have+count]
 	n.observed += count
-	n.totalObserved.Add(int64(count))
 	return pair.Items[have:]
 }
 
@@ -145,7 +136,6 @@ func (n *Node) LastWeight(src stream.SourceID) float64 { return n.weights.Get(sr
 // storage (the sampler works in place): they stay valid until Recycle, and
 // indefinitely if Recycle is never called.
 func (n *Node) CloseInterval() []stream.Batch {
-	n.intervals.Add(1)
 	if len(n.psi) == 0 {
 		return nil
 	}
@@ -158,11 +148,6 @@ func (n *Node) CloseInterval() []stream.Batch {
 		budget = wc.SampleSizeWeighted(est)
 	}
 	out := n.sampler.SampleInterval(n.psi, budget)
-	var emitted int64
-	for _, b := range out {
-		emitted += int64(len(b.Items))
-	}
-	n.totalEmitted.Add(emitted)
 	n.closed, n.psi = n.psi, nil
 	clear(n.lineage)
 	n.observed = 0
@@ -188,37 +173,23 @@ func (n *Node) Recycle() {
 }
 
 // reopen returns a retired window's node to the state its constructor left
-// it in — no carried weights, counters at zero, the sampler rewound to its
-// seed — so the window it serves next samples exactly as a freshly built
-// node would. The node keeps its maps, its pair headers and its sampler's
-// generator: reopening allocates nothing.
+// it in — no carried weights, the sampler rewound to its seed — so the
+// window it serves next samples exactly as a freshly built node would. The
+// node keeps its maps, its pair headers and its sampler's generator:
+// reopening allocates nothing.
 func (n *Node) reopen() {
 	clear(n.weights)
 	n.sampler.Reseed()
-	n.totalObserved.Store(0)
-	n.totalEmitted.Store(0)
-	n.intervals.Store(0)
 }
 
-// Stats reports lifetime counters for instrumentation. Safe to call from
-// any goroutine while the owner keeps ingesting: each counter is read
-// atomically (the triple is not one consistent cut, which telemetry does
-// not need).
-func (n *Node) Stats() NodeStats {
-	return NodeStats{
-		Observed:  n.totalObserved.Load(),
-		Emitted:   n.totalEmitted.Load(),
-		Intervals: n.intervals.Load(),
-	}
-}
-
-// NodeStats are lifetime counters of one node.
+// NodeStats are the lifetime counters of one live member, summed over its
+// window nodes (eventWindows.stats).
 type NodeStats struct {
-	// Observed counts every item the node received.
+	// Observed counts every item the member buffered into a window.
 	Observed int64
-	// Emitted counts every item the node forwarded after sampling.
+	// Emitted counts every item the member forwarded after sampling.
 	Emitted int64
-	// Intervals counts CloseInterval calls.
+	// Intervals counts the windows the member closed.
 	Intervals int64
 }
 
@@ -229,9 +200,10 @@ type WindowResult struct {
 	// simulation).
 	At time.Time
 	// Start and End delimit the event-time tumbling window this result
-	// covers. They are set only in event-time mode (EventTime configs);
-	// processing-time windows, which are defined by the close ticker
-	// rather than by record timestamps, leave both zero.
+	// covers. Every live window sets them (with EventTime off the window is
+	// one Window of ingest time); the simulator's arrival windows, which are
+	// defined by the close tick rather than by record timestamps, leave both
+	// zero.
 	Start, End time.Time
 	// Results holds one entry per registered query kind, in order.
 	Results []query.Result

@@ -121,24 +121,6 @@ func TestNodeIngestEmptyBatchIgnored(t *testing.T) {
 	}
 }
 
-func TestNodeStats(t *testing.T) {
-	n := whsNode("n", 2)
-	n.IngestItems(mkItems("a", 1, 2, 3, 4))
-	n.CloseInterval()
-	n.IngestItems(mkItems("a", 5))
-	n.CloseInterval()
-	s := n.Stats()
-	if s.Observed != 5 {
-		t.Fatalf("Observed = %d, want 5", s.Observed)
-	}
-	if s.Emitted != 3 { // 2 (budget) + 1
-		t.Fatalf("Emitted = %d, want 3", s.Emitted)
-	}
-	if s.Intervals != 2 {
-		t.Fatalf("Intervals = %d, want 2", s.Intervals)
-	}
-}
-
 // TestPaperFigure3EndToEnd replays the worked example of Fig. 3 across a
 // three-node chain A → B → C and checks every number the paper states.
 func TestPaperFigure3EndToEnd(t *testing.T) {

@@ -23,12 +23,11 @@ import (
 // seed lineages, and watermark expectations agree by construction; the
 // cross-process contract is the plan, not any runtime handshake.
 //
-// Determinism contract: node mode requires event-time windows. Processing-
-// time windows are cut by each process's private wall clock, so two
-// processes could never agree on window contents; event-time windows are
-// cut by record timestamps and closed by watermarks that travel with the
-// data, which is exactly what makes the multi-process run produce per-
-// window counts identical to a single-process run of the same workload.
+// Determinism contract: windows are cut by record timestamps — the caller's
+// with EventTime, the source valve's publish instant without — and closed by
+// watermarks that travel with the data, never by any process's private wall
+// clock. That is exactly what makes the multi-process run produce per-window
+// counts identical to a single-process run of the same workload.
 //
 // Completion flows with the data too, through the engine's one lifecycle —
 // the steps an in-process Close takes in one call, spread across the tiers.
@@ -47,9 +46,6 @@ var (
 	// process-per-tier deployment is meaningless on a private in-memory
 	// broker no other process can reach.
 	ErrNodeNeedsBus = errors.New("core: node sessions need a shared transport bus (set LiveConfig.Bus)")
-	// ErrNodeNeedsEventTime rejects processing-time node sessions: windows
-	// cut by per-process wall clocks cannot agree across processes.
-	ErrNodeNeedsEventTime = errors.New("core: node sessions require EventTime (wall-clock windows are per-process and cannot merge exactly)")
 	// ErrNodeUnsupported rejects LiveConfig features that need the whole
 	// tree in one process (the feedback loop's root-colocated controller,
 	// checkpoint restarts driven by the session's elastic layer).
@@ -130,9 +126,6 @@ var errNoIngest = errors.New("core: tier has no ingest valves (set NodeTier.Inge
 func OpenNode(ctx context.Context, cfg LiveConfig, tier NodeTier) (*NodeSession, error) {
 	if cfg.Bus == nil {
 		return nil, ErrNodeNeedsBus
-	}
-	if !cfg.EventTime {
-		return nil, ErrNodeNeedsEventTime
 	}
 	if cfg.Feedback != nil || cfg.Checkpoint != nil {
 		return nil, ErrNodeUnsupported

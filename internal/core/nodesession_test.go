@@ -273,6 +273,94 @@ func TestNodeTiersMatchSingleProcess(t *testing.T) {
 	})
 }
 
+// TestNodeTiersIngestStamped runs the three tiers over TCP without caller
+// timestamps: the leaf tier's valves stamp every item at ingest, and every
+// tier windows by those stamps, so the tiers need no shared clock. Two pushers
+// feed the census across a dozen windows; the cross-tier accounting identity
+// must hold exactly, nothing may be late, and the SUM must be the pushed truth.
+func TestNodeTiersIngestStamped(t *testing.T) {
+	poisonStaleBytes(t)
+	cfg := nodeTestConfig(topology.Testbed(), FractionBudget{Fraction: 1}, 0)
+	cfg.EventTime = false
+	addr := startNodeBroker(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	open := func(tier NodeTier) *NodeSession {
+		n, err := OpenNode(ctx, withBus(cfg, dialNodeBus(t, addr)), tier)
+		if err != nil {
+			t.Fatalf("OpenNode(%+v): %v", tier, err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	root := open(NodeTier{Root: true})
+	mid := open(NodeTier{Layers: []int{1}})
+	leaf := open(NodeTier{Layers: []int{0}, Ingest: true})
+
+	// Two pushers, four slots each, twelve rounds a window apart.
+	const rounds, perPush = 12, 25
+	truth := make([]float64, 2)
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			for r := 0; r < rounds; r++ {
+				for slot := 4 * w; slot < 4*w+4; slot++ {
+					items := make([]stream.Item, perPush)
+					for k := range items {
+						items[k].Value = float64(slot+1) + 0.125*float64(k+r)
+						truth[w] += items[k].Value
+					}
+					if err := leaf.Push(slot, items...); err != nil {
+						errs <- err
+						return
+					}
+				}
+				time.Sleep(cfg.Window)
+			}
+			errs <- nil
+		}(w)
+	}
+	for range truth {
+		if err := <-errs; err != nil {
+			t.Fatalf("push: %v", err)
+		}
+	}
+	if err := leaf.FinishIngest(); err != nil {
+		t.Fatalf("FinishIngest: %v", err)
+	}
+	for _, n := range []*NodeSession{root, mid, leaf} {
+		if err := n.WaitDone(ctx); err != nil {
+			t.Fatalf("WaitDone: %v", err)
+		}
+	}
+	for _, n := range []*NodeSession{leaf, mid} {
+		if err := n.Drain(ctx); err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+	}
+	leafRes, midRes, rootRes := leaf.Close(), mid.Close(), root.Close()
+
+	if want := int64(2 * rounds * 4 * perPush); leafRes.Produced != want {
+		t.Fatalf("leaf produced %d, want %d", leafRes.Produced, want)
+	}
+	if late := leafRes.LateDropped + midRes.LateDropped + rootRes.LateDropped; late != 0 {
+		t.Fatalf("%d ingest-stamped items dropped late", late)
+	}
+	if len(rootRes.Windows) < 2 {
+		t.Fatalf("root closed %d windows over %d rounds", len(rootRes.Windows), rounds)
+	}
+	var input, sum float64
+	for _, w := range rootRes.Windows {
+		input += w.EstimatedInput
+		sum += w.Result(query.Sum).Estimate.Value
+	}
+	input += leafRes.LateDroppedInput + midRes.LateDroppedInput + rootRes.LateDroppedInput
+	assertCountInvariant(t, "ingest-stamped node tiers", input, float64(leafRes.Produced))
+	if want := truth[0] + truth[1]; math.Abs(sum-want)/want > 1e-9 {
+		t.Fatalf("census sum %.6f, pushed truth %.6f", sum, want)
+	}
+}
+
 // TestNodeBackpressureOverTCP is the satellite-5 regression: MaxIngestLag
 // must hold through a remote backend. The valve's lag probe travels over
 // TCP; an unknown group (the consuming tier not up yet) must BLOCK the
@@ -407,11 +495,13 @@ func TestOpenNodeValidation(t *testing.T) {
 	if _, err := OpenNode(nil, base, NodeTier{Root: true}); !errors.Is(err, ErrNodeNeedsBus) {
 		t.Fatalf("no bus: err = %v, want ErrNodeNeedsBus", err)
 	}
-	wallClock := withBus(base, bus)
-	wallClock.EventTime = false
-	if _, err := OpenNode(nil, wallClock, NodeTier{Root: true}); !errors.Is(err, ErrNodeNeedsEventTime) {
-		t.Fatalf("processing time: err = %v, want ErrNodeNeedsEventTime", err)
+	ingestStamped := withBus(base, bus)
+	ingestStamped.EventTime = false
+	n, err := OpenNode(nil, ingestStamped, NodeTier{Root: true})
+	if err != nil {
+		t.Fatalf("ingest-stamped: err = %v, want a session", err)
 	}
+	n.Close()
 	if _, err := OpenNode(nil, withBus(base, bus), NodeTier{}); !errors.Is(err, ErrNodeTierEmpty) {
 		t.Fatalf("empty tier: err = %v, want ErrNodeTierEmpty", err)
 	}

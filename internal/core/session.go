@@ -159,11 +159,13 @@ func OpenLive(ctx context.Context, cfg LiveConfig) (*LiveSession, error) {
 // compileLive is the shared prologue of every live entry point (OpenLive,
 // and OpenNode in node mode): it compiles the deployment plan and
 // normalizes the session-level defaults — window cadence, confidence,
-// backpressure high-water mark, drain deadline, and the event-time idle
-// timeout. Keeping it in one place is what guarantees a multi-process
-// deployment's per-tier sessions agree with a single-process session on
-// what every one of those knobs means; if the two entry points normalized
-// independently they could silently compile incompatible trees.
+// backpressure high-water mark, drain deadline, the idle timeout, and with
+// EventTime off the ingest-stamped window (Window long, no lateness).
+// Keeping it in one place is what guarantees a multi-process deployment's
+// per-tier sessions agree with a single-process session on what every one
+// of those knobs means — every tier compiles the same windows by
+// construction; if the two entry points normalized independently they
+// could silently compile incompatible trees.
 func compileLive(cfg LiveConfig) (LiveConfig, *Plan, error) {
 	if cfg.Feedback != nil {
 		// The adaptive loop owns the budget: members get private
@@ -171,6 +173,13 @@ func compileLive(cfg LiveConfig) (LiveConfig, *Plan, error) {
 		// controller (in effective-fraction form) for validation and as
 		// the canonical cost of record.
 		cfg.Cost = feedbackCost{ctl: cfg.Feedback}
+	}
+	if cfg.Window <= 0 {
+		cfg.Window = 50 * time.Millisecond
+	}
+	if !cfg.EventTime {
+		cfg.Spec.Window = cfg.Window
+		cfg.AllowedLateness = 0
 	}
 	plan, err := CompilePlan(PlanConfig{
 		Spec:        cfg.Spec,
@@ -188,9 +197,6 @@ func compileLive(cfg LiveConfig) (LiveConfig, *Plan, error) {
 	if cfg.Feedback != nil && feedbackKind(plan.Queries) == query.Count {
 		return cfg, nil, ErrFeedbackNeedsQuery
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 50 * time.Millisecond
-	}
 	if cfg.Confidence == 0 {
 		cfg.Confidence = stats.TwoSigma
 	}
@@ -200,41 +206,33 @@ func compileLive(cfg LiveConfig) (LiveConfig, *Plan, error) {
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = defaultDrainTimeout
 	}
-	if cfg.EventTime {
-		if cfg.Streaming {
-			return cfg, nil, ErrEventTimeStreaming
-		}
-		if cfg.AllowedLateness < 0 {
-			cfg.AllowedLateness = 0
-		}
-		switch {
-		case cfg.IdleTimeout == 0:
-			// Default: several sweep ticks, but never less than the
-			// lateness horizon — a source pausing for less than the
-			// lateness it was promised must not be aged out of the
-			// minimum, or its in-horizon records would be dropped by the
-			// very mechanism lateness exists to protect them from.
-			cfg.IdleTimeout = 4 * cfg.Window
-			if cfg.AllowedLateness > cfg.IdleTimeout {
-				cfg.IdleTimeout = cfg.AllowedLateness
-			}
-		case cfg.IdleTimeout < 0:
-			// No idle exclusion: expectation placeholders for producers a
-			// member never hears from would block its watermark forever.
-			// Single-member groups hear every producer of their node, so
-			// only they can run without the exclusion. (plan.LayerShards
-			// is normalized — one entry per layer, the root entry mirrors
-			// RootShards.)
-			for _, shards := range plan.LayerShards {
-				if shards > 1 {
-					return cfg, nil, ErrEventTimeIdleSharded
-				}
-			}
-			cfg.IdleTimeout = 0 // tracker semantics: 0 = never exclude
-		}
+	if cfg.AllowedLateness < 0 {
+		cfg.AllowedLateness = 0
 	}
-	if cfg.Checkpoint != nil && cfg.Streaming {
-		return cfg, nil, ErrCheckpointStreaming
+	switch {
+	case cfg.IdleTimeout == 0:
+		// Default: several sweep ticks, but never less than the lateness
+		// horizon — a source pausing for less than the lateness it was
+		// promised must not be aged out of the minimum, or its in-horizon
+		// records would be dropped by the very mechanism lateness exists to
+		// protect them from.
+		cfg.IdleTimeout = 4 * cfg.Window
+		if cfg.AllowedLateness > cfg.IdleTimeout {
+			cfg.IdleTimeout = cfg.AllowedLateness
+		}
+	case cfg.IdleTimeout < 0:
+		// No idle exclusion: expectation placeholders for producers a
+		// member never hears from would block its watermark forever.
+		// Single-member groups hear every producer of their node, so only
+		// they can run without the exclusion. (plan.LayerShards is
+		// normalized — one entry per layer, the root entry mirrors
+		// RootShards.)
+		for _, shards := range plan.LayerShards {
+			if shards > 1 {
+				return cfg, nil, ErrEventTimeIdleSharded
+			}
+		}
+		cfg.IdleTimeout = 0 // tracker semantics: 0 = never exclude
 	}
 	return cfg, plan, nil
 }
@@ -266,10 +264,9 @@ func (s *LiveSession) Ingester(slot int) (*Ingester, error) {
 // src, and the batch enters the tree at a stable leaf — src hashes to a
 // source slot, so one stratum always flows through the same layer-0 node
 // and per-stratum ordering is preserved. Items are stamped with the
-// wall-clock publish instant (Pub, for end-to-end latency; in
-// processing-time mode Ts is overwritten with the same instant, in
-// event-time mode a caller-supplied Ts is preserved as the event
-// timestamp). Returns ErrSessionDraining / ErrSessionClosed once the
+// wall-clock publish instant (Pub, for end-to-end latency; with EventTime
+// off Ts is overwritten with the same instant, with EventTime on a
+// caller-supplied Ts is preserved as the event timestamp). Returns ErrSessionDraining / ErrSessionClosed once the
 // session has left the ingesting state.
 func (s *LiveSession) Ingest(src stream.SourceID, items ...stream.Item) error {
 	for i := range items {
@@ -308,27 +305,6 @@ func (s *LiveSession) Target() float64 {
 		return 0
 	}
 	return s.cfg.Feedback.Target()
-}
-
-// closeWindow is the processing-time close: it merges every root member's
-// Θ, runs the queries, and emits one window. Only OpenLive reaches it
-// (OpenNode rejects processing time); it runs on the ticker and once more
-// at shutdown.
-func (e *engine) closeWindow(at time.Time) {
-	e.windowMu.Lock()
-	defer e.windowMu.Unlock()
-	var theta []stream.Batch
-	for _, rp := range e.rootProcs {
-		theta = append(theta, rp.closeInterval()...)
-	}
-	win := NewWindowResult(at, e.eval, e.plan.Queries, theta)
-	for _, rp := range e.rootProcs {
-		rp.recycleInterval() // the queries have run: Θ is dead
-	}
-	if win.SampleSize == 0 {
-		return
-	}
-	e.emitWindowLocked(win)
 }
 
 // LiveSnapshot is a mid-run view of the deployment's telemetry — everything
@@ -381,8 +357,8 @@ type LiveSnapshot struct {
 	// probes — the inputs an operational surface (health checks, stall
 	// detection) needs alongside the counters.
 
-	// Window is the configured processing-time window (event-time mode:
-	// the wall-clock sweep cadence).
+	// Window is the configured sweep cadence (with EventTime off, also the
+	// window length).
 	Window time.Duration
 	// MaxIngestLag is the configured backpressure high-water mark per leaf
 	// topic (negative: backpressure disabled).
@@ -395,11 +371,12 @@ type LiveSnapshot struct {
 	Start time.Time
 	// LastActivity is the instant of the most recent root-side processing.
 	LastActivity time.Time
-	// EventTime reports whether the deployment runs event-time windows.
+	// EventTime reports whether callers stamp the event timestamps (false:
+	// the valves stamp them at ingest).
 	EventTime bool
-	// Watermark is the merged root watermark (event-time mode only; zero
-	// in processing-time mode, while blocked on an expected-but-unheard
-	// producer, before any traffic, and once closed).
+	// Watermark is the merged root watermark (zero on a tier without the
+	// root, while blocked on an expected-but-unheard producer, before any
+	// traffic, and once closed).
 	Watermark time.Time
 	// Adaptive reports whether a feedback controller is installed —
 	// Fraction/Target are meaningful gauges only when true.
@@ -414,14 +391,14 @@ type LiveSnapshot struct {
 
 // Close drains the deployment and returns the final merged LiveResult:
 // pushes are rejected from the moment Close is called (ErrSessionDraining),
-// in event time the end of stream goes out through every valve, in-flight
-// windows reach the root, the final partial window is closed, and every
+// the end of stream goes out through every valve, in-flight windows reach
+// the root, the final partial window is closed, and every
 // goroutine the session owns exits. Close is idempotent — every call returns
 // the same result — and safe to call after context cancellation, in which
 // case it reports the context's error alongside the result assembled at
 // abort time.
 func (s *LiveSession) Close() (*LiveResult, error) {
-	s.stopAdmitting(s.cfg.EventTime)
+	s.stopAdmitting(true)
 	s.finish(s.drain(s.ctx))
 	<-s.watched
 	return s.res, s.Err()

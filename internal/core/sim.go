@@ -242,10 +242,14 @@ func (r *SimResult) TotalBytes() int64 {
 
 // Configuration errors.
 var (
-	ErrNoSourceFunc = errors.New("core: SimConfig.Source is required")
-	ErrNoSampler    = errors.New("core: SimConfig.NewSampler is required")
-	ErrNoCost       = errors.New("core: SimConfig.Cost is required")
-	ErrNoDuration   = errors.New("core: SimConfig.Duration must be positive")
+	// ErrEventTimeStreaming rejects a simulation combining EventTime with
+	// Streaming: streaming forwards per batch with no edge windows to
+	// assign records to, so event-time windowing has nothing to act on.
+	ErrEventTimeStreaming = errors.New("core: EventTime requires windowed mode (Streaming must be false)")
+	ErrNoSourceFunc       = errors.New("core: SimConfig.Source is required")
+	ErrNoSampler          = errors.New("core: SimConfig.NewSampler is required")
+	ErrNoCost             = errors.New("core: SimConfig.Cost is required")
+	ErrNoDuration         = errors.New("core: SimConfig.Duration must be positive")
 )
 
 func nodeSeed(layer, node int, seed uint64) uint64 {

@@ -13,7 +13,7 @@ import (
 // to the windows that open next.
 //
 // Ownership: one store per Ψ owner — an eventWindows (shared by its
-// per-window nodes) or a processing-time Node — used only by the goroutine,
+// per-window nodes) or a standalone Node — used only by the goroutine,
 // or under the lock, that already serializes that owner, so it needs no
 // synchronization of its own. A slab belongs to exactly one lineage from
 // get until the window it served has been closed AND its Θ is dead (encoded

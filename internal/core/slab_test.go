@@ -223,7 +223,7 @@ func TestEdgeRecyclingKeepsEncodedWindows(t *testing.T) {
 // member's one store, like the nodes ingest creates.
 func TestCheckpointRestoredWindowsShareTheStore(t *testing.T) {
 	p, _ := hopMember(1)
-	ck := &memberCkpt{eventTime: true}
+	ck := &memberCkpt{}
 	for w := 0; w < 2; w++ {
 		ck.windows = append(ck.windows, ckptWindow{
 			start: simEpoch.Add(time.Duration(w) * hopWindow).UnixNano(),

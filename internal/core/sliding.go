@@ -82,8 +82,8 @@ func newSlidingState(slide int, window time.Duration, conf stats.Confidence, kin
 // the sliding estimates to it. Event-time panes that were never emitted
 // (SampleSize 0 windows are skipped before this point) are zero by
 // definition, so gap-fill pushes zero panes to keep the composed window
-// spanning exactly slide × Window of event time. Processing-time windows
-// carry no Start and compose by emission order.
+// spanning exactly slide × Window of event time. The simulator's arrival
+// windows carry no Start and compose by emission order.
 func (ss *slidingState) observe(win *WindowResult) {
 	if !win.Start.IsZero() && ss.window > 0 {
 		if ss.seen {
@@ -97,7 +97,9 @@ func (ss *slidingState) observe(win *WindowResult) {
 				}
 			}
 		}
-		ss.lastStart = win.Start.UnixNano()
+		// An ingest-stamped window reopened behind the last start fills no
+		// gap and moves nothing back.
+		ss.lastStart = max(ss.lastStart, win.Start.UnixNano())
 		ss.seen = true
 	}
 	win.Sliding = make([]SlidingResult, len(ss.kinds))

@@ -22,12 +22,14 @@ type valve struct {
 	bwc       *metrics.BandwidthCounter // private leaf-link byte counter
 	from      string                    // watermark origin: this valve's chain identity
 	perRecord bool                      // recordAtATime: publish one record per broker append
+	stampTs   bool                      // EventTime off: Ts is the publish instant
 
 	// marks tracks, per sub-stream pushed through this valve, the highest
 	// event timestamp seen — the sub-stream's low watermark, piggybacked on
-	// every record the valve publishes. Nil in processing-time mode, where
-	// Ts is re-stamped with the publish instant and nothing is piggybacked.
+	// every record the valve publishes. last is the instant of the valve's
+	// latest send (idle beats included).
 	marks map[stream.SourceID]time.Time
+	last  time.Time
 	// enc / outRecs are the valve's publish scratch: one push queues every
 	// same-source run in enc and lands the whole set with a single
 	// SendBatch (one topic lock, one consumer wakeup), encoded into one
@@ -39,8 +41,8 @@ type valve struct {
 
 // publish stamps and sends one push. A single indexed pass over the items
 // defaults an empty Source to the slot's stratum, stamps Pub with the
-// publish instant (and Ts too, where it is zero or the valve runs on
-// processing time), adds each value to *truth — item by item, in order, so
+// publish instant (and Ts too, where it is zero or the valve stamps at
+// ingest), adds each value to *truth — item by item, in order, so
 // the running total is bit-identical to a per-item accumulator — and cuts
 // the items into runs of one sub-stream, each queued as a weight-1 batch
 // carrying its sub-stream's advanced low watermark. The runs then land with
@@ -48,6 +50,7 @@ type valve struct {
 func (v *valve) publish(items []stream.Item, truth *paddedFloat) error {
 	pub := time.Now()
 	pubNanos := pub.UnixNano()
+	v.last = pub
 	var (
 		defaultSrc stream.SourceID
 		src        stream.SourceID
@@ -67,7 +70,7 @@ func (v *valve) publish(items []stream.Item, truth *paddedFloat) error {
 			it.Source = defaultSrc
 		}
 		it.Pub = pubNanos
-		if v.marks == nil || it.Ts.IsZero() {
+		if v.stampTs || it.Ts.IsZero() {
 			it.Ts = pub
 		}
 		sum += it.Value
@@ -96,12 +99,8 @@ func (v *valve) publish(items []stream.Item, truth *paddedFloat) error {
 // queue notes one run of a single sub-stream for the push being assembled,
 // recording the run's watermark as the sub-stream's new mark.
 func (v *valve) queue(src stream.SourceID, run []stream.Item, mark time.Time) {
-	var wm mq.Watermark
-	if v.marks != nil {
-		v.marks[src] = mark
-		wm = mq.Watermark{From: v.from, At: mark}
-	}
-	v.enc.add(stream.Batch{Source: src, Weight: 1, Items: run}, wm)
+	v.marks[src] = mark
+	v.enc.add(stream.Batch{Source: src, Weight: 1, Items: run}, mq.Watermark{From: v.from, At: mark})
 }
 
 // send lands the queued runs: one batched append — one topic lock, one
@@ -164,10 +163,11 @@ func (in *Ingester) Sent() int64 { return in.sent.Load() }
 // sub-stream become one weighted batch (weight 1 — the census), keyed by
 // SourceID so a stratum sticks to one partition. Every item's Pub is
 // stamped with the wall-clock publish instant (end-to-end latency is
-// measured from here). In processing-time mode Ts is re-stamped with the
-// same instant; in event-time mode a caller-supplied Ts is the item's event
-// timestamp and is preserved (zero Ts defaults to the publish instant), and
-// the sub-stream's low watermark piggybacks on the published records. Items
+// measured from here). With EventTime off Ts is stamped with the same
+// instant; with EventTime on a caller-supplied Ts is the item's event
+// timestamp and is preserved (zero Ts defaults to the publish instant).
+// Either way the sub-stream's low watermark piggybacks on the published
+// records. Items
 // with an empty Source default to the slot's stratum ("source<slot>"). Push
 // applies backpressure — it blocks while the leaf group's backlog exceeds
 // LiveConfig.MaxIngestLag records — and pacing: with LiveConfig.SourceRate
@@ -313,6 +313,30 @@ func (in *Ingester) backpressure() error {
 		case <-time.After(wait):
 		}
 	}
+}
+
+// beatIfIdle keeps ingest-stamped time moving when pushes stop: a valve that
+// stamps at ingest promises that no later record is older than the instant it
+// is sent, so one idle for a whole window heartbeats every sub-stream it has
+// carried at the current instant, and the windows its last pushes filled
+// close on time. A valve whose mutex is held is pushing, not idle. Beats
+// follow Push's admission rules — never once the session stops admitting or
+// the leaf is detached.
+func (in *Ingester) beatIfIdle() {
+	if !in.mu.TryLock() {
+		return
+	}
+	defer in.mu.Unlock()
+	now := time.Now()
+	if len(in.marks) == 0 || now.Sub(in.last) < in.e.cfg.Window ||
+		in.e.ingestAllowed() != nil || in.leaf != nil && in.leaf.isDetached() {
+		return
+	}
+	in.last = now
+	for src := range in.marks {
+		in.queue(src, nil, now)
+	}
+	_ = in.send() // a failed beat is the next one's to repeat
 }
 
 // sendEOS publishes an end-of-stream watermark heartbeat for every

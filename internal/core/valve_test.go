@@ -17,14 +17,14 @@ import (
 // The valve's single pass must publish what the four separate passes it
 // replaced published: the same runs, each stamped, each carrying its
 // sub-stream's running-maximum watermark, and a truth total that is the
-// item-by-item running sum, bit for bit — in event-time mode (caller
-// timestamps kept, zero ones defaulted) and in processing-time mode
-// (everything re-stamped, nothing piggybacked), batched and record-at-a-time.
+// item-by-item running sum, bit for bit — with caller timestamps (kept, zero
+// ones defaulted) and stamped at ingest (everything re-stamped), batched and
+// record-at-a-time.
 func TestValvePublishOnePassEqualsFour(t *testing.T) {
 	for _, mode := range []struct {
 		name                 string
 		eventTime, perRecord bool
-	}{{"event-time", true, false}, {"processing-time", false, false}, {"record-at-a-time", true, true}} {
+	}{{"event-time", true, false}, {"ingest-stamped", false, false}, {"record-at-a-time", true, true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			bus := transport.NewMem()
 			defer bus.Close()
@@ -37,10 +37,8 @@ func TestValvePublishOnePassEqualsFour(t *testing.T) {
 			}
 			bw := metrics.NewBandwidthAccount()
 			v := &valve{slot: 3, topic: "leaf", producer: bus.NewProducer(), bwc: bw.Counter("leaf"),
-				from: sourceFrom(3), perRecord: mode.perRecord}
-			if mode.eventTime {
-				v.marks = make(map[stream.SourceID]time.Time)
-			}
+				from: sourceFrom(3), perRecord: mode.perRecord, stampTs: !mode.eventTime,
+				marks: make(map[stream.SourceID]time.Time)}
 			gen := xrand.New(11)
 			var truth paddedFloat
 			wantTruth := 0.0
@@ -80,18 +78,14 @@ func TestValvePublishOnePassEqualsFour(t *testing.T) {
 						hi++
 					}
 					run := stream.Batch{Source: items[lo].Source, Weight: 1, Items: items[lo:hi]}
-					var wm mq.Watermark
-					if mode.eventTime {
-						mark := wantMarks[run.Source]
-						for _, it := range run.Items {
-							if it.Ts.After(mark) {
-								mark = it.Ts
-							}
+					mark := wantMarks[run.Source]
+					for _, it := range run.Items {
+						if it.Ts.After(mark) {
+							mark = it.Ts
 						}
-						wantMarks[run.Source] = mark
-						wm = mq.Watermark{From: "src3", At: mark}
 					}
-					runs, wms = append(runs, run), append(wms, wm)
+					wantMarks[run.Source] = mark
+					runs, wms = append(runs, run), append(wms, mq.Watermark{From: "src3", At: mark})
 					wantBytes += int64(run.WireSize())
 					lo = hi
 				}
@@ -101,7 +95,7 @@ func TestValvePublishOnePassEqualsFour(t *testing.T) {
 						t.Fatalf("item left unstamped: %+v", it)
 					}
 					if !mode.eventTime && it.Ts.UnixNano() != pub {
-						t.Fatalf("processing time must re-stamp Ts: %v vs pub %d", it.Ts, pub)
+						t.Fatalf("ingest stamping must re-stamp Ts: %v vs pub %d", it.Ts, pub)
 					}
 				}
 				recs, err := cons.TryPoll(1024)
@@ -126,7 +120,7 @@ func TestValvePublishOnePassEqualsFour(t *testing.T) {
 			if got := bw.Link("leaf"); got != wantBytes {
 				t.Fatalf("accounted %d payload bytes, want %d", got, wantBytes)
 			}
-			if mode.eventTime && len(v.marks) != len(wantMarks) {
+			if len(v.marks) != len(wantMarks) {
 				t.Fatalf("valve tracks %d sub-streams, want %d", len(v.marks), len(wantMarks))
 			}
 		})
