@@ -47,6 +47,7 @@ import (
 	"github.com/approxiot/approxiot/internal/sample"
 	"github.com/approxiot/approxiot/internal/stats"
 	"github.com/approxiot/approxiot/internal/stream"
+	"github.com/approxiot/approxiot/internal/streams"
 	"github.com/approxiot/approxiot/internal/topology"
 	"github.com/approxiot/approxiot/internal/workload"
 )
@@ -103,9 +104,12 @@ type (
 	// LiveResult reports a live run.
 	LiveResult = core.LiveResult
 	// NodeTelemetry is one live node member's lifetime measurement
-	// (observed/emitted items, window intervals, throughput), reported on
-	// LiveResult.Nodes.
+	// (observed/emitted items, window intervals, throughput, pump
+	// wake-ups), reported on LiveResult.Nodes.
 	NodeTelemetry = core.NodeTelemetry
+	// Wakeups counts a member pump's cycles that started from a park, by
+	// cause (records, the member's deadline, a Sync): NodeTelemetry.Wakeups.
+	Wakeups = streams.Wakeups
 
 	// FeedbackController adapts the sampling fraction to an error target
 	// (§IV-B). It drives the Estimator via WithAdaptiveBudget and full-tree
@@ -255,11 +259,17 @@ type Config struct {
 	// apply it to pushed streams too. Simulated runs ignore it — their
 	// sources are rate-shaped by the workload generators.
 	SourceRate float64
-	// Window is the live sweep cadence (default 50 ms): how often the root
-	// merges due windows and emits results — the cadence of a Deployment's
-	// Windows subscription. With EventTime off it is also the window
-	// length. Simulated runs ignore it (the TreeSpec's virtual-time window
-	// applies there).
+	// Window is the live cadence (default 50 ms). It does not pace window
+	// closes: every node closes a window when its watermark passes the
+	// window's end, and the root emits the result — to OnWindow and the
+	// Deployment's Windows subscription — as soon as the merged watermark
+	// does; nodes wake on records and on their own deadlines, not on a tick.
+	// Window still sets the window length with EventTime off, the default
+	// IdleTimeout (4×Window), how often a drain probes for quiescence
+	// (Window/4), the checkpoint cadence (one save per Window per member,
+	// with Checkpoint), and how long an ingest-stamping valve stays silent
+	// before its idle beat (one Window). Simulated runs ignore it (the
+	// TreeSpec's virtual-time window applies there).
 	Window time.Duration
 	// EventTime selects who stamps the timestamps live windows are cut by.
 	// Live windows are always event-time tumbling windows: records are
@@ -325,7 +335,7 @@ type Config struct {
 	// modes (live runs additionally offer the Deployment.Windows
 	// subscription). It runs on the runner's window-close path: keep it
 	// fast, and from a live Deployment never call Close inside it (Close
-	// waits for the window ticker, so that deadlocks); Snapshot is safe.
+	// waits for the sweeper, so that deadlocks); Snapshot is safe.
 	OnWindow func(WindowResult)
 	// Partitions is the partition count of every live mq topic (default 1).
 	// Records are keyed by sub-stream, so ordering within a stratum is

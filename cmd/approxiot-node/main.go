@@ -62,7 +62,7 @@ func main() {
 		items    = flag.Int("items", 2000, "items pushed per source (leaf and single roles)")
 		span     = flag.Duration("span", 4*time.Second, "event-time span the items cover")
 		ewindow  = flag.Duration("ewindow", time.Second, "event-time window size")
-		cadence  = flag.Duration("cadence", 20*time.Millisecond, "window sweep cadence")
+		cadence  = flag.Duration("cadence", 20*time.Millisecond, "LiveConfig.Window: idle timeout (4x), drain probe and idle-beat cadence; closes are event-driven")
 		lateness = flag.Duration("lateness", 0, "allowed lateness (0 = one event window)")
 		fraction = flag.Float64("fraction", 1.0, "end-to-end sampling fraction (0,1]")
 		seed     = flag.Uint64("seed", 2018, "deterministic seed shared by every process")

@@ -61,7 +61,7 @@ type (
 
 // Deployment lifecycle states, in order.
 const (
-	// StateIngesting accepts pushes; windows close on the ticker.
+	// StateIngesting accepts pushes; windows close as the watermark passes them.
 	StateIngesting = core.StateIngesting
 	// StateDraining rejects pushes while in-flight windows reach the root.
 	StateDraining = core.StateDraining
@@ -156,7 +156,7 @@ func (d *Deployment) Ingester(slot int) (*Ingester, error) {
 // WindowResult the root closes from now on is delivered in order, and the
 // channel is closed when the Deployment closes. A subscriber that falls
 // more than a buffer behind misses intermediate results (every window
-// remains in the final LiveResult.Windows) — the window ticker never
+// remains in the final LiveResult.Windows) — the sweeper never
 // blocks on a slow reader.
 func (d *Deployment) Windows() <-chan WindowResult { return d.s.Windows() }
 

@@ -39,7 +39,7 @@ func main() {
 		Tree:            tree,
 		Fraction:        1, // census: the exact-count bookkeeping is the story here
 		Queries:         []approxiot.QueryKind{approxiot.Sum, approxiot.Count},
-		Window:          20 * time.Millisecond, // wall-clock sweep cadence, not the window size
+		Window:          20 * time.Millisecond, // idle-timeout and drain cadence, not the window size
 		EventTime:       true,
 		AllowedLateness: *lateness,
 		Seed:            7,

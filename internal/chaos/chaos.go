@@ -83,9 +83,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// window is the deployment's sweep cadence and, with ingest stamps, its
-// window length; with caller timestamps the tree's own window (1 s in the
-// testbed) defines window extents and this only paces the watermark sweep.
+// window is the deployment's LiveConfig.Window: with ingest stamps its window
+// length; with caller timestamps the tree's own window (1 s in the testbed)
+// defines window extents and this only sets the idle timeout (4×) and the
+// drain probe.
 const window = 25 * time.Millisecond
 
 // eventSpan is the event-time each round advances; lateness is how much

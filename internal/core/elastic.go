@@ -670,7 +670,7 @@ func (s *LiveSession) postChange(g *shardGroup) error {
 			continue
 		}
 		proc := m.proc
-		_ = m.rt.Sync(func() { proc.punctuate(time.Now()) })
+		_ = m.rt.Sync(func() { proc.Punctuate(time.Now()) })
 	}
 	offs, err := s.bus.GroupCommitted(g.desc.Topic, g.desc.ID+"-in")
 	if err != nil {

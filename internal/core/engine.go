@@ -19,7 +19,7 @@ import (
 // every tier of the compiled plan in one process; OpenNode runs the slice a
 // NodeTier names against a shared bus. Both get the same thing from
 // openEngine: topics created, the tier's shard groups built with one edge-
-// and one root-member constructor and started, the sweep ticker, the run
+// and one root-member constructor and started, the sweeper, the run
 // counters and bandwidth account, the root watermark merge and emit path,
 // the base snapshot, the quiescence probe and the push valves — and one
 // lifecycle: one push fence (stopAdmitting), one drain loop (settle), one
@@ -45,6 +45,10 @@ type engine struct {
 	// quiesce silences the keepalive punctuations from the moment a session
 	// drain starts (see samplingProcessor.keepalive).
 	quiesce atomic.Bool
+	// sweepNudge is the sweeper's one-slot wake: a root member whose batch
+	// makes a window closeable, or a valve that starts carrying a
+	// sub-stream, asks for a sweep through it (nudgeSweep).
+	sweepNudge chan struct{}
 
 	// res is the run's result as it is assembled: Latency and Bandwidth from
 	// the start, Windows and Fractions under windowMu, the counters at
@@ -77,7 +81,7 @@ type engine struct {
 	sliding *slidingState
 	// lastWindow publishes the most recently emitted window for Snapshot.
 	lastWindow atomic.Pointer[WindowResult]
-	// atEOS runs on the ticker once the merged root watermark carries the
+	// atEOS runs on the sweeper once the merged root watermark carries the
 	// end-of-stream promise, after the final windows are out (node mode's
 	// completion marker; nil in process, where Close ends the stream).
 	atEOS func()
@@ -100,15 +104,15 @@ type engine struct {
 	// Lifecycle. drainCh is closed when the session stops admitting pushes,
 	// waking pacing sleeps and backpressure waits; closed when the close
 	// sequence has run; watched when the context watcher has exited.
-	state      atomic.Int32
-	ctx        context.Context
-	drainCh    chan struct{}
-	admitOnce  sync.Once
-	closeOnce  sync.Once
-	closed     chan struct{}
-	watched    chan struct{}
-	cancelTick context.CancelFunc
-	tickWG     sync.WaitGroup
+	state       atomic.Int32
+	ctx         context.Context
+	drainCh     chan struct{}
+	admitOnce   sync.Once
+	closeOnce   sync.Once
+	closed      chan struct{}
+	watched     chan struct{}
+	cancelSweep context.CancelFunc
+	sweepWG     sync.WaitGroup
 }
 
 // paddedFloat is one slot's ground-truth sum, written only under its valve's
@@ -130,9 +134,10 @@ func everyTier(plan *Plan) NodeTier {
 }
 
 // openEngine creates the plan's topics, builds and starts the shard groups
-// tier selects, and — on a root tier — starts the sweep ticker, with atEOS
-// run once the merged watermark reaches end of stream. It returns as soon as
-// the groups are pumping; on failure every group it started is stopped again.
+// tier selects, and — on a root tier, or one whose valves stamp at ingest —
+// starts the sweeper, with atEOS run once the merged watermark reaches end of
+// stream. It returns as soon as the groups are pumping; on failure every group
+// it started is stopped again.
 func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, bus transport.Bus, tier NodeTier, atEOS func()) (*engine, error) {
 	e := &engine{
 		cfg:  cfg,
@@ -144,15 +149,16 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, bus transport.B
 			Latency:   metrics.NewHistogram(),
 			Bandwidth: metrics.NewBandwidthAccount(),
 		},
-		groupByID: make(map[string]*shardGroup),
-		sliding:   newSlidingState(cfg.Slide, plan.Spec.Window, cfg.Confidence, plan.Queries),
-		atEOS:     atEOS,
-		valves:    make([]*Ingester, plan.Spec.Sources),
-		lags:      make(map[string]*carriedLag),
-		ctx:       ctx,
-		drainCh:   make(chan struct{}),
-		closed:    make(chan struct{}),
-		watched:   make(chan struct{}),
+		groupByID:  make(map[string]*shardGroup),
+		sliding:    newSlidingState(cfg.Slide, plan.Spec.Window, cfg.Confidence, plan.Queries),
+		atEOS:      atEOS,
+		valves:     make([]*Ingester, plan.Spec.Sources),
+		lags:       make(map[string]*carriedLag),
+		ctx:        ctx,
+		sweepNudge: make(chan struct{}, 1),
+		drainCh:    make(chan struct{}),
+		closed:     make(chan struct{}),
+		watched:    make(chan struct{}),
 	}
 	now := time.Now()
 	e.startNanos.Store(now.UnixNano())
@@ -201,27 +207,90 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, bus transport.B
 		e.ctlProducer = bus.NewProducer()
 	}
 	if tier.Root || tier.Ingest && !cfg.EventTime {
-		// The sweep ticker: a blocking select — no busy branch — closes
-		// windows while the members pump and beats idle ingest-stamping
-		// valves. Its context is private: shutdown stops it in order.
-		tickCtx, cancel := context.WithCancel(context.Background())
-		e.cancelTick = cancel
-		e.tickWG.Add(1)
+		// The sweeper closes root windows while the members pump and beats
+		// idle ingest-stamping valves. Its context is private: shutdown
+		// stops it in order.
+		sweepCtx, cancel := context.WithCancel(context.Background())
+		e.cancelSweep = cancel
+		e.sweepWG.Add(1)
 		go func() {
-			defer e.tickWG.Done()
-			ticker := time.NewTicker(cfg.Window)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-tickCtx.Done():
-					return
-				case at := <-ticker.C:
-					e.sweep(at)
-				}
-			}
+			defer e.sweepWG.Done()
+			e.sweeper(sweepCtx)
 		}()
 	}
 	return e, nil
+}
+
+// sweeper runs sweep on events, never on a tick: when a root member nudges
+// (its batch made a window closeable) or a valve starts carrying a
+// sub-stream, and at the earliest instant a sweep has work without one —
+// a root member's watermark losing an entry to idleness, or an
+// ingest-stamping valve's idle beat (nextSweep). With neither pending it
+// parks on the nudge alone.
+func (e *engine) sweeper(ctx context.Context) {
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	for at := time.Now(); ; {
+		stopTimer(timer)
+		var expiry <-chan time.Time
+		if next := e.nextSweep(at); !next.IsZero() {
+			timer.Reset(max(time.Until(next), 0))
+			expiry = timer.C
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-e.sweepNudge:
+		case <-expiry:
+		}
+		at = time.Now()
+		e.sweep(at)
+	}
+}
+
+// stopTimer stops t and empties its channel, leaving it safe to Reset: the
+// module's go line predates Go 1.23, so an expiry nobody waited for stays
+// buffered in t.C until it is taken out.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+}
+
+// nudgeSweep asks the sweeper for a sweep without blocking: the one-slot
+// channel coalesces nudges that arrive while one is pending.
+func (e *engine) nudgeSweep() {
+	select {
+	case e.sweepNudge <- struct{}{}:
+	default:
+	}
+}
+
+// nextSweep returns the earliest instant after at when a sweep has work that
+// no nudge announces, zero for none: a root member's cached watermark
+// reaching its idle horizon (watermarkTracker.nextAging), and an
+// ingest-stamping valve's next idle beat.
+func (e *engine) nextSweep(at time.Time) time.Time {
+	var next time.Time
+	if e.tier.Root {
+		for _, rp := range e.rootProcs {
+			next = earlier(next, rp.nextAging(at))
+		}
+	}
+	if !e.cfg.EventTime {
+		e.valveMu.Lock()
+		valves := append([]*Ingester(nil), e.valves...)
+		e.valveMu.Unlock()
+		for _, in := range valves {
+			if in != nil {
+				next = earlier(next, in.beatAt(at))
+			}
+		}
+	}
+	return next
 }
 
 // addEdgeGroup instantiates one compiled edge node as a consumer group of
@@ -249,10 +318,10 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 		sp := &samplingProcessor{
 			id:         memberID(desc, shard),
 			quiesce:    &e.quiesce,
-			window:     cfg.Window,
 			decodeErrs: &e.decodeErrs,
 			ckpt:       cfg.Checkpoint,
 			ckptErrs:   &e.ckptErrs,
+			saveEvery:  cfg.Window,
 			// Private lock-free byte counter for the member's parent link;
 			// the account folds it in at read time.
 			bwc: e.res.Bandwidth.Counter(desc.ParentTopic),
@@ -307,6 +376,7 @@ func (e *engine) addRootGroup(now time.Time) error {
 			processed:    &e.rootProcessed,
 			decodeErrs:   &e.decodeErrs,
 			lastActivity: &e.lastActivity,
+			nudge:        e.nudgeSweep,
 			// Private histogram: shards must not serialize on one mutex in
 			// the per-item hot path. Merged into res.Latency at finalize (and
 			// into fresh histograms by mid-run Snapshots).
@@ -364,14 +434,14 @@ func (e *engine) stopAll() {
 	}
 }
 
-// stop ends the engine in order: the ticker, then the root group — whose
+// stop ends the engine in order: the sweeper, then the root group — whose
 // members fully drain the records they fetched — then one final close of
 // everything that reached the root, to the end-of-stream watermark, then
 // every other group.
 func (e *engine) stop() {
-	if e.cancelTick != nil {
-		e.cancelTick()
-		e.tickWG.Wait()
+	if e.cancelSweep != nil {
+		e.cancelSweep()
+		e.sweepWG.Wait()
 	}
 	if e.rootGrp != nil {
 		e.rootGrp.stop()
@@ -422,10 +492,18 @@ func (e *engine) fence(leaf *shardGroup) {
 }
 
 // drain is the session drain: keepalives go quiet — which also arms the
-// shutdown backstop in samplingProcessor.punctuate — and settle waits for the
-// whole engine to be quiescent.
+// shutdown backstop in samplingProcessor.Punctuate — and settle waits for the
+// whole engine to be quiescent. Quiesce changes every edge member's deadline
+// without a record, so each pump is woken (a Sync) to re-read it.
 func (e *engine) drain(ctx context.Context) error {
 	e.quiesce.Store(true)
+	for _, g := range e.groups {
+		for _, m := range g.live() {
+			if m.proc != nil {
+				_ = m.rt.Sync(func() {})
+			}
+		}
+	}
 	return e.settle(ctx, e.quiescent)
 }
 
@@ -523,11 +601,11 @@ func (e *engine) markStarted() {
 	}
 }
 
-// sweep is one tick of the window ticker: it beats the tier's idle valves
-// when they stamp at ingest, then merges the root members' watermarks and
-// emits every event window the merged watermark makes due, in event-time
-// order — and once that watermark carries the end-of-stream promise, empties
-// every member and runs atEOS.
+// sweep is one pass of the sweeper: it beats the tier's idle valves when they
+// stamp at ingest, then merges the root members' watermarks and emits every
+// event window the merged watermark makes due, in event-time order — and once
+// that watermark carries the end-of-stream promise, empties every member and
+// runs atEOS.
 func (e *engine) sweep(at time.Time) {
 	if !e.cfg.EventTime {
 		e.valveMu.Lock()
@@ -670,7 +748,7 @@ func (e *engine) emitWindowLocked(win WindowResult) {
 // root closes from now on is delivered in order, and the channel is closed
 // when the session closes. The per-subscriber buffer holds windowSubBuffer
 // results; a subscriber that falls further behind misses intermediate
-// results (every window remains in the final result) — the window ticker
+// results (every window remains in the final result) — the sweeper
 // never blocks on a slow reader.
 func (e *engine) Windows() <-chan WindowResult {
 	ch := make(chan WindowResult, windowSubBuffer)
@@ -771,28 +849,28 @@ func (e *engine) Snapshot() LiveSnapshot {
 // final result, so the two can never diverge in shape.
 func (e *engine) nodeTelemetry(elapsed time.Duration) map[string]NodeTelemetry {
 	nodes := make(map[string]NodeTelemetry, len(e.groups)+len(e.rootProcs))
-	record := func(id string, st NodeStats) {
-		tel := NodeTelemetry{Observed: st.Observed, Emitted: st.Emitted, Intervals: st.Intervals}
-		if elapsed > 0 {
-			tel.Throughput = float64(st.Observed) / elapsed.Seconds()
-		}
-		nodes[id] = tel
-	}
 	for _, g := range e.groups {
 		g.mu.Lock()
 		members := append([]*groupMember(nil), g.members...)
 		g.mu.Unlock()
 		// Dead and retired members included: their counters are the
 		// last-known truth, and a restarted member replaces its dead
-		// predecessor in the list under the same ID.
+		// predecessor in the list under the same ID. Root members have no
+		// sampling processor, and the root group is not elastic: its shard i
+		// is rootProcs[i].
 		for _, m := range members {
+			var st NodeStats
 			if m.proc != nil {
-				record(m.id, m.proc.stats())
+				st = m.proc.stats()
+			} else {
+				st = e.rootProcs[m.shard].stats()
 			}
+			tel := NodeTelemetry{Observed: st.Observed, Emitted: st.Emitted, Intervals: st.Intervals, Wakeups: m.rt.Wakeups()}
+			if elapsed > 0 {
+				tel.Throughput = float64(st.Observed) / elapsed.Seconds()
+			}
+			nodes[m.id] = tel
 		}
-	}
-	for _, rp := range e.rootProcs {
-		record(rp.id, rp.stats())
 	}
 	return nodes
 }

@@ -23,9 +23,10 @@ import (
 //     (producer, sub-stream) chain and takes the minimum as its own
 //     watermark. Producers the compiled plan expects
 //     (Plan.ExpectedProducers) hold the minimum until heard from; chains
-//     silent longer than the idle timeout are excluded (checked on the
-//     wall-clock sweep ticker live, on window ticks in the simulator),
-//     except end-of-stream promises, which never age;
+//     silent longer than the idle timeout are excluded (live, at the
+//     instant the tracker says the next one can age out, nextAging; on
+//     window ticks in the simulator), except end-of-stream promises, which
+//     never age;
 //   - a window [s, s+W) closes once the node's watermark reaches
 //     s+W+AllowedLateness; records assigned to a window that is already
 //     closed are dropped and counted (LateDropped), never allowed to
@@ -461,8 +462,9 @@ type watermarkTracker struct {
 //     raise elsewhere can move it, and none can undercut it;
 //   - the clock leaves [at, until]: not served. until is at most
 //     min(seen)+idle over the included entries, the earliest instant one of
-//     them can turn idle; an entry excluded as idle at `at` stays idle at
-//     any later instant until it is stamped, which drops the cache.
+//     them can turn idle (never — eosWatermark — when none can); an entry
+//     excluded as idle at `at` stays idle at any later instant until it is
+//     stamped, which drops the cache.
 //
 // A blocked result has no minimum (the scan stops at the first live
 // placeholder), so there is nothing to cache.
@@ -738,26 +740,14 @@ func (t *watermarkTracker) watermark(now time.Time) time.Time {
 // silence is indistinguishable from patience) or before anything was
 // tracked.
 func (t *watermarkTracker) allStale(now time.Time) bool {
-	if t.idle <= 0 || len(t.chains) == 0 {
-		return false
-	}
-	for _, m := range t.chains {
-		if !t.aged(m, now) {
-			return false
-		}
-	}
-	for _, m := range t.lanes {
-		if !t.aged(m, now) {
-			return false
-		}
-	}
-	return true
+	return t.idle > 0 && len(t.chains) > 0 &&
+		t.eachMark(func(m *sourceMark) bool { return t.aged(m, now) })
 }
 
 // watermarkState is watermark plus the reason a zero came back: blocked
 // reports that a non-idle expectation placeholder is holding the node —
 // as opposed to the tracker being empty or fully idle. Merging layers (the
-// live root ticker) must treat a blocked member as a veto, not as a member
+// live root sweeper) must treat a blocked member as a veto, not as a member
 // with no opinion. It answers from the cached scan while that still covers
 // now, and scans otherwise.
 func (t *watermarkTracker) watermarkState(now time.Time) (wm time.Time, blocked bool) {
@@ -775,7 +765,7 @@ func (t *watermarkTracker) scan(now time.Time) (wm time.Time, blocked bool) {
 	t.scans++
 	t.cache.valid = false
 	c := wmCache{valid: true, at: now}
-	oldest := now // earliest arrival stamp among included entries that can age
+	var oldest time.Time // earliest arrival stamp among included entries that can age
 	take := func(m *sourceMark) bool {
 		if t.aged(m, now) {
 			return true // idle chain or floor: excluded from the minimum
@@ -789,7 +779,7 @@ func (t *watermarkTracker) scan(now time.Time) (wm time.Time, blocked bool) {
 		case m.wm.Equal(c.min):
 			c.atMin++
 		}
-		if m.seen.Before(oldest) && m.wm.Before(eosHorizon) {
+		if m.wm.Before(eosHorizon) && (oldest.IsZero() || m.seen.Before(oldest)) {
 			oldest = m.seen
 		}
 		return true
@@ -804,9 +794,85 @@ func (t *watermarkTracker) scan(now time.Time) (wm time.Time, blocked bool) {
 			return time.Time{}, true
 		}
 	}
-	c.until = oldest.Add(t.idle)
+	c.until = eosWatermark
+	if !oldest.IsZero() {
+		c.until = oldest.Add(t.idle)
+	}
 	t.cache = c
 	return c.min, false
+}
+
+// nextAging returns the first instant after now at which the watermark can
+// change without a record: the cached minimum's horizon (wmCache.until),
+// past which an entry it counts may have aged out, or — while an unheard
+// producer blocks the minimum and nothing is cached — the earliest instant any
+// entry not yet aged can age. Zero when nothing can age: aging is off, or
+// every entry is aged already or an end-of-stream promise. It is the idle
+// deadline of an edge member's pump and, for the root members, the sweeper's.
+func (t *watermarkTracker) nextAging(now time.Time) time.Time {
+	if t.idle <= 0 {
+		return time.Time{}
+	}
+	if !t.cacheCovers(now) {
+		t.scan(now)
+	}
+	if c := &t.cache; c.valid {
+		if c.until.Equal(eosWatermark) {
+			return time.Time{}
+		}
+		return c.until.Add(time.Nanosecond)
+	}
+	var next time.Time
+	t.eachMark(func(m *sourceMark) bool {
+		if !t.aged(m, now) && m.wm.Before(eosHorizon) {
+			next = earlier(next, m.seen.Add(t.idle+time.Nanosecond))
+		}
+		return true
+	})
+	return next
+}
+
+// staleAt returns the instant allStale turns true without new input — the
+// last chain or floor ageing out — or zero when it never can: aging off,
+// nothing tracked, or an end-of-stream promise among the entries.
+func (t *watermarkTracker) staleAt() time.Time {
+	if t.idle <= 0 || len(t.chains) == 0 {
+		return time.Time{}
+	}
+	var last time.Time
+	if !t.eachMark(func(m *sourceMark) bool {
+		if m.seen.After(last) {
+			last = m.seen
+		}
+		return m.wm.Before(eosHorizon)
+	}) {
+		return time.Time{}
+	}
+	return last.Add(t.idle + time.Nanosecond)
+}
+
+// earlier returns the earlier of two deadlines, where zero means none.
+func earlier(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
+	}
+	return a
+}
+
+// eachMark calls fn on every chain and floor until fn returns false, and
+// reports whether it never did.
+func (t *watermarkTracker) eachMark(fn func(*sourceMark) bool) bool {
+	for _, m := range t.chains {
+		if !fn(m) {
+			return false
+		}
+	}
+	for _, m := range t.lanes {
+		if !fn(m) {
+			return false
+		}
+	}
+	return true
 }
 
 // activeSources lists the distinct sub-streams of the tracked, non-idle
@@ -854,6 +920,28 @@ const keepaliveDivisor = 4
 func (t *watermarkTracker) keepaliveDue(now time.Time) bool {
 	return t.lastBeat.IsZero() || t.revivals != t.beatRevivals ||
 		t.idle > 0 && now.Sub(t.lastBeat) >= t.idle/keepaliveDivisor
+}
+
+// nextKeepalive returns the instant keepaliveDue turns true, read at now:
+// now itself when a beat is due already, zero when none will be without new
+// input. A beat goes to the active sub-streams only, so while there are none
+// — nothing heard yet, or everything aged out — nothing is due: only a record
+// can make a sub-stream active again, and the member re-reads its deadline
+// after every record.
+func (t *watermarkTracker) nextKeepalive(now time.Time) time.Time {
+	var at time.Time
+	switch {
+	case t.lastBeat.IsZero() || t.revivals != t.beatRevivals:
+		at = now
+	case t.idle > 0:
+		at = t.lastBeat.Add(t.idle / keepaliveDivisor)
+	default:
+		return time.Time{}
+	}
+	if !at.After(now) && len(t.activeSources(now)) == 0 {
+		return time.Time{}
+	}
+	return at
 }
 
 // beat records a full beat sent at now.

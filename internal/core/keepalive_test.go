@@ -61,7 +61,7 @@ func TestKeepaliveOnIdleHorizon(t *testing.T) {
 	for tick := 0; tick < 100; tick++ {
 		now := wall.Add(time.Duration(tick) * sweepTick)
 		p.processEvent(valveRecord("valve", "a", ts), now)
-		p.punctuate(now)
+		p.Punctuate(now)
 	}
 	sent := forwarded(t, ctx, 0)
 	if len(sent) != 4 {
@@ -87,7 +87,7 @@ func TestKeepaliveOnRevival(t *testing.T) {
 	for tick := 0; tick < 20; tick++ { // b is silent for 200 ms: idle at the member
 		now = wall.Add(time.Duration(tick) * sweepTick)
 		p.processEvent(valveRecord("valve", "a", ts), now)
-		p.punctuate(now)
+		p.Punctuate(now)
 	}
 	if srcs := p.wt.activeSources(now); len(srcs) != 1 || srcs[0] != "a" {
 		t.Fatalf("active sources %v after b's silence, want [a]", srcs)
@@ -97,7 +97,7 @@ func TestKeepaliveOnRevival(t *testing.T) {
 	now = p.wt.lastBeat.Add(time.Millisecond)
 	p.processEvent(valveRecord("valve", "b", ts), now)
 	before := len(ctx.retained)
-	p.punctuate(now.Add(time.Millisecond))
+	p.Punctuate(now.Add(time.Millisecond))
 	got := map[stream.SourceID]bool{}
 	for _, b := range forwarded(t, ctx, before) {
 		got[b.Source] = len(b.Items) == 0
@@ -131,11 +131,11 @@ func TestKeepaliveHoldsBufferedMember(t *testing.T) {
 	for tick := 0; tick < int(5*idle/sweepTick); tick++ {
 		now = wall.Add(time.Duration(tick) * sweepTick)
 		leaf.processEvent(valveRecord("valve", "a", held), now)
-		leaf.punctuate(now)
+		leaf.Punctuate(now)
 		pipe(now)
 		// leaf1 moves ten windows of event time per second of wall clock.
 		parent.processEvent(valveRecord("leaf1", "b", simEpoch.Add(time.Duration(tick)*100*time.Millisecond)), now)
-		parent.punctuate(now)
+		parent.Punctuate(now)
 		produced += 2
 	}
 	leaf.drainAll(now)
@@ -163,13 +163,82 @@ func TestKeepaliveWithoutAging(t *testing.T) {
 	for tick := 0; tick < 100; tick++ {
 		now := wall.Add(time.Duration(tick) * sweepTick)
 		p.processEvent(valveRecord("valve", "a", simEpoch.Add(time.Duration(tick)*time.Millisecond)), now)
-		p.punctuate(now)
+		p.Punctuate(now)
 	}
 	if len(ctx.retained) != 1 {
 		t.Fatalf("%d records forwarded, want exactly one presence beat", len(ctx.retained))
 	}
 	if wm := ctx.retained[0].Watermark; wm.From != "edge#0" || !wm.At.IsZero() {
 		t.Fatalf("beat stamped %+v, want a zero-instant presence record from edge#0", wm)
+	}
+}
+
+// A member's deadline is the earliest of its time-driven duties, and zero
+// when only a record can give it one: after the first advance beats, the
+// next keepalive is a quarter horizon out; once its only chain has aged out
+// there is nothing to beat and nothing left to age; at quiesce a member
+// still buffering data is due when its last chain goes stale, and drains
+// then; with aging off there is nothing after the first beat; and a silent
+// chain holding the watermark back makes the member due when it ages out.
+func TestMemberDeadline(t *testing.T) {
+	const idle = time.Second
+	wall := time.Unix(5000, 0)
+	held := simEpoch.Add(100 * time.Millisecond) // window 0 never closes: the data stays buffered
+
+	p, ctx := beatMember("edge#0", idle)
+	p.processEvent(valveRecord("valve", "a", held), wall)
+	if got, want := p.Deadline(wall), wall.Add(idle/keepaliveDivisor); !got.Equal(want) {
+		t.Fatalf("deadline after the first advance = %v, want the keepalive at %v", got, want)
+	}
+	due := wall.Add(idle / keepaliveDivisor)
+	before := len(ctx.retained)
+	p.Punctuate(due)
+	if len(ctx.retained) != before+1 {
+		t.Fatalf("punctuation at the keepalive deadline forwarded %d records, want one beat", len(ctx.retained)-before)
+	}
+	if got, want := p.Deadline(due), due.Add(idle/keepaliveDivisor); !got.Equal(want) {
+		t.Fatalf("deadline after a keepalive = %v, want %v", got, want)
+	}
+	if got := p.Deadline(wall.Add(idle + time.Nanosecond)); !got.IsZero() {
+		t.Fatalf("deadline once the only chain aged out = %v, want none", got)
+	}
+
+	p.quiesce.Store(true)
+	if got, want := p.Deadline(wall), wall.Add(idle+time.Nanosecond); !got.Equal(want) {
+		t.Fatalf("deadline at quiesce with data buffered = %v, want the backstop at %v", got, want)
+	}
+	p.Punctuate(wall.Add(idle + time.Nanosecond))
+	if p.ew.buffered() != 0 {
+		t.Fatalf("the backstop left %d items buffered", p.ew.buffered())
+	}
+	if got := p.Deadline(wall.Add(idle + time.Nanosecond)); !got.IsZero() {
+		t.Fatalf("deadline after the backstop drained = %v, want none", got)
+	}
+
+	q, _ := beatMember("edge#1", -1)
+	q.processEvent(valveRecord("valve", "a", held), wall)
+	if got := q.Deadline(wall); !got.IsZero() {
+		t.Fatalf("deadline without aging after the first beat = %v, want none", got)
+	}
+
+	// A silent chain holding the watermark back: the member is due the
+	// instant it ages out, and that punctuation closes the window it held.
+	r, rctx := beatMember("edge#2", idle)
+	r.processEvent(valveRecord("slow", "b", held), wall)
+	r.processEvent(valveRecord("fast", "a", simEpoch.Add(5*time.Second)), wall.Add(idle/2))
+	r.quiesce.Store(true) // keepalives off: the idle horizon alone decides
+	aged := wall.Add(idle + time.Nanosecond)
+	if got := r.Deadline(wall.Add(idle / 2)); !got.Equal(aged) {
+		t.Fatalf("deadline with a silent chain = %v, want the instant it ages out, %v", got, aged)
+	}
+	before = len(rctx.retained)
+	r.Punctuate(aged)
+	items := 0
+	for _, b := range forwarded(t, rctx, before) {
+		items += len(b.Items)
+	}
+	if items != 1 {
+		t.Fatalf("the punctuation at the ageing instant forwarded %d items, want the held window's 1", items)
 	}
 }
 

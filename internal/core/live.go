@@ -50,10 +50,16 @@ type LiveConfig struct {
 	// Items is the total number of items to produce across all sources.
 	// Required by RunLive; ignored by OpenLive.
 	Items int64
-	// Window is the live sweep cadence (default 50 ms — wall time is
-	// expensive, simulated seconds are not): how often the root merges due
-	// windows, members re-check idle-source timeouts, and drains probe. With
-	// EventTime off it is also the window length.
+	// Window is the live cadence (default 50 ms — wall time is expensive,
+	// simulated seconds are not). It governs no window close: members close
+	// windows inline as their watermark crosses a window's end, and the root
+	// closes one as soon as the merged watermark does — members and root wake
+	// on records and on their own deadlines, never on a tick. What Window
+	// still sets: the window length with EventTime off; the default
+	// IdleTimeout (4×Window); the drain probe (every Window/4); the
+	// checkpoint cadence (one save per Window per member, with Checkpoint);
+	// and the idle beat of an ingest-stamping valve (one per Window of
+	// silence).
 	Window time.Duration
 	// EventTime selects who stamps the timestamps windows are cut by. The
 	// tree always runs event-time tumbling windows: records are bucketed by
@@ -153,9 +159,9 @@ type LiveConfig struct {
 	// wedged drain).
 	DrainTimeout time.Duration
 	// OnWindow, if set, observes every non-empty window result as it
-	// closes, after the feedback step. It runs on the window ticker
+	// closes, after the feedback step. It runs on the sweeper
 	// goroutine — keep it fast, and never call the session's Close from
-	// it (Close waits for the ticker, so that deadlocks). Snapshot is
+	// it (Close waits for the sweeper, so that deadlocks). Snapshot is
 	// safe to call from the hook.
 	OnWindow func(WindowResult)
 	// Checkpoint, when set, makes every edge shard-group member durable:
@@ -252,6 +258,12 @@ type NodeTelemetry struct {
 	Observed, Emitted, Intervals int64
 	// Throughput is Observed divided by the run's Elapsed span.
 	Throughput float64
+	// Wakeups counts the member pump's cycles that started from a park, by
+	// cause: records arrived (Data), the member's deadline passed (Deadline:
+	// a keepalive, an idle source ageing out, a checkpoint save), or a Sync
+	// ran (a membership barrier, the drain's wake). An idle member costs
+	// its Deadline wake-ups and nothing else.
+	Wakeups streams.Wakeups
 }
 
 // live-mode errors.
@@ -270,15 +282,15 @@ var (
 // and the member's Ψ store lives in ew, one sampling Node per event window.
 // Records are bucketed by event timestamp, watermarks piggybacked on
 // arriving records feed wt, and windows close on watermark advance — inline
-// on Process when a record's watermark makes windows due, and on the
-// punctuation ticker (every window), which is also the idle-source timeout.
+// on Process when a record's watermark makes windows due, and at Punctuate
+// when a silent source ages out of the minimum. As a streams.Punctuator it
+// reports one deadline, the earliest of its time-driven duties (Deadline), so
+// an idle member's pump parks until a record arrives or that instant passes.
 type samplingProcessor struct {
 	id         string
-	window     time.Duration // punctuation cadence
 	decodeErrs *atomic.Int64
 	pending    atomic.Int64 // items buffered in Ψ awaiting the window flush
 	ctx        streams.ProcessorContext
-	cancel     func()
 	names      stream.SourceTable // sub-stream names this member has decoded
 
 	// bwc is the member's private produce-side byte counter for its parent
@@ -315,10 +327,14 @@ type samplingProcessor struct {
 	// Durability (LiveConfig.Checkpoint): ckpt is the session's store,
 	// ckptBuf the reusable encode scratch, ckptErrs the session's
 	// save-failure counter, and recover the one-shot restore hook Init
-	// runs before the pump starts (set by RestartMember's rebuild).
-	ckpt     checkpoint.Store
-	ckptBuf  []byte
-	ckptErrs *atomic.Int64
+	// runs before the pump starts (set by RestartMember's rebuild). The
+	// member saves at least once per saveEvery (LiveConfig.Window); lastSave
+	// is its latest save.
+	ckpt      checkpoint.Store
+	ckptBuf   []byte
+	ckptErrs  *atomic.Int64
+	saveEvery time.Duration
+	lastSave  time.Time
 	// ckptDirty marks output forwarded since the last checkpoint by an
 	// inline advance (mid-cycle, where offsets overcommit and a
 	// checkpoint would be inconsistent); AfterCycle saves at the next safe
@@ -447,6 +463,7 @@ var poisonSentBlocks bool
 var (
 	_ streams.Processor      = (*samplingProcessor)(nil)
 	_ streams.BatchProcessor = (*samplingProcessor)(nil)
+	_ streams.Punctuator     = (*samplingProcessor)(nil)
 )
 
 func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
@@ -469,7 +486,6 @@ func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
 			return err
 		}
 	}
-	p.cancel = ctx.Schedule(p.window, func(time.Time) { p.punctuate(time.Now()) })
 	return nil
 }
 
@@ -558,13 +574,42 @@ func (p *samplingProcessor) flushEmits() {
 	p.outMsgs = msgs[:0]
 }
 
-// punctuate is the member's flush at clock reading now: re-derive the
-// watermark (idle sources may now be excluded) and sweep windows that became
-// due, then re-assert liveness upstream if that is due — a member buffering
-// data behind the lateness horizon has forwarded nothing yet, and without the
-// keepalive its parent could age it out of the minimum and close windows its
-// buffered data belongs to.
-func (p *samplingProcessor) punctuate(now time.Time) {
+// Deadline implements streams.Punctuator: the earliest instant at which the
+// member has work without new input, read at clock reading now — zero when
+// only a record can give it any. It is the earliest of:
+//
+//   - the keepalive horizon (watermarkTracker.nextKeepalive): the first
+//     presence beat, a chain back from idle, then IdleTimeout/4 after the
+//     last full beat — until quiesce silences keepalives;
+//   - the instant the tracker's cached minimum can next lose an entry to
+//     idleness (nextAging), which may advance the watermark;
+//   - once quiesce is set with data buffered, the instant every chain has
+//     gone stale (staleAt): the shutdown backstop;
+//   - with a checkpoint store, one save per saveEvery.
+//
+// With aging off (IdleTimeout < 0) and no store, a member that has sent its
+// presence beat has no deadline: its pump parks until a record arrives.
+func (p *samplingProcessor) Deadline(now time.Time) time.Time {
+	due := p.wt.nextAging(now)
+	if !p.quiesce.Load() {
+		due = earlier(due, p.wt.nextKeepalive(now))
+	} else if p.ew.buffered() > 0 {
+		due = earlier(due, p.wt.staleAt())
+	}
+	if p.ckpt != nil {
+		due = earlier(due, p.lastSave.Add(p.saveEvery))
+	}
+	return due
+}
+
+// Punctuate is the member's flush at clock reading now, run once its
+// Deadline has passed: re-derive the watermark (idle sources may now be
+// excluded) and sweep windows that became due, then re-assert liveness
+// upstream if that is due — a member buffering data behind the lateness
+// horizon has forwarded nothing yet, and without the keepalive its parent
+// could age it out of the minimum and close windows its buffered data
+// belongs to.
+func (p *samplingProcessor) Punctuate(now time.Time) {
 	switch {
 	case p.advanceEventTime(now):
 		// An advance already re-asserted liveness (its heartbeats carry the
@@ -587,7 +632,7 @@ func (p *samplingProcessor) punctuate(now time.Time) {
 }
 
 // saveCheckpoint serializes the member's recovery state into the session's
-// checkpoint store. It runs from punctuate — between poll cycles — and from
+// checkpoint store. It runs from Punctuate — between poll cycles — and from
 // AfterCycle, where the committed consumer offsets account for exactly the
 // records the member has ingested; checkpointing mid-batch would commit a
 // cut with fetched-but-not-ingested records and recovery would skip them.
@@ -596,6 +641,7 @@ func (p *samplingProcessor) saveCheckpoint() {
 	if p.ckpt == nil {
 		return
 	}
+	p.lastSave = p.ctx.Now()
 	or, ok := p.ctx.(streams.OffsetReader)
 	if !ok {
 		return
@@ -803,9 +849,6 @@ func (p *samplingProcessor) applyControl() {
 }
 
 func (p *samplingProcessor) Close() error {
-	if p.cancel != nil {
-		p.cancel()
-	}
 	if p.control != nil {
 		p.control.Close()
 	}
@@ -814,16 +857,21 @@ func (p *samplingProcessor) Close() error {
 
 // rootProcessor is the root-flavored shard member: it buckets Θ per event
 // window and tracks its per-source watermark in wt, both under mu, instead of
-// forwarding; the session's window ticker merges the members' watermarks and
-// drives every member's window closes to the same bound. It spins the
-// configured per-item query cost and maintains the run's root-side counters.
-// In-flight records are covered by the member Runtime's Busy gauge; buffered
-// root Θ awaits the window ticker, not the drain, so no pending counter is
-// needed here.
+// forwarding; the session's sweeper merges the members' watermarks and
+// drives every member's window closes to the same bound. A batch that carries
+// the member's watermark across a window end nudges the sweeper, so a window
+// closes as soon as the merged watermark passes it. It spins the configured
+// per-item query cost and maintains the run's root-side counters. In-flight
+// records are covered by the member Runtime's Busy gauge; buffered root Θ
+// awaits the sweeper, not the drain, so no pending counter is needed here.
 type rootProcessor struct {
 	mu sync.Mutex
 	ew *eventWindows
 	wt *watermarkTracker
+	// lastWM is the member's watermark after its previous batch (under mu),
+	// and nudge the sweeper's wake (engine.nudgeSweep).
+	lastWM time.Time
+	nudge  func()
 	// ctx reports the consumer's partition assignment for the tracker's
 	// lane floors (the root consumes, it never signs off itself).
 	ctx streams.ProcessorContext
@@ -853,6 +901,7 @@ func (p *rootProcessor) Process(msg streams.Message) error {
 	p.lastActivity.Store(time.Now().UnixNano())
 	p.mu.Lock()
 	n := p.processLocked(msg)
+	p.nudgeOnAdvance(time.Now())
 	p.mu.Unlock()
 	p.processed.Add(n)
 	p.lastActivity.Store(time.Now().UnixNano())
@@ -861,7 +910,7 @@ func (p *rootProcessor) Process(msg streams.Message) error {
 
 // ProcessBatch ingests one polled batch under a single mutex acquisition —
 // the per-record lock/unlock was pure overhead, since each member owns its
-// node privately and only the window ticker ever contends. Decode, the
+// node privately and only the sweeper ever contends. Decode, the
 // watermark fold, and late accounting stay per-message inside the loop, so
 // batching changes no window content.
 func (p *rootProcessor) ProcessBatch(msgs []streams.Message) error {
@@ -871,6 +920,7 @@ func (p *rootProcessor) ProcessBatch(msgs []streams.Message) error {
 	for i := range msgs {
 		total += p.processLocked(msgs[i])
 	}
+	p.nudgeOnAdvance(time.Now())
 	p.mu.Unlock()
 	p.processed.Add(total)
 	p.lastActivity.Store(time.Now().UnixNano())
@@ -921,6 +971,30 @@ func latencyRef(h stream.Header, i int) int64 {
 
 func (p *rootProcessor) Close() error { return nil }
 
+// nudgeOnAdvance nudges the sweeper when the batch just ingested carried the
+// member's watermark across a window end not yet closed — or reopened a
+// window behind the close bound — so the root closes the window as soon as
+// the merged watermark passes it. Once per crossing: a member ahead of its
+// siblings nudged when it crossed, and the last sibling to cross nudges for
+// the close. A watermark that loses its value (blocked, every chain idle)
+// crosses again when it comes back. Callers hold p.mu.
+func (p *rootProcessor) nudgeOnAdvance(now time.Time) {
+	wm := p.wt.watermark(now)
+	crossed := !wm.IsZero() && (p.lastWM.IsZero() || p.ew.closeBoundFor(wm) > p.ew.closeBoundFor(p.lastWM))
+	p.lastWM = wm
+	if p.ew.behind || crossed && p.ew.moves(wm) {
+		p.nudge()
+	}
+}
+
+// nextAging returns the instant the member's watermark can next change
+// without a record (watermarkTracker.nextAging): the sweeper's idle deadline.
+func (p *rootProcessor) nextAging(now time.Time) time.Time {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.wt.nextAging(now)
+}
+
 // watermarkState returns the member's current watermark (zero
 // when the member has seen no live chains) and whether an expected-but-
 // unheard producer is holding it back.
@@ -931,7 +1005,7 @@ func (p *rootProcessor) watermarkState(now time.Time) (time.Time, bool) {
 }
 
 // advanceTo closes the member's event windows up to the merged watermark
-// the session's ticker derived. All members advance to the same bound, so
+// the session's sweeper derived. All members advance to the same bound, so
 // a window is merged across members exactly once.
 func (p *rootProcessor) advanceTo(wm time.Time) []closedWindow {
 	p.mu.Lock()
@@ -991,7 +1065,7 @@ func (m *groupMember) live() bool { return !m.dead && !m.removed }
 // coordination, which is also what makes the group elastic: members can
 // join, leave, die, and rejoin mid-run (see elastic.go) without a merge
 // barrier to renegotiate. The root node is a shardGroup too (its members
-// merely don't sink — the window ticker merges their Θ instead — and the
+// merely don't sink — the sweeper merges their Θ instead — and the
 // root group is not elastic).
 type shardGroup struct {
 	desc NodeDesc
@@ -1034,10 +1108,7 @@ type shardGroup struct {
 // every member runtime (the equivalence suite's semantic reference).
 func newShardGroup(bus transport.Bus, desc NodeDesc, recordAtATime bool, newProc func(shard int) (streams.Processor, *samplingProcessor)) (*shardGroup, error) {
 	g := &shardGroup{desc: desc, nextShard: desc.Shards}
-	opts := []streams.RuntimeOption{
-		streams.WithPollWait(time.Millisecond),
-		streams.WithPollBatch(512),
-	}
+	opts := []streams.RuntimeOption{streams.WithPollBatch(512)}
 	if recordAtATime {
 		opts = append(opts, streams.WithRecordAtATime())
 	}

@@ -280,7 +280,6 @@ func TestSamplingProcessorCountsDecodeErrors(t *testing.T) {
 		ew: newEventWindows(time.Second, 0, new(lateCounter), func() *Node {
 			return NewNode("edge-test", WHSFactory()(0, 0, 1), EffectiveFractionBudget{Fraction: 0.5})
 		}),
-		window:     time.Second,
 		decodeErrs: &errs,
 	}
 	if err := p.Process(streams.Message{Value: []byte{0xFF, 0xBA, 0xD0}}); err != nil {

@@ -153,7 +153,7 @@ func OpenNode(ctx context.Context, cfg LiveConfig, tier NodeTier) (*NodeSession,
 		ctx = context.Background()
 	}
 	n := &NodeSession{done: make(chan struct{})}
-	// The ticker may run atEOS before openEngine returns, so it must not
+	// The sweeper may run atEOS before openEngine returns, so it must not
 	// reach the engine through n.
 	atEOS := func() { n.completeRoot(cfg.Bus, plan.ControlTopic) }
 	if n.engine, err = openEngine(ctx, cfg, plan, cfg.Bus, tier, atEOS); err != nil {

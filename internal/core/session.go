@@ -22,7 +22,7 @@ import (
 // return — the session separates the lifecycle into explicit phases:
 //
 //	OpenLive    compile the plan, create topics, start every shard group
-//	            and the window ticker; return immediately
+//	            and the sweeper; return immediately
 //	ingesting   callers push items (Ingest / Ingester), subscribe to
 //	            window results (Windows), read telemetry (Snapshot), and
 //	            steer the adaptive controller (SetTarget)
@@ -81,7 +81,7 @@ func (s SessionState) String() string {
 
 // windowSubBuffer is the per-subscriber buffer of Windows channels. A
 // subscriber that falls further behind misses results (they remain in the
-// final LiveResult.Windows) rather than stalling the window ticker.
+// final LiveResult.Windows) rather than stalling the sweeper.
 const windowSubBuffer = 128
 
 // defaultMaxIngestLag is the push-side backpressure high-water mark: an
@@ -211,7 +211,7 @@ func compileLive(cfg LiveConfig) (LiveConfig, *Plan, error) {
 	}
 	switch {
 	case cfg.IdleTimeout == 0:
-		// Default: several sweep ticks, but never less than the lateness
+		// Default: four Windows, but never less than the lateness
 		// horizon — a source pausing for less than the lateness it was
 		// promised must not be aged out of the minimum, or its in-horizon
 		// records would be dropped by the very mechanism lateness exists to
@@ -357,8 +357,10 @@ type LiveSnapshot struct {
 	// probes — the inputs an operational surface (health checks, stall
 	// detection) needs alongside the counters.
 
-	// Window is the configured sweep cadence (with EventTime off, also the
-	// window length).
+	// Window is the configured LiveConfig.Window: with EventTime off the
+	// window length, and the default idle timeout, drain-probe, checkpoint
+	// and idle-beat cadence. Window closes do not follow it — they are
+	// event-driven (see LiveConfig.Window).
 	Window time.Duration
 	// MaxIngestLag is the configured backpressure high-water mark per leaf
 	// topic (negative: backpressure disabled).

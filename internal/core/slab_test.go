@@ -80,9 +80,8 @@ func (c *hopCtx) ForwardBatch(msgs []streams.Message) {
 		c.copies = append(c.copies, append([]byte(nil), m.Value...))
 	}
 }
-func (c *hopCtx) Schedule(time.Duration, func(time.Time)) func() { return func() {} }
-func (c *hopCtx) NodeName() string                               { return "hop" }
-func (c *hopCtx) Now() time.Time                                 { return c.now }
+func (c *hopCtx) NodeName() string { return "hop" }
+func (c *hopCtx) Now() time.Time   { return c.now }
 
 const (
 	hopSources   = 3
@@ -101,7 +100,6 @@ func hopMember(fraction float64) (*samplingProcessor, *hopCtx) {
 	}
 	p := &samplingProcessor{
 		id:         "edge#0",
-		window:     hopWindow,
 		decodeErrs: &errs,
 		quiesce:    &quiesce,
 		bwc:        &metrics.BandwidthCounter{},

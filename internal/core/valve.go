@@ -203,8 +203,12 @@ func (in *Ingester) Push(items ...stream.Item) error {
 	// Ground truth goes item by item into the slot's running sum, so the
 	// per-slot total is bit-identical to a per-item accumulator and the
 	// final fold (slot order, at shutdown) is deterministic.
+	fresh := len(in.marks) == 0
 	if err := in.publish(items, in.truth); err != nil {
 		return err
+	}
+	if fresh && in.stampTs {
+		e.nudgeSweep() // the sweeper's first idle beat of this valve to arm
 	}
 	sent := in.sent.Add(int64(len(items)))
 	e.produced.Add(int64(len(items)))
@@ -328,8 +332,7 @@ func (in *Ingester) beatIfIdle() {
 	}
 	defer in.mu.Unlock()
 	now := time.Now()
-	if len(in.marks) == 0 || now.Sub(in.last) < in.e.cfg.Window ||
-		in.e.ingestAllowed() != nil || in.leaf != nil && in.leaf.isDetached() {
+	if at := in.idleBeatAt(); at.IsZero() || now.Before(at) {
 		return
 	}
 	in.last = now
@@ -337,6 +340,28 @@ func (in *Ingester) beatIfIdle() {
 		in.queue(src, nil, now)
 	}
 	_ = in.send() // a failed beat is the next one's to repeat
+}
+
+// beatAt returns the instant beatIfIdle next has work, read at now — the
+// sweeper's deadline for this valve: zero when it has none, a Window from
+// now while a push holds the valve (the push moves its last send there).
+func (in *Ingester) beatAt(now time.Time) time.Time {
+	if !in.mu.TryLock() {
+		return now.Add(in.e.cfg.Window)
+	}
+	defer in.mu.Unlock()
+	return in.idleBeatAt()
+}
+
+// idleBeatAt is the instant the valve's next idle beat is due: a Window after
+// its last send, or zero for a valve that beats no more — it has carried no
+// sub-stream, the session stopped admitting, or its leaf is detached. Callers
+// hold in.mu.
+func (in *Ingester) idleBeatAt() time.Time {
+	if len(in.marks) == 0 || in.e.ingestAllowed() != nil || in.leaf != nil && in.leaf.isDetached() {
+		return time.Time{}
+	}
+	return in.last.Add(in.e.cfg.Window)
 }
 
 // sendEOS publishes an end-of-stream watermark heartbeat for every

@@ -1,0 +1,213 @@
+package core
+
+import (
+	"context"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/approxiot/approxiot/internal/query"
+	"github.com/approxiot/approxiot/internal/stream"
+	"github.com/approxiot/approxiot/internal/topology"
+	"github.com/approxiot/approxiot/internal/transport"
+)
+
+// Tests for the event-driven pumps: an idle member parks on its one deadline,
+// and the root closes a window as soon as the merged watermark crosses its
+// end, however long LiveConfig.Window is.
+
+// wakeConfig is an event-time session over a one-layer tree — two sources,
+// two leaf members, the root — so during a silent spell no sampling member
+// receives a record and every wake-up it takes is its own.
+func wakeConfig(window time.Duration) LiveConfig {
+	return LiveConfig{
+		Spec: topology.TreeSpec{
+			Sources: 2,
+			Layers:  []topology.LayerSpec{{Name: "edge1", Nodes: 2}, {Name: "root", Nodes: 1}},
+			Window:  window,
+		},
+		NewSampler: WHSFactory(),
+		Cost:       EffectiveFractionBudget{Fraction: 1},
+		Queries:    []query.Kind{query.Sum, query.Count},
+		EventTime:  true,
+		Seed:       5,
+	}
+}
+
+// pushAt pushes one item stamped ts into slot.
+func pushAt(t *testing.T, s *LiveSession, slot int, ts time.Time) {
+	t.Helper()
+	in, err := s.Ingester(slot)
+	if err != nil {
+		t.Fatalf("Ingester(%d): %v", slot, err)
+	}
+	if err := in.Push(stream.Item{Value: 1, Ts: ts}); err != nil {
+		t.Fatalf("Push(%d): %v", slot, err)
+	}
+}
+
+// memberWakes totals each sampling member's wake-ups by member ID.
+func memberWakes(s *LiveSession) map[string]int64 {
+	out := make(map[string]int64)
+	for id, tel := range s.Snapshot().Nodes {
+		if !strings.HasPrefix(id, "root") {
+			w := tel.Wakeups
+			out[id] = w.Data + w.Deadline + w.Sync
+		}
+	}
+	return out
+}
+
+// A member with nothing to fetch parks on its one deadline. With a 1 s idle
+// timeout a silent second costs each sampling member its keepalives (one per
+// quarter second) and the instant its sources age out — a handful of
+// wake-ups, where a pump polling every millisecond wakes a thousand times.
+// With aging off (IdleTimeout < 0) a member that has sent its presence beat
+// has no deadline at all, and wakes not once.
+func TestIdleMemberParks(t *testing.T) {
+	for _, c := range []struct {
+		idle time.Duration
+		max  int64
+	}{
+		{time.Second, 8},
+		{-1, 0},
+	} {
+		cfg := wakeConfig(50 * time.Millisecond)
+		cfg.Window = 10 * time.Millisecond
+		cfg.IdleTimeout = c.idle
+		s, err := OpenLive(nil, cfg)
+		if err != nil {
+			t.Fatalf("IdleTimeout %v: OpenLive: %v", c.idle, err)
+		}
+		now := time.Now()
+		for slot := 0; slot < cfg.Spec.Sources; slot++ {
+			pushAt(t, s, slot, now)
+		}
+		time.Sleep(100 * time.Millisecond) // the push reaches the root; presence beats go out
+		before := memberWakes(s)
+		time.Sleep(time.Second)
+		after := memberWakes(s)
+		if len(after) != cfg.Spec.Sources {
+			t.Fatalf("IdleTimeout %v: telemetry lists sampling members %v, want %d", c.idle, after, cfg.Spec.Sources)
+		}
+		for id, n := range after {
+			if woke := n - before[id]; woke > c.max {
+				t.Errorf("IdleTimeout %v: %s woke %d times in a silent second, want ≤ %d", c.idle, id, woke, c.max)
+			}
+		}
+		res, err := s.Close()
+		if err != nil {
+			t.Fatalf("IdleTimeout %v: Close: %v", c.idle, err)
+		}
+		assertCountInvariant(t, "parked session", res.EstimateCount+res.LateDroppedInput, float64(res.Produced))
+	}
+}
+
+// LiveConfig.Window paces no close. With a 1 s Window and 50 ms event
+// windows, a root member whose batch carries its watermark past a window's
+// end nudges the sweeper: the window's result is out within 100 ms of the
+// push that carries the merged watermark past it, and not before that push.
+func TestRootClosesOnAdvance(t *testing.T) {
+	const w = 50 * time.Millisecond
+	cfg := wakeConfig(w)
+	cfg.Window = time.Second
+	s, err := OpenLive(nil, cfg)
+	if err != nil {
+		t.Fatalf("OpenLive: %v", err)
+	}
+	wins := s.Windows()
+	t0 := time.Now().Truncate(w)
+	pushAt(t, s, 0, t0.Add(10*time.Millisecond))
+	pushAt(t, s, 1, t0.Add(10*time.Millisecond))
+	// Slot 0 moves past window 0; slot 1 still holds the root inside it.
+	pushAt(t, s, 0, t0.Add(w+10*time.Millisecond))
+	select {
+	case win := <-wins:
+		t.Fatalf("window %v closed while slot 1 still held the root inside it", win.Start)
+	case <-time.After(200 * time.Millisecond):
+	}
+	start := time.Now()
+	pushAt(t, s, 1, t0.Add(w+10*time.Millisecond))
+	select {
+	case win := <-wins:
+		took := time.Since(start)
+		if !win.Start.Equal(t0) || win.EstimatedInput != 2 {
+			t.Fatalf("first result is window %v with %.0f items, want window %v with 2", win.Start, win.EstimatedInput, t0)
+		}
+		if took > 100*time.Millisecond {
+			t.Fatalf("window closed %v after the push that carried the root past its end, want ≤ 100 ms", took)
+		}
+	case <-time.After(2 * cfg.Window):
+		t.Fatalf("no window closed within %v of the push that carried the root past its end", 2*cfg.Window)
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	assertCountInvariant(t, "advance-closed session", res.EstimateCount+res.LateDroppedInput, float64(res.Produced))
+}
+
+// The sweeper's own deadline is the earliest of what no nudge announces: a
+// root member's idle horizon (here an unheard producer's placeholder, which
+// blocks the merged watermark until it ages out) and, where valves stamp at
+// ingest, a valve's idle beat a Window after its last send.
+func TestSweeperDeadline(t *testing.T) {
+	const idle = time.Second
+	wall := time.Unix(5000, 0)
+	rp := &rootProcessor{wt: newWatermarkTracker(idle)}
+	rp.wt.expect("edge1-0", wall)
+	e := &engine{
+		cfg:       LiveConfig{EventTime: true, Window: 50 * time.Millisecond},
+		tier:      NodeTier{Root: true},
+		rootProcs: []*rootProcessor{rp},
+		ctx:       context.Background(),
+	}
+	aged := wall.Add(idle + time.Nanosecond)
+	if got := e.nextSweep(wall); !got.Equal(aged) {
+		t.Fatalf("sweeper deadline = %v, want the placeholder's ageing at %v", got, aged)
+	}
+
+	e.cfg.EventTime = false
+	in := &Ingester{e: e, valve: valve{marks: map[stream.SourceID]time.Time{"a": wall}, last: wall}}
+	e.valves = []*Ingester{in}
+	if got, want := e.nextSweep(wall), wall.Add(e.cfg.Window); !got.Equal(want) {
+		t.Fatalf("sweeper deadline with an ingest-stamping valve = %v, want its idle beat at %v", got, want)
+	}
+}
+
+// An ingest tier whose valves stamp at ingest keeps time moving when pushes
+// stop: its sweeper, armed by the valves' first pushes, beats an idle valve a
+// Window after its last send, so the root tier — another session on the same
+// bus — closes the pushed window with no end of stream.
+func TestIngestTierBeatsWhenIdle(t *testing.T) {
+	cfg := wakeConfig(50 * time.Millisecond)
+	cfg.EventTime = false
+	cfg.Window = 50 * time.Millisecond
+	bus := transport.NewMem()
+	defer bus.Close()
+	open := func(tier NodeTier) *NodeSession {
+		n, err := OpenNode(context.Background(), withBus(cfg, bus), tier)
+		if err != nil {
+			t.Fatalf("OpenNode(%+v): %v", tier, err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	root := open(NodeTier{Root: true})
+	leaf := open(NodeTier{Layers: []int{0}, Ingest: true})
+	wins := root.Windows()
+	time.Sleep(2 * cfg.Window) // both sweepers park before anything is pushed
+	for slot := 0; slot < cfg.Spec.Sources; slot++ {
+		if err := leaf.Push(slot, stream.Item{Value: 1}); err != nil {
+			t.Fatalf("Push(%d): %v", slot, err)
+		}
+	}
+	select {
+	case win := <-wins:
+		if win.EstimatedInput != float64(cfg.Spec.Sources) {
+			t.Fatalf("first window holds %.0f items, want %d", win.EstimatedInput, cfg.Spec.Sources)
+		}
+	case <-time.After(40 * cfg.Window):
+		t.Fatalf("no window closed within %v of the last push", 40*cfg.Window)
+	}
+}

@@ -224,7 +224,9 @@ func NewGroupConsumer(b *Broker, topic, groupName string) (*Consumer, error) {
 		return nil, err
 	}
 	g := t.group(groupName)
-	return &Consumer{topic: t, grp: g, id: g.join()}, nil
+	c := &Consumer{topic: t, grp: g, id: g.join()}
+	t.wake() // the rebalance is news to parked members (see WaitChan)
+	return c, nil
 }
 
 // Assignment returns the partitions this consumer currently owns.
@@ -295,12 +297,14 @@ func (c *Consumer) TryPollInto(dst []Record, max int) ([]Record, error) {
 	return c.pollOnce(dst, max)
 }
 
-// WaitChan returns a channel closed on the topic's next append (or already
-// closed if the topic is shut down). Arm it *before* a TryPoll, then block
-// on it only if the poll came back empty — the arm-before-read order makes
-// a wakeup between the poll and the wait impossible to lose. After a wakeup
-// with no records, check TopicClosed: a shut-down topic wakes immediately
-// and forever.
+// WaitChan returns a channel closed on the topic's next append or group
+// membership change (or already closed if the topic is shut down). Arm it
+// *before* a TryPoll, then block on it only if the poll came back empty —
+// the arm-before-read order makes a wakeup between the poll and the wait
+// impossible to lose, and the rebalance wakeup means a member that a leaving
+// member's backlog passes to finds it without waiting for an append. After a
+// wakeup with no records, check TopicClosed: a shut-down topic wakes
+// immediately and forever.
 func (c *Consumer) WaitChan() <-chan struct{} {
 	return c.topic.waitCh()
 }
@@ -461,5 +465,6 @@ func (c *Consumer) Close() {
 	c.mu.Unlock()
 	if c.grp != nil {
 		c.grp.leave(c.id)
+		c.topic.wake()
 	}
 }

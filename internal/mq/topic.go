@@ -175,6 +175,22 @@ func (t *Topic) waitCh() <-chan struct{} {
 	return t.changed
 }
 
+// wake fires the current wait channel without appending: a group's
+// membership changed, and a member it handed a partition with a backlog must
+// look again. Members of other groups on the topic re-poll and find nothing —
+// a spurious wakeup, which WaitChan's contract allows.
+func (t *Topic) wake() {
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return
+	}
+	old := t.changed
+	t.changed = make(chan struct{})
+	t.mu.Unlock()
+	close(old)
+}
+
 func (t *Topic) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 	"github.com/approxiot/approxiot/internal/metrics"
 	"github.com/approxiot/approxiot/internal/query"
 	"github.com/approxiot/approxiot/internal/stream"
+	"github.com/approxiot/approxiot/internal/streams"
 	"github.com/approxiot/approxiot/internal/topology"
 	"github.com/approxiot/approxiot/internal/transport"
 )
@@ -38,7 +39,7 @@ func healthySnapshot(now time.Time) core.LiveSnapshot {
 		Latency:       h,
 		Bandwidth:     map[string]int64{"t0-e1": 2048, "t1-root": 512},
 		Nodes: map[string]core.NodeTelemetry{
-			"edge1-0": {Observed: 1000, Emitted: 400, Intervals: 7, Throughput: 500},
+			"edge1-0": {Observed: 1000, Emitted: 400, Intervals: 7, Throughput: 500, Wakeups: streams.Wakeups{Data: 90, Deadline: 4, Sync: 1}},
 			"root-0":  {Observed: 400, Emitted: 0, Intervals: 7, Throughput: 200},
 		},
 		Window:       50 * time.Millisecond,
@@ -78,6 +79,11 @@ func TestMetricsExposition(t *testing.T) {
 		`approxiot_node_observed_total{node="edge1-0"} 1000`,
 		`approxiot_node_emitted_total{node="edge1-0"} 400`,
 		`approxiot_node_intervals_total{node="root-0"} 7`,
+		"# TYPE approxiot_node_wakeups_total counter",
+		`approxiot_node_wakeups_total{node="edge1-0",cause="data"} 90`,
+		`approxiot_node_wakeups_total{node="edge1-0",cause="deadline"} 4`,
+		`approxiot_node_wakeups_total{node="edge1-0",cause="sync"} 1`,
+		`approxiot_node_wakeups_total{node="root-0",cause="deadline"} 0`,
 		"# TYPE approxiot_latency_seconds histogram",
 		`approxiot_latency_seconds_bucket{le="+Inf"} 3`,
 		"approxiot_latency_seconds_count 3",

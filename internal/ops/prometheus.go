@@ -122,6 +122,16 @@ func writeMetrics(w io.Writer, ns string, snap core.LiveSnapshot, now time.Time)
 		for _, id := range sortedKeys(snap.Nodes) {
 			e.sample("node_throughput_items_per_second", labels{{"node", id}}, snap.Nodes[id].Throughput)
 		}
+		e.header("node_wakeups_total", "Pump cycles each member started from a park, by cause: records arrived (data), its deadline passed (deadline), a Sync ran (sync).", "counter")
+		for _, id := range sortedKeys(snap.Nodes) {
+			w := snap.Nodes[id].Wakeups
+			for _, c := range []struct {
+				cause string
+				n     int64
+			}{{"data", w.Data}, {"deadline", w.Deadline}, {"sync", w.Sync}} {
+				e.sample("node_wakeups_total", labels{{"node", id}, {"cause", c.cause}}, float64(c.n))
+			}
+		}
 	}
 
 	// End-to-end latency as a classic Prometheus histogram: cumulative

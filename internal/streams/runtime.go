@@ -16,23 +16,33 @@ import (
 
 // Runtime executes a Topology against a transport bus: one pump goroutine
 // polls the topology's source topics, pushes each record synchronously
-// through the DAG, and fires punctuations when they come due. It models a
-// single Kafka Streams instance on one edge node; with a network bus the
-// instance really is remote from its broker.
+// through the DAG, and punctuates processors whose deadlines have passed. It
+// models a single Kafka Streams instance on one edge node; with a network bus
+// the instance really is remote from its broker.
+//
+// The pump is event-driven. A cycle that fetches nothing parks it on three
+// things: the source consumer's WaitChan (records may have arrived), Sync,
+// and the earliest deadline its Punctuators report — one timer, armed only
+// when some processor has one. A topology with several sources, which the
+// wake channel of no single consumer covers, re-polls every multiSourcePoll
+// instead.
 type Runtime struct {
 	bus       transport.Bus
 	topo      *Topology
 	appID     string
 	clock     vclock.Clock
 	pollBatch int
-	pollWait  time.Duration
 	noBatch   bool // WithRecordAtATime: force the per-record seed path
 
-	consumers map[string]transport.Consumer // source name → consumer
-	producer  transport.Producer
-	contexts  map[string]*nodeContext
-	instances map[string]Processor
-	observers []CycleObserver // processors implementing CycleObserver, in topology order
+	consumers   map[string]transport.Consumer // source name → consumer
+	producer    transport.Producer
+	contexts    map[string]*nodeContext
+	instances   map[string]Processor
+	observers   []CycleObserver // processors implementing CycleObserver, in topology order
+	punctuators []Punctuator    // processors implementing Punctuator, in topology order
+
+	// Wake-ups: pump cycles that started from a park, by what ended it.
+	wakeData, wakeDeadline, wakeSync atomic.Int64
 
 	// Pump scratch, reused every poll cycle so the steady-state hot path
 	// allocates nothing: polled records, their Message views, and the
@@ -43,7 +53,6 @@ type Runtime struct {
 	sinkScratch []mq.Record
 
 	mu      sync.Mutex
-	puncts  []*punctuation
 	started bool
 	stopped bool
 	frozen  bool        // Freeze: pump halted, consumers still in their groups
@@ -81,12 +90,17 @@ type CycleObserver interface {
 	AfterCycle()
 }
 
-type punctuation struct {
-	interval  time.Duration
-	next      time.Time
-	fn        func(now time.Time)
-	cancelled bool
+// Wakeups counts the pump cycles that started from a park, by what ended the
+// park: records may have arrived (Data), a processor deadline passed
+// (Deadline), or a Sync closure ran (Sync). A busy pump, which goes straight
+// from one cycle to the next, adds nothing.
+type Wakeups struct {
+	Data, Deadline, Sync int64
 }
+
+// multiSourcePoll bounds the park of a pump with several sources: no single
+// consumer's wake channel covers them all, so it re-polls at this cadence.
+const multiSourcePoll = 10 * time.Millisecond
 
 // RuntimeOption customizes a Runtime.
 type RuntimeOption func(*Runtime)
@@ -101,16 +115,6 @@ func WithPollBatch(n int) RuntimeOption {
 	return func(r *Runtime) {
 		if n > 0 {
 			r.pollBatch = n
-		}
-	}
-}
-
-// WithPollWait bounds how long the pump blocks waiting for records before
-// re-checking punctuations (default 10ms).
-func WithPollWait(d time.Duration) RuntimeOption {
-	return func(r *Runtime) {
-		if d > 0 {
-			r.pollWait = d
 		}
 	}
 }
@@ -136,7 +140,6 @@ func NewRuntime(bus transport.Bus, topo *Topology, appID string, opts ...Runtime
 		appID:     appID,
 		clock:     vclock.WallClock{},
 		pollBatch: 256,
-		pollWait:  10 * time.Millisecond,
 		consumers: make(map[string]transport.Consumer),
 		contexts:  make(map[string]*nodeContext),
 		instances: make(map[string]Processor),
@@ -162,6 +165,9 @@ func NewRuntime(bus transport.Bus, topo *Topology, appID string, opts ...Runtime
 			r.instances[name] = inst
 			if o, ok := inst.(CycleObserver); ok {
 				r.observers = append(r.observers, o)
+			}
+			if p, ok := inst.(Punctuator); ok {
+				r.punctuators = append(r.punctuators, p)
 			}
 		}
 		r.contexts[name] = &nodeContext{rt: r, node: n}
@@ -201,21 +207,6 @@ func (c *nodeContext) ForwardBatch(msgs []Message) {
 		if err := c.rt.dispatchBatch(child, msgs); err != nil {
 			c.rt.fail(err)
 		}
-	}
-}
-
-func (c *nodeContext) Schedule(interval time.Duration, fn func(now time.Time)) func() {
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	p := &punctuation{interval: interval, next: c.rt.clock.Now().Add(interval), fn: fn}
-	c.rt.mu.Lock()
-	c.rt.puncts = append(c.rt.puncts, p)
-	c.rt.mu.Unlock()
-	return func() {
-		c.rt.mu.Lock()
-		p.cancelled = true
-		c.rt.mu.Unlock()
 	}
 }
 
@@ -326,18 +317,19 @@ func (r *Runtime) pump(ctx context.Context) {
 	defer close(r.done)
 	defer r.busy.Store(false)
 	sources := r.topo.Sources()
-	// With a single source (every edge-tree topology) the idle branch can
-	// block on the topic's append signal instead of sleeping the full poll
-	// wait — the runtime wakes the moment records arrive, like a blocking
-	// Kafka poll. The channel is armed before each poll so a record landing
-	// between the empty poll and the wait is never missed.
+	// With a single source (every edge-tree topology) the pump parks on the
+	// topic's wake channel — it wakes the moment records arrive, like a
+	// blocking Kafka poll. The channel is armed before each poll so a record
+	// landing between the empty poll and the park is never missed.
 	var wake <-chan struct{}
 	single := len(sources) == 1
-	// One timer bounds every idle wait of this pump: stopped, drained and
-	// re-armed per wait, so an expiry nobody waited for (a wake or a Sync
-	// ended the wait first) is never taken for the next wait's.
-	idle := time.NewTimer(time.Hour)
-	defer idle.Stop()
+	// One timer serves every park of this pump: stopped, drained and re-armed
+	// per park, so an expiry nobody waited for (a wake or a Sync ended the
+	// park first) is never taken for the next park's.
+	timer := time.NewTimer(time.Hour)
+	stopTimer(timer)
+	defer timer.Stop()
+	var due time.Time // earliest processor deadline, zero for none
 	for {
 		if ctx.Err() != nil {
 			return
@@ -354,7 +346,11 @@ func (r *Runtime) pump(ctx context.Context) {
 			fn()
 		default:
 		}
-		r.firePunctuations()
+		if !due.IsZero() {
+			if now := r.clock.Now(); !now.Before(due) {
+				r.punctuate(now, false)
+			}
+		}
 
 		if single {
 			wake = r.consumers[sources[0]].WaitChan()
@@ -411,30 +407,60 @@ func (r *Runtime) pump(ctx context.Context) {
 			for _, o := range r.observers {
 				o.AfterCycle()
 			}
-		} else {
-			if single && r.consumers[sources[0]].TopicClosed() {
-				// Drained and the topic is gone: no record can ever
-				// arrive again (and its wake channel fires forever).
-				// End-of-stream: flush windowed processors by firing
-				// every live punctuation once before exiting.
-				r.finalPunctuations()
-				return
-			}
-			// Idle: block until records arrive (single source), bounded by
-			// the nearest punctuation or the configured poll wait.
-			r.busy.Store(false)
-			stopTimer(idle)
-			idle.Reset(r.idleWait())
-			select {
-			case <-ctx.Done():
-				return
-			case fn := <-r.syncCh: // Sync while idle: run without waiting out the timer
-				fn()
-			case <-wake: // nil (multi-source): never fires, timer bounds
-			case <-idle.C:
-			}
+			// Records can bring a deadline forward (a first beat, a chain
+			// back from idle), and a pump that stays busy never parks.
+			due = r.deadline()
+			continue
+		}
+		if single && r.consumers[sources[0]].TopicClosed() {
+			// Drained and the topic is gone: no record can ever arrive
+			// again (and its wake channel fires forever). End-of-stream:
+			// punctuate every processor once, due or not, before exiting,
+			// so a windowed processor's buffered final window is forwarded.
+			r.punctuate(r.clock.Now(), true)
+			return
+		}
+		// Idle: park until records may have arrived, a Sync, or the earliest
+		// deadline.
+		due = r.deadline()
+		var expiry <-chan time.Time
+		if wait, ok := r.parkBound(due, single); ok {
+			timer.Reset(wait)
+			expiry = timer.C
+		}
+		r.busy.Store(false)
+		select {
+		case <-ctx.Done():
+			return
+		case fn := <-r.syncCh: // Sync while parked: run it, then a full cycle
+			r.wakeSync.Add(1)
+			fn()
+		case <-wake: // nil (multi-source): never fires, the re-poll bound does
+			r.wakeData.Add(1)
+		case <-expiry: // nil when no timer is armed
+			r.wakeDeadline.Add(1)
+		}
+		if expiry != nil {
+			stopTimer(timer)
 		}
 	}
+}
+
+// parkBound returns how long a park may last before the pump must run again,
+// and false when nothing but an event can end it: the time to the earliest
+// processor deadline, capped by the re-poll bound of a multi-source topology.
+func (r *Runtime) parkBound(due time.Time, single bool) (time.Duration, bool) {
+	if due.IsZero() {
+		if single {
+			return 0, false
+		}
+		return multiSourcePoll, true
+	}
+	wait := max(due.Sub(r.clock.Now()), 0)
+	if !single {
+		wait = min(wait, multiSourcePoll)
+	}
+	return wait, true
 }
 
 // stopTimer stops t and empties its channel, leaving it safe to Reset: the
@@ -449,63 +475,29 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-func (r *Runtime) idleWait() time.Duration {
-	wait := r.pollWait
-	r.mu.Lock()
+// deadline returns the earliest deadline the runtime's Punctuators report,
+// zero when none has one.
+func (r *Runtime) deadline() time.Time {
+	if len(r.punctuators) == 0 {
+		return time.Time{}
+	}
 	now := r.clock.Now()
-	for _, p := range r.puncts {
-		if p.cancelled {
-			continue
-		}
-		if d := p.next.Sub(now); d < wait {
-			wait = d
+	var due time.Time
+	for _, p := range r.punctuators {
+		if d := p.Deadline(now); !d.IsZero() && (due.IsZero() || d.Before(due)) {
+			due = d
 		}
 	}
-	r.mu.Unlock()
-	if wait < 0 {
-		wait = 0
-	}
-	return wait
+	return due
 }
 
-func (r *Runtime) firePunctuations() {
-	now := r.clock.Now()
-	r.mu.Lock()
-	var due []*punctuation
-	live := r.puncts[:0]
-	for _, p := range r.puncts {
-		if p.cancelled {
-			continue
+// punctuate runs every Punctuator whose deadline has passed at now — every
+// one, due or not, when all is set (the end-of-stream flush).
+func (r *Runtime) punctuate(now time.Time, all bool) {
+	for _, p := range r.punctuators {
+		if d := p.Deadline(now); all || !d.IsZero() && !now.Before(d) {
+			p.Punctuate(now)
 		}
-		if !now.Before(p.next) {
-			due = append(due, p)
-			p.next = now.Add(p.interval)
-		}
-		live = append(live, p)
-	}
-	r.puncts = live
-	r.mu.Unlock()
-	for _, p := range due {
-		p.fn(now)
-	}
-}
-
-// finalPunctuations fires every live punctuation once, due or not —
-// end-of-stream flush semantics, so a windowed processor's buffered final
-// window is forwarded instead of silently dropped.
-func (r *Runtime) finalPunctuations() {
-	now := r.clock.Now()
-	r.mu.Lock()
-	var due []*punctuation
-	for _, p := range r.puncts {
-		if !p.cancelled {
-			due = append(due, p)
-			p.next = now.Add(p.interval)
-		}
-	}
-	r.mu.Unlock()
-	for _, p := range due {
-		p.fn(now)
 	}
 }
 
@@ -609,6 +601,12 @@ func (r *Runtime) SourceCommitted() []PartitionOffset {
 	}
 	sort.Slice(offs, func(i, j int) bool { return offs[i].Partition < offs[j].Partition })
 	return offs
+}
+
+// Wakeups returns how many pump cycles have started from a park, by cause.
+// Safe to call from any goroutine.
+func (r *Runtime) Wakeups() Wakeups {
+	return Wakeups{Data: r.wakeData.Load(), Deadline: r.wakeDeadline.Load(), Sync: r.wakeSync.Load()}
 }
 
 // Busy reports whether the pump is mid-cycle: fetched records may be in

@@ -192,22 +192,45 @@ func TestProcessorErrorStopsRuntime(t *testing.T) {
 	}
 }
 
+// punctuatingProcessor asks to run every 10 ms of the runtime's clock, from
+// Init until cancel.
 type punctuatingProcessor struct {
-	mu     sync.Mutex
-	fires  int
-	cancel func()
+	mu        sync.Mutex
+	fires     int
+	next      time.Time
+	cancelled bool
 }
 
 func (p *punctuatingProcessor) Init(ctx ProcessorContext) error {
-	p.cancel = ctx.Schedule(10*time.Millisecond, func(now time.Time) {
-		p.mu.Lock()
-		p.fires++
-		p.mu.Unlock()
-	})
+	p.mu.Lock()
+	p.next = ctx.Now().Add(10 * time.Millisecond)
+	p.mu.Unlock()
 	return nil
 }
 func (p *punctuatingProcessor) Process(Message) error { return nil }
 func (p *punctuatingProcessor) Close() error          { return nil }
+
+func (p *punctuatingProcessor) Deadline(time.Time) time.Time {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cancelled {
+		return time.Time{}
+	}
+	return p.next
+}
+
+func (p *punctuatingProcessor) Punctuate(now time.Time) {
+	p.mu.Lock()
+	p.fires++
+	p.next = now.Add(10 * time.Millisecond)
+	p.mu.Unlock()
+}
+
+func (p *punctuatingProcessor) cancel() {
+	p.mu.Lock()
+	p.cancelled = true
+	p.mu.Unlock()
+}
 
 func (p *punctuatingProcessor) count() int {
 	p.mu.Lock()
@@ -222,7 +245,7 @@ func TestPunctuationFiresPeriodically(t *testing.T) {
 		Source("src", "in").
 		Processor("tick", func() Processor { return proc }, "src").
 		Build()
-	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app", WithPollWait(time.Millisecond))
+	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
 	rt.Start()
 	defer rt.Stop()
 
@@ -242,7 +265,7 @@ func TestPunctuationCancel(t *testing.T) {
 		Source("src", "in").
 		Processor("tick", func() Processor { return proc }, "src").
 		Build()
-	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app", WithPollWait(time.Millisecond))
+	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
 	rt.Start()
 	defer rt.Stop()
 
@@ -348,8 +371,8 @@ func TestSharedAppIDMemberStopRebalances(t *testing.T) {
 		topo, _ := NewTopology().Source("src", "in").Sink("snk", "out", "src").Build()
 		return topo
 	}
-	rt1, _ := NewRuntime(transport.WrapBroker(b), mkTopo(), "shared", WithPollWait(time.Millisecond))
-	rt2, _ := NewRuntime(transport.WrapBroker(b), mkTopo(), "shared", WithPollWait(time.Millisecond))
+	rt1, _ := NewRuntime(transport.WrapBroker(b), mkTopo(), "shared")
+	rt2, _ := NewRuntime(transport.WrapBroker(b), mkTopo(), "shared")
 	rt1.Start()
 	rt2.Start()
 	defer rt2.Stop()
@@ -402,24 +425,30 @@ func TestSharedAppIDMemberStopRebalances(t *testing.T) {
 	}
 }
 
+// bufferingProcessor holds every message until a window far beyond the test
+// ends: only the end-of-stream punctuation can flush it.
 type bufferingProcessor struct {
-	mu  sync.Mutex
-	buf []Message
-	ctx ProcessorContext
+	mu    sync.Mutex
+	buf   []Message
+	ctx   ProcessorContext
+	flush time.Time
 }
 
 func (p *bufferingProcessor) Init(ctx ProcessorContext) error {
 	p.ctx = ctx
-	ctx.Schedule(time.Hour, func(time.Time) { // window far beyond the test
-		p.mu.Lock()
-		buf := p.buf
-		p.buf = nil
-		p.mu.Unlock()
-		for _, m := range buf {
-			p.ctx.Forward(m)
-		}
-	})
+	p.flush = ctx.Now().Add(time.Hour)
 	return nil
+}
+func (p *bufferingProcessor) Deadline(time.Time) time.Time { return p.flush }
+func (p *bufferingProcessor) Punctuate(now time.Time) {
+	p.flush = now.Add(time.Hour)
+	p.mu.Lock()
+	buf := p.buf
+	p.buf = nil
+	p.mu.Unlock()
+	for _, m := range buf {
+		p.ctx.Forward(m)
+	}
 }
 func (p *bufferingProcessor) Process(msg Message) error {
 	p.mu.Lock()
@@ -441,7 +470,7 @@ func TestEndOfStreamFlushesFinalWindow(t *testing.T) {
 		Processor("window", func() Processor { return proc }, "src").
 		Sink("snk", "out", "window").
 		Build()
-	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app", WithPollWait(time.Millisecond))
+	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
 	rt.Start()
 	defer rt.Stop()
 
@@ -578,19 +607,32 @@ func BenchmarkPassthroughPipeline(b *testing.B) {
 	}
 }
 
+// tickingProcessor has a deadline every 500 µs: each one wakes an idle pump
+// for a cycle that fetches nothing.
+type tickingProcessor struct{ next time.Time }
+
+func (p *tickingProcessor) Init(ctx ProcessorContext) error { p.next = ctx.Now(); return nil }
+func (p *tickingProcessor) Process(Message) error           { return nil }
+func (p *tickingProcessor) Close() error                    { return nil }
+func (p *tickingProcessor) Deadline(time.Time) time.Time    { return p.next }
+func (p *tickingProcessor) Punctuate(now time.Time)         { p.next = now.Add(500 * time.Microsecond) }
+
 // TestIdlePumpAllocatesNothing pins the pump's idle cycle — arm the wake
-// channel, poll the group consumer, find nothing, wait on the idle timer —
-// at zero allocations: the pump keeps one timer and re-arms it, and the
-// consumer keeps its assignment snapshot. The pump runs on its own goroutine,
-// so the measured function only sleeps across a dozen of its cycles
-// (AllocsPerRun counts every goroutine's allocations).
+// channel, poll the group consumer, find nothing, park on the deadline timer,
+// wake, punctuate — at zero allocations: the pump keeps one timer and re-arms
+// it, and the consumer keeps its assignment snapshot. The pump runs on its own
+// goroutine, so the measured function only sleeps across a dozen of its
+// cycles (AllocsPerRun counts every goroutine's allocations); the wake count
+// proves the cycles ran.
 func TestIdlePumpAllocatesNothing(t *testing.T) {
 	b := buildBroker(t, "in", "out")
-	topo, err := NewTopology().Source("src", "in").Sink("snk", "out", "src").Build()
+	topo, err := NewTopology().Source("src", "in").
+		Processor("tick", func() Processor { return &tickingProcessor{} }, "src").
+		Sink("snk", "out", "tick").Build()
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	rt, err := NewRuntime(transport.WrapBroker(b), topo, "app", WithPollWait(500*time.Microsecond))
+	rt, err := NewRuntime(transport.WrapBroker(b), topo, "app")
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}
@@ -598,8 +640,38 @@ func TestIdlePumpAllocatesNothing(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	defer rt.Stop()
+	before := rt.Wakeups().Deadline
 	if allocs := testing.AllocsPerRun(20, func() { time.Sleep(6 * time.Millisecond) }); allocs != 0 {
 		t.Fatalf("an idle pump allocated %.0f objects per 6 ms (about a dozen cycles), want 0", allocs)
+	}
+	if woke := rt.Wakeups().Deadline - before; woke < 20 {
+		t.Fatalf("the pump woke %d times on its deadline in 21 × 6 ms, want a cycle per 500 µs", woke)
+	}
+}
+
+// A pump whose processors report no deadline parks without a timer: it
+// wakes once per event — a record, a Sync — and never on its own.
+func TestParkedPumpWakesOnEvents(t *testing.T) {
+	b := buildBroker(t, "in", "out")
+	topo, _ := NewTopology().Source("src", "in").Sink("snk", "out", "src").Build()
+	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
+	rt.Start()
+	defer rt.Stop()
+
+	time.Sleep(30 * time.Millisecond)
+	if w := rt.Wakeups(); w != (Wakeups{}) {
+		t.Fatalf("an idle pump with no deadline woke %+v, want none", w)
+	}
+	mq.NewProducer(b).Send("in", nil, []byte("x"))
+	if recs := drain(t, b, "out", 1, 2*time.Second); len(recs) != 1 {
+		t.Fatalf("forwarded %d records, want 1", len(recs))
+	}
+	if err := rt.Sync(func() {}); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	time.Sleep(30 * time.Millisecond)
+	if w := rt.Wakeups(); w.Data < 1 || w.Sync != 1 || w.Deadline != 0 {
+		t.Fatalf("wake-ups %+v after one record and one Sync, want data ≥ 1, sync 1, deadline 0", w)
 	}
 }
 

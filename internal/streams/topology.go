@@ -7,12 +7,16 @@
 //     consume topics, processors wired into a DAG, and sinks that produce
 //     into topics; and
 //   - a low-level Processor contract (the "Low-Level Processor API") with
-//     Forward for emitting downstream and punctuation for interval-driven
-//     work — which is exactly how the sampling module flushes a window.
+//     Forward for emitting downstream and punctuation for time-driven work
+//     — which is how the sampling module re-asserts liveness and ages out
+//     silent sources between records.
 //
 // One Runtime corresponds to one logical node of the edge tree: a single
 // pump goroutine polls the node's sources, pushes records through the DAG,
-// and fires due punctuations, mirroring a Kafka Streams task thread.
+// and fires punctuations when their deadlines pass, mirroring a Kafka
+// Streams task thread. The pump does work per record and per deadline,
+// never per clock tick: with nothing to fetch it parks until records
+// arrive, a Sync runs, or the earliest processor deadline passes.
 package streams
 
 import (
@@ -71,6 +75,24 @@ type BatchProcessor interface {
 	ProcessBatch(msgs []Message) error
 }
 
+// Punctuator is an optional Processor extension for time-driven work: work a
+// processor owes without new input, such as a keepalive or an idle-source
+// timeout. The pump asks every Punctuator for its Deadline at the end of each
+// cycle and arms one timer at the earliest; the first cycle that starts at or
+// after a processor's deadline calls its Punctuate. A zero Deadline means
+// none: only a record (or a Sync) can give the processor work, and a pump
+// whose processors all say so parks without a timer. Punctuate must move the
+// deadline past now, or the pump spins on it. When the source topic closes,
+// every Punctuator is punctuated once more, due or not (end-of-stream flush).
+type Punctuator interface {
+	Processor
+	// Deadline returns the next instant the processor must run without new
+	// input, read at clock reading now; zero for none.
+	Deadline(now time.Time) time.Time
+	// Punctuate runs the processor's time-driven work at clock reading now.
+	Punctuate(now time.Time)
+}
+
 // ProcessorContext is the API a Processor uses to interact with its node.
 type ProcessorContext interface {
 	// Forward emits a message to every downstream child of this node.
@@ -83,9 +105,6 @@ type ProcessorContext interface {
 	// but the Key/Value bytes may be retained by the broker (see the codec
 	// buffer-ownership rule).
 	ForwardBatch(msgs []Message)
-	// Schedule registers a punctuation: fn fires every interval on the
-	// runtime's clock until the runtime stops or cancel is called.
-	Schedule(interval time.Duration, fn func(now time.Time)) (cancel func())
 	// NodeName returns the topology name of this processor.
 	NodeName() string
 	// Now returns the runtime's current time.

@@ -503,9 +503,10 @@ func testBlockingWakeup(t *testing.T, be Backend) {
 		t.Fatal(err)
 	}
 
-	// The pump's arm/try/wait sequence: arm WaitChan, find nothing, block,
-	// then a produce must close the channel (within a round trip for remote
-	// backends).
+	// The pump's arm/try/park sequence: arm WaitChan, find nothing, park,
+	// then a produce must close the armed channel itself (within a round trip
+	// for remote backends). A parked pump has no timer of its own: no
+	// re-arm, no re-poll may rescue a lost wakeup here.
 	ch := c.WaitChan()
 	if recs, err := c.TryPoll(4); err != nil || len(recs) != 0 {
 		t.Fatalf("TryPoll on idle topic = %d recs, %v", len(recs), err)
@@ -513,22 +514,10 @@ func testBlockingWakeup(t *testing.T, be Backend) {
 	if _, _, err := p.Send("t", nil, []byte("wake2")); err != nil {
 		t.Fatal(err)
 	}
-	fired := false
-	deadline := time.Now().Add(suiteDeadline)
-	for !fired && time.Now().Before(deadline) {
-		select {
-		case <-ch:
-			fired = true
-		case <-time.After(100 * time.Millisecond):
-			// Spurious-wakeup-tolerant re-arm, as real pumps do.
-			if recs, _ := c.TryPoll(4); len(recs) > 0 {
-				return // record arrived; wakeup machinery did its job
-			}
-			ch = c.WaitChan()
-		}
-	}
-	if !fired {
-		t.Fatal("WaitChan never fired after produce")
+	select {
+	case <-ch:
+	case <-time.After(suiteDeadline):
+		t.Fatalf("the armed WaitChan did not fire within %v of a produce", suiteDeadline)
 	}
 	drainN(t, c, 1)
 }
@@ -596,7 +585,8 @@ func testWakeAfterDrained(t *testing.T, be Backend) {
 
 // testRebalanceBacklogFound: a member that has drained its own partitions
 // and gone quiet must find the backlog a departing member leaves behind
-// without waiting for anyone to append — the rebalance itself is the news.
+// without waiting for anyone to append — the rebalance itself is the news,
+// and it fires the member's armed WaitChan.
 func testRebalanceBacklogFound(t *testing.T, be Backend) {
 	bus := be.Bus
 	mustCreate(t, bus, "t", 2)
@@ -630,12 +620,20 @@ func testRebalanceBacklogFound(t *testing.T, be Backend) {
 		t.Fatalf("survivor drained %d records of its own partition, want %d", own, perPart)
 	}
 	select {
-	case <-idle:
+	case <-idle: // a spurious wakeup: park again
+		_, idle = findNothingTwice(t, a)
 	case <-time.After(100 * time.Millisecond):
 	}
 
+	// The channel armed before the rebalance is the one a parked pump waits
+	// on: the rebalance must fire it.
 	b.Close()
 	start := time.Now()
+	select {
+	case <-idle:
+	case <-time.After(time.Second):
+		t.Fatal("the WaitChan armed before the rebalance did not fire when it handed the survivor a backlog")
+	}
 	orphaned := 0
 	var scratch []transport.Record
 	for orphaned < perPart {
@@ -649,9 +647,11 @@ func testRebalanceBacklogFound(t *testing.T, be Backend) {
 		if orphaned += len(scratch); len(scratch) > 0 {
 			continue
 		}
+		// Park on the armed channel alone, as a pump does: the rebalance
+		// must fire it, no re-poll rescues a lost wakeup.
 		select {
 		case <-wake:
-		case <-time.After(100 * time.Millisecond):
+		case <-time.After(time.Until(start.Add(time.Second))):
 		}
 	}
 }

@@ -869,7 +869,8 @@ func (cc *clientConsumer) TopicClosed() bool {
 // come back drained does it park one wait-ready long-poll at the daemon, and
 // fire when that answers ready. A wakeup therefore lags an append by up to a
 // round trip, and spurious wakeups are possible after transport errors — both
-// within the interface's stated contract (callers bound their waits).
+// within the interface's stated contract — but it is never lost: the
+// readiness answer is a level, re-asked for as long as the handle is drained.
 func (cc *clientConsumer) WaitChan() <-chan struct{} {
 	if cc.closed.Load() || cc.topicClosed.Load() {
 		return closedChan

@@ -119,9 +119,9 @@ type Consumer interface {
 	// nothing would now find something — after an append to a partition the
 	// consumer owns, and after a rebalance that hands it a partition with a
 	// backlog. Backends may deliver spurious wakeups (a woken caller re-polls
-	// and finds nothing); remote backends may also delay a wakeup by a
-	// network round trip — callers bound the wait with their own timer, as
-	// the streams pump does.
+	// and finds nothing), and a remote backend's wakeup may lag the append by
+	// a network round trip; but a wakeup is never lost. Callers may park on
+	// the channel with no timer of their own, as the streams pump does.
 	WaitChan() <-chan struct{}
 	// TopicClosed reports whether the topic has been shut down: retained
 	// records can still be fetched, but no new records will arrive.
