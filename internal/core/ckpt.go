@@ -44,8 +44,8 @@ type memberCkpt struct {
 }
 
 // ckptChain is one serialized watermark chain: the producing origin, the
-// sub-stream, and the chain's low watermark (0 = expectation placeholder,
-// still unheard). The arrival clock (seen) is NOT serialized — a restored
+// sub-stream, and the chain's low watermark (0 = still unheard; with no
+// sub-stream, the producer's expectation placeholder). The arrival clock (seen) is NOT serialized — a restored
 // chain is stamped with the restore instant, so a chain idle across the
 // crash ages out on the survivor's schedule, not retroactively.
 type ckptChain struct {
@@ -82,16 +82,16 @@ func encodeMemberCheckpoint(dst []byte, p *samplingProcessor, offs []streams.Par
 		dst = append(dst, 0)
 	}
 	dst = binary.AppendVarint(dst, ew.bound)
-	dst = binary.AppendUvarint(dst, uint64(len(wt.chains)))
-	for key, m := range wt.chains {
-		dst = appendCkptString(dst, key.from)
-		dst = appendCkptString(dst, string(key.src))
+	dst = binary.AppendUvarint(dst, uint64(wt.chains))
+	wt.eachChain(func(from string, src stream.SourceID, m *sourceMark) {
+		dst = appendCkptString(dst, from)
+		dst = appendCkptString(dst, string(src))
 		var wm int64
 		if !m.wm.IsZero() {
 			wm = m.wm.UnixNano()
 		}
 		dst = binary.AppendVarint(dst, wm)
-	}
+	})
 	dst = binary.AppendUvarint(dst, uint64(len(ew.open)))
 	for start, n := range ew.open {
 		dst = binary.AppendVarint(dst, start)
@@ -104,10 +104,18 @@ func encodeMemberCheckpoint(dst []byte, p *samplingProcessor, offs []streams.Par
 // carried W^in per sub-stream, then the buffered Ψ batches (lineage order —
 // addPair reconstructs the lineage index on restore).
 func appendNodeSection(dst []byte, n *Node) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(n.weights)))
-	for src, w := range n.weights {
-		dst = appendCkptString(dst, string(src))
-		dst = binary.AppendUvarint(dst, math.Float64bits(w))
+	set := 0
+	for _, cw := range n.weights {
+		if cw.set {
+			set++
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(set))
+	for slot, cw := range n.weights {
+		if cw.set {
+			dst = appendCkptString(dst, string(n.strata.ID(int32(slot))))
+			dst = binary.AppendUvarint(dst, math.Float64bits(cw.w))
+		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(n.psi)))
 	for _, b := range n.psi {
@@ -297,10 +305,10 @@ func decodeMemberCheckpoint(raw []byte) (*memberCkpt, error) {
 // set).
 func (n *Node) restoreState(weights map[stream.SourceID]float64, psi []stream.Batch) {
 	for _, b := range psi {
-		n.addPair(b.Source, b.Weight, b.Items)
+		n.addPair(n.slot(b.Source), b.Source, b.Weight, b.Items)
 	}
 	for src, w := range weights {
-		n.weights.Set(src, w)
+		n.setWeight(n.slot(src), w)
 	}
 }
 
@@ -319,12 +327,13 @@ func (p *samplingProcessor) restoreCheckpoint(ck *memberCkpt, now time.Time) {
 	p.ew.obs.Store(ck.stats.Observed)
 	p.ew.emit.Store(ck.stats.Emitted)
 	p.ew.wins.Store(ck.stats.Intervals)
-	// Rebuild the chain map over whatever expectations Init registered: a
+	// Rebuild the chains over whatever expectations Init registered: a
 	// serialized chain (placeholder included) supersedes the static
 	// expectation for the same origin. Placeholders go first, so a real chain
 	// resolves its producer's placeholder whatever order the blob lists them.
+	placeholder := func(c ckptChain) bool { return c.src == "" && c.wm == 0 }
 	sort.SliceStable(ck.chains, func(i, j int) bool {
-		return ck.chains[i].src == "" && ck.chains[j].src != ""
+		return placeholder(ck.chains[i]) && !placeholder(ck.chains[j])
 	})
 	for _, c := range ck.chains {
 		var wm time.Time

@@ -513,7 +513,7 @@ func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberC
 					break
 				}
 				off = rec.Offset + 1
-				h, herr := stream.ParseHeader(rec.Value, p.names)
+				h, herr := stream.ParseHeader(rec.Value, p.ew.strata)
 				if herr != nil {
 					continue // already counted into DecodeErrors by the dead member
 				}
@@ -523,7 +523,7 @@ func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberC
 				// copies lift exactly the lanes they rode — but never announce
 				// (the dead member announced this chain when it first heard
 				// it) and never advance (replay rebuilds buffered state only).
-				p.wt.fold(rec.Watermark, h.Source, rec.Partition, now)
+				p.wt.foldSlot(rec.Watermark, h.Slot, rec.Partition, now)
 			}
 		}
 	}

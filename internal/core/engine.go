@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +75,7 @@ type engine struct {
 	// under it, and a hook that reads a Snapshot must not self-deadlock.
 	windowMu      sync.Mutex
 	windowsClosed atomic.Int64
+	rootClose     rootMerge          // closeEventWindows' scratch, under windowMu
 	ctlProducer   transport.Producer // feedback runs only
 	ctlSeq        uint64
 	// sliding composes pane estimates when LiveConfig.Slide ≥ 2 (nil
@@ -344,7 +346,7 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 		sp.ew = e.newWindows(mk)
 		sp.eosNotify = memberEOSBroadcast(e.bus.NewProducer(), desc.ParentTopic,
 			sp.id, plan.Partitions, sp.bwc)
-		sp.wt = e.newTracker(desc, now)
+		sp.wt = e.newTracker(desc, sp.ew, now)
 		return sp, sp
 	})
 	if err == nil {
@@ -389,7 +391,7 @@ func (e *engine) addRootGroup(now time.Time) error {
 			mk = func() *Node { return plan.NewNodeShardCost(plan.Root(), shard, dc) }
 		}
 		p.ew = e.newWindows(mk)
-		p.wt = e.newTracker(plan.Root(), now)
+		p.wt = e.newTracker(plan.Root(), p.ew, now)
 		e.rootProcs[shard] = p
 		return p, nil
 	})
@@ -414,12 +416,14 @@ func (e *engine) newWindows(mk func() *Node) *eventWindows {
 	return ew
 }
 
-// newTracker builds one member's watermark tracker for node desc. Every
-// producer the plan says can feed the node holds the watermark until heard
-// from (or idled out) — sibling pumps race, and a chain must never be
-// invisible to the minimum just because it is slow.
-func (e *engine) newTracker(desc NodeDesc, now time.Time) *watermarkTracker {
+// newTracker builds one member's watermark tracker for node desc, over the
+// stratum table of the member's window store: the slot a parsed header
+// carries indexes both. Every producer the plan says can feed the node holds
+// the watermark until heard from (or idled out) — sibling pumps race, and a
+// chain must never be invisible to the minimum just because it is slow.
+func (e *engine) newTracker(desc NodeDesc, ew *eventWindows, now time.Time) *watermarkTracker {
 	wt := newWatermarkTracker(e.cfg.IdleTimeout)
+	wt.strata = ew.strata
 	for _, from := range e.plan.ExpectedProducers(desc) {
 		wt.expect(from, now)
 	}
@@ -665,47 +669,73 @@ func (e *engine) closeEventWindows(at, wm time.Time) {
 	if wm.IsZero() {
 		return
 	}
-	for _, win := range closeRootWindows(e.rootProcs, wm, at, e.eval, e.plan) {
+	for _, win := range e.rootClose.close(e.rootProcs, wm, at, e.eval, e.plan) {
 		e.emitWindowLocked(win)
 	}
 }
 
-// closeRootWindows advances every root member to wm, merges the members'
-// closed windows by window start, and runs the queries over each merged Θ;
-// it returns the non-empty windows in ascending event-time order. A window's
-// result carries estimates only, never items, so once the queries have run
-// every member gets its closed windows' item storage back — under the
-// member's own lock, which is also what its ingest path draws slabs under.
-// Callers hold windowMu.
-func closeRootWindows(procs []*rootProcessor, wm, at time.Time, eval *query.Engine, plan *Plan) []WindowResult {
-	merged := make(map[int64][]stream.Batch)
-	closed := make([][]closedWindow, len(procs))
+// rootMerge is the sweeper's scratch for merging the root members' closed
+// windows, kept across sweeps so a sweep that closes windows allocates only
+// their results.
+type rootMerge struct {
+	closed [][]closedWindow // per member: what advanceTo returned
+	wins   []rootWindow     // merged Θ per window start
+	out    []WindowResult
+}
+
+// rootWindow is one window's Θ merged across the root members.
+type rootWindow struct {
+	start int64
+	theta []stream.Batch
+}
+
+// close advances every root member to wm, merges the members' closed
+// windows by window start, and runs the queries over each merged Θ; it
+// returns the non-empty windows in ascending event-time order, valid until
+// the next close. A window's result carries estimates only, never items, so
+// once the queries have run every member gets its closed windows' item
+// storage back — under the member's own lock, which is also what its ingest
+// path draws slabs under. Callers hold windowMu.
+func (m *rootMerge) close(procs []*rootProcessor, wm, at time.Time, eval *query.Engine, plan *Plan) []WindowResult {
+	if cap(m.closed) < len(procs) {
+		m.closed = make([][]closedWindow, len(procs))
+	}
+	m.closed = m.closed[:len(procs)]
+	wins := m.wins[:0]
 	for i, rp := range procs {
-		closed[i] = rp.advanceTo(wm)
-		for _, cw := range closed[i] {
-			merged[cw.start] = append(merged[cw.start], cw.theta...)
+		m.closed[i] = rp.advanceTo(wm)
+		for _, cw := range m.closed[i] {
+			j := 0
+			for j < len(wins) && wins[j].start != cw.start {
+				j++
+			}
+			if j == len(wins) {
+				if j < cap(wins) {
+					wins = wins[:j+1] // the slot's theta storage serves again
+				} else {
+					wins = append(wins, rootWindow{})
+				}
+				wins[j].start, wins[j].theta = cw.start, wins[j].theta[:0]
+			}
+			wins[j].theta = append(wins[j].theta, cw.theta...)
 		}
 	}
-	if len(merged) == 0 {
-		return nil
-	}
-	starts := make([]int64, 0, len(merged))
-	for st := range merged {
-		starts = append(starts, st)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	var out []WindowResult
-	for _, st := range starts {
-		win := NewWindowResult(at, eval, plan.Queries, merged[st])
-		win.Start = time.Unix(0, st).UTC()
+	slices.SortFunc(wins, func(a, b rootWindow) int { return cmp.Compare(a.start, b.start) })
+	out := m.out[:0]
+	for _, w := range wins {
+		win := NewWindowResult(at, eval, plan.Queries, w.theta)
+		win.Start = time.Unix(0, w.start).UTC()
 		win.End = win.Start.Add(plan.Spec.Window)
 		if win.SampleSize > 0 {
 			out = append(out, win)
 		}
+		clear(w.theta)
 	}
 	for i, rp := range procs {
-		rp.recycle(closed[i])
+		rp.recycle(m.closed[i])
+		m.closed[i] = nil
 	}
+	m.wins, m.out = wins, out
 	return out
 }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -129,11 +130,21 @@ type eventWindows struct {
 	mkNode   func() *Node
 	slabs    slabStore
 	idle     []*Node // retired window nodes, recycled and ready to reopen
+	// strata is the stratum table every window node indexes its sub-streams
+	// by: a member's decoder parses headers with it (ingestWire), and its
+	// watermark tracker shares it (engine.newTracker).
+	strata *stream.SourceTable
 
-	open     map[int64]*Node
-	bound    int64 // window starts below this are closed territory
-	boundSet bool
-	late     *lateCounter
+	open map[int64]*Node
+	// last is the open window place returned last, at lastStart: a run of
+	// records lands in one window, which then costs no map look-up. advance
+	// forgets it.
+	last      *Node
+	lastStart int64
+	closing   []closedWindow // advance's result, reused: valid until the next advance
+	bound     int64          // window starts below this are closed territory
+	boundSet  bool
+	late      *lateCounter
 	// ingestStamped marks timestamps the system stamped at ingest rather
 	// than the caller: such a record is never late — it missed its window
 	// only by losing a race between pipeline paths (or to a crashed
@@ -156,6 +167,7 @@ func newEventWindows(window, lateness time.Duration, late *lateCounter, newNode 
 		window:   window,
 		lateness: lateness,
 		mkNode:   newNode,
+		strata:   stream.NewSourceTable(),
 		open:     make(map[int64]*Node),
 		late:     late,
 	}
@@ -175,6 +187,7 @@ func (ew *eventWindows) newNode() *Node {
 	}
 	n := ew.mkNode()
 	n.slabs = &ew.slabs
+	n.strata = ew.strata
 	return n
 }
 
@@ -208,10 +221,13 @@ func (ew *eventWindows) place(start int64, count int, weight float64) *Node {
 		}
 		ew.behind = true
 	}
-	n := ew.open[start]
-	if n == nil {
-		n = ew.newNode()
-		ew.open[start] = n
+	n := ew.last
+	if n == nil || start != ew.lastStart {
+		if n = ew.open[start]; n == nil {
+			n = ew.newNode()
+			ew.open[start] = n
+		}
+		ew.last, ew.lastStart = n, start
 	}
 	ew.obs.Add(int64(count))
 	return n
@@ -313,7 +329,9 @@ func (ew *eventWindows) wouldAdvance(wm time.Time) bool {
 // advance moves the close bound to what wm implies and closes every open
 // window below it, in ascending event-time order. The bound is monotone: a
 // regressing watermark (an idle source resuming with old data) closes
-// nothing, and only an ingest-stamped record reopens closed territory.
+// nothing, and only an ingest-stamped record reopens closed territory. The
+// result is the store's scratch: callers consume it — and hand it to
+// recycle — before they advance again.
 func (ew *eventWindows) advance(wm time.Time) []closedWindow {
 	if !ew.wouldAdvance(wm) {
 		return nil
@@ -323,26 +341,26 @@ func (ew *eventWindows) advance(wm time.Time) []closedWindow {
 		ew.boundSet = true
 	}
 	ew.behind = false
-	var starts []int64
-	for s := range ew.open {
+	ew.last = nil
+	out := ew.closing[:0]
+	for s, n := range ew.open {
 		if s < ew.bound {
-			starts = append(starts, s)
+			out = append(out, closedWindow{start: s, node: n})
 		}
 	}
-	if len(starts) == 0 {
+	ew.closing = out
+	if len(out) == 0 {
 		return nil
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	out := make([]closedWindow, 0, len(starts))
-	for _, s := range starts {
-		n := ew.open[s]
-		delete(ew.open, s)
-		theta := n.CloseInterval()
-		for _, b := range theta {
+	slices.SortFunc(out, func(a, b closedWindow) int { return cmp.Compare(a.start, b.start) })
+	for i := range out {
+		cw := &out[i]
+		delete(ew.open, cw.start)
+		cw.theta = cw.node.CloseInterval()
+		for _, b := range cw.theta {
 			ew.emit.Add(int64(len(b.Items)))
 		}
 		ew.wins.Add(1)
-		out = append(out, closedWindow{start: s, theta: theta, node: n})
 	}
 	return out
 }
@@ -369,32 +387,40 @@ func (ew *eventWindows) buffered() int {
 	return total
 }
 
-// chainKey identifies one producing chain's sub-stream at a node: the
-// upstream producer (a source valve or a child tree node) plus the
-// sub-stream it carried. Distinct chains may legitimately carry the same
-// sub-stream ID — sources with identical distributions share IDs to be
-// stratified together — so watermark progress must never be tracked per
-// sub-stream alone: the fast chain's watermark would close windows the
-// slow chain still holds data for.
-type chainKey struct {
-	from string
-	src  stream.SourceID
-}
-
-// sourceMark is one chain's watermark state at a node.
+// sourceMark is the watermark state of one tracker entry — a chain, a lane
+// floor or an expectation placeholder — at a node. Entries live in slices
+// indexed by stratum slot or lane; live tells a present entry from an empty
+// index.
 type sourceMark struct {
 	wm   time.Time // highest piggybacked watermark seen
 	seen time.Time // arrival-clock instant of the last record (wall live, virtual sim)
+	live bool
 }
 
-// laneKey identifies one producer's record flow over one input-topic
-// partition at a node. The broker's only ordering guarantee is per-partition
-// FIFO, so a piggybacked watermark is a promise about the records still
-// queued BEHIND it on its own lane — and nothing else. Lanes, not
-// sub-streams, are therefore the unit the close bound must be floored by.
-type laneKey struct {
-	from string
-	lane int
+// producer is one upstream producer's entries at a node: a source valve or a
+// child tree node, by the origin it stamps its watermarks with.
+//
+//   - chains, by stratum slot: the (producer, sub-stream) chains. Distinct
+//     chains may legitimately carry the same sub-stream — sources with
+//     identical distributions share IDs to be stratified together — so
+//     watermark progress is never tracked per sub-stream alone: the fast
+//     chain's watermark would close windows the slow chain still holds data
+//     for. Chains are never deleted; slots lists the ones present.
+//   - lanes, by input partition: the producer's lane floors. The broker's
+//     only ordering guarantee is per-partition FIFO, so a piggybacked
+//     watermark is a promise about the records still queued BEHIND it on its
+//     own lane — and nothing else. Lanes, not sub-streams, are therefore the
+//     unit the close bound must be floored by.
+//   - expect: the expectation placeholder, holding the minimum for a
+//     producer the plan names (or that sent only keepalives) until its first
+//     real chain represents it.
+type producer struct {
+	from   string
+	floors bool // lane floors materialized across the owned set
+	expect sourceMark
+	chains []sourceMark
+	slots  []int32
+	lanes  []sourceMark
 }
 
 // watermarkTracker derives a node's low watermark from the watermarks
@@ -421,18 +447,28 @@ type laneKey struct {
 // floors, and their behavior is unchanged. Chains and floors share the idle
 // and end-of-stream exemption rules. Not safe for concurrent use.
 //
+// Entries are kept by dense index, not by key: a producer table (interned
+// once per record, the last producer checked first) holds each producer's
+// entries (see producer), chains indexed by the slot of the sub-stream in
+// strata — the member's stratum table, the one its decoder interns into, so
+// a record's slot comes with its parsed header. Slots are never serialized:
+// checkpoints carry chains by name.
+//
 // The minimum is incremental: cache holds the result of the last full scan
 // and every change to an entry goes through stamp, which keeps it exact, so
 // a record costs O(1) instead of a walk over every chain and floor. The
 // cache's validity rule is on wmCache.
 type watermarkTracker struct {
 	idle   time.Duration
-	chains map[chainKey]*sourceMark
+	strata *stream.SourceTable
+
+	producers []*producer
+	byFrom    map[string]*producer
+	last      *producer // the producer the previous look-up returned
+	chains    int       // chains and placeholders, over every producer
 
 	ownedFn func() []int // owned input partitions; nil disables lane floors
 	laneSet []int        // cached owned lanes (refreshed on unknown-lane sight)
-	lanes   map[laneKey]*sourceMark
-	known   map[string]bool // producers whose floors have been materialized
 
 	cache wmCache
 	scans int // full scans run (tests bound it)
@@ -444,9 +480,7 @@ type watermarkTracker struct {
 	lastBeat     time.Time
 	beatRevivals int
 
-	// activeSources scratch; callers consume the result before the next call.
-	srcSeen map[stream.SourceID]struct{}
-	srcs    []stream.SourceID
+	srcs []stream.SourceID // activeSources scratch; callers consume the result before the next call
 }
 
 // wmCache is the result of a watermarkTracker's last full scan, kept exact
@@ -476,14 +510,40 @@ type wmCache struct {
 	until time.Time // last instant the included set is known to hold (idle > 0)
 }
 
+// newWatermarkTracker returns an empty tracker over a stratum table of its
+// own; a member replaces it with its decoder's before anything is tracked
+// by slot (engine.newTracker).
 func newWatermarkTracker(idle time.Duration) *watermarkTracker {
 	return &watermarkTracker{
-		idle:    idle,
-		chains:  make(map[chainKey]*sourceMark),
-		lanes:   make(map[laneKey]*sourceMark),
-		known:   make(map[string]bool),
-		srcSeen: make(map[stream.SourceID]struct{}),
+		idle:   idle,
+		strata: stream.NewSourceTable(),
+		byFrom: make(map[string]*producer),
 	}
+}
+
+// producerOf returns from's entries, registering the producer on first
+// sight. Records arrive in runs from one producer, so the previous answer
+// is checked before the table.
+func (t *watermarkTracker) producerOf(from string) *producer {
+	if p := t.last; p != nil && p.from == from {
+		return p
+	}
+	p := t.byFrom[from]
+	if p == nil {
+		p = &producer{from: from}
+		t.byFrom[from] = p
+		t.producers = append(t.producers, p)
+	}
+	t.last = p
+	return p
+}
+
+// grown returns s extended with empty entries to hold index i.
+func grown[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
 }
 
 func containsLane(lanes []int, lane int) bool {
@@ -502,34 +562,37 @@ func containsLane(lanes []int, lane int) bool {
 func (t *watermarkTracker) refreshOwned(lanes []int, now time.Time) {
 	t.cache.valid = false
 	t.laneSet = lanes
-	for key := range t.lanes {
-		if !containsLane(t.laneSet, key.lane) {
-			delete(t.lanes, key)
+	for _, p := range t.producers {
+		for l := range p.lanes {
+			if p.lanes[l].live && !containsLane(t.laneSet, l) {
+				p.lanes[l] = sourceMark{}
+			}
 		}
-	}
-	for from := range t.known {
-		t.materialize(from, now)
+		if p.floors {
+			t.materialize(p, now)
+		}
 	}
 }
 
-func (t *watermarkTracker) materialize(from string, now time.Time) {
+func (t *watermarkTracker) materialize(p *producer, now time.Time) {
 	for _, l := range t.laneSet {
-		key := laneKey{from: from, lane: l}
-		if _, ok := t.lanes[key]; !ok {
-			t.lanes[key] = &sourceMark{seen: now}
+		p.lanes = grown(p.lanes, l)
+		if !p.lanes[l].live {
+			p.lanes[l] = sourceMark{seen: now, live: true}
 			t.cache.valid = false
 		}
 	}
 }
 
-// ensureFrom registers one producer into the floor universe, materializing
-// its per-lane placeholders across the owned set.
-func (t *watermarkTracker) ensureFrom(from string, now time.Time) {
-	if from == "" || t.known[from] {
+// ensureFloors registers one producer into the floor universe, materializing
+// its per-lane placeholders across the owned set. The nameless producer has
+// no floors.
+func (t *watermarkTracker) ensureFloors(p *producer, now time.Time) {
+	if p.from == "" || p.floors {
 		return
 	}
-	t.known[from] = true
-	t.materialize(from, now)
+	p.floors = true
+	t.materialize(p, now)
 }
 
 // observeLane max-folds one consumed stamp into its (producer, lane) floor.
@@ -538,16 +601,15 @@ func (t *watermarkTracker) ensureFrom(from string, now time.Time) {
 // every record still queued behind this one on the same lane carries a
 // stamp at least this high — the floor is a sound per-lane close bound. A
 // zero instant refreshes liveness without promising anything.
-func (t *watermarkTracker) observeLane(from string, lane int, at, now time.Time) {
-	if len(t.laneSet) == 0 || from == "" {
+func (t *watermarkTracker) observeLane(p *producer, lane int, at, now time.Time) {
+	if len(t.laneSet) == 0 || p.from == "" {
 		return
 	}
-	t.ensureFrom(from, now)
-	key := laneKey{from: from, lane: lane}
-	m := t.lanes[key]
-	if m == nil {
-		m = &sourceMark{seen: now} // born alive: its first stamp is no revival
-		t.lanes[key] = m
+	t.ensureFloors(p, now)
+	p.lanes = grown(p.lanes, lane)
+	m := &p.lanes[lane]
+	if !m.live {
+		*m = sourceMark{seen: now, live: true} // born alive: its first stamp is no revival
 		t.cache.valid = false
 	}
 	t.stamp(m, at, now)
@@ -594,17 +656,17 @@ func (t *watermarkTracker) cacheCovers(now time.Time) bool {
 	return c.valid && (t.idle <= 0 || !(now.Before(c.at) || now.After(c.until)))
 }
 
-// fold routes one record's piggybacked watermark into the tracker: the lane
-// floor first (the transport-level promise the stamp actually makes), then
-// the (producer, sub-stream) chain it semantically belongs to. End-of-stream
-// promises resolve the producer's chains outright — the producer's floors,
-// lifted lane by lane as its terminal broadcast copies are consumed, keep
-// the bound below any of its data still queued on other lanes. Reports
-// whether the stamp revealed a brand-new chain (callers announce those
-// upstream). Consuming a record off a lane the cached owned set does not
-// list re-reads the assignment — the cheap signal that a rebalance granted
-// this member new partitions.
-func (t *watermarkTracker) fold(wm mq.Watermark, src stream.SourceID, lane int, now time.Time) (isNew bool) {
+// foldSlot routes one record's piggybacked watermark into the tracker: the
+// lane floor first (the transport-level promise the stamp actually makes),
+// then the chain of the record's sub-stream — slot in the stratum table —
+// it semantically belongs to. End-of-stream promises resolve the producer's
+// chains outright — the producer's floors, lifted lane by lane as its
+// terminal broadcast copies are consumed, keep the bound below any of its
+// data still queued on other lanes. Reports whether the stamp revealed a
+// brand-new chain (callers announce those upstream). Consuming a record off
+// a lane the cached owned set does not list re-reads the assignment — the
+// cheap signal that a rebalance granted this member new partitions.
+func (t *watermarkTracker) foldSlot(wm mq.Watermark, slot int32, lane int, now time.Time) (isNew bool) {
 	if t.ownedFn != nil && !containsLane(t.laneSet, lane) {
 		if lanes := t.ownedFn(); lanes == nil {
 			t.ownedFn = nil // context cannot report ownership; floors stay off
@@ -618,15 +680,18 @@ func (t *watermarkTracker) fold(wm mq.Watermark, src stream.SourceID, lane int, 
 	switch {
 	case wm.At.IsZero():
 		if wm.From != "" {
-			t.observeLane(wm.From, lane, time.Time{}, now)
-			t.keepalive(wm.From, now)
+			p := t.producerOf(wm.From)
+			t.observeLane(p, lane, time.Time{}, now)
+			t.refresh(p, now)
 		}
 	case !wm.At.Before(eosHorizon):
-		t.observeLane(wm.From, lane, wm.At, now)
-		t.resolveEOS(wm.From, now)
+		p := t.producerOf(wm.From)
+		t.observeLane(p, lane, wm.At, now)
+		t.resolveEOS(p, now)
 	default:
-		t.observeLane(wm.From, lane, wm.At, now)
-		isNew = t.update(wm, src, now)
+		p := t.producerOf(wm.From)
+		t.observeLane(p, lane, wm.At, now)
+		isNew = t.stampChain(p, slot, wm.At, now)
 	}
 	return isNew
 }
@@ -641,32 +706,65 @@ func (t *watermarkTracker) fold(wm mq.Watermark, src stream.SourceID, lane int, 
 // speaks (an unused source slot, a shard member owning no partitions) ages
 // out through the idle timeout like any silent chain.
 func (t *watermarkTracker) expect(from string, now time.Time) {
-	t.ensureFrom(from, now)
-	key := chainKey{from: from}
-	if _, ok := t.chains[key]; !ok {
-		t.chains[key] = &sourceMark{seen: now}
+	p := t.producerOf(from)
+	t.ensureFloors(p, now)
+	if !p.expect.live {
+		t.setExpect(p, now)
+	}
+}
+
+// setExpect (re)installs p's placeholder, alive at now.
+func (t *watermarkTracker) setExpect(p *producer, now time.Time) {
+	if !p.expect.live {
+		t.chains++
+	}
+	p.expect = sourceMark{seen: now, live: true}
+	t.cache.valid = false
+}
+
+// dropExpect dissolves p's placeholder, if it has one.
+func (t *watermarkTracker) dropExpect(p *producer) {
+	if p.expect.live {
+		p.expect = sourceMark{}
+		t.chains--
 		t.cache.valid = false
 	}
 }
 
-// update folds one piggybacked watermark for src's chain, observed at
-// arrival-clock instant now, and reports whether the chain is new to this
-// tracker. Per-chain watermarks are monotone; the arrival stamp always
-// refreshes (a record of any vintage proves the chain is alive). The
-// producer's expectation placeholder, if any, is resolved: its real chains
-// now represent it.
-func (t *watermarkTracker) update(wm mq.Watermark, src stream.SourceID, now time.Time) (isNew bool) {
-	t.ensureFrom(wm.From, now)
-	key := chainKey{from: wm.From, src: src}
-	m := t.chains[key]
-	if m == nil {
-		m = &sourceMark{seen: now}
-		t.chains[key] = m
-		isNew = true
-		delete(t.chains, chainKey{from: wm.From})
+// chain returns p's chain for slot, creating it — alive at now — if asked
+// to, and reports whether it was created.
+func (t *watermarkTracker) chain(p *producer, slot int32, now time.Time) (m *sourceMark, created bool) {
+	p.chains = grown(p.chains, int(slot))
+	m = &p.chains[slot]
+	if !m.live {
+		*m = sourceMark{seen: now, live: true}
+		p.slots = append(p.slots, slot)
+		t.chains++
 		t.cache.valid = false
+		created = true
 	}
-	t.stamp(m, wm.At, now)
+	return m, created
+}
+
+// update is stampChain for a sub-stream given by name (the simulator's
+// in-memory hops, which parse no headers).
+func (t *watermarkTracker) update(wm mq.Watermark, src stream.SourceID, now time.Time) (isNew bool) {
+	return t.stampChain(t.producerOf(wm.From), t.strata.Slot(src), wm.At, now)
+}
+
+// stampChain folds one piggybacked watermark at into p's chain for the
+// sub-stream of slot, observed at arrival-clock instant now, and reports
+// whether the chain is new to this tracker. Per-chain watermarks are
+// monotone; the arrival stamp always refreshes (a record of any vintage
+// proves the chain is alive). The producer's expectation placeholder, if
+// any, is resolved: its real chains now represent it.
+func (t *watermarkTracker) stampChain(p *producer, slot int32, at, now time.Time) (isNew bool) {
+	t.ensureFloors(p, now)
+	m, isNew := t.chain(p, slot, now)
+	if isNew {
+		t.dropExpect(p)
+	}
+	t.stamp(m, at, now)
 	return isNew
 }
 
@@ -678,48 +776,68 @@ func (t *watermarkTracker) update(wm mq.Watermark, src stream.SourceID, now time
 // windows the final flush must close. Resolving wholesale is safe because
 // the producer's lane floors stay put — data still queued on another lane
 // keeps its floor (and so the bound) down until it is consumed there.
-func (t *watermarkTracker) resolveEOS(from string, now time.Time) {
-	t.ensureFrom(from, now)
-	delete(t.chains, chainKey{from: from})
+func (t *watermarkTracker) resolveEOS(p *producer, now time.Time) {
+	t.ensureFloors(p, now)
+	t.dropExpect(p)
 	t.cache.valid = false
-	for key, m := range t.chains {
-		if key.from == from {
-			t.stamp(m, eosWatermark, now)
-		}
+	for _, s := range p.slots {
+		t.stamp(&p.chains[s], eosWatermark, now)
 	}
 }
 
 // keepalive refreshes the idle clock of every chain from one producer
-// without touching any watermark: the producer said "alive, nothing to
+// without touching any watermark (refresh).
+func (t *watermarkTracker) keepalive(from string, now time.Time) { t.refresh(t.producerOf(from), now) }
+
+// refresh is a keepalive from p: the producer said "alive, nothing to
 // promise yet". A producer this tracker has never heard real watermarks
 // from gets (or keeps) an expectation placeholder — alive-but-unpromising
 // must hold the minimum, exactly like a statically-expected producer that
 // has not spoken, or a sibling's flush could close windows the producer
 // is still buffering data for.
-func (t *watermarkTracker) keepalive(from string, now time.Time) {
-	t.ensureFrom(from, now)
-	refreshed := false
-	for key, m := range t.chains {
-		if key.from == from {
-			t.stamp(m, time.Time{}, now)
-			refreshed = true
-		}
+func (t *watermarkTracker) refresh(p *producer, now time.Time) {
+	t.ensureFloors(p, now)
+	if !p.expect.live && len(p.slots) == 0 {
+		t.setExpect(p, now)
+		return
 	}
-	if !refreshed {
-		t.chains[chainKey{from: from}] = &sourceMark{seen: now}
-		t.cache.valid = false
+	if p.expect.live {
+		t.stamp(&p.expect, time.Time{}, now)
+	}
+	for _, s := range p.slots {
+		t.stamp(&p.chains[s], time.Time{}, now)
 	}
 }
 
 // restoreChain installs one chain from a checkpoint, stamped alive at now. A
 // real chain resolves its producer's expectation placeholder, exactly as
-// update would have; a serialized placeholder (zero wm) stands as one.
+// stampChain would have; a serialized placeholder (no sub-stream, zero wm)
+// stands as one.
 func (t *watermarkTracker) restoreChain(from string, src stream.SourceID, wm, now time.Time) {
-	if !wm.IsZero() {
-		delete(t.chains, chainKey{from: from})
+	p := t.producerOf(from)
+	if src == "" && wm.IsZero() {
+		t.setExpect(p, now)
+		return
 	}
-	t.chains[chainKey{from: from, src: src}] = &sourceMark{wm: wm, seen: now}
+	if !wm.IsZero() {
+		t.dropExpect(p)
+	}
+	m, _ := t.chain(p, t.strata.Slot(src), now)
+	*m = sourceMark{wm: wm, seen: now, live: true}
 	t.cache.valid = false
+}
+
+// eachChain calls fn on every chain and placeholder, by producer origin and
+// sub-stream name ("" for a placeholder).
+func (t *watermarkTracker) eachChain(fn func(from string, src stream.SourceID, m *sourceMark)) {
+	for _, p := range t.producers {
+		if p.expect.live {
+			fn(p.from, "", &p.expect)
+		}
+		for _, s := range p.slots {
+			fn(p.from, t.strata.ID(s), &p.chains[s])
+		}
+	}
 }
 
 // watermark returns the node's current low watermark: the minimum over
@@ -740,7 +858,7 @@ func (t *watermarkTracker) watermark(now time.Time) time.Time {
 // silence is indistinguishable from patience) or before anything was
 // tracked.
 func (t *watermarkTracker) allStale(now time.Time) bool {
-	return t.idle > 0 && len(t.chains) > 0 &&
+	return t.idle > 0 && t.chains > 0 &&
 		t.eachMark(func(m *sourceMark) bool { return t.aged(m, now) })
 }
 
@@ -766,7 +884,7 @@ func (t *watermarkTracker) scan(now time.Time) (wm time.Time, blocked bool) {
 	t.cache.valid = false
 	c := wmCache{valid: true, at: now}
 	var oldest time.Time // earliest arrival stamp among included entries that can age
-	take := func(m *sourceMark) bool {
+	if !t.eachMark(func(m *sourceMark) bool {
 		if t.aged(m, now) {
 			return true // idle chain or floor: excluded from the minimum
 		}
@@ -783,16 +901,8 @@ func (t *watermarkTracker) scan(now time.Time) (wm time.Time, blocked bool) {
 			oldest = m.seen
 		}
 		return true
-	}
-	for _, m := range t.chains {
-		if !take(m) {
-			return time.Time{}, true
-		}
-	}
-	for _, m := range t.lanes {
-		if !take(m) {
-			return time.Time{}, true
-		}
+	}) {
+		return time.Time{}, true
 	}
 	c.until = eosWatermark
 	if !oldest.IsZero() {
@@ -836,7 +946,7 @@ func (t *watermarkTracker) nextAging(now time.Time) time.Time {
 // last chain or floor ageing out — or zero when it never can: aging off,
 // nothing tracked, or an end-of-stream promise among the entries.
 func (t *watermarkTracker) staleAt() time.Time {
-	if t.idle <= 0 || len(t.chains) == 0 {
+	if t.idle <= 0 || t.chains == 0 {
 		return time.Time{}
 	}
 	var last time.Time
@@ -859,42 +969,47 @@ func earlier(a, b time.Time) time.Time {
 	return a
 }
 
-// eachMark calls fn on every chain and floor until fn returns false, and
-// reports whether it never did.
+// eachMark calls fn on every chain, placeholder and floor until fn returns
+// false, and reports whether it never did.
 func (t *watermarkTracker) eachMark(fn func(*sourceMark) bool) bool {
-	for _, m := range t.chains {
-		if !fn(m) {
+	for _, p := range t.producers {
+		if p.expect.live && !fn(&p.expect) {
 			return false
 		}
-	}
-	for _, m := range t.lanes {
-		if !fn(m) {
-			return false
+		for _, s := range p.slots {
+			if !fn(&p.chains[s]) {
+				return false
+			}
+		}
+		for l := range p.lanes {
+			if p.lanes[l].live && !fn(&p.lanes[l]) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
 // activeSources lists the distinct sub-streams of the tracked, non-idle
-// chains — the set a node must cover with data or heartbeats when it
-// closes windows, so its parent's per-chain watermarks keep advancing.
-// Idle chains are deliberately left out: heartbeating them would keep them
-// artificially fresh upstream and re-introduce the stall the idle timeout
-// exists to break. The returned slice is the tracker's scratch, valid until
-// the next call.
+// chains, in SourceID order — the set a node must cover with data or
+// heartbeats when it closes windows, so its parent's per-chain watermarks
+// keep advancing. Idle chains are deliberately left out: heartbeating them
+// would keep them artificially fresh upstream and re-introduce the stall the
+// idle timeout exists to break. The returned slice is the tracker's scratch,
+// valid until the next call.
 func (t *watermarkTracker) activeSources(now time.Time) []stream.SourceID {
-	clear(t.srcSeen)
 	out := t.srcs[:0]
-	for key, m := range t.chains {
-		if t.aged(m, now) {
-			continue
-		}
-		if m.wm.IsZero() {
-			continue // expectation placeholder, not a sub-stream
-		}
-		if _, dup := t.srcSeen[key.src]; !dup {
-			t.srcSeen[key.src] = struct{}{}
-			out = append(out, key.src)
+	for _, slot := range t.strata.Sorted() {
+		for _, p := range t.producers {
+			if int(slot) >= len(p.chains) {
+				continue
+			}
+			// A zero watermark: restored from a checkpoint unheard, no
+			// sub-stream's promise yet.
+			if m := &p.chains[slot]; m.live && !t.aged(m, now) && !m.wm.IsZero() {
+				out = append(out, t.strata.ID(slot))
+				break
+			}
 		}
 	}
 	t.srcs = out

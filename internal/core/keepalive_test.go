@@ -27,6 +27,7 @@ func beatMember(id string, idle time.Duration) (*samplingProcessor, *hopCtx) {
 	p, ctx := hopMember(1)
 	p.id = id
 	p.wt = newWatermarkTracker(idle)
+	p.wt.strata = p.ew.strata
 	return p, ctx
 }
 

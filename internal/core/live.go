@@ -291,7 +291,6 @@ type samplingProcessor struct {
 	decodeErrs *atomic.Int64
 	pending    atomic.Int64 // items buffered in Ψ awaiting the window flush
 	ctx        streams.ProcessorContext
-	names      stream.SourceTable // sub-stream names this member has decoded
 
 	// bwc is the member's private produce-side byte counter for its parent
 	// link (lock-free; folded into the account at read time).
@@ -468,7 +467,6 @@ var (
 
 func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
 	p.ctx = ctx
-	p.names = make(stream.SourceTable)
 	// The tracker's lane floors need the consumer's partition assignment —
 	// installed before recovery, so the offset-gap replay already
 	// classifies lanewise.
@@ -516,7 +514,7 @@ func (p *samplingProcessor) ProcessBatch(msgs []streams.Message) error {
 // unbatched and later records in the same batch are judged late against the
 // same bound.
 func (p *samplingProcessor) processEvent(msg streams.Message, now time.Time) {
-	h, err := stream.ParseHeader(msg.Value, p.names)
+	h, err := stream.ParseHeader(msg.Value, p.ew.strata)
 	if err != nil {
 		p.decodeErrs.Add(1)
 		return
@@ -525,7 +523,7 @@ func (p *samplingProcessor) processEvent(msg streams.Message, now time.Time) {
 	// watermark may close the very window this record's items belong
 	// to, and they must land inside it, not be counted late.
 	p.ew.ingestWire(h)
-	if p.wt.fold(msg.Watermark, h.Source, msg.Partition, now) {
+	if p.wt.foldSlot(msg.Watermark, h.Slot, msg.Partition, now) {
 		// First sight of this chain: announce it upstream before any
 		// record can lift the parent's minimum past windows the chain
 		// still holds data for.
@@ -882,7 +880,6 @@ type rootProcessor struct {
 	decodeErrs   *atomic.Int64
 	lastActivity *atomic.Int64      // unix nanos of last root-side processing
 	latency      *metrics.Histogram // private per member; merged into the result at shutdown
-	names        stream.SourceTable // sub-stream names this member has decoded (under mu)
 }
 
 var (
@@ -892,7 +889,6 @@ var (
 
 func (p *rootProcessor) Init(ctx streams.ProcessorContext) error {
 	p.ctx = ctx
-	p.names = make(stream.SourceTable)
 	p.wt.ownedFn = func() []int { return ownedLanesOf(p.ctx) }
 	return nil
 }
@@ -929,7 +925,7 @@ func (p *rootProcessor) ProcessBatch(msgs []streams.Message) error {
 
 // processLocked is the per-message root step. Callers hold p.mu.
 func (p *rootProcessor) processLocked(msg streams.Message) int64 {
-	h, err := stream.ParseHeader(msg.Value, p.names)
+	h, err := stream.ParseHeader(msg.Value, p.ew.strata)
 	if err != nil {
 		p.decodeErrs.Add(1)
 		return 0
@@ -955,7 +951,7 @@ func (p *rootProcessor) processLocked(msg streams.Message) int64 {
 	}
 	// Ingest before folding the watermark, mirroring the edge members.
 	p.ew.ingestWire(h)
-	p.wt.fold(msg.Watermark, h.Source, msg.Partition, now)
+	p.wt.foldSlot(msg.Watermark, h.Slot, msg.Partition, now)
 	return int64(h.Count)
 }
 

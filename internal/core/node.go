@@ -26,9 +26,19 @@ type Node struct {
 	sampler sample.Sampler
 	cost    CostFunction
 
-	weights  stream.WeightMap
-	psi      []stream.Batch
-	lineage  map[lineageKey]int // (source, weight) → index into psi
+	// strata numbers the node's sub-streams, and everything the node keeps
+	// per sub-stream is a slice indexed by slot. A window node shares its
+	// member's table — the one the decoder interns into, so a parsed header
+	// brings its slot along (IngestWire) — and a standalone node gets one of
+	// its own on first use.
+	strata  *stream.SourceTable
+	weights []carriedWeight // by slot: the latest W^in
+	psi     []stream.Batch
+	links   []pairLink // parallel to psi
+	// lineage holds, by slot, 1 + the psi index of the sub-stream's first
+	// weight lineage this interval (0: none yet); further lineages of the
+	// same sub-stream chain on through links.
+	lineage  []int32
 	observed int
 
 	// Ψ item storage (see slabStore): psi's item slices are drawn from
@@ -39,34 +49,57 @@ type Node struct {
 	closed []stream.Batch
 }
 
-type lineageKey struct {
-	src stream.SourceID
+// carriedWeight is one sub-stream's carried W^in; an unset one is 1, the
+// weight the paper assigns at the original source.
+type carriedWeight struct {
 	w   float64
+	set bool
 }
+
+// pairLink is what the node keeps beside one Ψ pair: its sub-stream's slot
+// and 1 + the psi index of the sub-stream's next lineage (0: the last).
+type pairLink struct{ slot, next int32 }
 
 // NewNode returns a node with the given sampling strategy and budget.
 func NewNode(id string, sampler sample.Sampler, cost CostFunction) *Node {
-	return &Node{
-		id:      id,
-		sampler: sampler,
-		cost:    cost,
-		weights: make(stream.WeightMap),
-		lineage: make(map[lineageKey]int),
-	}
+	return &Node{id: id, sampler: sampler, cost: cost}
 }
 
 // ID returns the node's identifier.
 func (n *Node) ID() string { return n.id }
 
-// IngestBatch receives a weighted batch from a downstream node: the weight
-// map is updated (line 4's Ψ bookkeeping) and the pair joins the current
+// slot returns src's slot in the node's stratum table.
+func (n *Node) slot(src stream.SourceID) int32 {
+	if n.strata == nil {
+		n.strata = stream.NewSourceTable()
+	}
+	return n.strata.Slot(src)
+}
+
+// weight returns the carried W^in of the sub-stream in slot.
+func (n *Node) weight(slot int32) float64 {
+	if int(slot) < len(n.weights) && n.weights[slot].set {
+		return n.weights[slot].w
+	}
+	return 1
+}
+
+// setWeight records the latest W^in of the sub-stream in slot.
+func (n *Node) setWeight(slot int32, w float64) {
+	n.weights = grown(n.weights, int(slot))
+	n.weights[slot] = carriedWeight{w: w, set: true}
+}
+
+// IngestBatch receives a weighted batch from a downstream node: the carried
+// weight is updated (line 4's Ψ bookkeeping) and the pair joins the current
 // interval, merging with an existing pair of the same lineage.
 func (n *Node) IngestBatch(b stream.Batch) {
 	if len(b.Items) == 0 {
 		return
 	}
-	n.weights.Set(b.Source, b.Weight)
-	n.addPair(b.Source, b.Weight, b.Items)
+	slot := n.slot(b.Source)
+	n.setWeight(slot, b.Weight)
+	n.addPair(slot, b.Source, b.Weight, b.Items)
 }
 
 // IngestItems receives raw items (from sources, or items whose weight
@@ -79,44 +112,53 @@ func (n *Node) IngestItems(items []stream.Item) {
 		for end < len(items) && items[end].Source == src {
 			end++
 		}
-		n.addPair(src, n.weights.Get(src), items[start:end])
+		slot := n.slot(src)
+		n.addPair(slot, src, n.weight(slot), items[start:end])
 		start = end
 	}
 }
 
-// IngestWire is IngestBatch for a batch still on the wire: the items
-// [lo, hi) of h are decoded once, straight into the tail of their lineage's
-// slab. The wire block is only read.
+// IngestWire is IngestBatch for a batch still on the wire, parsed with the
+// node's stratum table: the items [lo, hi) of h are decoded once, straight
+// into the tail of their lineage's slab. The wire block is only read.
 func (n *Node) IngestWire(h stream.Header, lo, hi int) {
 	if lo == hi {
 		return
 	}
-	n.weights.Set(h.Source, h.Weight)
-	h.Decode(n.reserve(h.Source, h.Weight, hi-lo), lo)
+	n.setWeight(h.Slot, h.Weight)
+	h.Decode(n.reserve(h.Slot, h.Source, h.Weight, hi-lo), lo)
 }
 
-func (n *Node) addPair(src stream.SourceID, w float64, items []stream.Item) {
-	copy(n.reserve(src, w, len(items)), items) // copies: the node owns its storage
+func (n *Node) addPair(slot int32, src stream.SourceID, w float64, items []stream.Item) {
+	copy(n.reserve(slot, src, w, len(items)), items) // copies: the node owns its storage
 }
 
-// reserve extends the pair of lineage (src, w) by count item slots at the
-// tail of its slab and returns them. The slots hold stale items of earlier
-// windows: the caller is their only writer and must fill every one before
-// anything reads the pair.
-func (n *Node) reserve(src stream.SourceID, w float64, count int) []stream.Item {
-	key := lineageKey{src: src, w: w}
-	idx, ok := n.lineage[key]
-	if !ok {
+// reserve extends the pair of lineage (src, w) — src in slot — by count item
+// slots at the tail of its slab and returns them. The slots hold stale items
+// of earlier windows: the caller is their only writer and must fill every
+// one before anything reads the pair.
+func (n *Node) reserve(slot int32, src stream.SourceID, w float64, count int) []stream.Item {
+	n.lineage = grown(n.lineage, int(slot))
+	idx, prev := int(n.lineage[slot])-1, -1
+	for idx >= 0 && n.psi[idx].Weight != w {
+		prev, idx = idx, int(n.links[idx].next)-1
+	}
+	if idx < 0 {
 		idx = len(n.psi)
-		n.lineage[key] = idx
 		n.psi = append(n.psi, stream.Batch{Source: src, Weight: w, Items: n.slabs.get(count)})
+		n.links = append(n.links, pairLink{slot: slot})
+		if prev < 0 {
+			n.lineage[slot] = int32(idx + 1)
+		} else {
+			n.links[prev].next = int32(idx + 1)
+		}
 	}
 	pair := &n.psi[idx]
 	have := len(pair.Items)
 	if need := have + count; need > cap(pair.Items) {
-		grown := append(n.slabs.get(need), pair.Items...)
+		bigger := append(n.slabs.get(need), pair.Items...)
 		n.slabs.put(pair.Items)
-		pair.Items = grown
+		pair.Items = bigger
 	}
 	pair.Items = pair.Items[:have+count]
 	n.observed += count
@@ -127,7 +169,7 @@ func (n *Node) reserve(src stream.SourceID, w float64, count int) []stream.Item 
 func (n *Node) Observed() int { return n.observed }
 
 // LastWeight returns the carried W^in for a sub-stream (1 if never seen).
-func (n *Node) LastWeight(src stream.SourceID) float64 { return n.weights.Get(src) }
+func (n *Node) LastWeight(src stream.SourceID) float64 { return n.weight(n.slot(src)) }
 
 // CloseInterval ends the current interval: the sampler reduces Ψ under the
 // cost function's budget and the node resets for the next interval. The
@@ -149,7 +191,10 @@ func (n *Node) CloseInterval() []stream.Batch {
 	}
 	out := n.sampler.SampleInterval(n.psi, budget)
 	n.closed, n.psi = n.psi, nil
-	clear(n.lineage)
+	for _, l := range n.links {
+		n.lineage[l.slot] = 0
+	}
+	n.links = n.links[:0]
 	n.observed = 0
 	return out
 }
@@ -175,7 +220,7 @@ func (n *Node) Recycle() {
 // reopen returns a retired window's node to the state its constructor left
 // it in — no carried weights, the sampler rewound to its seed — so the
 // window it serves next samples exactly as a freshly built node would. The
-// node keeps its maps, its pair headers and its sampler's generator:
+// node keeps its slices, its pair headers and its sampler's generator:
 // reopening allocates nothing.
 func (n *Node) reopen() {
 	clear(n.weights)

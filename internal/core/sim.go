@@ -380,6 +380,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 				sn.ew = newEventWindows(spec.Window, cfg.AllowedLateness, &late,
 					func() *Node { return plan.NewNode(desc) })
 				sn.wt = newWatermarkTracker(cfg.IdleTimeout)
+				sn.wt.strata = sn.ew.strata
 				// Statically-known producers hold the watermark until heard
 				// from, exactly like the live members (see
 				// Plan.ExpectedProducers).

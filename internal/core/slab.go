@@ -24,7 +24,7 @@ import (
 // the wire block the items come from is only read, and stays with the
 // broker. Entries beyond a slab's length are stale items of earlier windows
 // and are never cleared: nothing reads past len, and what they pin — a
-// sub-stream name the owner keeps decoding under anyway (its source table
+// sub-stream name the owner keeps decoding under anyway (its stratum table
 // holds it) and, for items copied in rather than decoded, a shared time
 // zone — outlives the slab regardless.
 //

@@ -106,6 +106,7 @@ func hopMember(fraction float64) (*samplingProcessor, *hopCtx) {
 		ew:         newEventWindows(hopWindow, 0, &late, mk),
 		wt:         newWatermarkTracker(-1),
 	}
+	p.wt.strata = p.ew.strata
 	ctx := &hopCtx{now: simEpoch}
 	p.ctx = ctx
 	return p, ctx
@@ -265,7 +266,7 @@ func (hw *hopWire) record(payload []byte, shift time.Duration) []byte {
 // hopCycle is one steady-state window of an edge hop, from the layers' own
 // functions: ParseHeader → eventWindows.ingestWire → advance → encode →
 // recycle. It returns the size of the one block the flush retains.
-func hopCycle(ew *eventWindows, enc *batchEncoder, hw *hopWire, names stream.SourceTable, recs []mq.Record, w int, payloads [][]byte) int {
+func hopCycle(ew *eventWindows, enc *batchEncoder, hw *hopWire, names *stream.SourceTable, recs []mq.Record, w int, payloads [][]byte) int {
 	shift := time.Duration(w) * hopWindow
 	for _, payload := range payloads {
 		h, err := stream.ParseHeader(hw.record(payload, shift), names)
@@ -303,9 +304,9 @@ func hopCycleFixture(perWindow int) (*eventWindows, [][]byte) {
 }
 
 // In steady state a hop allocates the block the broker retains and a fixed
-// handful of per-window headers (the sampler's per-interval maps; the
-// window's node and generator are reopened, not rebuilt) — nothing that grows
-// with the items. Two window shapes, one sixteen times the other, must
+// handful of small objects (the window's node, its generator and its
+// sampler's scratch are reopened, not rebuilt) — nothing that grows with the
+// items. Two window shapes, one sixteen times the other, must
 // therefore cost the same number of allocations, and the bytes beyond the
 // retained block must stay far below the 56 B an item's storage would cost.
 func TestHopSteadyStateAllocatesNoItemStorage(t *testing.T) {
@@ -314,7 +315,7 @@ func TestHopSteadyStateAllocatesNoItemStorage(t *testing.T) {
 		var (
 			enc   batchEncoder
 			hw    hopWire
-			names = make(stream.SourceTable)
+			names = ew.strata
 			recs  = make([]mq.Record, 0, hopSources)
 			w     int
 		)
@@ -351,7 +352,7 @@ func BenchmarkHopSteadyState(b *testing.B) {
 	var (
 		enc   batchEncoder
 		hw    hopWire
-		names = make(stream.SourceTable)
+		names = ew.strata
 		recs  = make([]mq.Record, 0, hopSources)
 		wire  int
 	)

@@ -211,3 +211,47 @@ func TestIngestTierBeatsWhenIdle(t *testing.T) {
 		t.Fatalf("no window closed within %v of the last push", 40*cfg.Window)
 	}
 }
+
+// A drain re-reads every edge member's deadline: quiesce arms the shutdown
+// backstop (staleAt), but a member whose chains have all aged out while it
+// buffers a window — its producers went silent without an end of stream, as
+// when the tier upstream died — has no deadline left and is parked with no
+// timer. Only the drain's Sync wakes it to find the backstop due, forward
+// what it buffers and let the drain settle; without that wake the drain
+// waits out its timeout.
+func TestDrainWakesStrandedMember(t *testing.T) {
+	cfg := wakeConfig(time.Hour) // no window closes on its own
+	cfg.Window = 40 * time.Millisecond
+	cfg.IdleTimeout = 40 * time.Millisecond
+	cfg.DrainTimeout = 5 * time.Second
+	s, err := OpenLive(nil, cfg)
+	if err != nil {
+		t.Fatalf("OpenLive: %v", err)
+	}
+	now := time.Now()
+	for slot := 0; slot < cfg.Spec.Sources; slot++ {
+		pushAt(t, s, slot, now)
+	}
+	time.Sleep(300 * time.Millisecond) // ingested, aged out, parked
+	pending := func() (n int64) {
+		for _, g := range s.groups {
+			n += g.pending()
+		}
+		return n
+	}
+	if pending() == 0 {
+		t.Fatal("no member buffers the pushed items: nothing is stranded")
+	}
+	start := time.Now()
+	if err := s.drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v after %v with %d items buffered", err, time.Since(start), pending())
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("drain took %v: the stranded member was not woken", took)
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	assertCountInvariant(t, "stranded member", res.EstimateCount+res.LateDroppedInput, float64(res.Produced))
+}

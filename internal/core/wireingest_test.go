@@ -32,9 +32,20 @@ func stateOf(ew *eventWindows) ewState {
 		Obs: ew.obs.Load(), Emit: ew.emit.Load(), Wn: ew.wins.Load(),
 	}
 	for start, n := range ew.open {
-		s.Psi[start], s.Weights[start], s.Observed[start] = n.psi, n.weights, n.observed
+		s.Psi[start], s.Weights[start], s.Observed[start] = n.psi, carriedWeights(n), n.observed
 	}
 	return s
+}
+
+// carriedWeights returns a node's carried W^in by sub-stream name.
+func carriedWeights(n *Node) stream.WeightMap {
+	var m stream.WeightMap
+	for slot, cw := range n.weights {
+		if cw.set {
+			m.Set(n.strata.ID(int32(slot)), cw.w)
+		}
+	}
+	return m
 }
 
 // Property: decoding a record straight into the window slabs (ParseHeader +
@@ -55,7 +66,7 @@ func TestWireIngestEqualsBatchIngest(t *testing.T) {
 		var lateA, lateB lateCounter
 		viaBatch := newEventWindows(window, lateness, &lateA, mk)
 		viaWire := newEventWindows(window, lateness, &lateB, mk)
-		names := make(stream.SourceTable)
+		names := viaWire.strata
 		var scratch stream.Batch
 
 		front := 0 // the window the stream has reached
@@ -117,7 +128,7 @@ func TestWireIngestEqualsBatchIngest(t *testing.T) {
 }
 
 // Once a window has retired, opening the next one builds nothing: the node,
-// its maps and its sampler's generator — rewound to the plan-lineage seed,
+// its slices and its sampler's generator — rewound to the plan-lineage seed,
 // which the windows before it had drawn from — are the retired window's.
 func TestReopenedWindowAllocatesNothing(t *testing.T) {
 	var late lateCounter

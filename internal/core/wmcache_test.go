@@ -24,14 +24,14 @@ func scanOracle(wt *watermarkTracker, now time.Time) (time.Time, bool) {
 // set per call, sorted for comparison.
 func activeOracle(wt *watermarkTracker, now time.Time) []string {
 	set := make(map[stream.SourceID]bool)
-	for key, m := range wt.chains {
+	wt.eachChain(func(_ string, src stream.SourceID, m *sourceMark) {
 		if wt.idle > 0 && now.Sub(m.seen) > wt.idle && m.wm.Before(eosHorizon) {
-			continue
+			return
 		}
 		if !m.wm.IsZero() {
-			set[key.src] = true
+			set[src] = true
 		}
-	}
+	})
 	out := make([]string, 0, len(set))
 	for src := range set {
 		out = append(out, string(src))
@@ -180,7 +180,8 @@ func TestWatermarkScansPerTick(t *testing.T) {
 	tickAt := func(k int) time.Time { return simEpoch.Add(time.Duration(k) * 5 * time.Millisecond) }
 
 	tickFolds(wt, order, subs, lanes, tickAt(0), now)
-	entries := len(wt.chains) + len(wt.lanes)
+	entries := 0
+	wt.eachMark(func(*sourceMark) bool { entries++; return true })
 	if wt.scans > entries {
 		t.Fatalf("first tick: %d scans for %d new entries", wt.scans, entries)
 	}
@@ -198,13 +199,19 @@ func TestWatermarkScansPerTick(t *testing.T) {
 }
 
 // BenchmarkWatermarkFold256 is the per-record tracker cost of an edge member
-// over 4 producers × 256 sub-streams: fold the record's stamp, then ask for
-// the watermark. CI gates its allocations at zero.
+// over 4 producers × 256 sub-streams: fold the record's stamp by its
+// sub-stream's slot, then ask for the watermark. CI gates its allocations at
+// zero.
 func BenchmarkWatermarkFold256(b *testing.B) {
 	const subs, lanes = 256, 4
 	wt := newWatermarkTracker(time.Second)
 	wt.ownedFn = func() []int { return []int{0, 1, 2, 3} }
 	chains := len(fromNames) * subs
+	// A member's decoder hands the tracker each record's slot with its header.
+	slots := make([]int32, subs)
+	for i := range slots {
+		slots[i] = wt.strata.Slot(subNames[i])
+	}
 	order := rand.New(rand.NewSource(1)).Perm(chains)
 	now := time.Unix(9000, 0)
 	tickFolds(wt, order, subs, lanes, simEpoch, now)
@@ -219,7 +226,7 @@ func BenchmarkWatermarkFold256(b *testing.B) {
 		c := order[i%chains]
 		from, sub := fromNames[c/subs], c%subs
 		tick := time.Duration(k) * 5 * time.Millisecond
-		wt.fold(mq.Watermark{From: from, At: simEpoch.Add(tick)}, subNames[sub], sub%lanes, now.Add(tick))
+		wt.foldSlot(mq.Watermark{From: from, At: simEpoch.Add(tick)}, slots[sub], sub%lanes, now.Add(tick))
 		wm = wt.watermark(now.Add(tick))
 	}
 	b.StopTimer()

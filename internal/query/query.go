@@ -7,7 +7,8 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/approxiot/approxiot/internal/stats"
 	"github.com/approxiot/approxiot/internal/stream"
@@ -165,25 +166,33 @@ func NewEngine(opts ...Option) *Engine {
 }
 
 // Strata folds a Θ store into per-sub-stream accumulators, sorted by source
-// for deterministic iteration.
+// for deterministic iteration. Θ is grouped by a stable sort of batch
+// indices by Source — a sub-stream's batches fold in Θ order — so a Θ that
+// arrives sorted costs a linear check.
 func Strata(theta []stream.Batch) ([]*stats.Stratum, []stream.SourceID) {
-	bySource := make(map[stream.SourceID]*stats.Stratum)
-	for _, b := range theta {
-		s, ok := bySource[b.Source]
-		if !ok {
-			s = &stats.Stratum{}
-			bySource[b.Source] = s
+	order := make([]int32, len(theta))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	bySource := func(a, b int32) int { return strings.Compare(string(theta[a].Source), string(theta[b].Source)) }
+	if !slices.IsSortedFunc(order, bySource) {
+		slices.SortStableFunc(order, bySource)
+	}
+	var sources []stream.SourceID
+	for k, i := range order {
+		if k == 0 || theta[i].Source != theta[order[k-1]].Source {
+			sources = append(sources, theta[i].Source)
 		}
-		s.AddItems(b.Weight, b.Items)
 	}
-	sources := make([]stream.SourceID, 0, len(bySource))
-	for src := range bySource {
-		sources = append(sources, src)
-	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
+	accs := make([]stats.Stratum, len(sources))
 	strata := make([]*stats.Stratum, len(sources))
-	for i, src := range sources {
-		strata[i] = bySource[src]
+	j := -1
+	for k, i := range order {
+		if k == 0 || theta[i].Source != theta[order[k-1]].Source {
+			j++
+			strata[j] = &accs[j]
+		}
+		strata[j].AddItems(theta[i].Weight, theta[i].Items)
 	}
 	return strata, sources
 }

@@ -1,9 +1,8 @@
 package sample
 
 import (
-	"sort"
-
-	"github.com/approxiot/approxiot/internal/stream"
+	"cmp"
+	"slices"
 )
 
 // Allocator decides the per-sub-stream reservoir sizes N_i given the node's
@@ -11,22 +10,19 @@ import (
 // paper leaves the policy open; this package provides the fair equal split
 // used by the evaluation plus alternatives benchmarked in the allocation
 // ablation (DESIGN.md §7).
+//
+// An allocation is over slices, one entry per sub-stream in SourceID order:
+// counts[i] is sub-stream i's item count in the interval and Allocate writes
+// its reservoir size to sizes[i]. The sampler owns both slices and reuses
+// them interval after interval, so an allocation costs no map and no
+// allocation.
 type Allocator interface {
-	// Allocate splits total across the observed sub-stream item counts.
-	// Implementations must be deterministic, never return a negative size,
-	// and — unless total <= 0 — give every sub-stream at least one slot so
-	// no stratum is neglected (§III-A).
-	Allocate(total int, counts map[stream.SourceID]int) map[stream.SourceID]int
-}
-
-// sortedSources returns map keys in sorted order for deterministic iteration.
-func sortedSources(counts map[stream.SourceID]int) []stream.SourceID {
-	sources := make([]stream.SourceID, 0, len(counts))
-	for src := range counts {
-		sources = append(sources, src)
-	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	return sources
+	// Allocate splits total across counts into sizes (len(sizes) ==
+	// len(counts)). Implementations must be deterministic, never write a
+	// negative size, and — unless total <= 0, which sizes every sub-stream
+	// at zero — give every sub-stream at least one slot so no stratum is
+	// neglected (§III-A). Ties are broken in SourceID order.
+	Allocate(total int, counts, sizes []int)
 }
 
 // EqualSplit divides the budget evenly across sub-streams, the fairness
@@ -39,30 +35,23 @@ var _ Allocator = EqualSplit{}
 
 // Allocate gives each sub-stream total/k slots, distributing the remainder
 // to the lexicographically-first sub-streams, with a minimum of one slot.
-func (EqualSplit) Allocate(total int, counts map[stream.SourceID]int) map[stream.SourceID]int {
-	alloc := make(map[stream.SourceID]int, len(counts))
+func (EqualSplit) Allocate(total int, counts, sizes []int) {
 	k := len(counts)
 	if k == 0 {
-		return alloc
+		return
 	}
 	if total <= 0 {
-		for src := range counts {
-			alloc[src] = 0
-		}
-		return alloc
+		clear(sizes[:k])
+		return
 	}
 	base, rem := total/k, total%k
-	for i, src := range sortedSources(counts) {
+	for i := range sizes[:k] {
 		n := base
 		if i < rem {
 			n++
 		}
-		if n < 1 {
-			n = 1
-		}
-		alloc[src] = n
+		sizes[i] = max(n, 1)
 	}
-	return alloc
 }
 
 // WaterFill allocates max-min fairly: every sub-stream receives an equal
@@ -75,43 +64,64 @@ type WaterFill struct{}
 
 var _ Allocator = WaterFill{}
 
-// Allocate implements max-min fair (water-filling) allocation.
-func (WaterFill) Allocate(total int, counts map[stream.SourceID]int) map[stream.SourceID]int {
-	alloc := make(map[stream.SourceID]int, len(counts))
-	if len(counts) == 0 {
-		return alloc
+// Allocate implements max-min fair (water-filling) allocation. Visiting the
+// sub-streams by ascending count (ties in SourceID order), each takes its
+// whole count while that fits an even share of what remains. From the first
+// that does not, every later one is capped too — its count is no smaller and
+// the share no larger — and they split what remains evenly, the remainder
+// going one slot each to the first of them. So a sub-stream's size follows
+// from which of two cut points in that order it falls before, and sizes can
+// hold the visiting order until the sizes overwrite it.
+func (WaterFill) Allocate(total int, counts, sizes []int) {
+	k := len(counts)
+	if k == 0 {
+		return
 	}
 	if total <= 0 {
-		for src := range counts {
-			alloc[src] = 0
-		}
-		return alloc
+		clear(sizes[:k])
+		return
 	}
-	// Sort sources by ascending count; satisfy small sub-streams in full,
-	// then split what remains evenly among the rest.
-	sources := sortedSources(counts)
-	sort.SliceStable(sources, func(i, j int) bool { return counts[sources[i]] < counts[sources[j]] })
-	remaining := total
-	for i, src := range sources {
-		left := len(sources) - i
+	byCount := func(a, b int) int {
+		if c := cmp.Compare(counts[a], counts[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	order := sizes[:k]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, byCount)
+	remaining, full := total, 0
+	for ; full < k; full++ {
+		left := k - full
 		share := remaining / left
-		if rem := remaining % left; rem > 0 {
-			share++ // spread the remainder across the first few
+		if remaining%left > 0 {
+			share++
 		}
-		n := counts[src]
-		if n > share {
-			n = share
+		c := counts[order[full]]
+		if c > share {
+			break
 		}
-		if n < 1 {
-			n = 1 // fairness floor: never neglect a sub-stream
-		}
-		alloc[src] = n
-		remaining -= n
-		if remaining < 0 {
-			remaining = 0
+		remaining = max(remaining-max(c, 1), 0) // fairness floor: never neglect a sub-stream
+	}
+	var q, r int
+	firstCapped, firstBase := -1, -1 // -1: no such sub-stream
+	if left := k - full; left > 0 {
+		q, r = remaining/left, remaining%left
+		firstCapped, firstBase = order[full], order[full+r]
+	}
+	before := func(i, cut int) bool { return cut < 0 || byCount(i, cut) < 0 }
+	for i := range sizes[:k] {
+		switch {
+		case before(i, firstCapped):
+			sizes[i] = max(counts[i], 1)
+		case before(i, firstBase):
+			sizes[i] = q + 1
+		default:
+			sizes[i] = max(q, 1)
 		}
 	}
-	return alloc
 }
 
 // ValueAware is an optional Allocator extension: policies that use the
@@ -121,8 +131,9 @@ func (WaterFill) Allocate(total int, counts map[stream.SourceID]int) map[stream.
 type ValueAware interface {
 	Allocator
 	// AllocateByVariance splits total using both counts and per-stratum
-	// sample standard deviations.
-	AllocateByVariance(total int, counts map[stream.SourceID]int, stddev map[stream.SourceID]float64) map[stream.SourceID]int
+	// sample standard deviations (stddev[i] for sub-stream i), writing
+	// sizes as Allocate does.
+	AllocateByVariance(total int, counts []int, stddev []float64, sizes []int)
 }
 
 // Neyman implements optimal (Neyman) allocation, the classical
@@ -136,38 +147,37 @@ type Neyman struct{}
 var _ ValueAware = Neyman{}
 
 // Allocate falls back to water-filling when no variances are available.
-func (Neyman) Allocate(total int, counts map[stream.SourceID]int) map[stream.SourceID]int {
-	return WaterFill{}.Allocate(total, counts)
+func (Neyman) Allocate(total int, counts, sizes []int) {
+	WaterFill{}.Allocate(total, counts, sizes)
 }
 
 // AllocateByVariance splits total with N_i ∝ c_i·s_i (minimum one slot).
 // Zero-variance strata still receive a floor so their counts stay exact.
-func (Neyman) AllocateByVariance(total int, counts map[stream.SourceID]int, stddev map[stream.SourceID]float64) map[stream.SourceID]int {
-	alloc := make(map[stream.SourceID]int, len(counts))
-	if len(counts) == 0 {
-		return alloc
+func (Neyman) AllocateByVariance(total int, counts []int, stddev []float64, sizes []int) {
+	k := len(counts)
+	if k == 0 {
+		return
 	}
 	if total <= 0 {
-		for src := range counts {
-			alloc[src] = 0
-		}
-		return alloc
+		clear(sizes[:k])
+		return
 	}
 	var denom float64
-	for src, c := range counts {
-		denom += float64(c) * stddev[src]
+	for i, c := range counts {
+		denom += float64(c) * stddev[i]
 	}
 	if denom == 0 {
-		return WaterFill{}.Allocate(total, counts)
+		WaterFill{}.Allocate(total, counts, sizes)
+		return
 	}
 	remaining := total
-	for _, src := range sortedSources(counts) {
-		n := int(float64(total)*float64(counts[src])*stddev[src]/denom + 0.5)
+	for i, c := range counts {
+		n := int(float64(total)*float64(c)*stddev[i]/denom + 0.5)
 		if n < 1 {
 			n = 1
 		}
-		if n > counts[src] {
-			n = counts[src] // a census of the stratum is enough
+		if n > c {
+			n = c // a census of the stratum is enough
 		}
 		if n > remaining {
 			n = remaining
@@ -175,13 +185,12 @@ func (Neyman) AllocateByVariance(total int, counts map[stream.SourceID]int, stdd
 		if n < 1 {
 			n = 1
 		}
-		alloc[src] = n
+		sizes[i] = n
 		remaining -= n
 		if remaining < 0 {
 			remaining = 0
 		}
 	}
-	return alloc
 }
 
 // Proportional sizes each reservoir in proportion to the sub-stream's item
@@ -193,31 +202,28 @@ type Proportional struct{}
 var _ Allocator = Proportional{}
 
 // Allocate gives each sub-stream round(total·c_i/Σc) slots, minimum one.
-func (Proportional) Allocate(total int, counts map[stream.SourceID]int) map[stream.SourceID]int {
-	alloc := make(map[stream.SourceID]int, len(counts))
-	if len(counts) == 0 {
-		return alloc
+func (Proportional) Allocate(total int, counts, sizes []int) {
+	k := len(counts)
+	if k == 0 {
+		return
 	}
 	if total <= 0 {
-		for src := range counts {
-			alloc[src] = 0
-		}
-		return alloc
+		clear(sizes[:k])
+		return
 	}
 	var sum int
 	for _, c := range counts {
 		sum += c
 	}
 	if sum == 0 {
-		for src := range counts {
-			alloc[src] = 1
+		for i := range sizes[:k] {
+			sizes[i] = 1
 		}
-		return alloc
+		return
 	}
 	remaining := total
-	sources := sortedSources(counts)
-	for _, src := range sources {
-		n := int(float64(total)*float64(counts[src])/float64(sum) + 0.5)
+	for i, c := range counts {
+		n := int(float64(total)*float64(c)/float64(sum) + 0.5)
 		if n < 1 {
 			n = 1
 		}
@@ -227,8 +233,7 @@ func (Proportional) Allocate(total int, counts map[stream.SourceID]int) map[stre
 		if n < 1 {
 			n = 1 // fairness floor even when the budget has run out
 		}
-		alloc[src] = n
+		sizes[i] = n
 		remaining -= n
 	}
-	return alloc
 }

@@ -8,62 +8,67 @@ import (
 	"github.com/approxiot/approxiot/internal/xrand"
 )
 
-func sumAlloc(alloc map[stream.SourceID]int) int {
+// allocate runs a over counts (one per sub-stream, in SourceID order) and
+// returns the sizes.
+func allocate(a Allocator, total int, counts ...int) []int {
+	sizes := make([]int, len(counts))
+	a.Allocate(total, counts, sizes)
+	return sizes
+}
+
+func sumAlloc(sizes []int) int {
 	total := 0
-	for _, n := range alloc {
+	for _, n := range sizes {
 		total += n
 	}
 	return total
 }
 
 func TestWaterFillExactBudgetWhenOversubscribed(t *testing.T) {
-	counts := map[stream.SourceID]int{"a": 1000, "b": 1000, "c": 1000}
-	alloc := WaterFill{}.Allocate(600, counts)
+	alloc := allocate(WaterFill{}, 600, 1000, 1000, 1000)
 	if got := sumAlloc(alloc); got != 600 {
 		t.Fatalf("allocated %d, want exactly 600", got)
 	}
-	for src, n := range alloc {
+	for i, n := range alloc {
 		if n < 199 || n > 201 {
-			t.Fatalf("alloc[%s] = %d, want ~200 (fair)", src, n)
+			t.Fatalf("alloc[%d] = %d, want ~200 (fair)", i, n)
 		}
 	}
 }
 
 func TestWaterFillRedistributesUnusedShare(t *testing.T) {
 	// Setting1-style imbalance: tiny sub-streams can't use their share;
-	// the surplus must flow to the big ones.
-	counts := map[stream.SourceID]int{"A": 50000, "B": 25000, "C": 12500, "D": 625}
+	// the surplus must flow to the big ones. Sub-streams A, B, C, D.
 	budget := 52875 // 60% of the total 88125
-	alloc := WaterFill{}.Allocate(budget, counts)
+	alloc := allocate(WaterFill{}, budget, 50000, 25000, 12500, 625)
 	if got := sumAlloc(alloc); got != budget {
 		t.Fatalf("allocated %d, want exactly %d", got, budget)
 	}
-	if alloc["D"] != 625 {
-		t.Fatalf("alloc[D] = %d, want full census 625", alloc["D"])
+	if alloc[3] != 625 {
+		t.Fatalf("alloc[D] = %d, want full census 625", alloc[3])
 	}
-	if alloc["C"] != 12500 {
-		t.Fatalf("alloc[C] = %d, want full census 12500", alloc["C"])
+	if alloc[2] != 12500 {
+		t.Fatalf("alloc[C] = %d, want full census 12500", alloc[2])
 	}
 	// A and B split the rest roughly evenly (both above the water level).
-	if alloc["A"] < 19000 || alloc["B"] < 19000 {
-		t.Fatalf("big sub-streams starved: A=%d B=%d", alloc["A"], alloc["B"])
+	if alloc[0] < 19000 || alloc[1] < 19000 {
+		t.Fatalf("big sub-streams starved: A=%d B=%d", alloc[0], alloc[1])
 	}
 }
 
 func TestWaterFillBudgetExceedsInput(t *testing.T) {
-	counts := map[stream.SourceID]int{"a": 10, "b": 20}
-	alloc := WaterFill{}.Allocate(1000, counts)
-	if alloc["a"] < 10 || alloc["b"] < 20 {
+	alloc := allocate(WaterFill{}, 1000, 10, 20)
+	if alloc[0] < 10 || alloc[1] < 20 {
 		t.Fatalf("census denied under surplus budget: %v", alloc)
 	}
 }
 
 func TestWaterFillZeroBudgetAndEmpty(t *testing.T) {
-	alloc := WaterFill{}.Allocate(0, map[stream.SourceID]int{"a": 5})
-	if alloc["a"] != 0 {
-		t.Fatalf("zero budget allocated %d", alloc["a"])
+	alloc := allocate(WaterFill{}, 0, 5)
+	if alloc[0] != 0 {
+		t.Fatalf("zero budget allocated %d", alloc[0])
 	}
-	empty := WaterFill{}.Allocate(10, nil)
+	empty := allocate(WaterFill{}, 10)
 	if len(empty) != 0 {
 		t.Fatalf("empty counts produced %v", empty)
 	}
@@ -72,14 +77,12 @@ func TestWaterFillZeroBudgetAndEmpty(t *testing.T) {
 func TestWaterFillNeverNeglects(t *testing.T) {
 	f := func(seed uint64, budgetRaw uint16) bool {
 		rng := xrand.New(seed)
-		counts := map[stream.SourceID]int{}
-		k := 1 + rng.Intn(8)
-		for i := 0; i < k; i++ {
-			counts[stream.SourceID(string(rune('a'+i)))] = 1 + rng.Intn(10000)
+		counts := make([]int, 1+rng.Intn(8))
+		for i := range counts {
+			counts[i] = 1 + rng.Intn(10000)
 		}
 		budget := 1 + int(budgetRaw)
-		alloc := WaterFill{}.Allocate(budget, counts)
-		for _, n := range alloc {
+		for _, n := range allocate(WaterFill{}, budget, counts...) {
 			if n < 1 {
 				return false
 			}
@@ -91,42 +94,45 @@ func TestWaterFillNeverNeglects(t *testing.T) {
 	}
 }
 
+// neyman runs Neyman's variance-aware allocation over parallel counts and
+// standard deviations.
+func neyman(total int, counts []int, stddev []float64) []int {
+	sizes := make([]int, len(counts))
+	Neyman{}.AllocateByVariance(total, counts, stddev, sizes)
+	return sizes
+}
+
 func TestNeymanFavorsVolatileStrata(t *testing.T) {
-	counts := map[stream.SourceID]int{"calm": 1000, "wild": 1000}
-	stddev := map[stream.SourceID]float64{"calm": 1, "wild": 99}
-	alloc := Neyman{}.AllocateByVariance(500, counts, stddev)
-	if alloc["wild"] <= alloc["calm"] {
-		t.Fatalf("Neyman gave wild=%d calm=%d, want wild ≫ calm", alloc["wild"], alloc["calm"])
+	// Sub-streams calm and wild, in that order.
+	alloc := neyman(500, []int{1000, 1000}, []float64{1, 99})
+	if alloc[1] <= alloc[0] {
+		t.Fatalf("Neyman gave wild=%d calm=%d, want wild ≫ calm", alloc[1], alloc[0])
 	}
-	if alloc["calm"] < 1 {
+	if alloc[0] < 1 {
 		t.Fatal("calm stratum neglected")
 	}
 }
 
 func TestNeymanCapsAtCensus(t *testing.T) {
-	counts := map[stream.SourceID]int{"tiny": 10, "big": 10000}
-	stddev := map[stream.SourceID]float64{"tiny": 1000, "big": 1}
-	alloc := Neyman{}.AllocateByVariance(5000, counts, stddev)
-	if alloc["tiny"] > 10 {
-		t.Fatalf("allocated %d slots to a 10-item stratum", alloc["tiny"])
+	// Sub-streams big and tiny, in that order.
+	alloc := neyman(5000, []int{10000, 10}, []float64{1, 1000})
+	if alloc[1] > 10 {
+		t.Fatalf("allocated %d slots to a 10-item stratum", alloc[1])
 	}
 }
 
 func TestNeymanZeroVarianceFallsBack(t *testing.T) {
-	counts := map[stream.SourceID]int{"a": 100, "b": 100}
-	stddev := map[stream.SourceID]float64{"a": 0, "b": 0}
-	alloc := Neyman{}.AllocateByVariance(50, counts, stddev)
+	alloc := neyman(50, []int{100, 100}, []float64{0, 0})
 	if sumAlloc(alloc) == 0 {
 		t.Fatal("zero-variance strata got nothing; want water-fill fallback")
 	}
 }
 
 func TestNeymanPlainAllocateDelegates(t *testing.T) {
-	counts := map[stream.SourceID]int{"a": 100, "b": 100}
-	got := Neyman{}.Allocate(50, counts)
-	want := WaterFill{}.Allocate(50, counts)
-	for src := range counts {
-		if got[src] != want[src] {
+	got := allocate(Neyman{}, 50, 100, 100)
+	want := allocate(WaterFill{}, 50, 100, 100)
+	for i := range want {
+		if got[i] != want[i] {
 			t.Fatalf("Allocate = %v, want water-fill %v", got, want)
 		}
 	}

@@ -1,47 +1,75 @@
 package sample
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/approxiot/approxiot/internal/stats"
 	"github.com/approxiot/approxiot/internal/stream"
 )
 
-// groupPairs clusters the interval's pairs by sub-stream, preserving their
-// arrival order within each sub-stream, and returns sorted sources plus the
-// per-sub-stream item counts for the allocator.
-func groupPairs(pairs []stream.Batch) (map[stream.SourceID][]stream.Batch, []stream.SourceID, map[stream.SourceID]int) {
-	bySource := make(map[stream.SourceID][]stream.Batch)
-	counts := make(map[stream.SourceID]int)
-	for _, p := range pairs {
-		if len(p.Items) == 0 {
-			continue
-		}
-		bySource[p.Source] = append(bySource[p.Source], p)
-		counts[p.Source] += len(p.Items)
-	}
-	sources := make([]stream.SourceID, 0, len(bySource))
-	for src := range bySource {
-		sources = append(sources, src)
-	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	return bySource, sources, counts
+// strata is a sampler's per-interval working set, reused interval after
+// interval: the interval's non-empty pairs grouped by sub-stream, and the
+// allocator's inputs and outputs, one entry per sub-stream in SourceID order.
+// Grouping is a stable sort of pair indices by Source, so a sub-stream's
+// lineages keep their arrival order; pairs that arrive sorted cost a linear
+// check.
+type strata struct {
+	order  []int32 // indices of the non-empty pairs, stably sorted by Source
+	starts []int32 // sub-stream j's pairs are order[starts[j]:starts[j+1]]
+	counts []int   // sub-stream j's item count
+	sizes  []int   // sub-stream j's reservoir size, from the allocator
+	stddev []float64
 }
 
-// stddevBySource computes each sub-stream's sample standard deviation over
-// the interval's item values, for variance-aware allocators.
-func stddevBySource(bySource map[stream.SourceID][]stream.Batch, sources []stream.SourceID) map[stream.SourceID]float64 {
-	out := make(map[stream.SourceID]float64, len(sources))
-	for _, src := range sources {
+// group clusters pairs by sub-stream and returns the number of sub-streams.
+func (g *strata) group(pairs []stream.Batch) int {
+	order := g.order[:0]
+	for i := range pairs {
+		if len(pairs[i].Items) > 0 {
+			order = append(order, int32(i))
+		}
+	}
+	bySource := func(a, b int32) int { return strings.Compare(string(pairs[a].Source), string(pairs[b].Source)) }
+	if !slices.IsSortedFunc(order, bySource) {
+		slices.SortStableFunc(order, bySource)
+	}
+	starts, counts := g.starts[:0], g.counts[:0]
+	for k, i := range order {
+		if k == 0 || pairs[i].Source != pairs[order[k-1]].Source {
+			starts = append(starts, int32(k))
+			counts = append(counts, 0)
+		}
+		counts[len(counts)-1] += len(pairs[i].Items)
+	}
+	g.order, g.starts, g.counts = order, append(starts, int32(len(order))), counts
+	g.sizes = slices.Grow(g.sizes[:0], len(counts))[:len(counts)]
+	return len(counts)
+}
+
+// lineages returns the indices of sub-stream j's pairs, in arrival order.
+func (g *strata) lineages(j int) []int32 { return g.order[g.starts[j]:g.starts[j+1]] }
+
+// allocate sizes every sub-stream's reservoir from budget with alloc —
+// variance-aware when it can be, from each sub-stream's sample standard
+// deviation over the interval's item values.
+func (g *strata) allocate(alloc Allocator, pairs []stream.Batch, budget int) {
+	va, ok := alloc.(ValueAware)
+	if !ok {
+		alloc.Allocate(budget, g.counts, g.sizes)
+		return
+	}
+	g.stddev = g.stddev[:0]
+	for j := range g.counts {
 		var w stats.Welford
-		for _, pair := range bySource[src] {
-			for _, it := range pair.Items {
+		for _, i := range g.lineages(j) {
+			for _, it := range pairs[i].Items {
 				w.Add(it.Value)
 			}
 		}
-		out[src] = w.StdDev()
+		g.stddev = append(g.stddev, w.StdDev())
 	}
-	return out
+	va.AllocateByVariance(budget, g.counts, g.stddev, g.sizes)
 }
 
 // lineageShare splits a sub-stream's reservoir budget n across its lineages
@@ -63,57 +91,88 @@ func lineageShare(n, lineageCount, totalCount int) int {
 //
 // Every lineage is sampled in place (reservoirInPlace): an output batch's
 // Items is a prefix of the input pair's own slice, so the interval costs no
-// item storage at all.
+// item storage at all. The batch headers live in the sampler's own buffer,
+// which Reseed takes back (see Sampler): a window node's close allocates
+// nothing once its sampler has served a window.
 func (s *WHSampler) SampleInterval(pairs []stream.Batch, budget int) []stream.Batch {
-	bySource, sources, counts := groupPairs(pairs)
-	if len(sources) == 0 || budget <= 0 {
+	g := &s.strata
+	k := g.group(pairs)
+	if k == 0 || budget <= 0 {
 		return nil
 	}
-	var sizes map[stream.SourceID]int
-	if va, ok := s.alloc.(ValueAware); ok {
-		sizes = va.AllocateByVariance(budget, counts, stddevBySource(bySource, sources))
-	} else {
-		sizes = s.alloc.Allocate(budget, counts)
-	}
-	var out []stream.Batch
-	for _, src := range sources {
-		ni := sizes[src]
+	g.allocate(s.alloc, pairs, budget)
+	out := s.out.open(len(g.order))
+	for j := 0; j < k; j++ {
+		ni := g.sizes[j]
 		if ni <= 0 {
 			continue
 		}
-		total := counts[src]
-		for _, pair := range bySource[src] {
-			kept, w := reservoirInPlace(pair.Items, lineageShare(ni, len(pair.Items), total), s.rng)
-			out = append(out, stream.Batch{
-				Source: src,
-				Weight: pair.Weight * w,
-				Items:  kept,
-			})
+		for _, i := range g.lineages(j) {
+			pair := &pairs[i]
+			kept, w := reservoirInPlace(pair.Items, lineageShare(ni, len(pair.Items), g.counts[j]), s.rng)
+			out = append(out, stream.Batch{Source: pair.Source, Weight: pair.Weight * w, Items: kept})
 		}
 	}
-	return out
+	return s.out.close(out)
+}
+
+// batchBuffer backs the batch headers a sampler returns. Each interval's
+// batches are appended behind the previous ones, so earlier results stay
+// intact however many intervals follow; reset takes them all back.
+type batchBuffer struct{ buf []stream.Batch }
+
+// open returns the empty tail the next interval's batches (at most n) are
+// appended onto — a fresh buffer when the tail is too short, so a sampler
+// nobody resets never pins more than its latest buffer.
+func (b *batchBuffer) open(n int) []stream.Batch {
+	if cap(b.buf)-len(b.buf) < n {
+		b.buf = make([]stream.Batch, 0, max(n, 2*cap(b.buf)))
+	}
+	return b.buf[len(b.buf):]
+}
+
+// close records the interval's batches, appended onto open's tail, and
+// returns them capped so a caller's append cannot run into the next
+// interval's; nil when there are none.
+func (b *batchBuffer) close(out []stream.Batch) []stream.Batch {
+	if len(out) == 0 {
+		return nil
+	}
+	b.buf = b.buf[:len(b.buf)+len(out)]
+	return out[:len(out):len(out)]
+}
+
+// reset takes back every batch returned so far, dropping their item views.
+func (b *batchBuffer) reset() {
+	clear(b.buf)
+	b.buf = b.buf[:0]
 }
 
 // SampleInterval implements the interval loop for the §III-E parallel
 // sampler: identical allocation to WHSampler, with each lineage's share
 // further split across the w workers.
 func (p *ParallelWHS) SampleInterval(pairs []stream.Batch, budget int) []stream.Batch {
-	bySource, sources, counts := groupPairs(pairs)
-	if len(sources) == 0 || budget <= 0 {
+	g := &p.strata
+	k := g.group(pairs)
+	if k == 0 || budget <= 0 {
 		return nil
 	}
-	sizes := p.alloc.Allocate(budget, counts)
+	p.alloc.Allocate(budget, g.counts, g.sizes)
 	var out []stream.Batch
-	for _, src := range sources {
-		ni := sizes[src]
+	for j := 0; j < k; j++ {
+		ni := g.sizes[j]
 		if ni <= 0 {
 			continue
 		}
-		total := counts[src]
-		for _, pair := range bySource[src] {
-			share := lineageShare(ni, len(pair.Items), total)
-			weights := stream.WeightMap{src: pair.Weight}
-			out = append(out, p.Sample(pair.Items, weights, share)...)
+		for _, i := range g.lineages(j) {
+			pair := &pairs[i]
+			weightOf := func(src stream.SourceID) float64 {
+				if src == pair.Source {
+					return pair.Weight
+				}
+				return 1
+			}
+			out = p.sample(out, pair.Items, lineageShare(ni, len(pair.Items), g.counts[j]), weightOf)
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -164,18 +165,19 @@ func TestPassthroughIntervalDropsEmpty(t *testing.T) {
 }
 
 // referenceInterval is WHSampler.SampleInterval as it was before it sampled
-// in place: every lineage offered, item by item, to a fresh Reservoir. The
-// in-place form must reproduce it draw for draw.
+// in place or grouped by slice: pairs grouped through a map, sizes from the
+// map-keyed allocators (refAllocate), every lineage offered, item by item, to
+// a fresh Reservoir. The sampler must reproduce it draw for draw.
 func referenceInterval(rng *xrand.Rand, alloc Allocator, pairs []stream.Batch, budget int) []stream.Batch {
 	bySource, sources, counts := groupPairs(pairs)
 	if len(sources) == 0 || budget <= 0 {
 		return nil
 	}
 	var sizes map[stream.SourceID]int
-	if va, ok := alloc.(ValueAware); ok {
-		sizes = va.AllocateByVariance(budget, counts, stddevBySource(bySource, sources))
+	if _, ok := alloc.(ValueAware); ok {
+		sizes = refNeymanByVariance(budget, counts, stddevBySource(bySource, sources))
 	} else {
-		sizes = alloc.Allocate(budget, counts)
+		sizes = refAllocate(alloc, budget, counts)
 	}
 	var out []stream.Batch
 	for _, src := range sources {
@@ -331,5 +333,39 @@ func TestReseedEqualsAFreshSampler(t *testing.T) {
 			s.SampleInterval(interval(), 37) // leave the generator somewhere else
 			s.Reseed()
 		}
+	}
+}
+
+// BenchmarkSampleInterval256 is one window node's close over 256 Zipf-sized
+// strata, one lineage each, at a tenth of the input: group Ψ, allocate by
+// water-filling, sample every lineage in place. Between closes the batch
+// headers are handed back, as the node's reopen (Reseed) does; the generator
+// is not rewound, so the draws differ close to close but their number stays
+// put. CI gates its allocations at zero.
+func BenchmarkSampleInterval256(b *testing.B) {
+	const strata = 256
+	var pairs []stream.Batch
+	total := 0
+	for s := 0; s < strata; s++ {
+		src := stream.SourceID(fmt.Sprintf("z%03d", s))
+		n := 1 + 512/(s+1)
+		pairs = append(pairs, stream.Batch{Source: src, Weight: 1, Items: mkItems(src, n)})
+		total += n
+	}
+	// A node hands Ψ over in arrival order, not sorted by sub-stream.
+	gen := xrand.New(9)
+	for i := len(pairs) - 1; i > 0; i-- {
+		j := gen.Intn(i + 1)
+		pairs[i], pairs[j] = pairs[j], pairs[i]
+	}
+	s := NewWHS(xrand.New(1), WithAllocator(WaterFill{}))
+	budget := total / 10
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := s.SampleInterval(pairs, budget); len(out) != strata {
+			b.Fatalf("%d batches, want %d", len(out), strata)
+		}
+		s.out.reset()
 	}
 }

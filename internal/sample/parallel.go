@@ -20,6 +20,7 @@ type ParallelWHS struct {
 	workers int
 	alloc   Allocator
 	rngs    []*xrand.Rand
+	strata  strata // per-interval scratch (SampleInterval)
 	// concurrent enables real goroutine fan-out; with it off the workers
 	// run sequentially but produce bit-identical output, which the
 	// equivalence tests rely on.
@@ -73,15 +74,17 @@ func (p *ParallelWHS) Workers() int { return p.workers }
 // workers, reservoir-samples each share with capacity N_i/w, and emits one
 // weighted batch per (sub-stream, worker) pair.
 func (p *ParallelWHS) Sample(items []stream.Item, weights stream.WeightMap, budget int) []stream.Batch {
+	return p.sample(nil, items, budget, weights.Get)
+}
+
+// sample is Sample over items whose input weights weightOf gives, with the
+// batches appended onto out.
+func (p *ParallelWHS) sample(out []stream.Batch, items []stream.Item, budget int, weightOf func(stream.SourceID) float64) []stream.Batch {
 	if len(items) == 0 {
-		return nil
+		return out
 	}
-	strata, sources := stratify(items)
-	counts := make(map[stream.SourceID]int, len(strata))
-	for src, its := range strata {
-		counts[src] = len(its)
-	}
-	sizes := p.alloc.Allocate(budget, counts)
+	sources, groups := stratify(items)
+	sizes := groupSizes(p.alloc, budget, groups)
 
 	// shares[w] collects this worker's slice of every sub-stream.
 	type task struct {
@@ -91,8 +94,8 @@ func (p *ParallelWHS) Sample(items []stream.Item, weights stream.WeightMap, budg
 		wIn   float64
 	}
 	tasks := make([][]task, p.workers)
-	for _, src := range sources {
-		ni := sizes[src]
+	for g, src := range sources {
+		ni := sizes[g]
 		if ni <= 0 {
 			continue
 		}
@@ -101,11 +104,11 @@ func (p *ParallelWHS) Sample(items []stream.Item, weights stream.WeightMap, budg
 			perWorker = 1 // never below one slot, same floor as EqualSplit
 		}
 		shares := make([][]stream.Item, p.workers)
-		for i, it := range strata[src] {
+		for i, it := range groups[g] {
 			w := i % p.workers
 			shares[w] = append(shares[w], it)
 		}
-		wIn := weights.Get(src)
+		wIn := weightOf(src)
 		for w := 0; w < p.workers; w++ {
 			if len(shares[w]) == 0 {
 				continue
@@ -143,7 +146,6 @@ func (p *ParallelWHS) Sample(items []stream.Item, weights stream.WeightMap, budg
 		}
 	}
 
-	var out []stream.Batch
 	for w := 0; w < p.workers; w++ {
 		out = append(out, results[w]...)
 	}

@@ -15,7 +15,8 @@
 package sample
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/approxiot/approxiot/internal/stream"
 	"github.com/approxiot/approxiot/internal/xrand"
@@ -41,25 +42,45 @@ import (
 // constructor left: the intervals that follow draw exactly what a freshly
 // built sampler with the same seed would. Event-time nodes keep one sampler
 // per retired window and rewind it for the window that opens next, instead
-// of building (and seeding) a new one per window.
+// of building (and seeding) a new one per window. Reseed also takes back the
+// batches earlier intervals returned — their headers may be reused — so a
+// caller reseeds only once those are dead; until then every result stays
+// intact, however many intervals follow.
 type Sampler interface {
 	SampleInterval(pairs []stream.Batch, budget int) []stream.Batch
 	Reseed()
 }
 
-// stratify groups items by source, preserving arrival order, and returns the
-// sources in sorted order so all downstream iteration is deterministic.
-func stratify(items []stream.Item) (map[stream.SourceID][]stream.Item, []stream.SourceID) {
-	strata := make(map[stream.SourceID][]stream.Item)
-	for _, it := range items {
-		strata[it.Source] = append(strata[it.Source], it)
+// stratify groups a copy of items by source, preserving arrival order within
+// each group, and returns the sources in sorted order with their groups so
+// all downstream iteration is deterministic. Each group is capped at its own
+// length: appending to one never runs into the next.
+func stratify(items []stream.Item) ([]stream.SourceID, [][]stream.Item) {
+	sorted := slices.Clone(items)
+	slices.SortStableFunc(sorted, func(a, b stream.Item) int { return cmp.Compare(a.Source, b.Source) })
+	var sources []stream.SourceID
+	var groups [][]stream.Item
+	for lo := 0; lo < len(sorted); {
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi].Source == sorted[lo].Source {
+			hi++
+		}
+		sources = append(sources, sorted[lo].Source)
+		groups = append(groups, sorted[lo:hi:hi])
+		lo = hi
 	}
-	sources := make([]stream.SourceID, 0, len(strata))
-	for src := range strata {
-		sources = append(sources, src)
+	return sources, groups
+}
+
+// groupSizes allocates budget across stratify's groups with alloc.
+func groupSizes(alloc Allocator, budget int, groups [][]stream.Item) []int {
+	counts := make([]int, len(groups))
+	for i, g := range groups {
+		counts[i] = len(g)
 	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i] < sources[j] })
-	return strata, sources
+	sizes := make([]int, len(groups))
+	alloc.Allocate(budget, counts, sizes)
+	return sizes
 }
 
 // Passthrough implements the paper's native-execution baseline: every item is
@@ -73,13 +94,13 @@ func (Passthrough) Reseed() {}
 
 // Sample forwards all items grouped per sub-stream; budget is ignored.
 func (Passthrough) Sample(items []stream.Item, weights stream.WeightMap, _ int) []stream.Batch {
-	strata, sources := stratify(items)
+	sources, groups := stratify(items)
 	batches := make([]stream.Batch, 0, len(sources))
-	for _, src := range sources {
+	for i, src := range sources {
 		batches = append(batches, stream.Batch{
 			Source: src,
 			Weight: weights.Get(src),
-			Items:  strata[src],
+			Items:  groups[i],
 		})
 	}
 	return batches
@@ -136,11 +157,11 @@ func (c *CoinFlip) Sample(items []stream.Item, weights stream.WeightMap, budget 
 	if p <= 0 {
 		return nil
 	}
-	strata, sources := stratify(items)
+	sources, groups := stratify(items)
 	batches := make([]stream.Batch, 0, len(sources))
-	for _, src := range sources {
+	for i, src := range sources {
 		var kept []stream.Item
-		for _, it := range strata[src] {
+		for _, it := range groups[i] {
 			if c.rng.Bernoulli(p) {
 				kept = append(kept, it)
 			}

@@ -138,60 +138,58 @@ func TestReservoirSampleSizeProperty(t *testing.T) {
 }
 
 func TestEqualSplitExactDivision(t *testing.T) {
-	counts := map[stream.SourceID]int{"a": 50, "b": 50, "c": 50, "d": 50}
-	alloc := EqualSplit{}.Allocate(100, counts)
-	for src, n := range alloc {
+	alloc := allocate(EqualSplit{}, 100, 50, 50, 50, 50)
+	for i, n := range alloc {
 		if n != 25 {
-			t.Fatalf("alloc[%s] = %d, want 25", src, n)
+			t.Fatalf("alloc[%d] = %d, want 25", i, n)
 		}
 	}
 }
 
 func TestEqualSplitRemainderIsDeterministic(t *testing.T) {
-	counts := map[stream.SourceID]int{"a": 5, "b": 5, "c": 5}
-	alloc := EqualSplit{}.Allocate(10, counts)
-	// 10/3 = 3 rem 1 → first sorted source gets the extra slot.
-	if alloc["a"] != 4 || alloc["b"] != 3 || alloc["c"] != 3 {
+	// Sub-streams a, b, c: 10/3 = 3 rem 1 → the first sorted source gets the
+	// extra slot.
+	alloc := allocate(EqualSplit{}, 10, 5, 5, 5)
+	if alloc[0] != 4 || alloc[1] != 3 || alloc[2] != 3 {
 		t.Fatalf("alloc = %v, want a:4 b:3 c:3", alloc)
 	}
 }
 
 func TestEqualSplitMinimumOneSlot(t *testing.T) {
-	counts := map[stream.SourceID]int{"a": 10, "b": 10, "c": 10, "d": 10, "e": 10}
-	alloc := EqualSplit{}.Allocate(2, counts)
-	for src, n := range alloc {
+	alloc := allocate(EqualSplit{}, 2, 10, 10, 10, 10, 10)
+	for i, n := range alloc {
 		if n < 1 {
-			t.Fatalf("alloc[%s] = %d; no sub-stream may be neglected (§III-A)", src, n)
+			t.Fatalf("alloc[%d] = %d; no sub-stream may be neglected (§III-A)", i, n)
 		}
 	}
 }
 
 func TestEqualSplitZeroBudget(t *testing.T) {
-	alloc := EqualSplit{}.Allocate(0, map[stream.SourceID]int{"a": 10})
-	if alloc["a"] != 0 {
-		t.Fatalf("zero budget allocated %d", alloc["a"])
+	alloc := allocate(EqualSplit{}, 0, 10)
+	if alloc[0] != 0 {
+		t.Fatalf("zero budget allocated %d", alloc[0])
 	}
 }
 
 func TestEqualSplitEmptyCounts(t *testing.T) {
-	alloc := EqualSplit{}.Allocate(10, nil)
+	alloc := allocate(EqualSplit{}, 10)
 	if len(alloc) != 0 {
 		t.Fatalf("empty counts produced %v", alloc)
 	}
 }
 
 func TestProportionalFollowsCounts(t *testing.T) {
-	counts := map[stream.SourceID]int{"big": 900, "small": 100}
-	alloc := Proportional{}.Allocate(100, counts)
-	if alloc["big"] != 90 || alloc["small"] < 1 {
+	// Sub-streams big and small, in that order.
+	alloc := allocate(Proportional{}, 100, 900, 100)
+	if alloc[0] != 90 || alloc[1] < 1 {
 		t.Fatalf("alloc = %v, want big:90 small:>=1", alloc)
 	}
 }
 
 func TestProportionalMinimumOne(t *testing.T) {
-	counts := map[stream.SourceID]int{"big": 1000000, "rare": 1}
-	alloc := Proportional{}.Allocate(50, counts)
-	if alloc["rare"] < 1 {
+	// Sub-streams big and rare, in that order.
+	alloc := allocate(Proportional{}, 50, 1000000, 1)
+	if alloc[1] < 1 {
 		t.Fatalf("rare sub-stream starved: %v", alloc)
 	}
 }

@@ -21,6 +21,9 @@ import (
 type WHSampler struct {
 	rng   *xrand.Rand
 	alloc Allocator
+
+	strata strata      // per-interval scratch (SampleInterval)
+	out    batchBuffer // the headers of the batches SampleInterval returned
 }
 
 var _ Sampler = (*WHSampler)(nil)
@@ -42,29 +45,29 @@ func NewWHS(rng *xrand.Rand, opts ...WHSOption) *WHSampler {
 	return s
 }
 
-// Reseed rewinds the sampler's generator to its construction seed.
-func (s *WHSampler) Reseed() { s.rng.Reseed() }
+// Reseed rewinds the sampler's generator to its construction seed and takes
+// back the batch headers SampleInterval returned.
+func (s *WHSampler) Reseed() {
+	s.rng.Reseed()
+	s.out.reset()
+}
 
 // Sample runs WHSamp (Algorithm 1) over one (W^in, items) pair.
 func (s *WHSampler) Sample(items []stream.Item, weights stream.WeightMap, budget int) []stream.Batch {
 	if len(items) == 0 {
 		return nil
 	}
-	strata, sources := stratify(items)
-	counts := make(map[stream.SourceID]int, len(strata))
-	for src, its := range strata {
-		counts[src] = len(its)
-	}
-	sizes := s.alloc.Allocate(budget, counts)
+	sources, groups := stratify(items)
+	sizes := groupSizes(s.alloc, budget, groups)
 
 	batches := make([]stream.Batch, 0, len(sources))
-	for _, src := range sources {
-		ni := sizes[src]
+	for i, src := range sources {
+		ni := sizes[i]
 		if ni <= 0 {
 			continue // zero budget: sub-stream contributes nothing
 		}
 		res := NewReservoir(ni, s.rng)
-		res.AddAll(strata[src])
+		res.AddAll(groups[i])
 		wOut := weights.Get(src) * res.Weight() // Eq. 2
 		batches = append(batches, stream.Batch{
 			Source: src,

@@ -6,10 +6,12 @@
 package stream
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -162,24 +164,71 @@ func (b Batch) AppendMarshal(buf []byte) []byte {
 	return buf
 }
 
-// SourceTable interns the sub-stream names a decoder reads off the wire, so
-// a record costs no string allocation once its sub-stream has been seen. One
-// table per decoding owner (it is a plain map, not safe for concurrent use);
-// it grows with the distinct sub-streams that owner has decoded, as the
-// owner's lineage and watermark maps already do.
-type SourceTable map[string]SourceID
+// SourceTable is a stratum table: it interns the sub-stream names a decoding
+// owner reads off the wire and numbers them with dense slots, so a record
+// costs one string look-up and no allocation once its sub-stream has been
+// seen, and everything the owner keeps per sub-stream can be a slice indexed
+// by slot instead of a map keyed by name. A slot is assigned on first sight
+// and never reused or forgotten: the table grows with the distinct
+// sub-streams its owner has decoded. The table also keeps its slots in
+// SourceID order, re-sorted only when a new name arrives, for owners that
+// must visit sub-streams deterministically. Slots are a process-local
+// numbering and are never serialized. The zero value is an empty table; it
+// is not safe for concurrent use.
+type SourceTable struct {
+	slots  map[string]int32
+	ids    []SourceID // by slot
+	sorted []int32    // slots in SourceID order, valid while !dirty
+	dirty  bool
+}
 
-// intern returns the SourceID for name, allocating it on first sight. A nil
-// table allocates every time.
-func (t SourceTable) intern(name []byte) SourceID {
-	if id, ok := t[string(name)]; ok { // no allocation: the conversion is only a map key
-		return id
+// NewSourceTable returns an empty stratum table.
+func NewSourceTable() *SourceTable { return new(SourceTable) }
+
+// intern returns the SourceID and slot for name, allocating the name on first
+// sight.
+func (t *SourceTable) intern(name []byte) (SourceID, int32) {
+	if slot, ok := t.slots[string(name)]; ok { // no allocation: the conversion is only a map key
+		return t.ids[slot], slot
 	}
-	id := SourceID(name)
-	if t != nil {
-		t[string(id)] = id
+	return t.add(SourceID(name))
+}
+
+func (t *SourceTable) add(id SourceID) (SourceID, int32) {
+	if t.slots == nil {
+		t.slots = make(map[string]int32)
 	}
-	return id
+	slot := int32(len(t.ids))
+	t.slots[string(id)] = slot
+	t.ids = append(t.ids, id)
+	t.dirty = true
+	return id, slot
+}
+
+// Slot returns id's slot, assigning one on first sight.
+func (t *SourceTable) Slot(id SourceID) int32 {
+	if slot, ok := t.slots[string(id)]; ok {
+		return slot
+	}
+	_, slot := t.add(id)
+	return slot
+}
+
+// ID returns the sub-stream of slot.
+func (t *SourceTable) ID(slot int32) SourceID { return t.ids[slot] }
+
+// Sorted returns every slot in SourceID order. The slice is the table's and
+// valid until the next name is interned.
+func (t *SourceTable) Sorted() []int32 {
+	if t.dirty {
+		t.sorted = t.sorted[:0]
+		for slot := range t.ids {
+			t.sorted = append(t.sorted, int32(slot))
+		}
+		slices.SortFunc(t.sorted, func(a, b int32) int { return cmp.Compare(t.ids[a], t.ids[b]) })
+		t.dirty = false
+	}
+	return t.sorted
 }
 
 // Header is a parsed batch header over the wire block it came from: the
@@ -189,6 +238,9 @@ func (t SourceTable) intern(name []byte) SourceID {
 // once, into its final place (Decode).
 type Header struct {
 	Source SourceID
+	// Slot is Source's slot in the stratum table the header was parsed
+	// with, or -1 when it was parsed without one.
+	Slot   int32
 	Weight float64
 	Count  int
 	// wire is the encoded item block: exactly Count*itemWireSize bytes.
@@ -234,19 +286,22 @@ func parseHeader(data []byte) (source []byte, weight float64, wire []byte, err e
 }
 
 // ParseHeader validates an encoded batch and returns its header, with the
-// sub-stream name interned through names. Nothing is decoded yet and data is
-// only read, never retained past the Header's own lifetime.
-func ParseHeader(data []byte, names SourceTable) (Header, error) {
+// sub-stream name interned through the stratum table names and its slot
+// there. A nil table allocates the name every time and gives no slot (-1).
+// Nothing is decoded yet and data is only read, never retained past the
+// Header's own lifetime.
+func ParseHeader(data []byte, names *SourceTable) (Header, error) {
 	source, weight, wire, err := parseHeader(data)
 	if err != nil {
 		return Header{}, err
 	}
-	return Header{
-		Source: names.intern(source),
-		Weight: weight,
-		Count:  len(wire) / itemWireSize,
-		wire:   wire,
-	}, nil
+	h := Header{Slot: -1, Weight: weight, Count: len(wire) / itemWireSize, wire: wire}
+	if names != nil {
+		h.Source, h.Slot = names.intern(source)
+	} else {
+		h.Source = SourceID(source)
+	}
+	return h, nil
 }
 
 // TsNanos returns item i's event timestamp in unix nanoseconds, read off the

@@ -60,7 +60,7 @@ func TestHeaderDecodeMatchesUnmarshal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make(SourceTable)
+	names := NewSourceTable()
 	h, err := ParseHeader(enc, names)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestTsRun(t *testing.T) {
 func TestSourceTableInternsWithoutAllocating(t *testing.T) {
 	a := Batch{Source: "sensor-a", Weight: 1, Items: make([]Item, 2)}.Marshal()
 	b := Batch{Source: "sensor-b", Weight: 1, Items: make([]Item, 2)}.Marshal()
-	names := make(SourceTable)
+	names := NewSourceTable()
 	first, err := ParseHeader(a, names)
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +127,8 @@ func TestSourceTableInternsWithoutAllocating(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("alternating sub-streams allocate %.0f per pair of records", allocs)
 	}
-	if len(names) != 2 {
-		t.Fatalf("table holds %d names, want 2", len(names))
+	if len(names.Sorted()) != 2 {
+		t.Fatalf("table holds %d names, want 2", len(names.Sorted()))
 	}
 	// The interned name owns its bytes: it must not view the wire block.
 	a[2] ^= 0xff
@@ -138,6 +138,32 @@ func TestSourceTableInternsWithoutAllocating(t *testing.T) {
 	// A nil table still decodes, allocating the name each time.
 	if h, err := ParseHeader(b, nil); err != nil || h.Source != "sensor-b" {
 		t.Fatalf("nil table: %+v, %v", h, err)
+	}
+}
+
+// A stratum table numbers sub-streams densely in order of first sight, hands
+// a header its slot, and keeps its slots in SourceID order — re-sorted when a
+// new name arrives, never renumbered.
+func TestSourceTableSlots(t *testing.T) {
+	names := NewSourceTable()
+	for i, name := range []SourceID{"m", "c", "x", "c", "m"} {
+		h, err := ParseHeader(Batch{Source: name, Weight: 1}.Marshal(), names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[SourceID]int32{"m": 0, "c": 1, "x": 2}[name]
+		if h.Slot != want || names.ID(h.Slot) != name || names.Slot(name) != want {
+			t.Fatalf("record %d (%s): slot %d, want %d", i, name, h.Slot, want)
+		}
+	}
+	if got := names.Sorted(); !reflect.DeepEqual(got, []int32{1, 0, 2}) {
+		t.Fatalf("sorted slots %v, want c m x = [1 0 2]", got)
+	}
+	if names.Slot("a") != 3 || !reflect.DeepEqual(names.Sorted(), []int32{3, 1, 0, 2}) {
+		t.Fatalf("a new name: slot %d, sorted %v", names.Slot("a"), names.Sorted())
+	}
+	if h, err := ParseHeader(Batch{Source: "m"}.Marshal(), nil); err != nil || h.Slot != -1 {
+		t.Fatalf("nil table: slot %d, %v", h.Slot, err)
 	}
 }
 
@@ -152,7 +178,7 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b Batch
 		errInto := UnmarshalBatchInto(&b, data)
-		h, err := ParseHeader(data, make(SourceTable))
+		h, err := ParseHeader(data, NewSourceTable())
 		if (err == nil) != (errInto == nil) {
 			t.Fatalf("ParseHeader err %v, UnmarshalBatchInto err %v", err, errInto)
 		}
