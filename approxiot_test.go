@@ -2,6 +2,7 @@ package approxiot
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -233,6 +234,40 @@ func TestEstimatorWindowsAreIndependent(t *testing.T) {
 	}
 	if second.Result(Count).Estimate.Value != 1 {
 		t.Fatalf("second window count = %g, want 1", second.Result(Count).Estimate.Value)
+	}
+}
+
+// An estimator closes window after window on one sampler it never
+// reseeds; a closed window the caller has dropped must not stay reachable
+// through it, or a long-lived estimator grows by a window's items per Close.
+func TestEstimatorRetainsNoClosedWindow(t *testing.T) {
+	const perWindow = 2000
+	e := NewEstimator(0.5, WithSeed(3), WithQueries(Count))
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	closeWindows := func(n int) {
+		for w := 0; w < n; w++ {
+			items := make([]Item, perWindow)
+			for i := range items {
+				items[i] = Item{Source: "up", Value: float64(i)}
+			}
+			e.AddBatch(Batch{Source: "up", Weight: 1, Items: items})
+			e.Close()
+		}
+	}
+	closeWindows(20)
+	before := live()
+	closeWindows(600)
+	after := live()
+	runtime.KeepAlive(e)
+	// Keeping the closed windows' Ψ adds ~12 MB here; keeping none adds
+	// nothing measurable.
+	if after > before && after-before > 2<<20 {
+		t.Fatalf("live heap grew %d kB over 600 closed windows", (after-before)>>10)
 	}
 }
 

@@ -422,8 +422,7 @@ func (e *engine) newWindows(mk func() *Node) *eventWindows {
 // the watermark until heard from (or idled out) — sibling pumps race, and a
 // chain must never be invisible to the minimum just because it is slow.
 func (e *engine) newTracker(desc NodeDesc, ew *eventWindows, now time.Time) *watermarkTracker {
-	wt := newWatermarkTracker(e.cfg.IdleTimeout)
-	wt.strata = ew.strata
+	wt := newWatermarkTracker(e.cfg.IdleTimeout, ew.strata)
 	for _, from := range e.plan.ExpectedProducers(desc) {
 		wt.expect(from, now)
 	}

@@ -135,16 +135,11 @@ type eventWindows struct {
 	// watermark tracker shares it (engine.newTracker).
 	strata *stream.SourceTable
 
-	open map[int64]*Node
-	// last is the open window place returned last, at lastStart: a run of
-	// records lands in one window, which then costs no map look-up. advance
-	// forgets it.
-	last      *Node
-	lastStart int64
-	closing   []closedWindow // advance's result, reused: valid until the next advance
-	bound     int64          // window starts below this are closed territory
-	boundSet  bool
-	late      *lateCounter
+	open     map[int64]*Node
+	closing  []closedWindow // advance's result, reused: valid until the next advance
+	bound    int64          // window starts below this are closed territory
+	boundSet bool
+	late     *lateCounter
 	// ingestStamped marks timestamps the system stamped at ingest rather
 	// than the caller: such a record is never late — it missed its window
 	// only by losing a race between pipeline paths (or to a crashed
@@ -221,13 +216,10 @@ func (ew *eventWindows) place(start int64, count int, weight float64) *Node {
 		}
 		ew.behind = true
 	}
-	n := ew.last
-	if n == nil || start != ew.lastStart {
-		if n = ew.open[start]; n == nil {
-			n = ew.newNode()
-			ew.open[start] = n
-		}
-		ew.last, ew.lastStart = n, start
+	n := ew.open[start]
+	if n == nil {
+		n = ew.newNode()
+		ew.open[start] = n
 	}
 	ew.obs.Add(int64(count))
 	return n
@@ -341,7 +333,6 @@ func (ew *eventWindows) advance(wm time.Time) []closedWindow {
 		ew.boundSet = true
 	}
 	ew.behind = false
-	ew.last = nil
 	out := ew.closing[:0]
 	for s, n := range ew.open {
 		if s < ew.bound {
@@ -510,13 +501,13 @@ type wmCache struct {
 	until time.Time // last instant the included set is known to hold (idle > 0)
 }
 
-// newWatermarkTracker returns an empty tracker over a stratum table of its
-// own; a member replaces it with its decoder's before anything is tracked
-// by slot (engine.newTracker).
-func newWatermarkTracker(idle time.Duration) *watermarkTracker {
+// newWatermarkTracker returns an empty tracker over strata, the stratum
+// table whose slots foldSlot is handed: a member passes its window store's,
+// the one its decoder parses with (engine.newTracker).
+func newWatermarkTracker(idle time.Duration, strata *stream.SourceTable) *watermarkTracker {
 	return &watermarkTracker{
 		idle:   idle,
-		strata: stream.NewSourceTable(),
+		strata: strata,
 		byFrom: make(map[string]*producer),
 	}
 }

@@ -97,7 +97,7 @@ func TestEventWindowsAssignAdvanceLate(t *testing.T) {
 }
 
 func TestWatermarkTrackerMinAndIdle(t *testing.T) {
-	wt := newWatermarkTracker(100 * time.Millisecond)
+	wt := newWatermarkTracker(100*time.Millisecond, stream.NewSourceTable())
 	wall := time.Unix(1000, 0)
 	wmA := simEpoch.Add(3 * time.Second)
 	wmB := simEpoch.Add(1 * time.Second)

@@ -26,8 +26,7 @@ const sweepTick = 10 * time.Millisecond
 func beatMember(id string, idle time.Duration) (*samplingProcessor, *hopCtx) {
 	p, ctx := hopMember(1)
 	p.id = id
-	p.wt = newWatermarkTracker(idle)
-	p.wt.strata = p.ew.strata
+	p.wt = newWatermarkTracker(idle, p.ew.strata)
 	return p, ctx
 }
 

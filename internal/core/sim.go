@@ -379,8 +379,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			if cfg.EventTime {
 				sn.ew = newEventWindows(spec.Window, cfg.AllowedLateness, &late,
 					func() *Node { return plan.NewNode(desc) })
-				sn.wt = newWatermarkTracker(cfg.IdleTimeout)
-				sn.wt.strata = sn.ew.strata
+				sn.wt = newWatermarkTracker(cfg.IdleTimeout, sn.ew.strata)
 				// Statically-known producers hold the watermark until heard
 				// from, exactly like the live members (see
 				// Plan.ExpectedProducers).

@@ -104,9 +104,8 @@ func hopMember(fraction float64) (*samplingProcessor, *hopCtx) {
 		quiesce:    &quiesce,
 		bwc:        &metrics.BandwidthCounter{},
 		ew:         newEventWindows(hopWindow, 0, &late, mk),
-		wt:         newWatermarkTracker(-1),
 	}
-	p.wt.strata = p.ew.strata
+	p.wt = newWatermarkTracker(-1, p.ew.strata)
 	ctx := &hopCtx{now: simEpoch}
 	p.ctx = ctx
 	return p, ctx

@@ -277,12 +277,11 @@ func TestStratumTableTrackerMatchesMapModel(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		idle := idles[seed%int64(len(idles))]
-		wt, model := newWatermarkTracker(idle), newMapTracker(idle)
 		table := stream.NewSourceTable()
 		for _, s := range rng.Perm(subs) { // slots in an order of their own
 			table.Slot(stream.SourceID(fmt.Sprintf("s%02d", s)))
 		}
-		wt.strata = table
+		wt, model := newWatermarkTracker(idle, table), newMapTracker(idle)
 		owned := []int{0, 1, 2}
 		if seed%4 != 0 {
 			ownedFn := func() []int { return append([]int(nil), owned...) }
@@ -366,8 +365,7 @@ func BenchmarkIngestRecord256(b *testing.B) {
 		return NewNode("edge", WHSFactory()(0, 0, 7), EffectiveFractionBudget{Fraction: 0.1})
 	})
 	ew.ingestStamped = true // each pass reopens the window the previous one closed
-	wt := newWatermarkTracker(time.Second)
-	wt.strata = ew.strata
+	wt := newWatermarkTracker(time.Second, ew.strata)
 	wt.ownedFn = func() []int { return []int{0, 1, 2, 3} }
 	records := len(fromNames) * subs
 	payloads := make([][]byte, records)

@@ -154,7 +154,7 @@ func TestRootClosesOnAdvance(t *testing.T) {
 func TestSweeperDeadline(t *testing.T) {
 	const idle = time.Second
 	wall := time.Unix(5000, 0)
-	rp := &rootProcessor{wt: newWatermarkTracker(idle)}
+	rp := &rootProcessor{wt: newWatermarkTracker(idle, stream.NewSourceTable())}
 	rp.wt.expect("edge1-0", wall)
 	e := &engine{
 		cfg:       LiveConfig{EventTime: true, Window: 50 * time.Millisecond},

@@ -57,7 +57,7 @@ func TestWatermarkCacheEqualsScan(t *testing.T) {
 	served := 0 // answers that came from the cache, not from a scan
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		wt := newWatermarkTracker(idles[seed%int64(len(idles))])
+		wt := newWatermarkTracker(idles[seed%int64(len(idles))], stream.NewSourceTable())
 		owned := []int{0, 1, 2, 3}
 		if seed%3 != 0 { // a third of the histories run without lane floors
 			wt.ownedFn = func() []int { return append([]int(nil), owned...) }
@@ -172,7 +172,7 @@ var (
 // chain leaves the old minimum — plus once per entry that first appears.
 func TestWatermarkScansPerTick(t *testing.T) {
 	const subs, lanes, ticks = 256, 4, 50
-	wt := newWatermarkTracker(time.Second)
+	wt := newWatermarkTracker(time.Second, stream.NewSourceTable())
 	wt.ownedFn = func() []int { return []int{0, 1, 2, 3} }
 	rng := rand.New(rand.NewSource(21))
 	order := rng.Perm(len(fromNames) * subs)
@@ -204,7 +204,7 @@ func TestWatermarkScansPerTick(t *testing.T) {
 // zero.
 func BenchmarkWatermarkFold256(b *testing.B) {
 	const subs, lanes = 256, 4
-	wt := newWatermarkTracker(time.Second)
+	wt := newWatermarkTracker(time.Second, stream.NewSourceTable())
 	wt.ownedFn = func() []int { return []int{0, 1, 2, 3} }
 	chains := len(fromNames) * subs
 	// A member's decoder hands the tracker each record's slot with its header.

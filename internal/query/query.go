@@ -7,8 +7,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 
 	"github.com/approxiot/approxiot/internal/stats"
 	"github.com/approxiot/approxiot/internal/stream"
@@ -166,33 +164,25 @@ func NewEngine(opts ...Option) *Engine {
 }
 
 // Strata folds a Θ store into per-sub-stream accumulators, sorted by source
-// for deterministic iteration. Θ is grouped by a stable sort of batch
-// indices by Source — a sub-stream's batches fold in Θ order — so a Θ that
-// arrives sorted costs a linear check.
+// for deterministic iteration. Θ is grouped with stream.GroupBySource, so a
+// sub-stream's batches fold in Θ order and a Θ that arrives sorted costs a
+// linear check.
 func Strata(theta []stream.Batch) ([]*stats.Stratum, []stream.SourceID) {
 	order := make([]int32, len(theta))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	bySource := func(a, b int32) int { return strings.Compare(string(theta[a].Source), string(theta[b].Source)) }
-	if !slices.IsSortedFunc(order, bySource) {
-		slices.SortStableFunc(order, bySource)
-	}
-	var sources []stream.SourceID
-	for k, i := range order {
-		if k == 0 || theta[i].Source != theta[order[k-1]].Source {
-			sources = append(sources, theta[i].Source)
+	starts := stream.GroupBySource(theta, order, nil)
+	k := len(starts) - 1
+	sources := make([]stream.SourceID, k)
+	accs := make([]stats.Stratum, k)
+	strata := make([]*stats.Stratum, k)
+	for j := 0; j < k; j++ {
+		run := order[starts[j]:starts[j+1]]
+		sources[j], strata[j] = theta[run[0]].Source, &accs[j]
+		for _, i := range run {
+			strata[j].AddItems(theta[i].Weight, theta[i].Items)
 		}
-	}
-	accs := make([]stats.Stratum, len(sources))
-	strata := make([]*stats.Stratum, len(sources))
-	j := -1
-	for k, i := range order {
-		if k == 0 || theta[i].Source != theta[order[k-1]].Source {
-			j++
-			strata[j] = &accs[j]
-		}
-		strata[j].AddItems(theta[i].Weight, theta[i].Items)
 	}
 	return strata, sources
 }

@@ -2,18 +2,15 @@ package sample
 
 import (
 	"slices"
-	"strings"
 
 	"github.com/approxiot/approxiot/internal/stats"
 	"github.com/approxiot/approxiot/internal/stream"
 )
 
 // strata is a sampler's per-interval working set, reused interval after
-// interval: the interval's non-empty pairs grouped by sub-stream, and the
-// allocator's inputs and outputs, one entry per sub-stream in SourceID order.
-// Grouping is a stable sort of pair indices by Source, so a sub-stream's
-// lineages keep their arrival order; pairs that arrive sorted cost a linear
-// check.
+// interval: the interval's non-empty pairs grouped by sub-stream
+// (stream.GroupBySource), and the allocator's inputs and outputs, one entry
+// per sub-stream in SourceID order.
 type strata struct {
 	order  []int32 // indices of the non-empty pairs, stably sorted by Source
 	starts []int32 // sub-stream j's pairs are order[starts[j]:starts[j+1]]
@@ -24,27 +21,24 @@ type strata struct {
 
 // group clusters pairs by sub-stream and returns the number of sub-streams.
 func (g *strata) group(pairs []stream.Batch) int {
-	order := g.order[:0]
+	g.order = g.order[:0]
 	for i := range pairs {
 		if len(pairs[i].Items) > 0 {
-			order = append(order, int32(i))
+			g.order = append(g.order, int32(i))
 		}
 	}
-	bySource := func(a, b int32) int { return strings.Compare(string(pairs[a].Source), string(pairs[b].Source)) }
-	if !slices.IsSortedFunc(order, bySource) {
-		slices.SortStableFunc(order, bySource)
-	}
-	starts, counts := g.starts[:0], g.counts[:0]
-	for k, i := range order {
-		if k == 0 || pairs[i].Source != pairs[order[k-1]].Source {
-			starts = append(starts, int32(k))
-			counts = append(counts, 0)
+	g.starts = stream.GroupBySource(pairs, g.order, g.starts[:0])
+	k := len(g.starts) - 1
+	g.counts = g.counts[:0]
+	for j := 0; j < k; j++ {
+		c := 0
+		for _, i := range g.lineages(j) {
+			c += len(pairs[i].Items)
 		}
-		counts[len(counts)-1] += len(pairs[i].Items)
+		g.counts = append(g.counts, c)
 	}
-	g.order, g.starts, g.counts = order, append(starts, int32(len(order))), counts
-	g.sizes = slices.Grow(g.sizes[:0], len(counts))[:len(counts)]
-	return len(counts)
+	g.sizes = slices.Grow(g.sizes[:0], k)[:k]
+	return k
 }
 
 // lineages returns the indices of sub-stream j's pairs, in arrival order.
@@ -93,7 +87,8 @@ func lineageShare(n, lineageCount, totalCount int) int {
 // Items is a prefix of the input pair's own slice, so the interval costs no
 // item storage at all. The batch headers live in the sampler's own buffer,
 // which Reseed takes back (see Sampler): a window node's close allocates
-// nothing once its sampler has served a window.
+// nothing once its sampler has served a window, and a sampler never
+// reseeded gets fresh headers every interval.
 func (s *WHSampler) SampleInterval(pairs []stream.Batch, budget int) []stream.Batch {
 	g := &s.strata
 	k := g.group(pairs)
@@ -116,33 +111,34 @@ func (s *WHSampler) SampleInterval(pairs []stream.Batch, budget int) []stream.Ba
 	return s.out.close(out)
 }
 
-// batchBuffer backs the batch headers a sampler returns. Each interval's
-// batches are appended behind the previous ones, so earlier results stay
-// intact however many intervals follow; reset takes them all back.
+// batchBuffer backs the batch headers a sampler returns: buf holds the
+// latest interval's, until reset takes them back.
 type batchBuffer struct{ buf []stream.Batch }
 
-// open returns the empty tail the next interval's batches (at most n) are
-// appended onto — a fresh buffer when the tail is too short, so a sampler
-// nobody resets never pins more than its latest buffer.
+// open returns the empty buffer the next interval's batches (at most n) are
+// appended onto. The headers are reused only once reset has taken the last
+// ones back; otherwise the buffer is a fresh one of exactly n, so earlier
+// results stay intact and a sampler nobody resets keeps nothing but its
+// latest result reachable.
 func (b *batchBuffer) open(n int) []stream.Batch {
-	if cap(b.buf)-len(b.buf) < n {
-		b.buf = make([]stream.Batch, 0, max(n, 2*cap(b.buf)))
+	if len(b.buf) > 0 || cap(b.buf) < n {
+		b.buf = make([]stream.Batch, 0, n)
 	}
-	return b.buf[len(b.buf):]
+	return b.buf
 }
 
-// close records the interval's batches, appended onto open's tail, and
-// returns them capped so a caller's append cannot run into the next
-// interval's; nil when there are none.
+// close records the interval's batches, appended onto open's buffer, and
+// returns them capped so a caller's append cannot run into the buffer's
+// spare room; nil when there are none.
 func (b *batchBuffer) close(out []stream.Batch) []stream.Batch {
 	if len(out) == 0 {
 		return nil
 	}
-	b.buf = b.buf[:len(b.buf)+len(out)]
+	b.buf = out
 	return out[:len(out):len(out)]
 }
 
-// reset takes back every batch returned so far, dropping their item views.
+// reset takes back the batches returned last, dropping their item views.
 func (b *batchBuffer) reset() {
 	clear(b.buf)
 	b.buf = b.buf[:0]

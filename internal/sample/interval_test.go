@@ -336,6 +336,42 @@ func TestReseedEqualsAFreshSampler(t *testing.T) {
 	}
 }
 
+// A sampler nobody reseeds — the single-node Estimator's, the simulator's
+// streaming nodes' — keeps only its latest result's headers: each interval's
+// go in a fresh buffer of that interval's size, every earlier result stays
+// intact for its caller, and none of them stays reachable from the sampler.
+// Reseeded between intervals, the sampler reuses one buffer.
+func TestSampleIntervalUnreseededKeepsOnlyItsLatestResult(t *testing.T) {
+	s := NewWHS(xrand.New(3), WithAllocator(WaterFill{}))
+	type kept struct{ got, want []stream.Batch }
+	var results []kept
+	for round := 0; round < 200; round++ {
+		var spec []pairSpec
+		for j := 0; j < 1+round%17; j++ {
+			spec = append(spec, pairSpec{stream.SourceID(fmt.Sprintf("s%02d", j)), 1, 5 + round%9})
+		}
+		pairs := mkPairs(spec...)
+		out := s.SampleInterval(pairs, 3*len(pairs))
+		if cap(s.out.buf) > len(pairs) {
+			t.Fatalf("round %d: header buffer holds %d, more than the interval's %d pairs", round, cap(s.out.buf), len(pairs))
+		}
+		results = append(results, kept{out, clonePairs(out)})
+	}
+	for i, r := range results {
+		if !sameBatches(r.got, r.want) {
+			t.Fatalf("result %d changed under later intervals", i)
+		}
+	}
+
+	pairs := mkPairs(pairSpec{"a", 1, 40}, pairSpec{"b", 1, 40})
+	s.Reseed()
+	buf := &s.SampleInterval(pairs, 20)[0]
+	s.Reseed()
+	if again := &s.SampleInterval(pairs, 20)[0]; again != buf {
+		t.Fatal("a reseeded sampler did not reuse its header buffer")
+	}
+}
+
 // BenchmarkSampleInterval256 is one window node's close over 256 Zipf-sized
 // strata, one lineage each, at a tenth of the input: group Ψ, allocate by
 // water-filling, sample every lineage in place. Between closes the batch

@@ -68,6 +68,25 @@ func (b Batch) Clone() Batch {
 	return Batch{Source: b.Source, Weight: b.Weight, Items: items}
 }
 
+// GroupBySource clusters batches by sub-stream: it stably sorts order —
+// indices into batches — by the batches' Source, then appends to starts the
+// position in order where each sub-stream's run begins, and finally
+// len(order). Sub-stream j's batches are order[starts[j]:starts[j+1]], the
+// sub-streams come in SourceID order, and a sub-stream's batches keep their
+// order in order. An order already sorted costs one linear check.
+func GroupBySource(batches []Batch, order, starts []int32) []int32 {
+	bySource := func(a, b int32) int { return cmp.Compare(batches[a].Source, batches[b].Source) }
+	if !slices.IsSortedFunc(order, bySource) {
+		slices.SortStableFunc(order, bySource)
+	}
+	for k, i := range order {
+		if k == 0 || batches[i].Source != batches[order[k-1]].Source {
+			starts = append(starts, int32(k))
+		}
+	}
+	return append(starts, int32(len(order)))
+}
+
 // WeightMap carries the per-sub-stream input weights a node has last seen
 // (W^in in Algorithm 1). Missing entries default to weight 1, the value the
 // paper assigns at the original source.

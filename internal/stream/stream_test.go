@@ -294,3 +294,37 @@ func BenchmarkBatchUnmarshal(b *testing.B) {
 		}
 	})
 }
+
+// GroupBySource yields every index once, sub-streams in SourceID order, each
+// run one sub-stream's batches in their original relative order — on a
+// sorted order, a shuffled one, a subset and an empty one.
+func TestGroupBySource(t *testing.T) {
+	batches := []Batch{{Source: "b"}, {Source: "a"}, {Source: "c"}, {Source: "a"}, {Source: "b"}, {Source: "a"}}
+	cases := []struct {
+		order []int32
+		want  [][]int32
+	}{
+		{[]int32{0, 1, 2, 3, 4, 5}, [][]int32{{1, 3, 5}, {0, 4}, {2}}},
+		{[]int32{5, 4, 3, 2, 1, 0}, [][]int32{{5, 3, 1}, {4, 0}, {2}}},
+		{[]int32{1, 3, 5}, [][]int32{{1, 3, 5}}},
+		{[]int32{4, 2}, [][]int32{{4}, {2}}},
+		{nil, nil},
+	}
+	for n, c := range cases {
+		starts := GroupBySource(batches, c.order, []int32{99}[:0])
+		if len(starts) != len(c.want)+1 || starts[0] != 0 || int(starts[len(starts)-1]) != len(c.order) {
+			t.Fatalf("case %d: starts %v for %d runs of %d indices", n, starts, len(c.want), len(c.order))
+		}
+		for j, want := range c.want {
+			run := c.order[starts[j]:starts[j+1]]
+			if len(run) != len(want) {
+				t.Fatalf("case %d: run %d is %v, want %v", n, j, run, want)
+			}
+			for k := range run {
+				if run[k] != want[k] {
+					t.Fatalf("case %d: run %d is %v, want %v", n, j, run, want)
+				}
+			}
+		}
+	}
+}
