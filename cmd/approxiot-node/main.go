@@ -17,7 +17,9 @@
 //
 // The leaf pushes a deterministic event-time workload, broadcasts end of
 // stream, and every process exits on its own once the root has seen the
-// whole stream out. The same workload in one process, for comparison:
+// whole stream out. The same workload in one process, for comparison — the
+// same node session running every tier over an in-memory bus, through the
+// same push, finish, wait, drain and close steps:
 //
 //	approxiot-node -role single -items 4000
 //
@@ -98,10 +100,8 @@ func main() {
 	switch *role {
 	case "broker":
 		code = runBroker(*addr)
-	case "leaf", "mid", "root":
+	case "leaf", "mid", "root", "single":
 		code = runTier(*role, *addr, *opsAddr, cfg, *items, *span, *dialWait)
-	case "single":
-		code = runSingle(cfg, *opsAddr, *items, *span)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown role %q (want broker | leaf | mid | root | single)\n", *role)
 		code = 2
@@ -177,6 +177,12 @@ func dialRetry(addr string, wait time.Duration) (*tcp.Client, error) {
 // tierFor maps a role name to the slice of the tree it runs.
 func tierFor(role string, spec topology.TreeSpec) (core.NodeTier, error) {
 	switch role {
+	case "single":
+		every := core.NodeTier{Root: true, Ingest: true}
+		for l := 0; l < spec.RootLayer(); l++ {
+			every.Layers = append(every.Layers, l)
+		}
+		return every, nil
 	case "leaf":
 		return core.NodeTier{Layers: []int{0}, Ingest: true}, nil
 	case "mid":
@@ -194,20 +200,29 @@ func tierFor(role string, spec topology.TreeSpec) (core.NodeTier, error) {
 	return core.NodeTier{}, fmt.Errorf("unknown tier role %q", role)
 }
 
-// runTier runs one process of the multi-process deployment.
+// runTier runs one process of the multi-process deployment — or, with role
+// single, every tier in this process over an in-memory bus.
 func runTier(role, addr, opsAddr string, cfg core.LiveConfig, items int, span, dialWait time.Duration) int {
 	tier, err := tierFor(role, cfg.Spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	client, err := dialRetry(addr, dialWait)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dial %s: %v\n", addr, err)
-		return 1
+	var counters func() transport.Counters
+	where := "against " + addr
+	if role == "single" {
+		bus := transport.NewMem()
+		defer bus.Close()
+		cfg.Bus, where = bus, "over an in-memory bus"
+	} else {
+		client, err := dialRetry(addr, dialWait)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dial %s: %v\n", addr, err)
+			return 1
+		}
+		defer client.Close()
+		cfg.Bus, counters = client, client.Counters
 	}
-	defer client.Close()
-	cfg.Bus = client
 
 	stop, abortCtx := interrupts()
 	sess, err := core.OpenNode(abortCtx, cfg, tier)
@@ -215,13 +230,13 @@ func runTier(role, addr, opsAddr string, cfg core.LiveConfig, items int, span, d
 		fmt.Fprintln(os.Stderr, "open node:", err)
 		return 1
 	}
-	fmt.Printf("%s tier up against %s (%d sources, %d layers, %v windows)\n",
-		role, addr, cfg.Spec.Sources, len(cfg.Spec.Layers), cfg.Spec.Window)
-	stopOps := serveOps(opsAddr, sess, client.Counters)
+	fmt.Printf("%s tier up %s (%d sources, %d layers, %v windows)\n",
+		role, where, cfg.Spec.Sources, len(cfg.Spec.Layers), cfg.Spec.Window)
+	stopOps := serveOps(opsAddr, sess, counters)
 	defer stopOps()
 
 	interrupted := false
-	if role == "leaf" {
+	if tier.Ingest {
 		if ok := pushWorkload(sess, cfg, items, span, stop); !ok {
 			interrupted = true
 		} else if err := sess.FinishIngest(); err != nil {
@@ -256,45 +271,13 @@ func runTier(role, addr, opsAddr string, cfg core.LiveConfig, items int, span, d
 	if tier.Root {
 		printWindows(res.Windows)
 	}
-	ctr := client.Counters()
 	fmt.Printf("final role=%s produced=%d rootProcessed=%d windows=%d lateDropped=%d decodeErrors=%d interrupted=%v\n",
 		role, res.Produced, res.RootProcessed, len(res.Windows), res.LateDropped, res.DecodeErrors, interrupted)
-	fmt.Printf("transport bytes_out=%d bytes_in=%d round_trips=%d reconnects=%d send_errors=%d poll_errors=%d\n",
-		ctr.BytesOut, ctr.BytesIn, ctr.RoundTrips, ctr.Reconnects, ctr.SendErrors, ctr.PollErrors)
-	return 0
-}
-
-// runSingle runs the identical workload as one in-process session — the
-// reference a multi-process run's windows are compared against.
-func runSingle(cfg core.LiveConfig, opsAddr string, items int, span time.Duration) int {
-	stop, abortCtx := interrupts()
-	sess, err := core.OpenLive(abortCtx, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "open live:", err)
-		return 1
+	if counters != nil {
+		ctr := counters()
+		fmt.Printf("transport bytes_out=%d bytes_in=%d round_trips=%d reconnects=%d send_errors=%d poll_errors=%d\n",
+			ctr.BytesOut, ctr.BytesIn, ctr.RoundTrips, ctr.Reconnects, ctr.SendErrors, ctr.PollErrors)
 	}
-	fmt.Printf("single-process run (%d sources, %d layers, %v windows)\n",
-		cfg.Spec.Sources, len(cfg.Spec.Layers), cfg.Spec.Window)
-	stopOps := serveOps(opsAddr, sess, nil)
-	defer stopOps()
-
-	for slot := 0; slot < cfg.Spec.Sources; slot++ {
-		ing, err := sess.Ingester(slot)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ingester:", err)
-			return 1
-		}
-		if !pushSlot(func(batch []stream.Item) error { return ing.Push(batch...) }, slot, cfg, items, span, stop) {
-			break
-		}
-	}
-	res, err := sess.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "closed with:", err)
-	}
-	printWindows(res.Windows)
-	fmt.Printf("final role=single produced=%d rootProcessed=%d windows=%d lateDropped=%d decodeErrors=%d interrupted=%v\n",
-		res.Produced, res.RootProcessed, len(res.Windows), res.LateDropped, res.DecodeErrors, false)
 	return 0
 }
 
@@ -362,8 +345,8 @@ func pushSlot(push func([]stream.Item) error, slot int, cfg core.LiveConfig, ite
 	return true
 }
 
-// pushWorkload feeds every source slot (leaf role). Reports whether the
-// whole workload went through.
+// pushWorkload feeds every source slot (leaf and single roles). Reports
+// whether the whole workload went through.
 func pushWorkload(sess *core.NodeSession, cfg core.LiveConfig, items int, span time.Duration, stop <-chan struct{}) bool {
 	for slot := 0; slot < cfg.Spec.Sources; slot++ {
 		pusher, err := sess.Pusher(slot)

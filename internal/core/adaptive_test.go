@@ -35,13 +35,7 @@ func adaptiveLiveConfig(ctl *FeedbackController) LiveConfig {
 // fraction up to the upper bound — one gain step per window, i.e. within
 // K = ceil(log_gain(max/min)) windows of the step — and hold it there.
 func TestLiveAdaptiveStepConvergence(t *testing.T) {
-	const (
-		minFrac = 0.01
-		maxFrac = 0.8 // < 1 so the full-sample zero-bound corner stays out of play
-		gain    = 1.5
-		stepAt  = 8 // window index of the target change
-	)
-	ctl := NewFeedbackController(0.2, 0.5, WithFractionBounds(minFrac, maxFrac), WithGain(gain))
+	ctl := newStepController()
 	cfg := adaptiveLiveConfig(ctl)
 	var windows int
 	cfg.OnWindow = func(WindowResult) {
@@ -55,36 +49,58 @@ func TestLiveAdaptiveStepConvergence(t *testing.T) {
 		t.Fatalf("RunLive: %v", err)
 	}
 	assertCountInvariant(t, "adaptive step", res.EstimateCount, float64(res.Produced))
+	assertStepConvergence(t, res.Fractions)
+}
 
+// The step-convergence run: newStepController's bounds and gain, and the
+// window at which its target drops to effectively zero.
+const (
+	stepMinFrac = 0.01
+	stepMaxFrac = 0.8 // < 1 so the full-sample zero-bound corner stays out of play
+	stepGain    = 1.5
+	stepAt      = 8 // window index of the target change
+)
+
+// newStepController builds the step-convergence run's controller: a lax
+// target (0.5) that decays the fraction to the lower bound.
+func newStepController() *FeedbackController {
+	return NewFeedbackController(0.2, 0.5, WithFractionBounds(stepMinFrac, stepMaxFrac), WithGain(stepGain))
+}
+
+// assertStepConvergence checks a step run's fraction trajectory: pinned at
+// the lower bound before the step, at the upper bound within K windows (+
+// slack) after it, and never off it again.
+func assertStepConvergence(t *testing.T, fractions []float64) {
+	t.Helper()
 	// K MIMD steps bridge the full bound range; allow a few windows of
 	// scheduler slack on top.
-	K := int(math.Ceil(math.Log(maxFrac/minFrac) / math.Log(gain)))
-	if len(res.Fractions) < stepAt+K+4 {
-		t.Fatalf("only %d windows closed, need at least %d to observe convergence", len(res.Fractions), stepAt+K+4)
+	K := int(math.Ceil(math.Log(stepMaxFrac/stepMinFrac) / math.Log(stepGain)))
+	if len(fractions) < stepAt+K+4 {
+		t.Fatalf("only %d windows closed, need at least %d to observe convergence", len(fractions), stepAt+K+4)
 	}
 	// Before the step: the lax target has the fraction pinned at the lower
 	// bound (the decay from 0.2 to 0.01 takes ~7 windows).
-	if f := res.Fractions[stepAt-1]; f != minFrac {
-		t.Fatalf("fraction before the step = %g, want pinned at min %g (trajectory %v)", f, minFrac, res.Fractions)
+	if f := fractions[stepAt-1]; f != stepMinFrac {
+		t.Fatalf("fraction before the step = %g, want pinned at min %g (trajectory %v)", f, stepMinFrac, fractions)
 	}
 	// After the step: the fraction must reach the upper bound within K
 	// windows (+slack) and never leave it again.
 	reached := -1
-	for i := stepAt; i < len(res.Fractions); i++ {
-		if res.Fractions[i] == maxFrac {
+	for i := stepAt; i < len(fractions); i++ {
+		if fractions[i] == stepMaxFrac {
 			reached = i
 			break
 		}
 	}
 	if reached < 0 {
-		t.Fatalf("fraction never reached max after the step: %v", res.Fractions)
+		t.Fatalf("fraction never reached max after the step: %v", fractions)
 	}
 	if reached > stepAt+K+3 {
-		t.Fatalf("fraction took %d windows to converge, want ≤ %d (trajectory %v)", reached-stepAt, K+3, res.Fractions)
+		t.Fatalf("fraction took %d windows to converge, want ≤ %d (trajectory %v)", reached-stepAt, K+3, fractions)
 	}
-	for i := reached; i < len(res.Fractions); i++ {
-		if res.Fractions[i] != maxFrac {
-			t.Fatalf("fraction left the plateau at window %d: %v", i, res.Fractions)
+	for i := reached; i < len(fractions); i++ {
+		if fractions[i] != stepMaxFrac {
+			t.Fatalf("fraction left the plateau at window %d: %v", i, fractions)
 		}
 	}
 }

@@ -12,8 +12,12 @@ import (
 	"github.com/approxiot/approxiot/internal/streams"
 )
 
-// This file is the elastic-topology layer of live mode: a running deployment
-// grows, shrinks, and survives member crashes without restarting.
+// This file is the elastic-topology layer of the session engine: a running
+// deployment grows, shrinks, and survives member crashes without restarting.
+// Every verb acts on the groups the tier it is called on hosts — all of them
+// in process, one tier's in a process-per-tier deployment — so each process
+// resizes, kills and restarts its own members, against its own checkpoint
+// store, and replays from the shared broker (transport.Bus.FetchInto).
 //
 //   - AddMember / RemoveMember resize one node's consumer group mid-run: the
 //     broker rebalances the input topic's partitions across the new
@@ -42,7 +46,7 @@ import (
 // Elastic-topology errors.
 var (
 	// ErrUnknownNode rejects an operation naming a node ID the plan did not
-	// compile.
+	// compile, or one another tier hosts.
 	ErrUnknownNode = errors.New("core: unknown node")
 	// ErrUnknownMember rejects an operation naming a member ID no group
 	// holds (including members retired by RemoveMember/RemoveEdgeNode).
@@ -77,7 +81,7 @@ var (
 
 // groupBudget re-splits one node's absolute FixedBudget cap across the
 // group's live members, dynamically: total/n each, the remainder to the
-// earliest joiners. Members join in shard order at OpenLive — which makes
+// earliest joiners. Members join in shard order at open — which makes
 // the initial shares bit-identical to the static NewNodeShardCost split —
 // and rejoin at restart/add. SampleSize is consulted only at a member's
 // window close, so a re-split takes effect exactly at window boundaries,
@@ -171,21 +175,23 @@ type MemberState struct {
 	State string
 }
 
-// EdgeNodeIDs lists the IDs of every edge node, bottom-up in (layer, node)
-// order — the handles AddMember / RemoveEdgeNode and friends accept.
-func (s *LiveSession) EdgeNodeIDs() []string {
-	descs := s.plan.EdgeNodes()
-	out := make([]string, len(descs))
-	for i, d := range descs {
-		out[i] = d.ID
+// EdgeNodeIDs lists the IDs of the edge nodes this tier hosts, bottom-up in
+// (layer, node) order — the handles AddMember / RemoveEdgeNode and friends
+// accept.
+func (e *engine) EdgeNodeIDs() []string {
+	var out []string
+	for _, g := range e.groups {
+		if !g.desc.IsRoot {
+			out = append(out, g.desc.ID)
+		}
 	}
 	return out
 }
 
 // GroupMembers reports the membership of one node's consumer group,
 // retired and killed members included, in join order.
-func (s *LiveSession) GroupMembers(nodeID string) ([]MemberState, error) {
-	g, ok := s.groupByID[nodeID]
+func (e *engine) GroupMembers(nodeID string) ([]MemberState, error) {
+	g, ok := e.groupByID[nodeID]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, nodeID)
 	}
@@ -205,9 +211,10 @@ func (s *LiveSession) GroupMembers(nodeID string) ([]MemberState, error) {
 	return out, nil
 }
 
-// edgeGroup resolves a node ID to its (non-root, attached-or-not) group.
-func (s *LiveSession) edgeGroup(nodeID string) (*shardGroup, error) {
-	g, ok := s.groupByID[nodeID]
+// edgeGroup resolves a node ID to its (non-root, attached-or-not) group on
+// this tier.
+func (e *engine) edgeGroup(nodeID string) (*shardGroup, error) {
+	g, ok := e.groupByID[nodeID]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, nodeID)
 	}
@@ -218,8 +225,8 @@ func (s *LiveSession) edgeGroup(nodeID string) (*shardGroup, error) {
 }
 
 // findMember locates a member by ID across the edge groups.
-func (s *LiveSession) findMember(id string) (*shardGroup, *groupMember) {
-	for _, g := range s.groups {
+func (e *engine) findMember(id string) (*shardGroup, *groupMember) {
+	for _, g := range e.groups {
 		if g.desc.IsRoot {
 			continue
 		}
@@ -237,27 +244,27 @@ func (s *LiveSession) findMember(id string) (*shardGroup, *groupMember) {
 
 // AddMember grows nodeID's consumer group by one mid-run: a fresh member —
 // new shard index, new salted seed lineage, new identity — is built with
-// exactly the wiring OpenLive used, started (the broker rebalances the
-// input topic's partitions across the enlarged group), and the membership
-// barrier flushes the group so FixedBudget re-splits land at the next
-// window boundary. Returns the new member's ID. The group cannot grow past
+// exactly the wiring the session opened with, started (the broker
+// rebalances the input topic's partitions across the enlarged group), and
+// the membership barrier flushes the group so FixedBudget re-splits land at
+// the next window boundary. Returns the new member's ID. The group cannot grow past
 // the topic's partition count (the surplus member would own nothing).
-func (s *LiveSession) AddMember(nodeID string) (string, error) {
-	s.elMu.Lock()
-	defer s.elMu.Unlock()
-	if err := s.ingestAllowed(); err != nil {
+func (e *engine) AddMember(nodeID string) (string, error) {
+	e.elMu.Lock()
+	defer e.elMu.Unlock()
+	if err := e.ingestAllowed(); err != nil {
 		return "", err
 	}
-	g, err := s.edgeGroup(nodeID)
+	g, err := e.edgeGroup(nodeID)
 	if err != nil {
 		return "", err
 	}
 	if g.isDetached() {
 		return "", fmt.Errorf("%w: %q", ErrNodeDetached, nodeID)
 	}
-	if g.liveCount() >= s.plan.Partitions {
+	if g.liveCount() >= e.plan.Partitions {
 		return "", fmt.Errorf("%w: %q already has %d members over %d partitions",
-			ErrShardsExceedPartitions, nodeID, g.liveCount(), s.plan.Partitions)
+			ErrShardsExceedPartitions, nodeID, g.liveCount(), e.plan.Partitions)
 	}
 	g.mu.Lock()
 	shard := g.nextShard
@@ -280,7 +287,7 @@ func (s *LiveSession) AddMember(nodeID string) (string, error) {
 	g.mu.Lock()
 	g.members = append(g.members, m)
 	g.mu.Unlock()
-	return m.id, s.postChange(g)
+	return m.id, e.postChange(g)
 }
 
 // RemoveMember gracefully shrinks nodeID's consumer group by one: the
@@ -291,13 +298,13 @@ func (s *LiveSession) AddMember(nodeID string) (string, error) {
 // at its committed offsets. Nothing is lost and nothing needs replaying.
 // Returns the removed member's ID; a group keeps at least one live member
 // (ErrLastMember — detach the whole node instead).
-func (s *LiveSession) RemoveMember(nodeID string) (string, error) {
-	s.elMu.Lock()
-	defer s.elMu.Unlock()
-	if err := s.ingestAllowed(); err != nil {
+func (e *engine) RemoveMember(nodeID string) (string, error) {
+	e.elMu.Lock()
+	defer e.elMu.Unlock()
+	if err := e.ingestAllowed(); err != nil {
 		return "", err
 	}
-	g, err := s.edgeGroup(nodeID)
+	g, err := e.edgeGroup(nodeID)
 	if err != nil {
 		return "", err
 	}
@@ -309,15 +316,15 @@ func (s *LiveSession) RemoveMember(nodeID string) (string, error) {
 		return "", fmt.Errorf("%w: %q", ErrLastMember, nodeID)
 	}
 	m := live[len(live)-1]
-	s.retireMember(g, m)
-	return m.id, s.postChange(g)
+	e.retireMember(g, m)
+	return m.id, e.postChange(g)
 }
 
 // retireMember runs the graceful-exit protocol on one member: mark retired
 // (probes skip it), freeze the pump, flush all buffered state downstream,
 // leave the group (rebalance), leave the budget split, and drop the
 // member's checkpoint — its identity is never reused. Callers hold elMu.
-func (s *LiveSession) retireMember(g *shardGroup, m *groupMember) {
+func (e *engine) retireMember(g *shardGroup, m *groupMember) {
 	g.mu.Lock()
 	m.removed = true
 	g.mu.Unlock()
@@ -329,8 +336,8 @@ func (s *LiveSession) retireMember(g *shardGroup, m *groupMember) {
 	if g.budget != nil {
 		g.budget.leave(m.id)
 	}
-	if s.cfg.Checkpoint != nil {
-		_ = s.cfg.Checkpoint.Delete(m.id)
+	if e.cfg.Checkpoint != nil {
+		_ = e.cfg.Checkpoint.Delete(m.id)
 	}
 }
 
@@ -343,13 +350,13 @@ func (s *LiveSession) retireMember(g *shardGroup, m *groupMember) {
 // a checkpoint store the kill still works — crashes don't ask permission —
 // but the dead state is unrecoverable and the deployment's window counts
 // stay short by whatever the victim held.
-func (s *LiveSession) KillMember(id string) error {
-	s.elMu.Lock()
-	defer s.elMu.Unlock()
-	if err := s.ingestAllowed(); err != nil {
+func (e *engine) KillMember(id string) error {
+	e.elMu.Lock()
+	defer e.elMu.Unlock()
+	if err := e.ingestAllowed(); err != nil {
 		return err
 	}
-	g, m := s.findMember(id)
+	g, m := e.findMember(id)
 	if m == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownMember, id)
 	}
@@ -369,7 +376,7 @@ func (s *LiveSession) KillMember(id string) error {
 	if g.budget != nil {
 		g.budget.leave(m.id)
 	}
-	return s.postChange(g)
+	return e.postChange(g)
 }
 
 // RestartMember resurrects a killed member: a fresh member is rebuilt for
@@ -386,13 +393,13 @@ func (s *LiveSession) KillMember(id string) error {
 // replay classifies every gap record exactly as the dead member did, and
 // the member resumes bit-honest: no double counts, no losses, watermark
 // monotone.
-func (s *LiveSession) RestartMember(id string) error {
-	s.elMu.Lock()
-	defer s.elMu.Unlock()
-	if err := s.ingestAllowed(); err != nil {
+func (e *engine) RestartMember(id string) error {
+	e.elMu.Lock()
+	defer e.elMu.Unlock()
+	if err := e.ingestAllowed(); err != nil {
 		return err
 	}
-	g, m := s.findMember(id)
+	g, m := e.findMember(id)
 	if m == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownMember, id)
 	}
@@ -402,14 +409,14 @@ func (s *LiveSession) RestartMember(id string) error {
 	if !m.dead {
 		return fmt.Errorf("%w: %q", ErrMemberAlive, id)
 	}
-	if s.cfg.Checkpoint == nil {
+	if e.cfg.Checkpoint == nil {
 		return ErrNoCheckpointStore
 	}
 	// Load and fully decode the checkpoint BEFORE anything joins the group:
 	// a corrupt blob must fail fast, leaving the dead member restartable
 	// (against a repaired store) and the group untouched.
 	var ck *memberCkpt
-	raw, err := s.cfg.Checkpoint.Load(id)
+	raw, err := e.cfg.Checkpoint.Load(id)
 	switch {
 	case err == nil:
 		if ck, err = decodeMemberCheckpoint(raw); err != nil {
@@ -433,7 +440,7 @@ func (s *LiveSession) RestartMember(id string) error {
 		if ck != nil {
 			p.restoreCheckpoint(ck, time.Now())
 		}
-		return s.replayGap(p, g.desc, ck, killed, changeOffs)
+		return e.replayGap(p, g.desc, ck, killed, changeOffs)
 	}
 	if err := nm.rt.Start(); err != nil {
 		// Init (and with it recovery) failed: the dead member stays dead
@@ -452,7 +459,7 @@ func (s *LiveSession) RestartMember(id string) error {
 		}
 	}
 	g.mu.Unlock()
-	return s.postChange(g)
+	return e.postChange(g)
 }
 
 // replayGap re-ingests the records a dead member committed past after its
@@ -465,7 +472,7 @@ func (s *LiveSession) RestartMember(id string) error {
 // forwarded and no side effect the dead member already charged to session
 // counters (late drops, decode errors) is re-counted; the first regular
 // cycle after the restart advances and forwards from the rebuilt state.
-func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberCkpt, killed []streams.PartitionOffset, changeOffs []int64) error {
+func (e *engine) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberCkpt, killed []streams.PartitionOffset, changeOffs []int64) error {
 	defer func() { p.pending.Store(int64(p.ew.buffered())) }()
 	if len(killed) == 0 {
 		return nil
@@ -495,7 +502,7 @@ func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberC
 			start = o
 		}
 		for off := start; off < po.Offset; {
-			buf, err = s.bus.FetchInto(buf[:0], desc.Topic, po.Partition, off, 256)
+			buf, err = e.bus.FetchInto(buf[:0], desc.Topic, po.Partition, off, 256)
 			if err != nil {
 				// ErrOutOfRange here means the broker compacted the gap away
 				// — the retained log no longer reaches back to the
@@ -538,14 +545,18 @@ func (s *LiveSession) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberC
 // chains off, so the parent's minimum releases in-band instead of waiting
 // out the idle timeout), stop. The node's topology slot
 // survives: AddEdgeNode rebuilds the group later. Only layer-0 nodes
-// detach — an interior node's topic is fed by live children.
-func (s *LiveSession) RemoveEdgeNode(nodeID string) error {
-	s.elMu.Lock()
-	defer s.elMu.Unlock()
-	if err := s.ingestAllowed(); err != nil {
+// detach — an interior node's topic is fed by live children — and only on a
+// tier that also runs the valves feeding them (errNoIngest otherwise).
+func (e *engine) RemoveEdgeNode(nodeID string) error {
+	e.elMu.Lock()
+	defer e.elMu.Unlock()
+	if err := e.ingestAllowed(); err != nil {
 		return err
 	}
-	g, err := s.edgeGroup(nodeID)
+	if !e.tier.Ingest {
+		return errNoIngest
+	}
+	g, err := e.edgeGroup(nodeID)
 	if err != nil {
 		return err
 	}
@@ -561,11 +572,11 @@ func (s *LiveSession) RemoveEdgeNode(nodeID string) error {
 	g.mu.Lock()
 	g.detached = true
 	g.mu.Unlock()
-	s.fence(g)
+	e.fence(g)
 	// 2. Wait for the members to consume what was already admitted: records
 	// stranded in the topic after the members stop would break the
 	// invariant (pushed and counted, never processed).
-	if err := s.settle(s.ctx, func() bool { return g.lag() == 0 && !g.busy() }); err != nil {
+	if err := e.settle(e.ctx, func() bool { return g.lag() == 0 && !g.busy() }); err != nil {
 		g.mu.Lock()
 		g.detached = false
 		g.mu.Unlock()
@@ -581,7 +592,7 @@ func (s *LiveSession) RemoveEdgeNode(nodeID string) error {
 	// 3. Retire every member.
 	live := g.live()
 	for _, m := range live {
-		s.retireMember(g, m)
+		e.retireMember(g, m)
 	}
 	g.mu.Lock()
 	g.detachedCount = len(live)
@@ -593,14 +604,18 @@ func (s *LiveSession) RemoveEdgeNode(nodeID string) error {
 // rebuilt at its pre-detach size with entirely fresh members — continuing
 // shard indices, so new identities and new salted seed lineages — started,
 // and the membership barrier re-baselines the group's offsets. Pushes for
-// the node's source slots are admitted again from the moment it returns.
-func (s *LiveSession) AddEdgeNode(nodeID string) error {
-	s.elMu.Lock()
-	defer s.elMu.Unlock()
-	if err := s.ingestAllowed(); err != nil {
+// the node's source slots are admitted again from the moment it returns
+// (ingest tiers only, as for RemoveEdgeNode).
+func (e *engine) AddEdgeNode(nodeID string) error {
+	e.elMu.Lock()
+	defer e.elMu.Unlock()
+	if err := e.ingestAllowed(); err != nil {
 		return err
 	}
-	g, err := s.edgeGroup(nodeID)
+	if !e.tier.Ingest {
+		return errNoIngest
+	}
+	g, err := e.edgeGroup(nodeID)
 	if err != nil {
 		return err
 	}
@@ -649,7 +664,7 @@ func (s *LiveSession) AddEdgeNode(nodeID string) error {
 	g.members = append(g.members, added...)
 	g.detached = false
 	g.mu.Unlock()
-	return s.postChange(g)
+	return e.postChange(g)
 }
 
 // postChange is the membership barrier every elastic operation ends with:
@@ -661,9 +676,9 @@ func (s *LiveSession) AddEdgeNode(nodeID string) error {
 // (concurrent shutdown) is skipped: the barrier is best-effort on a dying
 // session, whose final result no longer depends on it. A change to a leaf
 // group also makes the next push on its topic probe the group's lag afresh.
-func (s *LiveSession) postChange(g *shardGroup) error {
+func (e *engine) postChange(g *shardGroup) error {
 	if g.desc.Layer == 0 {
-		s.forceProbe(g.desc.Topic)
+		e.forceProbe(g.desc.Topic)
 	}
 	for _, m := range g.live() {
 		if m.proc == nil {
@@ -672,7 +687,7 @@ func (s *LiveSession) postChange(g *shardGroup) error {
 		proc := m.proc
 		_ = m.rt.Sync(func() { proc.Punctuate(time.Now()) })
 	}
-	offs, err := s.bus.GroupCommitted(g.desc.Topic, g.desc.ID+"-in")
+	offs, err := e.bus.GroupCommitted(g.desc.Topic, g.desc.ID+"-in")
 	if err != nil {
 		return nil // topic or group gone: session shutting down
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -13,20 +14,20 @@ import (
 	"github.com/approxiot/approxiot/internal/query"
 	"github.com/approxiot/approxiot/internal/stream"
 	"github.com/approxiot/approxiot/internal/streams"
+	"github.com/approxiot/approxiot/internal/topology"
 	"github.com/approxiot/approxiot/internal/transport"
 )
 
-// engine is the one session engine behind both entry points. OpenLive runs
-// every tier of the compiled plan in one process; OpenNode runs the slice a
-// NodeTier names against a shared bus. Both get the same thing from
-// openEngine: topics created, the tier's shard groups built with one edge-
-// and one root-member constructor and started, the sweeper, the run
-// counters and bandwidth account, the root watermark merge and emit path,
-// the base snapshot, the quiescence probe and the push valves — and one
-// lifecycle: one push fence (stopAdmitting), one drain loop (settle), one
-// close sequence (shutdown) and one context watcher. What a session adds on
-// top — the in-process bus, truth fold and elastic verbs, the node-mode
-// completion marker — lives with that session.
+// engine is the one session engine. OpenNode runs the slice of the compiled
+// plan a NodeTier names against a shared bus; OpenLive runs every tier over a
+// bus of its own. Every capability lives here and acts on what the tier
+// hosts: topics created, the tier's shard groups built with one edge- and one
+// root-member constructor and started, the sweeper, the run counters and
+// bandwidth account, the root watermark merge and emit path with the
+// feedback step, the snapshot, the quiescence probe, the push valves and
+// their truth fold, the elastic verbs (elastic.go) — and one lifecycle: one
+// push fence (stopAdmitting), one drain loop (settle), one close sequence
+// (shutdown) and one context watcher.
 type engine struct {
 	cfg  LiveConfig
 	plan *Plan
@@ -96,8 +97,8 @@ type engine struct {
 
 	// Push valves, one per source slot, created on demand; lags holds one
 	// carried lag per leaf topic, shared by every valve on it. truth is the
-	// per-slot ground truth the valves sum (TruthSum), in process only: nil
-	// on a node tier.
+	// per-slot ground truth the valves sum (TruthSum), allocated on an ingest
+	// tier only.
 	valveMu sync.Mutex
 	valves  []*Ingester
 	lags    map[string]*carriedLag
@@ -115,6 +116,17 @@ type engine struct {
 	watched     chan struct{}
 	cancelSweep context.CancelFunc
 	sweepWG     sync.WaitGroup
+
+	// closeErr is the error the session closed with (under errMu).
+	errMu    sync.Mutex
+	closeErr error
+	// ownsBus: OpenLive created the bus, and the close sequence closes it; a
+	// caller-supplied bus is left running — it may serve other processes.
+	ownsBus bool
+	// elMu serializes membership changes (Add/Remove/Kill/Restart member,
+	// edge-node detach/attach); per-group mu still guards the member lists
+	// against the concurrent readers (drain probe, telemetry, valves).
+	elMu sync.Mutex
 }
 
 // paddedFloat is one slot's ground-truth sum, written only under its valve's
@@ -127,26 +139,28 @@ type paddedFloat struct {
 
 // everyTier is the tier OpenLive runs: every edge layer, the root, and the
 // source valves.
-func everyTier(plan *Plan) NodeTier {
+func everyTier(spec topology.TreeSpec) NodeTier {
 	tier := NodeTier{Root: true, Ingest: true}
-	for l := 0; l < plan.RootLayer(); l++ {
+	for l := 0; l < spec.RootLayer(); l++ {
 		tier.Layers = append(tier.Layers, l)
 	}
 	return tier
 }
 
-// openEngine creates the plan's topics, builds and starts the shard groups
-// tier selects, and — on a root tier, or one whose valves stamp at ingest —
-// starts the sweeper, with atEOS run once the merged watermark reaches end of
-// stream. It returns as soon as the groups are pumping; on failure every group
-// it started is stopped again.
-func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, bus transport.Bus, tier NodeTier, atEOS func()) (*engine, error) {
+// openEngine creates the plan's topics on cfg.Bus, builds and starts the shard
+// groups tier selects, and — on a root tier, or one whose valves stamp at
+// ingest — starts the sweeper, with atEOS run once the merged watermark
+// reaches end of stream. It returns as soon as the groups are pumping; on
+// failure every group it started is stopped again.
+func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, ownsBus bool, atEOS func()) (*engine, error) {
+	bus := cfg.Bus
 	e := &engine{
-		cfg:  cfg,
-		plan: plan,
-		bus:  bus,
-		tier: tier,
-		eval: query.NewEngine(query.WithConfidence(cfg.Confidence)),
+		cfg:     cfg,
+		plan:    plan,
+		bus:     bus,
+		tier:    tier,
+		ownsBus: ownsBus,
+		eval:    query.NewEngine(query.WithConfidence(cfg.Confidence)),
 		res: &LiveResult{
 			Latency:   metrics.NewHistogram(),
 			Bandwidth: metrics.NewBandwidthAccount(),
@@ -161,6 +175,9 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, bus transport.B
 		drainCh:    make(chan struct{}),
 		closed:     make(chan struct{}),
 		watched:    make(chan struct{}),
+	}
+	if tier.Ingest {
+		e.truth = make([]paddedFloat, plan.Spec.Sources)
 	}
 	now := time.Now()
 	e.startNanos.Store(now.UnixNano())
@@ -205,7 +222,7 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, bus transport.B
 			return fail(err)
 		}
 	}
-	if cfg.Feedback != nil {
+	if e.controller() != nil {
 		e.ctlProducer = bus.NewProducer()
 	}
 	if tier.Root || tier.Ingest && !cfg.EventTime {
@@ -300,9 +317,10 @@ func (e *engine) nextSweep(at time.Time) time.Time {
 // same member IDs, seed lineages, FixedBudget split and watermark
 // expectations — which is what makes a multi-process run's windows equal a
 // single-process run's. Adaptive runs give every member a private dynamic
-// cost plus a standalone control consumer (the root publishes, the members
-// drain at window close); only OpenLive reaches the Feedback and Checkpoint
-// branches. Ψ lives in per-event-window nodes (newWindows).
+// cost plus a standalone control consumer (the root tier publishes, wherever
+// it runs, and the members drain at window close); with a checkpoint store
+// every member saves into this process's store. Ψ lives in per-event-window
+// nodes (newWindows).
 func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 	cfg, plan := e.cfg, e.plan
 	// FixedBudget groups get a dynamic splitter so membership changes
@@ -542,16 +560,35 @@ func (e *engine) settle(ctx context.Context, quiet func() bool) error {
 }
 
 // shutdown is the one close sequence, run once after the fence: stop the
-// engine, finalize the result with the run ending at end, let own add what
-// only the session knows, publish the result as final — before the state
-// says closed, so a Snapshot racing Close never sees it half assembled — then
-// end every Windows subscription and close closed. Concurrent callers wait
+// engine and finalize the result — the run ends at the root's last activity
+// on a root tier, now elsewhere — then record cause, the drain's verdict, as
+// the session's error: a timed-out drain also marks the result DrainTimedOut,
+// since a silent partial drain would be indistinguishable from a clean one,
+// and with no verdict a cancelled context reports like an abort. Then close
+// the bus if the session owns it, publish the result as final — before the
+// state says closed, so a Snapshot racing Close never sees it half assembled
+// — end every Windows subscription and close closed. Concurrent callers wait
 // for the first.
-func (e *engine) shutdown(end time.Time, own func()) {
+func (e *engine) shutdown(cause error) {
 	e.closeOnce.Do(func() {
 		e.stop()
+		end := time.Now()
+		if e.tier.Root {
+			end = time.Unix(0, e.lastActivity.Load())
+		}
 		e.finalize(end)
-		own()
+		if errors.Is(cause, ErrDrainTimeout) {
+			e.res.DrainTimedOut = true
+		}
+		if cause == nil {
+			cause = e.ctx.Err()
+		}
+		if e.ownsBus {
+			_ = e.bus.Close()
+		}
+		e.errMu.Lock()
+		e.closeErr = cause
+		e.errMu.Unlock()
 		e.final.Store(e.res)
 		e.state.Store(int32(StateClosed))
 		e.closeSubs()
@@ -560,16 +597,15 @@ func (e *engine) shutdown(end time.Time, own func()) {
 }
 
 // watch aborts the session if its context ends before it closes: the fence,
-// no drain, then finish — the session's close sequence. The watcher closes
-// watched as it exits; a session's Close waits for that, so no goroutine
-// outlives Close (finish must not: it runs on the watcher).
-func (e *engine) watch(finish func()) {
+// no drain, then the close sequence. The watcher closes watched as it exits;
+// a session's Close waits for that, so no goroutine outlives Close.
+func (e *engine) watch() {
 	go func() {
 		defer close(e.watched)
 		select {
 		case <-e.ctx.Done():
 			e.stopAdmitting(false)
-			finish()
+			e.shutdown(nil)
 		case <-e.closed:
 		}
 	}()
@@ -749,13 +785,13 @@ func (e *engine) emitWindowLocked(win WindowResult) {
 	e.windowsClosed.Add(1)
 	last := win
 	e.lastWindow.Store(&last)
-	if e.cfg.Feedback != nil {
+	if ctl := e.controller(); ctl != nil {
 		// §IV-B feedback step: observe the merged window, then fan the
 		// adjusted fraction out — directly to the colocated root members,
 		// via the control topic to every edge member. Edge windows already
 		// open keep their old fraction; the update lands at their next
 		// boundary.
-		f := e.cfg.Feedback.Observe(win.Result(feedbackKind(e.plan.Queries)))
+		f := ctl.Observe(win.Result(feedbackKind(e.plan.Queries)))
 		for _, dc := range e.rootCosts {
 			dc.set(f)
 		}
@@ -771,6 +807,40 @@ func (e *engine) emitWindowLocked(win WindowResult) {
 		e.cfg.OnWindow(win)
 	}
 	e.publishWindow(win)
+}
+
+// controller is the feedback controller this tier steps: LiveConfig.Feedback
+// where the tier runs the root, nil elsewhere — an edge tier's members take
+// the root's fractions from the control topic, and its own controller stays
+// unstepped.
+func (e *engine) controller() *FeedbackController {
+	if !e.tier.Root {
+		return nil
+	}
+	return e.cfg.Feedback
+}
+
+// SetTarget retunes the adaptive controller's relative-error target mid-run
+// — the analyst tightening or relaxing their error budget while the
+// deployment serves. The change takes effect at the next window close.
+// Returns ErrNotAdaptive when the session was opened without a controller or
+// on a tier without the root.
+func (e *engine) SetTarget(target float64) error {
+	ctl := e.controller()
+	if ctl == nil {
+		return ErrNotAdaptive
+	}
+	ctl.SetTarget(target)
+	return nil
+}
+
+// Target returns the adaptive controller's current relative-error target (0
+// when the session is not adaptive or the tier runs no root).
+func (e *engine) Target() float64 {
+	if ctl := e.controller(); ctl != nil {
+		return ctl.Target()
+	}
+	return 0
 }
 
 // Windows returns a subscription to window results: every WindowResult the
@@ -822,8 +892,8 @@ func (e *engine) closeSubs() {
 // bandwidth, per-member throughput, the last window and the adaptive
 // fraction, all safe to read while every member keeps writing. Fields
 // another tier owns read zero on a node session: a leaf process reports no
-// windows, a root process no produced count. Once the session has closed,
-// Elapsed and Throughput are the final result's.
+// windows and no fraction, a root process no produced count. Once the
+// session has closed, Elapsed and Throughput are the final result's.
 func (e *engine) Snapshot() LiveSnapshot {
 	now := time.Now()
 	snap := LiveSnapshot{
@@ -841,14 +911,14 @@ func (e *engine) Snapshot() LiveSnapshot {
 		Window:           e.cfg.Window,
 		MaxIngestLag:     e.cfg.MaxIngestLag,
 		EventTime:        e.cfg.EventTime,
-		Adaptive:         e.cfg.Feedback != nil,
+		Adaptive:         e.controller() != nil,
 		Start:            time.Unix(0, e.startNanos.Load()),
 		LastActivity:     time.Unix(0, e.lastActivity.Load()),
 		LastWindow:       e.lastWindow.Load(),
 	}
-	if e.cfg.Feedback != nil {
-		snap.Fraction = e.cfg.Feedback.Fraction()
-		snap.Target = e.cfg.Feedback.Target()
+	if ctl := e.controller(); ctl != nil {
+		snap.Fraction = ctl.Fraction()
+		snap.Target = ctl.Target()
 	}
 	elapsed := now.Sub(snap.Start)
 	if fin := e.final.Load(); fin != nil {
@@ -929,6 +999,11 @@ func (e *engine) finalize(end time.Time) {
 	for _, rp := range e.rootProcs {
 		res.Latency.Merge(rp.latency)
 	}
+	// Slot order, so TruthSum is deterministic however the pushes were
+	// scheduled.
+	for i := range e.truth {
+		res.TruthSum += e.truth[i].v
+	}
 }
 
 // ingestLag totals the unconsumed backlog across every leaf topic — the
@@ -981,8 +1056,11 @@ func (e *engine) quiescent() bool {
 }
 
 // ingester returns the push valve for one source slot, creating it on first
-// use.
+// use (ingest tiers only).
 func (e *engine) ingester(slot int) (*Ingester, error) {
+	if !e.tier.Ingest {
+		return nil, errNoIngest
+	}
 	if slot < 0 || slot >= e.plan.Spec.Sources {
 		return nil, fmt.Errorf("%w: slot %d of %d sources", ErrBadSourceSlot, slot, e.plan.Spec.Sources)
 	}
@@ -1006,6 +1084,7 @@ func (e *engine) ingester(slot int) (*Ingester, error) {
 		lagGroup: leaf.ID + "-in", // the leaf node's consumer group (streams source node "in")
 		carried:  lag,
 		rate:     e.cfg.SourceRate,
+		truth:    &e.truth[slot],
 		valve: valve{
 			slot:      slot,
 			topic:     src.Topic,
@@ -1017,9 +1096,6 @@ func (e *engine) ingester(slot int) (*Ingester, error) {
 			marks:     make(map[stream.SourceID]time.Time),
 			enc:       encoderFor(e.bus),
 		},
-	}
-	if e.truth != nil {
-		in.truth = &e.truth[slot]
 	}
 	e.valves[slot] = in
 	return in, nil

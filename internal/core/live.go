@@ -26,9 +26,10 @@ import (
 // Live mode measures compute throughput; WAN characteristics are the
 // simulated mode's job.
 //
-// Two entry points share this config: OpenLive returns a long-lived
-// LiveSession handle with push ingestion, and RunLive is the batch-shaped
-// wrapper (generator-fed, fixed item count, blocks until drained).
+// Three entry points share this config: OpenNode runs one tier of the tree
+// per process, OpenLive returns a long-lived LiveSession handle running every
+// tier with push ingestion, and RunLive is the batch-shaped wrapper
+// (generator-fed, fixed item count, blocks until drained).
 type LiveConfig struct {
 	// Spec gives the tree structure (link parameters are ignored live).
 	Spec topology.TreeSpec
@@ -130,12 +131,14 @@ type LiveConfig struct {
 	// observes the merged WindowResult — the first registered non-COUNT
 	// query kind, since Eq. 8 makes COUNT exact and its bound
 	// uninformative — and publishes the adjusted fraction as a control
-	// record; every
-	// edge member drains the control topic at its next window boundary
-	// (root members are colocated with the controller and take the update
-	// directly at the merge), so fraction changes never land mid-interval.
-	// Feedback takes precedence over Cost (which may then be nil). A
-	// controller is stateful — use a fresh one per run.
+	// record; every edge member drains the control topic at its next window
+	// boundary (root members take the update directly at the merge), so
+	// fraction changes never land mid-interval. In a process-per-tier
+	// deployment every tier passes an identically built controller, and only
+	// the root tier's steps; the others' members start at its initial
+	// fraction and follow the control topic. Feedback takes precedence over
+	// Cost (which may then be nil). A controller is stateful — use a fresh
+	// one per run.
 	Feedback *FeedbackController
 	// SourceRate throttles each source slot to at most this many items per
 	// second (0 = produce as fast as the pipeline accepts). The Ingester
@@ -169,11 +172,12 @@ type LiveConfig struct {
 	// consumer offsets and ingested items coincide exactly) the member
 	// serializes its reservoir (Ψ), carried weights, watermark chains, and
 	// consumer offsets into the store under its member ID. A member
-	// restarted after a crash (LiveSession.RestartMember) loads its blob,
-	// restores state, replays the offset gap from the broker's retained
-	// log, and rejoins its group without double-counting or losing items.
-	// Save errors are counted (LiveSnapshot.CheckpointErrors), never
-	// fatal — a deployment outlives a full disk.
+	// restarted after a crash (RestartMember, on the session hosting it)
+	// loads its blob, restores state, replays the offset gap from the
+	// broker's retained log, and rejoins its group without double-counting
+	// or losing items. Each process keeps its own members' checkpoints in
+	// its own store. Save errors are counted (LiveSnapshot.CheckpointErrors),
+	// never fatal — a deployment outlives a full disk.
 	Checkpoint checkpoint.Store
 
 	// corruptRoot injects this many undecodable records into the root
@@ -221,7 +225,8 @@ type LiveResult struct {
 	// items may be missing from it. Close/Err surface the same condition
 	// as ErrDrainTimeout.
 	DrainTimedOut bool
-	// Elapsed spans first publish to last root-side processing.
+	// Elapsed spans first publish to last root-side processing (to the
+	// session's close on a tier without the root).
 	Elapsed time.Duration
 	// Throughput is Produced/Elapsed — the paper's "items processed per
 	// second" with the pipeline as the bottleneck.

@@ -7,21 +7,25 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/approxiot/approxiot/internal/stream"
 	"github.com/approxiot/approxiot/internal/transport"
 )
 
-// This file is the multi-process form of the live session: a NodeSession
-// runs ONE slice of the compiled tree — some edge layers, the root, or just
-// the source valves — against a caller-supplied transport bus, so a 3-tier
-// deployment can run as three (or more) OS processes sharing a broker
-// daemon over TCP (internal/transport/tcp), the shape the paper's
-// Kafka-based prototype deploys in. Every process compiles the SAME plan
-// from the same LiveConfig, so topic names, partition counts, member IDs,
-// seed lineages, and watermark expectations agree by construction; the
-// cross-process contract is the plan, not any runtime handshake.
+// This file is the session: a NodeSession runs one slice of the compiled tree
+// — some edge layers, the root, the source valves, or all of them — against
+// a transport bus. A 3-tier deployment runs as three (or more) OS processes
+// sharing a broker daemon over TCP (internal/transport/tcp), the shape the
+// paper's Kafka-based prototype deploys in; OpenLive is the same session for
+// every tier over an in-memory bus it owns. Every process compiles the SAME
+// plan from the same LiveConfig, so topic names, partition counts, member
+// IDs, seed lineages, and watermark expectations agree by construction; the
+// cross-process contract is the plan, not any runtime handshake. Every
+// capability — feedback, checkpoints, the elastic verbs, the truth fold — is
+// the engine's and acts on what the tier hosts: the controller steps where
+// the root runs and reaches edge members over the control topic, each
+// process keeps its own members' checkpoints, and a verb naming a node
+// another tier hosts returns ErrUnknownNode.
 //
 // Determinism contract: windows are cut by record timestamps — the caller's
 // with EventTime, the source valve's publish instant without — and closed by
@@ -33,12 +37,12 @@ import (
 // the steps an in-process Close takes in one call, spread across the tiers.
 // The source process pushes its items, then FinishIngest stops admitting and
 // broadcasts the end-of-stream watermark (the engine's push fence, the one
-// Close runs); the close wave cascades bottom-up through every tier exactly
-// as it does inside a single process, and when the root's merged watermark
-// reaches end-of-stream the root session publishes a completion marker on
-// the plan's control topic. Edge-tier processes WaitDone on that marker — by
-// then everything they will ever consume has been forwarded — then Drain
-// (the engine's drain loop) and Close (its close sequence).
+// Close runs); the close wave cascades bottom-up through every tier, and
+// when the root's merged watermark reaches end-of-stream the root session
+// publishes a completion marker on the plan's control topic. Edge-tier
+// processes WaitDone on that marker — by then everything they will ever
+// consume has been forwarded — then Drain (the engine's drain loop) and
+// Close (its close sequence).
 
 // Node-mode errors.
 var (
@@ -46,10 +50,6 @@ var (
 	// process-per-tier deployment is meaningless on a private in-memory
 	// broker no other process can reach.
 	ErrNodeNeedsBus = errors.New("core: node sessions need a shared transport bus (set LiveConfig.Bus)")
-	// ErrNodeUnsupported rejects LiveConfig features that need the whole
-	// tree in one process (the feedback loop's root-colocated controller,
-	// checkpoint restarts driven by the session's elastic layer).
-	ErrNodeUnsupported = errors.New("core: node sessions do not support Feedback or Checkpoint")
 	// ErrNodeTierEmpty rejects a tier that selects nothing to run.
 	ErrNodeTierEmpty = errors.New("core: node tier selects no layers, no root, and no ingest valves")
 	// ErrNodeBadLayer rejects a tier layer outside the plan's edge layers.
@@ -77,59 +77,41 @@ type NodeTier struct {
 	Ingest bool
 }
 
-// NodeResult is the slice of a run's measurement a single tier can vouch
-// for. Only the source tier has a meaningful Produced; only the root tier
-// has Windows; every tier counts its own decode errors and late drops —
-// cross-process accounting identities (Σ window counts + late-dropped
-// input = produced) are assembled by whoever can see all tiers.
-type NodeResult struct {
-	// Produced counts items pushed through this process's valves.
-	Produced int64
-	// RootProcessed counts items the root members aggregated (root tier).
-	RootProcessed int64
-	// DecodeErrors counts undecodable data-plane records seen here.
-	DecodeErrors int64
-	// LateDropped / LateDroppedInput count records this tier dropped past
-	// the lateness horizon, in items and estimated original input.
-	LateDropped      int64
-	LateDroppedInput float64
-	// Windows holds the merged window results, in event-time order (root
-	// tier only).
-	Windows []WindowResult
-}
-
 // NodeSession is one process's slice of a live deployment: the session
 // engine running the tier's groups — with the engine's lifecycle: FinishIngest
 // and Close fence pushes as an in-process Close does, Drain is the engine's
 // drain — plus the tier's validation and the completion marker (completeRoot
 // / WaitDone). Construct with OpenNode; all methods are safe for concurrent
-// use. The session never owns its bus — Close leaves the backend (and the
-// topics it holds) running for the other tiers.
+// use. The session leaves a caller-supplied bus running — Close leaves the
+// backend (and the topics it holds) to the other tiers.
 type NodeSession struct {
 	*engine
 
 	doneOnce sync.Once
 	done     chan struct{} // the run completed: the root saw end of stream
-
-	result *NodeResult // set by the close sequence
 }
 
-// errNoIngest rejects valve operations on a tier without source valves.
+// errNoIngest rejects valve operations, and the edge-node detach and attach
+// that fence valves, on a tier without source valves.
 var errNoIngest = errors.New("core: tier has no ingest valves (set NodeTier.Ingest)")
 
 // OpenNode instantiates one tier of cfg's deployment against cfg.Bus and
 // returns the running slice. Every process of the deployment must pass an
 // identical LiveConfig (same spec, seed, partitions, shards, window
-// parameters) — the compiled plan is the cross-process contract — and a
-// tier that names its own share. Cancelling ctx aborts the session without
-// a drain; a nil ctx behaves like context.Background().
+// parameters, and an identically built Feedback controller) — the compiled
+// plan is the cross-process contract — and a tier that names its own share.
+// Cancelling ctx aborts the session without a drain; a nil ctx behaves like
+// context.Background().
 func OpenNode(ctx context.Context, cfg LiveConfig, tier NodeTier) (*NodeSession, error) {
 	if cfg.Bus == nil {
 		return nil, ErrNodeNeedsBus
 	}
-	if cfg.Feedback != nil || cfg.Checkpoint != nil {
-		return nil, ErrNodeUnsupported
-	}
+	return openNode(ctx, cfg, tier, false)
+}
+
+// openNode validates tier, compiles cfg and opens the session over cfg.Bus,
+// which the close sequence closes when ownsBus is set.
+func openNode(ctx context.Context, cfg LiveConfig, tier NodeTier, ownsBus bool) (*NodeSession, error) {
 	if !tier.Root && !tier.Ingest && len(tier.Layers) == 0 {
 		return nil, ErrNodeTierEmpty
 	}
@@ -156,10 +138,10 @@ func OpenNode(ctx context.Context, cfg LiveConfig, tier NodeTier) (*NodeSession,
 	// The sweeper may run atEOS before openEngine returns, so it must not
 	// reach the engine through n.
 	atEOS := func() { n.completeRoot(cfg.Bus, plan.ControlTopic) }
-	if n.engine, err = openEngine(ctx, cfg, plan, cfg.Bus, tier, atEOS); err != nil {
+	if n.engine, err = openEngine(ctx, cfg, plan, tier, ownsBus, atEOS); err != nil {
 		return nil, err
 	}
-	n.watch(n.finish)
+	n.watch()
 	return n, nil
 }
 
@@ -240,40 +222,23 @@ func (n *NodeSession) Drain(ctx context.Context) error {
 }
 
 // Close stops admitting pushes (without the end of stream — that is
-// FinishIngest's), stops this process's groups and assembles the tier's
-// final NodeResult; Snapshot's Elapsed and Throughput freeze at this instant.
-// It does NOT close the bus (the session never owns it) and it does not
-// drain — call Drain first for a graceful exit. Idempotent; every call
-// returns the same result.
-func (n *NodeSession) Close() *NodeResult {
+// FinishIngest's), stops this process's groups and returns the tier's final
+// result, in which fields another tier owns read zero: only an ingest tier
+// has Produced and TruthSum, only the root tier Windows. Snapshot's Elapsed
+// and Throughput freeze at this instant. It does not close a caller-supplied
+// bus and it does not drain — call Drain first for a graceful exit.
+// Idempotent; every call returns the same result.
+func (n *NodeSession) Close() *LiveResult {
 	n.stopAdmitting(false)
-	n.finish()
+	n.shutdown(nil)
 	<-n.watched
-	return n.result
-}
-
-// finish runs the engine's close sequence, the run ending now, and assembles
-// the tier's NodeResult.
-func (n *NodeSession) finish() {
-	n.shutdown(time.Now(), func() {
-		n.result = &NodeResult{
-			Produced:         n.res.Produced,
-			RootProcessed:    n.res.RootProcessed,
-			DecodeErrors:     n.res.DecodeErrors,
-			LateDropped:      n.res.LateDropped,
-			LateDroppedInput: n.res.LateDroppedInput,
-			Windows:          n.res.Windows,
-		}
-	})
+	return n.res
 }
 
 // Pusher returns the push valve for one source slot (Ingest tiers only;
-// the valve is cached per slot): the same Ingester an in-process session
-// hands out, publishing over whatever bus the session runs on.
+// the valve is cached per slot), publishing over whatever bus the session
+// runs on.
 func (n *NodeSession) Pusher(slot int) (*NodePusher, error) {
-	if !n.tier.Ingest {
-		return nil, errNoIngest
-	}
 	return n.ingester(slot)
 }
 

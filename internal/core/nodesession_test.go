@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"github.com/approxiot/approxiot/internal/checkpoint"
 	"github.com/approxiot/approxiot/internal/mq"
 	"github.com/approxiot/approxiot/internal/query"
 	"github.com/approxiot/approxiot/internal/stream"
@@ -181,6 +183,11 @@ func TestNodeTiersMatchSingleProcess(t *testing.T) {
 		total := int64(slots * perSlot)
 		if leafRes.Produced != total {
 			t.Fatalf("leaf produced %d, want %d", leafRes.Produced, total)
+		}
+		// The truth fold runs on every ingest tier, in slot order, so the
+		// leaf tier's sum is the single-process sum bit for bit.
+		if leafRes.TruthSum != ref.TruthSum {
+			t.Fatalf("leaf truth sum %v, single-process %v", leafRes.TruthSum, ref.TruthSum)
 		}
 		if rootRes.Produced != 0 || len(leafRes.Windows) != 0 {
 			t.Fatalf("tier results bled across tiers: root produced %d, leaf closed %d windows",
@@ -485,32 +492,242 @@ func withBus(cfg LiveConfig, bus transport.Bus) LiveConfig {
 	return cfg
 }
 
-// TestOpenNodeValidation pins the node-mode contract errors.
+// TestOpenNodeValidation pins the node-mode contract errors, and what a verb
+// returns on a tier that cannot serve it.
 func TestOpenNodeValidation(t *testing.T) {
 	spec := topology.Testbed()
 	base := nodeTestConfig(spec, FractionBudget{Fraction: 1}, 0)
 	bus := transport.NewMem()
 	defer bus.Close()
 
-	if _, err := OpenNode(nil, base, NodeTier{Root: true}); !errors.Is(err, ErrNodeNeedsBus) {
-		t.Fatalf("no bus: err = %v, want ErrNodeNeedsBus", err)
-	}
 	ingestStamped := withBus(base, bus)
 	ingestStamped.EventTime = false
-	n, err := OpenNode(nil, ingestStamped, NodeTier{Root: true})
-	if err != nil {
-		t.Fatalf("ingest-stamped: err = %v, want a session", err)
+	adaptive := withBus(base, bus)
+	adaptive.Cost = nil
+	adaptive.Feedback = NewFeedbackController(0.2, 0.05)
+	adaptive.Checkpoint = checkpoint.NewMemoryStore()
+	for _, tc := range []struct {
+		name string
+		cfg  LiveConfig
+		tier NodeTier
+		verb func(*NodeSession) error // run on the opened session; nil: none
+		want error                    // from OpenNode, else from verb
+	}{
+		{name: "no bus", cfg: base, tier: NodeTier{Root: true}, want: ErrNodeNeedsBus},
+		{name: "ingest-stamped", cfg: ingestStamped, tier: NodeTier{Root: true}},
+		{name: "empty tier", cfg: withBus(base, bus), want: ErrNodeTierEmpty},
+		// The testbed has edge layers 0 and 1; layer 2 is the root,
+		// selectable only via Root.
+		{name: "root as layer", cfg: withBus(base, bus), tier: NodeTier{Layers: []int{2}}, want: ErrNodeBadLayer},
+		{name: "duplicate layer", cfg: withBus(base, bus), tier: NodeTier{Layers: []int{0, 0}}, want: ErrNodeBadLayer},
+		// Feedback and Checkpoint run on every tier.
+		{name: "feedback and checkpoint", cfg: adaptive, tier: NodeTier{Layers: []int{0}, Ingest: true}},
+		{name: "node another tier hosts", cfg: withBus(base, bus), tier: NodeTier{Root: true},
+			verb: func(n *NodeSession) error { _, err := n.AddMember("edge1-0"); return err }, want: ErrUnknownNode},
+		{name: "detach without ingest", cfg: withBus(base, bus), tier: NodeTier{Layers: []int{0}},
+			verb: func(n *NodeSession) error { return n.RemoveEdgeNode("edge1-0") }, want: errNoIngest},
+		{name: "target without root", cfg: adaptive, tier: NodeTier{Layers: []int{0}, Ingest: true},
+			verb: func(n *NodeSession) error { return n.SetTarget(0.01) }, want: ErrNotAdaptive},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := OpenNode(nil, tc.cfg, tc.tier)
+			if tc.verb == nil {
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("OpenNode: err = %v, want %v", err, tc.want)
+				}
+				if n != nil {
+					n.Close()
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("OpenNode: %v", err)
+			}
+			defer n.Close()
+			if err := tc.verb(n); !errors.Is(err, tc.want) {
+				t.Fatalf("verb: err = %v, want %v", err, tc.want)
+			}
+		})
 	}
-	n.Close()
-	if _, err := OpenNode(nil, withBus(base, bus), NodeTier{}); !errors.Is(err, ErrNodeTierEmpty) {
-		t.Fatalf("empty tier: err = %v, want ErrNodeTierEmpty", err)
+}
+
+// openTiers opens the testbed's three tiers over one TCP broker, each on its
+// own client connection as three OS processes would: leaf (layer 0 and the
+// valves), mid (layer 1) and root. cfgFor builds each tier's config — every
+// tier must pass an identical one, save what is the process's own (its
+// checkpoint store, its hooks).
+func openTiers(t *testing.T, ctx context.Context, cfgFor func(tier string) LiveConfig) (leaf, mid, root *NodeSession) {
+	t.Helper()
+	addr := startNodeBroker(t)
+	open := func(name string, tier NodeTier) *NodeSession {
+		n, err := OpenNode(ctx, withBus(cfgFor(name), dialNodeBus(t, addr)), tier)
+		if err != nil {
+			t.Fatalf("OpenNode(%s): %v", name, err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
 	}
-	// The testbed has edge layers 0 and 1; layer 2 is the root, selectable
-	// only via Root.
-	if _, err := OpenNode(nil, withBus(base, bus), NodeTier{Layers: []int{2}}); !errors.Is(err, ErrNodeBadLayer) {
-		t.Fatalf("root as layer: err = %v, want ErrNodeBadLayer", err)
+	root = open("root", NodeTier{Root: true})
+	mid = open("mid", NodeTier{Layers: []int{1}})
+	leaf = open("leaf", NodeTier{Layers: []int{0}, Ingest: true})
+	return leaf, mid, root
+}
+
+// finishTiers ends a three-tier run the way separate processes do: the leaf
+// finishes ingesting, every tier waits for the root's completion marker, the
+// edge tiers drain, and all three close.
+func finishTiers(t *testing.T, ctx context.Context, leaf, mid, root *NodeSession) (leafRes, midRes, rootRes *LiveResult) {
+	t.Helper()
+	if err := leaf.FinishIngest(); err != nil {
+		t.Fatalf("FinishIngest: %v", err)
 	}
-	if _, err := OpenNode(nil, withBus(base, bus), NodeTier{Layers: []int{0, 0}}); !errors.Is(err, ErrNodeBadLayer) {
-		t.Fatalf("duplicate layer: err = %v, want ErrNodeBadLayer", err)
+	for _, n := range []*NodeSession{root, mid, leaf} {
+		if err := n.WaitDone(ctx); err != nil {
+			t.Fatalf("WaitDone: %v", err)
+		}
+	}
+	for _, n := range []*NodeSession{leaf, mid} {
+		if err := n.Drain(ctx); err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+	}
+	return leaf.Close(), mid.Close(), root.Close()
+}
+
+// TestNodeTiersAdaptiveStepConvergence is TestLiveAdaptiveStepConvergence
+// across three node sessions over TCP: the controller steps on the root tier
+// and reaches the edge members only through the control topic. Every tier
+// passes an identically built controller; the root's observes.
+func TestNodeTiersAdaptiveStepConvergence(t *testing.T) {
+	poisonStaleBytes(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	leaf, mid, root := openTiers(t, ctx, func(tier string) LiveConfig {
+		ctl := newStepController()
+		cfg := adaptiveLiveConfig(ctl)
+		if tier == "root" {
+			var windows int
+			cfg.OnWindow = func(WindowResult) {
+				if windows++; windows == stepAt {
+					ctl.SetTarget(1e-9)
+				}
+			}
+		}
+		return cfg
+	})
+	cfg := adaptiveLiveConfig(nil)
+	leaf.feed(cfg.Source, cfg.Items)
+	if err := leaf.SetTarget(0.1); !errors.Is(err, ErrNotAdaptive) {
+		t.Fatalf("leaf SetTarget: err = %v, want ErrNotAdaptive", err)
+	}
+	if snap := leaf.Snapshot(); snap.Fraction != 0 || snap.Target != 0 {
+		t.Fatalf("leaf snapshot reports the root's controller: fraction %g, target %g", snap.Fraction, snap.Target)
+	}
+	leafRes, midRes, rootRes := finishTiers(t, ctx, leaf, mid, root)
+	if got := root.Target(); got != 1e-9 {
+		t.Fatalf("root Target() = %g, want the stepped 1e-9", got)
+	}
+	if late := leafRes.LateDropped + midRes.LateDropped + rootRes.LateDropped; late != 0 {
+		t.Fatalf("%d ingest-stamped items dropped late", late)
+	}
+	var input float64
+	for _, w := range rootRes.Windows {
+		input += w.EstimatedInput
+	}
+	assertCountInvariant(t, "adaptive node tiers", input, float64(leafRes.Produced))
+	assertStepConvergence(t, rootRes.Fractions)
+}
+
+// TestNodeTiersKillRestart is the crash-recovery round across three node
+// sessions over TCP, each process with its own file checkpoint store: a
+// layer-0 member dies and restarts on the leaf tier, a layer-1 member on the
+// mid tier, each replaying its gap from the shared broker. Every produced
+// item is accounted for exactly — Σ root EstimatedInput + every tier's
+// LateDroppedInput = Produced — windows stay monotone, and no save fails.
+func TestNodeTiersKillRestart(t *testing.T) {
+	poisonStaleBytes(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	leaf, mid, root := openTiers(t, ctx, func(string) LiveConfig {
+		store, err := checkpoint.NewFileStore(t.TempDir())
+		if err != nil {
+			t.Fatalf("NewFileStore: %v", err)
+		}
+		cfg := elasticConfig(store)
+		cfg.LayerShards = []int{2, 2}
+		cfg.EventTime = true
+		cfg.AllowedLateness = 300 * time.Millisecond
+		return cfg
+	})
+	victims := []struct {
+		tier     *NodeSession
+		node, id string
+	}{{leaf, "edge1-2", "edge1-2-shard1"}, {mid, "edge2-0", "edge2-0-shard1"}}
+	if err := leaf.KillMember("edge2-0-shard1"); !errors.Is(err, ErrUnknownMember) {
+		t.Fatalf("leaf KillMember of a mid member: err = %v, want ErrUnknownMember", err)
+	}
+
+	const rounds, perSlot, slots = 10, 30, 8
+	span := 300 * time.Millisecond
+	for r := 0; r < rounds; r++ {
+		for slot := 0; slot < slots; slot++ {
+			items := make([]stream.Item, perSlot)
+			for k := range items {
+				items[k] = stream.Item{
+					Source: stream.SourceID(fmt.Sprintf("s%d", slot)),
+					Value:  float64(slot + 1),
+					Ts: simEpoch.Add(time.Duration(r)*span +
+						time.Duration(k)*span/perSlot +
+						time.Duration(slot)*time.Millisecond),
+				}
+			}
+			if err := leaf.Push(slot, items...); err != nil {
+				t.Fatalf("round %d slot %d: %v", r, slot, err)
+			}
+		}
+		for _, v := range victims {
+			want := ""
+			switch r {
+			case 3:
+				if err := v.tier.KillMember(v.id); err != nil {
+					t.Fatalf("KillMember(%s): %v", v.id, err)
+				}
+				want = "killed"
+			case 6:
+				if err := v.tier.RestartMember(v.id); err != nil {
+					t.Fatalf("RestartMember(%s): %v", v.id, err)
+				}
+				want = "live"
+			}
+			if want != "" {
+				members, err := v.tier.GroupMembers(v.node)
+				if err != nil || len(members) != 2 || members[1].ID != v.id || members[1].State != want {
+					t.Fatalf("GroupMembers(%s) = %v (err %v), want %s %s", v.node, members, err, v.id, want)
+				}
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	leafRes, midRes, rootRes := finishTiers(t, ctx, leaf, mid, root)
+
+	if want := int64(rounds * perSlot * slots); leafRes.Produced != want {
+		t.Fatalf("produced %d, want %d", leafRes.Produced, want)
+	}
+	var estimated float64
+	for i, w := range rootRes.Windows {
+		estimated += w.EstimatedInput
+		if w.End.Sub(w.Start) != topology.Testbed().Window {
+			t.Fatalf("window %d spans %v", i, w.End.Sub(w.Start))
+		}
+		if i > 0 && !w.Start.After(rootRes.Windows[i-1].Start) {
+			t.Fatalf("window %d start %v not after %v — watermark regressed", i, w.Start, rootRes.Windows[i-1].Start)
+		}
+	}
+	late := leafRes.LateDroppedInput + midRes.LateDroppedInput + rootRes.LateDroppedInput
+	assertCountInvariant(t, "kill/restart node tiers", estimated+late, float64(leafRes.Produced))
+	for _, n := range []*NodeSession{leaf, mid, root} {
+		if errs := n.Snapshot().CheckpointErrors; errs != 0 {
+			t.Fatalf("checkpoint errors %d, want 0", errs)
+		}
 	}
 }

@@ -99,28 +99,15 @@ const defaultDrainTimeout = 2 * time.Minute
 // Surfaced by Close and Err, and mirrored on LiveResult.DrainTimedOut.
 var ErrDrainTimeout = errors.New("core: drain deadline exceeded; final result may be missing in-flight items")
 
-// LiveSession is a running live deployment: the compiled tree instantiated
-// as shard groups over a transport bus — the in-memory broker by default,
-// or any backend supplied via LiveConfig.Bus — accepting pushed items and
-// emitting window results until closed. It is the session engine running
-// every tier, plus what only an in-process deployment has: a bus it may own,
-// the per-slot ground truth fold, Err/Done, the elastic verbs (elastic.go)
-// and checkpointed members. Construct with OpenLive; all methods are safe
-// for concurrent use.
+// LiveSession is a running live deployment: the node session for every tier
+// of the compiled tree — every edge layer, the root and the source valves —
+// over the in-memory broker by default, or any backend supplied via
+// LiveConfig.Bus. It adds only what an in-process deployment has: a bus it
+// owns when none is supplied, Err/Done for the session's end, the two-value
+// Close that drains, and Ingest by sub-stream. Construct with OpenLive; all
+// methods are safe for concurrent use.
 type LiveSession struct {
-	*engine
-	// ownsBus: the session created its own in-memory bus and shuts it down
-	// at close; a caller-supplied bus (LiveConfig.Bus) is left running — it
-	// may serve other processes.
-	ownsBus bool
-
-	// elMu serializes membership changes (Add/Remove/Kill/Restart member,
-	// edge-node detach/attach); per-group mu still guards the member lists
-	// against the concurrent readers (drain probe, telemetry, valves).
-	elMu sync.Mutex
-
-	errMu    sync.Mutex
-	closeErr error
+	*NodeSession
 }
 
 // OpenLive compiles cfg's deployment plan, instantiates it as live shard
@@ -131,41 +118,27 @@ type LiveSession struct {
 // dropped, but every window already closed keeps its exact-count estimates,
 // and all goroutines exit. A nil ctx behaves like context.Background().
 func OpenLive(ctx context.Context, cfg LiveConfig) (*LiveSession, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cfg, plan, err := compileLive(cfg)
-	if err != nil {
-		return nil, err
-	}
-	bus := cfg.Bus
-	ownsBus := bus == nil
+	ownsBus := cfg.Bus == nil
 	if ownsBus {
-		bus = transport.NewMem()
+		cfg.Bus = transport.NewMem()
 	}
-	e, err := openEngine(ctx, cfg, plan, bus, everyTier(plan), nil)
+	n, err := openNode(ctx, cfg, everyTier(cfg.Spec), ownsBus)
 	if err != nil {
 		if ownsBus {
-			_ = bus.Close()
+			_ = cfg.Bus.Close()
 		}
 		return nil, err
 	}
-	e.truth = make([]paddedFloat, plan.Spec.Sources)
-	s := &LiveSession{engine: e, ownsBus: ownsBus}
-	s.watch(func() { s.finish(ctx.Err()) })
-	return s, nil
+	return &LiveSession{n}, nil
 }
 
-// compileLive is the shared prologue of every live entry point (OpenLive,
-// and OpenNode in node mode): it compiles the deployment plan and
-// normalizes the session-level defaults — window cadence, confidence,
-// backpressure high-water mark, drain deadline, the idle timeout, and with
-// EventTime off the ingest-stamped window (Window long, no lateness).
-// Keeping it in one place is what guarantees a multi-process deployment's
-// per-tier sessions agree with a single-process session on what every one
-// of those knobs means — every tier compiles the same windows by
-// construction; if the two entry points normalized independently they
-// could silently compile incompatible trees.
+// compileLive is the prologue of every session (openNode, behind OpenNode and
+// OpenLive): it compiles the deployment plan and normalizes the session-level
+// defaults — window cadence, confidence, backpressure high-water mark, drain
+// deadline, the idle timeout, and with EventTime off the ingest-stamped
+// window (Window long, no lateness). Every tier of a multi-process
+// deployment runs it on an identical LiveConfig, so every tier compiles the
+// same windows as a single-process session by construction.
 func compileLive(cfg LiveConfig) (LiveConfig, *Plan, error) {
 	if cfg.Feedback != nil {
 		// The adaptive loop owns the budget: members get private
@@ -272,7 +245,7 @@ func (s *LiveSession) Ingest(src stream.SourceID, items ...stream.Item) error {
 	for i := range items {
 		items[i].Source = src
 	}
-	in, err := s.Ingester(s.slotFor(src))
+	in, err := s.ingester(s.slotFor(src))
 	if err != nil {
 		return err
 	}
@@ -284,27 +257,6 @@ func (s *LiveSession) slotFor(src stream.SourceID) int {
 	h := fnv.New32a()
 	h.Write([]byte(src))
 	return int(h.Sum32() % uint32(s.plan.Spec.Sources))
-}
-
-// SetTarget retunes the adaptive controller's relative-error target mid-run
-// — the analyst tightening or relaxing their error budget while the
-// deployment serves. The change takes effect at the next window close.
-// Returns ErrNotAdaptive when the session was opened without a controller.
-func (s *LiveSession) SetTarget(target float64) error {
-	if s.cfg.Feedback == nil {
-		return ErrNotAdaptive
-	}
-	s.cfg.Feedback.SetTarget(target)
-	return nil
-}
-
-// Target returns the adaptive controller's current relative-error target (0
-// when the session is not adaptive).
-func (s *LiveSession) Target() float64 {
-	if s.cfg.Feedback == nil {
-		return 0
-	}
-	return s.cfg.Feedback.Target()
 }
 
 // LiveSnapshot is a mid-run view of the deployment's telemetry — everything
@@ -336,10 +288,10 @@ type LiveSnapshot struct {
 	// Throughput is Produced/Elapsed so far.
 	Throughput float64
 	// Fraction is the adaptive controller's current sampling fraction (0
-	// when the session is not adaptive).
+	// when the session is not adaptive or the tier runs no root).
 	Fraction float64
 	// Target is the adaptive controller's relative-error target (0 when
-	// not adaptive).
+	// not adaptive or the tier runs no root).
 	Target float64
 	// Latency is a merged copy of the end-to-end latency distribution over
 	// items that reached the root so far.
@@ -380,8 +332,8 @@ type LiveSnapshot struct {
 	// root, while blocked on an expected-but-unheard producer, before any
 	// traffic, and once closed).
 	Watermark time.Time
-	// Adaptive reports whether a feedback controller is installed —
-	// Fraction/Target are meaningful gauges only when true.
+	// Adaptive reports whether a feedback controller steps on this tier
+	// (the root's) — Fraction/Target are meaningful gauges only when true.
 	Adaptive bool
 	// LastWindow is the most recently emitted window result — every
 	// registered query's estimate ± bound, including top-k groups, quantile
@@ -401,53 +353,25 @@ type LiveSnapshot struct {
 // abort time.
 func (s *LiveSession) Close() (*LiveResult, error) {
 	s.stopAdmitting(true)
-	s.finish(s.drain(s.ctx))
+	s.shutdown(s.drain(s.ctx))
 	<-s.watched
 	return s.res, s.Err()
 }
 
-// finish runs the engine's close sequence with what is the in-process
-// session's own: the run ends at the root's last activity; the drain's
-// verdict becomes the session's error — a timed-out drain also marks the
-// result DrainTimedOut, since a silent partial drain would be
-// indistinguishable from a clean one — and a context cancelled mid-Close
-// reports like an abort; the bus closes if the session owns it (a
-// caller-supplied one may serve other processes); and the per-slot truth
-// sums fold in slot order, so TruthSum is deterministic however the pushes
-// were scheduled.
-func (s *LiveSession) finish(cause error) {
-	s.shutdown(time.Unix(0, s.lastActivity.Load()), func() {
-		if errors.Is(cause, ErrDrainTimeout) {
-			s.res.DrainTimedOut = true
-		}
-		if cause == nil {
-			cause = s.ctx.Err()
-		}
-		if s.ownsBus {
-			_ = s.bus.Close()
-		}
-		for i := range s.truth {
-			s.res.TruthSum += s.truth[i].v
-		}
-		s.errMu.Lock()
-		s.closeErr = cause
-		s.errMu.Unlock()
-	})
-}
-
-// feed is the built-in generator ingestion client the RunLive wrapper uses:
+// feed is the built-in generator ingestion client the RunLive wrapper uses
+// (on an ingest tier):
 // it produces items total items, split across the tree's source slots — the
 // remainder of items/Sources spread one item each over the low-indexed
 // slots, so exactly items are produced — pushing each slot's stream through
 // the same Ingester valve external clients use. Blocks until every slot's
 // quota is pushed or the session stops accepting.
-func (s *LiveSession) feed(source func(i int) workload.Source, items int64) {
-	spec := s.plan.Spec
+func (e *engine) feed(source func(i int) workload.Source, items int64) {
+	spec := e.plan.Spec
 	perSource := items / int64(spec.Sources)
 	remainder := items % int64(spec.Sources)
-	chunk := s.cfg.Window / 4
+	chunk := e.cfg.Window / 4
 	if chunk <= 0 {
-		chunk = s.cfg.Window
+		chunk = e.cfg.Window
 	}
 	var wg sync.WaitGroup
 	for slot := 0; slot < spec.Sources; slot++ {
@@ -455,9 +379,9 @@ func (s *LiveSession) feed(source func(i int) workload.Source, items int64) {
 		if int64(slot) < remainder {
 			quota++
 		}
-		ing, err := s.Ingester(slot)
+		ing, err := e.ingester(slot)
 		if err != nil {
-			continue // unreachable: slots come from the plan
+			continue // unreachable on an ingest tier: slots come from the plan
 		}
 		wg.Add(1)
 		go func(slot int, quota int64, ing *Ingester) {

@@ -56,11 +56,8 @@ func (v *valve) publish(items []stream.Item, truth *paddedFloat) error {
 		src        stream.SourceID
 		mark       time.Time
 		lo         int
-		sum        float64
+		sum        = truth.v
 	)
-	if truth != nil {
-		sum = truth.v
-	}
 	for j := range items {
 		it := &items[j]
 		if it.Source == "" {
@@ -85,9 +82,7 @@ func (v *valve) publish(items []stream.Item, truth *paddedFloat) error {
 		}
 	}
 	v.queue(src, items[lo:], mark)
-	if truth != nil {
-		truth.v = sum
-	}
+	truth.v = sum
 
 	err := v.send()
 	if errors.Is(err, mq.ErrClosed) {
@@ -128,18 +123,17 @@ func (v *valve) send() error {
 
 // Ingester is the push valve for one source slot: it stamps, batches, paces
 // and publishes items into the slot's leaf topic, with backpressure against
-// the leaf node's consumer group. Both sessions hand out the same valve —
-// LiveSession.Ingester in process, NodeSession.Pusher in a process-per-tier
-// deployment — and only the in-process one sums ground truth. Pushes through
-// one valve are serialized (the valve preserves per-stratum order); distinct
-// slots push concurrently.
+// the leaf node's consumer group, and sums the slot's ground truth. Every
+// ingest tier hands out the same valve (NodeSession.Pusher, which
+// LiveSession.Ingester calls too). Pushes through one valve are serialized
+// (the valve preserves per-stratum order); distinct slots push concurrently.
 type Ingester struct {
 	e        *engine
 	leaf     *shardGroup // the layer-0 group this valve feeds; nil where another process runs it
 	lagGroup string
 	carried  *carriedLag // the leaf topic's, shared with every other valve on it
 	rate     float64
-	truth    *paddedFloat // the slot's ground-truth sum; nil on a node tier
+	truth    *paddedFloat // the slot's ground-truth sum
 
 	// sent is atomic so observers (tests, telemetry) can read it while a
 	// Push is parked in backpressure holding mu.
