@@ -162,12 +162,6 @@ const (
 // for looking the control plane up in LiveResult.Bandwidth.
 const ControlTopic = core.ControlTopicName
 
-// ErrEventTimeStreaming rejects a Simulate call combining Config.EventTime
-// with a streaming strategy (SRS, Native): the simulator's baselines forward
-// per batch with no edge windows to assign records to. Live runs window
-// every strategy and never return it.
-var ErrEventTimeStreaming = core.ErrEventTimeStreaming
-
 // ErrDrainTimeout reports that a live Close hit Config.DrainTimeout before
 // the pipeline quiesced: the final result was assembled anyway, but
 // in-flight items may be missing from it (LiveResult.DrainTimedOut is set).
@@ -234,9 +228,9 @@ type Config struct {
 	// composed from the last Slide tumbling panes (pane composition): each
 	// WindowResult carries Sliding entries for the additive query kinds
 	// (SUM/COUNT) whose values and variances add across panes, so the
-	// composed bounds stay rigorous. Applies to both modes; live (and with
-	// EventTime in simulation) the sliding window spans exactly Slide
-	// windows of event time (skipped empty panes contribute zero).
+	// composed bounds stay rigorous. Applies to both modes, and in both the
+	// sliding window spans exactly Slide windows of event time (skipped
+	// empty panes contribute zero).
 	Slide int
 	// Confidence is the error-bound level of every window result; defaults
 	// to TwoSigma (95%) in both modes.
@@ -268,8 +262,8 @@ type Config struct {
 	// IdleTimeout (4×Window), how often a drain probes for quiescence
 	// (Window/4), the checkpoint cadence (one save per Window per member,
 	// with Checkpoint), and how long an ingest-stamping valve stays silent
-	// before its idle beat (one Window). Simulated runs ignore it (the
-	// TreeSpec's virtual-time window applies there).
+	// before its idle beat (one Window). Simulated runs ignore it: their
+	// event windows are Tree.Window long, in virtual time.
 	Window time.Duration
 	// EventTime selects who stamps the timestamps live windows are cut by.
 	// Live windows are always event-time tumbling windows: records are
@@ -281,15 +275,17 @@ type Config struct {
 	// ingest-stamped record is never late. On, windows are Tree.Window long
 	// and a caller-supplied Item.Ts is the event timestamp (a zero Ts
 	// defaults to the publish instant); records past the lateness horizon
-	// are counted into LiveResult.LateDropped (or SimResult.LateDropped)
-	// and dropped — closed windows stay exact. Simulated runs switch from
-	// arrival windows to event-time windows, which the streaming strategies
-	// (SRS, Native) do not support there (ErrEventTimeStreaming).
+	// are counted into LiveResult.LateDropped and dropped — closed windows
+	// stay exact. EventTime only selects live stamping: simulated runs
+	// always cut Tree.Window-long event windows by the generators'
+	// timestamps, with every strategy (the streaming SRS and Native edges
+	// forward at once into the root's), and count late records into
+	// SimResult.LateDropped.
 	EventTime bool
 	// AllowedLateness is how far out of order records may arrive and still
 	// land in their window: window [s, s+W) closes once the watermark
-	// reaches s+W+AllowedLateness. Only meaningful with EventTime (ingest
-	// stamps arrive in order).
+	// reaches s+W+AllowedLateness. Live, only meaningful with EventTime
+	// (ingest stamps arrive in order); simulated runs always apply it.
 	AllowedLateness time.Duration
 	// IdleTimeout bounds how long a silent sub-stream may hold the
 	// watermark back before it is excluded from the minimum (live: wall
@@ -297,8 +293,8 @@ type Config struct {
 	// 4×Tree.Window — both raised to AllowedLateness if that is larger, so
 	// a source pausing within its promised lateness is never aged out).
 	// Negative disables the exclusion; live that requires single-member
-	// groups (RootShards and LayerShards of 1). Simulated runs use it only
-	// with EventTime.
+	// groups (RootShards and LayerShards of 1). Simulated runs always use
+	// it: their members age silent sub-streams exactly as live ones do.
 	IdleTimeout time.Duration
 	// MaxIngestLag is the live push-side backpressure high-water mark: an
 	// Ingest call blocks while its leaf topic's unconsumed backlog exceeds
@@ -458,7 +454,6 @@ func Simulate(cfg Config, source func(i int) Source, duration time.Duration) (*S
 		Feedback:        cfg.Adaptive,
 		OnWindow:        cfg.OnWindow,
 		Streaming:       cfg.streaming(),
-		EventTime:       cfg.EventTime,
 		AllowedLateness: cfg.AllowedLateness,
 		IdleTimeout:     cfg.IdleTimeout,
 	})

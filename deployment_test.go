@@ -264,8 +264,8 @@ func TestRunOnWindowHook(t *testing.T) {
 // TestOpenEventTime drives the event-time mode through the public facade:
 // out-of-order pushes within AllowedLateness land in the windows their
 // timestamps name (Start/End populated, exact per-window counts), a record
-// beyond the horizon is counted into LateDropped, and the simulator rejects
-// the streaming baselines.
+// beyond the horizon is counted into LateDropped, and the simulator windows
+// the streaming baselines by event time too.
 func TestOpenEventTime(t *testing.T) {
 	epoch := time.Now().Truncate(time.Second)
 	d, err := Open(context.Background(), Config{
@@ -313,9 +313,15 @@ func TestOpenEventTime(t *testing.T) {
 		t.Fatalf("dropped %d in-horizon records", res.LateDropped)
 	}
 
-	// Streaming strategies have no edge windows to assign records to.
-	if _, err := Simulate(Config{Strategy: SRS, EventTime: true}, gaussianSources(5, 2000), time.Second); !errors.Is(err, ErrEventTimeStreaming) {
-		t.Fatalf("SRS+EventTime err = %v, want ErrEventTimeStreaming", err)
+	// The simulator windows every strategy by event time: the streaming SRS
+	// edges forward at once into the root's windows. At a keep probability
+	// of 1 nothing is dropped, so the COUNT identity holds exactly.
+	sim, err := Simulate(Config{Strategy: SRS, Fraction: 1, EventTime: true, Queries: []QueryKind{Count}}, gaussianSources(5, 2000), time.Second)
+	if err != nil {
+		t.Fatalf("Simulate(SRS, EventTime): %v", err)
+	}
+	if got := sim.TotalEstimate(Count); got != float64(sim.Generated) {
+		t.Fatalf("simulated SRS count %.1f, want the %d generated", got, sim.Generated)
 	}
 }
 

@@ -130,17 +130,21 @@ func AblationParallelWorkers(scale Scale) (Figure, error) {
 	return fig, nil
 }
 
-// AblationAlignment probes robustness to interval misalignment: the finer
-// the source chunking, the more batches straddle interval boundaries at
-// each layer (the Fig. 3 weight-carry case). The estimate must stay
-// accurate regardless — Eq. 8 holds per pair, however pairs are split.
+// AblationAlignment probes robustness to the sources' send granularity: a
+// source ships Window/chunks of items per record, so the more chunks per
+// window, the smaller and more numerous the weight-1 pairs every edge window
+// gathers. Event windows cut records at window boundaries by timestamp, so no
+// batch straddles a window any more; what varies is only how each window's Ψ
+// is split into pairs. The estimate must stay accurate regardless — Eq. 8
+// holds per pair, however pairs are split.
 func AblationAlignment(scale Scale) (Figure, error) {
 	fig := Figure{
 		ID:     "A4",
-		Title:  "Ablation: interval misalignment robustness (10% fraction)",
+		Title:  "Ablation: source send granularity (10% fraction)",
 		XLabel: "chunks/window",
 		YLabel: "accuracy loss (%)",
 		Series: []Series{{Label: "ApproxIoT"}},
+		Notes:  "event windows split records at window boundaries: only the pair count per window varies",
 	}
 	src := gaussianMicroSources(scale.RatePerSubstream, topology.Testbed().Sources)
 	for _, chunks := range []int{1, 2, 8, 32} {

@@ -179,7 +179,6 @@ func TestCrossModeQueryBreadth(t *testing.T) {
 		Queries:         queries,
 		Slide:           slide,
 		Seed:            21,
-		EventTime:       true,
 		AllowedLateness: span,
 	})
 	if err != nil {
@@ -342,7 +341,6 @@ func TestSlidingPaneHistoryProperty(t *testing.T) {
 		Queries:         []query.Kind{query.Sum, query.Count},
 		Slide:           slide,
 		Seed:            21,
-		EventTime:       true,
 		AllowedLateness: span,
 	})
 	if err != nil {

@@ -29,8 +29,12 @@ import (
 // push fence (stopAdmitting), one drain loop (settle), one close sequence
 // (shutdown) and one context watcher.
 type engine struct {
+	// memberKit builds this tier's members and holds the run-wide counters
+	// they write (plan, late, decodeErrs, rootProcessed, lastActivity,
+	// quiesce).
+	memberKit
+
 	cfg  LiveConfig
-	plan *Plan
 	bus  transport.Bus
 	tier NodeTier
 	eval *query.Engine
@@ -44,9 +48,6 @@ type engine struct {
 	// ckptErrs counts checkpoint-save failures across every member
 	// (LiveSnapshot.CheckpointErrors) — counted, never fatal.
 	ckptErrs atomic.Int64
-	// quiesce silences the keepalive punctuations from the moment a session
-	// drain starts (see samplingProcessor.keepalive).
-	quiesce atomic.Bool
 	// sweepNudge is the sweeper's one-slot wake: a root member whose batch
 	// makes a window closeable, or a valve that starts carrying a
 	// sub-stream, asks for a sweep through it (nudgeSweep).
@@ -60,15 +61,11 @@ type engine struct {
 	res   *LiveResult
 	final atomic.Pointer[LiveResult]
 
-	// Run-wide counters, written by member pumps and valves, read by
-	// Snapshot at any time.
-	produced      atomic.Int64
-	rootProcessed atomic.Int64
-	decodeErrs    atomic.Int64
-	late          lateCounter  // records past the lateness horizon
-	lastActivity  atomic.Int64 // unix nanos of last root-side processing
-	startNanos    atomic.Int64 // run start: first push (open time until then)
-	started       atomic.Bool
+	// Run-wide counters beside the members' (memberKit), written by the
+	// valves, read by Snapshot at any time.
+	produced   atomic.Int64
+	startNanos atomic.Int64 // run start: first push (open time until then)
+	started    atomic.Bool
 
 	// The root emit path. windowMu serializes window closes and guards
 	// res.Windows / res.Fractions. windowsClosed mirrors len(res.Windows)
@@ -155,8 +152,13 @@ func everyTier(spec topology.TreeSpec) NodeTier {
 func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, ownsBus bool, atEOS func()) (*engine, error) {
 	bus := cfg.Bus
 	e := &engine{
+		memberKit: memberKit{
+			plan:     plan,
+			lateness: cfg.AllowedLateness,
+			idle:     cfg.IdleTimeout,
+			stamped:  !cfg.EventTime,
+		},
 		cfg:     cfg,
-		plan:    plan,
 		bus:     bus,
 		tier:    tier,
 		ownsBus: ownsBus,
@@ -319,8 +321,8 @@ func (e *engine) nextSweep(at time.Time) time.Time {
 // single-process run's. Adaptive runs give every member a private dynamic
 // cost plus a standalone control consumer (the root tier publishes, wherever
 // it runs, and the members drain at window close); with a checkpoint store
-// every member saves into this process's store. Ψ lives in per-event-window
-// nodes (newWindows).
+// every member saves into this process's store. The member itself comes from
+// memberKit.newSampling, the constructor RunSim uses too.
 func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 	cfg, plan := e.cfg, e.plan
 	// FixedBudget groups get a dynamic splitter so membership changes
@@ -335,36 +337,34 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 	}
 	var memberErr error
 	grp, err := newShardGroup(e.bus, desc, cfg.recordAtATime, func(shard int) (streams.Processor, *samplingProcessor) {
-		sp := &samplingProcessor{
-			id:         memberID(desc, shard),
-			quiesce:    &e.quiesce,
-			decodeErrs: &e.decodeErrs,
-			ckpt:       cfg.Checkpoint,
-			ckptErrs:   &e.ckptErrs,
-			saveEvery:  cfg.Window,
-			// Private lock-free byte counter for the member's parent link;
-			// the account folds it in at read time.
-			bwc: e.res.Bandwidth.Counter(desc.ParentTopic),
-			enc: encoderFor(e.bus),
-		}
 		mk := func() *Node { return plan.NewNodeShard(desc, shard) }
 		if gb != nil {
 			mb := gb.join(memberID(desc, shard))
 			mk = func() *Node { return plan.NewNodeShardCost(desc, shard, mb) }
 		}
+		var dc *dynamicCost
 		if cfg.Feedback != nil {
-			sp.cost = newDynamicCost(cfg.Feedback.Fraction())
-			mk = func() *Node { return plan.NewNodeShardCost(desc, shard, sp.cost) }
+			dc = newDynamicCost(cfg.Feedback.Fraction())
+			mk = func() *Node { return plan.NewNodeShardCost(desc, shard, dc) }
+		}
+		sp := e.newSampling(desc, shard, mk, now)
+		sp.ckpt = cfg.Checkpoint
+		sp.ckptErrs = &e.ckptErrs
+		sp.saveEvery = cfg.Window
+		// Private lock-free byte counter for the member's parent link; the
+		// account folds it in at read time.
+		sp.bwc = e.res.Bandwidth.Counter(desc.ParentTopic)
+		sp.enc = encoderFor(e.bus)
+		if dc != nil {
+			sp.cost = dc
 			c, cerr := e.bus.NewConsumer(plan.ControlTopic)
 			if cerr != nil && memberErr == nil {
 				memberErr = cerr // keep the first failure; later shards must not clobber it
 			}
 			sp.control = c
 		}
-		sp.ew = e.newWindows(mk)
 		sp.eosNotify = memberEOSBroadcast(e.bus.NewProducer(), desc.ParentTopic,
 			sp.id, plan.Partitions, sp.bwc)
-		sp.wt = e.newTracker(desc, sp.ew, now)
 		return sp, sp
 	})
 	if err == nil {
@@ -390,26 +390,17 @@ func (e *engine) addRootGroup(now time.Time) error {
 	cfg, plan := e.cfg, e.plan
 	e.rootProcs = make([]*rootProcessor, plan.RootShards)
 	grp, err := newShardGroup(e.bus, plan.Root(), cfg.recordAtATime, func(shard int) (streams.Processor, *samplingProcessor) {
-		p := &rootProcessor{
-			id:           memberID(plan.Root(), shard),
-			work:         cfg.RootWork,
-			processed:    &e.rootProcessed,
-			decodeErrs:   &e.decodeErrs,
-			lastActivity: &e.lastActivity,
-			nudge:        e.nudgeSweep,
-			// Private histogram: shards must not serialize on one mutex in
-			// the per-item hot path. Merged into res.Latency at finalize (and
-			// into fresh histograms by mid-run Snapshots).
-			latency: metrics.NewHistogram(),
-		}
 		mk := func() *Node { return plan.NewRootShard(shard) }
 		if cfg.Feedback != nil {
 			dc := newDynamicCost(cfg.Feedback.Fraction())
 			e.rootCosts = append(e.rootCosts, dc)
 			mk = func() *Node { return plan.NewNodeShardCost(plan.Root(), shard, dc) }
 		}
-		p.ew = e.newWindows(mk)
-		p.wt = e.newTracker(plan.Root(), p.ew, now)
+		// Private histogram: shards must not serialize on one mutex in the
+		// per-item hot path. Merged into res.Latency at finalize (and into
+		// fresh histograms by mid-run Snapshots).
+		p := e.newRoot(shard, mk, metrics.NewHistogram(), e.nudgeSweep, now)
+		p.work = cfg.RootWork
 		e.rootProcs[shard] = p
 		return p, nil
 	})
@@ -423,25 +414,81 @@ func (e *engine) addRootGroup(now time.Time) error {
 	return nil
 }
 
+// memberKit builds the members of one run — edge sampling members and root
+// members — for whichever driver pumps them: the engine's runtimes over a
+// bus, or RunSim's single thread over netsim links. It holds what every
+// member of the run shares: the plan, the window and watermark rule, and the
+// run-wide counters the members write.
+type memberKit struct {
+	plan     *Plan
+	lateness time.Duration // LiveConfig.AllowedLateness
+	idle     time.Duration // the trackers' idle timeout; ≤ 0 never ages
+	// stamped: timestamps are publish instants stamped at ingest, never late
+	// (eventWindows.ingestStamped).
+	stamped bool
+
+	late          lateCounter  // records past the lateness horizon
+	decodeErrs    atomic.Int64 // data records that failed to decode
+	rootProcessed atomic.Int64 // items the root members aggregated
+	lastActivity  atomic.Int64 // unix nanos (driver clock) of the last root-side processing
+	// quiesce silences the members' keepalives once no further input can
+	// arrive (see samplingProcessor.keepalive): live from the drain's start,
+	// simulated from the end of the sources' stream.
+	quiesce atomic.Bool
+}
+
+// newSampling builds edge member shard of node desc: an event-window Ψ store
+// sampling each window with a node from mk, and a watermark tracker expecting
+// desc's producers. The driver adds its own wiring (encoder, byte counter,
+// control consumer, checkpoint store) before the member starts.
+func (k *memberKit) newSampling(desc NodeDesc, shard int, mk func() *Node, now time.Time) *samplingProcessor {
+	sp := &samplingProcessor{
+		id:         memberID(desc, shard),
+		quiesce:    &k.quiesce,
+		decodeErrs: &k.decodeErrs,
+		ew:         k.newWindows(mk),
+	}
+	sp.wt = k.newTracker(desc, sp.ew.strata, now)
+	return sp
+}
+
+// newRoot builds root member shard: Θ per event window from mk's nodes, a
+// tracker expecting the root's producers, item latencies observed into
+// latency, and nudge called when a batch makes a window closeable.
+func (k *memberKit) newRoot(shard int, mk func() *Node, latency *metrics.Histogram, nudge func(), now time.Time) *rootProcessor {
+	p := &rootProcessor{
+		id:           memberID(k.plan.Root(), shard),
+		processed:    &k.rootProcessed,
+		decodeErrs:   &k.decodeErrs,
+		lastActivity: &k.lastActivity,
+		nudge:        nudge,
+		latency:      latency,
+		ew:           k.newWindows(mk),
+	}
+	p.wt = k.newTracker(k.plan.Root(), p.ew.strata, now)
+	return p
+}
+
 // newWindows builds one member's Ψ store: a sampling node per event window of
 // the plan's length. mk seeds each window identically from the plan's
 // lineage, so a window's sampling is independent of how many windows preceded
-// it. With EventTime off the windows take in ingest stamps, which are never
-// late (eventWindows.ingestStamped).
-func (e *engine) newWindows(mk func() *Node) *eventWindows {
-	ew := newEventWindows(e.plan.Spec.Window, e.cfg.AllowedLateness, &e.late, mk)
-	ew.ingestStamped = !e.cfg.EventTime
+// it. Ingest-stamped windows take in stamps that are never late
+// (eventWindows.ingestStamped).
+func (k *memberKit) newWindows(mk func() *Node) *eventWindows {
+	ew := newEventWindows(k.plan.Spec.Window, k.lateness, &k.late, mk)
+	ew.ingestStamped = k.stamped
 	return ew
 }
 
-// newTracker builds one member's watermark tracker for node desc, over the
-// stratum table of the member's window store: the slot a parsed header
-// carries indexes both. Every producer the plan says can feed the node holds
-// the watermark until heard from (or idled out) — sibling pumps race, and a
-// chain must never be invisible to the minimum just because it is slow.
-func (e *engine) newTracker(desc NodeDesc, ew *eventWindows, now time.Time) *watermarkTracker {
-	wt := newWatermarkTracker(e.cfg.IdleTimeout, ew.strata)
-	for _, from := range e.plan.ExpectedProducers(desc) {
+// newTracker builds one member's watermark tracker for node desc, over
+// strata, the stratum table of the member's decoder (its window store's): the
+// slot a parsed header carries indexes both. Every producer the plan says can
+// feed the node holds the watermark until heard from (or idled out) — sibling
+// pumps race, and a chain must never be invisible to the minimum just because
+// it is slow.
+func (k *memberKit) newTracker(desc NodeDesc, strata *stream.SourceTable, now time.Time) *watermarkTracker {
+	wt := newWatermarkTracker(k.idle, strata)
+	for _, from := range k.plan.ExpectedProducers(desc) {
 		wt.expect(from, now)
 	}
 	return wt
@@ -659,7 +706,7 @@ func (e *engine) sweep(at time.Time) {
 	if !e.tier.Root {
 		return
 	}
-	wm := e.rootWatermark(at)
+	wm := mergedWatermark(e.rootProcs, at)
 	e.closeEventWindows(at, wm)
 	if e.atEOS != nil && !wm.Before(eosHorizon) {
 		// Every chain has promised it is done forever, so one final advance
@@ -669,15 +716,15 @@ func (e *engine) sweep(at time.Time) {
 	}
 }
 
-// rootWatermark merges the root members' watermarks: the minimum
+// mergedWatermark merges the root members' watermarks: the minimum
 // over members that have one. A member still waiting on an expected producer
 // vetoes the merge (its windows would close incomplete); a member with
 // nothing live — every chain idle, a shard whose partitions are empty past
 // the idle timeout — has no opinion and is skipped, so it cannot stall event
 // time forever.
-func (e *engine) rootWatermark(now time.Time) time.Time {
+func mergedWatermark(procs []*rootProcessor, now time.Time) time.Time {
 	var min time.Time
-	for _, rp := range e.rootProcs {
+	for _, rp := range procs {
 		wm, blocked := rp.watermarkState(now)
 		if blocked {
 			return time.Time{}
@@ -926,7 +973,7 @@ func (e *engine) Snapshot() LiveSnapshot {
 	} else {
 		snap.IngestLag = e.ingestLag()
 		if e.tier.Root {
-			snap.Watermark = e.rootWatermark(now)
+			snap.Watermark = mergedWatermark(e.rootProcs, now)
 		}
 	}
 	if elapsed < 0 {

@@ -11,9 +11,10 @@ import (
 	"github.com/approxiot/approxiot/internal/stream"
 )
 
-// This file is the event-time windowing machinery shared by the live and
-// the simulated runner (the MillWheel/Dataflow model, scaled down to what
-// the ApproxIoT tree needs):
+// This file is the event-time windowing machinery of the members both
+// runners drive — the live engine's pumps and the simulator's virtual-time
+// loop (the MillWheel/Dataflow model, scaled down to what the ApproxIoT tree
+// needs):
 //
 //   - records are assigned to tumbling windows by their event timestamp
 //     (Item.Ts), not by when they happen to be buffered at a ticker;
@@ -24,10 +25,9 @@ import (
 //     (producer, sub-stream) chain and takes the minimum as its own
 //     watermark. Producers the compiled plan expects
 //     (Plan.ExpectedProducers) hold the minimum until heard from; chains
-//     silent longer than the idle timeout are excluded (live, at the
-//     instant the tracker says the next one can age out, nextAging; on
-//     window ticks in the simulator), except end-of-stream promises, which
-//     never age;
+//     silent longer than the idle timeout are excluded (at the instant the
+//     tracker says the next one can age out, nextAging), except
+//     end-of-stream promises, which never age;
 //   - a window [s, s+W) closes once the node's watermark reaches
 //     s+W+AllowedLateness; records assigned to a window that is already
 //     closed are dropped and counted (LateDropped), never allowed to
@@ -111,9 +111,6 @@ type closedWindow struct {
 	theta []stream.Batch
 	node  *Node
 }
-
-// startTime returns the window's start as a time.Time.
-func (c closedWindow) startTime() time.Time { return time.Unix(0, c.start).UTC() }
 
 // eventWindows buckets a node's Ψ store by event-time tumbling window: one
 // private sampling Node per open window, opened on first assignment, all
@@ -225,36 +222,12 @@ func (ew *eventWindows) place(start int64, count int, weight float64) *Node {
 	return n
 }
 
-// ingest assigns a weighted batch's items to their event-time windows,
-// splitting the batch at window boundaries. Items that belong to a window
-// the close bound has already passed are dropped and counted late. This is
-// the form for batches already in memory (the simulator's network hands
-// them over by reference); a live hop uses ingestWire.
-func (ew *eventWindows) ingest(b stream.Batch) {
-	items := b.Items
-	for lo := 0; lo < len(items); {
-		start := windowFloor(items[lo].Ts.UnixNano(), ew.window)
-		end := start + int64(ew.window)
-		hi := lo + 1
-		for hi < len(items) {
-			if ts := items[hi].Ts.UnixNano(); ts < start || ts >= end {
-				break
-			}
-			hi++
-		}
-		if n := ew.place(start, hi-lo, b.Weight); n != nil {
-			// IngestBatch copies items out, so handing it a sub-slice of
-			// the caller's storage is safe.
-			n.IngestBatch(stream.Batch{Source: b.Source, Weight: b.Weight, Items: items[lo:hi]})
-		}
-		lo = hi
-	}
-}
-
-// ingestWire is ingest for a record still on the wire: the batch is split
-// into window runs by the int64 timestamps read off the wire block — two
-// integer compares per item against the current run's [start, end) — and
-// each run is decoded once, straight into its window's Ψ storage.
+// ingestWire assigns a record still on the wire to its event-time windows:
+// the batch is split into window runs by the int64 timestamps read off the
+// wire block — two integer compares per item against the current run's
+// [start, end) — and each run is decoded once, straight into its window's Ψ
+// storage. Items that belong to a window the close bound has already passed
+// are dropped and counted late (place).
 func (ew *eventWindows) ingestWire(h stream.Header) {
 	for lo := 0; lo < h.Count; {
 		start := windowFloor(h.TsNanos(lo), ew.window)
@@ -737,12 +710,6 @@ func (t *watermarkTracker) chain(p *producer, slot int32, now time.Time) (m *sou
 	return m, created
 }
 
-// update is stampChain for a sub-stream given by name (the simulator's
-// in-memory hops, which parse no headers).
-func (t *watermarkTracker) update(wm mq.Watermark, src stream.SourceID, now time.Time) (isNew bool) {
-	return t.stampChain(t.producerOf(wm.From), t.strata.Slot(src), wm.At, now)
-}
-
 // stampChain folds one piggybacked watermark at into p's chain for the
 // sub-stream of slot, observed at arrival-clock instant now, and reports
 // whether the chain is new to this tracker. Per-chain watermarks are
@@ -775,10 +742,6 @@ func (t *watermarkTracker) resolveEOS(p *producer, now time.Time) {
 		t.stamp(&p.chains[s], eosWatermark, now)
 	}
 }
-
-// keepalive refreshes the idle clock of every chain from one producer
-// without touching any watermark (refresh).
-func (t *watermarkTracker) keepalive(from string, now time.Time) { t.refresh(t.producerOf(from), now) }
 
 // refresh is a keepalive from p: the producer said "alive, nothing to
 // promise yet". A producer this tracker has never heard real watermarks
@@ -1022,7 +985,7 @@ const keepaliveDivisor = 4
 // was idle, so the parent has aged the member's chain for it out); or, with
 // aging on, once a quarter of the idle timeout has passed.
 // With aging off nothing ages, so after the first presence beat a keepalive
-// carries no information. The live members and the simulator share this rule.
+// carries no information.
 func (t *watermarkTracker) keepaliveDue(now time.Time) bool {
 	return t.lastBeat.IsZero() || t.revivals != t.beatRevivals ||
 		t.idle > 0 && now.Sub(t.lastBeat) >= t.idle/keepaliveDivisor

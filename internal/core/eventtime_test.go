@@ -101,19 +101,19 @@ func TestWatermarkTrackerMinAndIdle(t *testing.T) {
 	wall := time.Unix(1000, 0)
 	wmA := simEpoch.Add(3 * time.Second)
 	wmB := simEpoch.Add(1 * time.Second)
-	wt.update(mq.Watermark{From: "up", At: wmA}, "a", wall)
-	wt.update(mq.Watermark{From: "up", At: wmB}, "b", wall)
+	wt.foldSlot(mq.Watermark{From: "up", At: wmA}, wt.strata.Slot("a"), 0, wall)
+	wt.foldSlot(mq.Watermark{From: "up", At: wmB}, wt.strata.Slot("b"), 0, wall)
 	if got := wt.watermark(wall); !got.Equal(wmB) {
 		t.Fatalf("watermark %v, want min %v", got, wmB)
 	}
 	// Watermarks are monotone per chain.
-	wt.update(mq.Watermark{From: "up", At: simEpoch}, "b", wall)
+	wt.foldSlot(mq.Watermark{From: "up", At: simEpoch}, wt.strata.Slot("b"), 0, wall)
 	if got := wt.watermark(wall); !got.Equal(wmB) {
 		t.Fatalf("regressed to %v", got)
 	}
 	// Two chains carrying the same sub-stream ID are tracked separately:
 	// the slower chain holds the minimum.
-	wt.update(mq.Watermark{From: "up2", At: simEpoch.Add(500 * time.Millisecond)}, "a", wall)
+	wt.foldSlot(mq.Watermark{From: "up2", At: simEpoch.Add(500 * time.Millisecond)}, wt.strata.Slot("a"), 0, wall)
 	if got := wt.watermark(wall); !got.Equal(simEpoch.Add(500 * time.Millisecond)) {
 		t.Fatalf("shared-ID chains conflated: watermark %v", got)
 	}
@@ -121,7 +121,7 @@ func TestWatermarkTrackerMinAndIdle(t *testing.T) {
 		t.Fatalf("active sources %v, want distinct {a, b}", srcs)
 	}
 	// Everything but chain (up, a) goes idle: only it counts.
-	wt.update(mq.Watermark{From: "up", At: wmA}, "a", wall.Add(150*time.Millisecond))
+	wt.foldSlot(mq.Watermark{From: "up", At: wmA}, wt.strata.Slot("a"), 0, wall.Add(150*time.Millisecond))
 	if got := wt.watermark(wall.Add(150 * time.Millisecond)); !got.Equal(wmA) {
 		t.Fatalf("idle chain still held watermark at %v", got)
 	}
@@ -129,7 +129,7 @@ func TestWatermarkTrackerMinAndIdle(t *testing.T) {
 		t.Fatalf("active sources %v, want [a]", srcs)
 	}
 	// b resumes and is tracked again.
-	wt.update(mq.Watermark{From: "up", At: wmB}, "b", wall.Add(200*time.Millisecond))
+	wt.foldSlot(mq.Watermark{From: "up", At: wmB}, wt.strata.Slot("b"), 0, wall.Add(200*time.Millisecond))
 	if got := wt.watermark(wall.Add(200 * time.Millisecond)); !got.Equal(wmB) {
 		t.Fatalf("resumed chain not back in the min: %v", got)
 	}
@@ -228,7 +228,6 @@ func TestCrossModeEventTimeEquivalence(t *testing.T) {
 		Duration:        span,
 		Queries:         []query.Kind{query.Sum, query.Count},
 		Seed:            21,
-		EventTime:       true,
 		AllowedLateness: span, // nothing late, however jittered
 	})
 	if err != nil {
@@ -547,7 +546,6 @@ func TestEventTimeSimJitterExactCounts(t *testing.T) {
 		Duration:        4 * time.Second,
 		Queries:         []query.Kind{query.Sum, query.Count},
 		Seed:            21,
-		EventTime:       true,
 		AllowedLateness: 200 * time.Millisecond,
 		LinkJitter:      30 * time.Millisecond,
 	})
@@ -603,23 +601,26 @@ func TestEventTimeIdleShardedRejected(t *testing.T) {
 	}
 }
 
-// TestEventTimeRejectsStreaming pins the simulator's config gate. The live
-// runner has no streaming mode: SRS with EventTime opens there, windowed like
-// every strategy, and its count estimate is exact (a keep probability of 1
-// keeps every item at weight 1, so nothing but a lost item could move it).
-func TestEventTimeRejectsStreaming(t *testing.T) {
-	_, err := RunSim(SimConfig{
+// TestEventTimeSRSStreaming: SRS windows by event time in both runners. The
+// simulator's streaming edges forward every batch at once into the root's
+// event windows, and the live runner, which has no streaming mode, windows
+// SRS like every strategy. Either way the count estimate is exact: a keep
+// probability of 1 keeps every item at weight 1, so nothing but a lost item
+// could move it.
+func TestEventTimeSRSStreaming(t *testing.T) {
+	sim, err := RunSim(SimConfig{
 		Spec:       topology.Testbed(),
 		Source:     microSource(1, 100),
-		NewSampler: SRSFactory(0.1),
+		NewSampler: SRSFactory(1),
 		Cost:       FractionBudget{Fraction: 1},
 		Duration:   time.Second,
+		Queries:    []query.Kind{query.Sum, query.Count},
 		Streaming:  true,
-		EventTime:  true,
 	})
-	if err != ErrEventTimeStreaming {
-		t.Fatalf("sim err = %v, want ErrEventTimeStreaming", err)
+	if err != nil {
+		t.Fatalf("RunSim(SRS, Streaming): %v", err)
 	}
+	assertCountInvariant(t, "simulated SRS", sim.TotalEstimate(query.Count), float64(sim.Generated))
 	s, err := OpenLive(nil, LiveConfig{
 		Spec:       topology.Testbed(),
 		NewSampler: SRSFactory(1),

@@ -8,9 +8,10 @@ import (
 	"github.com/approxiot/approxiot/internal/query"
 )
 
-// TestSimJitterPreservesInvariant: out-of-order delivery (WAN jitter) must
-// not break the count invariant — batches land in whatever interval they
-// arrive in, and Eq. 8 holds per pair regardless.
+// TestSimJitterPreservesInvariant: WAN jitter must not break the count
+// invariant — links stay FIFO, so however records from different links
+// interleave, each lands in the event window its timestamp names, and Eq. 8
+// holds per pair regardless.
 func TestSimJitterPreservesInvariant(t *testing.T) {
 	cfg := testbedConfig(0.3)
 	cfg.LinkJitter = 150 * time.Millisecond // larger than a chunk: reorders
@@ -86,5 +87,23 @@ func TestSimJitterDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("impaired runs differ: %g vs %g", a, b)
+	}
+}
+
+// TestSimLossSparesEndOfStream: LinkLoss never drops an end-of-stream
+// heartbeat. With aging off nothing else could close the windows a lost one
+// was meant to close, so under heavy loss the run must still end with the
+// last window of the stream reported.
+func TestSimLossSparesEndOfStream(t *testing.T) {
+	cfg := testbedConfig(0.5)
+	cfg.LinkLoss = 0.3
+	cfg.IdleTimeout = -1
+	res, err := RunSim(cfg)
+	if err != nil {
+		t.Fatalf("RunSim with loss: %v", err)
+	}
+	end := simEpoch.Add(cfg.Duration)
+	if n := len(res.Windows); n == 0 || !res.Windows[n-1].End.Equal(end) {
+		t.Fatalf("last window reported of %d ends short of the stream's end %v", n, end)
 	}
 }

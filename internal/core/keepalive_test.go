@@ -253,13 +253,19 @@ func (s stillSource) Generate(time.Time, time.Duration) []stream.Item {
 	return []stream.Item{{Source: s.src, Value: 1, Ts: s.ts}}
 }
 
-// The simulator's window tick runs the same rule. Testbed's eight sub-streams
-// enter four edge1 nodes, whose watermarks stand still: every record they
-// send up mid-run is a beat (the end-of-stream flush bypasses the links). The
-// first advance covers a node's first sub-stream and the second is announced,
-// so each sub-stream goes up once; with aging off nothing follows. With an
-// 8 s idle timeout a node re-beats each 2 s: at the 3, 5, 7 and 9 s ticks.
+// The simulator drives the same members, so the same rule holds in virtual
+// time. Testbed's eight sub-streams enter four edge1 nodes, two each, whose
+// watermarks stand still: every record they send up before the sources' end
+// of stream is a beat (the close cascade after it rides the links too, so
+// the test counts only records sent before Duration). A source ships its
+// first chunk at 125 ms and it lands 10 ms later; a node's first advance,
+// when its second source is heard at 135 ms, beats both of its sub-streams,
+// so each sub-stream goes up once, and with aging off nothing follows: 8
+// records. With an 8 s idle timeout a node re-beats every 2 s while it
+// buffers — at 2.135, 4.135, 6.135 and 8.135 s of a 9 s run — two records
+// each time: 8 + 8×4.
 func TestKeepaliveSim(t *testing.T) {
+	const duration = 9 * time.Second
 	for _, c := range []struct {
 		idle time.Duration
 		want int64
@@ -267,6 +273,7 @@ func TestKeepaliveSim(t *testing.T) {
 		{-1, 8},
 		{8 * time.Second, 8 + 8*4},
 	} {
+		var beats int64
 		res, err := RunSim(SimConfig{
 			Spec: topology.Testbed(),
 			Source: func(i int) workload.Source {
@@ -274,16 +281,20 @@ func TestKeepaliveSim(t *testing.T) {
 			},
 			NewSampler:  WHSFactory(),
 			Cost:        EffectiveFractionBudget{Fraction: 1},
-			Duration:    4 * time.Second,
+			Duration:    duration,
 			Queries:     []query.Kind{query.Count},
-			EventTime:   true,
 			IdleTimeout: c.idle,
+			onSend: func(layer int, at time.Time) {
+				if layer == 1 && at.Before(simEpoch.Add(duration)) {
+					beats++
+				}
+			},
 		})
 		if err != nil {
 			t.Fatalf("IdleTimeout %v: RunSim: %v", c.idle, err)
 		}
-		if got := res.LayerMessages[1]; got != c.want {
-			t.Fatalf("IdleTimeout %v: %d records into edge2, want %d", c.idle, got, c.want)
+		if beats != c.want {
+			t.Fatalf("IdleTimeout %v: %d records into edge2 before the end of stream, want %d", c.idle, beats, c.want)
 		}
 		if res.LateDropped != 0 || len(res.Windows) != 1 || res.Windows[0].EstimatedInput != float64(res.Generated) {
 			t.Fatalf("IdleTimeout %v: %d late, %d windows — want every item in one window", c.idle, res.LateDropped, len(res.Windows))

@@ -493,7 +493,7 @@ func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
 }
 
 func (p *samplingProcessor) Process(msg streams.Message) error {
-	p.processEvent(msg, time.Now())
+	p.processEvent(msg, p.ctx.Now())
 	p.pending.Store(int64(p.ew.buffered()))
 	return nil
 }
@@ -502,9 +502,10 @@ func (p *samplingProcessor) Process(msg streams.Message) error {
 // (so window assignment, the watermark ladder, and LateDropped accounting
 // are bit-identical to record-at-a-time processing) while the batch
 // amortizes the clock read, the pending-gauge store, and — via the emit
-// scratch — the downstream broker append.
+// scratch — the downstream broker append. The clock is the context's: the
+// runtime's wall clock live, the virtual one in the simulator.
 func (p *samplingProcessor) ProcessBatch(msgs []streams.Message) error {
-	now := time.Now()
+	now := p.ctx.Now()
 	for i := range msgs {
 		p.processEvent(msgs[i], now)
 	}
@@ -875,8 +876,9 @@ type rootProcessor struct {
 	// and nudge the sweeper's wake (engine.nudgeSweep).
 	lastWM time.Time
 	nudge  func()
-	// ctx reports the consumer's partition assignment for the tracker's
-	// lane floors (the root consumes, it never signs off itself).
+	// ctx is the member's clock, and reports the consumer's partition
+	// assignment for the tracker's lane floors (the root consumes, it never
+	// signs off itself).
 	ctx streams.ProcessorContext
 
 	id           string
@@ -899,13 +901,13 @@ func (p *rootProcessor) Init(ctx streams.ProcessorContext) error {
 }
 
 func (p *rootProcessor) Process(msg streams.Message) error {
-	p.lastActivity.Store(time.Now().UnixNano())
+	p.lastActivity.Store(p.ctx.Now().UnixNano())
 	p.mu.Lock()
 	n := p.processLocked(msg)
-	p.nudgeOnAdvance(time.Now())
+	p.nudgeOnAdvance(p.ctx.Now())
 	p.mu.Unlock()
 	p.processed.Add(n)
-	p.lastActivity.Store(time.Now().UnixNano())
+	p.lastActivity.Store(p.ctx.Now().UnixNano())
 	return nil
 }
 
@@ -915,16 +917,16 @@ func (p *rootProcessor) Process(msg streams.Message) error {
 // watermark fold, and late accounting stay per-message inside the loop, so
 // batching changes no window content.
 func (p *rootProcessor) ProcessBatch(msgs []streams.Message) error {
-	p.lastActivity.Store(time.Now().UnixNano())
+	p.lastActivity.Store(p.ctx.Now().UnixNano())
 	var total int64
 	p.mu.Lock()
 	for i := range msgs {
 		total += p.processLocked(msgs[i])
 	}
-	p.nudgeOnAdvance(time.Now())
+	p.nudgeOnAdvance(p.ctx.Now())
 	p.mu.Unlock()
 	p.processed.Add(total)
-	p.lastActivity.Store(time.Now().UnixNano())
+	p.lastActivity.Store(p.ctx.Now().UnixNano())
 	return nil
 }
 
@@ -936,11 +938,11 @@ func (p *rootProcessor) processLocked(msg streams.Message) int64 {
 		return 0
 	}
 	spin(time.Duration(h.Count) * p.work)
-	now := time.Now()
-	// Items are stamped with their wall-clock publish instant at the source
-	// (Pub — with EventTime off Ts is the same instant), so this is
-	// genuine end-to-end latency: edge window waits, broker hops, and the
-	// root's own service time all count. Every item of one Push carries the
+	now := p.ctx.Now()
+	// Items are stamped with their publish instant at the source (Pub —
+	// with EventTime off Ts is the same instant; the simulator stamps its
+	// virtual send), so this is genuine end-to-end latency: edge window
+	// waits, hops, and the root's own service time all count. Every item of one Push carries the
 	// same instant, so the histogram takes each run of equal instants — read
 	// off the wire block, before anything is decoded — in one observation
 	// instead of one per item.

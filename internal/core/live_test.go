@@ -281,6 +281,7 @@ func TestSamplingProcessorCountsDecodeErrors(t *testing.T) {
 			return NewNode("edge-test", WHSFactory()(0, 0, 1), EffectiveFractionBudget{Fraction: 0.5})
 		}),
 		decodeErrs: &errs,
+		ctx:        &hopCtx{now: simEpoch}, // the member's clock
 	}
 	if err := p.Process(streams.Message{Value: []byte{0xFF, 0xBA, 0xD0}}); err != nil {
 		t.Fatalf("corrupt record errored the processor: %v", err)

@@ -20,7 +20,7 @@ import (
 // processed with the carried, up-to-date weight.
 //
 // Node is not safe for concurrent use; runners own each node from a single
-// goroutine (live mode) or the event loop (simulated mode).
+// goroutine (a live member's pump, or the simulator's event loop).
 type Node struct {
 	id      string
 	sampler sample.Sampler
@@ -245,10 +245,9 @@ type WindowResult struct {
 	// simulation).
 	At time.Time
 	// Start and End delimit the event-time tumbling window this result
-	// covers. Every live window sets them (with EventTime off the window is
-	// one Window of ingest time); the simulator's arrival windows, which are
-	// defined by the close tick rather than by record timestamps, leave both
-	// zero.
+	// covers. Every window of a tree sets them (live with EventTime off the
+	// window is one Window of ingest time); a Root closed by hand
+	// (Root.CloseWindow) leaves both zero.
 	Start, End time.Time
 	// Results holds one entry per registered query kind, in order.
 	Results []query.Result

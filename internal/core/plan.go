@@ -382,9 +382,9 @@ func (p *Plan) NewRootShard(shard int) *Node {
 }
 
 // NewRoot instantiates the full root node — sampling stage plus query
-// engine — for single-consumer execution (the simulated runner, and the
-// live runner when RootShards is 1 conceptually: the live runner composes
-// NewRootShard with the engine itself so shards can merge at window close).
+// engine — for single-consumer execution outside the runners (both compose
+// NewRootShard with the query engine themselves, so shards can merge at
+// window close).
 func (p *Plan) NewRoot(engine *query.Engine) *Root {
 	root := p.Root()
 	return NewRoot(root.ID, p.newSampler(root.Layer, root.Index, p.Seed), p.cost, engine, p.Queries...)

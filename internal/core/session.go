@@ -179,21 +179,7 @@ func compileLive(cfg LiveConfig) (LiveConfig, *Plan, error) {
 	if cfg.DrainTimeout == 0 {
 		cfg.DrainTimeout = defaultDrainTimeout
 	}
-	if cfg.AllowedLateness < 0 {
-		cfg.AllowedLateness = 0
-	}
-	switch {
-	case cfg.IdleTimeout == 0:
-		// Default: four Windows, but never less than the lateness
-		// horizon — a source pausing for less than the lateness it was
-		// promised must not be aged out of the minimum, or its in-horizon
-		// records would be dropped by the very mechanism lateness exists to
-		// protect them from.
-		cfg.IdleTimeout = 4 * cfg.Window
-		if cfg.AllowedLateness > cfg.IdleTimeout {
-			cfg.IdleTimeout = cfg.AllowedLateness
-		}
-	case cfg.IdleTimeout < 0:
+	if cfg.IdleTimeout < 0 {
 		// No idle exclusion: expectation placeholders for producers a
 		// member never hears from would block its watermark forever.
 		// Single-member groups hear every producer of their node, so only
@@ -205,9 +191,26 @@ func compileLive(cfg LiveConfig) (LiveConfig, *Plan, error) {
 				return cfg, nil, ErrEventTimeIdleSharded
 			}
 		}
-		cfg.IdleTimeout = 0 // tracker semantics: 0 = never exclude
 	}
+	cfg.AllowedLateness = max(cfg.AllowedLateness, 0)
+	cfg.IdleTimeout = trackerIdle(cfg.IdleTimeout, cfg.Window, cfg.AllowedLateness)
 	return cfg, plan, nil
+}
+
+// trackerIdle resolves a configured IdleTimeout into the members' trackers'
+// idle timeout. Zero selects four windows, but never less than the lateness
+// horizon — a source pausing for less than the lateness it was promised must
+// not be aged out of the minimum, or its in-horizon records would be dropped
+// by the very mechanism lateness exists to protect them from. Negative turns
+// the exclusion off, which a tracker reads as 0.
+func trackerIdle(idle, window, lateness time.Duration) time.Duration {
+	switch {
+	case idle == 0:
+		return max(4*window, lateness)
+	case idle < 0:
+		return 0
+	}
+	return idle
 }
 
 // Done is closed when the session reaches the closed state — by Close or by

@@ -12,6 +12,7 @@ import (
 	"github.com/approxiot/approxiot/internal/sample"
 	"github.com/approxiot/approxiot/internal/stats"
 	"github.com/approxiot/approxiot/internal/stream"
+	"github.com/approxiot/approxiot/internal/streams"
 	"github.com/approxiot/approxiot/internal/topology"
 	"github.com/approxiot/approxiot/internal/vclock"
 	"github.com/approxiot/approxiot/internal/workload"
@@ -88,12 +89,16 @@ type SimConfig struct {
 	NewSampler SamplerFactory
 	// Cost is the budget→sample-size policy, shared by all nodes. Required.
 	Cost CostFunction
-	// Duration is how long sources generate. After it, the pipeline drains.
+	// Duration is how long sources generate. At its end every source signs
+	// off with end-of-stream heartbeats, and the run lasts until the close
+	// cascade they start has reached the root.
 	Duration time.Duration
 	// RootServiceRate is the datacenter's processing capacity in
 	// items/second (0 = infinite). The saturation experiments set this.
 	RootServiceRate float64
-	// ChunksPerWindow is the source send granularity (default 8).
+	// ChunksPerWindow is the source send granularity (default 8): a source
+	// ships what it generated every Spec.Window/ChunksPerWindow, each chunk
+	// at its end.
 	ChunksPerWindow int
 	// Queries lists the aggregates the root runs per window (default SUM).
 	Queries []query.Kind
@@ -103,27 +108,17 @@ type SimConfig struct {
 	// query kinds (SUM/COUNT), with variances added across panes.
 	Slide int
 	// Streaming makes edge nodes forward immediately instead of buffering
-	// a window: each arriving batch is sampled and shipped on the spot.
-	// This models the SRS and native baselines, which need no window at
-	// the edge layers (the Fig. 9 contrast) — only the root's query window
-	// remains. Reservoir-based strategies need Streaming=false.
+	// event windows: each arriving batch is sampled and shipped on the
+	// spot. This models the SRS and native baselines, which need no window
+	// at the edge layers (the Fig. 9 contrast) — only the root's event
+	// windows remain. Reservoir-based strategies need Streaming=false.
 	Streaming bool
-	// EventTime switches window assignment from arrival order to
-	// event-time tumbling windows of Spec.Window length, driven by the
-	// same per-source watermark machinery the live runner uses — in
-	// virtual time. With LinkJitter reordering deliveries, records are
-	// assigned to the window their timestamp names, and records past the
-	// lateness horizon land in SimResult.LateDropped. Incompatible with
-	// Streaming.
-	EventTime bool
 	// AllowedLateness is how far event time may run behind the watermark
-	// before a window closes (see LiveConfig.AllowedLateness). Only
-	// meaningful with EventTime.
+	// before a window closes (see LiveConfig.AllowedLateness).
 	AllowedLateness time.Duration
 	// IdleTimeout bounds how long a silent sub-stream can hold the
 	// watermark back, in virtual time (default 4×Spec.Window, raised to
 	// AllowedLateness if that is larger; negative disables the exclusion).
-	// Only meaningful with EventTime.
 	IdleTimeout time.Duration
 	// Confidence for error bounds (default 95%).
 	Confidence stats.Confidence
@@ -145,23 +140,27 @@ type SimConfig struct {
 	// Failures optionally crash nodes mid-run.
 	Failures []Failure
 	// LinkJitter perturbs every link's propagation delay by a seeded
-	// uniform ± amount (0 = none). Batches may arrive out of order.
+	// uniform ± amount (0 = none). Links stay FIFO: jitter varies each
+	// record's latency, never its order on the link.
 	LinkJitter time.Duration
 	// LinkLoss drops each link message independently with this
 	// probability (0 = lossless). Lost batches are simply gone — the
-	// estimate degrades but the pipeline keeps running.
+	// estimate degrades but the pipeline keeps running. End-of-stream
+	// heartbeats are exempt, so loss cannot strand the final close.
 	LinkLoss float64
-	// DrainWindows is how many extra windows to run after Duration so
-	// in-flight data reaches the root (default: layers + 2).
-	DrainWindows int
+
+	// onSend, a test hook, observes every record put on a link: the layer
+	// the link feeds and the virtual send instant.
+	onSend func(layer int, at time.Time)
 }
 
 // SimResult is everything a simulated run measured.
 type SimResult struct {
-	// Windows holds every root window result in order.
+	// Windows holds every non-empty root window result in event-time order.
 	Windows []WindowResult
-	// Latency is the end-to-end item latency distribution (source
-	// timestamp → root query execution), over sampled items.
+	// Latency is the end-to-end item latency distribution (the source's
+	// virtual send → root-side processing), over the items that reached
+	// the root — the live runner's measure, taken by the same root member.
 	Latency *metrics.Histogram
 	// LayerBytes[l] is the total bytes carried by the links into layer l.
 	LayerBytes []int64
@@ -176,10 +175,9 @@ type SimResult struct {
 	// RootObserved counts items that reached the root (post edge
 	// sampling, pre root sampling).
 	RootObserved int64
-	// LateDropped counts items that arrived past the lateness horizon in
-	// event-time mode: their window had already closed at the node that
-	// would have buffered them (counted once, at the first node that
-	// rejects them). Always 0 in processing-time mode.
+	// LateDropped counts items that arrived past the lateness horizon:
+	// their window had already closed at the node that would have buffered
+	// them (counted once, at the first node that rejects them).
 	LateDropped int64
 	// LateDroppedInput is the estimated original input the late-dropped
 	// records represent (each drop weighted by its batch's compounded
@@ -191,7 +189,8 @@ type SimResult struct {
 	// after observing each entry of Windows, in order. Nil when Feedback
 	// is not configured.
 	Fractions []float64
-	// Elapsed is the simulated time covered (duration + drain).
+	// Elapsed is the simulated time covered: Duration plus the close
+	// cascade.
 	Elapsed time.Duration
 }
 
@@ -242,14 +241,10 @@ func (r *SimResult) TotalBytes() int64 {
 
 // Configuration errors.
 var (
-	// ErrEventTimeStreaming rejects a simulation combining EventTime with
-	// Streaming: streaming forwards per batch with no edge windows to
-	// assign records to, so event-time windowing has nothing to act on.
-	ErrEventTimeStreaming = errors.New("core: EventTime requires windowed mode (Streaming must be false)")
-	ErrNoSourceFunc       = errors.New("core: SimConfig.Source is required")
-	ErrNoSampler          = errors.New("core: SimConfig.NewSampler is required")
-	ErrNoCost             = errors.New("core: SimConfig.Cost is required")
-	ErrNoDuration         = errors.New("core: SimConfig.Duration must be positive")
+	ErrNoSourceFunc = errors.New("core: SimConfig.Source is required")
+	ErrNoSampler    = errors.New("core: SimConfig.NewSampler is required")
+	ErrNoCost       = errors.New("core: SimConfig.Cost is required")
+	ErrNoDuration   = errors.New("core: SimConfig.Duration must be positive")
 )
 
 func nodeSeed(layer, node int, seed uint64) uint64 {
@@ -260,35 +255,15 @@ func xrandFor(layer, node int, seed uint64) *xrand.Rand {
 	return xrand.New(nodeSeed(layer, node, seed))
 }
 
-// simNode is one computing node plus its uplink.
-type simNode struct {
-	id     string // compiled node ID; the watermark origin for forwards
-	node   *Node
-	uplink *netsim.Link
-	parent *simNode // nil for root
-	isRoot bool
-	root   *Root
-	// Event-time mode: per-event-window Ψ and the node's watermark state,
-	// exactly the structures the live members carry.
-	ew *eventWindows
-	wt *watermarkTracker
-	// downs lists [from, to) windows during which the node is crashed.
-	downs []timeRange
-}
-
-type timeRange struct{ from, to time.Time }
-
-// down reports whether the node is inside a failure window at instant t.
-func (sn *simNode) down(t time.Time) bool {
-	for _, r := range sn.downs {
-		if !t.Before(r.from) && t.Before(r.to) {
-			return true
-		}
-	}
-	return false
-}
-
-// RunSim executes one experiment and returns its measurements.
+// RunSim executes one experiment and returns its measurements. It drives the
+// members the live engine runs — a samplingProcessor per edge node (the
+// forwarding member with Streaming) and a rootProcessor at the root, built
+// by the engine's memberKit constructors — on one thread in virtual time:
+// sources and members exchange wire-encoded records over netsim links, every
+// member's deadline is one armed simulator event, and the root closes its
+// windows through rootMerge. The run ends when the event queue is empty:
+// after Duration the sources' end-of-stream heartbeats cascade up the tree
+// and close every window that still holds data.
 func RunSim(cfg SimConfig) (*SimResult, error) {
 	if cfg.Feedback != nil {
 		cfg.Cost = feedbackCost{ctl: cfg.Feedback}
@@ -318,447 +293,401 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	if cfg.Confidence == 0 {
 		cfg.Confidence = stats.TwoSigma
 	}
-	if cfg.DrainWindows <= 0 {
-		cfg.DrainWindows = len(cfg.Spec.Layers) + 2
-	}
-	if cfg.EventTime {
-		if cfg.Streaming {
-			return nil, ErrEventTimeStreaming
-		}
-		if cfg.AllowedLateness < 0 {
-			cfg.AllowedLateness = 0
-		}
-		switch {
-		case cfg.IdleTimeout == 0:
-			// Default: several windows, but never less than the lateness
-			// horizon (mirrors the live runner — a source pausing within
-			// its promised lateness must not be aged out of the minimum).
-			cfg.IdleTimeout = 4 * plan.Spec.Window
-			if cfg.AllowedLateness > cfg.IdleTimeout {
-				cfg.IdleTimeout = cfg.AllowedLateness
-			}
-		case cfg.IdleTimeout < 0:
-			cfg.IdleTimeout = 0 // tracker semantics: 0 = never exclude
+	cfg.AllowedLateness = max(cfg.AllowedLateness, 0)
+	cfg.IdleTimeout = trackerIdle(cfg.IdleTimeout, plan.Spec.Window, cfg.AllowedLateness)
+	for _, f := range cfg.Failures {
+		if f.Layer < 0 || f.Layer >= len(plan.Layers) || f.Node < 0 || f.Node >= len(plan.Layers[f.Layer]) {
+			return nil, fmt.Errorf("core: failure targets unknown node (%d,%d)", f.Layer, f.Node)
 		}
 	}
-	var late lateCounter // event-time mode: records past the lateness horizon
 
-	epoch := time.Date(2018, 7, 2, 0, 0, 0, 0, time.UTC)
-	sim := vclock.NewSim(epoch)
 	spec := plan.Spec
+	r := &simRun{
+		cfg: cfg,
+		sim: vclock.NewSim(simStart),
+		kit: memberKit{plan: plan, lateness: cfg.AllowedLateness, idle: cfg.IdleTimeout},
+		res: &SimResult{
+			Latency:       metrics.NewHistogram(),
+			LayerBytes:    make([]int64, len(spec.Layers)),
+			LayerMessages: make([]int64, len(spec.Layers)),
+			TruthSum:      make(map[stream.SourceID]float64),
+			TruthCount:    make(map[stream.SourceID]int64),
+		},
+		eval:    query.NewEngine(query.WithConfidence(cfg.Confidence)),
+		sliding: newSlidingState(cfg.Slide, spec.Window, cfg.Confidence, plan.Queries),
+		end:     simStart.Add(cfg.Duration),
+	}
+
+	// Members top-down, so every uplink knows its parent's delivery.
 	rootLayer := plan.RootLayer()
-
-	res := &SimResult{
-		Latency:       metrics.NewHistogram(),
-		LayerBytes:    make([]int64, len(spec.Layers)),
-		LayerMessages: make([]int64, len(spec.Layers)),
-		TruthSum:      make(map[stream.SourceID]float64),
-		TruthCount:    make(map[stream.SourceID]int64),
-	}
-
-	// Instantiate the compiled plan bottom-up: parent edges, IDs, and seed
-	// lineage all come from the node descriptors. Event-time mode swaps
-	// every node's single-interval Ψ for a per-event-window store plus a
-	// watermark tracker — the same structures the live members carry.
-	engine := query.NewEngine(query.WithConfidence(cfg.Confidence))
-	layers := make([][]*simNode, len(spec.Layers))
-	var root *simNode
-	for l := len(spec.Layers) - 1; l >= 0; l-- {
-		layers[l] = make([]*simNode, len(plan.Layers[l]))
-		for i, desc := range plan.Layers[l] {
-			desc := desc
-			sn := &simNode{id: desc.ID}
-			if desc.IsRoot {
-				sn.isRoot = true
-				sn.root = plan.NewRoot(engine)
-				root = sn
-			} else {
-				sn.node = plan.NewNode(desc)
-				sn.parent = layers[desc.ParentLayer][desc.ParentIndex]
-			}
-			if cfg.EventTime {
-				sn.ew = newEventWindows(spec.Window, cfg.AllowedLateness, &late,
-					func() *Node { return plan.NewNode(desc) })
-				sn.wt = newWatermarkTracker(cfg.IdleTimeout, sn.ew.strata)
-				// Statically-known producers hold the watermark until heard
-				// from, exactly like the live members (see
-				// Plan.ExpectedProducers).
-				for _, from := range plan.ExpectedProducers(desc) {
-					sn.wt.expect(from, epoch)
-				}
-			}
-			layers[l][i] = sn
+	deliver := make([][]func(streams.Message), len(spec.Layers))
+	r.roots = []*rootProcessor{r.kit.newRoot(0, func() *Node { return plan.NewRootShard(0) }, r.res.Latency, r.nudge, simStart)}
+	r.root = &simMember{sim: r.sim, proc: r.roots[0], deadline: r.roots[0].nextAging, fire: r.closeRoot}
+	_ = r.roots[0].Init(&simContext{r: r})
+	deliver[rootLayer] = []func(streams.Message){r.deliverRoot}
+	for l := rootLayer - 1; l >= 0; l-- {
+		for i := range plan.Layers[l] {
+			desc := &plan.Layers[l][i]
+			ctx := r.uplink(l+1, deliver[desc.ParentLayer][desc.ParentIndex])
+			ctx.node = desc
+			deliver[l] = append(deliver[l], r.edge(*desc, ctx).deliver)
 		}
 	}
-
-	// Links into each layer: one per child (sources feed layer 0).
-	linkSeq := uint64(0)
-	mkLink := func(ls topology.LayerSpec) *netsim.Link {
-		linkSeq++
-		opts := []netsim.LinkOption{
-			netsim.WithRTT(ls.LinkRTT),
-			netsim.WithBandwidth(ls.LinkBandwidth),
-		}
-		if cfg.EventTime {
-			// Watermarks ride the data path, so per-chain delivery must be
-			// ordered (as mq partitions are live): jitter then varies
-			// latency — cross-link arrival order still scrambles — without
-			// letting a watermark overtake the data it vouches for.
-			opts = append(opts, netsim.WithFIFO())
-		}
-		if cfg.LinkJitter > 0 {
-			opts = append(opts, netsim.WithJitter(cfg.LinkJitter, cfg.Seed^linkSeq))
-		}
-		if cfg.LinkLoss > 0 {
-			opts = append(opts, netsim.WithLoss(cfg.LinkLoss, cfg.Seed^(linkSeq<<16)))
-		}
-		return netsim.NewLink(sim, opts...)
-	}
-	sourceLinks := make([]*netsim.Link, spec.Sources)
-	sourceParents := make([]*simNode, spec.Sources)
-	for s := 0; s < spec.Sources; s++ {
-		sourceLinks[s] = mkLink(spec.Layers[0])
-		sourceParents[s] = layers[0][plan.Sources[s].ParentIndex]
-	}
-	for l := 1; l < len(spec.Layers); l++ {
-		for _, child := range layers[l-1] {
-			child.uplink = mkLink(spec.Layers[l])
-		}
-	}
-
-	// Root service model: arriving batches queue behind a server with a
-	// fixed per-item cost before landing in the root's window store. An
-	// item's end-to-end latency is measured the moment the root processes
-	// it into the window aggregate (record-at-a-time, as in Kafka
-	// Streams) — edge-window waits, network, and service queueing all
-	// count; waiting for the window result to be emitted does not.
-	var rootBusy time.Time
-	ingestAtRoot := func(b stream.Batch, wm mq.Watermark) {
-		now := sim.Now()
-		for _, it := range b.Items {
-			res.Latency.Observe(now.Sub(it.Ts))
-		}
-		if cfg.EventTime {
-			// Ingest before folding the piggybacked watermark, mirroring
-			// the live members: a record must land in the window its own
-			// watermark may close.
-			root.ew.ingest(b)
-			switch {
-			case wm.At.IsZero():
-				if wm.From != "" {
-					root.wt.keepalive(wm.From, now)
-				}
-			default:
-				root.wt.update(wm, b.Source, now)
-			}
-			return
-		}
-		root.root.IngestBatch(b)
-	}
-	deliverToRoot := func(b stream.Batch, wm mq.Watermark) {
-		res.RootObserved += int64(len(b.Items))
-		if cfg.RootServiceRate <= 0 {
-			ingestAtRoot(b, wm)
-			return
-		}
-		start := sim.Now()
-		if rootBusy.After(start) {
-			start = rootBusy
-		}
-		work := time.Duration(float64(len(b.Items)) / cfg.RootServiceRate * float64(time.Second))
-		rootBusy = start.Add(work)
-		sim.At(rootBusy, func() { ingestAtRoot(b, wm) })
-	}
-
-	// forward sends one batch from a child node over its uplink (wm is the
-	// piggybacked watermark, zero outside event-time mode); deliver hands a
-	// batch to an edge node — buffering it into the node's window (default),
-	// sampling-and-relaying immediately (Streaming), or assigning it to its
-	// event-time window and advancing the node's watermark (EventTime).
-	var deliver func(sn *simNode, layerIdx int, b stream.Batch, wm mq.Watermark)
-	var advanceEvent func(sn *simNode, layerIdx int) bool
-	forward := func(child *simNode, layerIdx int, b stream.Batch, wm mq.Watermark) {
-		size := b.WireSize()
-		res.LayerBytes[layerIdx+1] += int64(size)
-		res.LayerMessages[layerIdx+1]++
-		parent := child.parent
-		child.uplink.Send(size, func() {
-			if parent.isRoot {
-				deliverToRoot(b, wm)
-			} else {
-				deliver(parent, layerIdx+1, b, wm)
-			}
-		})
-	}
-	deliver = func(sn *simNode, layerIdx int, b stream.Batch, wm mq.Watermark) {
-		if cfg.EventTime {
-			sn.ew.ingest(b)
-			switch {
-			case wm.At.IsZero():
-				if wm.From != "" {
-					sn.wt.keepalive(wm.From, sim.Now())
-				}
-			case sn.wt.update(wm, b.Source, sim.Now()):
-				// First sight of this chain: announce it upstream at the
-				// node's outbound watermark — never the inbound one, which
-				// may promise windows this node has not flushed yet — so no
-				// close can pass its data by (see the live runner's
-				// announce).
-				if out := sn.ew.outboundWatermark(); !out.IsZero() && !sn.down(sim.Now()) {
-					forward(sn, layerIdx, heartbeat(b.Source), mq.Watermark{From: sn.id, At: out})
-				}
-			}
-			advanceEvent(sn, layerIdx)
-			return
-		}
-		sn.node.IngestBatch(b)
-		if !cfg.Streaming {
-			return
-		}
-		out := sn.node.CloseInterval()
-		if sn.down(sim.Now()) {
-			return
-		}
-		for _, ob := range out {
-			forward(sn, layerIdx, ob, mq.Watermark{})
-		}
-	}
-	// beatActive is the live members' beatActive: a heartbeat per active
-	// sub-stream at the outbound watermark, recorded as a full beat.
-	beatActive := func(sn *simNode, layerIdx int, now time.Time) {
-		out := mq.Watermark{From: sn.id, At: sn.ew.outboundWatermark()}
-		srcs := sn.wt.activeSources(now)
-		for _, src := range srcs {
-			forward(sn, layerIdx, heartbeat(src), out)
-		}
-		if len(srcs) > 0 {
-			sn.wt.beat(now)
-		}
-	}
-	// advanceEvent closes every event window the node's watermark makes
-	// due, forwards the results, and reports whether the close bound
-	// moved: data stamped with each window's dataWatermark (the watermark
-	// ladder — see the live runner's advanceEventTime), then a full beat
-	// so parents advance across empty windows. A crashed node still resets
-	// its windows but forwards nothing, like the processing-time tick.
-	advanceEvent = func(sn *simNode, layerIdx int) bool {
-		now := sim.Now()
-		wm := sn.wt.watermark(now)
-		if !sn.ew.wouldAdvance(wm) {
-			return false
-		}
-		closed := sn.ew.advance(wm)
-		if sn.down(now) {
-			return true
-		}
-		for _, cw := range closed {
-			stamp := mq.Watermark{From: sn.id, At: sn.ew.dataWatermark(cw.start)}
-			for _, b := range cw.theta {
-				forward(sn, layerIdx, b, stamp)
-			}
-		}
-		beatActive(sn, layerIdx, now)
-		return true
-	}
-
-	end := epoch.Add(cfg.Duration)
-	drainEnd := end.Add(time.Duration(cfg.DrainWindows) * spec.Window)
-
-	// Sources: every chunk, generate items and ship one batch per
-	// sub-stream to the leaf layer.
 	chunk := spec.Window / time.Duration(cfg.ChunksPerWindow)
 	if chunk <= 0 {
 		chunk = spec.Window
 	}
-	for s := 0; s < spec.Sources; s++ {
-		s := s
-		gen := cfg.Source(s)
-		link, parent := sourceLinks[s], sourceParents[s]
-		// Event-time mode: the source's per-sub-stream low watermark — the
-		// highest event timestamp generated so far — piggybacks on every
-		// batch it ships, exactly like the live Ingester valves.
-		var marks map[stream.SourceID]time.Time
-		if cfg.EventTime {
-			marks = make(map[stream.SourceID]time.Time)
-		}
-		var tick func()
-		tick = func() {
-			now := sim.Now()
-			if !now.Before(end) {
-				return
-			}
-			items := gen.Generate(now, chunk)
-			res.Generated += int64(len(items))
-			for _, it := range items {
-				res.TruthSum[it.Source] += it.Value
-				res.TruthCount[it.Source]++
-			}
-			// One wire message per sub-stream present in the chunk.
-			for start := 0; start < len(items); {
-				endIdx := start + 1
-				src := items[start].Source
-				for endIdx < len(items) && items[endIdx].Source == src {
-					endIdx++
-				}
-				b := stream.Batch{Source: src, Weight: 1, Items: items[start:endIdx]}
-				var wm mq.Watermark
-				if cfg.EventTime {
-					mark := marks[src]
-					for _, it := range b.Items {
-						if it.Ts.After(mark) {
-							mark = it.Ts
-						}
-					}
-					marks[src] = mark
-					wm = mq.Watermark{From: sourceFrom(s), At: mark}
-				}
-				size := b.WireSize()
-				res.LayerBytes[0] += int64(size)
-				res.LayerMessages[0]++
-				if parent.isRoot {
-					link.Send(size, func() { deliverToRoot(b, wm) })
-				} else {
-					link.Send(size, func() { deliver(parent, 0, b, wm) })
-				}
-				start = endIdx
-			}
-			sim.After(chunk, tick)
-		}
-		sim.At(epoch, tick)
+	for s, src := range plan.Sources {
+		r.source(s, cfg.Source(s), chunk, r.uplink(0, deliver[0][src.ParentIndex]))
 	}
-
-	// Failures: record each node's crash windows.
-	for _, f := range cfg.Failures {
-		if f.Layer < 0 || f.Layer >= len(layers) || f.Node < 0 || f.Node >= len(layers[f.Layer]) {
-			return nil, fmt.Errorf("core: failure targets unknown node (%d,%d)", f.Layer, f.Node)
+	// The sources' stream ends at Duration: keepalives go quiet, exactly
+	// as a live drain quiesces them, and the end-of-stream records carry
+	// every promise that still matters.
+	r.sim.At(r.end, func() {
+		r.kit.quiesce.Store(true)
+		for _, m := range r.edges {
+			m.arm()
 		}
-		sn := layers[f.Layer][f.Node]
-		sn.downs = append(sn.downs, timeRange{from: epoch.Add(f.At), to: epoch.Add(f.At + f.For)})
-	}
+	})
 
-	// Window ticks for sampling layers (streaming mode forwards inline).
-	// In event-time mode the tick is the idle-source timeout: it re-derives
-	// the node's watermark — silent sub-streams may now be excluded — and
-	// sweeps windows that became due, instead of closing by arrival order.
-	for l := 0; l < rootLayer && !cfg.Streaming; l++ {
-		l := l
-		for _, sn := range layers[l] {
-			sn := sn
-			var tick func()
-			tick = func() {
-				now := sim.Now()
-				if cfg.EventTime {
-					// Re-assert liveness upstream when the advance did not
-					// and it is due (the live members' keepalive rule): a
-					// node buffering behind the lateness horizon has
-					// forwarded nothing, and its parent must not age it out
-					// of the minimum meanwhile.
-					if !advanceEvent(sn, l) && !sn.down(now) && sn.wt.keepaliveDue(now) {
-						beatActive(sn, l, now)
-					}
-				} else {
-					out := sn.node.CloseInterval()
-					if !sn.down(now) {
-						for _, b := range out {
-							forward(sn, l, b, mq.Watermark{})
-						}
-					}
-				}
-				if !now.Add(spec.Window).After(drainEnd) {
-					sim.After(spec.Window, tick)
-				}
-			}
-			sim.At(epoch.Add(spec.Window), tick)
+	r.sim.Run()
+	r.res.RootObserved = r.kit.rootProcessed.Load()
+	r.res.LateDropped = r.kit.late.items.Load()
+	r.res.LateDroppedInput = r.kit.late.input.load()
+	r.res.Elapsed = r.sim.Now().Sub(simStart)
+	return r.res, nil
+}
+
+// simStart is the virtual instant every simulated run starts at.
+var simStart = time.Date(2018, 7, 2, 0, 0, 0, 0, time.UTC)
+
+// simRun is one RunSim execution: the virtual clock, the members it drives
+// and the result it fills.
+type simRun struct {
+	cfg    SimConfig
+	sim    *vclock.Sim
+	kit    memberKit
+	res    *SimResult
+	eval   *query.Engine
+	end    time.Time // the sources' end of stream
+	nLinks uint64    // links made so far: salts each link's seeds
+
+	edges   []*simMember
+	roots   []*rootProcessor // the root member, as rootMerge takes it
+	root    *simMember
+	merge   rootMerge
+	sliding *slidingState
+	// closing marks a root close scheduled at the current instant, which
+	// every further nudge before it runs joins.
+	closing bool
+	// With RootServiceRate: the instant the root's server frees up, and the
+	// table its queue reads record sizes with.
+	rootBusy time.Time
+	counts   *stream.SourceTable
+}
+
+// uplink builds the context of a member or source that sends into layer,
+// delivering there through to: a new link of the layer's WAN segment. Every
+// link is FIFO — watermarks ride the data, and one must never overtake the
+// records it vouches for.
+func (r *simRun) uplink(layer int, to func(streams.Message)) *simContext {
+	r.nLinks++
+	ls := r.kit.plan.Spec.Layers[layer]
+	opts := []netsim.LinkOption{
+		netsim.WithRTT(ls.LinkRTT),
+		netsim.WithBandwidth(ls.LinkBandwidth),
+		netsim.WithFIFO(),
+	}
+	if r.cfg.LinkJitter > 0 {
+		opts = append(opts, netsim.WithJitter(r.cfg.LinkJitter, r.cfg.Seed^r.nLinks))
+	}
+	if r.cfg.LinkLoss > 0 {
+		opts = append(opts, netsim.WithLoss(r.cfg.LinkLoss, r.cfg.Seed^(r.nLinks<<16)))
+	}
+	return &simContext{r: r, link: netsim.NewLink(r.sim, opts...), layer: layer, to: to}
+}
+
+// down reports whether a Failure holds node down at instant t.
+func (r *simRun) down(node *NodeDesc, t time.Time) bool {
+	if node == nil {
+		return false // sources do not fail
+	}
+	for _, f := range r.cfg.Failures {
+		if f.Layer == node.Layer && f.Node == node.Index &&
+			!t.Before(simStart.Add(f.At)) && t.Before(simStart.Add(f.At+f.For)) {
+			return true
 		}
 	}
+	return false
+}
 
-	// emitRootWindow packages one window's Θ into a reported result and
-	// steps the feedback loop — shared by the processing-time tick, the
-	// event-time tick, and the end-of-stream sweep. Only windows that
-	// aggregated at least one item are reported (the warm-up and drain
-	// windows at the edges of the run are empty by construction).
-	sliding := newSlidingState(cfg.Slide, spec.Window, cfg.Confidence, plan.Queries)
-	emitRootWindow := func(result WindowResult) {
-		if result.SampleSize == 0 {
+// edge builds and starts the member of edge node desc, forwarding through
+// ctx: the live sampling member, or the forwarding member with Streaming.
+func (r *simRun) edge(desc NodeDesc, ctx *simContext) *simMember {
+	mk := func() *Node { return r.kit.plan.NewNodeShard(desc, 0) }
+	if r.cfg.Streaming {
+		strata := stream.NewSourceTable()
+		p := &forwardingProcessor{id: desc.ID, node: mk(), wt: r.kit.newTracker(desc, strata, simStart)}
+		_ = p.Init(ctx)
+		return &simMember{sim: r.sim, proc: p}
+	}
+	p := r.kit.newSampling(desc, 0, mk, simStart)
+	p.bwc = &metrics.BandwidthCounter{}
+	_ = p.Init(ctx)
+	m := &simMember{sim: r.sim, proc: p, deadline: p.Deadline, fire: func(now time.Time) {
+		// As the runtime's pump: punctuate only once the deadline read now
+		// has passed.
+		if due := p.Deadline(now); !due.IsZero() && !now.Before(due) {
+			p.Punctuate(now)
+		}
+	}}
+	r.edges = append(r.edges, m)
+	return m
+}
+
+// source starts source s: every chunk it ships what gen generated over the
+// chunk just ended — one record per sub-stream, each item stamped with the
+// send as its publish instant and the record with the sub-stream's highest
+// event timestamp so far as its watermark, as a live Ingester valve does —
+// and at the end of stream it signs off every sub-stream it sent.
+func (r *simRun) source(s int, gen workload.Source, chunk time.Duration, ctx *simContext) {
+	from := sourceFrom(s)
+	marks := make(map[stream.SourceID]time.Time)
+	var enc batchEncoder // a fresh block per send: the link holds the records
+	var tick func()
+	tick = func() {
+		now := r.sim.Now()
+		items := gen.Generate(now.Add(-chunk), chunk)
+		r.res.Generated += int64(len(items))
+		pub := now.UnixNano()
+		for lo := 0; lo < len(items); {
+			src, hi := items[lo].Source, lo
+			mark := marks[src]
+			for ; hi < len(items) && items[hi].Source == src; hi++ {
+				it := &items[hi]
+				it.Pub = pub
+				r.res.TruthSum[src] += it.Value
+				r.res.TruthCount[src]++
+				if it.Ts.After(mark) {
+					mark = it.Ts
+				}
+			}
+			marks[src] = mark
+			enc.add(stream.Batch{Source: src, Weight: 1, Items: items[lo:hi]}, mq.Watermark{From: from, At: mark})
+			lo = hi
+		}
+		if now.Before(r.end) {
+			r.sim.After(chunk, tick)
+		} else {
+			for _, src := range eosSources(marks, s) {
+				enc.add(heartbeat(src), mq.Watermark{From: from, At: eosWatermark})
+			}
+		}
+		ctx.ForwardBatch(enc.messages(nil, now))
+		enc.reset()
+	}
+	r.sim.At(simStart.Add(chunk), tick)
+}
+
+// deliverRoot hands a record that reached the root to its member — behind a
+// server with a fixed per-item cost when RootServiceRate is set, so a
+// saturated root queues.
+func (r *simRun) deliverRoot(msg streams.Message) {
+	if r.cfg.RootServiceRate <= 0 {
+		r.root.deliver(msg)
+		return
+	}
+	if r.counts == nil {
+		r.counts = stream.NewSourceTable()
+	}
+	h, _ := stream.ParseHeader(msg.Value, r.counts)
+	start := r.sim.Now()
+	if r.rootBusy.After(start) {
+		start = r.rootBusy
+	}
+	r.rootBusy = start.Add(time.Duration(float64(h.Count) / r.cfg.RootServiceRate * float64(time.Second)))
+	r.sim.At(r.rootBusy, func() { r.root.deliver(msg) })
+}
+
+// nudge is the root member's wake, the sweeper's in the engine: a close at
+// the current instant, after whatever else is due now.
+func (r *simRun) nudge() {
+	if r.closing {
+		return
+	}
+	r.closing = true
+	r.sim.At(r.sim.Now(), func() {
+		r.closing = false
+		r.closeRoot(r.sim.Now())
+		r.root.arm()
+	})
+}
+
+// closeRoot emits every root window the merged watermark makes due, as the
+// engine's sweep does: the result joins the run's, the feedback loop steps
+// (in simulation the controller is shared memory, so every node's next window
+// close reads the new fraction), and OnWindow observes it.
+func (r *simRun) closeRoot(now time.Time) {
+	wm := mergedWatermark(r.roots, now)
+	if wm.IsZero() {
+		return
+	}
+	for _, win := range r.merge.close(r.roots, wm, now, r.eval, r.kit.plan) {
+		if r.sliding != nil {
+			r.sliding.observe(&win)
+		}
+		r.res.Windows = append(r.res.Windows, win)
+		if ctl := r.cfg.Feedback; ctl != nil {
+			r.res.Fractions = append(r.res.Fractions, ctl.Observe(win.Result(feedbackKind(r.kit.plan.Queries))))
+		}
+		if r.cfg.OnWindow != nil {
+			r.cfg.OnWindow(win)
+		}
+	}
+}
+
+// simMember pumps one member in virtual time, the simulator's twin of a
+// streams.Runtime pump: a delivery is one ProcessBatch of one message, and
+// the member's earliest deadline is one armed simulator event, read again
+// after every delivery and every firing.
+type simMember struct {
+	sim      *vclock.Sim
+	proc     streams.BatchProcessor
+	deadline func(now time.Time) time.Time // nil: the member has none
+	fire     func(now time.Time)
+	timer    vclock.Timer // the armed event, nil when none
+	armedAt  time.Time
+	in       []streams.Message
+}
+
+func (m *simMember) deliver(msg streams.Message) {
+	m.in = append(m.in[:0], msg)
+	if err := m.proc.ProcessBatch(m.in); err != nil {
+		// Every record was encoded by the simulator itself.
+		panic(fmt.Sprintf("core: simulated member failed: %v", err))
+	}
+	m.in[0] = streams.Message{}
+	m.arm()
+}
+
+// arm keeps one event armed at the member's current deadline, cancelling the
+// one armed at an earlier reading.
+func (m *simMember) arm() {
+	if m.deadline == nil {
+		return
+	}
+	due := m.deadline(m.sim.Now())
+	if m.timer != nil {
+		if due.Equal(m.armedAt) {
 			return
 		}
-		if sliding != nil {
-			sliding.observe(&result)
-		}
-		res.Windows = append(res.Windows, result)
-		if cfg.Feedback != nil {
-			// §IV-B feedback step: in virtual time the adjusted
-			// fraction is visible to every node's next window close
-			// the moment Observe returns — the simulated analogue
-			// of the live runner's control-topic broadcast.
-			res.Fractions = append(res.Fractions, cfg.Feedback.Observe(result.Result(feedbackKind(plan.Queries))))
-		}
-		if cfg.OnWindow != nil {
-			cfg.OnWindow(result)
-		}
+		m.timer.Stop()
+		m.timer = nil
 	}
-	closeRootEvent := func(now, wm time.Time) {
-		closed := root.ew.advance(wm)
-		for _, cw := range closed {
-			win := NewWindowResult(now, engine, plan.Queries, cw.theta)
-			win.Start = cw.startTime()
-			win.End = win.Start.Add(spec.Window)
-			emitRootWindow(win)
-		}
-		// Edge nodes hand their Θ to the network by reference, so only the
-		// root — whose Θ dies with the query run — recycles in simulation.
-		root.ew.recycle(closed)
+	if due.IsZero() {
+		return
 	}
+	m.armedAt = due
+	m.timer = m.sim.At(due, func() {
+		m.timer = nil
+		m.fire(m.sim.Now())
+		m.arm()
+	})
+}
 
-	// Root window ticks: run the queries over Θ — every event-time window
-	// the root's watermark makes due, or the single processing-time window.
-	{
-		var tick func()
-		tick = func() {
-			now := sim.Now()
-			if cfg.EventTime {
-				closeRootEvent(now, root.wt.watermark(now))
-			} else {
-				result, _ := root.root.CloseWindow(now)
-				root.root.Node().Recycle()
-				emitRootWindow(result)
-			}
-			if !now.Add(spec.Window).After(drainEnd) {
-				sim.After(spec.Window, tick)
-			}
-		}
-		sim.At(epoch.Add(spec.Window), tick)
-	}
+// simContext is one member's (or source's) streams.ProcessorContext in
+// virtual time: Now is the simulator's clock, and every message forwarded
+// rides the member's uplink to its parent. It is not a streams.OffsetReader,
+// so the members' lane floors stay off — every link is a single FIFO lane.
+type simContext struct {
+	r     *simRun
+	node  *NodeDesc    // the sending member's node; nil for a source or the root
+	link  *netsim.Link // nil at the root, which forwards nothing
+	layer int          // the layer the link feeds: its LayerBytes index
+	to    func(streams.Message)
+}
 
-	sim.Run()
-	if cfg.EventTime {
-		// End of stream: the event queue is drained, so nothing is in
-		// flight — flush every remaining open window bottom-up with direct
-		// delivery (there are no links left to ride), then sweep the root.
-		// This is the virtual-time analogue of the live session's
-		// end-of-stream watermark cascade at Close.
-		for l := 0; l < rootLayer; l++ {
-			for _, sn := range layers[l] {
-				closed := sn.ew.advance(eosWatermark)
-				if sn.down(sim.Now()) {
-					continue
-				}
-				for _, cw := range closed {
-					for _, b := range cw.theta {
-						if sn.parent.isRoot {
-							res.RootObserved += int64(len(b.Items))
-							ingestAtRoot(b, mq.Watermark{From: sn.id, At: eosWatermark})
-						} else {
-							sn.parent.ew.ingest(b)
-						}
-					}
-				}
-			}
-		}
-		closeRootEvent(sim.Now(), eosWatermark)
-		res.LateDropped = late.items.Load()
-		res.LateDroppedInput = late.input.load()
+// NodeName is the name the engine gives a member's processor node.
+func (c *simContext) NodeName() string { return "sampler" }
+func (c *simContext) Now() time.Time   { return c.r.sim.Now() }
+
+func (c *simContext) Forward(msg streams.Message) { c.send(msg) }
+
+func (c *simContext) ForwardBatch(msgs []streams.Message) {
+	for _, msg := range msgs {
+		c.send(msg)
 	}
-	res.Elapsed = sim.Now().Sub(epoch)
-	return res, nil
+}
+
+// send puts one record on the link — unless a Failure holds the sender down,
+// which drops it — and counts its bytes into the layer's traffic.
+// End-of-stream heartbeats are exempt from LinkLoss: the link still draws
+// their fate, but a lost one is delivered anyway, at the instant it would
+// have arrived, so no loss can strand the windows it closes.
+func (c *simContext) send(msg streams.Message) {
+	now := c.r.sim.Now()
+	if c.r.down(c.node, now) {
+		return
+	}
+	c.r.res.LayerBytes[c.layer] += int64(len(msg.Value))
+	c.r.res.LayerMessages[c.layer]++
+	if c.r.cfg.onSend != nil {
+		c.r.cfg.onSend(c.layer, now)
+	}
+	deliver := func() { c.to(msg) }
+	lost := c.link.MessagesLost()
+	at := c.link.Send(len(msg.Value), deliver)
+	if c.link.MessagesLost() > lost && !msg.Watermark.At.Before(eosHorizon) {
+		c.r.sim.At(at, deliver)
+	}
+}
+
+// forwardingProcessor is the streaming edge member of the SRS and native
+// baselines (SimConfig.Streaming): no edge window holds anything back. Each
+// delivered record is sampled on its own and what survives goes straight on,
+// stamped with the member's inbound watermark — nothing buffered here can
+// contradict it. A record that leaves nothing forwards a heartbeat instead,
+// so the parent's watermark keeps climbing.
+type forwardingProcessor struct {
+	id   string
+	node *Node
+	wt   *watermarkTracker
+	ctx  streams.ProcessorContext
+}
+
+var _ streams.BatchProcessor = (*forwardingProcessor)(nil)
+
+func (p *forwardingProcessor) Init(ctx streams.ProcessorContext) error {
+	p.ctx = ctx
+	return nil
+}
+
+func (p *forwardingProcessor) Close() error { return nil }
+
+func (p *forwardingProcessor) ProcessBatch(msgs []streams.Message) error {
+	for _, msg := range msgs {
+		if err := p.Process(msg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *forwardingProcessor) Process(msg streams.Message) error {
+	b, err := stream.UnmarshalBatch(msg.Value)
+	if err != nil {
+		return err
+	}
+	now := p.ctx.Now()
+	p.node.IngestBatch(b)
+	p.wt.foldSlot(msg.Watermark, p.wt.strata.Slot(b.Source), msg.Partition, now)
+	out := p.node.CloseInterval()
+	if len(out) == 0 {
+		out = []stream.Batch{heartbeat(b.Source)}
+	}
+	wm := mq.Watermark{From: p.id, At: p.wt.watermark(now)}
+	for _, ob := range out {
+		p.ctx.Forward(streams.Message{Key: []byte(ob.Source), Value: ob.Marshal(), Watermark: wm})
+	}
+	return nil
 }

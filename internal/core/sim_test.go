@@ -229,6 +229,37 @@ func TestSimStreamingSRSLatencyFlatAcrossWindows(t *testing.T) {
 		t.Fatalf("streaming SRS latency grew %vx with window (%v → %v)",
 			float64(large)/float64(small), small, large)
 	}
+	// Nor may it fall: no item can reach the root before it was sent.
+	if 2*large < small {
+		t.Fatalf("streaming SRS latency fell %vx with window (%v → %v)",
+			float64(small)/float64(large), small, large)
+	}
+}
+
+// TestSimLatencyFloor: no item reaches the root sooner than the links can
+// carry it — Testbed's three hops take Σ LinkRTT/2 = 10+20+40 ms one way —
+// whatever the window, so a source never ships an item before its
+// timestamp. Streaming native forwards at once, so only the links remain.
+func TestSimLatencyFloor(t *testing.T) {
+	var floor time.Duration
+	for _, ls := range topology.Testbed().Layers {
+		floor += ls.LinkRTT / 2
+	}
+	for _, window := range []time.Duration{500 * time.Millisecond, 4 * time.Second} {
+		cfg := testbedConfig(1)
+		cfg.NewSampler = NativeFactory()
+		cfg.Cost = FractionBudget{Fraction: 1}
+		cfg.Streaming = true
+		cfg.Spec.Window = window
+		cfg.Duration = 10 * window
+		res, err := RunSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Latency.Min(); got < floor {
+			t.Fatalf("window %v: latency min %v below the %v the links take", window, got, floor)
+		}
+	}
 }
 
 func TestSimNodeFailureDegradesGracefully(t *testing.T) {

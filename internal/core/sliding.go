@@ -16,7 +16,8 @@ import (
 //
 // Both runners feed the same slidingState at the same point — the root's
 // window emit, after empty windows are skipped — so sim and live compose
-// identical pane sequences under the same seed.
+// identical pane sequences under the same seed. Every window they emit is an
+// event window with its Start set.
 
 // SlidingResult is one sliding-window estimate attached to the tumbling
 // window that completes it.
@@ -82,26 +83,23 @@ func newSlidingState(slide int, window time.Duration, conf stats.Confidence, kin
 // the sliding estimates to it. Event-time panes that were never emitted
 // (SampleSize 0 windows are skipped before this point) are zero by
 // definition, so gap-fill pushes zero panes to keep the composed window
-// spanning exactly slide × Window of event time. The simulator's arrival
-// windows carry no Start and compose by emission order.
+// spanning exactly slide × Window of event time.
 func (ss *slidingState) observe(win *WindowResult) {
-	if !win.Start.IsZero() && ss.window > 0 {
-		if ss.seen {
-			gap := int((win.Start.UnixNano()-ss.lastStart)/int64(ss.window)) - 1
-			if gap > ss.slide {
-				gap = ss.slide
-			}
-			for g := 0; g < gap; g++ {
-				for _, sl := range ss.sliders {
-					sl.Push(stats.Estimate{})
-				}
+	if ss.seen {
+		gap := int((win.Start.UnixNano()-ss.lastStart)/int64(ss.window)) - 1
+		if gap > ss.slide {
+			gap = ss.slide
+		}
+		for g := 0; g < gap; g++ {
+			for _, sl := range ss.sliders {
+				sl.Push(stats.Estimate{})
 			}
 		}
-		// An ingest-stamped window reopened behind the last start fills no
-		// gap and moves nothing back.
-		ss.lastStart = max(ss.lastStart, win.Start.UnixNano())
-		ss.seen = true
 	}
+	// An ingest-stamped window reopened behind the last start fills no gap
+	// and moves nothing back.
+	ss.lastStart = max(ss.lastStart, win.Start.UnixNano())
+	ss.seen = true
 	win.Sliding = make([]SlidingResult, len(ss.kinds))
 	for i, k := range ss.kinds {
 		cur := ss.sliders[i].Push(win.Result(k).Estimate)

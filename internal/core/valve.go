@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -358,6 +359,21 @@ func (in *Ingester) idleBeatAt() time.Time {
 	return in.last.Add(in.e.cfg.Window)
 }
 
+// eosSources lists the sub-streams source slot signs off at end of stream, in
+// SourceID order: every sub-stream in its marks, or the slot's default
+// stratum if it never sent one.
+func eosSources(marks map[stream.SourceID]time.Time, slot int) []stream.SourceID {
+	srcs := make([]stream.SourceID, 0, len(marks)+1)
+	for src := range marks {
+		srcs = append(srcs, src)
+	}
+	if len(srcs) == 0 {
+		srcs = append(srcs, stream.SourceID(fmt.Sprintf("source%d", slot)))
+	}
+	slices.Sort(srcs)
+	return srcs
+}
+
 // sendEOS publishes an end-of-stream watermark heartbeat for every
 // sub-stream that ever pushed through this valve — or for the slot's
 // default stratum if nothing ever did: a zero-item batch carrying
@@ -372,14 +388,7 @@ func (in *Ingester) idleBeatAt() time.Time {
 func (in *Ingester) sendEOS() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	srcs := make([]stream.SourceID, 0, len(in.marks)+1)
-	for src := range in.marks {
-		srcs = append(srcs, src)
-	}
-	if len(srcs) == 0 {
-		srcs = append(srcs, stream.SourceID(fmt.Sprintf("source%d", in.slot)))
-	}
-	for _, src := range srcs {
+	for _, src := range eosSources(in.marks, in.slot) {
 		payload := heartbeat(src).Marshal()
 		wm := mq.Watermark{From: in.from, At: eosWatermark}
 		for part := 0; part < in.e.plan.Partitions; part++ {

@@ -11,6 +11,30 @@ import (
 	"github.com/approxiot/approxiot/internal/xrand"
 )
 
+// ingest is ingestWire's oracle, for batches already in memory: it assigns a
+// weighted batch's items to their event-time windows, splitting the batch at
+// window boundaries, one item at a time.
+func (ew *eventWindows) ingest(b stream.Batch) {
+	items := b.Items
+	for lo := 0; lo < len(items); {
+		start := windowFloor(items[lo].Ts.UnixNano(), ew.window)
+		end := start + int64(ew.window)
+		hi := lo + 1
+		for hi < len(items) {
+			if ts := items[hi].Ts.UnixNano(); ts < start || ts >= end {
+				break
+			}
+			hi++
+		}
+		if n := ew.place(start, hi-lo, b.Weight); n != nil {
+			// IngestBatch copies items out, so handing it a sub-slice of
+			// the caller's storage is safe.
+			n.IngestBatch(stream.Batch{Source: b.Source, Weight: b.Weight, Items: items[lo:hi]})
+		}
+		lo = hi
+	}
+}
+
 // ewState is everything an eventWindows holds that a later close, late
 // judgement or checkpoint depends on.
 type ewState struct {

@@ -15,7 +15,7 @@ import (
 )
 
 // Runtime executes a Topology against a transport bus: one pump goroutine
-// polls the topology's source topics, pushes each record synchronously
+// polls the topology's source topic, pushes each record synchronously
 // through the DAG, and punctuates processors whose deadlines have passed. It
 // models a single Kafka Streams instance on one edge node; with a network bus
 // the instance really is remote from its broker.
@@ -23,9 +23,7 @@ import (
 // The pump is event-driven. A cycle that fetches nothing parks it on three
 // things: the source consumer's WaitChan (records may have arrived), Sync,
 // and the earliest deadline its Punctuators report — one timer, armed only
-// when some processor has one. A topology with several sources, which the
-// wake channel of no single consumer covers, re-polls every multiSourcePoll
-// instead.
+// when some processor has one.
 type Runtime struct {
 	bus       transport.Bus
 	topo      *Topology
@@ -34,7 +32,7 @@ type Runtime struct {
 	pollBatch int
 	noBatch   bool // WithRecordAtATime: force the per-record seed path
 
-	consumers   map[string]transport.Consumer // source name → consumer
+	consumer    transport.Consumer // the source's
 	producer    transport.Producer
 	contexts    map[string]*nodeContext
 	instances   map[string]Processor
@@ -55,7 +53,7 @@ type Runtime struct {
 	mu      sync.Mutex
 	started bool
 	stopped bool
-	frozen  bool        // Freeze: pump halted, consumers still in their groups
+	frozen  bool        // Freeze: pump halted, the consumer still in its group
 	busy    atomic.Bool // pump mid-cycle (set before fetching, cleared when idle)
 
 	syncCh chan func() // Sync: closures executed on the pump goroutine
@@ -73,7 +71,7 @@ type PartitionOffset struct {
 
 // OffsetReader is implemented by the ProcessorContext a Runtime hands its
 // processors: it exposes the committed offsets of the runtime's source
-// consumers, so a processor can checkpoint "state as of these offsets"
+// consumer, so a processor can checkpoint "state as of these offsets"
 // without widening the ProcessorContext interface for every implementation.
 type OffsetReader interface {
 	SourceCommitted() []PartitionOffset
@@ -97,10 +95,6 @@ type CycleObserver interface {
 type Wakeups struct {
 	Data, Deadline, Sync int64
 }
-
-// multiSourcePoll bounds the park of a pump with several sources: no single
-// consumer's wake channel covers them all, so it re-polls at this cadence.
-const multiSourcePoll = 10 * time.Millisecond
 
 // RuntimeOption customizes a Runtime.
 type RuntimeOption func(*Runtime)
@@ -140,7 +134,6 @@ func NewRuntime(bus transport.Bus, topo *Topology, appID string, opts ...Runtime
 		appID:     appID,
 		clock:     vclock.WallClock{},
 		pollBatch: 256,
-		consumers: make(map[string]transport.Consumer),
 		contexts:  make(map[string]*nodeContext),
 		instances: make(map[string]Processor),
 		producer:  bus.NewProducer(),
@@ -159,7 +152,7 @@ func NewRuntime(bus transport.Bus, topo *Topology, appID string, opts ...Runtime
 			if err != nil {
 				return nil, fmt.Errorf("streams: source %q: %w", name, err)
 			}
-			r.consumers[name] = c
+			r.consumer = c
 		case kindProcessor:
 			inst := n.supplier()
 			r.instances[name] = inst
@@ -291,7 +284,7 @@ func (r *Runtime) Start() error {
 		if p, ok := r.instances[name]; ok {
 			if err := p.Init(r.contexts[name]); err != nil {
 				// Failed mid-init: close what was initialized and revert to
-				// never-started, so a subsequent Stop cleans up consumers
+				// never-started, so a subsequent Stop cleans up the consumer
 				// without touching the unlaunched pump (nil cancel, open
 				// done channel).
 				for _, prev := range r.topo.order[:i] {
@@ -312,17 +305,14 @@ func (r *Runtime) Start() error {
 	return nil
 }
 
-// pump is the single processing loop.
+// pump is the single processing loop. It parks on the source topic's wake
+// channel — it wakes the moment records arrive, like a blocking Kafka poll.
+// The channel is armed before each poll so a record landing between the
+// empty poll and the park is never missed.
 func (r *Runtime) pump(ctx context.Context) {
 	defer close(r.done)
 	defer r.busy.Store(false)
-	sources := r.topo.Sources()
-	// With a single source (every edge-tree topology) the pump parks on the
-	// topic's wake channel — it wakes the moment records arrive, like a
-	// blocking Kafka poll. The channel is armed before each poll so a record
-	// landing between the empty poll and the park is never missed.
-	var wake <-chan struct{}
-	single := len(sources) == 1
+	children := r.topo.nodes[r.topo.source].children
 	// One timer serves every park of this pump: stopped, drained and re-armed
 	// per park, so an expiry nobody waited for (a wake or a Sync ended the
 	// park first) is never taken for the next park's.
@@ -352,54 +342,46 @@ func (r *Runtime) pump(ctx context.Context) {
 			}
 		}
 
-		if single {
-			wake = r.consumers[sources[0]].WaitChan()
-		}
-		progressed := false
-		for _, src := range sources {
-			recs, err := r.consumers[src].TryPollInto(r.recScratch[:0], r.pollBatch)
-			if err != nil {
-				if !errors.Is(err, mq.ErrClosed) {
-					r.fail(err)
-				}
-				return
+		wake := r.consumer.WaitChan()
+		recs, err := r.consumer.TryPollInto(r.recScratch[:0], r.pollBatch)
+		if err != nil {
+			if !errors.Is(err, mq.ErrClosed) {
+				r.fail(err)
 			}
-			r.recScratch = recs
-			if r.noBatch {
-				// Seed path: one dispatch per record, in order.
-				for _, rec := range recs {
-					msg := Message{Key: rec.Key, Value: rec.Value, Ts: rec.Ts, Watermark: rec.Watermark, Partition: rec.Partition}
-					for _, child := range r.topo.nodes[src].children {
-						if err := r.dispatch(child, msg); err != nil {
-							r.fail(err)
-							return
-						}
-					}
-				}
-			} else if len(recs) > 0 {
-				// Batched path: view the fetch as one []Message and hand the
-				// whole batch down — BatchProcessor children decode/process
-				// per fetched batch, sinks append once per fetched batch.
-				msgs := r.msgScratch[:0]
-				for _, rec := range recs {
-					msgs = append(msgs, Message{Key: rec.Key, Value: rec.Value, Ts: rec.Ts, Watermark: rec.Watermark, Partition: rec.Partition})
-				}
-				r.msgScratch = msgs
-				for _, child := range r.topo.nodes[src].children {
-					if err := r.dispatchBatch(child, msgs); err != nil {
+			return
+		}
+		r.recScratch = recs
+		if r.noBatch {
+			// Seed path: one dispatch per record, in order.
+			for _, rec := range recs {
+				msg := Message{Key: rec.Key, Value: rec.Value, Ts: rec.Ts, Watermark: rec.Watermark, Partition: rec.Partition}
+				for _, child := range children {
+					if err := r.dispatch(child, msg); err != nil {
 						r.fail(err)
 						return
 					}
 				}
 			}
-			if len(recs) > 0 {
-				progressed = true
+		} else if len(recs) > 0 {
+			// Batched path: view the fetch as one []Message and hand the
+			// whole batch down — BatchProcessor children decode/process
+			// per fetched batch, sinks append once per fetched batch.
+			msgs := r.msgScratch[:0]
+			for _, rec := range recs {
+				msgs = append(msgs, Message{Key: rec.Key, Value: rec.Value, Ts: rec.Ts, Watermark: rec.Watermark, Partition: rec.Partition})
+			}
+			r.msgScratch = msgs
+			for _, child := range children {
+				if err := r.dispatchBatch(child, msgs); err != nil {
+					r.fail(err)
+					return
+				}
 			}
 		}
 		if r.failed() {
 			return
 		}
-		if progressed {
+		if len(recs) > 0 {
 			// End-of-cycle cut: every record fetched this cycle has been
 			// dispatched, so observers see state consistent with the
 			// committed offsets (even when ctx was cancelled mid-cycle —
@@ -412,7 +394,7 @@ func (r *Runtime) pump(ctx context.Context) {
 			due = r.deadline()
 			continue
 		}
-		if single && r.consumers[sources[0]].TopicClosed() {
+		if r.consumer.TopicClosed() {
 			// Drained and the topic is gone: no record can ever arrive
 			// again (and its wake channel fires forever). End-of-stream:
 			// punctuate every processor once, due or not, before exiting,
@@ -424,8 +406,8 @@ func (r *Runtime) pump(ctx context.Context) {
 		// deadline.
 		due = r.deadline()
 		var expiry <-chan time.Time
-		if wait, ok := r.parkBound(due, single); ok {
-			timer.Reset(wait)
+		if !due.IsZero() {
+			timer.Reset(max(due.Sub(r.clock.Now()), 0))
 			expiry = timer.C
 		}
 		r.busy.Store(false)
@@ -435,7 +417,7 @@ func (r *Runtime) pump(ctx context.Context) {
 		case fn := <-r.syncCh: // Sync while parked: run it, then a full cycle
 			r.wakeSync.Add(1)
 			fn()
-		case <-wake: // nil (multi-source): never fires, the re-poll bound does
+		case <-wake:
 			r.wakeData.Add(1)
 		case <-expiry: // nil when no timer is armed
 			r.wakeDeadline.Add(1)
@@ -444,23 +426,6 @@ func (r *Runtime) pump(ctx context.Context) {
 			stopTimer(timer)
 		}
 	}
-}
-
-// parkBound returns how long a park may last before the pump must run again,
-// and false when nothing but an event can end it: the time to the earliest
-// processor deadline, capped by the re-poll bound of a multi-source topology.
-func (r *Runtime) parkBound(due time.Time, single bool) (time.Duration, bool) {
-	if due.IsZero() {
-		if single {
-			return 0, false
-		}
-		return multiSourcePoll, true
-	}
-	wait := max(due.Sub(r.clock.Now()), 0)
-	if !single {
-		wait = min(wait, multiSourcePoll)
-	}
-	return wait, true
 }
 
 // stopTimer stops t and empties its channel, leaving it safe to Reset: the
@@ -515,9 +480,9 @@ func (r *Runtime) failed() bool {
 	return r.err != nil
 }
 
-// Stop shuts the pump down, closes processors and consumers, and waits.
-// It is idempotent, and safe on a never-started runtime: the consumers are
-// still closed (leaving their groups, releasing their partitions), though
+// Stop shuts the pump down, closes processors and the consumer, and waits.
+// It is idempotent, and safe on a never-started runtime: the consumer is
+// still closed (leaving its group, releasing its partitions), though
 // processors — never initialized — are not Close()d.
 func (r *Runtime) Stop() error {
 	r.mu.Lock()
@@ -538,16 +503,14 @@ func (r *Runtime) Stop() error {
 			}
 		}
 	}
-	for _, c := range r.consumers {
-		c.Close()
-	}
+	r.consumer.Close()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
 }
 
 // Freeze halts the pump goroutine without releasing anything: processors are
-// not closed and consumers stay in their groups, still owning their
+// not closed and the consumer stays in its group, still owning its
 // partitions. It models a member crashing ("kill -9"): processing stops
 // dead, but the group has not yet noticed. The caller can then inspect
 // still-owned state (SourceCommitted) before completing the death with Stop,
@@ -568,7 +531,7 @@ func (r *Runtime) Freeze() {
 // Sync runs fn on the pump goroutine between processing cycles — at a point
 // where every fetched record has been dispatched and no fetch is in flight —
 // and returns once fn has completed. Processor state observed by fn is
-// consistent with the source consumers' committed offsets, which makes Sync
+// consistent with the source consumer's committed offsets, which makes Sync
 // the barrier primitive for checkpoint-before-rebalance. It fails if the
 // pump is not running (never started, stopped, frozen, or failed).
 func (r *Runtime) Sync(fn func()) error {
@@ -588,16 +551,12 @@ func (r *Runtime) Sync(fn func()) error {
 	}
 }
 
-// SourceCommitted returns the committed offsets of every partition currently
-// owned by this runtime's source consumers, sorted by partition. With the
-// single-source topologies the session builds, the offsets all refer to that
-// source's topic.
+// SourceCommitted returns the committed offsets of every partition of the
+// source topic this runtime currently owns, sorted by partition.
 func (r *Runtime) SourceCommitted() []PartitionOffset {
 	var offs []PartitionOffset
-	for _, c := range r.consumers {
-		for _, p := range c.Assignment() {
-			offs = append(offs, PartitionOffset{Partition: p, Offset: c.Committed(p)})
-		}
+	for _, p := range r.consumer.Assignment() {
+		offs = append(offs, PartitionOffset{Partition: p, Offset: r.consumer.Committed(p)})
 	}
 	sort.Slice(offs, func(i, j int) bool { return offs[i].Partition < offs[j].Partition })
 	return offs
@@ -614,15 +573,9 @@ func (r *Runtime) Wakeups() Wakeups {
 // fetch time). Quiescence probes must require Lag() == 0 && !Busy().
 func (r *Runtime) Busy() bool { return r.busy.Load() }
 
-// Lag returns the total number of records waiting in this runtime's source
-// topics (0 when fully caught up). Drain logic uses it to detect quiescence.
-func (r *Runtime) Lag() int64 {
-	var lag int64
-	for _, c := range r.consumers {
-		lag += c.Lag()
-	}
-	return lag
-}
+// Lag returns the number of records waiting in this runtime's source topic
+// (0 when fully caught up). Drain logic uses it to detect quiescence.
+func (r *Runtime) Lag() int64 { return r.consumer.Lag() }
 
 // Done is closed when the pump goroutine exits.
 func (r *Runtime) Done() <-chan struct{} { return r.done }

@@ -65,6 +65,12 @@ func TestBuilderValidation(t *testing.T) {
 	if !errors.Is(err, ErrNoParents) {
 		t.Fatalf("orphan sink: err = %v, want ErrNoParents", err)
 	}
+
+	// One source per topology: the pump parks on one consumer's wake.
+	_, err = NewTopology().Source("s1", "in1").Source("s2", "in2").Build()
+	if !errors.Is(err, errSecondSource) {
+		t.Fatalf("second source: err = %v, want errSecondSource", err)
+	}
 }
 
 func TestSourceToSinkPassthrough(t *testing.T) {
@@ -675,18 +681,22 @@ func TestParkedPumpWakesOnEvents(t *testing.T) {
 	}
 }
 
+// TestFanInMergesParents wires a diamond under the one source: two branches
+// both feed one merge processor, so each source record reaches the sink once
+// per branch.
 func TestFanInMergesParents(t *testing.T) {
-	b := buildBroker(t, "in1", "in2", "out")
-	merge := func() Processor {
+	b := buildBroker(t, "in", "out")
+	pass := func() Processor {
 		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
 			ctx.Forward(msg)
 			return nil
 		})
 	}
 	topo, err := NewTopology().
-		Source("s1", "in1").
-		Source("s2", "in2").
-		Processor("merge", merge, "s1", "s2").
+		Source("src", "in").
+		Processor("left", pass, "src").
+		Processor("right", pass, "src").
+		Processor("merge", pass, "left", "right").
 		Sink("snk", "out", "merge").
 		Build()
 	if err != nil {
@@ -697,11 +707,18 @@ func TestFanInMergesParents(t *testing.T) {
 	defer rt.Stop()
 
 	p := mq.NewProducer(b)
-	p.Send("in1", nil, []byte("a"))
-	p.Send("in2", nil, []byte("b"))
-	recs := drain(t, b, "out", 2, 2*time.Second)
-	if len(recs) != 2 {
-		t.Fatalf("merged %d records, want 2", len(recs))
+	p.Send("in", nil, []byte("a"))
+	p.Send("in", nil, []byte("b"))
+	recs := drain(t, b, "out", 4, 2*time.Second)
+	if len(recs) != 4 {
+		t.Fatalf("merged %d records, want 4", len(recs))
+	}
+	counts := map[string]int{}
+	for _, r := range recs {
+		counts[string(r.Value)]++
+	}
+	if counts["a"] != 2 || counts["b"] != 2 {
+		t.Fatalf("merged values %v, want a and b twice each", counts)
 	}
 }
 

@@ -3,8 +3,8 @@
 // prototype used. It provides the two APIs the paper's implementation
 // needed:
 //
-//   - a topology builder (the "High-Level Streams DSL"): sources that
-//     consume topics, processors wired into a DAG, and sinks that produce
+//   - a topology builder (the "High-Level Streams DSL"): a source that
+//     consumes a topic, processors wired into a DAG, and sinks that produce
 //     into topics; and
 //   - a low-level Processor contract (the "Low-Level Processor API") with
 //     Forward for emitting downstream and punctuation for time-driven work
@@ -12,7 +12,7 @@
 //     silent sources between records.
 //
 // One Runtime corresponds to one logical node of the edge tree: a single
-// pump goroutine polls the node's sources, pushes records through the DAG,
+// pump goroutine polls the node's source, pushes records through the DAG,
 // and fires punctuations when their deadlines pass, mirroring a Kafka
 // Streams task thread. The pump does work per record and per deadline,
 // never per clock tick: with nothing to fetch it parks until records
@@ -133,6 +133,10 @@ var (
 	ErrUnknownParent = errors.New("streams: unknown parent node")
 	ErrEmptyTopology = errors.New("streams: topology has no sources")
 	ErrNoParents     = errors.New("streams: node needs at least one parent")
+
+	// errSecondSource rejects a topology with more than one source: a
+	// runtime's pump parks on its one source consumer's wake channel.
+	errSecondSource = errors.New("streams: a topology has exactly one source")
 )
 
 type nodeKind int
@@ -152,11 +156,13 @@ type node struct {
 	children []string
 }
 
-// Topology is an immutable processing DAG built with NewTopology. Parents
-// must be declared before children, which structurally rules out cycles.
+// Topology is an immutable processing DAG built with NewTopology: one source
+// feeding processors and sinks. Parents must be declared before children,
+// which structurally rules out cycles.
 type Topology struct {
-	nodes map[string]*node
-	order []string // declaration order (a topological order)
+	nodes  map[string]*node
+	order  []string // declaration order (a topological order)
+	source string   // the source node's name
 }
 
 // TopologyBuilder accumulates nodes; Build validates and freezes them.
@@ -178,6 +184,10 @@ func (b *TopologyBuilder) add(n *node) *TopologyBuilder {
 		b.err = fmt.Errorf("%w: %q", ErrDuplicateNode, n.name)
 		return b
 	}
+	if n.kind == kindSource && b.t.source != "" {
+		b.err = fmt.Errorf("%w: %q after %q", errSecondSource, n.name, b.t.source)
+		return b
+	}
 	if n.kind != kindSource && len(n.parents) == 0 {
 		b.err = fmt.Errorf("%w: %q", ErrNoParents, n.name)
 		return b
@@ -192,10 +202,14 @@ func (b *TopologyBuilder) add(n *node) *TopologyBuilder {
 	}
 	b.t.nodes[n.name] = n
 	b.t.order = append(b.t.order, n.name)
+	if n.kind == kindSource {
+		b.t.source = n.name
+	}
 	return b
 }
 
-// Source adds a node that consumes topic and forwards each record downstream.
+// Source adds the node that consumes topic and forwards each record
+// downstream. A topology has one; Build rejects a second.
 func (b *TopologyBuilder) Source(name, topic string) *TopologyBuilder {
 	return b.add(&node{name: name, kind: kindSource, topic: topic})
 }
@@ -216,26 +230,8 @@ func (b *TopologyBuilder) Build() (*Topology, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	hasSource := false
-	for _, n := range b.t.nodes {
-		if n.kind == kindSource {
-			hasSource = true
-			break
-		}
-	}
-	if !hasSource {
+	if b.t.source == "" {
 		return nil, ErrEmptyTopology
 	}
 	return b.t, nil
-}
-
-// Sources returns the names of all source nodes in declaration order.
-func (t *Topology) Sources() []string {
-	var out []string
-	for _, name := range t.order {
-		if t.nodes[name].kind == kindSource {
-			out = append(out, name)
-		}
-	}
-	return out
 }
