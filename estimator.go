@@ -142,13 +142,6 @@ func (e *Estimator) CloseTheta() (WindowResult, []Batch) {
 	return e.root.CloseWindow(time.Now())
 }
 
-// Slider composes consecutive window estimates into a sliding-window
-// aggregate with a combined error bound (additive queries: Sum, Count).
-type Slider = query.Slider
-
-// NewSlider returns a slider over the last k windows.
-func NewSlider(k int) *Slider { return query.NewSlider(k) }
-
 // NewReplay returns a Source that replays recorded items, preserving their
 // inter-arrival spacing (optionally compressed via workload.WithSpeedup).
 func NewReplay(items []Item) *Replay { return workload.NewReplay(items) }

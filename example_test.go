@@ -50,17 +50,6 @@ func ExampleTopK() {
 	// #2 gamma = 2000
 }
 
-// A Slider composes tumbling windows into a sliding aggregate; values and
-// variances add.
-func ExampleSlider() {
-	s := approxiot.NewSlider(3)
-	for _, v := range []float64{10, 20, 30, 40} {
-		s.Push(approxiot.Estimate{Value: v})
-	}
-	fmt.Printf("%.0f\n", s.Current().Value) // 20+30+40
-	// Output: 90
-}
-
 // Simulate runs the paper's whole 8/4/2/1 testbed on virtual time. The
 // estimated input count equals the generated count exactly, end to end.
 func ExampleSimulate() {

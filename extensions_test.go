@@ -9,7 +9,7 @@ import (
 	"github.com/approxiot/approxiot/internal/xrand"
 )
 
-// The extended query surface: TopK, Quantile, Slider, Replay — the paper's
+// The extended query surface: TopK, Quantile, Replay — the paper's
 // §VIII future-work items, exercised through the public facade.
 
 func TestTopKThroughEstimator(t *testing.T) {
@@ -57,26 +57,6 @@ func TestQuantileThroughEstimator(t *testing.T) {
 	}
 	if med.Lo >= med.Hi {
 		t.Fatalf("degenerate interval [%g, %g]", med.Lo, med.Hi)
-	}
-}
-
-func TestSliderOverEstimatorWindows(t *testing.T) {
-	e := NewEstimator(0.5, WithSeed(7), WithQueries(Sum))
-	slider := NewSlider(3)
-	var last Estimate
-	truthPerWindow := 1000.0 * 10
-	for w := 0; w < 6; w++ {
-		for i := 0; i < 1000; i++ {
-			e.Add("s", 10)
-		}
-		last = slider.Push(e.Close().Result(Sum).Estimate)
-	}
-	// Sliding window = last 3 panes ≈ 3 × per-window truth.
-	if math.Abs(last.Value-3*truthPerWindow)/(3*truthPerWindow) > 0.05 {
-		t.Fatalf("sliding sum = %g, want ~%g", last.Value, 3*truthPerWindow)
-	}
-	if slider.Len() != 3 {
-		t.Fatalf("slider len = %d, want capped at 3", slider.Len())
 	}
 }
 

@@ -186,7 +186,7 @@ type LiveConfig struct {
 	corruptRoot int
 
 	// recordAtATime forces the pre-batching hot path everywhere: member
-	// runtimes dispatch one record per Process call and sinks/valves
+	// runtimes dispatch one record per ProcessBatch call and sinks/valves
 	// publish one record per broker append. The cross-mode equivalence
 	// suite uses it as the semantic reference the batched path must match
 	// bit for bit (unexported; tests live in this package).
@@ -287,7 +287,7 @@ var (
 // and the member's Ψ store lives in ew, one sampling Node per event window.
 // Records are bucketed by event timestamp, watermarks piggybacked on
 // arriving records feed wt, and windows close on watermark advance — inline
-// on Process when a record's watermark makes windows due, and at Punctuate
+// on ProcessBatch when a record's watermark makes windows due, and at Punctuate
 // when a silent source ages out of the minimum. As a streams.Punctuator it
 // reports one deadline, the earliest of its time-driven duties (Deadline), so
 // an idle member's pump parks until a record arrives or that instant passes.
@@ -420,12 +420,12 @@ func (e *batchEncoder) newBlock() []byte {
 
 // messages materializes the queued records as streams messages appended
 // onto dst, backed by one block (see type comment).
-func (e *batchEncoder) messages(dst []streams.Message, ts time.Time) []streams.Message {
+func (e *batchEncoder) messages(dst []streams.Message) []streams.Message {
 	block := e.newBlock()
 	for i := range e.batches {
 		var key, value []byte
 		block, key, value = e.encode(block, i)
-		dst = append(dst, streams.Message{Key: key, Value: value, Ts: ts, Watermark: e.wms[i]})
+		dst = append(dst, streams.Message{Key: key, Value: value, Watermark: e.wms[i]})
 	}
 	return dst
 }
@@ -465,9 +465,8 @@ func (e *batchEncoder) reset() {
 var poisonSentBlocks bool
 
 var (
-	_ streams.Processor      = (*samplingProcessor)(nil)
-	_ streams.BatchProcessor = (*samplingProcessor)(nil)
-	_ streams.Punctuator     = (*samplingProcessor)(nil)
+	_ streams.Processor  = (*samplingProcessor)(nil)
+	_ streams.Punctuator = (*samplingProcessor)(nil)
 )
 
 func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
@@ -492,12 +491,6 @@ func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
 	return nil
 }
 
-func (p *samplingProcessor) Process(msg streams.Message) error {
-	p.processEvent(msg, p.ctx.Now())
-	p.pending.Store(int64(p.ew.buffered()))
-	return nil
-}
-
 // ProcessBatch handles one polled batch: decode and ingest stay per-message
 // (so window assignment, the watermark ladder, and LateDropped accounting
 // are bit-identical to record-at-a-time processing) while the batch
@@ -513,12 +506,11 @@ func (p *samplingProcessor) ProcessBatch(msgs []streams.Message) error {
 	return nil
 }
 
-// processEvent is the per-message step, shared by Process and
-// ProcessBatch: ingest, fold the piggybacked watermark, and advance — the
-// advance runs per message, never deferred to the batch end, so a watermark
-// landing mid-batch closes exactly the windows it would have closed
-// unbatched and later records in the same batch are judged late against the
-// same bound.
+// processEvent is ProcessBatch's per-message step: ingest, fold the
+// piggybacked watermark, and advance — the advance runs per message, never
+// deferred to the batch end, so a watermark landing mid-batch closes exactly
+// the windows it would have closed unbatched and later records in the same
+// batch are judged late against the same bound.
 func (p *samplingProcessor) processEvent(msg streams.Message, now time.Time) {
 	h, err := stream.ParseHeader(msg.Value, p.ew.strata)
 	if err != nil {
@@ -569,7 +561,7 @@ func (p *samplingProcessor) flushEmits() {
 		return
 	}
 	p.bwc.Add(p.enc.payloadBytes())
-	msgs := p.enc.messages(p.outMsgs[:0], p.ctx.Now())
+	msgs := p.enc.messages(p.outMsgs[:0])
 	p.ctx.ForwardBatch(msgs)
 	p.enc.reset()
 	for i := range msgs {
@@ -889,10 +881,7 @@ type rootProcessor struct {
 	latency      *metrics.Histogram // private per member; merged into the result at shutdown
 }
 
-var (
-	_ streams.Processor      = (*rootProcessor)(nil)
-	_ streams.BatchProcessor = (*rootProcessor)(nil)
-)
+var _ streams.Processor = (*rootProcessor)(nil)
 
 func (p *rootProcessor) Init(ctx streams.ProcessorContext) error {
 	p.ctx = ctx
@@ -900,22 +889,10 @@ func (p *rootProcessor) Init(ctx streams.ProcessorContext) error {
 	return nil
 }
 
-func (p *rootProcessor) Process(msg streams.Message) error {
-	p.lastActivity.Store(p.ctx.Now().UnixNano())
-	p.mu.Lock()
-	n := p.processLocked(msg)
-	p.nudgeOnAdvance(p.ctx.Now())
-	p.mu.Unlock()
-	p.processed.Add(n)
-	p.lastActivity.Store(p.ctx.Now().UnixNano())
-	return nil
-}
-
-// ProcessBatch ingests one polled batch under a single mutex acquisition —
-// the per-record lock/unlock was pure overhead, since each member owns its
-// node privately and only the sweeper ever contends. Decode, the
-// watermark fold, and late accounting stay per-message inside the loop, so
-// batching changes no window content.
+// ProcessBatch ingests one polled batch under a single mutex acquisition:
+// each member owns its node privately and only the sweeper ever contends.
+// Decode, the watermark fold, and late accounting stay per-message inside the
+// loop, so batching changes no window content.
 func (p *rootProcessor) ProcessBatch(msgs []streams.Message) error {
 	p.lastActivity.Store(p.ctx.Now().UnixNano())
 	var total int64
@@ -1111,7 +1088,7 @@ type shardGroup struct {
 // every member runtime (the equivalence suite's semantic reference).
 func newShardGroup(bus transport.Bus, desc NodeDesc, recordAtATime bool, newProc func(shard int) (streams.Processor, *samplingProcessor)) (*shardGroup, error) {
 	g := &shardGroup{desc: desc, nextShard: desc.Shards}
-	opts := []streams.RuntimeOption{streams.WithPollBatch(512)}
+	var opts []streams.RuntimeOption
 	if recordAtATime {
 		opts = append(opts, streams.WithRecordAtATime())
 	}

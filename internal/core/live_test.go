@@ -283,7 +283,7 @@ func TestSamplingProcessorCountsDecodeErrors(t *testing.T) {
 		decodeErrs: &errs,
 		ctx:        &hopCtx{now: simEpoch}, // the member's clock
 	}
-	if err := p.Process(streams.Message{Value: []byte{0xFF, 0xBA, 0xD0}}); err != nil {
+	if err := p.ProcessBatch([]streams.Message{{Value: []byte{0xFF, 0xBA, 0xD0}}}); err != nil {
 		t.Fatalf("corrupt record errored the processor: %v", err)
 	}
 	if errs.Load() != 1 {

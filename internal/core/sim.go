@@ -483,7 +483,7 @@ func (r *simRun) source(s int, gen workload.Source, chunk time.Duration, ctx *si
 				enc.add(heartbeat(src), mq.Watermark{From: from, At: eosWatermark})
 			}
 		}
-		ctx.ForwardBatch(enc.messages(nil, now))
+		ctx.ForwardBatch(enc.messages(nil))
 		enc.reset()
 	}
 	r.sim.At(simStart.Add(chunk), tick)
@@ -552,7 +552,7 @@ func (r *simRun) closeRoot(now time.Time) {
 // after every delivery and every firing.
 type simMember struct {
 	sim      *vclock.Sim
-	proc     streams.BatchProcessor
+	proc     streams.Processor
 	deadline func(now time.Time) time.Time // nil: the member has none
 	fire     func(now time.Time)
 	timer    vclock.Timer // the armed event, nil when none
@@ -607,9 +607,7 @@ type simContext struct {
 	to    func(streams.Message)
 }
 
-// NodeName is the name the engine gives a member's processor node.
-func (c *simContext) NodeName() string { return "sampler" }
-func (c *simContext) Now() time.Time   { return c.r.sim.Now() }
+func (c *simContext) Now() time.Time { return c.r.sim.Now() }
 
 func (c *simContext) Forward(msg streams.Message) { c.send(msg) }
 
@@ -655,7 +653,7 @@ type forwardingProcessor struct {
 	ctx  streams.ProcessorContext
 }
 
-var _ streams.BatchProcessor = (*forwardingProcessor)(nil)
+var _ streams.Processor = (*forwardingProcessor)(nil)
 
 func (p *forwardingProcessor) Init(ctx streams.ProcessorContext) error {
 	p.ctx = ctx
@@ -666,14 +664,15 @@ func (p *forwardingProcessor) Close() error { return nil }
 
 func (p *forwardingProcessor) ProcessBatch(msgs []streams.Message) error {
 	for _, msg := range msgs {
-		if err := p.Process(msg); err != nil {
+		if err := p.step(msg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (p *forwardingProcessor) Process(msg streams.Message) error {
+// step samples one delivered record and forwards what survives.
+func (p *forwardingProcessor) step(msg streams.Message) error {
 	b, err := stream.UnmarshalBatch(msg.Value)
 	if err != nil {
 		return err

@@ -80,8 +80,7 @@ func (c *hopCtx) ForwardBatch(msgs []streams.Message) {
 		c.copies = append(c.copies, append([]byte(nil), m.Value...))
 	}
 }
-func (c *hopCtx) NodeName() string { return "hop" }
-func (c *hopCtx) Now() time.Time   { return c.now }
+func (c *hopCtx) Now() time.Time { return c.now }
 
 const (
 	hopSources   = 3

@@ -11,33 +11,28 @@ import (
 
 	"github.com/approxiot/approxiot/internal/mq"
 	"github.com/approxiot/approxiot/internal/transport"
-	"github.com/approxiot/approxiot/internal/vclock"
 )
 
 // Runtime executes a Topology against a transport bus: one pump goroutine
-// polls the topology's source topic, pushes each record synchronously
-// through the DAG, and punctuates processors whose deadlines have passed. It
-// models a single Kafka Streams instance on one edge node; with a network bus
-// the instance really is remote from its broker.
+// polls the topology's source topic, hands each polled batch to the
+// processor, and punctuates it when its deadline has passed. It models a
+// single Kafka Streams instance on one edge node; with a network bus the
+// instance really is remote from its broker.
 //
 // The pump is event-driven. A cycle that fetches nothing parks it on three
 // things: the source consumer's WaitChan (records may have arrived), Sync,
-// and the earliest deadline its Punctuators report — one timer, armed only
-// when some processor has one.
+// and the processor's deadline — one timer, armed only when the processor is
+// a Punctuator and reports one.
 type Runtime struct {
-	bus       transport.Bus
-	topo      *Topology
-	appID     string
-	clock     vclock.Clock
-	pollBatch int
-	noBatch   bool // WithRecordAtATime: force the per-record seed path
+	topo    *Topology
+	noBatch bool // WithRecordAtATime: one record per ProcessBatch, one message per append
 
-	consumer    transport.Consumer // the source's
-	producer    transport.Producer
-	contexts    map[string]*nodeContext
-	instances   map[string]Processor
-	observers   []CycleObserver // processors implementing CycleObserver, in topology order
-	punctuators []Punctuator    // processors implementing Punctuator, in topology order
+	consumer transport.Consumer // the source's
+	producer transport.Producer
+	proc     Processor
+	ctx      procContext
+	observer CycleObserver // proc, when it implements CycleObserver
+	punct    Punctuator    // proc, when it implements Punctuator
 
 	// Wake-ups: pump cycles that started from a park, by what ended it.
 	wakeData, wakeDeadline, wakeSync atomic.Int64
@@ -45,7 +40,7 @@ type Runtime struct {
 	// Pump scratch, reused every poll cycle so the steady-state hot path
 	// allocates nothing: polled records, their Message views, and the
 	// record form ForwardBatch hands to sink sends. Owned by the single
-	// pump goroutine (sinkScratch also by synchronous dispatch from it).
+	// pump goroutine (sinkScratch also by the processor's forwards from it).
 	recScratch  []mq.Record
 	msgScratch  []Message
 	sinkScratch []mq.Record
@@ -62,6 +57,9 @@ type Runtime struct {
 	err    error
 }
 
+// pollBatch is the per-poll record cap.
+const pollBatch = 512
+
 // PartitionOffset pairs a partition with a consumer offset; SourceCommitted
 // returns one per owned partition.
 type PartitionOffset struct {
@@ -70,7 +68,7 @@ type PartitionOffset struct {
 }
 
 // OffsetReader is implemented by the ProcessorContext a Runtime hands its
-// processors: it exposes the committed offsets of the runtime's source
+// processor: it exposes the committed offsets of the runtime's source
 // consumer, so a processor can checkpoint "state as of these offsets"
 // without widening the ProcessorContext interface for every implementation.
 type OffsetReader interface {
@@ -99,173 +97,97 @@ type Wakeups struct {
 // RuntimeOption customizes a Runtime.
 type RuntimeOption func(*Runtime)
 
-// WithClock overrides the runtime clock (default wall clock).
-func WithClock(c vclock.Clock) RuntimeOption {
-	return func(r *Runtime) { r.clock = c }
-}
-
-// WithPollBatch sets the per-poll record cap (default 256).
-func WithPollBatch(n int) RuntimeOption {
-	return func(r *Runtime) {
-		if n > 0 {
-			r.pollBatch = n
-		}
-	}
-}
-
-// WithRecordAtATime forces the pre-batching hot path: every polled record is
-// dispatched with its own Process call and every sink emission is its own
-// broker append, even for BatchProcessor instances. The equivalence suite
-// uses it as the semantic reference the batched path must match; it is not
-// meant for production topologies.
+// WithRecordAtATime makes the runtime dispatch one record at a time: every
+// polled record reaches the processor in its own ProcessBatch call, and every
+// forwarded message is its own broker append. The equivalence suite uses it
+// as the semantic reference the batched path must match; it is not meant for
+// production topologies.
 func WithRecordAtATime() RuntimeOption {
 	return func(r *Runtime) { r.noBatch = true }
 }
 
 // NewRuntime prepares a runtime for topo over the given bus. appID
-// namespaces the consumer groups, so multiple runtimes with distinct IDs
+// namespaces the consumer group, so multiple runtimes with distinct IDs
 // each receive the full stream, while runtimes sharing an ID split
 // partitions like a Kafka Streams application scaled horizontally — whether
 // they share a process (in-memory bus) or not (network bus).
 func NewRuntime(bus transport.Bus, topo *Topology, appID string, opts ...RuntimeOption) (*Runtime, error) {
 	r := &Runtime{
-		bus:       bus,
-		topo:      topo,
-		appID:     appID,
-		clock:     vclock.WallClock{},
-		pollBatch: 256,
-		contexts:  make(map[string]*nodeContext),
-		instances: make(map[string]Processor),
-		producer:  bus.NewProducer(),
-		syncCh:    make(chan func()),
-		done:      make(chan struct{}),
+		topo:     topo,
+		producer: bus.NewProducer(),
+		syncCh:   make(chan func()),
+		done:     make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(r)
 	}
-
-	for _, name := range topo.order {
-		n := topo.nodes[name]
-		switch n.kind {
-		case kindSource:
-			c, err := bus.NewGroupConsumer(n.topic, appID+"-"+name)
-			if err != nil {
-				return nil, fmt.Errorf("streams: source %q: %w", name, err)
-			}
-			r.consumer = c
-		case kindProcessor:
-			inst := n.supplier()
-			r.instances[name] = inst
-			if o, ok := inst.(CycleObserver); ok {
-				r.observers = append(r.observers, o)
-			}
-			if p, ok := inst.(Punctuator); ok {
-				r.punctuators = append(r.punctuators, p)
-			}
-		}
-		r.contexts[name] = &nodeContext{rt: r, node: n}
+	c, err := bus.NewGroupConsumer(topo.topic, appID+"-"+topo.source)
+	if err != nil {
+		return nil, fmt.Errorf("streams: source %q: %w", topo.source, err)
 	}
+	r.consumer = c
+	r.proc = topo.supplier()
+	r.observer, _ = r.proc.(CycleObserver)
+	r.punct, _ = r.proc.(Punctuator)
+	r.ctx.rt = r
 	return r, nil
 }
 
-// nodeContext implements ProcessorContext for one topology node.
-type nodeContext struct {
-	rt   *Runtime
-	node *node
-}
+// procContext implements ProcessorContext for the runtime's processor.
+type procContext struct{ rt *Runtime }
 
 var (
-	_ ProcessorContext = (*nodeContext)(nil)
-	_ OffsetReader     = (*nodeContext)(nil)
+	_ ProcessorContext = (*procContext)(nil)
+	_ OffsetReader     = (*procContext)(nil)
 )
 
-func (c *nodeContext) NodeName() string { return c.node.name }
-func (c *nodeContext) Now() time.Time   { return c.rt.clock.Now() }
+func (c *procContext) Now() time.Time { return time.Now() }
 
-func (c *nodeContext) SourceCommitted() []PartitionOffset { return c.rt.SourceCommitted() }
+func (c *procContext) SourceCommitted() []PartitionOffset { return c.rt.SourceCommitted() }
 
-func (c *nodeContext) Forward(msg Message) {
-	for _, child := range c.node.children {
-		if err := c.rt.dispatch(child, msg); err != nil {
-			c.rt.fail(err)
-		}
-	}
-}
+func (c *procContext) Forward(msg Message) { c.ForwardBatch([]Message{msg}) }
 
-func (c *nodeContext) ForwardBatch(msgs []Message) {
-	if len(msgs) == 0 {
+func (c *procContext) ForwardBatch(msgs []Message) {
+	r := c.rt
+	if r.topo.sinkTopic == "" {
 		return
 	}
-	for _, child := range c.node.children {
-		if err := c.rt.dispatchBatch(child, msgs); err != nil {
-			c.rt.fail(err)
+	for lo, step := 0, r.step(len(msgs)); lo < len(msgs); lo += step {
+		if err := r.send(msgs[lo:min(lo+step, len(msgs))]); err != nil {
+			r.fail(err)
+			return
 		}
 	}
 }
 
-// dispatch routes one message into the node named name.
-func (r *Runtime) dispatch(name string, msg Message) error {
-	n := r.topo.nodes[name]
-	switch n.kind {
-	case kindProcessor:
-		return r.instances[name].Process(msg)
-	case kindSink:
-		_, _, err := r.producer.SendWatermarked(n.topic, msg.Key, msg.Value, msg.Watermark)
-		return err
-	default:
-		return fmt.Errorf("streams: cannot dispatch into source %q", name)
+// step is how many of n messages go into one call: all of them, or one under
+// WithRecordAtATime.
+func (r *Runtime) step(n int) int {
+	if r.noBatch {
+		return 1
 	}
+	return n
 }
 
-// dispatchBatch routes a whole polled batch into the node named name:
-// BatchProcessor instances take the slice in one call, plain processors get
-// the per-record loop (same order, same semantics), and sinks produce the
-// batch with a single SendBatch append. msgs is never retained.
-func (r *Runtime) dispatchBatch(name string, msgs []Message) error {
-	if len(msgs) == 1 {
-		return r.dispatch(name, msgs[0])
+// send produces msgs into the sink topic with a single SendBatch append.
+// msgs is never retained.
+func (r *Runtime) send(msgs []Message) error {
+	recs := r.sinkScratch[:0]
+	for i := range msgs {
+		recs = append(recs, mq.Record{Key: msgs[i].Key, Value: msgs[i].Value, Watermark: msgs[i].Watermark})
 	}
-	n := r.topo.nodes[name]
-	switch n.kind {
-	case kindProcessor:
-		if bp, ok := r.instances[name].(BatchProcessor); ok && !r.noBatch {
-			return bp.ProcessBatch(msgs)
-		}
-		inst := r.instances[name]
-		for i := range msgs {
-			if err := inst.Process(msgs[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	case kindSink:
-		if r.noBatch {
-			for i := range msgs {
-				if _, _, err := r.producer.SendWatermarked(n.topic, msgs[i].Key, msgs[i].Value, msgs[i].Watermark); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		recs := r.sinkScratch[:0]
-		for i := range msgs {
-			recs = append(recs, mq.Record{Key: msgs[i].Key, Value: msgs[i].Value, Watermark: msgs[i].Watermark})
-		}
-		err := r.producer.SendBatch(n.topic, recs)
-		// Scrub the scratch before recycling: the records hold references to
-		// the callers' key/value bytes, and a stale reference in spare
-		// capacity would pin them past their lifetime.
-		for i := range recs {
-			recs[i] = mq.Record{}
-		}
-		r.sinkScratch = recs[:0]
-		return err
-	default:
-		return fmt.Errorf("streams: cannot dispatch into source %q", name)
+	err := r.producer.SendBatch(r.topo.sinkTopic, recs)
+	// Scrub the scratch before recycling: the records hold references to
+	// the callers' key/value bytes, and a stale reference in spare
+	// capacity would pin them past their lifetime.
+	for i := range recs {
+		recs[i] = mq.Record{}
 	}
+	r.sinkScratch = recs[:0]
+	return err
 }
 
-// Start initializes all processors and launches the pump goroutine. A
+// Start initializes the processor and launches the pump goroutine. A
 // runtime that was stopped (even before ever starting) cannot be started.
 func (r *Runtime) Start() error {
 	r.mu.Lock()
@@ -280,24 +202,14 @@ func (r *Runtime) Start() error {
 	r.started = true
 	r.mu.Unlock()
 
-	for i, name := range r.topo.order {
-		if p, ok := r.instances[name]; ok {
-			if err := p.Init(r.contexts[name]); err != nil {
-				// Failed mid-init: close what was initialized and revert to
-				// never-started, so a subsequent Stop cleans up the consumer
-				// without touching the unlaunched pump (nil cancel, open
-				// done channel).
-				for _, prev := range r.topo.order[:i] {
-					if q, ok := r.instances[prev]; ok {
-						_ = q.Close()
-					}
-				}
-				r.mu.Lock()
-				r.started = false
-				r.mu.Unlock()
-				return fmt.Errorf("streams: init %q: %w", name, err)
-			}
-		}
+	if err := r.proc.Init(&r.ctx); err != nil {
+		// Revert to never-started, so a subsequent Stop cleans up the
+		// consumer without touching the unlaunched pump (nil cancel, open
+		// done channel).
+		r.mu.Lock()
+		r.started = false
+		r.mu.Unlock()
+		return fmt.Errorf("streams: init %q: %w", r.topo.proc, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
@@ -312,14 +224,13 @@ func (r *Runtime) Start() error {
 func (r *Runtime) pump(ctx context.Context) {
 	defer close(r.done)
 	defer r.busy.Store(false)
-	children := r.topo.nodes[r.topo.source].children
 	// One timer serves every park of this pump: stopped, drained and re-armed
 	// per park, so an expiry nobody waited for (a wake or a Sync ended the
 	// park first) is never taken for the next park's.
 	timer := time.NewTimer(time.Hour)
 	stopTimer(timer)
 	defer timer.Stop()
-	var due time.Time // earliest processor deadline, zero for none
+	var due time.Time // the processor's deadline, zero for none
 	for {
 		if ctx.Err() != nil {
 			return
@@ -337,13 +248,13 @@ func (r *Runtime) pump(ctx context.Context) {
 		default:
 		}
 		if !due.IsZero() {
-			if now := r.clock.Now(); !now.Before(due) {
+			if now := time.Now(); !now.Before(due) {
 				r.punctuate(now, false)
 			}
 		}
 
 		wake := r.consumer.WaitChan()
-		recs, err := r.consumer.TryPollInto(r.recScratch[:0], r.pollBatch)
+		recs, err := r.consumer.TryPollInto(r.recScratch[:0], pollBatch)
 		if err != nil {
 			if !errors.Is(err, mq.ErrClosed) {
 				r.fail(err)
@@ -351,31 +262,17 @@ func (r *Runtime) pump(ctx context.Context) {
 			return
 		}
 		r.recScratch = recs
-		if r.noBatch {
-			// Seed path: one dispatch per record, in order.
-			for _, rec := range recs {
-				msg := Message{Key: rec.Key, Value: rec.Value, Ts: rec.Ts, Watermark: rec.Watermark, Partition: rec.Partition}
-				for _, child := range children {
-					if err := r.dispatch(child, msg); err != nil {
-						r.fail(err)
-						return
-					}
-				}
-			}
-		} else if len(recs) > 0 {
-			// Batched path: view the fetch as one []Message and hand the
-			// whole batch down — BatchProcessor children decode/process
-			// per fetched batch, sinks append once per fetched batch.
-			msgs := r.msgScratch[:0]
-			for _, rec := range recs {
-				msgs = append(msgs, Message{Key: rec.Key, Value: rec.Value, Ts: rec.Ts, Watermark: rec.Watermark, Partition: rec.Partition})
-			}
-			r.msgScratch = msgs
-			for _, child := range children {
-				if err := r.dispatchBatch(child, msgs); err != nil {
-					r.fail(err)
-					return
-				}
+		// View the fetch as one []Message and hand it to the processor in
+		// one call (one per record under WithRecordAtATime).
+		msgs := r.msgScratch[:0]
+		for _, rec := range recs {
+			msgs = append(msgs, Message{Key: rec.Key, Value: rec.Value, Watermark: rec.Watermark, Partition: rec.Partition})
+		}
+		r.msgScratch = msgs
+		for lo, step := 0, r.step(len(msgs)); lo < len(msgs); lo += step {
+			if err := r.proc.ProcessBatch(msgs[lo:min(lo+step, len(msgs))]); err != nil {
+				r.fail(err)
+				return
 			}
 		}
 		if r.failed() {
@@ -386,8 +283,8 @@ func (r *Runtime) pump(ctx context.Context) {
 			// dispatched, so observers see state consistent with the
 			// committed offsets (even when ctx was cancelled mid-cycle —
 			// the exit check at the loop top runs after this).
-			for _, o := range r.observers {
-				o.AfterCycle()
+			if r.observer != nil {
+				r.observer.AfterCycle()
 			}
 			// Records can bring a deadline forward (a first beat, a chain
 			// back from idle), and a pump that stays busy never parks.
@@ -397,17 +294,17 @@ func (r *Runtime) pump(ctx context.Context) {
 		if r.consumer.TopicClosed() {
 			// Drained and the topic is gone: no record can ever arrive
 			// again (and its wake channel fires forever). End-of-stream:
-			// punctuate every processor once, due or not, before exiting,
-			// so a windowed processor's buffered final window is forwarded.
-			r.punctuate(r.clock.Now(), true)
+			// punctuate the processor once, due or not, before exiting, so
+			// a windowed processor's buffered final window is forwarded.
+			r.punctuate(time.Now(), true)
 			return
 		}
-		// Idle: park until records may have arrived, a Sync, or the earliest
-		// deadline.
+		// Idle: park until records may have arrived, a Sync, or the
+		// processor's deadline.
 		due = r.deadline()
 		var expiry <-chan time.Time
 		if !due.IsZero() {
-			timer.Reset(max(due.Sub(r.clock.Now()), 0))
+			timer.Reset(max(time.Until(due), 0))
 			expiry = timer.C
 		}
 		r.busy.Store(false)
@@ -440,29 +337,22 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// deadline returns the earliest deadline the runtime's Punctuators report,
-// zero when none has one.
+// deadline returns the processor's deadline, zero when it has none.
 func (r *Runtime) deadline() time.Time {
-	if len(r.punctuators) == 0 {
+	if r.punct == nil {
 		return time.Time{}
 	}
-	now := r.clock.Now()
-	var due time.Time
-	for _, p := range r.punctuators {
-		if d := p.Deadline(now); !d.IsZero() && (due.IsZero() || d.Before(due)) {
-			due = d
-		}
-	}
-	return due
+	return r.punct.Deadline(time.Now())
 }
 
-// punctuate runs every Punctuator whose deadline has passed at now — every
-// one, due or not, when all is set (the end-of-stream flush).
+// punctuate runs the processor's time-driven work if its deadline has passed
+// at now — due or not when all is set (the end-of-stream flush).
 func (r *Runtime) punctuate(now time.Time, all bool) {
-	for _, p := range r.punctuators {
-		if d := p.Deadline(now); all || !d.IsZero() && !now.Before(d) {
-			p.Punctuate(now)
-		}
+	if r.punct == nil {
+		return
+	}
+	if d := r.punct.Deadline(now); all || !d.IsZero() && !now.Before(d) {
+		r.punct.Punctuate(now)
 	}
 }
 
@@ -480,10 +370,10 @@ func (r *Runtime) failed() bool {
 	return r.err != nil
 }
 
-// Stop shuts the pump down, closes processors and the consumer, and waits.
-// It is idempotent, and safe on a never-started runtime: the consumer is
-// still closed (leaving its group, releasing its partitions), though
-// processors — never initialized — are not Close()d.
+// Stop shuts the pump down, closes the processor and the consumer, and
+// waits. It is idempotent, and safe on a never-started runtime: the consumer
+// is still closed (leaving its group, releasing its partitions), though the
+// processor — never initialized — is not Close()d.
 func (r *Runtime) Stop() error {
 	r.mu.Lock()
 	if r.stopped {
@@ -497,10 +387,8 @@ func (r *Runtime) Stop() error {
 	if started {
 		r.cancel()
 		<-r.done
-		for name, p := range r.instances {
-			if err := p.Close(); err != nil {
-				r.fail(fmt.Errorf("streams: close %q: %w", name, err))
-			}
+		if err := r.proc.Close(); err != nil {
+			r.fail(fmt.Errorf("streams: close %q: %w", r.topo.proc, err))
 		}
 	}
 	r.consumer.Close()
@@ -509,8 +397,8 @@ func (r *Runtime) Stop() error {
 	return r.err
 }
 
-// Freeze halts the pump goroutine without releasing anything: processors are
-// not closed and the consumer stays in its group, still owning its
+// Freeze halts the pump goroutine without releasing anything: the processor
+// is not closed and the consumer stays in its group, still owning its
 // partitions. It models a member crashing ("kill -9"): processing stops
 // dead, but the group has not yet noticed. The caller can then inspect
 // still-owned state (SourceCommitted) before completing the death with Stop,
@@ -569,7 +457,7 @@ func (r *Runtime) Wakeups() Wakeups {
 }
 
 // Busy reports whether the pump is mid-cycle: fetched records may be in
-// flight through the DAG even though Lag reads 0 (group offsets commit at
+// flight through the processor even though Lag reads 0 (group offsets commit at
 // fetch time). Quiescence probes must require Lag() == 0 && !Busy().
 func (r *Runtime) Busy() bool { return r.busy.Load() }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -45,44 +46,79 @@ func drain(t *testing.T, b *mq.Broker, topic string, want int, timeout time.Dura
 	return out
 }
 
+// testProc is a processor that runs fn on every batch the pump hands it.
+type testProc struct {
+	ctx ProcessorContext
+	fn  func(ctx ProcessorContext, msgs []Message) error
+}
+
+func (p *testProc) Init(ctx ProcessorContext) error   { p.ctx = ctx; return nil }
+func (p *testProc) ProcessBatch(msgs []Message) error { return p.fn(p.ctx, msgs) }
+func (p *testProc) Close() error                      { return nil }
+
+// procOf supplies a testProc running fn.
+func procOf(fn func(ctx ProcessorContext, msgs []Message) error) func() Processor {
+	return func() Processor { return &testProc{fn: fn} }
+}
+
+// pass forwards every batch whole.
+var pass = procOf(func(ctx ProcessorContext, msgs []Message) error {
+	ctx.ForwardBatch(msgs)
+	return nil
+})
+
+// passTopo is the source → pass-through processor pipe on topic in, with a
+// sink into out unless out is empty.
+func passTopo(t testing.TB, out string) *Topology {
+	t.Helper()
+	b := NewTopology().Source("src", "in").Processor("pass", pass, "src")
+	if out != "" {
+		b = b.Sink("snk", out, "pass")
+	}
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return topo
+}
+
 func TestBuilderValidation(t *testing.T) {
-	_, err := NewTopology().Build()
-	if !errors.Is(err, ErrEmptyTopology) {
-		t.Fatalf("empty: err = %v, want ErrEmptyTopology", err)
-	}
-
-	_, err = NewTopology().Source("s", "t").Source("s", "t").Build()
-	if !errors.Is(err, ErrDuplicateNode) {
-		t.Fatalf("duplicate: err = %v, want ErrDuplicateNode", err)
-	}
-
-	_, err = NewTopology().Source("s", "t").Sink("k", "out", "ghost").Build()
-	if !errors.Is(err, ErrUnknownParent) {
-		t.Fatalf("unknown parent: err = %v, want ErrUnknownParent", err)
-	}
-
-	_, err = NewTopology().Source("s", "t").Sink("k", "out").Build()
-	if !errors.Is(err, ErrNoParents) {
-		t.Fatalf("orphan sink: err = %v, want ErrNoParents", err)
-	}
-
-	// One source per topology: the pump parks on one consumer's wake.
-	_, err = NewTopology().Source("s1", "in1").Source("s2", "in2").Build()
-	if !errors.Is(err, errSecondSource) {
-		t.Fatalf("second source: err = %v, want errSecondSource", err)
+	src := func() *TopologyBuilder { return NewTopology().Source("s", "in") }
+	proc := func() *TopologyBuilder { return src().Processor("p", pass, "s") }
+	for _, tc := range []struct {
+		name string
+		b    *TopologyBuilder
+		want error  // nil: accepted
+		node string // the node a shape error names
+	}{
+		{"source → processor", proc(), nil, ""},
+		{"source → processor → sink", proc().Sink("k", "out", "p"), nil, ""},
+		{"empty", NewTopology(), ErrEmptyTopology, ""},
+		{"no processor", src(), errShape, "s"},
+		{"second source", proc().Source("s2", "in2"), errShape, "s2"},
+		{"second processor", proc().Processor("p2", pass, "s"), errShape, "p2"},
+		{"processor fed by a non-source", src().Processor("p", pass, "ghost"), errShape, "p"},
+		{"sink fed by the source", proc().Sink("k", "out", "s"), errShape, "k"},
+		{"second sink", proc().Sink("k", "out", "p").Sink("k2", "out2", "p"), errShape, "k2"},
+	} {
+		_, err := tc.b.Build()
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: Build: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		} else if tc.node != "" && !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.node)) {
+			t.Errorf("%s: err = %v, want it to name %q", tc.name, err, tc.node)
+		}
 	}
 }
 
 func TestSourceToSinkPassthrough(t *testing.T) {
 	b := buildBroker(t, "in", "out")
-	topo, err := NewTopology().
-		Source("src", "in").
-		Sink("snk", "out", "src").
-		Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	rt, err := NewRuntime(transport.WrapBroker(b), topo, "app")
+	rt, err := NewRuntime(transport.WrapBroker(b), passTopo(t, "out"), "app")
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}
@@ -103,12 +139,12 @@ func TestSourceToSinkPassthrough(t *testing.T) {
 
 func TestProcessorTransformsAndForwards(t *testing.T) {
 	b := buildBroker(t, "in", "out")
-	double := func() Processor {
-		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
-			ctx.Forward(Message{Key: msg.Key, Value: append(msg.Value, msg.Value...), Ts: msg.Ts})
-			return nil
-		})
-	}
+	double := procOf(func(ctx ProcessorContext, msgs []Message) error {
+		for _, msg := range msgs {
+			ctx.Forward(Message{Key: msg.Key, Value: append(msg.Value, msg.Value...)})
+		}
+		return nil
+	})
 	topo, _ := NewTopology().
 		Source("src", "in").
 		Processor("double", double, "src").
@@ -125,61 +161,10 @@ func TestProcessorTransformsAndForwards(t *testing.T) {
 	}
 }
 
-func TestFanOutToMultipleChildren(t *testing.T) {
-	b := buildBroker(t, "in", "out1", "out2")
-	topo, _ := NewTopology().
-		Source("src", "in").
-		Sink("s1", "out1", "src").
-		Sink("s2", "out2", "src").
-		Build()
-	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
-	rt.Start()
-	defer rt.Stop()
-
-	mq.NewProducer(b).Send("in", nil, []byte("x"))
-	if got := drain(t, b, "out1", 1, 2*time.Second); len(got) != 1 {
-		t.Fatalf("out1 got %d records, want 1", len(got))
-	}
-	if got := drain(t, b, "out2", 1, 2*time.Second); len(got) != 1 {
-		t.Fatalf("out2 got %d records, want 1", len(got))
-	}
-}
-
-func TestChainedProcessors(t *testing.T) {
-	b := buildBroker(t, "in", "out")
-	appendByte := func(tag byte) func() Processor {
-		return func() Processor {
-			return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
-				ctx.Forward(Message{Value: append(msg.Value, tag)})
-				return nil
-			})
-		}
-	}
-	topo, _ := NewTopology().
-		Source("src", "in").
-		Processor("p1", appendByte('1'), "src").
-		Processor("p2", appendByte('2'), "p1").
-		Sink("snk", "out", "p2").
-		Build()
-	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
-	rt.Start()
-	defer rt.Stop()
-
-	mq.NewProducer(b).Send("in", nil, []byte("x"))
-	recs := drain(t, b, "out", 1, 2*time.Second)
-	if len(recs) != 1 || string(recs[0].Value) != "x12" {
-		t.Fatalf("got %q, want \"x12\"", recs)
-	}
-}
-
 func TestProcessorErrorStopsRuntime(t *testing.T) {
 	b := buildBroker(t, "in")
 	boom := errors.New("boom")
-	failing := func() Processor {
-		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
-			return boom
-		})
-	}
+	failing := procOf(func(ProcessorContext, []Message) error { return boom })
 	topo, _ := NewTopology().
 		Source("src", "in").
 		Processor("bad", failing, "src").
@@ -213,8 +198,8 @@ func (p *punctuatingProcessor) Init(ctx ProcessorContext) error {
 	p.mu.Unlock()
 	return nil
 }
-func (p *punctuatingProcessor) Process(Message) error { return nil }
-func (p *punctuatingProcessor) Close() error          { return nil }
+func (p *punctuatingProcessor) ProcessBatch([]Message) error { return nil }
+func (p *punctuatingProcessor) Close() error                 { return nil }
 
 func (p *punctuatingProcessor) Deadline(time.Time) time.Time {
 	p.mu.Lock()
@@ -289,8 +274,7 @@ func TestPunctuationCancel(t *testing.T) {
 
 func TestStopIsIdempotentAndStopsPump(t *testing.T) {
 	b := buildBroker(t, "in")
-	topo, _ := NewTopology().Source("src", "in").Build()
-	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
+	rt, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, ""), "app")
 	if err := rt.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -309,8 +293,7 @@ func TestStopIsIdempotentAndStopsPump(t *testing.T) {
 
 func TestDoubleStartRejected(t *testing.T) {
 	b := buildBroker(t, "in")
-	topo, _ := NewTopology().Source("src", "in").Build()
-	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
+	rt, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, ""), "app")
 	rt.Start()
 	defer rt.Stop()
 	if err := rt.Start(); err == nil {
@@ -320,12 +303,8 @@ func TestDoubleStartRejected(t *testing.T) {
 
 func TestTwoRuntimesDistinctAppIDsBothSeeStream(t *testing.T) {
 	b := buildBroker(t, "in", "outA", "outB")
-	mkTopo := func(out string) *Topology {
-		topo, _ := NewTopology().Source("src", "in").Sink("snk", out, "src").Build()
-		return topo
-	}
-	rtA, _ := NewRuntime(transport.WrapBroker(b), mkTopo("outA"), "appA")
-	rtB, _ := NewRuntime(transport.WrapBroker(b), mkTopo("outB"), "appB")
+	rtA, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, "outA"), "appA")
+	rtB, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, "outB"), "appB")
 	rtA.Start()
 	rtB.Start()
 	defer rtA.Stop()
@@ -345,12 +324,8 @@ func TestTwoRuntimesDistinctAppIDsBothSeeStream(t *testing.T) {
 
 func TestSharedAppIDSplitsPartitions(t *testing.T) {
 	b := buildBroker(t, "in", "out")
-	mkTopo := func() *Topology {
-		topo, _ := NewTopology().Source("src", "in").Sink("snk", "out", "src").Build()
-		return topo
-	}
-	rt1, _ := NewRuntime(transport.WrapBroker(b), mkTopo(), "shared")
-	rt2, _ := NewRuntime(transport.WrapBroker(b), mkTopo(), "shared")
+	rt1, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, "out"), "shared")
+	rt2, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, "out"), "shared")
 	rt1.Start()
 	rt2.Start()
 	defer rt1.Stop()
@@ -373,12 +348,8 @@ func TestSharedAppIDMemberStopRebalances(t *testing.T) {
 	// the stream — the live runner's shard groups rely on this to tolerate
 	// member shutdown without stranding records.
 	b := buildBroker(t, "in", "out")
-	mkTopo := func() *Topology {
-		topo, _ := NewTopology().Source("src", "in").Sink("snk", "out", "src").Build()
-		return topo
-	}
-	rt1, _ := NewRuntime(transport.WrapBroker(b), mkTopo(), "shared")
-	rt2, _ := NewRuntime(transport.WrapBroker(b), mkTopo(), "shared")
+	rt1, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, "out"), "shared")
+	rt2, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, "out"), "shared")
 	rt1.Start()
 	rt2.Start()
 	defer rt2.Stop()
@@ -456,9 +427,9 @@ func (p *bufferingProcessor) Punctuate(now time.Time) {
 		p.ctx.Forward(m)
 	}
 }
-func (p *bufferingProcessor) Process(msg Message) error {
+func (p *bufferingProcessor) ProcessBatch(msgs []Message) error {
 	p.mu.Lock()
-	p.buf = append(p.buf, msg)
+	p.buf = append(p.buf, msgs...)
 	p.mu.Unlock()
 	return nil
 }
@@ -508,28 +479,23 @@ func TestEndOfStreamFlushesFinalWindow(t *testing.T) {
 	}
 }
 
-type initFailProcessor struct{ closed bool }
+type initFailProcessor struct{}
 
-func (p *initFailProcessor) Init(ProcessorContext) error { return errors.New("init boom") }
-func (p *initFailProcessor) Process(Message) error       { return nil }
-func (p *initFailProcessor) Close() error                { p.closed = true; return nil }
+func (initFailProcessor) Init(ProcessorContext) error  { return errors.New("init boom") }
+func (initFailProcessor) ProcessBatch([]Message) error { return nil }
+func (initFailProcessor) Close() error                 { return nil }
 
 func TestStopAfterFailedStartDoesNotPanic(t *testing.T) {
 	// A Start that fails during processor Init must leave the runtime in
-	// the never-started state: Stop cleans up the consumers (releasing
+	// the never-started state: Stop cleans up the consumer (releasing
 	// group membership) without touching the unlaunched pump.
 	b := buildBroker(t, "in")
-	ok := &punctuatingProcessor{}
 	topo, _ := NewTopology().
 		Source("src", "in").
-		Processor("fine", func() Processor { return ok }, "src").
-		Processor("bad", func() Processor { return &initFailProcessor{} }, "fine").
+		Processor("bad", func() Processor { return initFailProcessor{} }, "src").
 		Build()
 	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "shared")
-	survivor, _ := NewRuntime(transport.WrapBroker(b), func() *Topology {
-		topo, _ := NewTopology().Source("src", "in").Build()
-		return topo
-	}(), "shared")
+	survivor, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, ""), "shared")
 
 	if err := rt.Start(); err == nil {
 		t.Fatal("Start succeeded despite failing Init")
@@ -559,12 +525,8 @@ func TestStopBeforeStartReleasesGroupMembership(t *testing.T) {
 	// the live runner's shard groups rely on this when a group build fails
 	// partway.
 	b := buildBroker(t, "in")
-	mkTopo := func() *Topology {
-		topo, _ := NewTopology().Source("src", "in").Build()
-		return topo
-	}
-	never, _ := NewRuntime(transport.WrapBroker(b), mkTopo(), "shared")
-	survivor, _ := NewRuntime(transport.WrapBroker(b), mkTopo(), "shared")
+	never, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, ""), "shared")
+	survivor, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, ""), "shared")
 	if err := never.Stop(); err != nil {
 		t.Fatalf("Stop before Start: %v", err)
 	}
@@ -591,8 +553,7 @@ func BenchmarkPassthroughPipeline(b *testing.B) {
 	br := mq.NewBroker()
 	br.CreateTopic("in", 1, mq.WithRetention(4096))
 	br.CreateTopic("out", 1, mq.WithRetention(4096))
-	topo, _ := NewTopology().Source("src", "in").Sink("snk", "out", "src").Build()
-	rt, _ := NewRuntime(transport.WrapBroker(br), topo, "bench")
+	rt, _ := NewRuntime(transport.WrapBroker(br), passTopo(b, "out"), "bench")
 	rt.Start()
 	defer rt.Stop()
 	sinkDrain, _ := mq.NewGroupConsumer(br, "out", "bench-drain")
@@ -618,7 +579,7 @@ func BenchmarkPassthroughPipeline(b *testing.B) {
 type tickingProcessor struct{ next time.Time }
 
 func (p *tickingProcessor) Init(ctx ProcessorContext) error { p.next = ctx.Now(); return nil }
-func (p *tickingProcessor) Process(Message) error           { return nil }
+func (p *tickingProcessor) ProcessBatch([]Message) error    { return nil }
 func (p *tickingProcessor) Close() error                    { return nil }
 func (p *tickingProcessor) Deadline(time.Time) time.Time    { return p.next }
 func (p *tickingProcessor) Punctuate(now time.Time)         { p.next = now.Add(500 * time.Microsecond) }
@@ -659,8 +620,7 @@ func TestIdlePumpAllocatesNothing(t *testing.T) {
 // wakes once per event — a record, a Sync — and never on its own.
 func TestParkedPumpWakesOnEvents(t *testing.T) {
 	b := buildBroker(t, "in", "out")
-	topo, _ := NewTopology().Source("src", "in").Sink("snk", "out", "src").Build()
-	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
+	rt, _ := NewRuntime(transport.WrapBroker(b), passTopo(t, "out"), "app")
 	rt.Start()
 	defer rt.Stop()
 
@@ -681,108 +641,18 @@ func TestParkedPumpWakesOnEvents(t *testing.T) {
 	}
 }
 
-// TestFanInMergesParents wires a diamond under the one source: two branches
-// both feed one merge processor, so each source record reaches the sink once
-// per branch.
-func TestFanInMergesParents(t *testing.T) {
-	b := buildBroker(t, "in", "out")
-	pass := func() Processor {
-		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
-			ctx.Forward(msg)
-			return nil
-		})
-	}
-	topo, err := NewTopology().
-		Source("src", "in").
-		Processor("left", pass, "src").
-		Processor("right", pass, "src").
-		Processor("merge", pass, "left", "right").
-		Sink("snk", "out", "merge").
-		Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
-	rt.Start()
-	defer rt.Stop()
-
-	p := mq.NewProducer(b)
-	p.Send("in", nil, []byte("a"))
-	p.Send("in", nil, []byte("b"))
-	recs := drain(t, b, "out", 4, 2*time.Second)
-	if len(recs) != 4 {
-		t.Fatalf("merged %d records, want 4", len(recs))
-	}
-	counts := map[string]int{}
-	for _, r := range recs {
-		counts[string(r.Value)]++
-	}
-	if counts["a"] != 2 || counts["b"] != 2 {
-		t.Fatalf("merged values %v, want a and b twice each", counts)
-	}
-}
-
-// TestDSLFilterMap chains a processor that drops odd records into one that
-// maps each survivor to a new value: the filter-then-map pipeline, built
-// from plain TopologyBuilder processors.
-func TestDSLFilterMap(t *testing.T) {
-	b := buildBroker(t, "in", "out")
-	filter := func() Processor {
-		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
-			if msg.Value[0]%2 == 0 {
-				ctx.Forward(msg)
-			}
-			return nil
-		})
-	}
-	scale := func() Processor {
-		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
-			ctx.Forward(Message{Key: msg.Key, Value: []byte{msg.Value[0] * 10}})
-			return nil
-		})
-	}
-	topo, err := NewTopology().
-		Source("src", "in").
-		Processor("filter", filter, "src").
-		Processor("map", scale, "filter").
-		Sink("snk", "out", "map").
-		Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
-	rt.Start()
-	defer rt.Stop()
-
-	p := mq.NewProducer(b)
-	for i := byte(0); i < 6; i++ {
-		p.Send("in", nil, []byte{i})
-	}
-	recs := drain(t, b, "out", 3, 2*time.Second)
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3 (evens only)", len(recs))
-	}
-	sum := 0
-	for _, r := range recs {
-		sum += int(r.Value[0])
-	}
-	if sum != 0+20+40 {
-		t.Fatalf("mapped values sum = %d, want 60", sum)
-	}
-}
-
 // TestDSLFlatMap has one processor forward many records per input: a record
 // carrying n becomes n records.
 func TestDSLFlatMap(t *testing.T) {
 	b := buildBroker(t, "in", "out")
-	expand := func() Processor {
-		return NewProcessorFunc(func(ctx ProcessorContext, msg Message) error {
+	expand := procOf(func(ctx ProcessorContext, msgs []Message) error {
+		for _, msg := range msgs {
 			for i := 0; i < int(msg.Value[0]); i++ {
 				ctx.Forward(Message{Value: []byte{byte(i)}})
 			}
-			return nil
-		})
-	}
+		}
+		return nil
+	})
 	topo, err := NewTopology().
 		Source("src", "in").
 		Processor("expand", expand, "src").
@@ -799,5 +669,99 @@ func TestDSLFlatMap(t *testing.T) {
 	recs := drain(t, b, "out", 4, 2*time.Second)
 	if len(recs) != 4 {
 		t.Fatalf("expand emitted %d, want 4", len(recs))
+	}
+}
+
+// countingBus counts the SendBatch calls of every producer it hands out.
+type countingBus struct {
+	transport.Bus
+	sends *int64
+}
+
+func (b countingBus) NewProducer() transport.Producer {
+	return countingProducer{b.Bus.NewProducer(), b.sends}
+}
+
+type countingProducer struct {
+	transport.Producer
+	sends *int64
+}
+
+func (p countingProducer) SendBatch(topic string, recs []mq.Record) error {
+	*p.sends++ // the one pump goroutine sends
+	return p.Producer.SendBatch(topic, recs)
+}
+
+// TestRecordAtATimeDispatchShape pins what WithRecordAtATime means: a polled
+// batch of N records reaches the processor as N calls of length 1, and N
+// messages forwarded in one batch reach the bus as N appends. Without the
+// option the same input arrives in calls longer than 1, and the forwarded
+// batch is one append.
+func TestRecordAtATimeDispatchShape(t *testing.T) {
+	const n = 64
+	for _, perRecord := range []bool{true, false} {
+		b := mq.NewBroker()
+		for _, topic := range []string{"in", "out"} {
+			if _, err := b.CreateTopic(topic, 1); err != nil {
+				t.Fatalf("CreateTopic(%q): %v", topic, err)
+			}
+		}
+		recs := make([]mq.Record, n)
+		for i := range recs {
+			recs[i] = mq.Record{Key: []byte("k"), Value: []byte{byte(i)}}
+		}
+		if err := mq.NewProducer(b).SendBatch("in", recs); err != nil {
+			t.Fatalf("SendBatch: %v", err)
+		}
+		var calls []int    // the length of every ProcessBatch call
+		var held []Message // copies of every message, forwarded once all n are in
+		rec := procOf(func(ctx ProcessorContext, msgs []Message) error {
+			calls = append(calls, len(msgs))
+			for _, m := range msgs {
+				held = append(held, Message{Key: bytes.Clone(m.Key), Value: bytes.Clone(m.Value)})
+			}
+			if len(held) == n {
+				ctx.ForwardBatch(held)
+			}
+			return nil
+		})
+		topo, err := NewTopology().Source("src", "in").Processor("rec", rec, "src").Sink("snk", "out", "rec").Build()
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		var sends int64
+		var opts []RuntimeOption
+		if perRecord {
+			opts = append(opts, WithRecordAtATime())
+		}
+		rt, err := NewRuntime(countingBus{transport.WrapBroker(b), &sends}, topo, "app", opts...)
+		if err != nil {
+			t.Fatalf("NewRuntime: %v", err)
+		}
+		if err := rt.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		got := drain(t, b, "out", n, 2*time.Second)
+		if err := rt.Stop(); err != nil {
+			t.Fatalf("Stop: %v", err)
+		}
+		if len(got) != n {
+			t.Fatalf("perRecord=%v: forwarded %d records, want %d", perRecord, len(got), n)
+		}
+		for i, r := range got {
+			if r.Value[0] != byte(i) {
+				t.Fatalf("perRecord=%v: record %d carries %d, want input order", perRecord, i, r.Value[0])
+			}
+		}
+		longest := 0
+		for _, c := range calls {
+			longest = max(longest, c)
+		}
+		if perRecord && (len(calls) != n || longest != 1 || sends != n) {
+			t.Fatalf("record at a time: %d calls, longest %d, %d appends; want %d calls of 1 and %d appends", len(calls), longest, sends, n, n)
+		}
+		if !perRecord && (longest < 2 || sends != 1) {
+			t.Fatalf("batched: calls %v, %d appends; want a call longer than 1 and one append", calls, sends)
+		}
 	}
 }
