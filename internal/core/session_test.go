@@ -414,23 +414,24 @@ func TestSessionSetTarget(t *testing.T) {
 }
 
 // TestRunLiveMatchesPreRefactorFixtures pins the compatibility wrapper to
-// outputs captured from the monolithic RunLive immediately before the
+// outputs first captured from the monolithic RunLive immediately before the
 // session refactor (same seeds, volumes, and parallelism). Produced and the
-// Eq. 8 exact-count invariant must hold exactly; TruthSum is checked to
-// 1e-12 relative — the session accumulates per-slot truth in deterministic
-// slot order, while the old runner folded per-goroutine sums in completion
-// order, so the totals may differ in the last few ulps (the old fold order
-// was scheduler-dependent; no single order reproduces every old bit
-// pattern).
+// Eq. 8 exact-count invariant must hold exactly. TruthSum is the sum of the
+// generated workload, so it follows the xrand engine the generator draws
+// from: the two values below were re-captured when that engine became
+// xoshiro256** (the refactor-era ones came from math/rand's source). It is
+// checked to 1e-12 relative — the session accumulates per-slot truth in
+// deterministic slot order, while the old runner folded per-goroutine sums in
+// completion order, so the totals may differ in the last few ulps.
 func TestRunLiveMatchesPreRefactorFixtures(t *testing.T) {
 	fixtures := []struct {
 		seed     uint64
 		items    int64
 		parts    int
-		truthSum float64 // captured pre-refactor
+		truthSum float64 // captured from the current xrand engine
 	}{
-		{seed: 3, items: 16000, parts: 1, truthSum: math.Float64frombits(0x41BA3B271D5771A6)},
-		{seed: 7, items: 12000, parts: 4, truthSum: math.Float64frombits(0x41B3D93E4260847E)},
+		{seed: 3, items: 16000, parts: 1, truthSum: math.Float64frombits(0x41BA2E454335BFCD)},
+		{seed: 7, items: 12000, parts: 4, truthSum: math.Float64frombits(0x41B3D553C354D2AB)},
 	}
 	for _, f := range fixtures {
 		cfg := LiveConfig{

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +20,7 @@ import (
 type valve struct {
 	slot      int
 	topic     string
+	src       stream.SourceID // slotSource(slot), named at the first push that needs it
 	producer  transport.Producer
 	bwc       *metrics.BandwidthCounter // private leaf-link byte counter
 	from      string                    // watermark origin: this valve's chain identity
@@ -53,19 +55,18 @@ func (v *valve) publish(items []stream.Item, truth *paddedFloat) error {
 	pubNanos := pub.UnixNano()
 	v.last = pub
 	var (
-		defaultSrc stream.SourceID
-		src        stream.SourceID
-		mark       time.Time
-		lo         int
-		sum        = truth.v
+		src  stream.SourceID
+		mark time.Time
+		lo   int
+		sum  = truth.v
 	)
 	for j := range items {
 		it := &items[j]
 		if it.Source == "" {
-			if defaultSrc == "" {
-				defaultSrc = stream.SourceID(fmt.Sprintf("source%d", v.slot))
+			if v.src == "" {
+				v.src = slotSource(v.slot)
 			}
-			it.Source = defaultSrc
+			it.Source = v.src
 		}
 		it.Pub = pubNanos
 		if v.stampTs || it.Ts.IsZero() {
@@ -359,6 +360,12 @@ func (in *Ingester) idleBeatAt() time.Time {
 	return in.last.Add(in.e.cfg.Window)
 }
 
+// slotSource is source slot's default stratum: the Source of the items
+// pushed through it without one.
+func slotSource(slot int) stream.SourceID {
+	return stream.SourceID("source" + strconv.Itoa(slot))
+}
+
 // eosSources lists the sub-streams source slot signs off at end of stream, in
 // SourceID order: every sub-stream in its marks, or the slot's default
 // stratum if it never sent one.
@@ -368,7 +375,7 @@ func eosSources(marks map[stream.SourceID]time.Time, slot int) []stream.SourceID
 		srcs = append(srcs, src)
 	}
 	if len(srcs) == 0 {
-		srcs = append(srcs, stream.SourceID(fmt.Sprintf("source%d", slot)))
+		srcs = append(srcs, slotSource(slot))
 	}
 	slices.Sort(srcs)
 	return srcs

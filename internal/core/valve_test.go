@@ -126,3 +126,32 @@ func TestValvePublishOnePassEqualsFour(t *testing.T) {
 		})
 	}
 }
+
+// A push whose items carry no Source allocates no more than one whose items
+// do: the slot's default stratum is named once per valve, not per push.
+func TestValveDefaultSourceAddsNoAllocation(t *testing.T) {
+	bus := transport.NewMem()
+	defer bus.Close()
+	if err := bus.CreateTopic("leaf", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	v := &valve{slot: 3, topic: "leaf", producer: bus.NewProducer(), bwc: metrics.NewBandwidthAccount().Counter("leaf"),
+		from: sourceFrom(3), marks: make(map[stream.SourceID]time.Time), enc: encoderFor(bus)}
+	var truth paddedFloat
+	items := make([]stream.Item, 16)
+	push := func(src stream.SourceID) func() {
+		return func() {
+			for i := range items {
+				items[i] = stream.Item{Source: src, Value: float64(i), Ts: simEpoch}
+			}
+			if err := v.publish(items, &truth); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	named := testing.AllocsPerRun(200, push(slotSource(3)))
+	unnamed := testing.AllocsPerRun(200, push(""))
+	if unnamed != named {
+		t.Fatalf("a push without Sources allocates %v times, one with them %v", unnamed, named)
+	}
+}

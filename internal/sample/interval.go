@@ -80,10 +80,14 @@ func lineageShare(n, lineageCount, totalCount int) int {
 // SampleInterval implements Algorithm 2's per-interval loop for weighted
 // hierarchical sampling: the budget is allocated across sub-streams
 // (fairly, per the Allocator), each sub-stream's share is divided over its
-// weight lineages, and every lineage is reservoir-sampled with its weight
-// updated per Eq. 1–2.
+// weight lineages, and every lineage is sampled with its weight updated
+// per Eq. 1–2.
 //
-// Every lineage is sampled in place (reservoirInPlace): an output batch's
+// The paper fills each lineage's reservoir with Algorithm R; at close the
+// lineage's length is known, so it is sampled by selection instead
+// (selectInPlace), which draws the same distribution — every subset of the
+// share's size equally likely — in min(n, N−n) draws rather than one per
+// item past the share. Every lineage is sampled in place: an output batch's
 // Items is a prefix of the input pair's own slice, so the interval costs no
 // item storage at all. The batch headers live in the sampler's own buffer,
 // which Reseed takes back (see Sampler): a window node's close allocates
@@ -104,7 +108,7 @@ func (s *WHSampler) SampleInterval(pairs []stream.Batch, budget int) []stream.Ba
 		}
 		for _, i := range g.lineages(j) {
 			pair := &pairs[i]
-			kept, w := reservoirInPlace(pair.Items, lineageShare(ni, len(pair.Items), g.counts[j]), s.rng)
+			kept, w := selectInPlace(pair.Items, lineageShare(ni, len(pair.Items), g.counts[j]), s.rng)
 			out = append(out, stream.Batch{Source: pair.Source, Weight: pair.Weight * w, Items: kept})
 		}
 	}

@@ -3,6 +3,7 @@ package sample
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -166,8 +167,8 @@ func TestPassthroughIntervalDropsEmpty(t *testing.T) {
 
 // referenceInterval is WHSampler.SampleInterval as it was before it sampled
 // in place or grouped by slice: pairs grouped through a map, sizes from the
-// map-keyed allocators (refAllocate), every lineage offered, item by item, to
-// a fresh Reservoir. The sampler must reproduce it draw for draw.
+// map-keyed allocators (refAllocate), every lineage sampled into fresh
+// storage by refSelect. The sampler must reproduce it draw for draw.
 func referenceInterval(rng *xrand.Rand, alloc Allocator, pairs []stream.Batch, budget int) []stream.Batch {
 	bySource, sources, counts := groupPairs(pairs)
 	if len(sources) == 0 || budget <= 0 {
@@ -185,12 +186,43 @@ func referenceInterval(rng *xrand.Rand, alloc Allocator, pairs []stream.Batch, b
 			continue
 		}
 		for _, pair := range bySource[src] {
-			res := NewReservoir(lineageShare(sizes[src], len(pair.Items), counts[src]), rng)
-			res.AddAll(pair.Items)
-			out = append(out, stream.Batch{Source: src, Weight: pair.Weight * res.Weight(), Items: res.Items()})
+			kept, w := refSelect(pair.Items, lineageShare(sizes[src], len(pair.Items), counts[src]), rng)
+			out = append(out, stream.Batch{Source: src, Weight: pair.Weight * w, Items: kept})
 		}
 	}
 	return out
+}
+
+// refSelect is the selection sampler's oracle: a partial Fisher–Yates
+// shuffle of an index array, not of the items, taking the same draws in the
+// same order — forward over the first n positions when n <= N−n, backward
+// over the last N−n otherwise — and copying the kept items out into fresh
+// storage, with the Eq. 1 weight N/n (everything at weight 1 when it fits).
+func refSelect(items []stream.Item, n int, rng *xrand.Rand) ([]stream.Item, float64) {
+	size := len(items)
+	if size <= n {
+		return slices.Clone(items), 1
+	}
+	idx := make([]int, size)
+	for i := range idx {
+		idx[i] = i
+	}
+	if n <= size-n {
+		for i := 0; i < n; i++ {
+			j := i + int(rng.Int63n(int64(size-i)))
+			idx[i], idx[j] = idx[j], idx[i]
+		}
+	} else {
+		for i := size - 1; i >= n; i-- {
+			j := int(rng.Int63n(int64(i + 1)))
+			idx[i], idx[j] = idx[j], idx[i]
+		}
+	}
+	kept := make([]stream.Item, n)
+	for i := range kept {
+		kept[i] = items[idx[i]]
+	}
+	return kept, float64(size) / float64(n)
 }
 
 func clonePairs(pairs []stream.Batch) []stream.Batch {
@@ -218,50 +250,42 @@ func sameBatches(a, b []stream.Batch) bool {
 	return true
 }
 
-// The in-place reservoir against its oracle on the shares that matter: one
-// slot, fewer slots than items, exactly as many, and more.
-func TestReservoirInPlaceEqualsReservoir(t *testing.T) {
+// In-place selection against its oracle on the shares that matter: one
+// slot, fewer slots than items (both branches), exactly as many, and more.
+func TestSelectInPlaceEqualsReference(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 256} {
-		for _, share := range []int{1, n / 2, n - 1, n, n + 1, 4 * n} {
+		for _, share := range []int{1, n / 4, n / 2, n - 1, n, n + 1, 4 * n} {
 			if share < 1 {
 				continue
 			}
+			seed := uint64(31*n + share)
 			items := mkItems("a", n)
-			res := NewReservoir(share, xrand.New(uint64(31*n+share)))
-			res.AddAll(items)
-			rng := xrand.New(uint64(31*n + share))
-			kept, w := reservoirInPlace(items, share, rng)
-			if w != res.Weight() || !sameBatches([]stream.Batch{{Items: kept}}, []stream.Batch{{Items: res.Items()}}) {
-				t.Fatalf("n=%d share=%d: in place kept %d items at weight %g, Reservoir %d at %g (or different items)",
-					n, share, len(kept), w, res.Len(), res.Weight())
+			refRng := xrand.New(seed)
+			want, wantW := refSelect(items, share, refRng)
+			rng := xrand.New(seed)
+			kept, w := selectInPlace(items, share, rng)
+			if w != wantW || !sameBatches([]stream.Batch{{Items: kept}}, []stream.Batch{{Items: want}}) {
+				t.Fatalf("n=%d share=%d: in place kept %d items at weight %g, reference %d at %g (or different items)",
+					n, share, len(kept), w, len(want), wantW)
 			}
 			if share < n && &kept[0] != &items[0] {
 				t.Fatalf("n=%d share=%d: sample does not alias the lineage's own storage", n, share)
 			}
 			// Same draws consumed: the generators are in the same state.
-			if rng.Uint64() != xrandAfter(uint64(31*n+share), n, share) {
-				t.Fatalf("n=%d share=%d: in-place sampling consumed different RNG draws", n, share)
+			if rng.Uint64() != refRng.Uint64() {
+				t.Fatalf("n=%d share=%d: in-place selection consumed different RNG draws", n, share)
 			}
 		}
 	}
-}
-
-// xrandAfter returns the next value of a generator seeded with seed after a
-// Reservoir of capacity share has been offered n items from it.
-func xrandAfter(seed uint64, n, share int) uint64 {
-	rng := xrand.New(seed)
-	res := NewReservoir(share, rng)
-	res.AddAll(mkItems("a", n))
-	return rng.Uint64()
 }
 
 // Property: for random intervals — several sub-streams, several weight
 // lineages per sub-stream, lineage lengths from 1 up, budgets from starved
 // (every share floors at 1) through exact to oversized (every share covers
 // its lineage) — in-place SampleInterval returns exactly what the
-// Reservoir-built reference returns from the same seed, for every allocator,
+// refSelect-built reference returns from the same seed, for every allocator,
 // and two intervals in a row stay in step (the generators agree afterwards).
-func TestWHSIntervalInPlaceEqualsReservoirReference(t *testing.T) {
+func TestWHSIntervalInPlaceEqualsSelectionReference(t *testing.T) {
 	allocs := map[string]Allocator{"equal": EqualSplit{}, "waterfill": WaterFill{}, "neyman": Neyman{}}
 	for name, alloc := range allocs {
 		f := func(seed uint64, budgetRaw uint16) bool {

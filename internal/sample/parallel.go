@@ -71,8 +71,8 @@ func (p *ParallelWHS) Reseed() {
 func (p *ParallelWHS) Workers() int { return p.workers }
 
 // Sample stratifies items, splits each sub-stream round-robin across the
-// workers, reservoir-samples each share with capacity N_i/w, and emits one
-// weighted batch per (sub-stream, worker) pair.
+// workers, samples a uniform subset of at most N_i/w from each share, and
+// emits one weighted batch per (sub-stream, worker) pair.
 func (p *ParallelWHS) Sample(items []stream.Item, weights stream.WeightMap, budget int) []stream.Batch {
 	return p.sample(nil, items, budget, weights.Get)
 }
@@ -121,12 +121,11 @@ func (p *ParallelWHS) sample(out []stream.Batch, items []stream.Item, budget int
 	run := func(w int) {
 		rng := p.rngs[w]
 		for _, t := range tasks[w] {
-			res := NewReservoir(t.cap, rng)
-			res.AddAll(t.items)
+			kept, weight := selectInPlace(t.items, t.cap, rng)
 			results[w] = append(results[w], stream.Batch{
 				Source: t.src,
-				Weight: t.wIn * res.Weight(),
-				Items:  res.Items(),
+				Weight: t.wIn * weight,
+				Items:  kept,
 			})
 		}
 	}

@@ -5,11 +5,14 @@ import (
 	"github.com/approxiot/approxiot/internal/xrand"
 )
 
-// Reservoir selects a uniform random sample of at most Cap items from an
-// unbounded stream using Vitter's Algorithm R [7] (§II-B2): the first Cap
-// items are kept; the i-th item thereafter replaces a random slot with
-// probability Cap/i. Every item ends up in the reservoir with probability
-// Cap/Seen.
+// Reservoir selects a uniform random sample of at most Cap items from a
+// stream of unknown length using Vitter's Algorithm R [7] (§II-B2): the
+// first Cap items are kept; the i-th item thereafter replaces a random slot
+// with probability Cap/i. Every item ends up in the reservoir with
+// probability Cap/Seen. It costs one draw per item past Cap; the samplers,
+// which see an interval's whole lineage before sampling it, draw the same
+// distribution of subsets by selection instead (selectInPlace), at
+// min(Cap, Seen−Cap) draws.
 type Reservoir struct {
 	rng   *xrand.Rand
 	cap   int
@@ -76,22 +79,31 @@ func (r *Reservoir) Reset() {
 	r.seen = 0
 }
 
-// reservoirInPlace runs Algorithm R over items using the slice itself as the
-// reservoir: items [0, n) are the first n offers, item i ≥ n draws
-// Int63n(i+1) and overwrites slot j when j < n, and the result is the
-// prefix items[:n] with the Eq. 1 local weight len(items)/n (1 when
-// everything fits). It consumes exactly the draws a Reservoir of capacity n
-// consumes when offered the same items, so both keep the same sample — the
-// tests hold it to that oracle — but it needs no storage of its own, which
-// is what Algorithm R is for. n must be at least 1.
-func reservoirInPlace(items []stream.Item, n int, rng *xrand.Rand) ([]stream.Item, float64) {
-	if len(items) <= n {
+// selectInPlace draws a uniform random subset of n of the items — simple
+// random sampling without replacement, each n-subset equally likely — by a
+// partial Fisher–Yates shuffle of the slice itself, and returns it as the
+// prefix items[:n] with the Eq. 1 local weight len(items)/n (the whole slice
+// at weight 1 when everything fits). With N = len(items) it takes
+// min(n, N−n) draws: n forward swaps, each bringing a uniform pick of the
+// items not yet chosen to the front, when n ≤ N−n; otherwise N−n backward
+// swaps that pick the complement into the tail. Unlike Algorithm R it needs
+// N up front, which a window node has at close; it needs no storage of its
+// own. n must be at least 1.
+func selectInPlace(items []stream.Item, n int, rng *xrand.Rand) ([]stream.Item, float64) {
+	size := len(items)
+	if size <= n {
 		return items, 1
 	}
-	for i := n; i < len(items); i++ {
-		if j := rng.Int63n(int64(i + 1)); j < int64(n) {
-			items[j] = items[i]
+	if n <= size-n {
+		for i := 0; i < n; i++ {
+			j := i + rng.Intn(size-i)
+			items[i], items[j] = items[j], items[i]
+		}
+	} else {
+		for i := size - 1; i >= n; i-- {
+			j := rng.Intn(i + 1)
+			items[i], items[j] = items[j], items[i]
 		}
 	}
-	return items[:n], float64(len(items)) / float64(n)
+	return items[:n], float64(size) / float64(n)
 }

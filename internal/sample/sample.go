@@ -1,7 +1,9 @@
 // Package sample implements ApproxIoT's sampling algorithms and the
 // baselines the paper evaluates against:
 //
-//   - Reservoir: Vitter's Algorithm R (§II-B2), the building block.
+//   - Reservoir: Vitter's Algorithm R (§II-B2), for streams of unknown
+//     length. The samplers below see each interval whole, so they draw the
+//     same uniform subsets by selection (selectInPlace) instead.
 //   - WHSampler: the paper's core contribution, weighted hierarchical
 //     stratified reservoir sampling (Algorithm 1). Runs independently on
 //     every node of the edge tree with no cross-node coordination.

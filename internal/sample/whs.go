@@ -11,7 +11,8 @@ import (
 //  1. stratifies the input items into sub-streams by source (line 5),
 //  2. allocates a reservoir size N_i per sub-stream from the total budget
 //     (line 7, the getSampleSize step),
-//  3. reservoir-samples each sub-stream independently (line 10), and
+//  3. samples each sub-stream independently (line 10): a uniform N_i-subset,
+//     drawn by selection since the interval's items are all at hand, and
 //  4. updates the weight: W^out = W^in·(c_i/N_i) when the sub-stream
 //     overflowed its reservoir, W^out = W^in otherwise (Eq. 1–2).
 //
@@ -66,13 +67,11 @@ func (s *WHSampler) Sample(items []stream.Item, weights stream.WeightMap, budget
 		if ni <= 0 {
 			continue // zero budget: sub-stream contributes nothing
 		}
-		res := NewReservoir(ni, s.rng)
-		res.AddAll(groups[i])
-		wOut := weights.Get(src) * res.Weight() // Eq. 2
+		kept, w := selectInPlace(groups[i], ni, s.rng)
 		batches = append(batches, stream.Batch{
 			Source: src,
-			Weight: wOut,
-			Items:  res.Items(),
+			Weight: weights.Get(src) * w, // Eq. 2
+			Items:  kept,
 		})
 	}
 	return batches

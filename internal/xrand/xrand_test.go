@@ -237,7 +237,7 @@ func BenchmarkNormal(b *testing.B) {
 
 // Reseed must put the generator back where New left it: every kind of draw
 // afterwards repeats a fresh generator's, and rewinding a generator nobody
-// drew from (the skipped seeding) is no different.
+// drew from is no different.
 func TestReseedReplaysAFreshGenerator(t *testing.T) {
 	draw := func(r *Rand) []float64 {
 		out := []float64{float64(r.Int63n(1 << 40)), r.Float64(), r.Normal(0, 1), r.Exp(2), float64(r.Poisson(50)), float64(r.Uint64() >> 11)}
@@ -263,5 +263,99 @@ func TestReseedReplaysAFreshGenerator(t *testing.T) {
 	child.Reseed()
 	if again := child.Uint64(); again != first || again != Split(9, 3).Uint64() {
 		t.Fatalf("Split child does not rewind to its own seed: %d then %d", first, again)
+	}
+}
+
+// TestGoldenStream pins the engine: xoshiro256** against the reference
+// implementation's outputs from state {1, 2, 3, 4}, SplitMix64's first
+// output from 0, and the first eight draws of two seeded generators — which
+// Reseed must reproduce.
+func TestGoldenStream(t *testing.T) {
+	ref := xoshiro{1, 2, 3, 4}
+	for i, want := range []uint64{11520, 0, 1509978240, 1215971899390074240} {
+		if got := ref.Uint64(); got != want {
+			t.Fatalf("xoshiro256** from {1,2,3,4}: draw %d = %d, want %d", i, got, want)
+		}
+	}
+	if got := mix(0); got != 0xe220a8397b1dcdaf {
+		t.Fatalf("SplitMix64 from 0 = %#x, want 0xe220a8397b1dcdaf", got)
+	}
+	golden := map[uint64][8]uint64{
+		1: {0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7,
+			0xb27a48e29a233673, 0x24c123126ffda722, 0x123004ef8df510e6, 0x61954dcc47b1e89d},
+		1<<63 + 5: {0x2d064cc3000e3b15, 0xe1c6ae926d7b8400, 0x212465571f7c88ec, 0x5fba95c989727ed4,
+			0x7fb15b82d0250d17, 0xea678a6df8ea2977, 0x1aa0da05b848c945, 0xae34b0dc1d50826e},
+	}
+	for seed, want := range golden {
+		r := New(seed)
+		for round := 0; round < 2; round++ {
+			for i, w := range want {
+				if got := r.Uint64(); got != w {
+					t.Fatalf("New(%d) round %d: draw %d = %#x, want %#x", seed, round, i, got, w)
+				}
+			}
+			r.Reseed()
+		}
+	}
+}
+
+// chiSquareCritical is the upper 3·10⁻⁵ point of the chi-square distribution
+// with df degrees of freedom (Wilson–Hilferty, z = 4).
+func chiSquareCritical(df int) float64 {
+	k := 2 / (9 * float64(df))
+	return float64(df) * math.Pow(1-k+4*math.Sqrt(k), 3)
+}
+
+// TestInt63nUnbiased bins Int63n's draws and tests them against uniform:
+// n = 3, 7 and 1000 by value, and n = 3·2⁶¹ by value mod 3. At that n a
+// quarter of the raw draws fall in the rejection zone, and keeping them
+// would put 3/8, 3/8 and 2/8 of the mass on the three residues.
+func TestInt63nUnbiased(t *testing.T) {
+	const perBin = 20000
+	for _, c := range []struct {
+		n    int64
+		bins int
+	}{{3, 3}, {7, 7}, {1000, 1000}, {3 << 61, 3}} {
+		r := New(uint64(c.n))
+		counts := make([]int, c.bins)
+		draws := perBin * c.bins
+		for i := 0; i < draws; i++ {
+			v := r.Int63n(c.n)
+			if v < 0 || v >= c.n {
+				t.Fatalf("Int63n(%d) = %d, out of range", c.n, v)
+			}
+			counts[v%int64(c.bins)]++
+		}
+		var chi2 float64
+		for _, k := range counts {
+			chi2 += float64((k-perBin)*(k-perBin)) / perBin
+		}
+		if crit := chiSquareCritical(c.bins - 1); chi2 > crit {
+			t.Errorf("Int63n(%d): chi-square %.1f over %.1f (%d bins)", c.n, chi2, crit, c.bins)
+		}
+	}
+}
+
+func TestInt63nPanicsOnNonPositive(t *testing.T) {
+	for _, n := range []int64{0, -1, math.MinInt64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Int63n(%d) did not panic", n)
+				}
+			}()
+			New(1).Int63n(n)
+		}()
+	}
+}
+
+// BenchmarkReseed is a window node's reopen: rewind the generator and take
+// one draw. CI gates its allocations at zero.
+func BenchmarkReseed(b *testing.B) {
+	r := New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Reseed()
+		r.Uint64()
 	}
 }
