@@ -199,9 +199,9 @@ func TestCarriedLagNeverAdmitsOnAFailedProbe(t *testing.T) {
 			p := f.pusher(t, 0)
 			drain := func() {
 				for {
-					recs, err := f.consumer.TryPoll(64)
+					recs, err := f.consumer.TryPollInto(nil, 64)
 					if err != nil {
-						t.Fatalf("TryPoll: %v", err)
+						t.Fatalf("TryPollInto: %v", err)
 					}
 					if len(recs) == 0 {
 						return
@@ -254,7 +254,7 @@ func TestCarriedLagProbesOncePerMark(t *testing.T) {
 				if err := p.Push(stream.Item{Value: 1}); err != nil {
 					t.Fatalf("Push %d: %v", i, err)
 				}
-				if recs, err := f.consumer.TryPoll(64); err != nil || len(recs) != 1 {
+				if recs, err := f.consumer.TryPollInto(nil, 64); err != nil || len(recs) != 1 {
 					t.Fatalf("push %d: consumer took %d records, %v", i, len(recs), err)
 				}
 			}

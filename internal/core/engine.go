@@ -213,7 +213,7 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, 
 			// Test hook: poison the root topic before anything consumes it.
 			p := bus.NewProducer()
 			for i := 0; i < cfg.corruptRoot; i++ {
-				if _, _, err := p.Send(plan.Root().Topic, nil, []byte{0xFF, 0xBA, 0xD0}); err != nil {
+				if err := p.SendBatch(plan.Root().Topic, []transport.Record{{Value: []byte{0xFF, 0xBA, 0xD0}}}); err != nil {
 					return fail(err)
 				}
 			}
@@ -847,7 +847,7 @@ func (e *engine) emitWindowLocked(win WindowResult) {
 		e.res.Bandwidth.Add(e.plan.ControlTopic, int64(len(payload)))
 		// The broker outlives every window close, so the only send failure
 		// mode is a deleted topic — impossible mid-run.
-		_, _, _ = e.ctlProducer.Send(e.plan.ControlTopic, nil, payload)
+		_ = e.ctlProducer.SendBatch(e.plan.ControlTopic, []transport.Record{{Value: payload}})
 		e.res.Fractions = append(e.res.Fractions, f)
 	}
 	if e.cfg.OnWindow != nil {

@@ -418,26 +418,14 @@ func (e *batchEncoder) newBlock() []byte {
 	return e.block
 }
 
-// messages materializes the queued records as streams messages appended
-// onto dst, backed by one block (see type comment).
-func (e *batchEncoder) messages(dst []streams.Message) []streams.Message {
+// records materializes the queued records appended onto dst, backed by one
+// block (see type comment) — what a member forwards and a valve sends.
+func (e *batchEncoder) records(dst []transport.Record) []transport.Record {
 	block := e.newBlock()
 	for i := range e.batches {
 		var key, value []byte
 		block, key, value = e.encode(block, i)
-		dst = append(dst, streams.Message{Key: key, Value: value, Watermark: e.wms[i]})
-	}
-	return dst
-}
-
-// records materializes the queued records as mq records appended onto dst,
-// backed by one block — the direct-produce form the valves hand to SendBatch.
-func (e *batchEncoder) records(dst []mq.Record) []mq.Record {
-	block := e.newBlock()
-	for i := range e.batches {
-		var key, value []byte
-		block, key, value = e.encode(block, i)
-		dst = append(dst, mq.Record{Key: key, Value: value, Watermark: e.wms[i]})
+		dst = append(dst, transport.Record{Key: key, Value: value, Watermark: e.wms[i]})
 	}
 	return dst
 }
@@ -561,7 +549,7 @@ func (p *samplingProcessor) flushEmits() {
 		return
 	}
 	p.bwc.Add(p.enc.payloadBytes())
-	msgs := p.enc.messages(p.outMsgs[:0])
+	msgs := p.enc.records(p.outMsgs[:0])
 	p.ctx.ForwardBatch(msgs)
 	p.enc.reset()
 	for i := range msgs {
@@ -697,19 +685,33 @@ func (p *samplingProcessor) signalEOS() {
 }
 
 // memberEOSBroadcast builds a member's terminal end-of-stream broadcast: one
-// zero-item record per parent-topic partition, keyed and originated by the
-// member itself, at the end-of-stream watermark — the interior-tier analogue
-// of Ingester.sendEOS, and the producer half of the lane-floor contract.
+// zero-item record, keyed and originated by the member itself, at the
+// end-of-stream watermark, on every parent-topic partition — the
+// interior-tier analogue of Ingester.sendEOS, and the producer half of the
+// lane-floor contract.
 func memberEOSBroadcast(prod transport.Producer, topic, id string, partitions int, bwc *metrics.BandwidthCounter) func() {
 	return func() {
-		payload := heartbeat(stream.SourceID(id)).Marshal()
-		wm := mq.Watermark{From: id, At: eosWatermark}
-		for part := 0; part < partitions; part++ {
-			bwc.Add(int64(len(payload)))
-			// The broker outlives the drain; a send can only fail once the
-			// session is past the point of caring about these records.
-			_, _ = prod.SendToWatermarked(topic, part, []byte(id), payload, wm)
-		}
+		broadcastEOS(prod, topic, partitions, bwc, transport.Record{
+			Key:       []byte(id),
+			Value:     heartbeat(stream.SourceID(id)).Marshal(),
+			Watermark: mq.Watermark{From: id, At: eosWatermark},
+		})
+	}
+}
+
+// broadcastEOS sends a producer's end-of-stream sign-offs, in order, to every
+// partition of topic, and accounts each copy's payload on bwc. End of stream
+// is topic-global: every partition's consumer must hear it, not just the one
+// a sub-stream's key hashes to. The bus outlives the drain, so a send can
+// only fail once the deployment is past caring about these records.
+func broadcastEOS(prod transport.Producer, topic string, partitions int, bwc *metrics.BandwidthCounter, signoffs ...transport.Record) {
+	var payload int64
+	for _, r := range signoffs {
+		payload += int64(len(r.Value))
+	}
+	for part := 0; part < partitions; part++ {
+		bwc.Add(payload)
+		_ = prod.SendTo(topic, part, signoffs)
 	}
 }
 
@@ -828,9 +830,10 @@ func (p *samplingProcessor) applyControl() {
 		return
 	}
 	latest := -1.0
+	var recs []transport.Record
 	for {
-		recs, err := p.control.TryPoll(64)
-		if err != nil || len(recs) == 0 {
+		var err error
+		if recs, err = p.control.TryPollInto(recs[:0], 64); err != nil || len(recs) == 0 {
 			break
 		}
 		for _, rec := range recs {

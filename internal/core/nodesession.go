@@ -152,7 +152,7 @@ func (n *NodeSession) completeRoot(bus transport.Bus, controlTopic string) {
 	n.doneOnce.Do(func() {
 		// Best-effort: a failed send only degrades remote WaitDone to its
 		// caller's context deadline; this process's Done still closes.
-		_, _, _ = bus.NewProducer().Send(controlTopic, nil, nodeDoneMarker)
+		_ = bus.NewProducer().SendBatch(controlTopic, []transport.Record{{Value: nodeDoneMarker}})
 		close(n.done)
 	})
 }
@@ -186,13 +186,14 @@ func (n *NodeSession) WaitDone(ctx context.Context) error {
 		return err
 	}
 	defer c.Close()
+	var recs []transport.Record
 	for {
 		select {
 		case <-n.closed:
 			return ErrSessionClosed
 		default:
 		}
-		recs, err := c.Poll(ctx, 64)
+		recs, err = c.PollInto(ctx, recs[:0], 64)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return ctx.Err()

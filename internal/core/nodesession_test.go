@@ -469,7 +469,7 @@ func TestNodeBackpressureOverTCP(t *testing.T) {
 	defer stopDrain()
 	go func() {
 		for {
-			if _, err := consumer.Poll(drainCtx, 256); err != nil {
+			if _, err := consumer.PollInto(drainCtx, nil, 256); err != nil {
 				return
 			}
 		}

@@ -483,7 +483,7 @@ func (r *simRun) source(s int, gen workload.Source, chunk time.Duration, ctx *si
 				enc.add(heartbeat(src), mq.Watermark{From: from, At: eosWatermark})
 			}
 		}
-		ctx.ForwardBatch(enc.messages(nil))
+		ctx.ForwardBatch(enc.records(nil))
 		enc.reset()
 	}
 	r.sim.At(simStart.Add(chunk), tick)
@@ -651,6 +651,7 @@ type forwardingProcessor struct {
 	node *Node
 	wt   *watermarkTracker
 	ctx  streams.ProcessorContext
+	enc  batchEncoder // a fresh block per forward: the link holds the records
 }
 
 var _ streams.Processor = (*forwardingProcessor)(nil)
@@ -686,7 +687,9 @@ func (p *forwardingProcessor) step(msg streams.Message) error {
 	}
 	wm := mq.Watermark{From: p.id, At: p.wt.watermark(now)}
 	for _, ob := range out {
-		p.ctx.Forward(streams.Message{Key: []byte(ob.Source), Value: ob.Marshal(), Watermark: wm})
+		p.enc.add(ob, wm)
 	}
+	p.ctx.ForwardBatch(p.enc.records(nil))
+	p.enc.reset()
 	return nil
 }

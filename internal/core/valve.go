@@ -39,7 +39,7 @@ type valve struct {
 	// block per push — fresh or the encoder's own, as the bus retains sent
 	// bytes or not (batchEncoder; encoderFor, where the valve is built).
 	enc     batchEncoder
-	outRecs []mq.Record
+	outRecs []transport.Record
 }
 
 // publish stamps and sends one push. A single indexed pass over the items
@@ -105,17 +105,15 @@ func (v *valve) queue(src stream.SourceID, run []stream.Item, mark time.Time) {
 // equivalence suite's record-at-a-time reference path, one append per run.
 func (v *valve) send() error {
 	v.bwc.Add(v.enc.payloadBytes())
-	if v.perRecord {
-		defer v.enc.reset()
-		for i, b := range v.enc.batches {
-			if _, _, err := v.producer.SendWatermarked(v.topic, []byte(b.Source), b.Marshal(), v.enc.wms[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	recs := v.enc.records(v.outRecs[:0])
-	err := v.producer.SendBatch(v.topic, recs)
+	step := len(recs)
+	if v.perRecord {
+		step = 1
+	}
+	var err error
+	for lo := 0; lo < len(recs) && err == nil; lo += step {
+		err = v.producer.SendBatch(v.topic, recs[lo:lo+step])
+	}
 	v.enc.reset()
 	// Scrub before recycling: spare capacity must not pin a retained block.
 	clear(recs)
@@ -245,28 +243,23 @@ func (c *carriedLag) bound() int64 { return c.offset.Load() + c.sent.Load() }
 func (c *carriedLag) pastMark(mark int) { c.offset.Store(int64(mark) + 1 - c.sent.Load()) }
 
 // countingProducer is a valve's producer: it tells the topic's carried lag of
-// every record before the record is sent, in each of the three sends a valve
-// makes — the batched push, the record-at-a-time path and the end-of-stream
-// broadcast — so nothing a valve puts on the topic goes uncounted, and the
-// publishing half need not know.
+// every record before the record is sent, in both sends a valve makes — its
+// pushes (SendBatch, batched or a record at a time) and the end-of-stream
+// broadcast (SendTo) — so nothing a valve puts on the topic goes uncounted,
+// and the publishing half need not know.
 type countingProducer struct {
 	transport.Producer
 	lag *carriedLag
 }
 
-func (p countingProducer) SendWatermarked(topic string, key, value []byte, wm mq.Watermark) (int, int64, error) {
-	p.lag.sent.Add(1)
-	return p.Producer.SendWatermarked(topic, key, value, wm)
-}
-
-func (p countingProducer) SendBatch(topic string, recs []mq.Record) error {
+func (p countingProducer) SendBatch(topic string, recs []transport.Record) error {
 	p.lag.sent.Add(int64(len(recs)))
 	return p.Producer.SendBatch(topic, recs)
 }
 
-func (p countingProducer) SendToWatermarked(topic string, partition int, key, value []byte, wm mq.Watermark) (int64, error) {
-	p.lag.sent.Add(1)
-	return p.Producer.SendToWatermarked(topic, partition, key, value, wm)
+func (p countingProducer) SendTo(topic string, partition int, recs []transport.Record) error {
+	p.lag.sent.Add(int64(len(recs)))
+	return p.Producer.SendTo(topic, partition, recs)
 }
 
 // backpressure blocks while the leaf group's unconsumed backlog exceeds the
@@ -395,14 +388,13 @@ func eosSources(marks map[stream.SourceID]time.Time, slot int) []stream.SourceID
 func (in *Ingester) sendEOS() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	var signoffs []transport.Record
 	for _, src := range eosSources(in.marks, in.slot) {
-		payload := heartbeat(src).Marshal()
-		wm := mq.Watermark{From: in.from, At: eosWatermark}
-		for part := 0; part < in.e.plan.Partitions; part++ {
-			in.bwc.Add(int64(len(payload)))
-			// The bus outlives the drain; a send can only fail once the
-			// deployment is past caring about these heartbeats.
-			_, _ = in.producer.SendToWatermarked(in.topic, part, []byte(src), payload, wm)
-		}
+		signoffs = append(signoffs, transport.Record{
+			Key:       []byte(src),
+			Value:     heartbeat(src).Marshal(),
+			Watermark: mq.Watermark{From: in.from, At: eosWatermark},
+		})
 	}
+	broadcastEOS(in.producer, in.topic, in.e.plan.Partitions, in.bwc, signoffs...)
 }

@@ -98,7 +98,7 @@ func TestValvePublishOnePassEqualsFour(t *testing.T) {
 						t.Fatalf("ingest stamping must re-stamp Ts: %v vs pub %d", it.Ts, pub)
 					}
 				}
-				recs, err := cons.TryPoll(1024)
+				recs, err := cons.TryPollInto(nil, 1024)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -32,7 +32,7 @@ func TestDeleteTopicWakesBlockedConsumers(t *testing.T) {
 	c, _ := NewConsumer(b, "t")
 	errs := make(chan error, 1)
 	go func() {
-		_, err := c.Poll(context.Background(), 1)
+		_, err := c.PollInto(context.Background(), nil, 1)
 		errs <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -89,16 +89,16 @@ func TestGroupMemberCloseRebalancesAndDrains(t *testing.T) {
 	const n = 64
 	for i := 0; i < n; i++ {
 		// Distinct keys spread records across all four partitions.
-		if _, _, err := p.Send("t", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)}); err != nil {
-			t.Fatalf("Send: %v", err)
+		if _, err := send(p, "t", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)}); err != nil {
+			t.Fatalf("send: %v", err)
 		}
 	}
 
 	// c1 consumes part of its share, then leaves mid-run. Its committed
 	// offsets stay with the group, so nothing it already processed is
 	// replayed and nothing it had not reached is lost.
-	if _, err := c1.Poll(context.Background(), 8); err != nil {
-		t.Fatalf("c1.Poll: %v", err)
+	if _, err := c1.PollInto(context.Background(), nil, 8); err != nil {
+		t.Fatalf("c1.PollInto: %v", err)
 	}
 	c1.Close()
 	if got := c1.Assignment(); len(got) != 0 {
@@ -113,10 +113,10 @@ func TestGroupMemberCloseRebalancesAndDrains(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && c2.Lag() > 0 {
 		ctx, cancel := context.WithDeadline(context.Background(), deadline)
-		recs, err := c2.Poll(ctx, 16)
+		recs, err := c2.PollInto(ctx, nil, 16)
 		cancel()
 		if err != nil {
-			t.Fatalf("survivor Poll: %v", err)
+			t.Fatalf("survivor PollInto: %v", err)
 		}
 		seen += len(recs)
 	}
@@ -135,13 +135,13 @@ func TestGroupLag(t *testing.T) {
 	c, _ := NewGroupConsumer(b, "t", "g")
 	defer c.Close()
 	for i := 0; i < 10; i++ {
-		p.Send("t", nil, []byte{byte(i)})
+		send(p, "t", nil, []byte{byte(i)})
 	}
 	lag, err := topic.GroupLag("g")
 	if err != nil || lag != 10 {
 		t.Fatalf("GroupLag = (%d, %v), want 10", lag, err)
 	}
-	c.Poll(context.Background(), 4)
+	c.PollInto(context.Background(), nil, 4)
 	lag, _ = topic.GroupLag("g")
 	if lag != 6 {
 		t.Fatalf("GroupLag after consuming 4 = %d, want 6", lag)

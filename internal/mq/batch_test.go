@@ -9,10 +9,10 @@ import (
 )
 
 // The batched produce/consume hot path must be semantically invisible: a
-// SendBatch delivers exactly what the same records sent one at a time would
+// SendBatch delivers exactly what the same records sent one batch each would
 // deliver — same partitions for keyed records, same per-key order, same
-// piggybacked watermarks — and PollInto returns the same records Poll would,
-// just appended onto a caller-owned scratch slice.
+// piggybacked watermarks — and PollInto delivers them in order, appended
+// onto a caller-owned scratch slice.
 
 // drainTopic reads every record currently in the topic via a standalone
 // consumer, in poll order.
@@ -26,9 +26,9 @@ func drainTopic(t *testing.T, b *Broker, topic string, want int) []Record {
 	var out []Record
 	deadline := time.Now().Add(5 * time.Second)
 	for len(out) < want && time.Now().Before(deadline) {
-		recs, err := c.TryPoll(want)
+		recs, err := c.TryPollInto(nil, want)
 		if err != nil {
-			t.Fatalf("TryPoll: %v", err)
+			t.Fatalf("TryPollInto: %v", err)
 		}
 		out = append(out, recs...)
 	}
@@ -70,8 +70,8 @@ func TestSendBatchMatchesPerRecordSends(t *testing.T) {
 	newTestTopic(t, single, "t", parts)
 	sp := NewProducer(single)
 	for _, rec := range mkRecs() {
-		if _, _, err := sp.SendWatermarked("t", rec.Key, rec.Value, rec.Watermark); err != nil {
-			t.Fatalf("SendWatermarked: %v", err)
+		if err := sp.SendBatch("t", []Record{{Key: rec.Key, Value: rec.Value, Watermark: rec.Watermark}}); err != nil {
+			t.Fatalf("SendBatch: %v", err)
 		}
 	}
 
@@ -145,8 +145,8 @@ func TestSendBatchWatermarkFoldEquivalence(t *testing.T) {
 	newTestTopic(t, single, "t", parts)
 	sp := NewProducer(single)
 	for _, rec := range recs {
-		if _, _, err := sp.SendWatermarked("t", rec.Key, rec.Value, rec.Watermark); err != nil {
-			t.Fatalf("SendWatermarked: %v", err)
+		if err := sp.SendBatch("t", []Record{{Key: rec.Key, Value: rec.Value, Watermark: rec.Watermark}}); err != nil {
+			t.Fatalf("SendBatch: %v", err)
 		}
 	}
 

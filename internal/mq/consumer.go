@@ -237,20 +237,14 @@ func (c *Consumer) Assignment() []int {
 	return c.grp.assignment(c.id, c.topic.Partitions())
 }
 
-// Poll returns up to max records, blocking until at least one record is
-// available, ctx is cancelled, or the topic closes. Group consumers read
-// from and advance the group's committed offsets (auto-commit);
-// standalone consumers advance private positions.
-func (c *Consumer) Poll(ctx context.Context, max int) ([]Record, error) {
-	return c.PollInto(ctx, nil, max)
-}
-
-// PollInto is Poll with a caller-owned scratch slice: records are appended
-// onto dst (pass dst[:0] to recycle it across polls) and the extended slice
-// is returned, so a steady-state poll loop allocates nothing per poll. The
-// records — including their Key/Value bytes, which alias the broker's
-// retained log — remain valid after the call; only the slice header is
-// recycled by the caller.
+// PollInto appends up to max records onto dst (pass dst[:0] to recycle it
+// across polls) and returns the extended slice, blocking until at least one
+// record is available, ctx is cancelled, or the topic closes. Group consumers
+// read from and advance the group's committed offsets (auto-commit);
+// standalone consumers advance private positions. A steady-state poll loop
+// allocates nothing per poll. The records — including their Key/Value bytes,
+// which alias the broker's retained log — remain valid after the call; only
+// the slice header is recycled by the caller.
 func (c *Consumer) PollInto(ctx context.Context, dst []Record, max int) ([]Record, error) {
 	if max <= 0 {
 		max = 1
@@ -282,12 +276,6 @@ func (c *Consumer) PollInto(ctx context.Context, dst []Record, max int) ([]Recor
 	}
 }
 
-// TryPoll is a non-blocking Poll; it returns (nil, nil) when no records are
-// ready.
-func (c *Consumer) TryPoll(max int) ([]Record, error) {
-	return c.TryPollInto(nil, max)
-}
-
 // TryPollInto is a non-blocking PollInto; it returns dst unextended when no
 // records are ready.
 func (c *Consumer) TryPollInto(dst []Record, max int) ([]Record, error) {
@@ -299,7 +287,7 @@ func (c *Consumer) TryPollInto(dst []Record, max int) ([]Record, error) {
 
 // WaitChan returns a channel closed on the topic's next append or group
 // membership change (or already closed if the topic is shut down). Arm it
-// *before* a TryPoll, then block on it only if the poll came back empty —
+// *before* a TryPollInto, then block on it only if the poll came back empty —
 // the arm-before-read order makes a wakeup between the poll and the wait
 // impossible to lose, and the rebalance wakeup means a member that a leaving
 // member's backlog passes to finds it without waiting for an append. After a

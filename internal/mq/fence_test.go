@@ -11,9 +11,9 @@ func seedBothPartitions(t *testing.T, b *Broker, topic string) int {
 	var hw [2]int64
 	for i := 0; i < 256 && (hw[0] < 2 || hw[1] < 2); i++ {
 		key := []byte{byte(i)}
-		part, _, err := p.Send(topic, key, []byte("v"))
+		part, err := send(p, topic, key, []byte("v"))
 		if err != nil {
-			t.Fatalf("Send: %v", err)
+			t.Fatalf("send: %v", err)
 		}
 		hw[part]++
 		sent++
@@ -158,9 +158,9 @@ func TestGroupCommittedTracksClaims(t *testing.T) {
 	defer c.Close()
 	drained := 0
 	for drained < sent {
-		recs, err := c.TryPoll(64)
+		recs, err := c.TryPollInto(nil, 64)
 		if err != nil {
-			t.Fatalf("TryPoll: %v", err)
+			t.Fatalf("TryPollInto: %v", err)
 		}
 		drained += len(recs)
 	}

@@ -32,16 +32,29 @@ func TestCreateTopicValidation(t *testing.T) {
 	}
 }
 
+// send appends one record through SendBatch and returns the partition it
+// landed on.
+func send(p *Producer, topic string, key, value []byte) (partition int, err error) {
+	recs := []Record{{Key: key, Value: value}}
+	err = p.SendBatch(topic, recs)
+	return recs[0].Partition, err
+}
+
 func TestProduceAssignsMonotonicOffsets(t *testing.T) {
 	b := NewBroker()
 	newTestTopic(t, b, "t", 1)
 	p := NewProducer(b)
+	c, _ := NewConsumer(b, "t")
+	defer c.Close()
 	for i := 0; i < 10; i++ {
-		_, off, err := p.Send("t", nil, []byte{byte(i)})
-		if err != nil {
-			t.Fatalf("Send: %v", err)
+		if _, err := send(p, "t", nil, []byte{byte(i)}); err != nil {
+			t.Fatalf("send: %v", err)
 		}
-		if off != int64(i) {
+		recs, err := c.TryPollInto(nil, 2)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("TryPollInto = %d records, %v; want the one just sent", len(recs), err)
+		}
+		if off := recs[0].Offset; off != int64(i) {
 			t.Fatalf("offset = %d, want %d", off, i)
 		}
 	}
@@ -51,14 +64,14 @@ func TestKeyHashingIsSticky(t *testing.T) {
 	b := NewBroker()
 	newTestTopic(t, b, "t", 4)
 	p := NewProducer(b)
-	first, _, err := p.Send("t", []byte("source-7"), []byte("a"))
+	first, err := send(p, "t", []byte("source-7"), []byte("a"))
 	if err != nil {
-		t.Fatalf("Send: %v", err)
+		t.Fatalf("send: %v", err)
 	}
 	for i := 0; i < 20; i++ {
-		part, _, err := p.Send("t", []byte("source-7"), []byte("b"))
+		part, err := send(p, "t", []byte("source-7"), []byte("b"))
 		if err != nil {
-			t.Fatalf("Send: %v", err)
+			t.Fatalf("send: %v", err)
 		}
 		if part != first {
 			t.Fatalf("same key landed on partitions %d and %d", first, part)
@@ -72,9 +85,9 @@ func TestEmptyKeyRoundRobins(t *testing.T) {
 	p := NewProducer(b)
 	seen := map[int]bool{}
 	for i := 0; i < 8; i++ {
-		part, _, err := p.Send("t", nil, []byte("x"))
+		part, err := send(p, "t", nil, []byte("x"))
 		if err != nil {
-			t.Fatalf("Send: %v", err)
+			t.Fatalf("send: %v", err)
 		}
 		seen[part] = true
 	}
@@ -87,11 +100,24 @@ func TestSendToValidatesPartition(t *testing.T) {
 	b := NewBroker()
 	newTestTopic(t, b, "t", 2)
 	p := NewProducer(b)
-	if _, err := p.SendTo("t", 5, nil, []byte("x")); !errors.Is(err, ErrOutOfRange) {
+	if err := p.SendTo("t", 5, []Record{{Value: []byte("x")}}); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
 	}
-	if _, err := p.SendTo("t", -1, nil, []byte("x")); !errors.Is(err, ErrOutOfRange) {
+	if err := p.SendTo("t", -1, []Record{{Value: []byte("x")}}); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
+	}
+	if err := p.SendTo("t", 2, nil); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("an empty batch to partition 2 of 2: err = %v, want ErrOutOfRange", err)
+	}
+	// A valid directed batch lands, in order, on the partition it names.
+	recs := []Record{{Key: []byte("a"), Value: []byte("x")}, {Key: []byte("b"), Value: []byte("y")}}
+	if err := p.SendTo("t", 1, recs); err != nil {
+		t.Fatalf("SendTo(1): %v", err)
+	}
+	tp, _ := b.Topic("t")
+	got, err := tp.Fetch(1, 0, 4)
+	if err != nil || len(got) != 2 || string(got[0].Value) != "x" || string(got[1].Value) != "y" || tp.HighWatermark(0) != 0 {
+		t.Fatalf("partition 1 holds %v (%v), partition 0 %d records; want x, y and none", got, err, tp.HighWatermark(0))
 	}
 }
 
@@ -100,8 +126,8 @@ func TestStandaloneConsumerReadsEverything(t *testing.T) {
 	newTestTopic(t, b, "t", 3)
 	p := NewProducer(b)
 	for i := 0; i < 30; i++ {
-		if _, _, err := p.Send("t", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)}); err != nil {
-			t.Fatalf("Send: %v", err)
+		if _, err := send(p, "t", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)}); err != nil {
+			t.Fatalf("send: %v", err)
 		}
 	}
 	c, err := NewConsumer(b, "t")
@@ -111,9 +137,9 @@ func TestStandaloneConsumerReadsEverything(t *testing.T) {
 	defer c.Close()
 	got := 0
 	for got < 30 {
-		recs, err := c.Poll(context.Background(), 10)
+		recs, err := c.PollInto(context.Background(), nil, 10)
 		if err != nil {
-			t.Fatalf("Poll: %v", err)
+			t.Fatalf("PollInto: %v", err)
 		}
 		got += len(recs)
 	}
@@ -136,21 +162,21 @@ func TestPollBlocksUntilProduce(t *testing.T) {
 
 	done := make(chan []Record, 1)
 	go func() {
-		recs, err := c.Poll(context.Background(), 1)
+		recs, err := c.PollInto(context.Background(), nil, 1)
 		if err != nil {
-			t.Errorf("Poll: %v", err)
+			t.Errorf("PollInto: %v", err)
 		}
 		done <- recs
 	}()
 
 	select {
 	case <-done:
-		t.Fatal("Poll returned before any record was produced")
+		t.Fatal("PollInto returned before any record was produced")
 	case <-time.After(20 * time.Millisecond):
 	}
 
-	if _, _, err := NewProducer(b).Send("t", nil, []byte("hello")); err != nil {
-		t.Fatalf("Send: %v", err)
+	if _, err := send(NewProducer(b), "t", nil, []byte("hello")); err != nil {
+		t.Fatalf("send: %v", err)
 	}
 	select {
 	case recs := <-done:
@@ -158,7 +184,7 @@ func TestPollBlocksUntilProduce(t *testing.T) {
 			t.Fatalf("got %v, want the produced record", recs)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Poll never woke after produce")
+		t.Fatal("PollInto never woke after produce")
 	}
 }
 
@@ -169,7 +195,7 @@ func TestPollHonorsContextCancellation(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := c.Poll(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.PollInto(ctx, nil, 1); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 }
@@ -180,7 +206,7 @@ func TestPollWakesOnBrokerClose(t *testing.T) {
 	c, _ := NewConsumer(b, "t")
 	errs := make(chan error, 1)
 	go func() {
-		_, err := c.Poll(context.Background(), 1)
+		_, err := c.PollInto(context.Background(), nil, 1)
 		errs <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -191,7 +217,7 @@ func TestPollWakesOnBrokerClose(t *testing.T) {
 			t.Fatalf("err = %v, want ErrClosed", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Poll never woke on broker close")
+		t.Fatal("PollInto never woke on broker close")
 	}
 }
 
@@ -200,9 +226,9 @@ func TestTryPollNonBlocking(t *testing.T) {
 	newTestTopic(t, b, "t", 1)
 	c, _ := NewConsumer(b, "t")
 	defer c.Close()
-	recs, err := c.TryPoll(5)
+	recs, err := c.TryPollInto(nil, 5)
 	if err != nil || recs != nil {
-		t.Fatalf("TryPoll on empty = (%v, %v), want (nil, nil)", recs, err)
+		t.Fatalf("TryPollInto on empty = (%v, %v), want (nil, nil)", recs, err)
 	}
 }
 
@@ -241,8 +267,8 @@ func TestGroupConsumesEachRecordOnce(t *testing.T) {
 	p := NewProducer(b)
 	const total = 200
 	for i := 0; i < total; i++ {
-		if _, _, err := p.Send("t", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)}); err != nil {
-			t.Fatalf("Send: %v", err)
+		if _, err := send(p, "t", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)}); err != nil {
+			t.Fatalf("send: %v", err)
 		}
 	}
 
@@ -253,7 +279,7 @@ func TestGroupConsumesEachRecordOnce(t *testing.T) {
 		defer wg.Done()
 		for {
 			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-			recs, err := c.Poll(ctx, 16)
+			recs, err := c.PollInto(ctx, nil, 16)
 			cancel()
 			if err != nil {
 				return // timeout: drained
@@ -301,10 +327,10 @@ func TestGroupOffsetsSurviveMemberChurn(t *testing.T) {
 	newTestTopic(t, b, "t", 1)
 	p := NewProducer(b)
 	for i := 0; i < 5; i++ {
-		p.Send("t", nil, []byte{byte(i)})
+		send(p, "t", nil, []byte{byte(i)})
 	}
 	c1, _ := NewGroupConsumer(b, "t", "g")
-	recs, err := c1.Poll(context.Background(), 3)
+	recs, err := c1.PollInto(context.Background(), nil, 3)
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("first poll = (%d recs, %v)", len(recs), err)
 	}
@@ -312,7 +338,7 @@ func TestGroupOffsetsSurviveMemberChurn(t *testing.T) {
 
 	c2, _ := NewGroupConsumer(b, "t", "g")
 	defer c2.Close()
-	recs, err = c2.Poll(context.Background(), 10)
+	recs, err = c2.PollInto(context.Background(), nil, 10)
 	if err != nil {
 		t.Fatalf("second poll: %v", err)
 	}
@@ -326,14 +352,14 @@ func TestSeekStandaloneOnly(t *testing.T) {
 	newTestTopic(t, b, "t", 1)
 	p := NewProducer(b)
 	for i := 0; i < 5; i++ {
-		p.Send("t", nil, []byte{byte(i)})
+		send(p, "t", nil, []byte{byte(i)})
 	}
 	c, _ := NewConsumer(b, "t")
 	defer c.Close()
 	if err := c.Seek(0, 3); err != nil {
 		t.Fatalf("Seek: %v", err)
 	}
-	recs, _ := c.TryPoll(10)
+	recs, _ := c.TryPollInto(nil, 10)
 	if len(recs) != 2 || recs[0].Offset != 3 {
 		t.Fatalf("after Seek(3): %v", recs)
 	}
@@ -353,13 +379,13 @@ func TestRetentionCompactsConsumedPrefix(t *testing.T) {
 	defer c.Close()
 
 	for i := 0; i < 500; i++ {
-		if _, _, err := p.Send("t", nil, []byte{byte(i)}); err != nil {
-			t.Fatalf("Send: %v", err)
+		if _, err := send(p, "t", nil, []byte{byte(i)}); err != nil {
+			t.Fatalf("send: %v", err)
 		}
 		if i%50 == 49 {
 			for c.Lag() > 0 {
-				if _, err := c.Poll(context.Background(), 64); err != nil {
-					t.Fatalf("Poll: %v", err)
+				if _, err := c.PollInto(context.Background(), nil, 64); err != nil {
+					t.Fatalf("PollInto: %v", err)
 				}
 			}
 		}
@@ -393,7 +419,7 @@ func TestRetainedLogAllocatedOnce(t *testing.T) {
 	for i := 1; i <= 2*retain; i++ {
 		var err error
 		if i%2 == 0 {
-			_, err = p.SendTo("t", 0, nil, []byte{byte(i)})
+			err = p.SendTo("t", 0, []Record{{Value: []byte{byte(i)}}})
 		} else {
 			err = topic.appendBatch([]Record{{Partition: 0, Value: []byte{byte(i)}}})
 		}
@@ -414,7 +440,7 @@ func TestRetainedLogAllocatedOnce(t *testing.T) {
 		t.Fatalf("a log of %d records never moved to its full size %d", 2*retain, 2*retain)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := p.SendTo("t", 1, nil, []byte{byte(i)}); err != nil {
+		if err := p.SendTo("t", 1, []Record{{Value: []byte{byte(i)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -426,7 +452,7 @@ func TestRetainedLogAllocatedOnce(t *testing.T) {
 	}
 	var ref []Record
 	for i := 0; i <= smallLog; i++ {
-		if _, err := p.SendTo("plain", 0, nil, []byte{1}); err != nil {
+		if err := p.SendTo("plain", 0, []Record{{Value: []byte{1}}}); err != nil {
 			t.Fatal(err)
 		}
 		ref = append(ref, Record{})
@@ -442,8 +468,8 @@ func TestFetchBelowLowWatermark(t *testing.T) {
 	p := NewProducer(b)
 	c, _ := NewGroupConsumer(b, "t", "g")
 	for i := 0; i < 100; i++ {
-		p.Send("t", nil, []byte{byte(i)})
-		c.Poll(context.Background(), 64)
+		send(p, "t", nil, []byte{byte(i)})
+		c.PollInto(context.Background(), nil, 64)
 	}
 	c.Close()
 	if _, err := topic.Fetch(0, 0, 1); !errors.Is(err, ErrOutOfRange) {
@@ -462,7 +488,7 @@ func TestConcurrentProducersAndGroup(t *testing.T) {
 			defer wg.Done()
 			p := NewProducer(b)
 			for j := 0; j < perProducer; j++ {
-				if _, _, err := p.Send("t", []byte(fmt.Sprintf("%d-%d", id, j)), []byte("v")); err != nil {
+				if _, err := send(p, "t", []byte(fmt.Sprintf("%d-%d", id, j)), []byte("v")); err != nil {
 					t.Errorf("Send: %v", err)
 					return
 				}
@@ -485,7 +511,7 @@ func TestConcurrentProducersAndGroup(t *testing.T) {
 			defer c.Close()
 			for {
 				ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-				recs, err := c.Poll(ctx, 32)
+				recs, err := c.PollInto(ctx, nil, 32)
 				cancel()
 				if err != nil {
 					return
@@ -514,7 +540,7 @@ func TestProducerTimestampInjection(t *testing.T) {
 	newTestTopic(t, b, "t", 1)
 	fixed := time.Date(2018, 7, 2, 12, 0, 0, 0, time.UTC)
 	p := NewProducer(b, WithNow(func() time.Time { return fixed }))
-	p.Send("t", nil, []byte("x"))
+	send(p, "t", nil, []byte("x"))
 	topic, _ := b.Topic("t")
 	recs, _ := topic.Fetch(0, 0, 1)
 	if !recs[0].Ts.Equal(fixed) {
@@ -530,7 +556,7 @@ func BenchmarkProduce(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Send("t", nil, val); err != nil {
+		if _, err := send(p, "t", nil, val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -546,12 +572,12 @@ func BenchmarkProduceConsume(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Send("t", nil, val); err != nil {
+		if _, err := send(p, "t", nil, val); err != nil {
 			b.Fatal(err)
 		}
 		if i%64 == 63 {
 			for c.Lag() > 0 {
-				if _, err := c.Poll(context.Background(), 64); err != nil {
+				if _, err := c.PollInto(context.Background(), nil, 64); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -572,7 +598,7 @@ func TestMultiPartitionPerKeyOrdering(t *testing.T) {
 	const perKey = 200
 	for seq := 0; seq < perKey; seq++ {
 		for _, k := range keys {
-			if _, _, err := p.Send("t", []byte(k), []byte(fmt.Sprintf("%s:%d", k, seq))); err != nil {
+			if _, err := send(p, "t", []byte(k), []byte(fmt.Sprintf("%s:%d", k, seq))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -586,7 +612,7 @@ func TestMultiPartitionPerKeyOrdering(t *testing.T) {
 	next := make(map[string]int, len(keys))
 	total := 0
 	for total < perKey*len(keys) {
-		recs, err := c.Poll(context.Background(), 64)
+		recs, err := c.PollInto(context.Background(), nil, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -626,7 +652,7 @@ func TestGroupPerKeyOrderingAcrossMembers(t *testing.T) {
 	const perKey = 100
 	for seq := 0; seq < perKey; seq++ {
 		for _, k := range keys {
-			if _, _, err := p.Send("t", []byte(k), []byte(fmt.Sprintf("%d", seq))); err != nil {
+			if _, err := send(p, "t", []byte(k), []byte(fmt.Sprintf("%d", seq))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -653,7 +679,7 @@ func TestGroupPerKeyOrderingAcrossMembers(t *testing.T) {
 				if done {
 					return
 				}
-				recs, err := m.TryPoll(64)
+				recs, err := m.TryPollInto(nil, 64)
 				if err != nil || ctx.Err() != nil {
 					return
 				}
@@ -717,7 +743,7 @@ func TestControlTopicFanout(t *testing.T) {
 
 	p := NewProducer(b)
 	for seq := 0; seq < records; seq++ {
-		if _, _, err := p.Send("control", nil, []byte{byte(seq)}); err != nil {
+		if _, err := send(p, "control", nil, []byte{byte(seq)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -727,7 +753,7 @@ func TestControlTopicFanout(t *testing.T) {
 		// record must win and the full history must arrive in order.
 		var seen []byte
 		for {
-			recs, err := c.TryPoll(4)
+			recs, err := c.TryPollInto(nil, 4)
 			if err != nil {
 				t.Fatalf("consumer %d: %v", i, err)
 			}

@@ -33,24 +33,6 @@ func NewProducer(broker *Broker, opts ...ProducerOption) *Producer {
 	return p
 }
 
-// Send appends value under key to the topic and returns the record's
-// position. An empty key round-robins across partitions.
-func (p *Producer) Send(topic string, key, value []byte) (partition int, offset int64, err error) {
-	return p.SendWatermarked(topic, key, value, Watermark{})
-}
-
-// SendWatermarked is Send with an event-time low watermark piggybacked on
-// the record (see Record.Watermark). A zero watermark is identical to Send.
-func (p *Producer) SendWatermarked(topic string, key, value []byte, watermark Watermark) (partition int, offset int64, err error) {
-	t, err := p.broker.Topic(topic)
-	if err != nil {
-		return 0, 0, err
-	}
-	partition = p.pick(t, key)
-	offset, err = t.append(partition, Record{Key: key, Value: value, Ts: p.nowFn(), Watermark: watermark})
-	return partition, offset, err
-}
-
 // SendBatch appends a batch of records to the topic in one shot: one
 // timestamp read, one partition pick per key run, and a single topic-lock
 // acquisition (one consumer wakeup) for the whole batch — the amortization
@@ -58,7 +40,7 @@ func (p *Producer) SendWatermarked(topic string, key, value []byte, watermark Wa
 // Watermark are taken as given; Ts, Partition, and Offset are assigned by
 // the send. Consecutive records with equal keys reuse the previous pick, and
 // non-consecutive equal keys still hash identically, so per-key ordering is
-// exactly what per-record Sends would produce. Empty-keyed records
+// exactly what one SendBatch per record would produce. Empty-keyed records
 // round-robin per run, not per record (the sticky-partitioner trade Kafka's
 // batching producer makes). An empty batch is a no-op.
 //
@@ -89,24 +71,25 @@ func (p *Producer) SendBatch(topic string, recs []Record) error {
 	return t.appendBatch(recs)
 }
 
-// SendTo appends directly to a specific partition.
-func (p *Producer) SendTo(topic string, partition int, key, value []byte) (int64, error) {
-	return p.SendToWatermarked(topic, partition, key, value, Watermark{})
-}
-
-// SendToWatermarked is SendTo with an event-time low watermark piggybacked
-// on the record. Partition-directed watermarked sends exist for topic-global
-// control events — end-of-stream above all — which must reach every
-// partition's consumer, not just the one the key hashes to.
-func (p *Producer) SendToWatermarked(topic string, partition int, key, value []byte, watermark Watermark) (int64, error) {
+// SendTo appends recs, in order, to one named partition of topic — the
+// directed form of SendBatch, for topic-global records that must reach every
+// partition's consumer, not just the one a key hashes to (the end-of-stream
+// broadcast above all). Ts and Partition are written in place as SendBatch
+// writes them; keys play no part. A partition outside the topic is
+// ErrOutOfRange whether or not the batch is empty.
+func (p *Producer) SendTo(topic string, partition int, recs []Record) error {
 	t, err := p.broker.Topic(topic)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if partition < 0 || partition >= t.Partitions() {
-		return 0, ErrOutOfRange
+		return ErrOutOfRange
 	}
-	return t.append(partition, Record{Key: key, Value: value, Ts: p.nowFn(), Watermark: watermark})
+	now := p.nowFn()
+	for i := range recs {
+		recs[i].Ts, recs[i].Partition = now, partition
+	}
+	return t.appendBatch(recs)
 }
 
 func (p *Producer) pick(t *Topic, key []byte) int {

@@ -95,25 +95,6 @@ func (t *Topic) Name() string { return t.name }
 // Partitions returns the partition count.
 func (t *Topic) Partitions() int { return len(t.parts) }
 
-// append adds a record to partition p and wakes blocked consumers.
-func (t *Topic) append(p int, rec Record) (int64, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return 0, ErrClosed
-	}
-	offset := t.parts[p].append(rec, p)
-	old := t.changed
-	t.changed = make(chan struct{})
-	t.mu.Unlock()
-	close(old)
-
-	if t.retain > 0 {
-		t.maybeCompact(p)
-	}
-	return offset, nil
-}
-
 // appendBatch appends a batch of records — each with Partition already
 // assigned by the producer — under a single topic-lock acquisition, waking
 // blocked consumers once for the whole batch instead of once per record.
@@ -340,16 +321,6 @@ func (p *partition) room(n int) {
 		copy(grown, p.records)
 		p.records = grown
 	}
-}
-
-func (p *partition) append(rec Record, idx int) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.room(1)
-	rec.Partition = idx
-	rec.Offset = p.base + int64(len(p.records))
-	p.records = append(p.records, rec)
-	return rec.Offset
 }
 
 // appendRun appends a run of records destined for this partition under one

@@ -37,13 +37,10 @@ type Runtime struct {
 	// Wake-ups: pump cycles that started from a park, by what ended it.
 	wakeData, wakeDeadline, wakeSync atomic.Int64
 
-	// Pump scratch, reused every poll cycle so the steady-state hot path
-	// allocates nothing: polled records, their Message views, and the
-	// record form ForwardBatch hands to sink sends. Owned by the single
-	// pump goroutine (sinkScratch also by the processor's forwards from it).
-	recScratch  []mq.Record
-	msgScratch  []Message
-	sinkScratch []mq.Record
+	// recScratch is the pump's poll scratch, reused every cycle so the
+	// steady-state hot path allocates nothing; the processor sees it as its
+	// batch. Owned by the single pump goroutine.
+	recScratch []Message
 
 	mu      sync.Mutex
 	started bool
@@ -153,7 +150,7 @@ func (c *procContext) ForwardBatch(msgs []Message) {
 		return
 	}
 	for lo, step := 0, r.step(len(msgs)); lo < len(msgs); lo += step {
-		if err := r.send(msgs[lo:min(lo+step, len(msgs))]); err != nil {
+		if err := r.producer.SendBatch(r.topo.sinkTopic, msgs[lo:min(lo+step, len(msgs))]); err != nil {
 			r.fail(err)
 			return
 		}
@@ -167,24 +164,6 @@ func (r *Runtime) step(n int) int {
 		return 1
 	}
 	return n
-}
-
-// send produces msgs into the sink topic with a single SendBatch append.
-// msgs is never retained.
-func (r *Runtime) send(msgs []Message) error {
-	recs := r.sinkScratch[:0]
-	for i := range msgs {
-		recs = append(recs, mq.Record{Key: msgs[i].Key, Value: msgs[i].Value, Watermark: msgs[i].Watermark})
-	}
-	err := r.producer.SendBatch(r.topo.sinkTopic, recs)
-	// Scrub the scratch before recycling: the records hold references to
-	// the callers' key/value bytes, and a stale reference in spare
-	// capacity would pin them past their lifetime.
-	for i := range recs {
-		recs[i] = mq.Record{}
-	}
-	r.sinkScratch = recs[:0]
-	return err
 }
 
 // Start initializes the processor and launches the pump goroutine. A
@@ -262,15 +241,10 @@ func (r *Runtime) pump(ctx context.Context) {
 			return
 		}
 		r.recScratch = recs
-		// View the fetch as one []Message and hand it to the processor in
-		// one call (one per record under WithRecordAtATime).
-		msgs := r.msgScratch[:0]
-		for _, rec := range recs {
-			msgs = append(msgs, Message{Key: rec.Key, Value: rec.Value, Watermark: rec.Watermark, Partition: rec.Partition})
-		}
-		r.msgScratch = msgs
-		for lo, step := 0, r.step(len(msgs)); lo < len(msgs); lo += step {
-			if err := r.proc.ProcessBatch(msgs[lo:min(lo+step, len(msgs))]); err != nil {
+		// Hand the fetch to the processor in one call (one per record under
+		// WithRecordAtATime).
+		for lo, step := 0, r.step(len(recs)); lo < len(recs); lo += step {
+			if err := r.proc.ProcessBatch(recs[lo:min(lo+step, len(recs))]); err != nil {
 				r.fail(err)
 				return
 			}

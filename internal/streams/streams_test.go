@@ -25,6 +25,11 @@ func buildBroker(t *testing.T, topics ...string) *mq.Broker {
 	return b
 }
 
+// send appends one record to topic through SendBatch.
+func send(p *mq.Producer, topic string, key, value []byte) error {
+	return p.SendBatch(topic, []mq.Record{{Key: key, Value: value}})
+}
+
 func drain(t *testing.T, b *mq.Broker, topic string, want int, timeout time.Duration) []mq.Record {
 	t.Helper()
 	c, err := mq.NewConsumer(b, topic)
@@ -36,7 +41,7 @@ func drain(t *testing.T, b *mq.Broker, topic string, want int, timeout time.Dura
 	var out []mq.Record
 	for len(out) < want && time.Now().Before(deadline) {
 		ctx, cancel := context.WithDeadline(context.Background(), deadline)
-		recs, err := c.Poll(ctx, want)
+		recs, err := c.PollInto(ctx, nil, want)
 		cancel()
 		if err != nil {
 			break
@@ -129,7 +134,7 @@ func TestSourceToSinkPassthrough(t *testing.T) {
 
 	p := mq.NewProducer(b)
 	for i := 0; i < 10; i++ {
-		p.Send("in", []byte{byte(i)}, []byte{byte(i)})
+		send(p, "in", []byte{byte(i)}, []byte{byte(i)})
 	}
 	recs := drain(t, b, "out", 10, 2*time.Second)
 	if len(recs) != 10 {
@@ -154,7 +159,7 @@ func TestProcessorTransformsAndForwards(t *testing.T) {
 	rt.Start()
 	defer rt.Stop()
 
-	mq.NewProducer(b).Send("in", nil, []byte("ab"))
+	send(mq.NewProducer(b), "in", nil, []byte("ab"))
 	recs := drain(t, b, "out", 1, 2*time.Second)
 	if len(recs) != 1 || !bytes.Equal(recs[0].Value, []byte("abab")) {
 		t.Fatalf("got %q, want \"abab\"", recs)
@@ -172,7 +177,7 @@ func TestProcessorErrorStopsRuntime(t *testing.T) {
 	rt, _ := NewRuntime(transport.WrapBroker(b), topo, "app")
 	rt.Start()
 
-	mq.NewProducer(b).Send("in", nil, []byte("x"))
+	send(mq.NewProducer(b), "in", nil, []byte("x"))
 	select {
 	case <-rt.Done():
 	case <-time.After(2 * time.Second):
@@ -312,7 +317,7 @@ func TestTwoRuntimesDistinctAppIDsBothSeeStream(t *testing.T) {
 
 	p := mq.NewProducer(b)
 	for i := 0; i < 6; i++ {
-		p.Send("in", []byte{byte(i)}, []byte{byte(i)})
+		send(p, "in", []byte{byte(i)}, []byte{byte(i)})
 	}
 	if got := drain(t, b, "outA", 6, 2*time.Second); len(got) != 6 {
 		t.Fatalf("appA saw %d records, want 6", len(got))
@@ -334,7 +339,7 @@ func TestSharedAppIDSplitsPartitions(t *testing.T) {
 	p := mq.NewProducer(b)
 	const n = 40
 	for i := 0; i < n; i++ {
-		p.Send("in", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
+		send(p, "in", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
 	}
 	recs := drain(t, b, "out", n, 2*time.Second)
 	if len(recs) != n {
@@ -364,7 +369,7 @@ func TestSharedAppIDMemberStopRebalances(t *testing.T) {
 		got := 0
 		for got < want && time.Now().Before(deadline) {
 			ctx, cancel := context.WithDeadline(context.Background(), deadline)
-			recs, err := out.Poll(ctx, want-got)
+			recs, err := out.PollInto(ctx, nil, want-got)
 			cancel()
 			if err != nil {
 				break
@@ -377,7 +382,7 @@ func TestSharedAppIDMemberStopRebalances(t *testing.T) {
 	p := mq.NewProducer(b)
 	const half = 20
 	for i := 0; i < half; i++ {
-		p.Send("in", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
+		send(p, "in", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
 	}
 	if got := collect(half); got != half {
 		t.Fatalf("two members emitted %d records, want %d", got, half)
@@ -387,7 +392,7 @@ func TestSharedAppIDMemberStopRebalances(t *testing.T) {
 		t.Fatalf("member Stop: %v", err)
 	}
 	for i := half; i < 2*half; i++ {
-		p.Send("in", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
+		send(p, "in", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
 	}
 	if got := collect(half); got != half {
 		t.Fatalf("survivor emitted %d records after rebalance, want %d (no loss)", got, half)
@@ -397,7 +402,7 @@ func TestSharedAppIDMemberStopRebalances(t *testing.T) {
 	}
 	// No duplicates trickle in after the fact.
 	time.Sleep(50 * time.Millisecond)
-	if recs, _ := out.TryPoll(8); len(recs) != 0 {
+	if recs, _ := out.TryPollInto(nil, 8); len(recs) != 0 {
 		t.Fatalf("%d duplicate records appeared after the full drain", len(recs))
 	}
 }
@@ -453,7 +458,7 @@ func TestEndOfStreamFlushesFinalWindow(t *testing.T) {
 
 	p := mq.NewProducer(b)
 	for i := 0; i < 5; i++ {
-		p.Send("in", nil, []byte{byte(i)})
+		send(p, "in", nil, []byte{byte(i)})
 	}
 	// Wait until the processor has buffered everything, then end the stream.
 	deadline := time.Now().Add(2 * time.Second)
@@ -508,7 +513,7 @@ func TestStopAfterFailedStartDoesNotPanic(t *testing.T) {
 
 	p := mq.NewProducer(b)
 	for i := 0; i < 8; i++ {
-		p.Send("in", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
+		send(p, "in", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && survivor.Lag() > 0 {
@@ -538,7 +543,7 @@ func TestStopBeforeStartReleasesGroupMembership(t *testing.T) {
 
 	p := mq.NewProducer(b)
 	for i := 0; i < 8; i++ {
-		p.Send("in", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
+		send(p, "in", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && survivor.Lag() > 0 {
@@ -563,12 +568,12 @@ func BenchmarkPassthroughPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Send("in", nil, val); err != nil {
+		if err := send(p, "in", nil, val); err != nil {
 			b.Fatal(err)
 		}
 		if i%256 == 255 {
 			for sinkDrain.Lag() > 0 {
-				sinkDrain.TryPoll(256)
+				sinkDrain.TryPollInto(nil, 256)
 			}
 		}
 	}
@@ -628,7 +633,7 @@ func TestParkedPumpWakesOnEvents(t *testing.T) {
 	if w := rt.Wakeups(); w != (Wakeups{}) {
 		t.Fatalf("an idle pump with no deadline woke %+v, want none", w)
 	}
-	mq.NewProducer(b).Send("in", nil, []byte("x"))
+	send(mq.NewProducer(b), "in", nil, []byte("x"))
 	if recs := drain(t, b, "out", 1, 2*time.Second); len(recs) != 1 {
 		t.Fatalf("forwarded %d records, want 1", len(recs))
 	}
@@ -665,7 +670,7 @@ func TestDSLFlatMap(t *testing.T) {
 	rt.Start()
 	defer rt.Stop()
 
-	mq.NewProducer(b).Send("in", nil, []byte{4})
+	send(mq.NewProducer(b), "in", nil, []byte{4})
 	recs := drain(t, b, "out", 4, 2*time.Second)
 	if len(recs) != 4 {
 		t.Fatalf("expand emitted %d, want 4", len(recs))

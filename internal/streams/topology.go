@@ -23,29 +23,24 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/approxiot/approxiot/internal/mq"
+	"github.com/approxiot/approxiot/internal/transport"
 )
 
-// Message is the unit that flows through a topology. The Key and Value of a
-// message a source delivers are lent by the bus (the pump polls with
-// TryPollInto; see the transport package's buffer-ownership rule): read-only,
-// and valid until the ProcessBatch call they arrived in returns. A processor
-// that keeps them past that copies them.
-type Message struct {
-	Key   []byte
-	Value []byte
-	// Watermark is the piggybacked event-time low watermark of the
-	// producing chain (zero = none). Sources copy it off the consumed
-	// mq.Record; sinks piggyback it back onto the produced record, so
-	// watermarks ride the data path across every hop.
-	Watermark mq.Watermark
-	// Partition is the input-topic partition the source consumed this
-	// message from (0 for messages that never crossed the broker). Ordering
-	// guarantees are per partition, so processors that act on cross-record
-	// promises — an end-of-stream watermark above all — need to know which
-	// FIFO lane a message rode in on.
-	Partition int
-}
+// Message is the unit that flows through a topology: the bus record itself,
+// so the pump hands what its source polled straight to the processor and
+// the sink hands what the processor forwards straight to its send — no copy
+// in either direction. A source delivers Key and Value lent by the bus (the
+// pump polls with TryPollInto; see the transport package's buffer-ownership
+// rule): read-only, and valid until the ProcessBatch call they arrived in
+// returns. A processor that keeps them past that copies them. Watermark is
+// the piggybacked event-time low watermark of the producing chain (zero =
+// none) and rides the data path across every hop; Partition is the
+// input-topic partition a delivered message was consumed from (0 for one
+// that never crossed the bus) — ordering guarantees are per partition, so
+// processors that act on cross-record promises, an end-of-stream watermark
+// above all, need to know which FIFO lane it rode in on. Ts, Partition and
+// Offset of a forwarded message are the send's to assign.
+type Message = transport.Record
 
 // Processor is the operator contract. An implementation is owned by a single
 // Runtime pump goroutine: ProcessBatch and punctuation callbacks are never
@@ -85,9 +80,11 @@ type ProcessorContext interface {
 	Forward(msg Message)
 	// ForwardBatch emits a batch of messages, in order, to the sink, if the
 	// topology has one, with a single broker append (one lock acquisition,
-	// one consumer wakeup). The slice is not retained — callers may reuse
-	// it after ForwardBatch returns — but the Key/Value bytes may be
-	// retained by the broker (see the codec buffer-ownership rule).
+	// one consumer wakeup): msgs is handed to the sink's SendBatch as it
+	// stands, which may write each message's Ts and Partition in place. The
+	// slice is not retained — callers may reuse it after ForwardBatch
+	// returns — but the Key/Value bytes may be retained by the bus (see the
+	// transport buffer-ownership rule).
 	ForwardBatch(msgs []Message)
 	// Now returns the runtime's current time.
 	Now() time.Time

@@ -123,7 +123,7 @@ func TestMemBlockingPollAlloc(t *testing.T) {
 	defer c.Close()
 	p := bus.NewProducer()
 	for i := 0; i < 5000; i++ {
-		if _, _, err := p.Send("t", nil, []byte{byte(i)}); err != nil {
+		if err := p.SendBatch("t", []transport.Record{{Value: []byte{byte(i)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}

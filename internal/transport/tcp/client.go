@@ -22,9 +22,9 @@ const (
 	// longPollMs is the client's blocking-poll round: PollInto re-issues
 	// fetches of this length, checking its context between rounds.
 	longPollMs = 250
-	// watchPollMs is the long-poll round of the background WaitChan and
-	// RebalanceChan watchers — longer than fetch rounds because an idle
-	// watcher's only cost is holding a parked request open.
+	// watchPollMs is the long-poll round of the background WaitChan
+	// watcher — longer than fetch rounds because an idle watcher's only cost
+	// is holding a parked request open.
 	watchPollMs = 2000
 	// watchRetry is the beat a watcher waits after a failed round before it
 	// tries again, rather than spinning on a dead daemon or a stale handle.
@@ -476,60 +476,26 @@ type clientProducer struct {
 
 var _ transport.Producer = (*clientProducer)(nil)
 
-func (p *clientProducer) Send(topic string, key, value []byte) (int, int64, error) {
-	return p.SendWatermarked(topic, key, value, mq.Watermark{})
-}
-
-func (p *clientProducer) SendWatermarked(topic string, key, value []byte, wm mq.Watermark) (int, int64, error) {
-	var part int
-	var off int64
-	err := p.rc.call(0, func(req []byte) []byte {
-		req = append(req, opSend)
-		req = appendStr(req, topic)
-		req = appendBytes(req, key)
-		req = appendBytes(req, value)
-		return appendWatermark(req, wm)
-	}, func(r *wireReader) error {
-		part = int(r.uvarint())
-		off = int64(r.uvarint())
-		return r.err
-	})
-	if err != nil {
-		p.cl.ctr.sendErrs.Add(1)
-	}
-	return part, off, err
-}
-
-func (p *clientProducer) SendTo(topic string, partition int, key, value []byte) (int64, error) {
-	return p.SendToWatermarked(topic, partition, key, value, mq.Watermark{})
-}
-
-func (p *clientProducer) SendToWatermarked(topic string, partition int, key, value []byte, wm mq.Watermark) (int64, error) {
-	var off int64
-	err := p.rc.call(0, func(req []byte) []byte {
-		req = append(req, opSendTo)
-		req = appendStr(req, topic)
-		req = appendUvarint(req, uint64(partition))
-		req = appendBytes(req, key)
-		req = appendBytes(req, value)
-		return appendWatermark(req, wm)
-	}, func(r *wireReader) error {
-		off = int64(r.uvarint())
-		return r.err
-	})
-	if err != nil {
-		p.cl.ctr.sendErrs.Add(1)
-	}
-	return off, err
-}
-
 func (p *clientProducer) SendBatch(topic string, recs []mq.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	return p.send(opSendBatch, topic, 0, recs)
+}
+
+func (p *clientProducer) SendTo(topic string, partition int, recs []mq.Record) error {
+	return p.send(opSendTo, topic, partition, recs)
+}
+
+// send writes one send frame — with the partition after the topic for
+// opSendTo — and waits for the daemon's answer.
+func (p *clientProducer) send(op byte, topic string, partition int, recs []mq.Record) error {
 	err := p.rc.call(0, func(req []byte) []byte {
-		req = append(req, opSendBatch)
+		req = append(req, op)
 		req = appendStr(req, topic)
+		if op == opSendTo {
+			req = appendUvarint(req, uint64(partition))
+		}
 		req = appendUvarint(req, uint64(len(recs)))
 		for i := range recs {
 			req = appendBytes(req, recs[i].Key)
@@ -565,8 +531,8 @@ type clientConsumer struct {
 	closed      atomic.Bool
 	topicClosed atomic.Bool
 
-	// frame is the response buffer of the lending polls, whose records point
-	// into it until the next one. The consumer's own, not the connection's
+	// frame is the response buffer of the polls, whose records point into it
+	// until the next one. The consumer's own, not the connection's
 	// rbuf: Lag, Committed or Close from another goroutine run their calls
 	// on the same connection and would overwrite views the poller still
 	// reads.
@@ -583,8 +549,8 @@ type clientConsumer struct {
 	// back short with no lag behind it, and no wait-ready round has said
 	// ready since. While it stands — and a watcher runs to take it down —
 	// TryPollInto finds nothing without asking. Every fetch answer sets or
-	// clears it; a fetch error, a Seek and Close clear it; a closed topic
-	// overrides it.
+	// clears it; a fetch error, a reconnect and Close clear it; a closed
+	// topic overrides it.
 	drained atomic.Bool
 	// watching reports that the WaitChan watcher is running: without one
 	// nothing would ever clear drained, so nobody may act on it.
@@ -599,12 +565,6 @@ type clientConsumer struct {
 	waitCh     chan struct{}
 	waitRC     *rconn
 	drainedSig chan struct{}
-
-	// RebalanceChan machinery, same shape over the handle's generation.
-	rmu        sync.Mutex
-	rebCh      chan struct{}
-	rebStarted bool
-	rebRC      *rconn
 }
 
 var _ transport.Consumer = (*clientConsumer)(nil)
@@ -649,22 +609,17 @@ func (cc *clientConsumer) reopen(raw rawCall) error {
 }
 
 // fetch runs one poll round: non-blocking at waitMs 0, else a server-side
-// long poll. Topic-closed and drained state piggyback on every response. With
-// lend the response lands in cc.frame and the records alias it; without, in
-// the connection's buffer, copied out before the call returns.
-func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64, lend bool) ([]mq.Record, error) {
+// long poll. Topic-closed and drained state piggyback on every response. The
+// response lands in cc.frame and the records alias it.
+func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64) ([]mq.Record, error) {
 	if cc.closed.Load() {
 		return dst, mq.ErrClosed
 	}
 	if max <= 0 {
 		max = 1
 	}
-	rbuf := &cc.rc.rbuf
-	if lend {
-		rbuf = &cc.frame
-	}
 	out := dst
-	err := cc.rc.callInto(rbuf, waitMs, func(req []byte) []byte {
+	err := cc.rc.callInto(&cc.frame, waitMs, func(req []byte) []byte {
 		req = append(req, opFetch)
 		req = appendUvarint(req, cc.handle.Load())
 		req = appendUvarint(req, uint64(max))
@@ -678,7 +633,7 @@ func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64, lend bo
 			cc.topicClosed.Store(true)
 		}
 		var derr error
-		if out, derr = decodeRecords(r, out, lend); derr != nil {
+		if out, derr = decodeRecords(r, out, true); derr != nil {
 			return derr
 		}
 		cc.setDrained(flags&flagDrained != 0)
@@ -703,19 +658,11 @@ func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64, lend bo
 	return out, nil
 }
 
-func (cc *clientConsumer) Poll(ctx context.Context, max int) ([]mq.Record, error) {
-	return cc.poll(ctx, nil, max, false)
-}
-
 // PollInto lends: the records' Key/Value point into the fetch frame and are
 // valid until the next PollInto or TryPollInto on this consumer.
 func (cc *clientConsumer) PollInto(ctx context.Context, dst []mq.Record, max int) ([]mq.Record, error) {
-	return cc.poll(ctx, dst, max, true)
-}
-
-func (cc *clientConsumer) poll(ctx context.Context, dst []mq.Record, max int, lend bool) ([]mq.Record, error) {
 	for {
-		out, err := cc.fetch(dst, max, longPollMs, lend)
+		out, err := cc.fetch(dst, max, longPollMs)
 		if err != nil {
 			return dst, err
 		}
@@ -733,19 +680,16 @@ func (cc *clientConsumer) poll(ctx context.Context, dst []mq.Record, max int, le
 	}
 }
 
-func (cc *clientConsumer) TryPoll(max int) ([]mq.Record, error) {
-	return cc.fetch(nil, max, 0, false)
-}
-
 // TryPollInto lends, as PollInto does. It alone takes the daemon's word that
 // the consumer is drained: while that stands, with a watcher running to take
 // it down and fire WaitChan when it falls, the answer is "nothing" and costs
-// no round trip. The owning and the blocking polls always ask.
+// no round trip. Without a watcher — a consumer that never called WaitChan —
+// it always asks, as PollInto does.
 func (cc *clientConsumer) TryPollInto(dst []mq.Record, max int) ([]mq.Record, error) {
 	if cc.drained.Load() && cc.watching.Load() && !cc.topicClosed.Load() {
 		return dst, nil
 	}
-	return cc.fetch(dst, max, 0, true)
+	return cc.fetch(dst, max, 0)
 }
 
 // setDrained records the daemon's latest word and, when it is "drained",
@@ -766,15 +710,14 @@ func (cc *clientConsumer) rouseWatcher() {
 	}
 }
 
-// meta fetches the handle's lag/generation/assignment snapshot.
-func (cc *clientConsumer) meta() (lag, gen int64, assign []int, err error) {
+// meta fetches the handle's lag/assignment snapshot.
+func (cc *clientConsumer) meta() (lag int64, assign []int, err error) {
 	err = cc.rc.call(0, func(req []byte) []byte {
 		req = append(req, opMeta)
 		return appendUvarint(req, cc.handle.Load())
 	}, func(r *wireReader) error {
 		flags := r.byteVal()
 		lag = int64(r.uvarint())
-		gen = int64(r.uvarint())
 		n := r.count(1)
 		if r.err != nil {
 			return r.err
@@ -788,11 +731,11 @@ func (cc *clientConsumer) meta() (lag, gen int64, assign []int, err error) {
 		}
 		return r.err
 	})
-	return lag, gen, assign, err
+	return lag, assign, err
 }
 
 func (cc *clientConsumer) Assignment() []int {
-	_, _, assign, err := cc.meta()
+	_, assign, err := cc.meta()
 	if err != nil {
 		return nil
 	}
@@ -800,22 +743,11 @@ func (cc *clientConsumer) Assignment() []int {
 }
 
 func (cc *clientConsumer) Lag() int64 {
-	lag, _, _, err := cc.meta()
+	lag, _, err := cc.meta()
 	if err != nil {
 		return 0
 	}
 	return lag
-}
-
-func (cc *clientConsumer) Generation() int64 {
-	if cc.group == "" {
-		return 0
-	}
-	_, gen, _, err := cc.meta()
-	if err != nil {
-		return 0
-	}
-	return gen
 }
 
 func (cc *clientConsumer) Committed(p int) int64 {
@@ -832,28 +764,6 @@ func (cc *clientConsumer) Committed(p int) int64 {
 		return 0
 	}
 	return off
-}
-
-func (cc *clientConsumer) Seek(p int, offset int64) error {
-	if cc.group != "" {
-		// Group offsets are group-owned; fail locally exactly as the
-		// in-memory consumer does, without a round trip.
-		return mq.ErrNotSubscribed
-	}
-	err := cc.rc.call(0, func(req []byte) []byte {
-		req = append(req, opSeek)
-		req = appendUvarint(req, cc.handle.Load())
-		req = appendUvarint(req, uint64(p))
-		return appendUvarint(req, uint64(offset))
-	}, nil)
-	if err != nil {
-		return err
-	}
-	cc.drained.Store(false) // the new position may have records in front of it
-	cc.pmu.Lock()
-	cc.positions[p] = offset
-	cc.pmu.Unlock()
-	return nil
 }
 
 // TopicClosed reports the last observed topic state: every fetch, meta, and
@@ -947,98 +857,6 @@ func (cc *clientConsumer) waitWatcher(rc *rconn) {
 	}
 }
 
-// RebalanceChan returns a channel closed at the group's next membership
-// change, driven by a background watcher long-polling the generation.
-// Standalone consumers get a channel that never closes.
-func (cc *clientConsumer) RebalanceChan() <-chan struct{} {
-	if cc.group == "" {
-		return make(chan struct{})
-	}
-	cc.rmu.Lock()
-	defer cc.rmu.Unlock()
-	if cc.rebCh == nil {
-		cc.rebCh = make(chan struct{})
-	}
-	if !cc.rebStarted {
-		cc.rebStarted = true
-		cc.rebRC = cc.cl.newRconn(nil)
-		// Prime the baseline generation BEFORE the call returns. The
-		// contract is "closed at the group's NEXT membership change": if the
-		// watcher learned its baseline on its own first round, a join
-		// landing between this call and that round would be absorbed into
-		// the baseline and the wakeup lost. (WaitChan tolerates the
-		// equivalent lag because its contract allows it; this one does not.)
-		gen, primed := cc.rebBaseline(cc.rebRC)
-		go cc.rebWatcher(cc.rebRC, gen, primed)
-	}
-	return cc.rebCh
-}
-
-// rebBaseline reads the handle's current group generation over rc with a
-// zero wait. primed is false when the read failed; the watcher then primes
-// on its own first round — best effort, since without a baseline there is
-// nothing to diff against anyway.
-func (cc *clientConsumer) rebBaseline(rc *rconn) (gen uint64, primed bool) {
-	err := rc.call(0, func(req []byte) []byte {
-		req = append(req, opRebalanceWait)
-		req = appendUvarint(req, cc.handle.Load())
-		req = appendUvarint(req, ^uint64(0))
-		return appendUvarint(req, 0)
-	}, func(r *wireReader) error {
-		gen = r.uvarint()
-		return r.err
-	})
-	if err != nil {
-		return ^uint64(0), false
-	}
-	return gen, true
-}
-
-func (cc *clientConsumer) fireReb() {
-	cc.rmu.Lock()
-	if cc.rebCh != nil {
-		close(cc.rebCh)
-		cc.rebCh = nil
-	}
-	cc.rmu.Unlock()
-}
-
-func (cc *clientConsumer) rebWatcher(rc *rconn, gen uint64, primed bool) {
-	defer rc.close()
-	for !cc.closed.Load() {
-		var cur uint64
-		wait := uint64(watchPollMs)
-		if !primed {
-			wait = 0
-		}
-		err := rc.call(wait, func(req []byte) []byte {
-			req = append(req, opRebalanceWait)
-			req = appendUvarint(req, cc.handle.Load())
-			req = appendUvarint(req, gen)
-			return appendUvarint(req, wait)
-		}, func(r *wireReader) error {
-			cur = r.uvarint()
-			return r.err
-		})
-		if err != nil {
-			if rc.isClosed() || errors.Is(err, mq.ErrClosed) {
-				return
-			}
-			// A stale handle after a main-conn reconnect lands here too:
-			// back off, re-read the (possibly refreshed) handle, retry. The
-			// generation moved during the reconnect, so the next successful
-			// round reports the change — no wakeup is lost.
-			time.Sleep(watchRetry)
-			continue
-		}
-		if primed && cur != gen {
-			cc.fireReb()
-		}
-		gen = cur
-		primed = true
-	}
-}
-
 // Close releases the consumer: the server-side handle is closed
 // (best-effort — a dropped conn reaps it anyway), the group membership
 // leaves, and local waiters are woken.
@@ -1059,12 +877,5 @@ func (cc *clientConsumer) Close() {
 	}
 	cc.drained.Store(false)
 	cc.rouseWatcher() // it sees closed and exits
-	cc.rmu.Lock()
-	rrc := cc.rebRC
-	cc.rmu.Unlock()
-	if rrc != nil {
-		rrc.close()
-	}
 	cc.fireWait()
-	cc.fireReb()
 }

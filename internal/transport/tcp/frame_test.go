@@ -159,8 +159,7 @@ func FuzzFetchResponse(f *testing.F) {
 // without a listener: topic "t" (2 partitions, 3 records), a standalone
 // consumer under handle 1 and a member of group "g" under handle 2 — opened
 // through dispatch itself. The server's context is already cancelled, so a
-// request that would park (a long-poll fetch, opWaitReady, opRebalanceWait)
-// answers at once.
+// request that would park (a long-poll fetch, opWaitReady) answers at once.
 func dispatchFixture(t testing.TB) (*Server, *connState) {
 	broker := mq.NewBroker()
 	t.Cleanup(broker.Close)
@@ -197,14 +196,83 @@ func TestCreateTopicRetentionIsBounded(t *testing.T) {
 
 // sendBatchRequest builds an opSendBatch frame of n records.
 func sendBatchRequest(topic string, n, valueLen int) []byte {
-	req := appendStr([]byte{opSendBatch}, topic)
-	req = appendUvarint(req, uint64(n))
-	for i := 0; i < n; i++ {
-		req = appendBytes(req, []byte{'k', byte(i)})
-		req = appendBytes(req, bytes.Repeat([]byte{byte(i)}, valueLen))
-		req = appendWatermark(req, mq.Watermark{From: "leaf-1", At: time.Unix(1723000000, int64(i))})
+	recs := make([]mq.Record, n)
+	for i := range recs {
+		recs[i] = mq.Record{
+			Key:       []byte{'k', byte(i)},
+			Value:     bytes.Repeat([]byte{byte(i)}, valueLen),
+			Watermark: mq.Watermark{From: "leaf-1", At: time.Unix(1723000000, int64(i))},
+		}
+	}
+	return appendSendRecords(appendStr([]byte{opSendBatch}, topic), recs...)
+}
+
+// sendToRequest builds an opSendTo frame: recs directed at partition part.
+func sendToRequest(topic string, part uint64, recs ...mq.Record) []byte {
+	return appendSendRecords(appendUvarint(appendStr([]byte{opSendTo}, topic), part), recs...)
+}
+
+// appendSendRecords appends the counted records of a send frame.
+func appendSendRecords(req []byte, recs ...mq.Record) []byte {
+	req = appendUvarint(req, uint64(len(recs)))
+	for _, r := range recs {
+		req = appendBytes(req, r.Key)
+		req = appendBytes(req, r.Value)
+		req = appendWatermark(req, r.Watermark)
 	}
 	return req
+}
+
+// A directed send names its partition on the wire, and the broker indexes
+// its logs with it: one past the topic's count, or one that wraps int, gets
+// an error answer from a daemon that keeps serving, and a valid one lands on
+// the partition it names.
+func TestDirectedSendPartitionIsChecked(t *testing.T) {
+	s, cs := dispatchFixture(t)
+	v := mq.Record{Value: []byte("v")}
+	for _, part := range []uint64{2, 1 << 40, 1<<63 + 9, ^uint64(0)} {
+		resp := s.dispatch(cs, sendToRequest("t", part, v), nil)
+		if len(resp) == 0 || resp[0] != stOutOfRange {
+			t.Fatalf("a send to partition %d of 2 answered % x, want status %d", part, resp, stOutOfRange)
+		}
+		if again := s.dispatch(cs, appendStr([]byte{opTopicParts}, "t"), nil); !bytes.Equal(again, []byte{stOK, 2}) {
+			t.Fatalf("after a send to partition %d, TopicPartitions(t) answers % x", part, again)
+		}
+	}
+	tp, err := s.bus.Broker().Topic("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw0, hw1 := tp.HighWatermark(0), tp.HighWatermark(1)
+	if resp := s.dispatch(cs, sendToRequest("t", 1, v, v), nil); !bytes.Equal(resp, []byte{stOK}) {
+		t.Fatalf("a send of 2 records to partition 1 answered % x", resp)
+	}
+	if d0, d1 := tp.HighWatermark(0)-hw0, tp.HighWatermark(1)-hw1; d0 != 0 || d1 != 2 {
+		t.Fatalf("a send of 2 records to partition 1 grew partitions 0 and 1 by %d and %d", d0, d1)
+	}
+}
+
+// The op bytes are the wire: each survivor keeps its value, and the two
+// retired ones — 3, a one-record send, and 16, a rebalance long-poll — get
+// the unknown-op answer, their old operands and all.
+func TestRetiredOpsAreUnknown(t *testing.T) {
+	live := []byte{opCreateTopic, opTopicParts, opSendTo, opSendBatch, opOpenConsumer, opFetch, opMeta,
+		opCommitted, opSeek, opCloseConsumer, opGroupLag, opGroupCommitted, opFetchAt, opWaitReady}
+	if was := []byte{1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}; !bytes.Equal(live, was) {
+		t.Fatalf("the live ops are % d on the wire, were % d", live, was)
+	}
+	s, cs := dispatchFixture(t)
+	u := appendUvarint
+	for _, req := range [][]byte{
+		appendWatermark(appendBytes(appendBytes(appendStr([]byte{3}, "t"), []byte("k")), []byte("v")), mq.Watermark{From: "s"}),
+		u(u(u([]byte{16}, 2), 0), 2000),
+	} {
+		var rd wireReader
+		rd.reset(s.dispatch(cs, req, nil))
+		if st, msg := rd.byteVal(), rd.str(); st != stErr || msg != "tcp: unknown op" {
+			t.Fatalf("retired op %d answered status %d %q, want the unknown-op error", req[0], st, msg)
+		}
+	}
 }
 
 // FuzzDispatch feeds arbitrary request frames to the daemon's dispatch. The
@@ -217,8 +285,10 @@ func FuzzDispatch(f *testing.F) {
 	u := appendUvarint
 	f.Add(u(u(appendStr([]byte{opCreateTopic}, "t2"), 4), 0))
 	f.Add(appendStr([]byte{opTopicParts}, "t"))
-	f.Add(appendWatermark(appendBytes(appendBytes(appendStr([]byte{opSend}, "t"), []byte("k")), []byte("v")), mq.Watermark{From: "s"}))
-	f.Add(appendWatermark(appendBytes(appendBytes(u(appendStr([]byte{opSendTo}, "t"), 1), nil), []byte("v")), mq.Watermark{}))
+	f.Add(appendSendRecords(appendStr([]byte{opSendBatch}, "t"), mq.Record{Key: []byte("k"), Value: []byte("v"), Watermark: mq.Watermark{From: "s"}}))
+	f.Add(sendToRequest("t", 1, mq.Record{Value: []byte("v")}))
+	f.Add(sendToRequest("t", 2, mq.Record{Value: []byte("v")}))       // past the topic's partitions
+	f.Add(sendToRequest("t", 1<<63+1, mq.Record{Value: []byte("v")})) // wraps int
 	f.Add(sendBatchRequest("t", 2, 16))
 	f.Add(appendStr(appendStr([]byte{opOpenConsumer}, "t"), "g2"))
 	f.Add(u(u(u([]byte{opFetch}, 1), 16), 0))
@@ -231,7 +301,6 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(appendStr(appendStr([]byte{opGroupCommitted}, "t"), "g"))
 	f.Add(u(u(u(appendStr([]byte{opFetchAt}, "t"), 0), 1), 8))
 	f.Add(u(u([]byte{opWaitReady}, 2), 2000))
-	f.Add(u(u(u([]byte{opRebalanceWait}, 2), 0), 2000))
 	f.Add(u([]byte{opWaitReady}, 1))                // cut before waitMs
 	f.Add(u(u([]byte{opWaitReady}, 99), 2000))      // a handle nobody opened
 	f.Add(u(u([]byte{opWaitReady}, 1), ^uint64(0))) // waitMs 2^64-1: capped, not slept
@@ -290,7 +359,7 @@ func TestHostileResponseCountsAreRefused(t *testing.T) {
 					case opOpenConsumer:
 						resp = appendUvarint(resp, 1)
 					case opMeta:
-						resp = append(resp, 0, 0, 0) // flags, lag, generation
+						resp = append(resp, 0, 0) // flags, lag
 						fallthrough
 					default:
 						resp = binary.AppendUvarint(resp, 1<<40)
@@ -322,8 +391,8 @@ func TestHostileResponseCountsAreRefused(t *testing.T) {
 		if recs, err := cl.FetchInto(nil, "t", 0, 0, 8); err == nil {
 			t.Errorf("FetchInto took a count of 2^40: %d records", len(recs))
 		}
-		if recs, err := c.TryPoll(8); err == nil {
-			t.Errorf("TryPoll took a count of 2^40: %d records", len(recs))
+		if recs, err := c.TryPollInto(nil, 8); err == nil {
+			t.Errorf("TryPollInto took a count of 2^40: %d records", len(recs))
 		}
 	})
 	if cost > 1<<20 {

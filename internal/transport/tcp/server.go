@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -15,7 +16,7 @@ import (
 )
 
 // maxWaitMs caps how long a single blocking request (fetch long-poll,
-// wait-ready, rebalance-wait) may park server-side. Clients re-issue; the cap
+// wait-ready) may park server-side. Clients re-issue; the cap
 // bounds how long a dispatch loop can sit in one request after the peer
 // vanishes.
 const maxWaitMs = 30_000
@@ -56,14 +57,13 @@ func (c *counters) snapshot() transport.Counters {
 	}
 }
 
-// Server is the broker daemon: it serves a transport.Bus (typically the
-// in-memory Mem backend) to remote clients over the wire protocol. The
-// server holds a real server-side consumer per client consumer handle, so
-// group membership, generation fencing, and auto-commit-at-fetch all run
-// against the backing bus with in-process semantics; the wire only moves
-// records and results.
+// Server is the broker daemon: it serves an in-memory transport.Mem backend
+// to remote clients over the wire protocol. The server holds a real
+// *mq.Consumer per client consumer handle, so group membership, generation
+// fencing, and auto-commit-at-fetch all run against the backing broker with
+// in-process semantics; the wire only moves records and results.
 type Server struct {
-	bus transport.Bus
+	bus *transport.Mem
 	ln  net.Listener
 
 	// baseCtx is cancelled by Close so blocking requests (long-poll fetch,
@@ -84,7 +84,7 @@ type Server struct {
 // serverHandle is one client consumer: the server-side consumer doing the
 // real work plus the owning connection (for teardown when the conn drops).
 type serverHandle struct {
-	c     transport.Consumer
+	c     *mq.Consumer
 	owner net.Conn
 	parts int // the topic's partition count: the range a wire-supplied partition is checked against
 }
@@ -92,7 +92,7 @@ type serverHandle struct {
 // Serve starts serving bus on ln and returns immediately. The server does
 // not own bus: Close stops serving but leaves the bus (and its topics)
 // intact, so a daemon owner decides the shutdown order.
-func Serve(ln net.Listener, bus transport.Bus) *Server {
+func Serve(ln net.Listener, bus *transport.Mem) *Server {
 	s := newServer(bus)
 	s.ln = ln
 	s.wg.Add(1)
@@ -103,7 +103,7 @@ func Serve(ln net.Listener, bus transport.Bus) *Server {
 // newServer builds the dispatch state of a daemon over bus, not yet
 // listening (Serve adds the listener; the frame fuzzer dispatches without
 // one).
-func newServer(bus transport.Bus) *Server {
+func newServer(bus *transport.Mem) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		bus:     bus,
@@ -116,7 +116,7 @@ func newServer(bus transport.Bus) *Server {
 
 // Listen is Serve over a fresh TCP listener on addr (e.g. ":9090" or
 // "127.0.0.1:0" for an ephemeral test port — read it back via Addr).
-func Listen(addr string, bus transport.Bus) (*Server, error) {
+func Listen(addr string, bus *transport.Mem) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -222,7 +222,7 @@ func (cs *connState) teardown() {
 	s := cs.srv
 	s.mu.Lock()
 	delete(s.conns, cs.conn)
-	var dead []transport.Consumer
+	var dead []*mq.Consumer
 	for id := range cs.owned {
 		if h, ok := s.handles[id]; ok {
 			dead = append(dead, h.c)
@@ -238,7 +238,7 @@ func (cs *connState) teardown() {
 
 // register files a new server-side consumer on a topic of parts partitions
 // under a fresh handle id.
-func (s *Server) register(cs *connState, c transport.Consumer, parts int) uint64 {
+func (s *Server) register(cs *connState, c *mq.Consumer, parts int) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
@@ -250,7 +250,7 @@ func (s *Server) register(cs *connState, c transport.Consumer, parts int) uint64
 
 // lookup resolves a handle id to its consumer; nil if unknown (closed, or
 // reaped when its conn dropped).
-func (s *Server) lookup(id uint64) transport.Consumer {
+func (s *Server) lookup(id uint64) *mq.Consumer {
 	if h := s.lookupHandle(id); h != nil {
 		return h.c
 	}
@@ -265,7 +265,7 @@ func (s *Server) lookupHandle(id uint64) *serverHandle {
 
 // partitionOf resolves a handle and checks a wire-supplied partition against
 // its topic: the broker indexes its per-partition tables with it unchecked.
-func (s *Server) partitionOf(id, part uint64) (transport.Consumer, int, error) {
+func (s *Server) partitionOf(id, part uint64) (*mq.Consumer, int, error) {
 	h := s.lookupHandle(id)
 	if h == nil {
 		return nil, 0, errUnknownHandle
@@ -276,7 +276,7 @@ func (s *Server) partitionOf(id, part uint64) (transport.Consumer, int, error) {
 	return h.c, int(part), nil
 }
 
-func (s *Server) unregister(cs *connState, id uint64) transport.Consumer {
+func (s *Server) unregister(cs *connState, id uint64) *mq.Consumer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(cs.owned, id)
@@ -332,38 +332,8 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		resp = append(resp, stOK)
 		return appendUvarint(resp, uint64(n))
 
-	case opSend:
-		topic := r.str()
-		key, value := copyKV(r.bytesVal(), r.bytesVal())
-		wm := r.watermark()
-		if r.err != nil {
-			return appendErr(resp, r.err)
-		}
-		p, off, err := cs.prod().SendWatermarked(topic, key, value, wm)
-		if err != nil {
-			return appendErr(resp, err)
-		}
-		resp = append(resp, stOK)
-		resp = appendUvarint(resp, uint64(p))
-		return appendUvarint(resp, uint64(off))
-
-	case opSendTo:
-		topic := r.str()
-		part := int(r.uvarint())
-		key, value := copyKV(r.bytesVal(), r.bytesVal())
-		wm := r.watermark()
-		if r.err != nil {
-			return appendErr(resp, r.err)
-		}
-		off, err := cs.prod().SendToWatermarked(topic, part, key, value, wm)
-		if err != nil {
-			return appendErr(resp, err)
-		}
-		resp = append(resp, stOK)
-		return appendUvarint(resp, uint64(off))
-
-	case opSendBatch:
-		return s.handleSendBatch(cs, r, resp)
+	case opSendTo, opSendBatch:
+		return s.handleSend(cs, r, resp, op == opSendTo)
 
 	case opOpenConsumer:
 		topic := r.str()
@@ -375,11 +345,11 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		if err != nil {
 			return appendErr(resp, err)
 		}
-		var c transport.Consumer
+		var c *mq.Consumer
 		if group == "" {
-			c, err = s.bus.NewConsumer(topic)
+			c, err = mq.NewConsumer(s.bus.Broker(), topic)
 		} else {
-			c, err = s.bus.NewGroupConsumer(topic, group)
+			c, err = mq.NewGroupConsumer(s.bus.Broker(), topic, group)
 		}
 		if err != nil {
 			return appendErr(resp, err)
@@ -407,7 +377,6 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		assign := c.Assignment()
 		resp = append(resp, stOK, flags)
 		resp = appendUvarint(resp, uint64(c.Lag()))
-		resp = appendUvarint(resp, uint64(c.Generation()))
 		resp = appendUvarint(resp, uint64(len(assign)))
 		for _, p := range assign {
 			resp = appendUvarint(resp, uint64(p))
@@ -508,9 +477,6 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 	case opWaitReady:
 		return s.handleWaitReady(r, resp)
 
-	case opRebalanceWait:
-		return s.handleRebalanceWait(r, resp)
-
 	default:
 		return appendErr(resp, errors.New("tcp: unknown op"))
 	}
@@ -523,16 +489,25 @@ func (cs *connState) prod() transport.Producer {
 	return cs.producer
 }
 
-// handleSendBatch keeps the one copy of a batch the hop retains: the backing
-// bus aliases Key/Value bytes in its log and the request buffer is recycled
-// on the next frame, so the frame's record region is cloned once — unzeroed:
-// append does not clear what it is about to overwrite — and the records are
-// parsed out of the clone, their fields views into it.
-func (s *Server) handleSendBatch(cs *connState, r *wireReader, resp []byte) []byte {
+// handleSend serves both sends: opSendBatch's frame, and opSendTo's, which
+// is the same with a partition after the topic. It keeps the one copy of a
+// batch the hop retains: the backing bus aliases Key/Value bytes in its log
+// and the request buffer is recycled on the next frame, so the frame's
+// record region is cloned once — unzeroed: append does not clear what it is
+// about to overwrite — and the records are parsed out of the clone, their
+// fields views into it.
+func (s *Server) handleSend(cs *connState, r *wireReader, resp []byte, directed bool) []byte {
 	topic := r.str()
+	var part uint64
+	if directed {
+		part = r.uvarint()
+	}
 	n := r.count(3) // a record is at least two empty fields and an empty origin
 	if r.err != nil {
 		return appendErr(resp, r.err)
+	}
+	if part > math.MaxInt32 { // past any topic, and int(part) must not wrap
+		return appendErr(resp, fmt.Errorf("%w: partition %d", mq.ErrOutOfRange, part))
 	}
 	r.reset(bytes.Clone(r.buf[r.off:]))
 	recs := cs.batchScratch[:0]
@@ -544,7 +519,11 @@ func (s *Server) handleSendBatch(cs *connState, r *wireReader, resp []byte) []by
 		recs = append(recs, rec)
 	}
 	err := r.err
-	if err == nil {
+	switch {
+	case err != nil:
+	case directed:
+		err = cs.prod().SendTo(topic, int(part), recs)
+	default:
 		err = cs.prod().SendBatch(topic, recs)
 	}
 	// Drop the aliases into the retained block before recycling the scratch.
@@ -562,18 +541,6 @@ func blockCopy(block, b []byte) ([]byte, []byte) {
 	start := len(block)
 	block = append(block, b...)
 	return block, block[start:len(block):len(block)]
-}
-
-// copyKV materializes a request frame's key/value views into one fresh
-// block. The backing bus retains produced bytes, and the frame buffer is
-// recycled on the next request — handing it aliases would let later
-// requests rewrite the log in place (the boundary's ownership rule, honored
-// on the server's side of the wire).
-func copyKV(key, value []byte) ([]byte, []byte) {
-	block := make([]byte, 0, len(key)+len(value))
-	block, key = blockCopy(block, key)
-	_, value = blockCopy(block, value)
-	return key, value
 }
 
 // handleFetch runs one poll round against the handle's server-side
@@ -666,38 +633,6 @@ func (s *Server) handleWaitReady(r *wireReader, resp []byte) []byte {
 		select {
 		case <-wait:
 		case <-reb:
-		case <-timer.C:
-		case <-s.baseCtx.Done():
-		}
-		timer.Stop()
-	}
-}
-
-// handleRebalanceWait long-polls a handle's group generation: it returns
-// as soon as the generation differs from the client's, or at the deadline.
-func (s *Server) handleRebalanceWait(r *wireReader, resp []byte) []byte {
-	id := r.uvarint()
-	gen := r.uvarint()
-	waitMs := r.uvarint()
-	if r.err != nil {
-		return appendErr(resp, r.err)
-	}
-	c := s.lookup(id)
-	if c == nil {
-		return appendErr(resp, errUnknownHandle)
-	}
-	deadline := time.Now().Add(time.Duration(min(waitMs, maxWaitMs)) * time.Millisecond)
-	for {
-		ch := c.RebalanceChan() // arm before reading the generation
-		cur := uint64(c.Generation())
-		remaining := time.Until(deadline)
-		if cur != gen || remaining <= 0 || s.baseCtx.Err() != nil {
-			resp = append(resp, stOK)
-			return appendUvarint(resp, cur)
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
 		case <-timer.C:
 		case <-s.baseCtx.Done():
 		}

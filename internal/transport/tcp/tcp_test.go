@@ -62,6 +62,25 @@ func (h *harness) restartServer(t *testing.T) {
 	t.Fatalf("rebind %s: %v", addr, err)
 }
 
+// send appends one record with value to topic "t" through SendBatch.
+func send(t testing.TB, p transport.Producer, value []byte) {
+	t.Helper()
+	if err := p.SendBatch("t", []transport.Record{{Value: value}}); err != nil {
+		t.Fatalf("SendBatch: %v", err)
+	}
+}
+
+// sendAlternating appends n one-byte records 0..n-1 to topic "t", record i
+// to partition i%2.
+func sendAlternating(t testing.TB, p transport.Producer, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := p.SendTo("t", i%2, []transport.Record{{Value: []byte{byte(i)}}}); err != nil {
+			t.Fatalf("SendTo: %v", err)
+		}
+	}
+}
+
 // TestTCPConformance holds the TCP backend to the same contract the
 // in-memory backend defines — the tentpole's core acceptance gate.
 func TestTCPConformance(t *testing.T) {
@@ -83,12 +102,7 @@ func TestReconnectStandaloneSeek(t *testing.T) {
 	if err := bus.CreateTopic("t", 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	p := bus.NewProducer()
-	for i := 0; i < 10; i++ {
-		if _, err := p.SendTo("t", i%2, nil, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sendAlternating(t, bus.NewProducer(), 10)
 	c, err := bus.NewConsumer("t")
 	if err != nil {
 		t.Fatal(err)
@@ -97,8 +111,9 @@ func TestReconnectStandaloneSeek(t *testing.T) {
 
 	seen := map[byte]int{}
 	got := 0
+	var recs []transport.Record
 	for got < 5 {
-		recs, err := c.TryPoll(3)
+		recs, err = c.TryPollInto(recs[:0], 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +127,7 @@ func TestReconnectStandaloneSeek(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for got < 10 && time.Now().Before(deadline) {
-		recs, err := c.TryPoll(4)
+		recs, err = c.TryPollInto(recs[:0], 4)
 		if err != nil {
 			// At most the first post-bounce call may fail while the single
 			// retry lands; anything persistent is a real failure.
@@ -145,12 +160,7 @@ func TestReconnectGroupResume(t *testing.T) {
 	if err := bus.CreateTopic("t", 2, 0); err != nil {
 		t.Fatal(err)
 	}
-	p := bus.NewProducer()
-	for i := 0; i < 20; i++ {
-		if _, err := p.SendTo("t", i%2, nil, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sendAlternating(t, bus.NewProducer(), 20)
 	c, err := bus.NewGroupConsumer("t", "g")
 	if err != nil {
 		t.Fatal(err)
@@ -158,11 +168,12 @@ func TestReconnectGroupResume(t *testing.T) {
 	defer c.Close()
 
 	seen := map[byte]int{}
+	var recs []transport.Record
 	drainInto := func(n int) {
 		deadline := time.Now().Add(10 * time.Second)
 		count := 0
 		for count < n && time.Now().Before(deadline) {
-			recs, err := c.TryPoll(4)
+			recs, err = c.TryPollInto(recs[:0], 4)
 			if err != nil {
 				continue
 			}
@@ -198,13 +209,9 @@ func TestProducerReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := bus.NewProducer()
-	if _, _, err := p.Send("t", nil, []byte("before")); err != nil {
-		t.Fatal(err)
-	}
+	send(t, p, []byte("before"))
 	h.restartServer(t)
-	if _, _, err := p.Send("t", nil, []byte("after")); err != nil {
-		t.Fatalf("send after bounce: %v", err)
-	}
+	send(t, p, []byte("after"))
 	tp, err := h.broker.Topic("t")
 	if err != nil {
 		t.Fatal(err)
@@ -225,9 +232,7 @@ func TestCounters(t *testing.T) {
 	p := bus.NewProducer()
 	payload := make([]byte, 1024)
 	for i := 0; i < 32; i++ {
-		if _, _, err := p.Send("t", nil, payload); err != nil {
-			t.Fatal(err)
-		}
+		send(t, p, payload)
 	}
 	c, err := bus.NewConsumer("t")
 	if err != nil {
@@ -237,8 +242,9 @@ func TestCounters(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	total := 0
+	var recs []transport.Record
 	for total < 32 {
-		recs, err := c.Poll(ctx, 16)
+		recs, err = c.PollInto(ctx, recs[:0], 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,12 +283,12 @@ func TestPollHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = c.Poll(ctx, 1)
+	_, err = c.PollInto(ctx, nil, 1)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Poll on idle topic = %v, want DeadlineExceeded", err)
+		t.Fatalf("PollInto on idle topic = %v, want DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("Poll overshot its context by %v", elapsed)
+		t.Fatalf("PollInto overshot its context by %v", elapsed)
 	}
 }
 
@@ -299,12 +305,12 @@ func TestDialFailsFast(t *testing.T) {
 	}
 }
 
-// TestServerCloseAnswersParkedLongPolls: a daemon whose handlers sit in the
-// watchers' long-polls (opWaitReady behind WaitChan, opRebalanceWait behind
-// RebalanceChan) answers them when it shuts down instead of looping on its
-// cancelled context until their two-second deadlines. The clients take it
-// as a round that ended — at worst a spurious wakeup, which WaitChan allows —
-// not as a closed topic and not as an error on any counter.
+// TestServerCloseAnswersParkedLongPolls: a daemon whose handler sits in the
+// watcher's long-poll (opWaitReady behind WaitChan) answers it when it shuts
+// down instead of looping on its cancelled context until its two-second
+// deadline. The client takes it as a round that ended — at worst a spurious
+// wakeup, which WaitChan allows — not as a closed topic and not as an error
+// on any counter.
 func TestServerCloseAnswersParkedLongPolls(t *testing.T) {
 	h := newHarness(t)
 	if err := h.client.CreateTopic("t", 2, 0); err != nil {
@@ -321,15 +327,14 @@ func TestServerCloseAnswersParkedLongPolls(t *testing.T) {
 	if recs, err := c.TryPollInto(nil, 4); err != nil || len(recs) != 0 {
 		t.Fatalf("TryPollInto on an idle topic = %d records, %v", len(recs), err)
 	}
-	c.RebalanceChan()
-	time.Sleep(150 * time.Millisecond) // both watchers primed and parked
+	time.Sleep(150 * time.Millisecond) // the watcher parked
 
 	start := time.Now()
 	if err := h.srv.Close(); err != nil {
 		t.Fatalf("server close: %v", err)
 	}
 	if took := time.Since(start); took > 250*time.Millisecond {
-		t.Fatalf("Close took %v with two long-polls parked, want well under their 2 s deadline", took)
+		t.Fatalf("Close took %v with a long-poll parked, want well under its 2 s deadline", took)
 	}
 	if c.TopicClosed() {
 		t.Fatal("shutdown reported the topic closed; the bus is still up")

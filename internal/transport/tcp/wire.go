@@ -4,23 +4,25 @@
 // machines — the deployment shape the paper's prototype obtained from
 // Kafka.
 //
-// One broker daemon (Serve) hosts any transport.Bus — in practice the
-// in-memory Mem backend — and any number of client processes (Dial) mount
-// it as their own Bus. Every consumer-group semantic the in-memory broker
-// implements (partition dealing, generation-fenced auto-commits, stale-
-// owner fencing, rebalance on join/leave) is inherited, not re-implemented:
-// the daemon holds a real server-side consumer per client handle, so the
-// fencing happens where the offsets live. Watermarks ride each record's
-// frame bit-for-bit, which carries the event-time machinery — per-chain
-// minimums, keepalives, the end-of-stream broadcast — across the wire
-// unchanged.
+// One broker daemon (Serve) hosts an in-memory transport.Mem backend, and
+// any number of client processes (Dial) mount it as their own Bus. Every
+// consumer-group semantic the in-memory broker implements (partition
+// dealing, generation-fenced auto-commits, stale-owner fencing, rebalance on
+// join/leave) is inherited, not re-implemented: the daemon holds a real
+// *mq.Consumer per client handle, so the fencing happens where the offsets
+// live, and the rebalance that hands a member a backlog wakes it from inside
+// the daemon. Watermarks ride each record's frame bit-for-bit, which carries
+// the event-time machinery — per-chain minimums, keepalives, the
+// end-of-stream broadcast — across the wire unchanged.
 //
 // The framing follows the repo codec's append-style marshaling (uvarint
 // lengths, little-endian fixints, appends into reusable scratch): requests
 // and responses are [u32 little-endian frame length][frame], where a
 // request frame is [op byte][operands] and a response frame is [status
-// byte][optional error text][result]. Known mq sentinel errors cross the
-// wire as dedicated status codes so errors.Is keeps working remotely.
+// byte][optional error text][result]. Both sends share one frame —
+// [topic][partition, opSendTo only][count][key value watermark]... — and
+// one handler. Known mq sentinel errors cross the wire as dedicated status
+// codes so errors.Is keeps working remotely.
 package tcp
 
 import (
@@ -33,24 +35,25 @@ import (
 	"github.com/approxiot/approxiot/internal/mq"
 )
 
-// Protocol ops (request frame byte 0).
+// Protocol ops (request frame byte 0). The values are the wire: each is
+// spelled out so that retiring an op never renumbers the ones after it, and
+// a retired value (3 was a one-record send, 16 a rebalance long-poll) gets
+// the unknown-op answer.
 const (
-	opCreateTopic byte = iota + 1
-	opTopicParts
-	opSend
-	opSendTo
-	opSendBatch
-	opOpenConsumer
-	opFetch
-	opMeta
-	opCommitted
-	opSeek
-	opCloseConsumer
-	opGroupLag
-	opGroupCommitted
-	opFetchAt
-	opWaitReady
-	opRebalanceWait
+	opCreateTopic    byte = 1
+	opTopicParts     byte = 2
+	opSendTo         byte = 4 // opSendBatch's frame with a partition after the topic
+	opSendBatch      byte = 5
+	opOpenConsumer   byte = 6
+	opFetch          byte = 7
+	opMeta           byte = 8
+	opCommitted      byte = 9
+	opSeek           byte = 10 // re-positions a reconnecting standalone consumer
+	opCloseConsumer  byte = 11
+	opGroupLag       byte = 12
+	opGroupCommitted byte = 13
+	opFetchAt        byte = 14
+	opWaitReady      byte = 15
 )
 
 // Flag bits of a fetch, meta or wait-ready response.
@@ -246,8 +249,8 @@ func (r *wireReader) count(each int) int {
 }
 
 // bytesVal returns a view into the frame — NOT a copy. Callers that keep
-// the bytes past the frame's lifetime must copy (decodeRecords does, on the
-// owning polls) or own the frame (handleSendBatch parses its own clone).
+// the bytes past the frame's lifetime must copy (decodeRecords does, for
+// FetchInto) or own the frame (handleSend parses its own clone).
 func (r *wireReader) bytesVal() []byte {
 	n := r.count(1)
 	if r.err != nil {

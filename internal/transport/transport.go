@@ -7,15 +7,15 @@
 // (internal/transport/tcp) so a deployment tree can run as separate OS
 // processes on separate machines.
 //
-// The interface is carved from the mq API surface the rest of the system
-// actually uses — topics/partitions, keyed producers with batched sends and
-// piggybacked event-time watermarks, consumer groups with generation-fenced
-// auto-commits and rebalance notification, blocking polls with caller-owned
-// scratch, and group-lag probes for ingest backpressure — nothing more. The
-// concrete *mq.Producer and *mq.Consumer satisfy Producer and Consumer
-// structurally, so the in-memory backend is a zero-adapter wrapper and its
-// semantics remain the executable specification every other backend's
-// conformance run is held to (internal/transport/conformance).
+// The interface is carved from the mq API surface the tree actually calls —
+// topics/partitions, producers with batched and partition-directed sends
+// and piggybacked event-time watermarks, consumer groups with
+// generation-fenced auto-commits, lending polls into caller-owned scratch
+// with a wake channel, and group-lag probes for ingest backpressure —
+// nothing more. The concrete *mq.Producer and *mq.Consumer satisfy Producer
+// and Consumer structurally, so the in-memory backend is a zero-adapter
+// wrapper and its semantics remain the executable specification every other
+// backend's conformance run is held to (internal/transport/conformance).
 //
 // Buffer-ownership rule across the boundary — one retained block per record
 // per hop, and nobody else's bytes outlive the call that handed them over:
@@ -29,14 +29,13 @@
 //     the sender's again the moment the send returns, and the core encoder
 //     encodes every flush into the same block; the retained copy is made by
 //     whoever does retain (the daemon behind the wire, once per request).
-//   - Polled bytes. Poll, TryPoll and Bus.FetchInto return records that own
-//     their Key and Value: they stay valid for as long as the caller keeps
-//     them. PollInto and TryPollInto — the caller-owned-scratch forms the
-//     hot loops use — lend them: Key and Value are valid until the next
-//     PollInto or TryPollInto on the same consumer, and are read-only. A
+//   - Polled bytes. PollInto and TryPollInto — the consumer's two polls, both
+//     into caller-owned scratch — lend them: Key and Value are valid until the
+//     next PollInto or TryPollInto on the same consumer, and are read-only. A
 //     caller that keeps a lent record past that point copies it. (The
 //     in-memory backend lends views of its immutable log, which happen to
-//     stay valid; callers must not lean on that.)
+//     stay valid; callers must not lean on that.) Bus.FetchInto, the replay
+//     read, returns records that own their Key and Value.
 package transport
 
 import (
@@ -58,30 +57,25 @@ type Record = mq.Record
 // watermarks never being reordered against their data.
 type Watermark = mq.Watermark
 
-// Producer appends records to the bus's topics. Implementations choose
-// partitions exactly as the in-memory broker does: key-hash for non-empty
-// keys (same key → same partition, preserving per-sub-stream order),
-// round-robin otherwise, sticky per consecutive-equal-key run in SendBatch.
+// Producer appends records to the bus's topics. Both sends take a batch:
+// each record's Key, Value, and Watermark are taken as given, Ts/Partition/
+// Offset are assigned by the backend, and recs may be written in place but is
+// not retained. Both are synchronous: when a send returns, the backend has
+// either retained the Key/Value bytes or is done with them — Bus.RetainsSent
+// says which, and so whether the caller may write them again (see the
+// package buffer-ownership rule).
 type Producer interface {
-	// Send appends value under key and returns the record's position.
-	Send(topic string, key, value []byte) (partition int, offset int64, err error)
-	// SendWatermarked is Send with an event-time low watermark piggybacked
-	// on the record.
-	SendWatermarked(topic string, key, value []byte, wm Watermark) (partition int, offset int64, err error)
 	// SendBatch appends a batch in one shot — the amortization the hot path
-	// is built on. Each record's Key, Value, and Watermark are taken as
-	// given; Ts/Partition/Offset are assigned by the backend. recs may be
-	// written in place but is not retained. The send is synchronous: when it
-	// returns, the backend has either retained the Key/Value bytes or is done
-	// with them — Bus.RetainsSent says which, and so whether the caller may
-	// write them again (see the package buffer-ownership rule).
+	// is built on. Partitions are chosen exactly as the in-memory broker
+	// chooses them: key-hash for non-empty keys (same key → same partition,
+	// preserving per-sub-stream order), round-robin otherwise, sticky per
+	// consecutive-equal-key run.
 	SendBatch(topic string, recs []Record) error
-	// SendTo appends directly to a specific partition.
-	SendTo(topic string, partition int, key, value []byte) (int64, error)
-	// SendToWatermarked is SendTo with a piggybacked watermark — the
+	// SendTo appends a batch, in order, to one named partition — the
 	// topic-global broadcast form (end-of-stream above all), which must
 	// reach every partition's consumer, not just the one a key hashes to.
-	SendToWatermarked(topic string, partition int, key, value []byte, wm Watermark) (int64, error)
+	// A partition outside the topic is mq.ErrOutOfRange.
+	SendTo(topic string, partition int, recs []Record) error
 }
 
 // Consumer reads records from one topic, either as a member of a consumer
@@ -89,34 +83,30 @@ type Producer interface {
 // commits fenced by the membership generation) or standalone (all
 // partitions, private positions).
 type Consumer interface {
-	// Poll returns up to max records, blocking until at least one is
-	// available, ctx is cancelled, or the topic closes. The records own
-	// their Key/Value bytes.
-	Poll(ctx context.Context, max int) ([]Record, error)
-	// PollInto is Poll with a caller-owned scratch slice: records are
-	// appended onto dst and the extended slice returned, so a steady-state
+	// PollInto appends up to max records onto a caller-owned scratch slice
+	// and returns the extended slice, blocking until at least one is
+	// available, ctx is cancelled, or the topic closes — so a steady-state
 	// poll loop allocates nothing per poll. The records' Key/Value bytes are
 	// lent, not given: read-only, and valid until the next PollInto or
 	// TryPollInto on this consumer (a network backend points them into the
 	// frame it just read). One goroutine polls a consumer at a time.
 	PollInto(ctx context.Context, dst []Record, max int) ([]Record, error)
-	// TryPoll is a non-blocking Poll; (nil, nil) when nothing is ready.
-	TryPoll(max int) ([]Record, error)
 	// TryPollInto is a non-blocking PollInto (same lending rule); dst
-	// unextended when nothing is ready. Once WaitChan has been called on the
-	// consumer, "nothing is ready" may be answered from what the backend last
-	// learned rather than by asking again: a remote backend that has been
-	// told the consumer is drained finds nothing, for no round trip, until
-	// its wake path hears otherwise — so a TryPollInto may find nothing for
-	// up to a round trip after an append, and the channel armed before it
-	// fires when it would find something. TryPoll, Poll and PollInto always
-	// ask; a caller that must not miss a completed send uses one of those.
+	// unextended when nothing is ready. A consumer that has never called
+	// WaitChan always asks the backend, so a TryPollInto issued after a send
+	// completed finds that record. Once WaitChan has been called, "nothing is
+	// ready" may be answered from what the backend last learned rather than
+	// by asking again: a remote backend that has been told the consumer is
+	// drained finds nothing, for no round trip, until its wake path hears
+	// otherwise — so a TryPollInto may find nothing for up to a round trip
+	// after an append, and the channel armed before it fires when it would
+	// find something. PollInto always asks.
 	TryPollInto(dst []Record, max int) ([]Record, error)
 	// WaitChan returns a channel closed when new records may be available
 	// to this consumer (or already closed if the topic is shut down). Arm it
-	// BEFORE a TryPoll or TryPollInto, block on it only if the poll came
-	// back empty: an armed channel fires whenever a TryPollInto that found
-	// nothing would now find something — after an append to a partition the
+	// BEFORE a TryPollInto, block on it only if the poll came back empty:
+	// an armed channel fires whenever a TryPollInto that found nothing
+	// would now find something — after an append to a partition the
 	// consumer owns, and after a rebalance that hands it a partition with a
 	// backlog. Backends may deliver spurious wakeups (a woken caller re-polls
 	// and finds nothing), and a remote backend's wakeup may lag the append by
@@ -130,20 +120,9 @@ type Consumer interface {
 	Assignment() []int
 	// Committed returns the consumer's read position for partition p.
 	Committed(p int) int64
-	// Seek moves a standalone consumer's position for partition p; group
-	// consumers, whose offsets are group-owned, get mq.ErrNotSubscribed.
-	Seek(p int, offset int64) error
 	// Lag returns the total records between this consumer's positions and
 	// the high watermarks of its owned partitions.
 	Lag() int64
-	// Generation returns the group's fencing epoch (0 standalone): it
-	// advances on every membership change, so two reads bracketing an
-	// operation detect an interleaved rebalance.
-	Generation() int64
-	// RebalanceChan returns a channel closed at the group's next membership
-	// change (standalone: a channel that never closes). Re-arm by calling
-	// again.
-	RebalanceChan() <-chan struct{}
 	// Close releases the consumer; group members leave the group,
 	// triggering a rebalance for the remaining members.
 	Close()
