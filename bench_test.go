@@ -1,12 +1,7 @@
-// Figure-reproduction benchmarks: one testing.B entry per figure of the
-// paper's evaluation (plus the ablations). Each benchmark regenerates its
-// figure at the Quick scale and prints the series table; headline values
-// are also attached as custom benchmark metrics.
-//
-//	go test -bench=BenchmarkFig -benchtime=1x
-//
-// regenerates everything; cmd/approxbench does the same with flags
-// (including -full for paper-scale runs).
+// Live throughput benchmarks: each runs the live tree in one shape and
+// reports what that shape costs. The paper's figures are regenerated by
+// cmd/approxbench (-fig all; -full for paper-scale runs), whose shapes
+// internal/bench's TestFig*Shape tests pin.
 package approxiot_test
 
 import (
@@ -18,31 +13,8 @@ import (
 	"time"
 
 	"github.com/approxiot/approxiot"
-	"github.com/approxiot/approxiot/internal/bench"
 	"github.com/approxiot/approxiot/internal/workload"
 )
-
-var (
-	figMu    sync.Mutex
-	figCache = map[string]bench.Figure{}
-)
-
-// figure computes (once per process) and prints a figure.
-func figure(b *testing.B, id string) bench.Figure {
-	b.Helper()
-	figMu.Lock()
-	defer figMu.Unlock()
-	if fig, ok := figCache[id]; ok {
-		return fig
-	}
-	fig, err := bench.Run(id, bench.Quick())
-	if err != nil {
-		b.Fatalf("figure %s: %v", id, err)
-	}
-	figCache[id] = fig
-	fmt.Println(fig.Format())
-	return fig
-}
 
 // benchItems returns the per-iteration item count for the live throughput
 // benchmarks: def by default, overridable with APPROXIOT_BENCH_ITEMS for
@@ -55,116 +27,6 @@ func benchItems(def int64) int64 {
 		}
 	}
 	return def
-}
-
-// reportSeries attaches a series' value at x as a benchmark metric.
-func reportSeries(b *testing.B, fig bench.Figure, label string, x float64, unit string) {
-	if s := fig.Find(label); s != nil {
-		if y, ok := s.At(x); ok {
-			b.ReportMetric(y, unit)
-		}
-	}
-}
-
-func BenchmarkFig05a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "5a")
-		reportSeries(b, fig, "ApproxIoT", 10, "loss%@10")
-	}
-}
-
-func BenchmarkFig05b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "5b")
-		reportSeries(b, fig, "ApproxIoT", 10, "loss%@10")
-	}
-}
-
-func BenchmarkFig06(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "6")
-		reportSeries(b, fig, "ApproxIoT", 10, "items/s@10")
-	}
-}
-
-func BenchmarkFig07(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "7")
-		reportSeries(b, fig, "ApproxIoT", 10, "saving%@10")
-	}
-}
-
-func BenchmarkFig08(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "8")
-		reportSeries(b, fig, "ApproxIoT", 10, "latency_s@10")
-	}
-}
-
-func BenchmarkFig09(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "9")
-		reportSeries(b, fig, "ApproxIoT", 4, "latency_s@4s")
-	}
-}
-
-func BenchmarkFig10a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "10a")
-		reportSeries(b, fig, "ApproxIoT", 1, "loss%@setting1")
-	}
-}
-
-func BenchmarkFig10b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "10b")
-		reportSeries(b, fig, "ApproxIoT", 1, "loss%@setting1")
-	}
-}
-
-func BenchmarkFig10c(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "10c")
-		reportSeries(b, fig, "SRS", 10, "srs_loss%@10")
-	}
-}
-
-func BenchmarkFig11a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "11a")
-		reportSeries(b, fig, "NYC-Taxi", 10, "loss%@10")
-	}
-}
-
-func BenchmarkFig11b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := figure(b, "11b")
-		reportSeries(b, fig, "NYC-Taxi", 10, "items/s@10")
-	}
-}
-
-func BenchmarkAblationHierarchy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figure(b, "A1")
-	}
-}
-
-func BenchmarkAblationAllocator(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figure(b, "A2")
-	}
-}
-
-func BenchmarkAblationParallelWorkers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figure(b, "A3")
-	}
-}
-
-func BenchmarkAblationAlignment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		figure(b, "A4")
-	}
 }
 
 // BenchmarkLiveAdaptive measures what the §IV-B control plane costs on the

@@ -21,8 +21,10 @@ import (
 //
 // The blob is self-contained: consumer offsets for every owned partition, the
 // member's lifetime counters, and the full Ψ state — the close bound, the
-// watermark chains, and every open event window with its carried sub-stream
-// weights and buffered weighted batches.
+// tracker's chains and placeholders (a leaf member's valve chains; above the
+// leaf, placeholders only), and every open event window with its carried
+// sub-stream weights and buffered weighted batches. Lane floors are not
+// serialized: they belong to an assignment the restart renegotiates.
 // Sampler RNG state is deliberately NOT serialized: a restarted member is a
 // new member of the statistical population (the estimate stays unbiased by
 // Eq. 8 weighting, which is what the invariant checks), exactly as a
@@ -30,8 +32,9 @@ import (
 
 // ckptVersion is the blob format version; a mismatch is corruption (the
 // store's job is integrity, the codec's job is meaning). Version 1 carried a
-// mode byte and a second, single-interval layout.
-const ckptVersion = 2
+// mode byte and a second, single-interval layout; version 2 carried
+// (producer, sub-stream) chains for members above the leaf too.
+const ckptVersion = 3
 
 // memberCkpt is a decoded member checkpoint, ready to restore.
 type memberCkpt struct {
@@ -82,7 +85,9 @@ func encodeMemberCheckpoint(dst []byte, p *samplingProcessor, offs []streams.Par
 		dst = append(dst, 0)
 	}
 	dst = binary.AppendVarint(dst, ew.bound)
-	dst = binary.AppendUvarint(dst, uint64(wt.chains))
+	chains := 0
+	wt.eachChain(func(string, stream.SourceID, *sourceMark) { chains++ })
+	dst = binary.AppendUvarint(dst, uint64(chains))
 	wt.eachChain(func(from string, src stream.SourceID, m *sourceMark) {
 		dst = appendCkptString(dst, from)
 		dst = appendCkptString(dst, string(src))

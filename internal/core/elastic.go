@@ -293,7 +293,7 @@ func (e *engine) AddMember(nodeID string) (string, error) {
 // RemoveMember gracefully shrinks nodeID's consumer group by one: the
 // newest live member is frozen, everything it still buffers is flushed
 // downstream (its windows close at end-of-stream with honest per-window
-// watermark stamps and the member signs its chains off), and the member
+// watermark stamps and the member's beat signs it off), and the member
 // leaves the group — its partitions rebalance to the survivors, who resume
 // at its committed offsets. Nothing is lost and nothing needs replaying.
 // Returns the removed member's ID; a group keeps at least one live member
@@ -527,9 +527,8 @@ func (e *engine) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberCkpt, 
 				p.ew.ingestWire(h)
 				// Fold the piggybacked watermark lanewise — the same per-lane
 				// floor rule the live path applies, so replayed end-of-stream
-				// copies lift exactly the lanes they rode — but never announce
-				// (the dead member announced this chain when it first heard
-				// it) and never advance (replay rebuilds buffered state only).
+				// copies lift exactly the lanes they rode — but never advance
+				// (replay rebuilds buffered state only).
 				p.wt.foldSlot(rec.Watermark, h.Slot, rec.Partition, now)
 			}
 		}
@@ -541,9 +540,9 @@ func (e *engine) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberCkpt, 
 // session stops admitting pushes for its source slots (ErrNodeDetached),
 // waits for the node's input topic to drain (bounded by DrainTimeout), then
 // retires every member — freeze, flush all buffered state downstream (the
-// members close their windows at end-of-stream and sign their watermark
-// chains off, so the parent's minimum releases in-band instead of waiting
-// out the idle timeout), stop. The node's topology slot
+// members close their windows at end-of-stream and sign off on every parent
+// lane, so the parent's minimum releases in-band instead of waiting out the
+// idle timeout), stop. The node's topology slot
 // survives: AddEdgeNode rebuilds the group later. Only layer-0 nodes
 // detach — an interior node's topic is fed by live children — and only on a
 // tier that also runs the valves feeding them (errNoIngest otherwise).

@@ -361,9 +361,11 @@ func TestElasticKillRestartEventTime(t *testing.T) {
 }
 
 // TestRestartCorruptCheckpointRejected pins the failure mode: a flipped
-// byte in the on-disk blob fails the restart with ErrCorrupt, the member
-// stays killed (and restartable), and restoring the original bytes lets
-// the same restart succeed with the invariant intact.
+// byte in the on-disk blob fails the restart with ErrCorrupt, and so does an
+// intact blob of a retired format — version 2, whose members above the leaf
+// carried (producer, sub-stream) chains (the version2-member-chains fuzz
+// seed). The member stays killed (and restartable), and restoring the
+// original bytes lets the same restart succeed with the invariant intact.
 func TestRestartCorruptCheckpointRejected(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := checkpoint.NewFileStore(dir)
@@ -404,6 +406,16 @@ func TestRestartCorruptCheckpointRejected(t *testing.T) {
 	}
 	if !stillKilled {
 		t.Fatalf("victim not restartable after failed restart: %v", members)
+	}
+	v2 := fuzzSeed(t, "FuzzMemberCheckpoint", "version2-member-chains")
+	if _, err := decodeMemberCheckpoint(append([]byte{ckptVersion}, v2[1:]...)); err != nil {
+		t.Fatalf("the version-2 seed is malformed beyond its version byte: %v", err)
+	}
+	if err := fs.Save(victim, v2); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if err := s.RestartMember(victim); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("restart on a version-2 blob: err = %v, want ErrCorrupt", err)
 	}
 	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatalf("repair write: %v", err)

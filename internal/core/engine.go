@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/approxiot/approxiot/internal/metrics"
+	"github.com/approxiot/approxiot/internal/mq"
 	"github.com/approxiot/approxiot/internal/query"
 	"github.com/approxiot/approxiot/internal/stream"
 	"github.com/approxiot/approxiot/internal/streams"
@@ -363,8 +364,14 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 			}
 			sp.control = c
 		}
-		sp.eosNotify = memberEOSBroadcast(e.bus.NewProducer(), desc.ParentTopic,
-			sp.id, plan.Partitions, sp.bwc)
+		if plan.Partitions > 1 {
+			prod := e.bus.NewProducer()
+			beat := []transport.Record{{Value: heartbeat(stream.SourceID(sp.id)).Marshal()}}
+			sp.broadcast = func(wm mq.Watermark) {
+				beat[0].Watermark = wm
+				broadcast(prod, desc.ParentTopic, plan.Partitions, sp.bwc, beat...)
+			}
+		}
 		return sp, sp
 	})
 	if err == nil {
@@ -484,10 +491,12 @@ func (k *memberKit) newWindows(mk func() *Node) *eventWindows {
 // strata, the stratum table of the member's decoder (its window store's): the
 // slot a parsed header carries indexes both. Every producer the plan says can
 // feed the node holds the watermark until heard from (or idled out) — sibling
-// pumps race, and a chain must never be invisible to the minimum just because
-// it is slow.
+// pumps race, and a producer must never be invisible to the minimum just
+// because it is slow. Only a leaf's producers are valves, stamping per
+// sub-stream; above it they are members, bounded by their lane floors alone.
 func (k *memberKit) newTracker(desc NodeDesc, strata *stream.SourceTable, now time.Time) *watermarkTracker {
 	wt := newWatermarkTracker(k.idle, strata)
+	wt.floorsOnly = desc.Layer > 0
 	for _, from := range k.plan.ExpectedProducers(desc) {
 		wt.expect(from, now)
 	}

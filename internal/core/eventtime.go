@@ -21,13 +21,14 @@ import (
 //   - every producer piggybacks a low watermark on the records it sends
 //     (mq.Record.Watermark, an (origin, instant) pair) — the promise that
 //     no future record of that chain carries an earlier event timestamp;
-//   - every node tracks the latest watermark per upstream
-//     (producer, sub-stream) chain and takes the minimum as its own
-//     watermark. Producers the compiled plan expects
-//     (Plan.ExpectedProducers) hold the minimum until heard from; chains
-//     silent longer than the idle timeout are excluded (at the instant the
-//     tracker says the next one can age out, nextAging), except
-//     end-of-stream promises, which never age;
+//   - every node tracks the latest watermark per upstream (producer, input
+//     partition) lane and takes the minimum as its own watermark — plus,
+//     at the leaf, where the producers are valves that stamp per
+//     sub-stream, the latest per (producer, sub-stream) chain. Producers the
+//     compiled plan expects (Plan.ExpectedProducers) hold the minimum until
+//     heard from; entries silent longer than the idle timeout are excluded
+//     (at the instant the tracker says the next one can age out,
+//     nextAging), except end-of-stream promises, which never age;
 //   - a window [s, s+W) closes once the node's watermark reaches
 //     s+W+AllowedLateness; records assigned to a window that is already
 //     closed are dropped and counted (LateDropped), never allowed to
@@ -40,11 +41,13 @@ import (
 // outboundWatermark ladder); and members re-assert liveness upstream
 // (keepalives) while they hold buffered state, so a parent cannot age a
 // slow-but-live child out of the minimum and close windows over its data.
-// A keepalive goes out only when it carries news (keepaliveDue): the first
-// presence beat, a chain back from idle, or a quarter of the idle timeout
-// since the last full beat — the parent ages nothing sooner, and with aging
-// off nothing ages at all. Empty windows forward zero-item heartbeat
-// batches, so a quiet sub-stream does not stall its ancestors.
+// A member promises per output lane: every close, and every keepalive,
+// sends one zero-item beat at its outbound watermark to each partition of
+// its parent topic, so a lane none of its data rode still advances, and a
+// quiet sub-stream does not stall its ancestors. A keepalive goes out only
+// when it carries news (keepaliveDue): the first presence beat, an entry
+// back from idle, or a quarter of the idle timeout since the last beat —
+// the parent ages nothing sooner, and with aging off nothing ages at all.
 
 // eosWatermark is the end-of-stream watermark: far enough in the future to
 // close every window that could ever hold data, while staying inside the
@@ -362,14 +365,15 @@ type sourceMark struct {
 }
 
 // producer is one upstream producer's entries at a node: a source valve or a
-// child tree node, by the origin it stamps its watermarks with.
+// child tree node's member, by the origin it stamps its watermarks with.
 //
-//   - chains, by stratum slot: the (producer, sub-stream) chains. Distinct
-//     chains may legitimately carry the same sub-stream — sources with
-//     identical distributions share IDs to be stratified together — so
-//     watermark progress is never tracked per sub-stream alone: the fast
-//     chain's watermark would close windows the slow chain still holds data
-//     for. Chains are never deleted; slots lists the ones present.
+//   - chains, by stratum slot: the (producer, sub-stream) chains of a valve
+//     (a leaf's tracker only). Distinct chains may legitimately carry the
+//     same sub-stream — sources with identical distributions share IDs to
+//     be stratified together — so watermark progress is never tracked per
+//     sub-stream alone: the fast chain's watermark would close windows the
+//     slow chain still holds data for. Chains are never deleted; slots
+//     lists the ones present.
 //   - lanes, by input partition: the producer's lane floors. The broker's
 //     only ordering guarantee is per-partition FIFO, so a piggybacked
 //     watermark is a promise about the records still queued BEHIND it on its
@@ -377,10 +381,13 @@ type sourceMark struct {
 //     unit the close bound must be floored by.
 //   - expect: the expectation placeholder, holding the minimum for a
 //     producer the plan names (or that sent only keepalives) until its first
-//     real chain represents it.
+//     real stamp: a chain represents a valve from then on, its floors a
+//     member. heard records that stamp, so a later keepalive does not
+//     re-form the placeholder.
 type producer struct {
 	from   string
 	floors bool // lane floors materialized across the owned set
+	heard  bool
 	expect sourceMark
 	chains []sourceMark
 	slots  []int32
@@ -388,35 +395,41 @@ type producer struct {
 }
 
 // watermarkTracker derives a node's low watermark from the watermarks
-// piggybacked on arriving records, as the minimum over two complementary
-// views of the same stamps:
+// piggybacked on arriving records, as the minimum over its entries:
 //
-//   - (producer, sub-stream) chains — the semantic view: the latest promise
-//     per chain, with expectation placeholders holding the minimum for
-//     producers the plan names before they are first heard;
 //   - (producer, lane) floors — the transport view: the latest stamp
-//     consumed per owned input partition. Per-src chains alone are unsound
-//     once a topic has more than one partition: a producer's stamps for
-//     sub-stream X ride X's key lane, so draining X's lane first can lift
-//     the chain minimum past windows whose data for sub-stream Y is still
-//     queued, unconsumed, on Y's lane. The floor for Y's lane — stuck at
-//     the last stamp actually consumed off it — is exactly what per-lane
-//     FIFO licenses, and holds the bound until that data is ingested.
+//     consumed per owned input partition, which per-lane FIFO licenses as a
+//     bound on every record still queued behind it;
+//   - (producer, sub-stream) chains, at the leaf only (floorsOnly unset) —
+//     the semantic view of a valve, which stamps each sub-stream with its
+//     own high-water mark, so its stamps on one lane need not ascend;
+//   - expectation placeholders, holding the minimum for producers the plan
+//     names before they are first heard.
+//
+// Above the leaf every producer is a member, whose outbound stamps ascend
+// globally (the flush ladder, beats that never regress, end of stream
+// last): its floor on a lane is at least every promise it made for any
+// sub-stream, so floors alone are a sound minimum and no chain is kept.
+// Chains alone would be unsound once a topic has more than one partition: a
+// valve's stamps for sub-stream X ride X's key lane, so draining X's lane
+// first could lift the chain minimum past windows whose data for sub-stream
+// Y is still queued on Y's lane — the floor for Y's lane, stuck at the last
+// stamp consumed off it, holds the bound until that data is ingested.
 //
 // Floors exist for every known producer × owned lane (a lane the producer
-// never touches holds the bound as an alive-but-unpromising placeholder
-// until the idle timeout ages it out, or until the producer's terminal
-// end-of-stream broadcast covers it). They activate only when an ownedFn is
-// installed — single-FIFO transports (the simulator's network) need no
-// floors, and their behavior is unchanged. Chains and floors share the idle
-// and end-of-stream exemption rules. Not safe for concurrent use.
+// has not reached yet holds the bound as an alive-but-unpromising
+// placeholder until its beat or the idle timeout covers it). The owned set
+// comes from ownedFn when the context reports its consumer's assignment;
+// otherwise — the simulator's one FIFO link, a test harness — the tracker
+// owns the lanes it has consumed from. Every entry shares the idle and
+// end-of-stream exemption rules. Not safe for concurrent use.
 //
 // Entries are kept by dense index, not by key: a producer table (interned
 // once per record, the last producer checked first) holds each producer's
 // entries (see producer), chains indexed by the slot of the sub-stream in
 // strata — the member's stratum table, the one its decoder interns into, so
 // a record's slot comes with its parsed header. Slots are never serialized:
-// checkpoints carry chains by name.
+// checkpoints carry chains by name, and floors not at all.
 //
 // The minimum is incremental: cache holds the result of the last full scan
 // and every change to an entry goes through stamp, which keeps it exact, so
@@ -425,26 +438,26 @@ type producer struct {
 type watermarkTracker struct {
 	idle   time.Duration
 	strata *stream.SourceTable
+	// floorsOnly marks a tracker above the leaf: its producers are members,
+	// bounded by their floors, and no chain is kept.
+	floorsOnly bool
 
 	producers []*producer
 	byFrom    map[string]*producer
 	last      *producer // the producer the previous look-up returned
-	chains    int       // chains and placeholders, over every producer
 
-	ownedFn func() []int // owned input partitions; nil disables lane floors
+	ownedFn func() []int // owned input partitions; nil: the lanes consumed from
 	laneSet []int        // cached owned lanes (refreshed on unknown-lane sight)
 
 	cache wmCache
 	scans int // full scans run (tests bound it)
 
 	// revivals counts stamps on entries that had aged out: chains or floors
-	// back from idle. lastBeat is the owning member's last full beat and
+	// back from idle. lastBeat is the owning member's last beat and
 	// beatRevivals the count then (see keepaliveDue).
 	revivals     int
 	lastBeat     time.Time
 	beatRevivals int
-
-	srcs []stream.SourceID // activeSources scratch; callers consume the result before the next call
 }
 
 // wmCache is the result of a watermarkTracker's last full scan, kept exact
@@ -566,7 +579,7 @@ func (t *watermarkTracker) ensureFloors(p *producer, now time.Time) {
 // stamp at least this high — the floor is a sound per-lane close bound. A
 // zero instant refreshes liveness without promising anything.
 func (t *watermarkTracker) observeLane(p *producer, lane int, at, now time.Time) {
-	if len(t.laneSet) == 0 || p.from == "" {
+	if p.from == "" {
 		return
 	}
 	t.ensureFloors(p, now)
@@ -622,42 +635,52 @@ func (t *watermarkTracker) cacheCovers(now time.Time) bool {
 
 // foldSlot routes one record's piggybacked watermark into the tracker: the
 // lane floor first (the transport-level promise the stamp actually makes),
-// then the chain of the record's sub-stream — slot in the stratum table —
-// it semantically belongs to. End-of-stream promises resolve the producer's
-// chains outright — the producer's floors, lifted lane by lane as its
-// terminal broadcast copies are consumed, keep the bound below any of its
-// data still queued on other lanes. Reports whether the stamp revealed a
-// brand-new chain (callers announce those upstream). Consuming a record off
-// a lane the cached owned set does not list re-reads the assignment — the
-// cheap signal that a rebalance granted this member new partitions.
-func (t *watermarkTracker) foldSlot(wm mq.Watermark, slot int32, lane int, now time.Time) (isNew bool) {
-	if t.ownedFn != nil && !containsLane(t.laneSet, lane) {
-		if lanes := t.ownedFn(); lanes == nil {
-			t.ownedFn = nil // context cannot report ownership; floors stay off
-		} else {
-			if !containsLane(lanes, lane) {
-				lanes = append(lanes, lane) // mid-rebalance: trust consumption
-			}
-			t.refreshOwned(lanes, now)
-		}
+// then, at the leaf, the chain of the record's sub-stream — slot in the
+// stratum table — it semantically belongs to. End-of-stream promises resolve
+// the producer's chains outright — the producer's floors, lifted lane by
+// lane as its terminal broadcast copies are consumed, keep the bound below
+// any of its data still queued on other lanes. Above the leaf a real stamp
+// only resolves the producer's placeholder: its floors represent it.
+// Consuming a record off a lane the cached owned set does not list re-reads
+// the assignment — the cheap signal that a rebalance granted this member new
+// partitions.
+func (t *watermarkTracker) foldSlot(wm mq.Watermark, slot int32, lane int, now time.Time) {
+	if !containsLane(t.laneSet, lane) {
+		t.refreshOwned(t.ownedWith(lane), now)
 	}
+	if wm.From == "" && wm.At.IsZero() {
+		return
+	}
+	p := t.producerOf(wm.From)
+	t.observeLane(p, lane, wm.At, now)
 	switch {
 	case wm.At.IsZero():
-		if wm.From != "" {
-			p := t.producerOf(wm.From)
-			t.observeLane(p, lane, time.Time{}, now)
-			t.refresh(p, now)
-		}
+		t.refresh(p, now)
+	case t.floorsOnly:
+		p.heard = true
+		t.dropExpect(p)
 	case !wm.At.Before(eosHorizon):
-		p := t.producerOf(wm.From)
-		t.observeLane(p, lane, wm.At, now)
 		t.resolveEOS(p, now)
 	default:
-		p := t.producerOf(wm.From)
-		t.observeLane(p, lane, wm.At, now)
-		isNew = t.stampChain(p, slot, wm.At, now)
+		t.stampChain(p, slot, wm.At, now)
 	}
-	return isNew
+}
+
+// ownedWith returns the owned lanes once a record was consumed off lane: the
+// consumer's assignment where the context reports one, else the lanes
+// consumed from so far — lane among them either way (mid-rebalance, trust
+// consumption).
+func (t *watermarkTracker) ownedWith(lane int) []int {
+	var lanes []int
+	if t.ownedFn != nil {
+		lanes = t.ownedFn()
+	} else {
+		lanes = slices.Clone(t.laneSet)
+	}
+	if !containsLane(lanes, lane) {
+		lanes = append(lanes, lane)
+	}
+	return lanes
 }
 
 // expect registers a producer that is statically known (from the compiled
@@ -679,9 +702,6 @@ func (t *watermarkTracker) expect(from string, now time.Time) {
 
 // setExpect (re)installs p's placeholder, alive at now.
 func (t *watermarkTracker) setExpect(p *producer, now time.Time) {
-	if !p.expect.live {
-		t.chains++
-	}
 	p.expect = sourceMark{seen: now, live: true}
 	t.cache.valid = false
 }
@@ -690,20 +710,19 @@ func (t *watermarkTracker) setExpect(p *producer, now time.Time) {
 func (t *watermarkTracker) dropExpect(p *producer) {
 	if p.expect.live {
 		p.expect = sourceMark{}
-		t.chains--
 		t.cache.valid = false
 	}
 }
 
-// chain returns p's chain for slot, creating it — alive at now — if asked
-// to, and reports whether it was created.
+// chain returns p's chain for slot, creating it — alive at now — if it is
+// not there yet, and reports whether it was created.
 func (t *watermarkTracker) chain(p *producer, slot int32, now time.Time) (m *sourceMark, created bool) {
 	p.chains = grown(p.chains, int(slot))
 	m = &p.chains[slot]
 	if !m.live {
 		*m = sourceMark{seen: now, live: true}
 		p.slots = append(p.slots, slot)
-		t.chains++
+		p.heard = true
 		t.cache.valid = false
 		created = true
 	}
@@ -711,19 +730,16 @@ func (t *watermarkTracker) chain(p *producer, slot int32, now time.Time) (m *sou
 }
 
 // stampChain folds one piggybacked watermark at into p's chain for the
-// sub-stream of slot, observed at arrival-clock instant now, and reports
-// whether the chain is new to this tracker. Per-chain watermarks are
-// monotone; the arrival stamp always refreshes (a record of any vintage
-// proves the chain is alive). The producer's expectation placeholder, if
-// any, is resolved: its real chains now represent it.
-func (t *watermarkTracker) stampChain(p *producer, slot int32, at, now time.Time) (isNew bool) {
-	t.ensureFloors(p, now)
-	m, isNew := t.chain(p, slot, now)
-	if isNew {
+// sub-stream of slot, observed at arrival-clock instant now. Per-chain
+// watermarks are monotone; the arrival stamp always refreshes (a record of
+// any vintage proves the chain is alive). A new chain resolves the
+// producer's expectation placeholder: its real chains now represent it.
+func (t *watermarkTracker) stampChain(p *producer, slot int32, at, now time.Time) {
+	m, created := t.chain(p, slot, now)
+	if created {
 		t.dropExpect(p)
 	}
 	t.stamp(m, at, now)
-	return isNew
 }
 
 // resolveEOS resolves one producer's end of stream: every chain it owns is
@@ -735,7 +751,6 @@ func (t *watermarkTracker) stampChain(p *producer, slot int32, at, now time.Time
 // the producer's lane floors stay put — data still queued on another lane
 // keeps its floor (and so the bound) down until it is consumed there.
 func (t *watermarkTracker) resolveEOS(p *producer, now time.Time) {
-	t.ensureFloors(p, now)
 	t.dropExpect(p)
 	t.cache.valid = false
 	for _, s := range p.slots {
@@ -750,8 +765,7 @@ func (t *watermarkTracker) resolveEOS(p *producer, now time.Time) {
 // has not spoken, or a sibling's flush could close windows the producer
 // is still buffering data for.
 func (t *watermarkTracker) refresh(p *producer, now time.Time) {
-	t.ensureFloors(p, now)
-	if !p.expect.live && len(p.slots) == 0 {
+	if !p.expect.live && !p.heard {
 		t.setExpect(p, now)
 		return
 	}
@@ -766,7 +780,8 @@ func (t *watermarkTracker) refresh(p *producer, now time.Time) {
 // restoreChain installs one chain from a checkpoint, stamped alive at now. A
 // real chain resolves its producer's expectation placeholder, exactly as
 // stampChain would have; a serialized placeholder (no sub-stream, zero wm)
-// stands as one.
+// stands as one. Above the leaf there are no chains to install: an entry
+// that is not a placeholder only records that its producer was heard.
 func (t *watermarkTracker) restoreChain(from string, src stream.SourceID, wm, now time.Time) {
 	p := t.producerOf(from)
 	if src == "" && wm.IsZero() {
@@ -775,6 +790,10 @@ func (t *watermarkTracker) restoreChain(from string, src stream.SourceID, wm, no
 	}
 	if !wm.IsZero() {
 		t.dropExpect(p)
+	}
+	if t.floorsOnly {
+		p.heard = true
+		return
 	}
 	m, _ := t.chain(p, t.strata.Slot(src), now)
 	*m = sourceMark{wm: wm, seen: now, live: true}
@@ -803,8 +822,8 @@ func (t *watermarkTracker) watermark(now time.Time) time.Time {
 	return wm
 }
 
-// allStale reports that no chain can ever advance this watermark again
-// without new input: every tracked chain has been silent past the idle
+// allStale reports that no entry can ever advance this watermark again
+// without new input: every tracked entry has been silent past the idle
 // timeout and none promises end-of-stream. Steady-state that just means
 // "wait"; at quiesce, when no further input can arrive, a member in this
 // state buffers windows nothing will ever close — the signal to force an
@@ -812,8 +831,11 @@ func (t *watermarkTracker) watermark(now time.Time) time.Time {
 // silence is indistinguishable from patience) or before anything was
 // tracked.
 func (t *watermarkTracker) allStale(now time.Time) bool {
-	return t.idle > 0 && t.chains > 0 &&
-		t.eachMark(func(m *sourceMark) bool { return t.aged(m, now) })
+	tracked := false
+	return t.idle > 0 && t.eachMark(func(m *sourceMark) bool {
+		tracked = true
+		return t.aged(m, now)
+	}) && tracked
 }
 
 // watermarkState is watermark plus the reason a zero came back: blocked
@@ -900,7 +922,7 @@ func (t *watermarkTracker) nextAging(now time.Time) time.Time {
 // last chain or floor ageing out — or zero when it never can: aging off,
 // nothing tracked, or an end-of-stream promise among the entries.
 func (t *watermarkTracker) staleAt() time.Time {
-	if t.idle <= 0 || t.chains == 0 {
+	if t.idle <= 0 {
 		return time.Time{}
 	}
 	var last time.Time
@@ -909,7 +931,7 @@ func (t *watermarkTracker) staleAt() time.Time {
 			last = m.seen
 		}
 		return m.wm.Before(eosHorizon)
-	}) {
+	}) || last.IsZero() {
 		return time.Time{}
 	}
 	return last.Add(t.idle + time.Nanosecond)
@@ -944,45 +966,28 @@ func (t *watermarkTracker) eachMark(fn func(*sourceMark) bool) bool {
 	return true
 }
 
-// activeSources lists the distinct sub-streams of the tracked, non-idle
-// chains, in SourceID order — the set a node must cover with data or
-// heartbeats when it closes windows, so its parent's per-chain watermarks
-// keep advancing. Idle chains are deliberately left out: heartbeating them
-// would keep them artificially fresh upstream and re-introduce the stall the
-// idle timeout exists to break. The returned slice is the tracker's scratch,
-// valid until the next call.
-func (t *watermarkTracker) activeSources(now time.Time) []stream.SourceID {
-	out := t.srcs[:0]
-	for _, slot := range t.strata.Sorted() {
-		for _, p := range t.producers {
-			if int(slot) >= len(p.chains) {
-				continue
-			}
-			// A zero watermark: restored from a checkpoint unheard, no
-			// sub-stream's promise yet.
-			if m := &p.chains[slot]; m.live && !t.aged(m, now) && !m.wm.IsZero() {
-				out = append(out, t.strata.ID(slot))
-				break
-			}
-		}
-	}
-	t.srcs = out
-	return out
+// active reports whether any entry holds a live promise at now: not aged
+// out, and a real watermark. A member with none has nothing to re-assert
+// upstream — nothing heard yet, or everything aged out — and beating anyway
+// would keep it artificially fresh at its parent, re-introducing the stall
+// the idle timeout exists to break.
+func (t *watermarkTracker) active(now time.Time) bool {
+	return !t.eachMark(func(m *sourceMark) bool { return t.aged(m, now) || m.wm.IsZero() })
 }
 
 // keepaliveDivisor sets how often a member with nothing to advance re-asserts
-// liveness: every IdleTimeout/keepaliveDivisor since its last full beat. A
-// parent ages a chain out only after a whole IdleTimeout of silence, so a
+// liveness: every IdleTimeout/keepaliveDivisor since its last beat. A
+// parent ages an entry out only after a whole IdleTimeout of silence, so a
 // beat each quarter leaves three quarters of the horizon for queueing between
 // the beat and the parent consuming it.
 const keepaliveDivisor = 4
 
 // keepaliveDue reports whether the member owning this tracker, at a
-// punctuation that advanced nothing, must re-assert liveness upstream. A full
-// beat (beat) is a flush that heartbeats every active sub-stream: an
+// punctuation that advanced nothing, must re-assert liveness upstream. A beat
+// (beat) is the member's promise on every lane of its parent topic: an
 // advance's, or a keepalive's. One is due when the member has never sent one;
-// when a chain or floor came back from idle since (beats left it out while it
-// was idle, so the parent has aged the member's chain for it out); or, with
+// when a chain or floor came back from idle since (the member went silent
+// while it had nothing active, so its parent may have aged it out); or, with
 // aging on, once a quarter of the idle timeout has passed.
 // With aging off nothing ages, so after the first presence beat a keepalive
 // carries no information.
@@ -993,10 +998,10 @@ func (t *watermarkTracker) keepaliveDue(now time.Time) bool {
 
 // nextKeepalive returns the instant keepaliveDue turns true, read at now:
 // now itself when a beat is due already, zero when none will be without new
-// input. A beat goes to the active sub-streams only, so while there are none
+// input. A keepalive goes out only while an entry is active, so while none is
 // — nothing heard yet, or everything aged out — nothing is due: only a record
-// can make a sub-stream active again, and the member re-reads its deadline
-// after every record.
+// can make an entry active again, and the member re-reads its deadline after
+// every record.
 func (t *watermarkTracker) nextKeepalive(now time.Time) time.Time {
 	var at time.Time
 	switch {
@@ -1007,21 +1012,21 @@ func (t *watermarkTracker) nextKeepalive(now time.Time) time.Time {
 	default:
 		return time.Time{}
 	}
-	if !at.After(now) && len(t.activeSources(now)) == 0 {
+	if !at.After(now) && !t.active(now) {
 		return time.Time{}
 	}
 	return at
 }
 
-// beat records a full beat sent at now.
+// beat records a beat sent at now.
 func (t *watermarkTracker) beat(now time.Time) {
 	t.lastBeat, t.beatRevivals = now, t.revivals
 }
 
-// heartbeat returns a zero-item batch for src: the payload a node forwards
-// to carry a watermark upstream when it has no data for a sub-stream.
-// Ingesting it is a no-op everywhere; only the piggybacked watermark and
-// the arrival stamp matter.
+// heartbeat returns a zero-item batch for src: the payload that carries a
+// watermark upstream without data — a valve's end-of-stream sign-off, a
+// member's beat. Ingesting it is a no-op everywhere; only the piggybacked
+// watermark and the arrival stamp matter.
 func heartbeat(src stream.SourceID) stream.Batch {
 	return stream.Batch{Source: src, Weight: 1}
 }

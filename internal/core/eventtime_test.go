@@ -117,16 +117,16 @@ func TestWatermarkTrackerMinAndIdle(t *testing.T) {
 	if got := wt.watermark(wall); !got.Equal(simEpoch.Add(500 * time.Millisecond)) {
 		t.Fatalf("shared-ID chains conflated: watermark %v", got)
 	}
-	if srcs := wt.activeSources(wall); len(srcs) != 2 {
-		t.Fatalf("active sources %v, want distinct {a, b}", srcs)
-	}
 	// Everything but chain (up, a) goes idle: only it counts.
 	wt.foldSlot(mq.Watermark{From: "up", At: wmA}, wt.strata.Slot("a"), 0, wall.Add(150*time.Millisecond))
 	if got := wt.watermark(wall.Add(150 * time.Millisecond)); !got.Equal(wmA) {
 		t.Fatalf("idle chain still held watermark at %v", got)
 	}
-	if srcs := wt.activeSources(wall.Add(150 * time.Millisecond)); len(srcs) != 1 || srcs[0] != "a" {
-		t.Fatalf("active sources %v, want [a]", srcs)
+	if !wt.active(wall.Add(150 * time.Millisecond)) {
+		t.Fatal("the fresh chain (up, a) is not active")
+	}
+	if wt.active(wall.Add(251 * time.Millisecond)) {
+		t.Fatal("active after every entry aged out")
 	}
 	// b resumes and is tracked again.
 	wt.foldSlot(mq.Watermark{From: "up", At: wmB}, wt.strata.Slot("b"), 0, wall.Add(200*time.Millisecond))

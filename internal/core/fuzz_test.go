@@ -5,8 +5,12 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/approxiot/approxiot/internal/stream"
@@ -77,6 +81,26 @@ func ckptState(ck *memberCkpt) string {
 		}
 	}
 	return b.String()
+}
+
+// fuzzSeed reads one seed of a fuzz target's corpus under testdata/fuzz: a
+// "go test fuzz v1" file holding a single []byte value.
+func fuzzSeed(t *testing.T, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatalf("fuzz seed: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+	if !ok || len(lines) != 2 {
+		t.Fatalf("fuzz seed %s/%s is not one []byte value", target, name)
+	}
+	v, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("fuzz seed %s/%s: %v", target, name, err)
+	}
+	return []byte(v)
 }
 
 // restoredBlob restores ck into a fresh member and encodes that member again.

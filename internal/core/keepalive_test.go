@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -68,15 +70,15 @@ func TestKeepaliveOnIdleHorizon(t *testing.T) {
 		t.Fatalf("%d records forwarded in a second of still watermark, want 4 (one beat per IdleTimeout/%d)", len(sent), keepaliveDivisor)
 	}
 	for i, b := range sent {
-		if len(b.Items) != 0 || b.Source != "a" {
-			t.Fatalf("record %d is %d items of %q, want a heartbeat of a", i, len(b.Items), b.Source)
+		if len(b.Items) != 0 || b.Source != "edge#0" {
+			t.Fatalf("record %d is %d items of %q, want the member's beat", i, len(b.Items), b.Source)
 		}
 	}
 }
 
 // A chain that comes back from idle makes the next punctuation beat, however
-// recent the last beat: the member's beats left it out while it was idle, so
-// its parent has aged the member's chain for it out.
+// recent the last beat: the member's promise may have leapt while the chain
+// was excluded, and its parent should hear the member's state at once.
 func TestKeepaliveOnRevival(t *testing.T) {
 	const idle = 100 * time.Millisecond
 	p, ctx := beatMember("edge#0", idle)
@@ -89,8 +91,8 @@ func TestKeepaliveOnRevival(t *testing.T) {
 		p.processEvent(valveRecord("valve", "a", ts), now)
 		p.Punctuate(now)
 	}
-	if srcs := p.wt.activeSources(now); len(srcs) != 1 || srcs[0] != "a" {
-		t.Fatalf("active sources %v after b's silence, want [a]", srcs)
+	if slot := p.ew.strata.Slot("b"); !p.wt.aged(&p.wt.producers[0].chains[slot], now) {
+		t.Fatal("chain b still fresh after 200 ms of silence")
 	}
 	// b speaks again a millisecond after a beat; the next punctuation, a
 	// millisecond later, is far inside the quarter horizon.
@@ -98,12 +100,9 @@ func TestKeepaliveOnRevival(t *testing.T) {
 	p.processEvent(valveRecord("valve", "b", ts), now)
 	before := len(ctx.retained)
 	p.Punctuate(now.Add(time.Millisecond))
-	got := map[stream.SourceID]bool{}
-	for _, b := range forwarded(t, ctx, before) {
-		got[b.Source] = len(b.Items) == 0
-	}
-	if len(got) != 2 || !got["a"] || !got["b"] {
-		t.Fatalf("punctuation after b's revival sent heartbeats %v, want one each for a and b", got)
+	sent := forwarded(t, ctx, before)
+	if len(sent) != 1 || len(sent[0].Items) != 0 || sent[0].Source != "edge#0" {
+		t.Fatalf("punctuation after b's revival sent %v, want the member's one beat", sent)
 	}
 }
 
@@ -115,6 +114,7 @@ func TestKeepaliveHoldsBufferedMember(t *testing.T) {
 	const idle = 100 * time.Millisecond
 	leaf, leafOut := beatMember("leaf0", idle)
 	parent, parentOut := beatMember("edge2", idle)
+	parent.wt.floorsOnly = true // its producers are members
 	wall := time.Unix(5000, 0)
 	parent.wt.expect("leaf0", wall)
 	parent.wt.expect("leaf1", wall)
@@ -259,19 +259,19 @@ func (s stillSource) Generate(time.Time, time.Duration) []stream.Item {
 // of stream is a beat (the close cascade after it rides the links too, so
 // the test counts only records sent before Duration). A source ships its
 // first chunk at 125 ms and it lands 10 ms later; a node's first advance,
-// when its second source is heard at 135 ms, beats both of its sub-streams,
-// so each sub-stream goes up once, and with aging off nothing follows: 8
-// records. With an 8 s idle timeout a node re-beats every 2 s while it
-// buffers — at 2.135, 4.135, 6.135 and 8.135 s of a 9 s run — two records
-// each time: 8 + 8×4.
+// when its second source is heard at 135 ms, beats once — one record on its
+// one-lane link, whatever its sub-streams — and with aging off nothing
+// follows: 4 records. With an 8 s idle timeout a node re-beats every 2 s
+// while it buffers — at 2.135, 4.135, 6.135 and 8.135 s of a 9 s run — one
+// record each time: 4 + 4×4.
 func TestKeepaliveSim(t *testing.T) {
 	const duration = 9 * time.Second
 	for _, c := range []struct {
 		idle time.Duration
 		want int64
 	}{
-		{-1, 8},
-		{8 * time.Second, 8 + 8*4},
+		{-1, 4},
+		{8 * time.Second, 4 + 4*4},
 	} {
 		var beats int64
 		res, err := RunSim(SimConfig{
@@ -300,4 +300,51 @@ func TestKeepaliveSim(t *testing.T) {
 			t.Fatalf("IdleTimeout %v: %d late, %d windows — want every item in one window", c.idle, res.LateDropped, len(res.Windows))
 		}
 	}
+}
+
+// A member that owns only some of its input lanes still promises on every
+// lane of its parent topic: with four partitions and two members per edge
+// layer, each member's sub-streams hash onto a subset of the parent's lanes,
+// and a beat keyed by sub-stream would leave the parent's floors for the
+// other lanes at zero until the idle timeout (10 s here) aged them out.
+// Windows must therefore reach the root while the pushes still run, not only
+// at Close's end-of-stream cascade.
+func TestMemberBeatsEveryLane(t *testing.T) {
+	cfg := sessionConfig(1)
+	cfg.Window = 50 * time.Millisecond
+	cfg.Partitions = 4
+	cfg.LayerShards = []int{2, 2}
+	cfg.IdleTimeout = 10 * time.Second
+	s, err := OpenLive(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("OpenLive: %v", err)
+	}
+	const perSlot = 16
+	slots := s.plan.Spec.Sources
+	valves := make([]*Ingester, slots)
+	for slot := range valves {
+		if valves[slot], err = s.Ingester(slot); err != nil {
+			t.Fatalf("Ingester(%d): %v", slot, err)
+		}
+	}
+	items := make([]stream.Item, perSlot)
+	for end := time.Now().Add(600 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		for slot, in := range valves {
+			for i := range items {
+				items[i] = stream.Item{Source: stream.SourceID(fmt.Sprintf("s%d-%d", slot, i)), Value: 1}
+			}
+			if err := in.Push(items...); err != nil {
+				t.Fatalf("Push slot %d: %v", slot, err)
+			}
+		}
+	}
+	early := s.Snapshot().WindowsClosed
+	res, err := s.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if early == 0 {
+		t.Fatalf("0 of %d windows reached the root before Close: a parent's lane floors waited out the idle timeout", len(res.Windows))
+	}
+	assertCountInvariant(t, "every lane beaten", res.EstimateCount, float64(res.Produced))
 }

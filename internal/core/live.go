@@ -307,20 +307,21 @@ type samplingProcessor struct {
 	enc     batchEncoder
 	outMsgs []streams.Message
 
-	// ew buckets Ψ per event window, wt tracks the member's per-source low
-	// watermark, and quiesce (session-owned) stops the punctuation
-	// keepalives once shutdown starts — the end-of-stream cascade carries
-	// every promise that still matters, and a steady keepalive stream would
-	// hold the drain probe's idle check open forever. eosNotify broadcasts
-	// this member's own terminal end-of-stream record to every parent-topic
-	// partition, sent once — eosSent — after the member's final forward, so
-	// every downstream lane floor gets its lifting copy.
-	ew        *eventWindows
-	wt        *watermarkTracker
-	triedWM   time.Time // watermark of the last advanceEventTime attempt
-	quiesce   *atomic.Bool
-	eosNotify func()
-	eosSent   bool
+	// ew buckets Ψ per event window, wt tracks the member's low watermark,
+	// and quiesce (session-owned) stops the punctuation keepalives once
+	// shutdown starts — the end-of-stream cascade carries every promise that
+	// still matters, and a steady keepalive stream would hold the drain
+	// probe's idle check open forever.
+	ew      *eventWindows
+	wt      *watermarkTracker
+	triedWM time.Time // watermark of the last advanceEventTime attempt
+	quiesce *atomic.Bool
+	// broadcast sends the member's beat, stamped wm, to every partition of
+	// a parent topic that has more than one, behind everything the member
+	// forwarded before it (beat). Nil where the parent link is one lane —
+	// a one-partition topic, the simulator's link, a test harness — and the
+	// beat rides the member's flush.
+	broadcast func(wm mq.Watermark)
 
 	// Adaptive runs only: control is the member's private standalone
 	// consumer on the plan's control topic, drained at each window
@@ -462,7 +463,7 @@ func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
 	// The tracker's lane floors need the consumer's partition assignment —
 	// installed before recovery, so the offset-gap replay already
 	// classifies lanewise.
-	p.wt.ownedFn = func() []int { return ownedLanesOf(p.ctx) }
+	p.wt.ownedFn = ownedLanesOf(ctx)
 	if p.recover != nil {
 		// Crash recovery runs here: Init is called synchronously by the
 		// runtime's Start, after the consumer has joined its group but
@@ -509,31 +510,28 @@ func (p *samplingProcessor) processEvent(msg streams.Message, now time.Time) {
 	// watermark may close the very window this record's items belong
 	// to, and they must land inside it, not be counted late.
 	p.ew.ingestWire(h)
-	if p.wt.foldSlot(msg.Watermark, h.Slot, msg.Partition, now) {
-		// First sight of this chain: announce it upstream before any
-		// record can lift the parent's minimum past windows the chain
-		// still holds data for.
-		p.announce(h.Source)
-	}
+	p.wt.foldSlot(msg.Watermark, h.Slot, msg.Partition, now)
 	p.advanceEventTime(now)
 }
 
-// ownedLanesOf lists the input-topic partitions the context's consumer
-// currently owns — the lane universe for the watermark tracker's per-lane
-// floors. Nil when the context cannot report ownership; the tracker then
-// leaves floors off and classification degrades to the per-chain minimum
-// alone (single-FIFO harness contexts, where that minimum is sound).
-func ownedLanesOf(ctx streams.ProcessorContext) []int {
+// ownedLanesOf returns the reader of the input-topic partitions the
+// context's consumer currently owns — the lane universe for the watermark
+// tracker's per-lane floors — or nil when the context cannot report an
+// assignment (the simulator's one FIFO link, a test harness), where the
+// tracker owns the lanes it has consumed from.
+func ownedLanesOf(ctx streams.ProcessorContext) func() []int {
 	or, ok := ctx.(streams.OffsetReader)
 	if !ok {
 		return nil
 	}
-	pos := or.SourceCommitted()
-	lanes := make([]int, len(pos))
-	for i, po := range pos {
-		lanes[i] = po.Partition
+	return func() []int {
+		pos := or.SourceCommitted()
+		lanes := make([]int, len(pos))
+		for i, po := range pos {
+			lanes[i] = po.Partition
+		}
+		return lanes
 	}
-	return lanes
 }
 
 // flushEmits forwards everything the member's encoder accumulated as one
@@ -563,11 +561,11 @@ func (p *samplingProcessor) flushEmits() {
 // only a record can give it any. It is the earliest of:
 //
 //   - the keepalive horizon (watermarkTracker.nextKeepalive): the first
-//     presence beat, a chain back from idle, then IdleTimeout/4 after the
-//     last full beat — until quiesce silences keepalives;
+//     presence beat, an entry back from idle, then IdleTimeout/4 after the
+//     last beat — until quiesce silences keepalives;
 //   - the instant the tracker's cached minimum can next lose an entry to
 //     idleness (nextAging), which may advance the watermark;
-//   - once quiesce is set with data buffered, the instant every chain has
+//   - once quiesce is set with data buffered, the instant every entry has
 //     gone stale (staleAt): the shutdown backstop;
 //   - with a checkpoint store, one save per saveEvery.
 //
@@ -596,8 +594,8 @@ func (p *samplingProcessor) Deadline(now time.Time) time.Time {
 func (p *samplingProcessor) Punctuate(now time.Time) {
 	switch {
 	case p.advanceEventTime(now):
-		// An advance already re-asserted liveness (its heartbeats carry the
-		// outbound watermark for every active source).
+		// An advance already re-asserted liveness: its beat carries the
+		// outbound watermark to every parent lane.
 	case p.quiesce.Load() && p.ew.buffered() > 0 && p.wt.allStale(now):
 		// Shutdown backstop: every chain is stranded — a rebalance moved
 		// this member's sub-streams to partitions it no longer owns, so no
@@ -640,89 +638,35 @@ func (p *samplingProcessor) saveCheckpoint() {
 // drainAll is the graceful-removal flush: everything the member still
 // buffers is forwarded NOW, regardless of window boundaries, so a removed
 // member leaves nothing behind. It advances to the end-of-stream watermark
-// (closing every open window with the honest per-window ladder stamps) and
-// signs off with end-of-stream heartbeats for every active sub-stream, so the
-// parent's chains for this member resolve immediately instead of waiting out
-// the idle timeout. Runs on the frozen member's state, after its pump stopped.
+// (closing every open window with the honest per-window ladder stamps), and
+// its beat, at an end-of-stream watermark, is the member's sign-off: the
+// parent's floors for this member lift lane by lane instead of waiting out
+// the idle timeout. Runs on the frozen member's state, after its pump
+// stopped.
 func (p *samplingProcessor) drainAll(now time.Time) {
-	p.applyControl()
-	srcs := p.wt.activeSources(now)
-	closed := p.ew.advance(eosWatermark)
-	for _, cw := range closed {
-		stamp := mq.Watermark{From: p.id, At: p.ew.dataWatermark(cw.start)}
-		for _, b := range cw.theta {
-			p.enc.add(b, stamp)
-		}
-	}
-	out := mq.Watermark{From: p.id, At: eosWatermark}
-	if len(srcs) == 0 {
-		// The member never heard a sub-stream (or everything idled out):
-		// still sign off under its own identity, so the parent's
-		// expectation placeholder for this member resolves in-band.
-		srcs = []stream.SourceID{stream.SourceID(p.id)}
-	}
-	for _, src := range srcs {
-		p.enc.add(heartbeat(src), out)
-	}
-	p.flushEmits()
-	p.ew.recycle(closed)
-	p.signalEOS()
+	p.flushTo(eosWatermark, now)
 	p.pending.Store(0)
 }
 
-// signalEOS broadcasts the member's terminal end-of-stream record to every
-// parent-topic partition, once, after its final forward. The keyed sign-offs
-// above cover only the lanes the member's sub-streams hash to; the parent's
-// per-lane watermark floors for this member lift lane by lane, each as its
-// copy is consumed, so every lane needs one. The broadcast runs synchronously
-// after flushEmits, so on every lane it appends behind the member's last data.
-func (p *samplingProcessor) signalEOS() {
-	if p.eosSent || p.eosNotify == nil {
-		return
-	}
-	p.eosSent = true
-	p.eosNotify()
-}
-
-// memberEOSBroadcast builds a member's terminal end-of-stream broadcast: one
-// zero-item record, keyed and originated by the member itself, at the
-// end-of-stream watermark, on every parent-topic partition — the
-// interior-tier analogue of Ingester.sendEOS, and the producer half of the
-// lane-floor contract.
-func memberEOSBroadcast(prod transport.Producer, topic, id string, partitions int, bwc *metrics.BandwidthCounter) func() {
-	return func() {
-		broadcastEOS(prod, topic, partitions, bwc, transport.Record{
-			Key:       []byte(id),
-			Value:     heartbeat(stream.SourceID(id)).Marshal(),
-			Watermark: mq.Watermark{From: id, At: eosWatermark},
-		})
-	}
-}
-
-// broadcastEOS sends a producer's end-of-stream sign-offs, in order, to every
-// partition of topic, and accounts each copy's payload on bwc. End of stream
-// is topic-global: every partition's consumer must hear it, not just the one
+// broadcast sends records, in order, to every partition of topic, and
+// accounts each copy's payload on bwc: end of stream and a member's beat are
+// topic-global — every partition's consumer must hear them, not just the one
 // a sub-stream's key hashes to. The bus outlives the drain, so a send can
 // only fail once the deployment is past caring about these records.
-func broadcastEOS(prod transport.Producer, topic string, partitions int, bwc *metrics.BandwidthCounter, signoffs ...transport.Record) {
+func broadcast(prod transport.Producer, topic string, partitions int, bwc *metrics.BandwidthCounter, recs ...transport.Record) {
 	var payload int64
-	for _, r := range signoffs {
+	for _, r := range recs {
 		payload += int64(len(r.Value))
 	}
 	for part := 0; part < partitions; part++ {
 		bwc.Add(payload)
-		_ = prod.SendTo(topic, part, signoffs)
+		_ = prod.SendTo(topic, part, recs)
 	}
 }
 
 // advanceEventTime closes every event window the member's current watermark
-// makes due, forwards the results, and reports whether the close bound
-// moved. Data records are stamped with their window's dataWatermark — the
-// ladder a parent must climb window by window, so a multi-window flush can
-// never close more at the parent than has already arrived — and after the
-// data, every active source gets a zero-item heartbeat at the outbound
-// watermark, so parents advance across empty windows and reach the final
-// bound. Control-topic drains stay pinned to window boundaries.
+// makes due, forwards the results (flushTo), and reports whether the close
+// bound moved.
 func (p *samplingProcessor) advanceEventTime(now time.Time) bool {
 	wm := p.wt.watermark(now)
 	if wm.Equal(p.triedWM) && !p.ew.behind {
@@ -735,6 +679,19 @@ func (p *samplingProcessor) advanceEventTime(now time.Time) bool {
 	if !p.ew.wouldAdvance(wm) {
 		return false
 	}
+	p.flushTo(wm, now)
+	p.ckptDirty = true
+	return true
+}
+
+// flushTo closes every event window wm makes due and forwards them with a
+// beat behind them. Data records are stamped with their window's
+// dataWatermark — the ladder a parent must climb window by window, so a
+// multi-window flush can never close more at the parent than has already
+// arrived — and the beat carries the outbound watermark to every parent
+// lane, so parents advance across empty windows and reach the final bound.
+// Control-topic drains stay pinned to window boundaries.
+func (p *samplingProcessor) flushTo(wm, now time.Time) {
 	p.applyControl()
 	closed := p.ew.advance(wm)
 	for _, cw := range closed {
@@ -743,16 +700,8 @@ func (p *samplingProcessor) advanceEventTime(now time.Time) bool {
 			p.enc.add(b, stamp)
 		}
 	}
-	out := p.beatActive(now)
-	p.flushEmits()
+	p.beat(now)
 	p.ew.recycle(closed)
-	if !out.At.Before(eosHorizon) {
-		// The member's own promise reached end-of-stream tier: cover every
-		// parent lane so the parent's floors for this member all lift.
-		p.signalEOS()
-	}
-	p.ckptDirty = true
-	return true
 }
 
 // AfterCycle implements streams.CycleObserver: if an inline advance
@@ -769,48 +718,33 @@ func (p *samplingProcessor) AfterCycle() {
 }
 
 // keepalive re-asserts the member's liveness upstream when that is due
-// (watermarkTracker.keepaliveDue) with a full beat: at the outbound watermark
-// once one exists, else as zero-instant presence records that refresh the
-// parent's idle clocks without promising anything.
+// (watermarkTracker.keepaliveDue) and the member has an active entry to
+// vouch for: a beat at the outbound watermark once one exists, else a
+// zero-instant presence record that refreshes the parent's idle clocks
+// without promising anything.
 func (p *samplingProcessor) keepalive(now time.Time) {
-	if p.quiesce.Load() || !p.wt.keepaliveDue(now) {
+	if p.quiesce.Load() || !p.wt.keepaliveDue(now) || !p.wt.active(now) {
 		return
 	}
-	p.beatActive(now)
-	p.flushEmits()
+	p.beat(now)
 }
 
-// beatActive queues the member's full beat: a zero-item heartbeat for every
-// active sub-stream at the outbound watermark, which it returns. Idle
-// sub-streams are deliberately not covered — the member has excluded them
-// from its own minimum, and keeping them artificially fresh upstream would
-// re-introduce the stall the idle timeout exists to break. A member with no
-// active sub-stream sends nothing, and so has not beaten.
-func (p *samplingProcessor) beatActive(now time.Time) mq.Watermark {
-	out := mq.Watermark{From: p.id, At: p.ew.outboundWatermark()}
-	srcs := p.wt.activeSources(now)
-	for _, src := range srcs {
-		p.enc.add(heartbeat(src), out)
+// beat flushes what the member queued and sends its promise — its outbound
+// watermark, zero before it has one — to every lane of its parent topic:
+// one zero-item record per partition, originated by the member, behind
+// everything it forwarded before. The stamp never reaches past what the
+// member has forwarded, so a parent's floor for each lane may rise to it; a
+// beat at an end-of-stream watermark is the member's sign-off.
+func (p *samplingProcessor) beat(now time.Time) {
+	wm := mq.Watermark{From: p.id, At: p.ew.outboundWatermark()}
+	if p.broadcast == nil {
+		p.enc.add(heartbeat(stream.SourceID(p.id)), wm)
+		p.flushEmits()
+	} else {
+		p.flushEmits()
+		p.broadcast(wm)
 	}
-	if len(srcs) > 0 {
-		p.wt.beat(now)
-	}
-	return out
-}
-
-// announce forwards a zero-item heartbeat for a newly-seen chain's
-// sub-stream at the member's outbound watermark — never the inbound one,
-// which may promise windows this member has not flushed yet — so the
-// parent registers the chain in its minimum before any close could pass
-// its data by. Before the member's first advance there is no promise to
-// make (and nothing the parent could close), so nothing is sent.
-func (p *samplingProcessor) announce(src stream.SourceID) {
-	wm := p.ew.outboundWatermark()
-	if wm.IsZero() {
-		return
-	}
-	p.enc.add(heartbeat(src), mq.Watermark{From: p.id, At: wm})
-	p.flushEmits()
+	p.wt.beat(now)
 }
 
 // stats returns the member's lifetime counters.
@@ -888,7 +822,7 @@ var _ streams.Processor = (*rootProcessor)(nil)
 
 func (p *rootProcessor) Init(ctx streams.ProcessorContext) error {
 	p.ctx = ctx
-	p.wt.ownedFn = func() []int { return ownedLanesOf(p.ctx) }
+	p.wt.ownedFn = ownedLanesOf(ctx)
 	return nil
 }
 

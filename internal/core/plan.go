@@ -346,13 +346,15 @@ func memberID(d NodeDesc, shard int) string {
 // records it produces.
 func sourceFrom(slot int) string { return fmt.Sprintf("src%d", slot) }
 
-// ExpectedProducers lists the watermark chain origins statically known to
-// feed node d: the source valves of its slots (layer 0) or every consumer
-// group member of its child nodes. Event-time members register these as
+// ExpectedProducers lists the watermark origins statically known to feed
+// node d: the source valves of its slots (layer 0) or every consumer group
+// member of its child nodes. Event-time members register these as
 // expectations, so a producer the member has not yet heard from holds the
 // watermark back instead of being silently absent from the minimum — the
 // difference between an exact window and one that closes before a slow
-// sibling's data arrives.
+// sibling's data arrives. A producer's first real stamp resolves its
+// expectation: a valve's chains, or a member's lane floors, bound it from
+// then on.
 func (p *Plan) ExpectedProducers(d NodeDesc) []string {
 	var out []string
 	if d.Layer == 0 {

@@ -597,8 +597,9 @@ func (m *simMember) arm() {
 
 // simContext is one member's (or source's) streams.ProcessorContext in
 // virtual time: Now is the simulator's clock, and every message forwarded
-// rides the member's uplink to its parent. It is not a streams.OffsetReader,
-// so the members' lane floors stay off — every link is a single FIFO lane.
+// rides the member's uplink to its parent. It is not a streams.OffsetReader:
+// every link is a single FIFO lane, lane 0, which the receiving tracker owns
+// once it has consumed from it, and a member's beat is one record on it.
 type simContext struct {
 	r     *simRun
 	node  *NodeDesc    // the sending member's node; nil for a source or the root

@@ -396,5 +396,5 @@ func (in *Ingester) sendEOS() {
 			Watermark: mq.Watermark{From: in.from, At: eosWatermark},
 		})
 	}
-	broadcastEOS(in.producer, in.topic, in.e.plan.Partitions, in.bwc, signoffs...)
+	broadcast(in.producer, in.topic, in.e.plan.Partitions, in.bwc, signoffs...)
 }

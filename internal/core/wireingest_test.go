@@ -41,7 +41,7 @@ type ewState struct {
 	Bound         int64
 	BoundSet      bool
 	Psi           map[int64][]stream.Batch
-	Weights       map[int64]stream.WeightMap
+	Weights       map[int64]map[stream.SourceID]float64
 	Observed      map[int64]int
 	LateItems     int64
 	LateInput     float64
@@ -51,7 +51,7 @@ type ewState struct {
 func stateOf(ew *eventWindows) ewState {
 	s := ewState{
 		Bound: ew.bound, BoundSet: ew.boundSet,
-		Psi: map[int64][]stream.Batch{}, Weights: map[int64]stream.WeightMap{}, Observed: map[int64]int{},
+		Psi: map[int64][]stream.Batch{}, Weights: map[int64]map[stream.SourceID]float64{}, Observed: map[int64]int{},
 		LateItems: ew.late.items.Load(), LateInput: ew.late.input.load(),
 		Obs: ew.obs.Load(), Emit: ew.emit.Load(), Wn: ew.wins.Load(),
 	}
@@ -62,11 +62,14 @@ func stateOf(ew *eventWindows) ewState {
 }
 
 // carriedWeights returns a node's carried W^in by sub-stream name.
-func carriedWeights(n *Node) stream.WeightMap {
-	var m stream.WeightMap
+func carriedWeights(n *Node) map[stream.SourceID]float64 {
+	var m map[stream.SourceID]float64 // nil while none is carried
 	for slot, cw := range n.weights {
 		if cw.set {
-			m.Set(n.strata.ID(int32(slot)), cw.w)
+			if m == nil {
+				m = make(map[stream.SourceID]float64)
+			}
+			m[n.strata.ID(int32(slot))] = cw.w
 		}
 	}
 	return m

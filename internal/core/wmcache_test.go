@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -20,31 +19,28 @@ func scanOracle(wt *watermarkTracker, now time.Time) (time.Time, bool) {
 	return wm, blocked
 }
 
-// activeOracle is activeSources as it was before the scratch reuse: a fresh
-// set per call, sorted for comparison.
-func activeOracle(wt *watermarkTracker, now time.Time) []string {
-	set := make(map[stream.SourceID]bool)
-	wt.eachChain(func(_ string, src stream.SourceID, m *sourceMark) {
-		if wt.idle > 0 && now.Sub(m.seen) > wt.idle && m.wm.Before(eosHorizon) {
-			return
-		}
-		if !m.wm.IsZero() {
-			set[src] = true
-		}
-	})
-	out := make([]string, 0, len(set))
-	for src := range set {
-		out = append(out, string(src))
+// activeOracle is active read entry by entry: some chain, placeholder or
+// floor is neither aged out nor unpromising.
+func activeOracle(wt *watermarkTracker, now time.Time) bool {
+	live := func(m *sourceMark) bool {
+		return !(wt.idle > 0 && now.Sub(m.seen) > wt.idle && m.wm.Before(eosHorizon)) && !m.wm.IsZero()
 	}
-	sort.Strings(out)
-	return out
+	active := false
+	wt.eachChain(func(_ string, _ stream.SourceID, m *sourceMark) { active = active || live(m) })
+	for _, p := range wt.producers {
+		for l := range p.lanes {
+			active = active || p.lanes[l].live && live(&p.lanes[l])
+		}
+	}
+	return active
 }
 
 // TestWatermarkCacheEqualsScan drives a tracker through seeded random
 // histories — expectations, data stamps, keepalives, end-of-stream, owned-lane
 // changes — over 5 producers × 12 sub-streams × 4 lanes, on a clock that
 // creeps, jumps and occasionally runs backwards, and holds the cached
-// watermark to the from-scratch scan after every step.
+// watermark to the from-scratch scan after every step. Half the histories
+// run a tracker above the leaf, whose producers are held by floors alone.
 func TestWatermarkCacheEqualsScan(t *testing.T) {
 	const (
 		producers = 5
@@ -58,8 +54,9 @@ func TestWatermarkCacheEqualsScan(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		wt := newWatermarkTracker(idles[seed%int64(len(idles))], stream.NewSourceTable())
+		wt.floorsOnly = seed%2 == 1
 		owned := []int{0, 1, 2, 3}
-		if seed%3 != 0 { // a third of the histories run without lane floors
+		if seed%3 != 0 { // a third own the lanes they consume from: no assignment reported
 			wt.ownedFn = func() []int { return append([]int(nil), owned...) }
 		}
 		now := time.Unix(5000, 0)
@@ -122,13 +119,8 @@ func TestWatermarkCacheEqualsScan(t *testing.T) {
 				t.Fatalf("seed %d step %d: watermarkState = (%v, %v), scan says (%v, %v)",
 					seed, step, gotWM, gotBlocked, wantWM, wantBlocked)
 			}
-			got := make([]string, 0, subs)
-			for _, s := range wt.activeSources(ask) {
-				got = append(got, string(s))
-			}
-			sort.Strings(got)
-			if want := activeOracle(wt, ask); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("seed %d step %d: activeSources = %v, want %v", seed, step, got, want)
+			if got, want := wt.active(ask), activeOracle(wt, ask); got != want {
+				t.Fatalf("seed %d step %d: active = %v, want %v", seed, step, got, want)
 			}
 		}
 	}

@@ -67,8 +67,10 @@ type Topic struct {
 	groups map[string]*group
 	closed bool
 	// changed is closed and replaced whenever any partition receives an
-	// append, waking blocked consumers.
+	// append, waking blocked consumers — once a waiter has taken it (armed):
+	// an append nobody waits on allocates no channel.
 	changed chan struct{}
+	armed   bool
 }
 
 func newTopic(name string, partitions int, opts ...TopicOption) *Topic {
@@ -118,10 +120,7 @@ func (t *Topic) appendBatch(recs []Record) error {
 		t.parts[p].appendRun(recs[lo:hi], p)
 		lo = hi
 	}
-	old := t.changed
-	t.changed = make(chan struct{})
-	t.mu.Unlock()
-	close(old)
+	t.fireUnlock()
 
 	if t.retain > 0 {
 		for lo := 0; lo < len(recs); {
@@ -153,7 +152,22 @@ func (t *Topic) waitCh() <-chan struct{} {
 	if t.closed {
 		return closedChan
 	}
+	t.armed = true
 	return t.changed
+}
+
+// fireUnlock wakes the waiters armed on the current wait channel, if any, by
+// closing it and installing a fresh one, and releases t.mu, which the caller
+// holds.
+func (t *Topic) fireUnlock() {
+	if !t.armed {
+		t.mu.Unlock()
+		return
+	}
+	old := t.changed
+	t.changed, t.armed = make(chan struct{}), false
+	t.mu.Unlock()
+	close(old)
 }
 
 // wake fires the current wait channel without appending: a group's
@@ -166,10 +180,7 @@ func (t *Topic) wake() {
 		t.mu.Unlock()
 		return
 	}
-	old := t.changed
-	t.changed = make(chan struct{})
-	t.mu.Unlock()
-	close(old)
+	t.fireUnlock()
 }
 
 func (t *Topic) close() {

@@ -148,36 +148,6 @@ func (b *batchBuffer) reset() {
 	b.buf = b.buf[:0]
 }
 
-// SampleInterval implements the interval loop for the §III-E parallel
-// sampler: identical allocation to WHSampler, with each lineage's share
-// further split across the w workers.
-func (p *ParallelWHS) SampleInterval(pairs []stream.Batch, budget int) []stream.Batch {
-	g := &p.strata
-	k := g.group(pairs)
-	if k == 0 || budget <= 0 {
-		return nil
-	}
-	p.alloc.Allocate(budget, g.counts, g.sizes)
-	var out []stream.Batch
-	for j := 0; j < k; j++ {
-		ni := g.sizes[j]
-		if ni <= 0 {
-			continue
-		}
-		for _, i := range g.lineages(j) {
-			pair := &pairs[i]
-			weightOf := func(src stream.SourceID) float64 {
-				if src == pair.Source {
-					return pair.Weight
-				}
-				return 1
-			}
-			out = p.sample(out, pair.Items, lineageShare(ni, len(pair.Items), g.counts[j]), weightOf)
-		}
-	}
-	return out
-}
-
 // SampleInterval implements the interval loop for the SRS baseline: one coin
 // flip per item at probability budget/|interval| (or the fixed fraction),
 // with weights scaled by 1/p per lineage.

@@ -14,11 +14,11 @@ import (
 // interval; their per-worker (W^out, sample) pairs are simply concatenated,
 // and because the Eq. 8 invariant holds per worker it holds for the union.
 //
-// Items are spread across workers round-robin per sub-stream, matching the
-// paper's "each worker node samples an equal portion of items".
+// Each lineage's items are dealt to the workers round-robin, matching the
+// paper's "each worker node samples an equal portion of items". The budget
+// is split across sub-streams evenly (EqualSplit), as WHSampler's default.
 type ParallelWHS struct {
 	workers int
-	alloc   Allocator
 	rngs    []*xrand.Rand
 	strata  strata // per-interval scratch (SampleInterval)
 	// concurrent enables real goroutine fan-out; with it off the workers
@@ -32,11 +32,6 @@ var _ Sampler = (*ParallelWHS)(nil)
 // ParallelOption customizes a ParallelWHS.
 type ParallelOption func(*ParallelWHS)
 
-// WithParallelAllocator overrides the budget-split policy (default EqualSplit).
-func WithParallelAllocator(a Allocator) ParallelOption {
-	return func(p *ParallelWHS) { p.alloc = a }
-}
-
 // WithConcurrency toggles real goroutine execution of the workers.
 func WithConcurrency(on bool) ParallelOption {
 	return func(p *ParallelWHS) { p.concurrent = on }
@@ -49,7 +44,7 @@ func NewParallelWHS(workers int, seed uint64, opts ...ParallelOption) *ParallelW
 	if workers < 1 {
 		workers = 1
 	}
-	p := &ParallelWHS{workers: workers, alloc: EqualSplit{}}
+	p := &ParallelWHS{workers: workers}
 	p.rngs = make([]*xrand.Rand, workers)
 	for i := range p.rngs {
 		p.rngs[i] = xrand.Split(seed, uint64(i))
@@ -70,68 +65,46 @@ func (p *ParallelWHS) Reseed() {
 // Workers returns the configured worker count.
 func (p *ParallelWHS) Workers() int { return p.workers }
 
-// Sample stratifies items, splits each sub-stream round-robin across the
-// workers, samples a uniform subset of at most N_i/w from each share, and
-// emits one weighted batch per (sub-stream, worker) pair.
-func (p *ParallelWHS) Sample(items []stream.Item, weights stream.WeightMap, budget int) []stream.Batch {
-	return p.sample(nil, items, budget, weights.Get)
+// SampleInterval implements the interval loop for the §III-E parallel
+// sampler: the budget is split across sub-streams and each sub-stream's share
+// over its lineages as WHSampler splits them, and each lineage's share n is
+// split again across the w workers (split).
+func (p *ParallelWHS) SampleInterval(pairs []stream.Batch, budget int) []stream.Batch {
+	g := &p.strata
+	k := g.group(pairs)
+	if k == 0 || budget <= 0 {
+		return nil
+	}
+	EqualSplit{}.Allocate(budget, g.counts, g.sizes)
+	var out []stream.Batch
+	for j := 0; j < k; j++ {
+		for _, i := range g.lineages(j) {
+			out = p.split(out, pairs[i], lineageShare(g.sizes[j], len(pairs[i].Items), g.counts[j]))
+		}
+	}
+	return out
 }
 
-// sample is Sample over items whose input weights weightOf gives, with the
-// batches appended onto out.
-func (p *ParallelWHS) sample(out []stream.Batch, items []stream.Item, budget int, weightOf func(stream.SourceID) float64) []stream.Batch {
-	if len(items) == 0 {
-		return out
+// split deals pair's items round-robin to the workers, and each worker
+// samples a uniform subset of at most n/w of its hand (never below one slot,
+// the same floor as EqualSplit) with its own generator. It appends one
+// weighted batch per worker dealt any items onto out, in worker order.
+func (p *ParallelWHS) split(out []stream.Batch, pair stream.Batch, n int) []stream.Batch {
+	hands := make([][]stream.Item, p.workers)
+	for i, it := range pair.Items {
+		hands[i%p.workers] = append(hands[i%p.workers], it)
 	}
-	sources, groups := stratify(items)
-	sizes := groupSizes(p.alloc, budget, groups)
-
-	// shares[w] collects this worker's slice of every sub-stream.
-	type task struct {
-		src   stream.SourceID
-		items []stream.Item
-		cap   int
-		wIn   float64
-	}
-	tasks := make([][]task, p.workers)
-	for g, src := range sources {
-		ni := sizes[g]
-		if ni <= 0 {
-			continue
-		}
-		perWorker := ni / p.workers
-		if perWorker < 1 {
-			perWorker = 1 // never below one slot, same floor as EqualSplit
-		}
-		shares := make([][]stream.Item, p.workers)
-		for i, it := range groups[g] {
-			w := i % p.workers
-			shares[w] = append(shares[w], it)
-		}
-		wIn := weightOf(src)
-		for w := 0; w < p.workers; w++ {
-			if len(shares[w]) == 0 {
-				continue
-			}
-			tasks[w] = append(tasks[w], task{src: src, items: shares[w], cap: perWorker, wIn: wIn})
-		}
-	}
-
-	results := make([][]stream.Batch, p.workers)
+	perWorker := max(n/p.workers, 1)
+	batches := make([]stream.Batch, p.workers)
 	run := func(w int) {
-		rng := p.rngs[w]
-		for _, t := range tasks[w] {
-			kept, weight := selectInPlace(t.items, t.cap, rng)
-			results[w] = append(results[w], stream.Batch{
-				Source: t.src,
-				Weight: t.wIn * weight,
-				Items:  kept,
-			})
+		if len(hands[w]) > 0 {
+			kept, weight := selectInPlace(hands[w], perWorker, p.rngs[w])
+			batches[w] = stream.Batch{Source: pair.Source, Weight: pair.Weight * weight, Items: kept}
 		}
 	}
 	if p.concurrent {
 		var wg sync.WaitGroup
-		for w := 0; w < p.workers; w++ {
+		for w := range hands {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
@@ -140,13 +113,14 @@ func (p *ParallelWHS) sample(out []stream.Batch, items []stream.Item, budget int
 		}
 		wg.Wait()
 	} else {
-		for w := 0; w < p.workers; w++ {
+		for w := range hands {
 			run(w)
 		}
 	}
-
-	for w := 0; w < p.workers; w++ {
-		out = append(out, results[w]...)
+	for _, b := range batches {
+		if len(b.Items) > 0 {
+			out = append(out, b)
+		}
 	}
 	return out
 }

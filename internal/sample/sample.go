@@ -17,9 +17,6 @@
 package sample
 
 import (
-	"cmp"
-	"slices"
-
 	"github.com/approxiot/approxiot/internal/stream"
 	"github.com/approxiot/approxiot/internal/xrand"
 )
@@ -53,38 +50,6 @@ type Sampler interface {
 	Reseed()
 }
 
-// stratify groups a copy of items by source, preserving arrival order within
-// each group, and returns the sources in sorted order with their groups so
-// all downstream iteration is deterministic. Each group is capped at its own
-// length: appending to one never runs into the next.
-func stratify(items []stream.Item) ([]stream.SourceID, [][]stream.Item) {
-	sorted := slices.Clone(items)
-	slices.SortStableFunc(sorted, func(a, b stream.Item) int { return cmp.Compare(a.Source, b.Source) })
-	var sources []stream.SourceID
-	var groups [][]stream.Item
-	for lo := 0; lo < len(sorted); {
-		hi := lo + 1
-		for hi < len(sorted) && sorted[hi].Source == sorted[lo].Source {
-			hi++
-		}
-		sources = append(sources, sorted[lo].Source)
-		groups = append(groups, sorted[lo:hi:hi])
-		lo = hi
-	}
-	return sources, groups
-}
-
-// groupSizes allocates budget across stratify's groups with alloc.
-func groupSizes(alloc Allocator, budget int, groups [][]stream.Item) []int {
-	counts := make([]int, len(groups))
-	for i, g := range groups {
-		counts[i] = len(g)
-	}
-	sizes := make([]int, len(groups))
-	alloc.Allocate(budget, counts, sizes)
-	return sizes
-}
-
 // Passthrough implements the paper's native-execution baseline: every item is
 // forwarded with its input weight unchanged.
 type Passthrough struct{}
@@ -93,20 +58,6 @@ var _ Sampler = Passthrough{}
 
 // Reseed is a no-op: forwarding draws nothing.
 func (Passthrough) Reseed() {}
-
-// Sample forwards all items grouped per sub-stream; budget is ignored.
-func (Passthrough) Sample(items []stream.Item, weights stream.WeightMap, _ int) []stream.Batch {
-	sources, groups := stratify(items)
-	batches := make([]stream.Batch, 0, len(sources))
-	for i, src := range sources {
-		batches = append(batches, stream.Batch{
-			Source: src,
-			Weight: weights.Get(src),
-			Items:  groups[i],
-		})
-	}
-	return batches
-}
 
 // CoinFlip implements the simple random sampling baseline used throughout
 // the paper's evaluation ("SRS"): every item independently survives a coin
@@ -142,40 +93,4 @@ func NewCoinFlipFraction(rng *xrand.Rand, p float64) *CoinFlip {
 		p = 1
 	}
 	return &CoinFlip{rng: rng, fraction: p}
-}
-
-// Sample keeps each item with the configured probability.
-func (c *CoinFlip) Sample(items []stream.Item, weights stream.WeightMap, budget int) []stream.Batch {
-	if len(items) == 0 {
-		return nil
-	}
-	p := c.fraction
-	if p == 0 {
-		p = float64(budget) / float64(len(items))
-		if p > 1 {
-			p = 1
-		}
-	}
-	if p <= 0 {
-		return nil
-	}
-	sources, groups := stratify(items)
-	batches := make([]stream.Batch, 0, len(sources))
-	for i, src := range sources {
-		var kept []stream.Item
-		for _, it := range groups[i] {
-			if c.rng.Bernoulli(p) {
-				kept = append(kept, it)
-			}
-		}
-		if len(kept) == 0 {
-			continue // sub-stream silently lost — SRS's failure mode
-		}
-		batches = append(batches, stream.Batch{
-			Source: src,
-			Weight: weights.Get(src) / p,
-			Items:  kept,
-		})
-	}
-	return batches
 }

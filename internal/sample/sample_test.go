@@ -201,7 +201,7 @@ func TestWHSPaperFigure2Example(t *testing.T) {
 	rng := xrand.New(7)
 	s := NewWHS(rng)
 
-	b1 := s.Sample(mkItems("S1", 4), stream.WeightMap{"S1": 3}, 3)
+	b1 := s.SampleInterval(mkPairs(pairSpec{"S1", 3, 4}), 3)
 	if len(b1) != 1 {
 		t.Fatalf("got %d batches, want 1", len(b1))
 	}
@@ -212,7 +212,7 @@ func TestWHSPaperFigure2Example(t *testing.T) {
 		t.Fatalf("S1 sample size = %d, want 3", len(b1[0].Items))
 	}
 
-	b2 := s.Sample(mkItems("S2", 2), stream.WeightMap{"S2": 2}, 3)
+	b2 := s.SampleInterval(mkPairs(pairSpec{"S2", 2, 2}), 3)
 	if b2[0].Weight != 2 {
 		t.Fatalf("S2 W_out = %g, want 2 (c <= N keeps W_in)", b2[0].Weight)
 	}
@@ -228,19 +228,17 @@ func TestWHSCountInvariant(t *testing.T) {
 		rng := xrand.New(seed)
 		k := 1 + int(stratums)%6
 		budget := int(budgetRaw)
-		var items []stream.Item
+		var spec []pairSpec
 		want := 0.0
-		weights := stream.WeightMap{}
 		for i := 0; i < k; i++ {
 			src := stream.SourceID(string(rune('a' + i)))
 			n := 1 + (int(nRaw)+i*37)%200
-			items = append(items, mkItems(src, n)...)
 			wIn := 1 + rng.Float64()*5
-			weights.Set(src, wIn)
+			spec = append(spec, pairSpec{src, wIn, n})
 			want += wIn * float64(n)
 		}
 		s := NewWHS(xrand.New(seed + 1))
-		batches := s.Sample(items, weights, budget)
+		batches := s.SampleInterval(mkPairs(spec...), budget)
 		if budget <= 0 {
 			return len(batches) == 0
 		}
@@ -253,11 +251,8 @@ func TestWHSCountInvariant(t *testing.T) {
 }
 
 func TestWHSEverySubstreamRepresented(t *testing.T) {
-	var items []stream.Item
-	items = append(items, mkItems("huge", 10000)...)
-	items = append(items, mkItems("tiny", 1)...)
 	s := NewWHS(xrand.New(9))
-	batches := s.Sample(items, nil, 10)
+	batches := s.SampleInterval(mkPairs(pairSpec{"huge", 1, 10000}, pairSpec{"tiny", 1, 1}), 10)
 	seen := map[stream.SourceID]bool{}
 	for _, b := range batches {
 		seen[b.Source] = true
@@ -268,9 +263,9 @@ func TestWHSEverySubstreamRepresented(t *testing.T) {
 }
 
 func TestWHSDeterministicForSeed(t *testing.T) {
-	items := append(mkItems("a", 500), mkItems("b", 300)...)
-	a := NewWHS(xrand.New(5)).Sample(items, nil, 50)
-	b := NewWHS(xrand.New(5)).Sample(items, nil, 50)
+	interval := func() []stream.Batch { return mkPairs(pairSpec{"a", 1, 500}, pairSpec{"b", 1, 300}) }
+	a := NewWHS(xrand.New(5)).SampleInterval(interval(), 50)
+	b := NewWHS(xrand.New(5)).SampleInterval(interval(), 50)
 	if len(a) != len(b) {
 		t.Fatalf("batch counts differ: %d vs %d", len(a), len(b))
 	}
@@ -287,8 +282,8 @@ func TestWHSDeterministicForSeed(t *testing.T) {
 }
 
 func TestWHSEmptyInput(t *testing.T) {
-	if got := NewWHS(xrand.New(1)).Sample(nil, nil, 10); got != nil {
-		t.Fatalf("Sample(nil) = %v, want nil", got)
+	if got := NewWHS(xrand.New(1)).SampleInterval(nil, 10); got != nil {
+		t.Fatalf("SampleInterval(nil) = %v, want nil", got)
 	}
 }
 
@@ -300,7 +295,7 @@ func TestWHSSampleBatchesKeepsWeightLineages(t *testing.T) {
 		{Source: "s", Weight: 3, Items: mkItems("s", 1)},
 	}
 	s := NewWHS(xrand.New(11))
-	out := s.SampleBatches(pairs, 10)
+	out := s.SampleInterval(pairs, 10)
 	if len(out) != 2 {
 		t.Fatalf("got %d batches, want 2 distinct lineages", len(out))
 	}
@@ -312,8 +307,7 @@ func TestWHSSampleBatchesKeepsWeightLineages(t *testing.T) {
 
 func TestCoinFlipFractionOneKeepsEverything(t *testing.T) {
 	c := NewCoinFlipFraction(xrand.New(1), 1)
-	items := mkItems("s", 100)
-	batches := c.Sample(items, nil, 0)
+	batches := c.SampleInterval(mkPairs(pairSpec{"s", 1, 100}), 0)
 	if got := estimatedCount(batches); got != 100 {
 		t.Fatalf("estimated count = %g, want 100", got)
 	}
@@ -327,15 +321,14 @@ func TestCoinFlipFractionOneKeepsEverything(t *testing.T) {
 
 func TestCoinFlipZeroFractionDropsEverything(t *testing.T) {
 	c := NewCoinFlipFraction(xrand.New(1), 0)
-	if got := c.Sample(mkItems("s", 10), nil, 0); got != nil {
+	if got := c.SampleInterval(mkPairs(pairSpec{"s", 1, 10}), 0); got != nil {
 		t.Fatalf("p=0 kept %v", got)
 	}
 }
 
 func TestCoinFlipKeepRateAndWeight(t *testing.T) {
 	c := NewCoinFlipFraction(xrand.New(3), 0.25)
-	items := mkItems("s", 100000)
-	batches := c.Sample(items, nil, 0)
+	batches := c.SampleInterval(mkPairs(pairSpec{"s", 1, 100000}), 0)
 	kept := 0
 	for _, b := range batches {
 		kept += len(b.Items)
@@ -350,8 +343,7 @@ func TestCoinFlipKeepRateAndWeight(t *testing.T) {
 
 func TestCoinFlipBudgetDerivedProbability(t *testing.T) {
 	c := NewCoinFlip(xrand.New(4))
-	items := mkItems("s", 10000)
-	batches := c.Sample(items, nil, 1000) // expect p = 0.1
+	batches := c.SampleInterval(mkPairs(pairSpec{"s", 1, 10000}), 1000) // expect p = 0.1
 	kept := 0
 	for _, b := range batches {
 		kept += len(b.Items)
@@ -367,9 +359,8 @@ func TestCoinFlipCanLoseRareSubstream(t *testing.T) {
 	lost := 0
 	for trial := 0; trial < 200; trial++ {
 		c := NewCoinFlipFraction(xrand.New(uint64(trial)), 0.1)
-		items := append(mkItems("big", 1000), mkItems("rare", 2)...)
 		found := false
-		for _, b := range c.Sample(items, nil, 0) {
+		for _, b := range c.SampleInterval(mkPairs(pairSpec{"big", 1, 1000}, pairSpec{"rare", 1, 2}), 0) {
 			if b.Source == "rare" {
 				found = true
 			}
@@ -386,14 +377,13 @@ func TestCoinFlipCanLoseRareSubstream(t *testing.T) {
 
 func TestCoinFlipUnbiasedInExpectation(t *testing.T) {
 	var est, truth float64
-	items := mkItems("s", 1000)
-	for _, it := range items {
+	for _, it := range mkItems("s", 1000) {
 		truth += it.Value
 	}
 	const trials = 400
 	for tr := 0; tr < trials; tr++ {
 		c := NewCoinFlipFraction(xrand.New(uint64(tr)+1000), 0.2)
-		for _, b := range c.Sample(items, nil, 0) {
+		for _, b := range c.SampleInterval(mkPairs(pairSpec{"s", 1, 1000}), 0) {
 			for _, it := range b.Items {
 				est += it.Value * b.Weight
 			}
@@ -406,8 +396,7 @@ func TestCoinFlipUnbiasedInExpectation(t *testing.T) {
 }
 
 func TestPassthroughKeepsEverythingUnweighted(t *testing.T) {
-	items := append(mkItems("a", 10), mkItems("b", 5)...)
-	batches := Passthrough{}.Sample(items, stream.WeightMap{"a": 2}, 0)
+	batches := Passthrough{}.SampleInterval(mkPairs(pairSpec{"a", 2, 10}, pairSpec{"b", 1, 5}), 0)
 	if len(batches) != 2 {
 		t.Fatalf("got %d batches, want 2", len(batches))
 	}
@@ -429,9 +418,8 @@ func TestParallelWHSCountInvariant(t *testing.T) {
 	f := func(seed uint64, workersRaw, nRaw uint8) bool {
 		workers := 1 + int(workersRaw)%8
 		n := 1 + int(nRaw)
-		items := append(mkItems("a", n), mkItems("b", n*2)...)
 		p := NewParallelWHS(workers, seed)
-		batches := p.Sample(items, stream.WeightMap{"a": 2, "b": 1.5}, 40)
+		batches := p.SampleInterval(mkPairs(pairSpec{"a", 2, n}, pairSpec{"b", 1.5, n * 2}), 40)
 		want := 2*float64(n) + 1.5*float64(n*2)
 		got := estimatedCount(batches)
 		return math.Abs(got-want) < 1e-6*want
@@ -442,9 +430,9 @@ func TestParallelWHSCountInvariant(t *testing.T) {
 }
 
 func TestParallelWHSConcurrentMatchesSequential(t *testing.T) {
-	items := append(mkItems("a", 1000), mkItems("b", 700)...)
-	seq := NewParallelWHS(4, 99).Sample(items, nil, 100)
-	con := NewParallelWHS(4, 99, WithConcurrency(true)).Sample(items, nil, 100)
+	interval := func() []stream.Batch { return mkPairs(pairSpec{"a", 1, 1000}, pairSpec{"b", 1, 700}) }
+	seq := NewParallelWHS(4, 99).SampleInterval(interval(), 100)
+	con := NewParallelWHS(4, 99, WithConcurrency(true)).SampleInterval(interval(), 100)
 	if len(seq) != len(con) {
 		t.Fatalf("batch counts differ: %d vs %d", len(seq), len(con))
 	}
@@ -456,9 +444,8 @@ func TestParallelWHSConcurrentMatchesSequential(t *testing.T) {
 }
 
 func TestParallelWHSRespectsPerWorkerCap(t *testing.T) {
-	items := mkItems("a", 10000)
 	p := NewParallelWHS(4, 1)
-	batches := p.Sample(items, nil, 40) // N=40, w=4 → ≤10 each
+	batches := p.SampleInterval(mkPairs(pairSpec{"a", 1, 10000}), 40) // N=40, w=4 → ≤10 each
 	for _, b := range batches {
 		if len(b.Items) > 10 {
 			t.Fatalf("worker reservoir held %d items, cap is N/w = 10", len(b.Items))
@@ -467,30 +454,19 @@ func TestParallelWHSRespectsPerWorkerCap(t *testing.T) {
 }
 
 func TestParallelWHSSingleWorkerInvariant(t *testing.T) {
-	items := mkItems("a", 500)
-	batches := NewParallelWHS(1, 7).Sample(items, nil, 50)
+	batches := NewParallelWHS(1, 7).SampleInterval(mkPairs(pairSpec{"a", 1, 500}), 50)
 	if got := estimatedCount(batches); math.Abs(got-500) > 1e-9 {
 		t.Fatalf("estimated count = %g, want 500", got)
 	}
 }
 
-func BenchmarkWHSSample(b *testing.B) {
-	items := append(mkItems("a", 5000), append(mkItems("b", 3000), mkItems("c", 2000)...)...)
-	s := NewWHS(xrand.New(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Sample(items, nil, 1000)
-	}
-}
-
 func BenchmarkCoinFlipSample(b *testing.B) {
-	items := append(mkItems("a", 5000), append(mkItems("b", 3000), mkItems("c", 2000)...)...)
+	pairs := mkPairs(pairSpec{"a", 1, 5000}, pairSpec{"b", 1, 3000}, pairSpec{"c", 1, 2000})
 	c := NewCoinFlipFraction(xrand.New(1), 0.1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Sample(items, nil, 0)
+		c.SampleInterval(pairs, 0)
 	}
 }
 
@@ -504,10 +480,10 @@ func BenchmarkReservoirAdd(b *testing.B) {
 }
 
 func BenchmarkParallelWHS4Workers(b *testing.B) {
-	items := mkItems("a", 10000)
+	pairs := mkPairs(pairSpec{"a", 1, 10000})
 	p := NewParallelWHS(4, 1, WithConcurrency(true))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Sample(items, nil, 1000)
+		p.SampleInterval(pairs, 1000)
 	}
 }

@@ -1,9 +1,6 @@
 package sample
 
-import (
-	"github.com/approxiot/approxiot/internal/stream"
-	"github.com/approxiot/approxiot/internal/xrand"
-)
+import "github.com/approxiot/approxiot/internal/xrand"
 
 // WHSampler implements Algorithm 1, weighted hierarchical sampling — the
 // paper's core contribution. For one interval on one node it:
@@ -51,45 +48,4 @@ func NewWHS(rng *xrand.Rand, opts ...WHSOption) *WHSampler {
 func (s *WHSampler) Reseed() {
 	s.rng.Reseed()
 	s.out.reset()
-}
-
-// Sample runs WHSamp (Algorithm 1) over one (W^in, items) pair.
-func (s *WHSampler) Sample(items []stream.Item, weights stream.WeightMap, budget int) []stream.Batch {
-	if len(items) == 0 {
-		return nil
-	}
-	sources, groups := stratify(items)
-	sizes := groupSizes(s.alloc, budget, groups)
-
-	batches := make([]stream.Batch, 0, len(sources))
-	for i, src := range sources {
-		ni := sizes[i]
-		if ni <= 0 {
-			continue // zero budget: sub-stream contributes nothing
-		}
-		kept, w := selectInPlace(groups[i], ni, s.rng)
-		batches = append(batches, stream.Batch{
-			Source: src,
-			Weight: weights.Get(src) * w, // Eq. 2
-			Items:  kept,
-		})
-	}
-	return batches
-}
-
-// SampleBatches applies Algorithm 2's inner loop: each (W^in, items) pair in
-// Ψ is sampled independently, sharing the interval budget. This is the entry
-// point nodes use when multiple upstream batches for the same sub-stream
-// arrive within one interval (the Fig. 3 split-interval case); each pair
-// keeps its own weight lineage.
-func (s *WHSampler) SampleBatches(pairs []stream.Batch, budget int) []stream.Batch {
-	if len(pairs) == 0 {
-		return nil
-	}
-	var out []stream.Batch
-	for _, pair := range pairs {
-		weights := stream.WeightMap{pair.Source: pair.Weight}
-		out = append(out, s.Sample(pair.Items, weights, budget)...)
-	}
-	return out
 }

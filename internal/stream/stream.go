@@ -87,30 +87,6 @@ func GroupBySource(batches []Batch, order, starts []int32) []int32 {
 	return append(starts, int32(len(order)))
 }
 
-// WeightMap carries the per-sub-stream input weights a node has last seen
-// (W^in in Algorithm 1). Missing entries default to weight 1, the value the
-// paper assigns at the original source.
-type WeightMap map[SourceID]float64
-
-// Get returns the weight for src, defaulting to 1 for unknown sub-streams.
-func (m WeightMap) Get(src SourceID) float64 {
-	if m == nil {
-		return 1
-	}
-	if w, ok := m[src]; ok {
-		return w
-	}
-	return 1
-}
-
-// Set records the latest weight for src, allocating lazily.
-func (m *WeightMap) Set(src SourceID, w float64) {
-	if *m == nil {
-		*m = make(WeightMap)
-	}
-	(*m)[src] = w
-}
-
 // Wire codec. Format (little endian):
 //
 //	u8      version (2)

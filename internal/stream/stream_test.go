@@ -129,28 +129,6 @@ func TestBatchCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestWeightMapDefaultsToOne(t *testing.T) {
-	var m WeightMap
-	if got := m.Get("unknown"); got != 1 {
-		t.Fatalf("nil map Get = %g, want 1 (paper: W_in=1 at sources)", got)
-	}
-	m.Set("a", 2.5)
-	if got := m.Get("a"); got != 2.5 {
-		t.Fatalf("Get after Set = %g, want 2.5", got)
-	}
-	if got := m.Get("b"); got != 1 {
-		t.Fatalf("Get missing = %g, want 1", got)
-	}
-}
-
-func TestWeightMapSetOnNil(t *testing.T) {
-	var m WeightMap
-	m.Set("x", 3)
-	if m.Get("x") != 3 {
-		t.Fatal("Set on nil map did not allocate")
-	}
-}
-
 func TestUnmarshalBatchIntoReusesStorage(t *testing.T) {
 	in := testBatch()
 	enc := in.Marshal()
