@@ -29,9 +29,9 @@
 // The §IV-B adaptive feedback mechanism works in every entry point: a
 // FeedbackController re-tunes the sampling fraction window by window to
 // hold a target relative error (WithAdaptiveBudget on the Estimator,
-// Config.Adaptive for Simulate, Run and Open — live runs broadcast each
-// adjustment over a control topic, exactly like the data plane, and a
-// Deployment can retune the target mid-run via SetTarget).
+// Config.Adaptive for Simulate, Run and Open — each adjustment is broadcast
+// over a control topic, exactly like the data plane, and a Deployment can
+// retune the target mid-run via SetTarget).
 //
 // See ARCHITECTURE.md for the package map and live-dataflow diagram, the
 // examples/ directory for runnable programs, and EXPERIMENTS.md for the
@@ -238,11 +238,11 @@ type Config struct {
 	// Adaptive, when set, closes the paper's §IV-B feedback loop: the
 	// sampling fraction starts at the controller's current fraction and is
 	// re-tuned at every root window close to steer the realized relative
-	// error bound toward the controller's target. Simulated runs share the
-	// controller in memory; live runs broadcast each adjustment over the
-	// deployment's control topic, applied by every edge member at its
-	// next window boundary (the root, colocated with the controller,
-	// updates at the merge). Requires a non-COUNT query to observe.
+	// error bound toward the controller's target. Each adjustment is
+	// broadcast over the deployment's control topic (in simulation it lands
+	// at once), applied by every edge member at its next window boundary
+	// (the root, colocated with the controller, updates at the merge).
+	// Requires a non-COUNT query to observe.
 	// Takes precedence over Fraction for the budget (Fraction still
 	// configures the SRS baseline's coin-flip). A controller is stateful —
 	// build a fresh one per run.

@@ -9,18 +9,17 @@ import (
 	"github.com/approxiot/approxiot/internal/query"
 )
 
-// This file is the live control plane for the §IV-B feedback mechanism.
+// This file is the control plane for the §IV-B feedback mechanism.
 //
-// In simulated mode the controller is shared memory: every node reads the
-// controller's fraction directly at its (virtual-time) window close. Live,
-// the tree is real goroutines chained by mq topics, so the adjusted
-// fraction travels the same way the data does: the root observes each
-// merged WindowResult, asks the FeedbackController for the next fraction,
-// and publishes a control record to the plan's single-partition control
-// topic. Every shard-group member runs a standalone consumer on that topic
-// and drains it at its own window boundary — fraction changes therefore
-// land only between intervals, never mid-window, so Eq. 8 weight
-// compounding (and with it the exact count invariant) is untouched.
+// The adjusted fraction travels the same way the data does: the root
+// observes each merged WindowResult, asks the FeedbackController for the
+// next fraction, and publishes a control record to the plan's
+// single-partition control topic. Every shard-group member runs a standalone
+// consumer on that topic and drains it at its own window boundary — fraction
+// changes therefore land only between intervals, never mid-window, so Eq. 8
+// weight compounding (and with it the exact count invariant) is untouched.
+// In simulation the control topic lands at the send instant, so every
+// member's next window close reads the fraction the root just published.
 
 // controlRecordSize is the wire size of one control record: sequence
 // number plus the fraction, both fixed-width big-endian.
@@ -106,12 +105,13 @@ func feedbackKind(kinds []query.Kind) query.Kind {
 	return kinds[0]
 }
 
-// feedbackCost adapts a FeedbackController to effective-fraction semantics
-// for the simulated runner: every node shares the controller and reads its
-// current fraction at window close. (The controller's own SampleSize is
-// plain per-node fraction-of-observed — right for the single-node
-// Estimator, compounding across a tree's layers — so tree runners use this
-// wrapper instead.)
+// feedbackCost adapts a FeedbackController to effective-fraction semantics:
+// the plan's cost of record in an adaptive run, read at window close by the
+// nodes built from the plan alone — the simulator's streaming edge — while
+// the sampling members follow the control topic. (The controller's own
+// SampleSize is plain per-node fraction-of-observed — right for the
+// single-node Estimator, compounding across a tree's layers — so tree runners
+// use this wrapper instead.)
 type feedbackCost struct {
 	ctl *FeedbackController
 }

@@ -1,9 +1,10 @@
 // Package core assembles ApproxIoT from its parts: the per-node workflow of
 // Algorithm 2 (Node, Root), the budget-to-sample-size cost function, the
-// adaptive feedback loop of §IV-B, and two runners that instantiate a
-// topology.TreeSpec — SimRunner on deterministic virtual time with WAN
-// emulation, and LiveRunner on real goroutines over the mq broker, matching
-// the paper's Kafka deployment.
+// adaptive feedback loop of §IV-B, and the engine that instantiates a
+// topology.TreeSpec as consumer groups over a message bus, matching the
+// paper's Kafka deployment — live on real goroutines (OpenLive, OpenNode,
+// RunLive), or on deterministic virtual time over emulated WAN links
+// (RunSim).
 package core
 
 import (

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/approxiot/approxiot/internal/checkpoint"
 	"github.com/approxiot/approxiot/internal/mq"
@@ -330,7 +329,7 @@ func (e *engine) retireMember(g *shardGroup, m *groupMember) {
 	g.mu.Unlock()
 	m.rt.Freeze()
 	if m.proc != nil {
-		m.proc.drainAll(time.Now())
+		m.proc.drainAll(e.clock.Now())
 	}
 	_ = m.rt.Stop()
 	if g.budget != nil {
@@ -438,7 +437,7 @@ func (e *engine) RestartMember(id string) error {
 	}
 	nm.proc.recover = func(p *samplingProcessor, _ streams.ProcessorContext) error {
 		if ck != nil {
-			p.restoreCheckpoint(ck, time.Now())
+			p.restoreCheckpoint(ck, e.clock.Now())
 		}
 		return e.replayGap(p, g.desc, ck, killed, changeOffs)
 	}
@@ -490,7 +489,7 @@ func (e *engine) replayGap(p *samplingProcessor, desc NodeDesc, ck *memberCkpt, 
 	orig := p.ew.late
 	p.ew.late = &throwaway
 	defer func() { p.ew.late = orig }()
-	now := time.Now()
+	now := e.clock.Now()
 	var buf []mq.Record
 	var err error
 	for _, po := range killed {
@@ -684,7 +683,7 @@ func (e *engine) postChange(g *shardGroup) error {
 			continue
 		}
 		proc := m.proc
-		_ = m.rt.Sync(func() { proc.Punctuate(time.Now()) })
+		_ = m.rt.Sync(func() { proc.Punctuate(e.clock.Now()) })
 	}
 	offs, err := e.bus.GroupCommitted(g.desc.Topic, g.desc.ID+"-in")
 	if err != nil {

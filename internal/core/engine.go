@@ -17,28 +17,35 @@ import (
 	"github.com/approxiot/approxiot/internal/streams"
 	"github.com/approxiot/approxiot/internal/topology"
 	"github.com/approxiot/approxiot/internal/transport"
+	"github.com/approxiot/approxiot/internal/vclock"
 )
 
 // engine is the one session engine. OpenNode runs the slice of the compiled
 // plan a NodeTier names against a shared bus; OpenLive runs every tier over a
-// bus of its own. Every capability lives here and acts on what the tier
-// hosts: topics created, the tier's shard groups built with one edge- and one
-// root-member constructor and started, the sweeper, the run counters and
-// bandwidth account, the root watermark merge and emit path with the
-// feedback step, the snapshot, the quiescence probe, the push valves and
-// their truth fold, the elastic verbs (elastic.go) — and one lifecycle: one
-// push fence (stopAdmitting), one drain loop (settle), one close sequence
-// (shutdown) and one context watcher.
+// bus of its own; RunSim runs every edge layer and the root in virtual time.
+// Every capability lives here and acts on what the tier hosts: topics
+// created, the tier's shard groups built with one edge- and one root-member
+// constructor (addEdgeGroup, addRootGroup) and started, the sweeper, the run
+// counters the members write and the bandwidth account, the root watermark
+// merge and emit path with the feedback step, the snapshot, the quiescence
+// probe, the push valves and their truth fold, the elastic verbs
+// (elastic.go) — and one lifecycle: one push fence (stopAdmitting), one drain
+// loop (settle), one close sequence (shutdown) and one context watcher.
+//
+// Every instant the engine and its members read comes from clock: the wall
+// clock, or — in a driven engine (LiveConfig.sim, set by RunSim) — the
+// simulator's, whose event loop steps every member runtime and runs the
+// sweeps on its one thread (simLoop, sim.go).
 type engine struct {
-	// memberKit builds this tier's members and holds the run-wide counters
-	// they write (plan, late, decodeErrs, rootProcessed, lastActivity,
-	// quiesce).
-	memberKit
-
-	cfg  LiveConfig
-	bus  transport.Bus
-	tier NodeTier
-	eval *query.Engine
+	cfg   LiveConfig
+	plan  *Plan
+	bus   transport.Bus
+	tier  NodeTier
+	eval  *query.Engine
+	clock vclock.Clock
+	// loop runs a driven engine's sweeps (nil live, where the sweeper
+	// goroutine does).
+	loop *simLoop
 
 	groups    []*shardGroup          // this process's groups, bottom-up, root last
 	groupByID map[string]*shardGroup // node ID → its group (root included)
@@ -62,8 +69,17 @@ type engine struct {
 	res   *LiveResult
 	final atomic.Pointer[LiveResult]
 
-	// Run-wide counters beside the members' (memberKit), written by the
-	// valves, read by Snapshot at any time.
+	// Run-wide counters the members write, read by Snapshot at any time.
+	late          lateCounter  // records past the lateness horizon
+	decodeErrs    atomic.Int64 // data records that failed to decode
+	rootProcessed atomic.Int64 // items the root members aggregated
+	lastActivity  atomic.Int64 // unix nanos (clock) of the last root-side processing
+	// quiesce silences the members' keepalives once no further input can
+	// arrive (see samplingProcessor.keepalive): from the drain's start, or
+	// from the end of a simulated stream.
+	quiesce atomic.Bool
+
+	// Run-wide counters written by the valves.
 	produced   atomic.Int64
 	startNanos atomic.Int64 // run start: first push (open time until then)
 	started    atomic.Bool
@@ -153,14 +169,10 @@ func everyTier(spec topology.TreeSpec) NodeTier {
 func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, ownsBus bool, atEOS func()) (*engine, error) {
 	bus := cfg.Bus
 	e := &engine{
-		memberKit: memberKit{
-			plan:     plan,
-			lateness: cfg.AllowedLateness,
-			idle:     cfg.IdleTimeout,
-			stamped:  !cfg.EventTime,
-		},
 		cfg:     cfg,
+		plan:    plan,
 		bus:     bus,
+		clock:   vclock.WallClock{},
 		tier:    tier,
 		ownsBus: ownsBus,
 		eval:    query.NewEngine(query.WithConfidence(cfg.Confidence)),
@@ -182,7 +194,11 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, 
 	if tier.Ingest {
 		e.truth = make([]paddedFloat, plan.Spec.Sources)
 	}
-	now := time.Now()
+	if cfg.sim != nil {
+		e.clock = cfg.sim
+		e.loop = &simLoop{e: e, sim: cfg.sim}
+	}
+	now := e.clock.Now()
 	e.startNanos.Store(now.UnixNano())
 	e.lastActivity.Store(now.UnixNano())
 
@@ -228,7 +244,7 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, 
 	if e.controller() != nil {
 		e.ctlProducer = bus.NewProducer()
 	}
-	if tier.Root || tier.Ingest && !cfg.EventTime {
+	if e.loop == nil && (tier.Root || tier.Ingest && !cfg.EventTime) {
 		// The sweeper closes root windows while the members pump and beats
 		// idle ingest-stamping valves. Its context is private: shutdown
 		// stops it in order.
@@ -252,11 +268,11 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, 
 func (e *engine) sweeper(ctx context.Context) {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	for at := time.Now(); ; {
+	for at := e.clock.Now(); ; {
 		stopTimer(timer)
 		var expiry <-chan time.Time
 		if next := e.nextSweep(at); !next.IsZero() {
-			timer.Reset(max(time.Until(next), 0))
+			timer.Reset(max(next.Sub(e.clock.Now()), 0))
 			expiry = timer.C
 		}
 		select {
@@ -265,7 +281,7 @@ func (e *engine) sweeper(ctx context.Context) {
 		case <-e.sweepNudge:
 		case <-expiry:
 		}
-		at = time.Now()
+		at = e.clock.Now()
 		e.sweep(at)
 	}
 }
@@ -283,8 +299,13 @@ func stopTimer(t *time.Timer) {
 }
 
 // nudgeSweep asks the sweeper for a sweep without blocking: the one-slot
-// channel coalesces nudges that arrive while one is pending.
+// channel coalesces nudges that arrive while one is pending. A driven engine's
+// simulator's loop schedules the sweep instead.
 func (e *engine) nudgeSweep() {
+	if e.loop != nil {
+		e.loop.nudge()
+		return
+	}
 	select {
 	case e.sweepNudge <- struct{}{}:
 	default:
@@ -322,8 +343,8 @@ func (e *engine) nextSweep(at time.Time) time.Time {
 // single-process run's. Adaptive runs give every member a private dynamic
 // cost plus a standalone control consumer (the root tier publishes, wherever
 // it runs, and the members drain at window close); with a checkpoint store
-// every member saves into this process's store. The member itself comes from
-// memberKit.newSampling, the constructor RunSim uses too.
+// every member saves into this process's store. A simulated streaming tree
+// (LiveConfig.streaming) runs the forwarding member instead.
 func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 	cfg, plan := e.cfg, e.plan
 	// FixedBudget groups get a dynamic splitter so membership changes
@@ -337,8 +358,11 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 		gb = newGroupBudget(fb.Size)
 	}
 	var memberErr error
-	grp, err := newShardGroup(e.bus, desc, cfg.recordAtATime, func(shard int) (streams.Processor, *samplingProcessor) {
+	grp, err := newShardGroup(e.bus, desc, e.runtimeOptions(), func(shard int) (streams.Processor, *samplingProcessor) {
 		mk := func() *Node { return plan.NewNodeShard(desc, shard) }
+		if cfg.streaming {
+			return &forwardingProcessor{id: memberID(desc, shard), node: mk(), wt: e.newTracker(desc, stream.NewSourceTable(), now), enc: encoderFor(e.bus)}, nil
+		}
 		if gb != nil {
 			mb := gb.join(memberID(desc, shard))
 			mk = func() *Node { return plan.NewNodeShardCost(desc, shard, mb) }
@@ -348,14 +372,20 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 			dc = newDynamicCost(cfg.Feedback.Fraction())
 			mk = func() *Node { return plan.NewNodeShardCost(desc, shard, dc) }
 		}
-		sp := e.newSampling(desc, shard, mk, now)
-		sp.ckpt = cfg.Checkpoint
-		sp.ckptErrs = &e.ckptErrs
-		sp.saveEvery = cfg.Window
-		// Private lock-free byte counter for the member's parent link; the
-		// account folds it in at read time.
-		sp.bwc = e.res.Bandwidth.Counter(desc.ParentTopic)
-		sp.enc = encoderFor(e.bus)
+		sp := &samplingProcessor{
+			id:         memberID(desc, shard),
+			quiesce:    &e.quiesce,
+			decodeErrs: &e.decodeErrs,
+			ew:         e.newWindows(mk),
+			ckpt:       cfg.Checkpoint,
+			ckptErrs:   &e.ckptErrs,
+			saveEvery:  cfg.Window,
+			// Private lock-free byte counter for the member's parent link;
+			// the account folds it in at read time.
+			bwc: e.res.Bandwidth.Counter(desc.ParentTopic),
+			enc: encoderFor(e.bus),
+		}
+		sp.wt = e.newTracker(desc, sp.ew.strata, now)
 		if dc != nil {
 			sp.cost = dc
 			c, cerr := e.bus.NewConsumer(plan.ControlTopic)
@@ -396,18 +426,27 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 func (e *engine) addRootGroup(now time.Time) error {
 	cfg, plan := e.cfg, e.plan
 	e.rootProcs = make([]*rootProcessor, plan.RootShards)
-	grp, err := newShardGroup(e.bus, plan.Root(), cfg.recordAtATime, func(shard int) (streams.Processor, *samplingProcessor) {
+	grp, err := newShardGroup(e.bus, plan.Root(), e.runtimeOptions(), func(shard int) (streams.Processor, *samplingProcessor) {
 		mk := func() *Node { return plan.NewRootShard(shard) }
 		if cfg.Feedback != nil {
 			dc := newDynamicCost(cfg.Feedback.Fraction())
 			e.rootCosts = append(e.rootCosts, dc)
 			mk = func() *Node { return plan.NewNodeShardCost(plan.Root(), shard, dc) }
 		}
-		// Private histogram: shards must not serialize on one mutex in the
-		// per-item hot path. Merged into res.Latency at finalize (and into
-		// fresh histograms by mid-run Snapshots).
-		p := e.newRoot(shard, mk, metrics.NewHistogram(), e.nudgeSweep, now)
-		p.work = cfg.RootWork
+		p := &rootProcessor{
+			id:           memberID(plan.Root(), shard),
+			processed:    &e.rootProcessed,
+			decodeErrs:   &e.decodeErrs,
+			lastActivity: &e.lastActivity,
+			nudge:        e.nudgeSweep,
+			work:         cfg.RootWork,
+			// Private histogram: shards must not serialize on one mutex in
+			// the per-item hot path. Merged into res.Latency at finalize (and
+			// into fresh histograms by mid-run Snapshots).
+			latency: metrics.NewHistogram(),
+			ew:      e.newWindows(mk),
+		}
+		p.wt = e.newTracker(plan.Root(), p.ew.strata, now)
 		e.rootProcs[shard] = p
 		return p, nil
 	})
@@ -421,69 +460,28 @@ func (e *engine) addRootGroup(now time.Time) error {
 	return nil
 }
 
-// memberKit builds the members of one run — edge sampling members and root
-// members — for whichever driver pumps them: the engine's runtimes over a
-// bus, or RunSim's single thread over netsim links. It holds what every
-// member of the run shares: the plan, the window and watermark rule, and the
-// run-wide counters the members write.
-type memberKit struct {
-	plan     *Plan
-	lateness time.Duration // LiveConfig.AllowedLateness
-	idle     time.Duration // the trackers' idle timeout; ≤ 0 never ages
-	// stamped: timestamps are publish instants stamped at ingest, never late
-	// (eventWindows.ingestStamped).
-	stamped bool
-
-	late          lateCounter  // records past the lateness horizon
-	decodeErrs    atomic.Int64 // data records that failed to decode
-	rootProcessed atomic.Int64 // items the root members aggregated
-	lastActivity  atomic.Int64 // unix nanos (driver clock) of the last root-side processing
-	// quiesce silences the members' keepalives once no further input can
-	// arrive (see samplingProcessor.keepalive): live from the drain's start,
-	// simulated from the end of the sources' stream.
-	quiesce atomic.Bool
-}
-
-// newSampling builds edge member shard of node desc: an event-window Ψ store
-// sampling each window with a node from mk, and a watermark tracker expecting
-// desc's producers. The driver adds its own wiring (encoder, byte counter,
-// control consumer, checkpoint store) before the member starts.
-func (k *memberKit) newSampling(desc NodeDesc, shard int, mk func() *Node, now time.Time) *samplingProcessor {
-	sp := &samplingProcessor{
-		id:         memberID(desc, shard),
-		quiesce:    &k.quiesce,
-		decodeErrs: &k.decodeErrs,
-		ew:         k.newWindows(mk),
+// runtimeOptions returns the options of every member runtime the engine
+// builds: a driven engine's runtimes run on its clock, stepped by its loop,
+// and the equivalence suite's reference dispatches a record at a time.
+func (e *engine) runtimeOptions() []streams.RuntimeOption {
+	var opts []streams.RuntimeOption
+	if e.cfg.sim != nil {
+		opts = append(opts, streams.Driven(e.cfg.sim))
 	}
-	sp.wt = k.newTracker(desc, sp.ew.strata, now)
-	return sp
-}
-
-// newRoot builds root member shard: Θ per event window from mk's nodes, a
-// tracker expecting the root's producers, item latencies observed into
-// latency, and nudge called when a batch makes a window closeable.
-func (k *memberKit) newRoot(shard int, mk func() *Node, latency *metrics.Histogram, nudge func(), now time.Time) *rootProcessor {
-	p := &rootProcessor{
-		id:           memberID(k.plan.Root(), shard),
-		processed:    &k.rootProcessed,
-		decodeErrs:   &k.decodeErrs,
-		lastActivity: &k.lastActivity,
-		nudge:        nudge,
-		latency:      latency,
-		ew:           k.newWindows(mk),
+	if e.cfg.recordAtATime {
+		opts = append(opts, streams.WithRecordAtATime())
 	}
-	p.wt = k.newTracker(k.plan.Root(), p.ew.strata, now)
-	return p
+	return opts
 }
 
 // newWindows builds one member's Ψ store: a sampling node per event window of
 // the plan's length. mk seeds each window identically from the plan's
 // lineage, so a window's sampling is independent of how many windows preceded
-// it. Ingest-stamped windows take in stamps that are never late
-// (eventWindows.ingestStamped).
-func (k *memberKit) newWindows(mk func() *Node) *eventWindows {
-	ew := newEventWindows(k.plan.Spec.Window, k.lateness, &k.late, mk)
-	ew.ingestStamped = k.stamped
+// it. Ingest-stamped windows (EventTime off) take in stamps that are never
+// late (eventWindows.ingestStamped).
+func (e *engine) newWindows(mk func() *Node) *eventWindows {
+	ew := newEventWindows(e.plan.Spec.Window, e.cfg.AllowedLateness, &e.late, mk)
+	ew.ingestStamped = !e.cfg.EventTime
 	return ew
 }
 
@@ -494,10 +492,10 @@ func (k *memberKit) newWindows(mk func() *Node) *eventWindows {
 // pumps race, and a producer must never be invisible to the minimum just
 // because it is slow. Only a leaf's producers are valves, stamping per
 // sub-stream; above it they are members, bounded by their lane floors alone.
-func (k *memberKit) newTracker(desc NodeDesc, strata *stream.SourceTable, now time.Time) *watermarkTracker {
-	wt := newWatermarkTracker(k.idle, strata)
+func (e *engine) newTracker(desc NodeDesc, strata *stream.SourceTable, now time.Time) *watermarkTracker {
+	wt := newWatermarkTracker(e.cfg.IdleTimeout, strata)
 	wt.floorsOnly = desc.Layer > 0
-	for _, from := range k.plan.ExpectedProducers(desc) {
+	for _, from := range e.plan.ExpectedProducers(desc) {
 		wt.expect(from, now)
 	}
 	return wt
@@ -522,7 +520,7 @@ func (e *engine) stop() {
 	}
 	if e.rootGrp != nil {
 		e.rootGrp.stop()
-		e.closeEventWindows(time.Now(), eosWatermark)
+		e.closeEventWindows(e.clock.Now(), eosWatermark)
 	}
 	e.stopAll()
 }
@@ -628,7 +626,7 @@ func (e *engine) settle(ctx context.Context, quiet func() bool) error {
 func (e *engine) shutdown(cause error) {
 	e.closeOnce.Do(func() {
 		e.stop()
-		end := time.Now()
+		end := e.clock.Now()
 		if e.tier.Root {
 			end = time.Unix(0, e.lastActivity.Load())
 		}
@@ -690,7 +688,7 @@ func (e *engine) ingestAllowed() error {
 // throughput measure the traffic span, not time the session idled before it.
 func (e *engine) markStarted() {
 	if e.started.CompareAndSwap(false, true) {
-		now := time.Now().UnixNano()
+		now := e.clock.Now().UnixNano()
 		e.startNanos.Store(now)
 		e.lastActivity.Store(now)
 	}
@@ -951,7 +949,7 @@ func (e *engine) closeSubs() {
 // windows and no fraction, a root process no produced count. Once the
 // session has closed, Elapsed and Throughput are the final result's.
 func (e *engine) Snapshot() LiveSnapshot {
-	now := time.Now()
+	now := e.clock.Now()
 	snap := LiveSnapshot{
 		State:            e.State(),
 		Produced:         e.produced.Load(),
@@ -1010,15 +1008,16 @@ func (e *engine) nodeTelemetry(elapsed time.Duration) map[string]NodeTelemetry {
 		g.mu.Unlock()
 		// Dead and retired members included: their counters are the
 		// last-known truth, and a restarted member replaces its dead
-		// predecessor in the list under the same ID. Root members have no
-		// sampling processor, and the root group is not elastic: its shard i
-		// is rootProcs[i].
+		// predecessor in the list under the same ID. The root group is not
+		// elastic: its shard i is rootProcs[i]. A forwarding member keeps no
+		// counters.
 		for _, m := range members {
 			var st NodeStats
-			if m.proc != nil {
-				st = m.proc.stats()
-			} else {
+			switch {
+			case g == e.rootGrp:
 				st = e.rootProcs[m.shard].stats()
+			case m.proc != nil:
+				st = m.proc.stats()
 			}
 			tel := NodeTelemetry{Observed: st.Observed, Emitted: st.Emitted, Intervals: st.Intervals, Wakeups: m.rt.Wakeups()}
 			if elapsed > 0 {

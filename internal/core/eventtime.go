@@ -11,10 +11,9 @@ import (
 	"github.com/approxiot/approxiot/internal/stream"
 )
 
-// This file is the event-time windowing machinery of the members both
-// runners drive — the live engine's pumps and the simulator's virtual-time
-// loop (the MillWheel/Dataflow model, scaled down to what the ApproxIoT tree
-// needs):
+// This file is the event-time windowing machinery of the engine's members,
+// live or simulated in virtual time (the MillWheel/Dataflow model, scaled
+// down to what the ApproxIoT tree needs):
 //
 //   - records are assigned to tumbling windows by their event timestamp
 //     (Item.Ts), not by when they happen to be buffered at a ticker;
@@ -420,7 +419,7 @@ type producer struct {
 // has not reached yet holds the bound as an alive-but-unpromising
 // placeholder until its beat or the idle timeout covers it). The owned set
 // comes from ownedFn when the context reports its consumer's assignment;
-// otherwise — the simulator's one FIFO link, a test harness — the tracker
+// otherwise — a test harness, the simulator's streaming edge — the tracker
 // owns the lanes it has consumed from. Every entry shares the idle and
 // end-of-stream exemption rules. Not safe for concurrent use.
 //

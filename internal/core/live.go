@@ -15,6 +15,7 @@ import (
 	"github.com/approxiot/approxiot/internal/streams"
 	"github.com/approxiot/approxiot/internal/topology"
 	"github.com/approxiot/approxiot/internal/transport"
+	"github.com/approxiot/approxiot/internal/vclock"
 	"github.com/approxiot/approxiot/internal/workload"
 )
 
@@ -191,6 +192,14 @@ type LiveConfig struct {
 	// suite uses it as the semantic reference the batched path must match
 	// bit for bit (unexported; tests live in this package).
 	recordAtATime bool
+
+	// sim drives the engine in virtual time (RunSim): every instant comes
+	// from it, no goroutine starts, and the simulator's loop steps the
+	// member runtimes and runs the sweeps (sim.go). Nil runs live.
+	sim *vclock.Sim
+	// streaming runs every edge member as a forwardingProcessor, which
+	// samples and forwards each record as it arrives (SimConfig.Streaming).
+	streaming bool
 }
 
 // LiveResult reports a live run's measurements.
@@ -319,8 +328,8 @@ type samplingProcessor struct {
 	// broadcast sends the member's beat, stamped wm, to every partition of
 	// a parent topic that has more than one, behind everything the member
 	// forwarded before it (beat). Nil where the parent link is one lane —
-	// a one-partition topic, the simulator's link, a test harness — and the
-	// beat rides the member's flush.
+	// a one-partition topic, a test harness — and the beat rides the
+	// member's flush.
 	broadcast func(wm mq.Watermark)
 
 	// Adaptive runs only: control is the member's private standalone
@@ -485,7 +494,7 @@ func (p *samplingProcessor) Init(ctx streams.ProcessorContext) error {
 // are bit-identical to record-at-a-time processing) while the batch
 // amortizes the clock read, the pending-gauge store, and — via the emit
 // scratch — the downstream broker append. The clock is the context's: the
-// runtime's wall clock live, the virtual one in the simulator.
+// runtime's, which is the engine's.
 func (p *samplingProcessor) ProcessBatch(msgs []streams.Message) error {
 	now := p.ctx.Now()
 	for i := range msgs {
@@ -517,8 +526,8 @@ func (p *samplingProcessor) processEvent(msg streams.Message, now time.Time) {
 // ownedLanesOf returns the reader of the input-topic partitions the
 // context's consumer currently owns — the lane universe for the watermark
 // tracker's per-lane floors — or nil when the context cannot report an
-// assignment (the simulator's one FIFO link, a test harness), where the
-// tracker owns the lanes it has consumed from.
+// assignment (a test harness), where the tracker owns the lanes it has
+// consumed from.
 func ownedLanesOf(ctx streams.ProcessorContext) func() []int {
 	or, ok := ctx.(streams.OffsetReader)
 	if !ok {
@@ -1021,14 +1030,10 @@ type shardGroup struct {
 // newProc is invoked once per member with the shard index and must return
 // the member's processor twice: as the streams.Processor to wire into the
 // topology, and as the *samplingProcessor the elastic layer drives (nil for
-// root members). recordAtATime forces the pre-batching dispatch path in
-// every member runtime (the equivalence suite's semantic reference).
-func newShardGroup(bus transport.Bus, desc NodeDesc, recordAtATime bool, newProc func(shard int) (streams.Processor, *samplingProcessor)) (*shardGroup, error) {
+// root and forwarding members). Every member runtime takes opts
+// (engine.runtimeOptions).
+func newShardGroup(bus transport.Bus, desc NodeDesc, opts []streams.RuntimeOption, newProc func(shard int) (streams.Processor, *samplingProcessor)) (*shardGroup, error) {
 	g := &shardGroup{desc: desc, nextShard: desc.Shards}
-	var opts []streams.RuntimeOption
-	if recordAtATime {
-		opts = append(opts, streams.WithRecordAtATime())
-	}
 	g.build = func(shard int) (*groupMember, error) {
 		proc, sp := newProc(shard)
 		b := streams.NewTopology().

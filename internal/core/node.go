@@ -20,7 +20,7 @@ import (
 // processed with the carried, up-to-date weight.
 //
 // Node is not safe for concurrent use; runners own each node from a single
-// goroutine (a live member's pump, or the simulator's event loop).
+// goroutine (a member's pump, or the simulator's event loop driving it).
 type Node struct {
 	id      string
 	sampler sample.Sampler

@@ -390,7 +390,7 @@ func (e *engine) feed(source func(i int) workload.Source, items int64) {
 		go func(slot int, quota int64, ing *Ingester) {
 			defer wg.Done()
 			gen := source(slot)
-			now := time.Now()
+			now := e.clock.Now()
 			var sent int64
 			for sent < quota {
 				batch := gen.Generate(now, chunk)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"github.com/approxiot/approxiot/internal/stream"
 	"github.com/approxiot/approxiot/internal/streams"
 	"github.com/approxiot/approxiot/internal/topology"
+	"github.com/approxiot/approxiot/internal/transport"
 	"github.com/approxiot/approxiot/internal/vclock"
 	"github.com/approxiot/approxiot/internal/workload"
 	"github.com/approxiot/approxiot/internal/xrand"
@@ -130,9 +132,10 @@ type SimConfig struct {
 	// root window close the controller observes the result of the first
 	// registered non-COUNT query kind (COUNT is exact by Eq. 8, so its
 	// bound is uninformative) and adjusts. Feedback takes precedence over
-	// Cost (which may then be nil). In simulation the controller is shared
-	// memory — the live runner's control topic is the distributed form of
-	// the same loop. A controller is stateful — use a fresh one per run.
+	// Cost (which may then be nil). The fractions travel the control topic
+	// as they do live, landing at the instant the root publishes them, so
+	// every node's next window close reads the new one. A controller is
+	// stateful — use a fresh one per run.
 	Feedback *FeedbackController
 	// OnWindow, if set, observes every window result as it is produced,
 	// after the feedback step.
@@ -255,25 +258,34 @@ func xrandFor(layer, node int, seed uint64) *xrand.Rand {
 	return xrand.New(nodeSeed(layer, node, seed))
 }
 
-// RunSim executes one experiment and returns its measurements. It drives the
-// members the live engine runs — a samplingProcessor per edge node (the
-// forwarding member with Streaming) and a rootProcessor at the root, built
-// by the engine's memberKit constructors — on one thread in virtual time:
-// sources and members exchange wire-encoded records over netsim links, every
-// member's deadline is one armed simulator event, and the root closes its
-// windows through rootMerge. The run ends when the event queue is empty:
-// after Duration the sources' end-of-stream heartbeats cascade up the tree
-// and close every window that still holds data.
+// RunSim executes one experiment and returns its measurements. It opens the
+// engine the live sessions run — every edge layer and the root: the same
+// members, sweep and emit path — in virtual time (LiveConfig.sim), on one
+// thread with no goroutine, over a bus whose every send crosses a netsim link
+// (impairBus). The sources ship onto the leaf topics through that bus; each
+// delivery steps the runtimes consuming its topic, and every runtime's
+// deadline and the root's next sweep are one armed simulator event each
+// (simLoop). The run ends when the event queue is empty: after Duration the
+// sources' end-of-stream heartbeats cascade up the tree and close every window
+// that still holds data.
 func RunSim(cfg SimConfig) (*SimResult, error) {
-	if cfg.Feedback != nil {
-		cfg.Cost = feedbackCost{ctl: cfg.Feedback}
-	}
-	plan, err := CompilePlan(PlanConfig{
-		Spec:       cfg.Spec,
-		NewSampler: cfg.NewSampler,
-		Cost:       cfg.Cost,
-		Queries:    cfg.Queries,
-		Seed:       cfg.Seed,
+	sim := vclock.NewSim(simStart)
+	lcfg, plan, err := compileLive(LiveConfig{
+		Spec:            cfg.Spec,
+		NewSampler:      cfg.NewSampler,
+		Cost:            cfg.Cost,
+		Window:          cfg.Spec.Window,
+		EventTime:       true,
+		AllowedLateness: cfg.AllowedLateness,
+		IdleTimeout:     cfg.IdleTimeout,
+		Queries:         cfg.Queries,
+		Slide:           cfg.Slide,
+		Confidence:      cfg.Confidence,
+		Seed:            cfg.Seed,
+		Feedback:        cfg.Feedback,
+		OnWindow:        cfg.OnWindow,
+		sim:             sim,
+		streaming:       cfg.Streaming,
 	})
 	if err != nil {
 		return nil, err
@@ -284,17 +296,9 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	if cfg.Duration <= 0 {
 		return nil, ErrNoDuration
 	}
-	if cfg.Feedback != nil && feedbackKind(plan.Queries) == query.Count {
-		return nil, ErrFeedbackNeedsQuery
-	}
 	if cfg.ChunksPerWindow <= 0 {
 		cfg.ChunksPerWindow = 8
 	}
-	if cfg.Confidence == 0 {
-		cfg.Confidence = stats.TwoSigma
-	}
-	cfg.AllowedLateness = max(cfg.AllowedLateness, 0)
-	cfg.IdleTimeout = trackerIdle(cfg.IdleTimeout, plan.Spec.Window, cfg.AllowedLateness)
 	for _, f := range cfg.Failures {
 		if f.Layer < 0 || f.Layer >= len(plan.Layers) || f.Node < 0 || f.Node >= len(plan.Layers[f.Layer]) {
 			return nil, fmt.Errorf("core: failure targets unknown node (%d,%d)", f.Layer, f.Node)
@@ -302,163 +306,75 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	}
 
 	spec := plan.Spec
-	r := &simRun{
-		cfg: cfg,
-		sim: vclock.NewSim(simStart),
-		kit: memberKit{plan: plan, lateness: cfg.AllowedLateness, idle: cfg.IdleTimeout},
-		res: &SimResult{
-			Latency:       metrics.NewHistogram(),
-			LayerBytes:    make([]int64, len(spec.Layers)),
-			LayerMessages: make([]int64, len(spec.Layers)),
-			TruthSum:      make(map[stream.SourceID]float64),
-			TruthCount:    make(map[stream.SourceID]int64),
-		},
-		eval:    query.NewEngine(query.WithConfidence(cfg.Confidence)),
-		sliding: newSlidingState(cfg.Slide, spec.Window, cfg.Confidence, plan.Queries),
-		end:     simStart.Add(cfg.Duration),
+	res := &SimResult{
+		LayerBytes:    make([]int64, len(spec.Layers)),
+		LayerMessages: make([]int64, len(spec.Layers)),
+		TruthSum:      make(map[stream.SourceID]float64),
+		TruthCount:    make(map[stream.SourceID]int64),
 	}
+	mem := transport.NewMem()
+	defer mem.Close()
+	bus := newImpairBus(mem, sim, &cfg, plan, res)
+	lcfg.Bus = bus
+	tier := everyTier(spec)
+	tier.Ingest = false // the sources below are the simulator's own
+	e, err := openEngine(context.Background(), lcfg, plan, tier, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	d := e.loop
+	d.attach()
+	bus.deliver = d.deliver
 
-	// Members top-down, so every uplink knows its parent's delivery.
-	rootLayer := plan.RootLayer()
-	deliver := make([][]func(streams.Message), len(spec.Layers))
-	r.roots = []*rootProcessor{r.kit.newRoot(0, func() *Node { return plan.NewRootShard(0) }, r.res.Latency, r.nudge, simStart)}
-	r.root = &simMember{sim: r.sim, proc: r.roots[0], deadline: r.roots[0].nextAging, fire: r.closeRoot}
-	_ = r.roots[0].Init(&simContext{r: r})
-	deliver[rootLayer] = []func(streams.Message){r.deliverRoot}
-	for l := rootLayer - 1; l >= 0; l-- {
-		for i := range plan.Layers[l] {
-			desc := &plan.Layers[l][i]
-			ctx := r.uplink(l+1, deliver[desc.ParentLayer][desc.ParentIndex])
-			ctx.node = desc
-			deliver[l] = append(deliver[l], r.edge(*desc, ctx).deliver)
-		}
-	}
 	chunk := spec.Window / time.Duration(cfg.ChunksPerWindow)
 	if chunk <= 0 {
 		chunk = spec.Window
 	}
+	end := simStart.Add(cfg.Duration)
 	for s, src := range plan.Sources {
-		r.source(s, cfg.Source(s), chunk, r.uplink(0, deliver[0][src.ParentIndex]))
+		startSource(sim, bus.NewProducer(), src.Topic, s, cfg.Source(s), chunk, end, res)
 	}
-	// The sources' stream ends at Duration: keepalives go quiet, exactly
-	// as a live drain quiesces them, and the end-of-stream records carry
-	// every promise that still matters.
-	r.sim.At(r.end, func() {
-		r.kit.quiesce.Store(true)
-		for _, m := range r.edges {
-			m.arm()
+	// The sources' stream ends at Duration: keepalives go quiet, exactly as a
+	// live drain quiesces them, and the end-of-stream records carry every
+	// promise that still matters. Quiesce moves every edge member's deadline.
+	sim.At(end, func() {
+		e.quiesce.Store(true)
+		for _, p := range d.edges {
+			d.step(p)
 		}
 	})
 
-	r.sim.Run()
-	r.res.RootObserved = r.kit.rootProcessed.Load()
-	r.res.LateDropped = r.kit.late.items.Load()
-	r.res.LateDroppedInput = r.kit.late.input.load()
-	r.res.Elapsed = r.sim.Now().Sub(simStart)
-	return r.res, nil
+	sim.Run()
+	e.stopAll()
+	e.finalize(sim.Now())
+	res.Windows = e.res.Windows
+	res.Fractions = e.res.Fractions
+	res.Latency = e.res.Latency
+	res.RootObserved = e.res.RootProcessed
+	res.LateDropped = e.res.LateDropped
+	res.LateDroppedInput = e.res.LateDroppedInput
+	res.Elapsed = e.res.Elapsed
+	return res, nil
 }
 
 // simStart is the virtual instant every simulated run starts at.
 var simStart = time.Date(2018, 7, 2, 0, 0, 0, 0, time.UTC)
 
-// simRun is one RunSim execution: the virtual clock, the members it drives
-// and the result it fills.
-type simRun struct {
-	cfg    SimConfig
-	sim    *vclock.Sim
-	kit    memberKit
-	res    *SimResult
-	eval   *query.Engine
-	end    time.Time // the sources' end of stream
-	nLinks uint64    // links made so far: salts each link's seeds
-
-	edges   []*simMember
-	roots   []*rootProcessor // the root member, as rootMerge takes it
-	root    *simMember
-	merge   rootMerge
-	sliding *slidingState
-	// closing marks a root close scheduled at the current instant, which
-	// every further nudge before it runs joins.
-	closing bool
-	// With RootServiceRate: the instant the root's server frees up, and the
-	// table its queue reads record sizes with.
-	rootBusy time.Time
-	counts   *stream.SourceTable
-}
-
-// uplink builds the context of a member or source that sends into layer,
-// delivering there through to: a new link of the layer's WAN segment. Every
-// link is FIFO — watermarks ride the data, and one must never overtake the
-// records it vouches for.
-func (r *simRun) uplink(layer int, to func(streams.Message)) *simContext {
-	r.nLinks++
-	ls := r.kit.plan.Spec.Layers[layer]
-	opts := []netsim.LinkOption{
-		netsim.WithRTT(ls.LinkRTT),
-		netsim.WithBandwidth(ls.LinkBandwidth),
-		netsim.WithFIFO(),
-	}
-	if r.cfg.LinkJitter > 0 {
-		opts = append(opts, netsim.WithJitter(r.cfg.LinkJitter, r.cfg.Seed^r.nLinks))
-	}
-	if r.cfg.LinkLoss > 0 {
-		opts = append(opts, netsim.WithLoss(r.cfg.LinkLoss, r.cfg.Seed^(r.nLinks<<16)))
-	}
-	return &simContext{r: r, link: netsim.NewLink(r.sim, opts...), layer: layer, to: to}
-}
-
-// down reports whether a Failure holds node down at instant t.
-func (r *simRun) down(node *NodeDesc, t time.Time) bool {
-	if node == nil {
-		return false // sources do not fail
-	}
-	for _, f := range r.cfg.Failures {
-		if f.Layer == node.Layer && f.Node == node.Index &&
-			!t.Before(simStart.Add(f.At)) && t.Before(simStart.Add(f.At+f.For)) {
-			return true
-		}
-	}
-	return false
-}
-
-// edge builds and starts the member of edge node desc, forwarding through
-// ctx: the live sampling member, or the forwarding member with Streaming.
-func (r *simRun) edge(desc NodeDesc, ctx *simContext) *simMember {
-	mk := func() *Node { return r.kit.plan.NewNodeShard(desc, 0) }
-	if r.cfg.Streaming {
-		strata := stream.NewSourceTable()
-		p := &forwardingProcessor{id: desc.ID, node: mk(), wt: r.kit.newTracker(desc, strata, simStart)}
-		_ = p.Init(ctx)
-		return &simMember{sim: r.sim, proc: p}
-	}
-	p := r.kit.newSampling(desc, 0, mk, simStart)
-	p.bwc = &metrics.BandwidthCounter{}
-	_ = p.Init(ctx)
-	m := &simMember{sim: r.sim, proc: p, deadline: p.Deadline, fire: func(now time.Time) {
-		// As the runtime's pump: punctuate only once the deadline read now
-		// has passed.
-		if due := p.Deadline(now); !due.IsZero() && !now.Before(due) {
-			p.Punctuate(now)
-		}
-	}}
-	r.edges = append(r.edges, m)
-	return m
-}
-
-// source starts source s: every chunk it ships what gen generated over the
-// chunk just ended — one record per sub-stream, each item stamped with the
-// send as its publish instant and the record with the sub-stream's highest
-// event timestamp so far as its watermark, as a live Ingester valve does —
-// and at the end of stream it signs off every sub-stream it sent.
-func (r *simRun) source(s int, gen workload.Source, chunk time.Duration, ctx *simContext) {
+// startSource starts source s: every chunk it ships what gen generated over
+// the chunk just ended onto topic — one record per sub-stream, each item
+// stamped with the send as its publish instant and the record with the
+// sub-stream's highest event timestamp so far as its watermark, as a live
+// Ingester valve does — and at end it signs off every sub-stream it sent.
+// Generation and ground truth are counted into res.
+func startSource(sim *vclock.Sim, prod transport.Producer, topic string, s int, gen workload.Source, chunk time.Duration, end time.Time, res *SimResult) {
 	from := sourceFrom(s)
 	marks := make(map[stream.SourceID]time.Time)
-	var enc batchEncoder // a fresh block per send: the link holds the records
+	var enc batchEncoder // a fresh block per send: the links hold the records
 	var tick func()
 	tick = func() {
-		now := r.sim.Now()
+		now := sim.Now()
 		items := gen.Generate(now.Add(-chunk), chunk)
-		r.res.Generated += int64(len(items))
+		res.Generated += int64(len(items))
 		pub := now.UnixNano()
 		for lo := 0; lo < len(items); {
 			src, hi := items[lo].Source, lo
@@ -466,8 +382,8 @@ func (r *simRun) source(s int, gen workload.Source, chunk time.Duration, ctx *si
 			for ; hi < len(items) && items[hi].Source == src; hi++ {
 				it := &items[hi]
 				it.Pub = pub
-				r.res.TruthSum[src] += it.Value
-				r.res.TruthCount[src]++
+				res.TruthSum[src] += it.Value
+				res.TruthCount[src]++
 				if it.Ts.After(mark) {
 					mark = it.Ts
 				}
@@ -476,169 +392,280 @@ func (r *simRun) source(s int, gen workload.Source, chunk time.Duration, ctx *si
 			enc.add(stream.Batch{Source: src, Weight: 1, Items: items[lo:hi]}, mq.Watermark{From: from, At: mark})
 			lo = hi
 		}
-		if now.Before(r.end) {
-			r.sim.After(chunk, tick)
+		if now.Before(end) {
+			sim.After(chunk, tick)
 		} else {
 			for _, src := range eosSources(marks, s) {
 				enc.add(heartbeat(src), mq.Watermark{From: from, At: eosWatermark})
 			}
 		}
-		ctx.ForwardBatch(enc.records(nil))
+		_ = prod.SendBatch(topic, enc.records(nil))
 		enc.reset()
 	}
-	r.sim.At(simStart.Add(chunk), tick)
+	sim.At(simStart.Add(chunk), tick)
 }
 
-// deliverRoot hands a record that reached the root to its member — behind a
-// server with a fixed per-item cost when RootServiceRate is set, so a
-// saturated root queues.
-func (r *simRun) deliverRoot(msg streams.Message) {
-	if r.cfg.RootServiceRate <= 0 {
-		r.root.deliver(msg)
-		return
-	}
-	if r.counts == nil {
-		r.counts = stream.NewSourceTable()
-	}
-	h, _ := stream.ParseHeader(msg.Value, r.counts)
-	start := r.sim.Now()
-	if r.rootBusy.After(start) {
-		start = r.rootBusy
-	}
-	r.rootBusy = start.Add(time.Duration(float64(h.Count) / r.cfg.RootServiceRate * float64(time.Second)))
-	r.sim.At(r.rootBusy, func() { r.root.deliver(msg) })
+// simLoop runs a driven engine on its simulator's one thread, doing what
+// the pumps and the sweeper goroutine do live: when the bus delivers to a
+// topic it steps the runtimes consuming it, it keeps one event armed at each
+// runtime's deadline, and it sweeps the root when a root member nudges and at
+// engine.nextSweep.
+type simLoop struct {
+	e     *engine
+	sim   *vclock.Sim
+	pumps map[string][]*simPump // topic → the runtimes consuming it
+	edges []*simPump            // the edge members, top layer first
+	// sweeping marks a sweep scheduled at the current instant, which every
+	// nudge before it runs joins.
+	sweeping bool
+	next     alarm // the sweep at engine.nextSweep
 }
 
-// nudge is the root member's wake, the sweeper's in the engine: a close at
-// the current instant, after whatever else is due now.
-func (r *simRun) nudge() {
-	if r.closing {
-		return
-	}
-	r.closing = true
-	r.sim.At(r.sim.Now(), func() {
-		r.closing = false
-		r.closeRoot(r.sim.Now())
-		r.root.arm()
-	})
+type simPump struct {
+	rt  *streams.Runtime
+	due alarm
 }
 
-// closeRoot emits every root window the merged watermark makes due, as the
-// engine's sweep does: the result joins the run's, the feedback loop steps
-// (in simulation the controller is shared memory, so every node's next window
-// close reads the new fraction), and OnWindow observes it.
-func (r *simRun) closeRoot(now time.Time) {
-	wm := mergedWatermark(r.roots, now)
-	if wm.IsZero() {
-		return
-	}
-	for _, win := range r.merge.close(r.roots, wm, now, r.eval, r.kit.plan) {
-		if r.sliding != nil {
-			r.sliding.observe(&win)
-		}
-		r.res.Windows = append(r.res.Windows, win)
-		if ctl := r.cfg.Feedback; ctl != nil {
-			r.res.Fractions = append(r.res.Fractions, ctl.Observe(win.Result(feedbackKind(r.kit.plan.Queries))))
-		}
-		if r.cfg.OnWindow != nil {
-			r.cfg.OnWindow(win)
+// attach registers every member runtime of the engine under its source topic.
+func (d *simLoop) attach() {
+	d.pumps = make(map[string][]*simPump)
+	for l := d.e.plan.RootLayer(); l >= 0; l-- {
+		for _, desc := range d.e.plan.Layers[l] {
+			for _, m := range d.e.groupByID[desc.ID].live() {
+				p := &simPump{rt: m.rt}
+				d.pumps[desc.Topic] = append(d.pumps[desc.Topic], p)
+				if l < d.e.plan.RootLayer() {
+					d.edges = append(d.edges, p)
+				}
+			}
 		}
 	}
 }
 
-// simMember pumps one member in virtual time, the simulator's twin of a
-// streams.Runtime pump: a delivery is one ProcessBatch of one message, and
-// the member's earliest deadline is one armed simulator event, read again
-// after every delivery and every firing.
-type simMember struct {
-	sim      *vclock.Sim
-	proc     streams.Processor
-	deadline func(now time.Time) time.Time // nil: the member has none
-	fire     func(now time.Time)
-	timer    vclock.Timer // the armed event, nil when none
-	armedAt  time.Time
-	in       []streams.Message
+// deliver steps every runtime consuming topic, which a record just reached;
+// a root delivery moves the next sweep.
+func (d *simLoop) deliver(topic string) {
+	for _, p := range d.pumps[topic] {
+		d.step(p)
+	}
+	if topic == d.e.plan.Root().Topic {
+		d.armSweep()
+	}
 }
 
-func (m *simMember) deliver(msg streams.Message) {
-	m.in = append(m.in[:0], msg)
-	if err := m.proc.ProcessBatch(m.in); err != nil {
-		// Every record was encoded by the simulator itself.
-		panic(fmt.Sprintf("core: simulated member failed: %v", err))
-	}
-	m.in[0] = streams.Message{}
-	m.arm()
+// step runs one cycle of p's runtime and arms its deadline.
+func (d *simLoop) step(p *simPump) {
+	p.due.set(d.sim, p.rt.Step(), func() { d.step(p) })
 }
 
-// arm keeps one event armed at the member's current deadline, cancelling the
-// one armed at an earlier reading.
-func (m *simMember) arm() {
-	if m.deadline == nil {
-		return
+// nudge is the root members' wake: a sweep at the current instant, after
+// whatever else is due now.
+func (d *simLoop) nudge() {
+	if !d.sweeping {
+		d.sweeping = true
+		d.sim.At(d.sim.Now(), func() { d.sweeping = false; d.sweep() })
 	}
-	due := m.deadline(m.sim.Now())
-	if m.timer != nil {
-		if due.Equal(m.armedAt) {
+}
+
+func (d *simLoop) sweep() {
+	d.e.sweep(d.sim.Now())
+	d.armSweep()
+}
+
+func (d *simLoop) armSweep() { d.next.set(d.sim, d.e.nextSweep(d.sim.Now()), d.sweep) }
+
+// alarm keeps one event armed at a deadline read again after everything that
+// may move it: an unchanged reading keeps the event, another replaces it, and
+// zero arms none.
+type alarm struct {
+	timer *vclock.Timer // nil when none is armed
+	at    time.Time
+}
+
+func (a *alarm) set(sim *vclock.Sim, due time.Time, fire func()) {
+	if a.timer != nil {
+		if due.Equal(a.at) {
 			return
 		}
-		m.timer.Stop()
-		m.timer = nil
+		a.timer.Stop()
+		a.timer = nil
 	}
-	if due.IsZero() {
-		return
-	}
-	m.armedAt = due
-	m.timer = m.sim.At(due, func() {
-		m.timer = nil
-		m.fire(m.sim.Now())
-		m.arm()
-	})
-}
-
-// simContext is one member's (or source's) streams.ProcessorContext in
-// virtual time: Now is the simulator's clock, and every message forwarded
-// rides the member's uplink to its parent. It is not a streams.OffsetReader:
-// every link is a single FIFO lane, lane 0, which the receiving tracker owns
-// once it has consumed from it, and a member's beat is one record on it.
-type simContext struct {
-	r     *simRun
-	node  *NodeDesc    // the sending member's node; nil for a source or the root
-	link  *netsim.Link // nil at the root, which forwards nothing
-	layer int          // the layer the link feeds: its LayerBytes index
-	to    func(streams.Message)
-}
-
-func (c *simContext) Now() time.Time { return c.r.sim.Now() }
-
-func (c *simContext) Forward(msg streams.Message) { c.send(msg) }
-
-func (c *simContext) ForwardBatch(msgs []streams.Message) {
-	for _, msg := range msgs {
-		c.send(msg)
+	if !due.IsZero() {
+		a.at = due
+		a.timer = sim.At(due, func() { a.timer = nil; fire() })
 	}
 }
 
-// send puts one record on the link — unless a Failure holds the sender down,
-// which drops it — and counts its bytes into the layer's traffic.
+// impairBus is the simulator's network around the in-memory broker the
+// engine's consumers read. Every record a producer sends crosses the FIFO
+// netsim link from its sender — its Watermark.From — to the destination
+// topic, with the RTT and bandwidth of the layer the topic feeds plus
+// SimConfig's jitter and loss, and lands in the broker at its delivery
+// instant, where the loop steps the topic's consumers. Links hold the
+// records, so the bus retains what is sent. On the way the bus counts each
+// layer's traffic, drops what a node sends while a Failure holds it down,
+// spares end-of-stream heartbeats from loss, and queues root deliveries
+// behind RootServiceRate. The control topic has no link: it lands at the send
+// instant, so every member's next window close reads the fraction the root
+// just published.
+type impairBus struct {
+	transport.Bus
+	sim     *vclock.Sim
+	cfg     *SimConfig
+	res     *SimResult             // LayerBytes, LayerMessages
+	inner   transport.Producer     // lands records, stamped in virtual time
+	links   map[[2]string]*simLink // (sender, topic) → its link
+	root    string                 // the root topic
+	deliver func(topic string)     // the loop: a record reached topic
+	// With RootServiceRate: the instant the root's server frees up, and the
+	// table its queue reads record sizes with.
+	rootBusy time.Time
+	counts   *stream.SourceTable
+	one      [1]transport.Record // land's scratch
+}
+
+type simLink struct {
+	*netsim.Link
+	layer int       // the layer the link feeds: its LayerBytes index
+	node  *NodeDesc // the sending node, nil for a source
+}
+
+// newImpairBus wraps mem with a link from every sender of plan's tree to its
+// parent topic, salting each link's jitter and loss seeds by its place in
+// creation order: member uplinks top layer first, then the sources'.
+func newImpairBus(mem *transport.Mem, sim *vclock.Sim, cfg *SimConfig, plan *Plan, res *SimResult) *impairBus {
+	b := &impairBus{
+		Bus:   mem,
+		sim:   sim,
+		cfg:   cfg,
+		res:   res,
+		inner: mq.NewProducer(mem.Broker(), mq.WithNow(sim.Now)),
+		links: make(map[[2]string]*simLink),
+		root:  plan.Root().Topic,
+	}
+	add := func(from, topic string, layer int, node *NodeDesc) {
+		salt := uint64(len(b.links) + 1)
+		ls := plan.Spec.Layers[layer]
+		opts := []netsim.LinkOption{netsim.WithRTT(ls.LinkRTT), netsim.WithBandwidth(ls.LinkBandwidth), netsim.WithFIFO()}
+		if cfg.LinkJitter > 0 {
+			opts = append(opts, netsim.WithJitter(cfg.LinkJitter, cfg.Seed^salt))
+		}
+		if cfg.LinkLoss > 0 {
+			opts = append(opts, netsim.WithLoss(cfg.LinkLoss, cfg.Seed^(salt<<16)))
+		}
+		b.links[[2]string{from, topic}] = &simLink{netsim.NewLink(sim, opts...), layer, node}
+	}
+	for l := plan.RootLayer() - 1; l >= 0; l-- {
+		for i := range plan.Layers[l] {
+			desc := &plan.Layers[l][i]
+			add(desc.ID, desc.ParentTopic, desc.ParentLayer, desc)
+		}
+	}
+	for s, src := range plan.Sources {
+		add(sourceFrom(s), src.Topic, 0, nil)
+	}
+	return b
+}
+
+// CreateTopic implements transport.Bus with a short retention: the loop
+// consumes every record the instant it lands, so the broker need keep few
+// consumed ones — the engine's live figure would have every partition
+// allocate a log for thousands, once per run.
+func (b *impairBus) CreateTopic(name string, partitions, _ int) error {
+	return b.Bus.CreateTopic(name, partitions, 64)
+}
+
+// NewProducer implements transport.Bus: the bus is its one producer, whose
+// sends cross links.
+func (b *impairBus) NewProducer() transport.Producer { return b }
+
+// RetainsSent implements transport.Bus: a link holds a record until it lands.
+func (b *impairBus) RetainsSent() bool { return true }
+
+// SendBatch implements transport.Producer.
+func (b *impairBus) SendBatch(topic string, recs []transport.Record) error {
+	return b.SendTo(topic, -1, recs)
+}
+
+// SendTo implements transport.Producer: recs go to one partition of topic,
+// or with partition -1 to the one each record's key picks when it lands.
+func (b *impairBus) SendTo(topic string, partition int, recs []transport.Record) error {
+	for _, rec := range recs {
+		b.send(topic, partition, rec)
+	}
+	return nil
+}
+
+// send puts one record on its link, counted into the traffic of the layer
+// the link feeds — unless a Failure holds the sender down, which drops it.
 // End-of-stream heartbeats are exempt from LinkLoss: the link still draws
-// their fate, but a lost one is delivered anyway, at the instant it would
-// have arrived, so no loss can strand the windows it closes.
-func (c *simContext) send(msg streams.Message) {
-	now := c.r.sim.Now()
-	if c.r.down(c.node, now) {
+// their fate, but a lost one is delivered anyway, at the instant it would have
+// arrived, so no loss can strand the windows it closes.
+func (b *impairBus) send(topic string, partition int, rec transport.Record) {
+	l := b.links[[2]string{rec.Watermark.From, topic}]
+	if l == nil {
+		b.land(topic, partition, rec) // the control topic
 		return
 	}
-	c.r.res.LayerBytes[c.layer] += int64(len(msg.Value))
-	c.r.res.LayerMessages[c.layer]++
-	if c.r.cfg.onSend != nil {
-		c.r.cfg.onSend(c.layer, now)
+	now := b.sim.Now()
+	if l.node != nil && b.down(l.node, now) {
+		return
 	}
-	deliver := func() { c.to(msg) }
-	lost := c.link.MessagesLost()
-	at := c.link.Send(len(msg.Value), deliver)
-	if c.link.MessagesLost() > lost && !msg.Watermark.At.Before(eosHorizon) {
-		c.r.sim.At(at, deliver)
+	b.res.LayerBytes[l.layer] += int64(len(rec.Value))
+	b.res.LayerMessages[l.layer]++
+	if b.cfg.onSend != nil {
+		b.cfg.onSend(l.layer, now)
 	}
+	arrive := func() { b.arrive(topic, partition, rec) }
+	lost := l.MessagesLost()
+	at := l.Send(len(rec.Value), arrive)
+	if l.MessagesLost() > lost && !rec.Watermark.At.Before(eosHorizon) {
+		b.sim.At(at, arrive)
+	}
+}
+
+// down reports whether a Failure holds node down at instant t.
+func (b *impairBus) down(node *NodeDesc, t time.Time) bool {
+	for _, f := range b.cfg.Failures {
+		if f.Layer == node.Layer && f.Node == node.Index &&
+			!t.Before(simStart.Add(f.At)) && t.Before(simStart.Add(f.At+f.For)) {
+			return true
+		}
+	}
+	return false
+}
+
+// arrive lands a record its link delivered — behind a server with a fixed
+// per-item cost when it reached the root with RootServiceRate set, so a
+// saturated root queues.
+func (b *impairBus) arrive(topic string, partition int, rec transport.Record) {
+	if topic != b.root || b.cfg.RootServiceRate <= 0 {
+		b.land(topic, partition, rec)
+		return
+	}
+	if b.counts == nil {
+		b.counts = stream.NewSourceTable()
+	}
+	h, _ := stream.ParseHeader(rec.Value, b.counts)
+	start := b.sim.Now()
+	if b.rootBusy.After(start) {
+		start = b.rootBusy
+	}
+	b.rootBusy = start.Add(time.Duration(float64(h.Count) / b.cfg.RootServiceRate * float64(time.Second)))
+	b.sim.At(b.rootBusy, func() { b.land(topic, partition, rec) })
+}
+
+// land appends a record to the broker, which outlives the run, and tells the
+// loop.
+func (b *impairBus) land(topic string, partition int, rec transport.Record) {
+	b.one[0] = rec
+	if partition < 0 {
+		_ = b.inner.SendBatch(topic, b.one[:])
+	} else {
+		_ = b.inner.SendTo(topic, partition, b.one[:])
+	}
+	b.one[0] = transport.Record{}
+	b.deliver(topic)
 }
 
 // forwardingProcessor is the streaming edge member of the SRS and native
@@ -652,7 +679,7 @@ type forwardingProcessor struct {
 	node *Node
 	wt   *watermarkTracker
 	ctx  streams.ProcessorContext
-	enc  batchEncoder // a fresh block per forward: the link holds the records
+	enc  batchEncoder
 }
 
 var _ streams.Processor = (*forwardingProcessor)(nil)

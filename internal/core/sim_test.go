@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -330,24 +331,110 @@ func TestSimOnWindowCallback(t *testing.T) {
 	}
 }
 
+// TestSimDeterministicAcrossRuns: a seeded run is reproducible as a whole —
+// every window's estimates, each layer's bytes and messages, the late drops
+// and the latency distribution — not only in its totals, where broker or
+// scheduling order leaking into the results could cancel out. The impaired
+// configuration puts jitter, loss and a failure on the links too.
 func TestSimDeterministicAcrossRuns(t *testing.T) {
-	a, err := RunSim(testbedConfig(0.25))
-	if err != nil {
-		t.Fatal(err)
+	impaired := testbedConfig(0.25)
+	impaired.LinkJitter = 30 * time.Millisecond
+	impaired.LinkLoss = 0.02
+	impaired.AllowedLateness = 200 * time.Millisecond
+	impaired.Failures = []Failure{{Layer: 1, Node: 1, At: time.Second, For: time.Second}}
+	for name, cfg := range map[string]SimConfig{"clean": testbedConfig(0.25), "impaired": impaired} {
+		t.Run(name, func(t *testing.T) {
+			a, err := RunSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := RunSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Generated != b.Generated {
+				t.Fatalf("generated differ: %d vs %d", a.Generated, b.Generated)
+			}
+			if len(a.Windows) != len(b.Windows) {
+				t.Fatalf("window counts differ: %d vs %d", len(a.Windows), len(b.Windows))
+			}
+			for i := range a.Windows {
+				wa, wb := a.Windows[i], b.Windows[i]
+				if !wa.Start.Equal(wb.Start) || wa.SampleSize != wb.SampleSize || wa.EstimatedInput != wb.EstimatedInput {
+					t.Fatalf("window %d differs: %v/%d/%g vs %v/%d/%g", i,
+						wa.Start, wa.SampleSize, wa.EstimatedInput, wb.Start, wb.SampleSize, wb.EstimatedInput)
+				}
+				for _, kind := range cfg.Queries {
+					if ea, eb := wa.Result(kind).Estimate, wb.Result(kind).Estimate; ea != eb {
+						t.Fatalf("window %d %v estimate differs: %+v vs %+v", i, kind, ea, eb)
+					}
+				}
+			}
+			for l := range a.LayerBytes {
+				if a.LayerBytes[l] != b.LayerBytes[l] || a.LayerMessages[l] != b.LayerMessages[l] {
+					t.Fatalf("layer %d traffic differs: %d B/%d msgs vs %d B/%d msgs",
+						l, a.LayerBytes[l], a.LayerMessages[l], b.LayerBytes[l], b.LayerMessages[l])
+				}
+			}
+			if a.LateDropped != b.LateDropped || a.LateDroppedInput != b.LateDroppedInput {
+				t.Fatalf("late drops differ: %d (%g) vs %d (%g)", a.LateDropped, a.LateDroppedInput, b.LateDropped, b.LateDroppedInput)
+			}
+			if a.Latency.Count() != b.Latency.Count() || a.Latency.Mean() != b.Latency.Mean() {
+				t.Fatalf("latency differs: %d items, mean %v vs %d items, mean %v",
+					a.Latency.Count(), a.Latency.Mean(), b.Latency.Count(), b.Latency.Mean())
+			}
+		})
 	}
-	b, err := RunSim(testbedConfig(0.25))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSimStartsNoGoroutine: RunSim drives the engine on the caller's
+// goroutine alone. No member pump, sweeper or context watcher starts, so
+// every window closes with the goroutine count RunSim began with — for the
+// windowed tree under feedback (control consumers in every member) and for
+// the streaming one behind a saturated root.
+func TestSimStartsNoGoroutine(t *testing.T) {
+	adaptive := testbedConfig(0.25)
+	adaptive.Cost = nil
+	adaptive.Feedback = NewFeedbackController(0.25, 0.01)
+	streaming := testbedConfig(1)
+	streaming.NewSampler = NativeFactory()
+	streaming.Streaming = true
+	streaming.RootServiceRate = 4000
+	for name, cfg := range map[string]SimConfig{"adaptive": adaptive, "streaming": streaming} {
+		t.Run(name, func(t *testing.T) {
+			cfg.Duration = 2 * time.Second
+			before := settledGoroutines()
+			windows := 0
+			cfg.OnWindow = func(WindowResult) {
+				windows++
+				if n := runtime.NumGoroutine(); n != before {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("window %d: %d goroutines, %d before RunSim\n%s", windows, n, before, buf[:runtime.Stack(buf, true)])
+				}
+			}
+			if _, err := RunSim(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if windows == 0 {
+				t.Fatal("no window closed")
+			}
+		})
 	}
-	if a.Generated != b.Generated {
-		t.Fatalf("generated differ: %d vs %d", a.Generated, b.Generated)
+}
+
+// settledGoroutines returns the goroutine count once earlier tests' exiting
+// goroutines have gone: two reads 10 ms apart that agree.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
 	}
-	if a.TotalEstimate(query.Sum) != b.TotalEstimate(query.Sum) {
-		t.Fatalf("estimates differ: %g vs %g", a.TotalEstimate(query.Sum), b.TotalEstimate(query.Sum))
-	}
-	if a.TotalBytes() != b.TotalBytes() {
-		t.Fatalf("bytes differ: %d vs %d", a.TotalBytes(), b.TotalBytes())
-	}
+	return n
 }
 
 func TestSimErrorBoundCoversTruth(t *testing.T) {

@@ -44,14 +44,13 @@ type valve struct {
 
 // publish stamps and sends one push. A single indexed pass over the items
 // defaults an empty Source to the slot's stratum, stamps Pub with the
-// publish instant (and Ts too, where it is zero or the valve stamps at
+// publish instant pub (and Ts too, where it is zero or the valve stamps at
 // ingest), adds each value to *truth — item by item, in order, so
 // the running total is bit-identical to a per-item accumulator — and cuts
 // the items into runs of one sub-stream, each queued as a weight-1 batch
 // carrying its sub-stream's advanced low watermark. The runs then land with
 // one batched append. A closed bus surfaces as ErrSessionClosed.
-func (v *valve) publish(items []stream.Item, truth *paddedFloat) error {
-	pub := time.Now()
+func (v *valve) publish(pub time.Time, items []stream.Item, truth *paddedFloat) error {
 	pubNanos := pub.UnixNano()
 	v.last = pub
 	var (
@@ -187,7 +186,7 @@ func (in *Ingester) Push(items ...stream.Item) error {
 		return nil
 	}
 	if in.epoch.IsZero() {
-		in.epoch = time.Now()
+		in.epoch = time.Now() // pacing runs on the wall clock
 	}
 	if err := in.backpressure(); err != nil {
 		return err
@@ -198,7 +197,7 @@ func (in *Ingester) Push(items ...stream.Item) error {
 	// per-slot total is bit-identical to a per-item accumulator and the
 	// final fold (slot order, at shutdown) is deterministic.
 	fresh := len(in.marks) == 0
-	if err := in.publish(items, in.truth); err != nil {
+	if err := in.publish(e.clock.Now(), items, in.truth); err != nil {
 		return err
 	}
 	if fresh && in.stampTs {
@@ -320,7 +319,7 @@ func (in *Ingester) beatIfIdle() {
 		return
 	}
 	defer in.mu.Unlock()
-	now := time.Now()
+	now := in.e.clock.Now()
 	if at := in.idleBeatAt(); at.IsZero() || now.Before(at) {
 		return
 	}

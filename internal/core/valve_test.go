@@ -60,7 +60,7 @@ func TestValvePublishOnePassEqualsFour(t *testing.T) {
 					}
 				}
 				before := time.Now()
-				if err := v.publish(items, &truth); err != nil {
+				if err := v.publish(time.Now(), items, &truth); err != nil {
 					t.Fatal(err)
 				}
 				after := time.Now()
@@ -144,7 +144,7 @@ func TestValveDefaultSourceAddsNoAllocation(t *testing.T) {
 			for i := range items {
 				items[i] = stream.Item{Source: src, Value: float64(i), Ts: simEpoch}
 			}
-			if err := v.publish(items, &truth); err != nil {
+			if err := v.publish(time.Now(), items, &truth); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -78,14 +78,15 @@ func TestLossDropsRoughlyAtRate(t *testing.T) {
 
 func TestLossStillConsumesWireTime(t *testing.T) {
 	sim := vclock.NewSim(epoch)
-	l := NewLink(sim, WithBandwidth(Mbps(1)), WithLoss(1, 3)) // lose everything
-	l.Send(1250, nil)                                         // 10ms of wire
-	if got := l.Backlog(); got != 10*time.Millisecond {
-		t.Fatalf("lost message freed the wire: backlog %v", got)
+	l := NewLink(sim, WithBandwidth(Mbps(1)), WithLoss(1, 3))    // lose everything
+	l.Send(1250, func() { t.Fatal("a certain loss delivered") }) // 10ms of wire
+	if at := l.Send(1250, nil); !at.Equal(epoch.Add(20 * time.Millisecond)) {
+		t.Fatalf("lost message freed the wire: the next arrives %v, want +20ms", at.Sub(epoch))
 	}
-	if l.BytesSent() != 1250 {
-		t.Fatalf("lost message not counted as sent: %d bytes", l.BytesSent())
+	if l.MessagesLost() != 2 {
+		t.Fatalf("MessagesLost = %d, want 2", l.MessagesLost())
 	}
+	sim.Run()
 }
 
 func TestLossZeroAndClamped(t *testing.T) {

@@ -2,7 +2,9 @@
 // simulated time, replacing the paper's tc-shaped testbed network (§V-A):
 // per-link one-way propagation delay (their RTTs: 20/40/80 ms between
 // adjacent layers), finite bandwidth (1 Gbps links) with FIFO serialization,
-// and byte accounting for the Fig. 7 bandwidth-saving measurements.
+// seeded jitter and loss. The simulator's bus (internal/core) carries every
+// record of a simulated tree over these links and counts the bytes the
+// Fig. 7 bandwidth-saving measurements read.
 //
 // A Link is single-queue: message n+1 cannot start transmitting until
 // message n has left the sender, so a saturated link builds queueing delay
@@ -28,13 +30,7 @@ type Link struct {
 
 	busyUntil   time.Time
 	lastArrival time.Time // high-water arrival instant for FIFO clamping
-	bytesSent   int64
-	msgsSent    int64
 	msgsLost    int64
-	busyTime    time.Duration
-	firstSend   time.Time
-	lastSend    time.Time
-	started     bool
 }
 
 // LinkOption customizes a Link.
@@ -130,8 +126,7 @@ func NewLink(sim *vclock.Sim, opts ...LinkOption) *Link {
 // Send must be called from within the simulation loop (it reads the
 // simulated clock).
 func (l *Link) Send(size int, deliver func()) time.Time {
-	now := l.sim.Now()
-	start := now
+	start := l.sim.Now()
 	if l.busyUntil.After(start) {
 		start = l.busyUntil // FIFO: wait for the wire to free up
 	}
@@ -155,15 +150,6 @@ func (l *Link) Send(size int, deliver func()) time.Time {
 		l.lastArrival = arrival
 	}
 
-	l.bytesSent += int64(size)
-	l.msgsSent++
-	l.busyTime += tx
-	if !l.started {
-		l.firstSend = now
-		l.started = true
-	}
-	l.lastSend = now
-
 	if l.loss > 0 && l.rng.Bernoulli(l.loss) {
 		l.msgsLost++
 		return arrival // transmitted, then lost: no delivery event
@@ -176,46 +162,3 @@ func (l *Link) Send(size int, deliver func()) time.Time {
 
 // MessagesLost returns the number of messages dropped by the loss model.
 func (l *Link) MessagesLost() int64 { return l.msgsLost }
-
-// BytesSent returns the total payload bytes offered to the link.
-func (l *Link) BytesSent() int64 { return l.bytesSent }
-
-// MessagesSent returns the number of Send calls.
-func (l *Link) MessagesSent() int64 { return l.msgsSent }
-
-// Backlog returns how long a message sent now would wait before starting to
-// transmit — the current queueing delay.
-func (l *Link) Backlog() time.Duration {
-	now := l.sim.Now()
-	if l.busyUntil.After(now) {
-		return l.busyUntil.Sub(now)
-	}
-	return 0
-}
-
-// Utilization returns the fraction of time the wire was busy from the first
-// Send to the end of the last transmission. It reports 0 while nothing has
-// been transmitted.
-func (l *Link) Utilization() float64 {
-	if !l.started {
-		return 0
-	}
-	span := l.busyUntil.Sub(l.firstSend)
-	if span <= 0 {
-		return 0
-	}
-	u := float64(l.busyTime) / float64(span)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// ResetCounters clears the accounting (not the in-flight state); used
-// between benchmark phases.
-func (l *Link) ResetCounters() {
-	l.bytesSent = 0
-	l.msgsSent = 0
-	l.busyTime = 0
-	l.started = false
-}

@@ -11,6 +11,7 @@ import (
 
 	"github.com/approxiot/approxiot/internal/mq"
 	"github.com/approxiot/approxiot/internal/transport"
+	"github.com/approxiot/approxiot/internal/vclock"
 )
 
 // Runtime executes a Topology against a transport bus: one pump goroutine
@@ -23,9 +24,17 @@ import (
 // things: the source consumer's WaitChan (records may have arrived), Sync,
 // and the processor's deadline — one timer, armed only when the processor is
 // a Punctuator and reports one.
+//
+// A driven runtime (Driven) has no pump goroutine: its caller runs the same
+// cycle one step at a time (Step), on the caller's thread and clock.
 type Runtime struct {
 	topo    *Topology
-	noBatch bool // WithRecordAtATime: one record per ProcessBatch, one message per append
+	noBatch bool         // WithRecordAtATime: one record per ProcessBatch, one message per append
+	clock   vclock.Clock // every instant the runtime and its processor read
+	driven  bool         // Driven: Start launches no pump; the caller runs Step
+	// due is the processor's deadline as the pump (or Step) last read it,
+	// zero for none; owned by the pump goroutine, or Step's caller.
+	due time.Time
 
 	consumer transport.Consumer // the source's
 	producer transport.Producer
@@ -103,6 +112,17 @@ func WithRecordAtATime() RuntimeOption {
 	return func(r *Runtime) { r.noBatch = true }
 }
 
+// Driven makes the runtime a driven one, reading every instant from clock: its
+// Start initializes the processor but launches no pump goroutine, and the
+// caller runs the pump's cycle itself with Step, from one goroutine. The
+// simulator drives the engine's members this way in virtual time.
+func Driven(clock vclock.Clock) RuntimeOption {
+	return func(r *Runtime) {
+		r.clock = clock
+		r.driven = true
+	}
+}
+
 // NewRuntime prepares a runtime for topo over the given bus. appID
 // namespaces the consumer group, so multiple runtimes with distinct IDs
 // each receive the full stream, while runtimes sharing an ID split
@@ -111,6 +131,7 @@ func WithRecordAtATime() RuntimeOption {
 func NewRuntime(bus transport.Bus, topo *Topology, appID string, opts ...RuntimeOption) (*Runtime, error) {
 	r := &Runtime{
 		topo:     topo,
+		clock:    vclock.WallClock{},
 		producer: bus.NewProducer(),
 		syncCh:   make(chan func()),
 		done:     make(chan struct{}),
@@ -138,7 +159,7 @@ var (
 	_ OffsetReader     = (*procContext)(nil)
 )
 
-func (c *procContext) Now() time.Time { return time.Now() }
+func (c *procContext) Now() time.Time { return c.rt.clock.Now() }
 
 func (c *procContext) SourceCommitted() []PartitionOffset { return c.rt.SourceCommitted() }
 
@@ -190,16 +211,20 @@ func (r *Runtime) Start() error {
 		r.mu.Unlock()
 		return fmt.Errorf("streams: init %q: %w", r.topo.proc, err)
 	}
+	if r.driven {
+		return nil
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
 	go r.pump(ctx)
 	return nil
 }
 
-// pump is the single processing loop. It parks on the source topic's wake
-// channel — it wakes the moment records arrive, like a blocking Kafka poll.
-// The channel is armed before each poll so a record landing between the
-// empty poll and the park is never missed.
+// pump is the single processing loop: cycle after cycle, parked whenever one
+// fetches nothing. It parks on the source topic's wake channel — it wakes the
+// moment records arrive, like a blocking Kafka poll. The channel is armed
+// before each poll so a record landing between the empty poll and the park is
+// never missed.
 func (r *Runtime) pump(ctx context.Context) {
 	defer close(r.done)
 	defer r.busy.Store(false)
@@ -209,7 +234,6 @@ func (r *Runtime) pump(ctx context.Context) {
 	timer := time.NewTimer(time.Hour)
 	stopTimer(timer)
 	defer timer.Stop()
-	var due time.Time // the processor's deadline, zero for none
 	for {
 		if ctx.Err() != nil {
 			return
@@ -226,43 +250,15 @@ func (r *Runtime) pump(ctx context.Context) {
 			fn()
 		default:
 		}
-		if !due.IsZero() {
-			if now := time.Now(); !now.Before(due) {
-				r.punctuate(now, false)
-			}
-		}
-
 		wake := r.consumer.WaitChan()
-		recs, err := r.consumer.TryPollInto(r.recScratch[:0], pollBatch)
-		if err != nil {
-			if !errors.Is(err, mq.ErrClosed) {
-				r.fail(err)
-			}
+		n, ok := r.cycle()
+		if !ok {
 			return
 		}
-		r.recScratch = recs
-		// Hand the fetch to the processor in one call (one per record under
-		// WithRecordAtATime).
-		for lo, step := 0, r.step(len(recs)); lo < len(recs); lo += step {
-			if err := r.proc.ProcessBatch(recs[lo:min(lo+step, len(recs))]); err != nil {
-				r.fail(err)
-				return
-			}
-		}
-		if r.failed() {
-			return
-		}
-		if len(recs) > 0 {
-			// End-of-cycle cut: every record fetched this cycle has been
-			// dispatched, so observers see state consistent with the
-			// committed offsets (even when ctx was cancelled mid-cycle —
-			// the exit check at the loop top runs after this).
-			if r.observer != nil {
-				r.observer.AfterCycle()
-			}
+		if n > 0 {
 			// Records can bring a deadline forward (a first beat, a chain
 			// back from idle), and a pump that stays busy never parks.
-			due = r.deadline()
+			r.due = r.deadline()
 			continue
 		}
 		if r.consumer.TopicClosed() {
@@ -270,15 +266,15 @@ func (r *Runtime) pump(ctx context.Context) {
 			// again (and its wake channel fires forever). End-of-stream:
 			// punctuate the processor once, due or not, before exiting, so
 			// a windowed processor's buffered final window is forwarded.
-			r.punctuate(time.Now(), true)
+			r.punctuate(r.clock.Now(), true)
 			return
 		}
 		// Idle: park until records may have arrived, a Sync, or the
 		// processor's deadline.
-		due = r.deadline()
+		r.due = r.deadline()
 		var expiry <-chan time.Time
-		if !due.IsZero() {
-			timer.Reset(max(time.Until(due), 0))
+		if !r.due.IsZero() {
+			timer.Reset(max(r.due.Sub(r.clock.Now()), 0))
 			expiry = timer.C
 		}
 		r.busy.Store(false)
@@ -299,6 +295,62 @@ func (r *Runtime) pump(ctx context.Context) {
 	}
 }
 
+// cycle is one poll → process → punctuate round, the one both ways of
+// running a runtime repeat: the pump in a loop, a caller through Step. It
+// fetches what the source has ready, hands the fetch to the processor in one
+// call (one per record under WithRecordAtATime), passes the AfterCycle cut,
+// and punctuates the processor if r.due has passed and the deadline read now
+// has too — the records may have moved it. It returns how many records it
+// dispatched, and false once the runtime must stop: a failure, or a closed
+// broker.
+func (r *Runtime) cycle() (int, bool) {
+	recs, err := r.consumer.TryPollInto(r.recScratch[:0], pollBatch)
+	if err != nil {
+		if !errors.Is(err, mq.ErrClosed) {
+			r.fail(err)
+		}
+		return 0, false
+	}
+	r.recScratch = recs
+	for lo, step := 0, r.step(len(recs)); lo < len(recs); lo += step {
+		if err := r.proc.ProcessBatch(recs[lo:min(lo+step, len(recs))]); err != nil {
+			r.fail(err)
+			return 0, false
+		}
+	}
+	if r.failed() {
+		return 0, false
+	}
+	if len(recs) > 0 && r.observer != nil {
+		// End-of-cycle cut: every record fetched this cycle has been
+		// dispatched, so observers see state consistent with the committed
+		// offsets (even when the pump was cancelled mid-cycle — its exit
+		// check runs after this).
+		r.observer.AfterCycle()
+	}
+	if !r.due.IsZero() {
+		if now := r.clock.Now(); !now.Before(r.due) {
+			r.punctuate(now, false)
+		}
+	}
+	return len(recs), true
+}
+
+// Step runs one cycle of a driven runtime at its clock's current instant —
+// punctuating if the deadline the previous Step returned has passed, as the
+// pump does with the one it last read — and returns the processor's next
+// deadline, zero for none. The caller steps the runtime when records reach
+// its source topic and when the returned deadline comes, never concurrently,
+// and only between Start and Stop.
+func (r *Runtime) Step() time.Time {
+	_, ok := r.cycle()
+	r.due = time.Time{}
+	if ok {
+		r.due = r.deadline()
+	}
+	return r.due
+}
+
 // stopTimer stops t and empties its channel, leaving it safe to Reset: the
 // module's go line predates Go 1.23, so an expiry the pump did not wait for
 // stays buffered in t.C until it is taken out.
@@ -316,7 +368,7 @@ func (r *Runtime) deadline() time.Time {
 	if r.punct == nil {
 		return time.Time{}
 	}
-	return r.punct.Deadline(time.Now())
+	return r.punct.Deadline(r.clock.Now())
 }
 
 // punctuate runs the processor's time-driven work if its deadline has passed
@@ -359,8 +411,10 @@ func (r *Runtime) Stop() error {
 	r.mu.Unlock()
 
 	if started {
-		r.cancel()
-		<-r.done
+		if r.cancel != nil {
+			r.cancel()
+			<-r.done
+		}
 		if err := r.proc.Close(); err != nil {
 			r.fail(fmt.Errorf("streams: close %q: %w", r.topo.proc, err))
 		}
@@ -386,8 +440,10 @@ func (r *Runtime) Freeze() {
 	}
 	r.frozen = true
 	r.mu.Unlock()
-	r.cancel()
-	<-r.done
+	if r.cancel != nil {
+		r.cancel()
+		<-r.done
+	}
 }
 
 // Sync runs fn on the pump goroutine between processing cycles — at a point
@@ -395,13 +451,19 @@ func (r *Runtime) Freeze() {
 // and returns once fn has completed. Processor state observed by fn is
 // consistent with the source consumer's committed offsets, which makes Sync
 // the barrier primitive for checkpoint-before-rebalance. It fails if the
-// pump is not running (never started, stopped, frozen, or failed).
+// pump is not running (never started, stopped, frozen, or failed). A driven
+// runtime runs fn at once on the caller's goroutine — the one that runs Step,
+// which is between cycles whenever it is not inside Step.
 func (r *Runtime) Sync(fn func()) error {
 	r.mu.Lock()
 	running := r.started && !r.stopped && !r.frozen
 	r.mu.Unlock()
 	if !running {
 		return errors.New("streams: runtime not running")
+	}
+	if r.driven {
+		fn() // Step's goroutine, which is between cycles whenever it is here
+		return nil
 	}
 	done := make(chan struct{})
 	select {
@@ -439,7 +501,7 @@ func (r *Runtime) Busy() bool { return r.busy.Load() }
 // (0 when fully caught up). Drain logic uses it to detect quiescence.
 func (r *Runtime) Lag() int64 { return r.consumer.Lag() }
 
-// Done is closed when the pump goroutine exits.
+// Done is closed when the pump goroutine exits (never, on a driven runtime).
 func (r *Runtime) Done() <-chan struct{} { return r.done }
 
 // Err returns the first error the runtime hit, if any.

@@ -1,65 +1,45 @@
-// Package vclock provides the time abstraction used by every ApproxIoT
-// component. Components never call time.Now directly; they hold a Clock.
+// Package vclock provides the time abstraction of the ApproxIoT engine: one
+// Clock per run, read by every component that needs the current instant.
 //
 // Two implementations are provided:
 //
-//   - WallClock: thin wrapper over the runtime clock, used in live mode.
-//   - Sim: a deterministic discrete-event scheduler, used in simulated mode
-//     for the latency/bandwidth/accuracy experiments. Time only advances when
-//     the simulation runs an event, so experiments that emulate minutes of
-//     WAN traffic finish in milliseconds and are exactly reproducible.
+//   - WallClock: the runtime clock, which the live engine reads.
+//   - Sim: a deterministic discrete-event scheduler. The simulator runs the
+//     same engine on it, single-threaded: time only advances when the
+//     simulation runs an event, so experiments that emulate minutes of WAN
+//     traffic finish in milliseconds and are exactly reproducible.
+//
+// The engine (internal/core) and its member runtimes (internal/streams) read
+// every instant from their Clock: the member contexts and pumps, the
+// sweeper, session open and finalize, the valves' publish stamps and idle
+// beats, the elastic verbs. Wall time remains only where a driven engine
+// never goes:
+//
+//   - the real timers a live pump and the live sweeper park on (the instants
+//     they wait for come from the Clock; a driven engine arms Sim events
+//     instead);
+//   - a valve's SourceRate pacing and its backpressure waits;
+//   - the drain probe and its DrainTimeout deadline;
+//   - the RootWork spin, which burns real CPU by design.
+//
+// Outside the engine, the mq producer stamps record timestamps from time.Now
+// unless given mq.WithNow (the simulator's bus passes its Sim's Now), and
+// the TCP transport, the ops exposition and the benchmark run on wall time.
 package vclock
 
 import "time"
 
-// Clock is the minimal time source shared by live and simulated modes.
+// Clock is the time source shared by live and simulated modes.
 type Clock interface {
 	// Now returns the current instant on this clock.
 	Now() time.Time
 }
 
-// Scheduler extends Clock with the ability to run a function at a future
-// instant. The simulated clock executes callbacks in timestamp order; the
-// wall clock delegates to time.AfterFunc.
-type Scheduler interface {
-	Clock
-	// At schedules fn to run at instant t. If t is not after Now, fn runs
-	// at Now (it is never dropped). Returns a handle that can cancel the
-	// pending call.
-	At(t time.Time, fn func()) Timer
-	// After schedules fn to run d after Now.
-	After(d time.Duration, fn func()) Timer
-}
-
-// Timer is a handle to a scheduled callback.
-type Timer interface {
-	// Stop cancels the callback if it has not fired yet and reports
-	// whether it was cancelled before firing.
-	Stop() bool
-}
-
-// WallClock implements Scheduler on the real runtime clock.
+// WallClock implements Clock on the real runtime clock.
 // The zero value is ready to use.
 type WallClock struct{}
 
-var _ Scheduler = WallClock{}
+var _ Clock = WallClock{}
 
 // Now returns time.Now().
 func (WallClock) Now() time.Time { return time.Now() }
-
-// At runs fn when the wall clock reaches t.
-func (w WallClock) At(t time.Time, fn func()) Timer {
-	return w.After(time.Until(t), fn)
-}
-
-// After runs fn once d has elapsed.
-func (WallClock) After(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return wallTimer{time.AfterFunc(d, fn)}
-}
-
-type wallTimer struct{ t *time.Timer }
-
-func (w wallTimer) Stop() bool { return w.t.Stop() }

@@ -12,7 +12,7 @@ import (
 // every simulated experiment exactly reproducible.
 //
 // Sim is safe for concurrent scheduling, but Run/Step must be driven from a
-// single goroutine. In ApproxIoT's simulated mode the entire tree executes
+// single goroutine. In ApproxIoT's simulated mode the entire engine executes
 // inside the event loop, so callbacks themselves run single-threaded.
 type Sim struct {
 	mu    sync.Mutex
@@ -21,7 +21,7 @@ type Sim struct {
 	queue eventQueue
 }
 
-var _ Scheduler = (*Sim)(nil)
+var _ Clock = (*Sim)(nil)
 
 // NewSim returns a simulator whose clock starts at start.
 func NewSim(start time.Time) *Sim {
@@ -35,8 +35,9 @@ func (s *Sim) Now() time.Time {
 	return s.now
 }
 
-// At schedules fn at instant t. Scheduling in the past clamps to Now.
-func (s *Sim) At(t time.Time, fn func()) Timer {
+// At schedules fn at instant t and returns a handle that can cancel it.
+// Scheduling in the past clamps to Now: fn is never dropped.
+func (s *Sim) At(t time.Time, fn func()) *Timer {
 	if fn == nil {
 		panic("vclock: nil callback")
 	}
@@ -45,14 +46,14 @@ func (s *Sim) At(t time.Time, fn func()) Timer {
 	if t.Before(s.now) {
 		t = s.now
 	}
-	ev := &event{at: t, seq: s.seq, fn: fn}
+	ev := &Timer{at: t, seq: s.seq, fn: fn}
 	s.seq++
 	heap.Push(&s.queue, ev)
-	return simTimer{ev: ev}
+	return ev
 }
 
 // After schedules fn at Now+d.
-func (s *Sim) After(d time.Duration, fn func()) Timer {
+func (s *Sim) After(d time.Duration, fn func()) *Timer {
 	s.mu.Lock()
 	base := s.now
 	s.mu.Unlock()
@@ -68,7 +69,7 @@ func (s *Sim) Step() bool {
 			s.mu.Unlock()
 			return false
 		}
-		ev := heap.Pop(&s.queue).(*event)
+		ev := heap.Pop(&s.queue).(*Timer)
 		if ev.cancelled {
 			s.mu.Unlock()
 			continue
@@ -90,45 +91,6 @@ func (s *Sim) Run() int {
 	return n
 }
 
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to deadline. Events scheduled beyond the deadline stay queued.
-func (s *Sim) RunUntil(deadline time.Time) int {
-	n := 0
-	for {
-		s.mu.Lock()
-		if s.queue.Len() == 0 || s.queue[0].at.After(deadline) {
-			if s.now.Before(deadline) {
-				s.now = deadline
-			}
-			s.mu.Unlock()
-			return n
-		}
-		s.mu.Unlock()
-		if !s.Step() {
-			return n
-		}
-		n++
-	}
-}
-
-// RunFor executes events for a simulated duration d from the current instant.
-func (s *Sim) RunFor(d time.Duration) int {
-	return s.RunUntil(s.Now().Add(d))
-}
-
-// Pending reports the number of queued (non-cancelled) events.
-func (s *Sim) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, ev := range s.queue {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
 // String describes the simulator state, mainly for test failure messages.
 func (s *Sim) String() string {
 	s.mu.Lock()
@@ -136,7 +98,9 @@ func (s *Sim) String() string {
 	return fmt.Sprintf("sim(now=%s pending=%d)", s.now.Format(time.RFC3339Nano), s.queue.Len())
 }
 
-type event struct {
+// Timer is one scheduled callback: an event of the queue, and the handle At
+// and After return.
+type Timer struct {
 	at        time.Time
 	seq       uint64
 	fn        func()
@@ -144,23 +108,21 @@ type event struct {
 	index     int
 }
 
-type simTimer struct{ ev *event }
-
-func (t simTimer) Stop() bool {
-	if t.ev.cancelled {
-		return false
-	}
+// Stop cancels the callback if it has not fired yet and reports whether it
+// was cancelled before firing. Like Run and Step, it belongs to the goroutine
+// driving the simulation.
+func (t *Timer) Stop() bool {
 	// Cancellation is lazy: the event stays in the heap and is skipped when
 	// popped. index == -1 means it already fired.
-	if t.ev.index == -1 {
+	if t.cancelled || t.index == -1 {
 		return false
 	}
-	t.ev.cancelled = true
+	t.cancelled = true
 	return true
 }
 
 // eventQueue is a min-heap ordered by (at, seq).
-type eventQueue []*event
+type eventQueue []*Timer
 
 func (q eventQueue) Len() int { return len(q) }
 
@@ -178,7 +140,7 @@ func (q eventQueue) Swap(i, j int) {
 }
 
 func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
+	ev := x.(*Timer)
 	ev.index = len(*q)
 	*q = append(*q, ev)
 }

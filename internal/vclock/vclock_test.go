@@ -90,24 +90,25 @@ func TestSimCascadingEvents(t *testing.T) {
 	}
 }
 
-func TestSimRunUntilLeavesLaterEventsQueued(t *testing.T) {
+// TestSimStepLeavesLaterEventsQueued: Step runs the earliest event alone,
+// moving the clock to it; a later one stays queued until a further Step, and
+// an empty queue steps nothing.
+func TestSimStepLeavesLaterEventsQueued(t *testing.T) {
 	s := NewSim(epoch)
 	var fired []string
-	s.After(10*time.Millisecond, func() { fired = append(fired, "early") })
 	s.After(100*time.Millisecond, func() { fired = append(fired, "late") })
-	n := s.RunUntil(epoch.Add(50 * time.Millisecond))
-	if n != 1 || len(fired) != 1 || fired[0] != "early" {
-		t.Fatalf("RunUntil fired %v (n=%d), want only early", fired, n)
+	s.After(10*time.Millisecond, func() { fired = append(fired, "early") })
+	if !s.Step() || len(fired) != 1 || fired[0] != "early" {
+		t.Fatalf("first Step fired %v, want only early", fired)
 	}
-	if want := epoch.Add(50 * time.Millisecond); !s.Now().Equal(want) {
-		t.Fatalf("now = %v, want deadline %v", s.Now(), want)
+	if want := epoch.Add(10 * time.Millisecond); !s.Now().Equal(want) {
+		t.Fatalf("now = %v, want %v", s.Now(), want)
 	}
-	if p := s.Pending(); p != 1 {
-		t.Fatalf("Pending() = %d, want 1", p)
-	}
-	s.Run()
-	if len(fired) != 2 {
+	if !s.Step() || len(fired) != 2 {
 		t.Fatalf("late event lost: fired=%v", fired)
+	}
+	if s.Step() {
+		t.Fatal("Step on an empty queue reported an event")
 	}
 }
 
@@ -136,15 +137,6 @@ func TestSimStopAfterFire(t *testing.T) {
 	}
 }
 
-func TestSimRunForAdvancesRelative(t *testing.T) {
-	s := NewSim(epoch)
-	s.RunFor(time.Second)
-	s.RunFor(time.Second)
-	if want := epoch.Add(2 * time.Second); !s.Now().Equal(want) {
-		t.Fatalf("now = %v, want %v", s.Now(), want)
-	}
-}
-
 func TestSimConcurrentScheduling(t *testing.T) {
 	s := NewSim(epoch)
 	var count atomic.Int64
@@ -165,27 +157,5 @@ func TestSimConcurrentScheduling(t *testing.T) {
 	}
 	if count.Load() != 800 {
 		t.Fatalf("count = %d, want 800", count.Load())
-	}
-}
-
-func TestWallClockAfterFires(t *testing.T) {
-	var w WallClock
-	ch := make(chan struct{})
-	w.After(time.Millisecond, func() { close(ch) })
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("wall-clock timer never fired")
-	}
-}
-
-func TestWallClockNegativeDelayClamped(t *testing.T) {
-	var w WallClock
-	ch := make(chan struct{})
-	w.At(time.Now().Add(-time.Hour), func() { close(ch) })
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("past-deadline wall timer never fired")
 	}
 }
