@@ -316,8 +316,7 @@ type Config struct {
 	// Two backends ship with the package — NewMemoryCheckpointStore and
 	// NewFileCheckpointStore. Saves are best-effort and off the hot path;
 	// failures surface on Snapshot.CheckpointErrors. Every strategy runs
-	// windowed live, so every strategy checkpoints. Run and Simulate ignore
-	// it.
+	// windowed live, so every strategy checkpoints. Simulate ignores it.
 	Checkpoint CheckpointStore
 	// OpsAddr, when non-empty, makes Open serve the deployment's
 	// operational HTTP surface on this address ("127.0.0.1:9377", or ":0"
@@ -335,12 +334,12 @@ type Config struct {
 	OnWindow func(WindowResult)
 	// Partitions is the partition count of every live mq topic (default 1).
 	// Records are keyed by sub-stream, so ordering within a stratum is
-	// preserved at any partition count. Simulated runs ignore it.
+	// preserved at any partition count.
 	Partitions int
 	// RootShards sizes the live root consumer group (default 1, clamped to
 	// Partitions). Shards aggregate their partitions independently and are
 	// merged at window close; the Eq. 8 weights keep the merged count
-	// estimate exact at any shard count. Simulated runs ignore it.
+	// estimate exact at any shard count.
 	RootShards int
 	// LayerShards sizes every interior (edge-layer) node's live consumer
 	// group (default 1, clamped to Partitions): each node runs as that
@@ -349,7 +348,7 @@ type Config struct {
 	// independently. Weight compounding keeps the count estimate exact at
 	// any member count, so there is no merge step. Per-layer control is
 	// available on core.LiveConfig.LayerShards; this knob applies one
-	// count to all edge layers. Simulated runs ignore it.
+	// count to all edge layers.
 	LayerShards int
 	// Seed makes runs reproducible.
 	Seed uint64
@@ -434,6 +433,34 @@ func (c Config) cost() core.CostFunction {
 // simulation.
 func (c Config) streaming() bool { return c.Strategy == SRS || c.Strategy == Native }
 
+// engineConfig is the core config every entry point runs: Run adds the item
+// count, Simulate the virtual-time span, and Open feeds it by pushes.
+func (c Config) engineConfig(source func(i int) Source) core.LiveConfig {
+	return core.LiveConfig{
+		Spec:            c.Tree,
+		Source:          source,
+		NewSampler:      c.samplerFactory(),
+		Cost:            c.cost(),
+		Window:          c.Window,
+		Queries:         c.Queries,
+		Slide:           c.Slide,
+		Confidence:      c.Confidence,
+		Partitions:      c.Partitions,
+		RootShards:      c.RootShards,
+		LayerShards:     c.layerShards(),
+		Seed:            c.Seed,
+		Feedback:        c.Adaptive,
+		SourceRate:      c.SourceRate,
+		MaxIngestLag:    c.MaxIngestLag,
+		DrainTimeout:    c.DrainTimeout,
+		OnWindow:        c.OnWindow,
+		EventTime:       c.EventTime,
+		AllowedLateness: c.AllowedLateness,
+		IdleTimeout:     c.IdleTimeout,
+		Checkpoint:      c.Checkpoint,
+	}
+}
+
 // Simulate runs the configured pipeline on deterministic virtual time for
 // the given duration: source i's items come from source(i), WAN links use
 // the tree's RTT/bandwidth parameters, and every window result is reported.
@@ -442,20 +469,9 @@ func (c Config) streaming() bool { return c.Strategy == SRS || c.Strategy == Nat
 func Simulate(cfg Config, source func(i int) Source, duration time.Duration) (*SimResult, error) {
 	cfg = cfg.normalize()
 	return core.RunSim(core.SimConfig{
-		Spec:            cfg.Tree,
-		Source:          source,
-		NewSampler:      cfg.samplerFactory(),
-		Cost:            cfg.cost(),
-		Duration:        duration,
-		Queries:         cfg.Queries,
-		Slide:           cfg.Slide,
-		Confidence:      cfg.Confidence,
-		Seed:            cfg.Seed,
-		Feedback:        cfg.Adaptive,
-		OnWindow:        cfg.OnWindow,
-		Streaming:       cfg.streaming(),
-		AllowedLateness: cfg.AllowedLateness,
-		IdleTimeout:     cfg.IdleTimeout,
+		LiveConfig: cfg.engineConfig(source),
+		Duration:   duration,
+		Streaming:  cfg.streaming(),
 	})
 }
 
@@ -471,30 +487,9 @@ func Simulate(cfg Config, source func(i int) Source, duration time.Duration) (*S
 // valves external pushers use, and closes. Long-lived services that push
 // their own data should hold a Deployment instead.
 func Run(cfg Config, source func(i int) Source, items int64) (*LiveResult, error) {
-	cfg = cfg.normalize()
-	return core.RunLive(core.LiveConfig{
-		Spec:            cfg.Tree,
-		Source:          source,
-		NewSampler:      cfg.samplerFactory(),
-		Cost:            cfg.cost(),
-		Items:           items,
-		Window:          cfg.Window,
-		Queries:         cfg.Queries,
-		Slide:           cfg.Slide,
-		Confidence:      cfg.Confidence,
-		Partitions:      cfg.Partitions,
-		RootShards:      cfg.RootShards,
-		LayerShards:     cfg.layerShards(),
-		Seed:            cfg.Seed,
-		Feedback:        cfg.Adaptive,
-		SourceRate:      cfg.SourceRate,
-		MaxIngestLag:    cfg.MaxIngestLag,
-		DrainTimeout:    cfg.DrainTimeout,
-		OnWindow:        cfg.OnWindow,
-		EventTime:       cfg.EventTime,
-		AllowedLateness: cfg.AllowedLateness,
-		IdleTimeout:     cfg.IdleTimeout,
-	})
+	lc := cfg.normalize().engineConfig(source)
+	lc.Items = items
+	return core.RunLive(lc)
 }
 
 // NewGenerator builds a workload generator over explicit sub-stream specs.

@@ -76,7 +76,7 @@ func TestSimulateFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
-	if res.Generated == 0 || len(res.Windows) == 0 {
+	if res.Produced == 0 || len(res.Windows) == 0 {
 		t.Fatalf("empty simulation: %+v", res)
 	}
 	if loss := res.AccuracyLoss(Sum); loss > 0.02 {
@@ -91,7 +91,7 @@ func TestSimulateAllStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Simulate(%v): %v", s, err)
 		}
-		if res.Generated == 0 {
+		if res.Produced == 0 {
 			t.Fatalf("Simulate(%v) generated nothing", s)
 		}
 		if s == Native && res.AccuracyLoss(Sum) > 1e-9 {

@@ -95,28 +95,7 @@ var (
 // A nil ctx behaves like context.Background().
 func Open(ctx context.Context, cfg Config) (*Deployment, error) {
 	cfg = cfg.normalize()
-	s, err := core.OpenLive(ctx, core.LiveConfig{
-		Spec:            cfg.Tree,
-		NewSampler:      cfg.samplerFactory(),
-		Cost:            cfg.cost(),
-		Window:          cfg.Window,
-		Queries:         cfg.Queries,
-		Slide:           cfg.Slide,
-		Confidence:      cfg.Confidence,
-		Partitions:      cfg.Partitions,
-		RootShards:      cfg.RootShards,
-		LayerShards:     cfg.layerShards(),
-		Seed:            cfg.Seed,
-		Feedback:        cfg.Adaptive,
-		SourceRate:      cfg.SourceRate,
-		MaxIngestLag:    cfg.MaxIngestLag,
-		DrainTimeout:    cfg.DrainTimeout,
-		OnWindow:        cfg.OnWindow,
-		EventTime:       cfg.EventTime,
-		AllowedLateness: cfg.AllowedLateness,
-		IdleTimeout:     cfg.IdleTimeout,
-		Checkpoint:      cfg.Checkpoint,
-	})
+	s, err := core.OpenLive(ctx, cfg.engineConfig(nil))
 	if err != nil {
 		return nil, err
 	}

@@ -320,8 +320,8 @@ func TestOpenEventTime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Simulate(SRS, EventTime): %v", err)
 	}
-	if got := sim.TotalEstimate(Count); got != float64(sim.Generated) {
-		t.Fatalf("simulated SRS count %.1f, want the %d generated", got, sim.Generated)
+	if got := sim.TotalEstimate(Count); got != float64(sim.Produced) {
+		t.Fatalf("simulated SRS count %.1f, want the %d generated", got, sim.Produced)
 	}
 }
 

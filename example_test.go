@@ -66,7 +66,7 @@ func ExampleSimulate() {
 		return
 	}
 	fmt.Printf("generated %d, estimated %.0f\n",
-		res.Generated, res.TotalEstimate(approxiot.Count))
+		res.Produced, res.TotalEstimate(approxiot.Count))
 	// Output: generated 9600, estimated 9600
 }
 

@@ -79,7 +79,7 @@ func replay(f float64) (*approxiot.SimResult, error) {
 	for _, w := range res.Windows {
 		estInput += w.EstimatedInput
 	}
-	produced := float64(res.Generated)
+	produced := float64(res.Produced)
 	if rel := relErr(estInput+res.LateDroppedInput, produced); rel > relTol {
 		return nil, fmt.Errorf("accounting identity violated at fraction %.2f: Σ estimated input %.3f + late %.3f != produced %.0f (rel %.3g)",
 			f, estInput, res.LateDroppedInput, produced, rel)
@@ -140,12 +140,12 @@ func runOnce() error {
 	if err != nil {
 		return err
 	}
-	if res.Generated < *events {
-		return fmt.Errorf("replay produced %d events, below the -events floor %d", res.Generated, *events)
+	if res.Produced < *events {
+		return fmt.Errorf("replay produced %d events, below the -events floor %d", res.Produced, *events)
 	}
 
 	fmt.Printf("replayed %d events across %d windows (%v of virtual time)\n\n",
-		res.Generated, len(res.Windows), res.Elapsed.Round(time.Second))
+		res.Produced, len(res.Windows), res.Elapsed.Round(time.Second))
 
 	w := busiest(res)
 	tk := w.Result(approxiot.TopKOf(*topk))
@@ -163,7 +163,7 @@ func runOnce() error {
 	fmt.Printf("p%.0f fare, run mean:    $%.2f ± $%.2f\n", 100**quant, qv, qh)
 
 	fmt.Printf("\nrun totals: fares estimated $%.2f vs exact $%.2f (loss %.4f%%)\n",
-		res.TotalEstimate(approxiot.Sum), res.TotalTruth(), 100*res.AccuracyLoss(approxiot.Sum))
+		res.TotalEstimate(approxiot.Sum), res.TruthSum, 100*res.AccuracyLoss(approxiot.Sum))
 	fmt.Printf("accounting: COUNT census-exact, identity holds to rel %.0e (gated)\n", relTol)
 	fmt.Printf("bandwidth:  edge uplinks carried %.1f%% of the raw stream\n", 100*uplinkShare(res))
 	fmt.Printf("latency:    mean %v, p95 %v\n",

@@ -86,8 +86,8 @@ func TestReplayThroughSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Simulate(replay): %v", err)
 	}
-	if res.Generated != int64(len(items)) {
-		t.Fatalf("replayed %d of %d items", res.Generated, len(items))
+	if res.Produced != int64(len(items)) {
+		t.Fatalf("replayed %d of %d items", res.Produced, len(items))
 	}
 	if got := res.TotalEstimate(Count); math.Abs(got-float64(len(items))) > 1e-6 {
 		t.Fatalf("count invariant on replayed trace: %g vs %d", got, len(items))

@@ -90,7 +90,7 @@ func AblationAllocator(scale Scale) (Figure, error) {
 				return fig, fmt.Errorf("bench: allocator ablation: %w", err)
 			}
 			lossSum += res.AccuracyLoss(query.Sum) * 100
-			fracSum += 100 * float64(res.RootObserved) / float64(res.Generated)
+			fracSum += 100 * float64(res.RootProcessed) / float64(res.Produced)
 		}
 		x := float64(i + 1)
 		fig.Series[0].Point(x, lossSum/float64(scale.Reps))

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +18,32 @@ func testScale() Scale {
 		LiveItems:        10000,
 		RootWork:         40 * time.Microsecond,
 		Seed:             2018,
+	}
+}
+
+// checkGolden compares a seeded simulated figure's formatted table with
+// testdata/<id>.golden, so a refactor that moves any figure value fails even
+// where the shape claims still hold. A missing golden is written from this
+// run and the test fails, so the new file gets reviewed and committed.
+func checkGolden(t *testing.T, fig Figure) {
+	t.Helper()
+	path := filepath.Join("testdata", fig.ID+".golden")
+	got := fig.Format()
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote missing golden %s; commit it", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("Figure %s differs from %s:\n--- got\n%s--- want\n%s", fig.ID, path, got, want)
 	}
 }
 
@@ -35,6 +63,7 @@ func TestFig5aShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig5a: %v", err)
 	}
+	checkGolden(t, fig)
 	whs, srs := fig.Find("ApproxIoT"), fig.Find("SRS")
 	if whs == nil || srs == nil || len(whs.Y) != 6 {
 		t.Fatalf("malformed figure: %+v", fig)
@@ -60,6 +89,7 @@ func TestFig5bShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig5b: %v", err)
 	}
+	checkGolden(t, fig)
 	whs, srs := fig.Find("ApproxIoT"), fig.Find("SRS")
 	if seriesMean(whs) >= seriesMean(srs) {
 		t.Errorf("Poisson: ApproxIoT mean %.4f%% not below SRS %.4f%%", seriesMean(whs), seriesMean(srs))
@@ -94,6 +124,7 @@ func TestFig7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig7: %v", err)
 	}
+	checkGolden(t, fig)
 	for _, label := range []string{"ApproxIoT", "SRS"} {
 		s := fig.Find(label)
 		for i, pct := range s.X {
@@ -110,6 +141,7 @@ func TestFig8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig8: %v", err)
 	}
+	checkGolden(t, fig)
 	whs, native := fig.Find("ApproxIoT"), fig.Find("Native")
 	w10, _ := whs.At(10)
 	n10, _ := native.At(10)
@@ -124,6 +156,7 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig9: %v", err)
 	}
+	checkGolden(t, fig)
 	whs, srs := fig.Find("ApproxIoT"), fig.Find("SRS")
 	// ApproxIoT grows with window.
 	if whs.Y[len(whs.Y)-1] <= whs.Y[0] {
@@ -140,6 +173,7 @@ func TestFig10aShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig10a: %v", err)
 	}
+	checkGolden(t, fig)
 	whs, srs := fig.Find("ApproxIoT"), fig.Find("SRS")
 	if seriesMean(whs) >= seriesMean(srs) {
 		t.Errorf("fluctuating rates: ApproxIoT %.4f%% not below SRS %.4f%%", seriesMean(whs), seriesMean(srs))
@@ -151,6 +185,7 @@ func TestFig10cShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig10c: %v", err)
 	}
+	checkGolden(t, fig)
 	whs, srs := fig.Find("ApproxIoT"), fig.Find("SRS")
 	// The headline claim: under extreme skew SRS collapses, ApproxIoT holds.
 	if seriesMean(srs) < 3*seriesMean(whs) {
@@ -168,6 +203,7 @@ func TestFig11aShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig11a: %v", err)
 	}
+	checkGolden(t, fig)
 	taxi, poll := fig.Find("NYC-Taxi"), fig.Find("Brasov-Pollution")
 	// Pollution values are more stable → lower/flatter curve than taxi.
 	if seriesMean(poll) > seriesMean(taxi) {

@@ -24,10 +24,10 @@ func Fig8(scale Scale) (Figure, error) {
 	}
 	src := gaussianMicroSources(scale.RatePerSubstream, topology.Testbed().Sources)
 	// Saturate: the root can service only half the offered native load.
-	serviceRate := 4 * scale.RatePerSubstream / 2
+	rootWork := time.Duration(float64(time.Second) / (4 * scale.RatePerSubstream / 2))
 
 	saturate := func(c *core.SimConfig) {
-		c.RootServiceRate = serviceRate
+		c.RootWork = rootWork
 		c.Spec.Window = time.Second
 		// Saturation latency accumulates over time; give the backlog long
 		// enough to dominate the window waits, as in the paper's runs.

@@ -57,12 +57,14 @@ func poissonMicroSources(ratePerSubstream float64, sources int) sourceFunc {
 // simFor runs one simulated experiment for a system at a fraction.
 func simFor(sys system, fraction float64, src func(i int) workload.Source, scale Scale, mutate func(*core.SimConfig)) (*core.SimResult, error) {
 	cfg := core.SimConfig{
-		Spec:     topology.Testbed(),
-		Source:   src,
-		Cost:     core.EffectiveFractionBudget{Fraction: fraction},
+		LiveConfig: core.LiveConfig{
+			Spec:    topology.Testbed(),
+			Source:  src,
+			Cost:    core.EffectiveFractionBudget{Fraction: fraction},
+			Queries: []query.Kind{query.Sum, query.Count},
+			Seed:    scale.Seed,
+		},
 		Duration: scale.SimDuration,
-		Queries:  []query.Kind{query.Sum, query.Count},
-		Seed:     scale.Seed,
 	}
 	switch sys {
 	case sysWHS:

@@ -116,12 +116,14 @@ func TestAdaptiveRejectsCountOnlyQueries(t *testing.T) {
 		t.Fatalf("live err = %v, want ErrFeedbackNeedsQuery", err)
 	}
 	if _, err := RunSim(SimConfig{
-		Spec:       topology.Testbed(),
-		Source:     microSource(9, 250),
-		NewSampler: WHSFactory(),
-		Duration:   2 * time.Second,
-		Queries:    []query.Kind{query.Count},
-		Feedback:   NewFeedbackController(0.1, 0.02),
+		LiveConfig: LiveConfig{
+			Spec:       topology.Testbed(),
+			Source:     microSource(9, 250),
+			NewSampler: WHSFactory(),
+			Queries:    []query.Kind{query.Count},
+			Feedback:   NewFeedbackController(0.1, 0.02),
+		},
+		Duration: 2 * time.Second,
 	}); !errors.Is(err, ErrFeedbackNeedsQuery) {
 		t.Fatalf("sim err = %v, want ErrFeedbackNeedsQuery", err)
 	}

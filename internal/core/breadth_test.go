@@ -171,15 +171,17 @@ func TestCrossModeQueryBreadth(t *testing.T) {
 	queries := breadthQueries()
 
 	sim, err := RunSim(SimConfig{
-		Spec:            spec,
-		Source:          func(i int) workload.Source { return &sliceSource{items: items[i]} },
-		NewSampler:      WHSFactory(),
-		Cost:            census,
-		Duration:        span,
-		Queries:         queries,
-		Slide:           slide,
-		Seed:            21,
-		AllowedLateness: span,
+		LiveConfig: LiveConfig{
+			Spec:            spec,
+			Source:          func(i int) workload.Source { return &sliceSource{items: items[i]} },
+			NewSampler:      WHSFactory(),
+			Cost:            census,
+			Queries:         queries,
+			Slide:           slide,
+			Seed:            21,
+			AllowedLateness: span,
+		},
+		Duration: span,
 	})
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)
@@ -248,7 +250,7 @@ func TestCrossModeQueryBreadth(t *testing.T) {
 	for _, w := range sim.Windows {
 		simCount += w.EstimatedInput
 	}
-	assertCountInvariant(t, "sim breadth", simCount+float64(sim.LateDropped), float64(sim.Generated))
+	assertCountInvariant(t, "sim breadth", simCount+float64(sim.LateDropped), float64(sim.Produced))
 }
 
 // recomputeSliding recomputes window i's sliding composite for one kind from
@@ -333,21 +335,23 @@ func TestSlidingPaneHistoryProperty(t *testing.T) {
 	}
 
 	sim, err := RunSim(SimConfig{
-		Spec:            spec,
-		Source:          func(i int) workload.Source { return &sliceSource{items: items[i]} },
-		NewSampler:      WHSFactory(),
-		Cost:            EffectiveFractionBudget{Fraction: 1},
-		Duration:        span,
-		Queries:         []query.Kind{query.Sum, query.Count},
-		Slide:           slide,
-		Seed:            21,
-		AllowedLateness: span,
+		LiveConfig: LiveConfig{
+			Spec:            spec,
+			Source:          func(i int) workload.Source { return &sliceSource{items: items[i]} },
+			NewSampler:      WHSFactory(),
+			Cost:            EffectiveFractionBudget{Fraction: 1},
+			Queries:         []query.Kind{query.Sum, query.Count},
+			Slide:           slide,
+			Seed:            21,
+			AllowedLateness: span,
+		},
+		Duration: span,
 	})
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)
 	}
-	if sim.Generated != int64(kept) {
-		t.Fatalf("sim generated %d, want %d", sim.Generated, kept)
+	if sim.Produced != int64(kept) {
+		t.Fatalf("sim generated %d, want %d", sim.Produced, kept)
 	}
 	check("sim", sim.Windows)
 
@@ -507,13 +511,15 @@ func TestQuantileBoundMonotoneInFraction(t *testing.T) {
 	widths := make([]float64, len(fractions))
 	for fi, f := range fractions {
 		sim, err := RunSim(SimConfig{
-			Spec:       topology.Testbed(),
-			Source:     microSource(9, 400),
-			NewSampler: WHSFactory(),
-			Cost:       EffectiveFractionBudget{Fraction: f},
-			Duration:   5 * time.Second,
-			Queries:    []query.Kind{query.Count, med},
-			Seed:       9,
+			LiveConfig: LiveConfig{
+				Spec:       topology.Testbed(),
+				Source:     microSource(9, 400),
+				NewSampler: WHSFactory(),
+				Cost:       EffectiveFractionBudget{Fraction: f},
+				Queries:    []query.Kind{query.Count, med},
+				Seed:       9,
+			},
+			Duration: 5 * time.Second,
 		})
 		if err != nil {
 			t.Fatalf("RunSim fraction %g: %v", f, err)

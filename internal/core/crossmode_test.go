@@ -11,8 +11,8 @@ import (
 )
 
 // Cross-mode equivalence suite: the simulated and the live runner execute
-// the same compiled plan, so the Eq. 8 guarantees must hold in both modes —
-// and in live mode at every {Partitions, RootShards, LayerShards}
+// the same compiled plan on the same engine, so the Eq. 8 guarantees must
+// hold in both modes at every {Partitions, RootShards, LayerShards}
 // combination, because consumer-group sharding only partitions the input
 // that weight compounding already makes order- and split-insensitive.
 //
@@ -40,28 +40,9 @@ func TestCrossModeEquivalence(t *testing.T) {
 	spec := topology.Testbed()
 	const seed = 21
 
-	// Simulated mode: the knobs don't exist (virtual time, no broker), so
-	// one run anchors the mode comparison.
-	sim, err := RunSim(SimConfig{
-		Spec:       spec,
-		Source:     microSource(seed, 500),
-		NewSampler: WHSFactory(),
-		Cost:       EffectiveFractionBudget{Fraction: 0.25},
-		Duration:   4 * time.Second,
-		Queries:    []query.Kind{query.Sum, query.Count},
-		Seed:       seed,
-	})
-	if err != nil {
-		t.Fatalf("RunSim: %v", err)
-	}
-	var simEstimated float64
-	for _, w := range sim.Windows {
-		simEstimated += w.EstimatedInput
-	}
-	assertCountInvariant(t, "sim", simEstimated, float64(sim.Generated))
-
-	// Live mode: the same spec, sampler, cost, and seed, swept across the
-	// parallelism knobs — including the degenerate all-ones deployment.
+	// Both modes run the same config — spec, sampler, cost, seed — swept
+	// across the parallelism knobs, including the degenerate all-ones
+	// deployment.
 	combos := []struct {
 		name        string
 		partitions  int
@@ -74,22 +55,44 @@ func TestCrossModeEquivalence(t *testing.T) {
 		{"layer-sharded", 4, 2, []int{2, 2}},
 		{"fully-sharded-uneven", 8, 4, []int{4, 3}},
 	}
+	config := func(partitions, rootShards int, layerShards []int) LiveConfig {
+		return LiveConfig{
+			Spec:        spec,
+			Source:      microSource(seed, 1000),
+			NewSampler:  WHSFactory(),
+			Cost:        EffectiveFractionBudget{Fraction: 0.25},
+			Items:       12000,
+			Window:      30 * time.Millisecond,
+			Queries:     []query.Kind{query.Sum, query.Count},
+			Partitions:  partitions,
+			RootShards:  rootShards,
+			LayerShards: layerShards,
+			Seed:        seed,
+		}
+	}
+	simulate := func(t *testing.T, cfg LiveConfig) *SimResult {
+		t.Helper()
+		res, err := RunSim(SimConfig{LiveConfig: cfg, Duration: 2 * time.Second})
+		if err != nil {
+			t.Fatalf("RunSim: %v", err)
+		}
+		assertCountInvariant(t, "sim", res.EstimateCount+res.LateDroppedInput, float64(res.Produced))
+		return res
+	}
+	census := func(cfg LiveConfig) LiveConfig {
+		cfg.Cost = EffectiveFractionBudget{Fraction: 1}
+		return cfg
+	}
+	// The all-ones census is the traffic reference: sharding splits what
+	// the links carry across more members and partitions, never adds to it
+	// beyond the per-partition beats.
+	ref := simulate(t, census(config(1, 1, nil)))
+
 	for _, combo := range combos {
 		combo := combo
 		t.Run(combo.name, func(t *testing.T) {
-			res, err := RunLive(LiveConfig{
-				Spec:        spec,
-				Source:      microSource(seed, 1000),
-				NewSampler:  WHSFactory(),
-				Cost:        EffectiveFractionBudget{Fraction: 0.25},
-				Items:       12000,
-				Window:      30 * time.Millisecond,
-				Queries:     []query.Kind{query.Sum, query.Count},
-				Partitions:  combo.partitions,
-				RootShards:  combo.rootShards,
-				LayerShards: combo.layerShards,
-				Seed:        seed,
-			})
+			cfg := config(combo.partitions, combo.rootShards, combo.layerShards)
+			res, err := RunLive(cfg)
 			if err != nil {
 				t.Fatalf("RunLive: %v", err)
 			}
@@ -102,10 +105,25 @@ func TestCrossModeEquivalence(t *testing.T) {
 			if loss := math.Abs(res.EstimateSum-res.TruthSum) / res.TruthSum; loss > 0.1 {
 				t.Fatalf("live sum loss %.3f at fraction 0.25", loss)
 			}
+
+			sim := simulate(t, cfg)
+			if loss := sim.AccuracyLoss(query.Sum); loss > 0.1 {
+				t.Fatalf("sim sum loss %.3f at fraction 0.25", loss)
+			}
+			// At census every member forwards everything: COUNT and SUM
+			// are exact, and each layer's links carry what the all-ones
+			// tree's do.
+			full := simulate(t, census(cfg))
+			assertCountInvariant(t, "sim census count", full.TotalEstimate(query.Count), float64(full.Produced))
+			if loss := full.AccuracyLoss(query.Sum); loss > crossModeTolerance {
+				t.Fatalf("sim census sum loss %.2e", loss)
+			}
+			for l, b := range full.LayerBytes {
+				if rel := math.Abs(float64(b-ref.LayerBytes[l])) / float64(ref.LayerBytes[l]); rel > 0.02 {
+					t.Fatalf("layer %d carried %d B, all-ones census %d B (rel %.3f)", l, b, ref.LayerBytes[l], rel)
+				}
+			}
 		})
-	}
-	if loss := sim.AccuracyLoss(query.Sum); loss > 0.1 {
-		t.Fatalf("sim sum loss %.3f at fraction 0.25", loss)
 	}
 }
 
@@ -126,13 +144,15 @@ func TestCrossModeAdaptiveEquivalence(t *testing.T) {
 
 	ctl := NewFeedbackController(initial, target, WithGain(gain))
 	sim, err := RunSim(SimConfig{
-		Spec:       topology.Testbed(),
-		Source:     microSource(seed, 125), // 8 sources × 4 × 125/s = 4000 per 1 s window
-		NewSampler: WHSFactory(),
-		Duration:   14 * time.Second,
-		Queries:    []query.Kind{query.Sum, query.Count},
-		Seed:       seed,
-		Feedback:   ctl,
+		LiveConfig: LiveConfig{
+			Spec:       topology.Testbed(),
+			Source:     microSource(seed, 125), // 8 sources × 4 × 125/s = 4000 per 1 s window
+			NewSampler: WHSFactory(),
+			Queries:    []query.Kind{query.Sum, query.Count},
+			Seed:       seed,
+			Feedback:   ctl,
+		},
+		Duration: 14 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)
@@ -144,7 +164,7 @@ func TestCrossModeAdaptiveEquivalence(t *testing.T) {
 	for _, w := range sim.Windows {
 		simEstimated += w.EstimatedInput
 	}
-	assertCountInvariant(t, "sim", simEstimated, float64(sim.Generated))
+	assertCountInvariant(t, "sim", simEstimated, float64(sim.Produced))
 	simFinal := sim.Fractions[len(sim.Fractions)-1]
 
 	combos := []struct {

@@ -22,7 +22,8 @@ import (
 
 // engine is the one session engine. OpenNode runs the slice of the compiled
 // plan a NodeTier names against a shared bus; OpenLive runs every tier over a
-// bus of its own; RunSim runs every edge layer and the root in virtual time.
+// bus of its own; RunSim runs every tier, source valves included, in virtual
+// time.
 // Every capability lives here and acts on what the tier hosts: topics
 // created, the tier's shard groups built with one edge- and one root-member
 // constructor (addEdgeGroup, addRootGroup) and started, the sweeper, the run
@@ -151,8 +152,8 @@ type paddedFloat struct {
 	_ [56]byte
 }
 
-// everyTier is the tier OpenLive runs: every edge layer, the root, and the
-// source valves.
+// everyTier is the tier OpenLive and RunSim run: every edge layer, the root,
+// and the source valves.
 func everyTier(spec topology.TreeSpec) NodeTier {
 	tier := NodeTier{Root: true, Ingest: true}
 	for l := 0; l < spec.RootLayer(); l++ {

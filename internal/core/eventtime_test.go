@@ -221,20 +221,22 @@ func TestCrossModeEventTimeEquivalence(t *testing.T) {
 	census := EffectiveFractionBudget{Fraction: 1}
 
 	sim, err := RunSim(SimConfig{
-		Spec:            spec,
-		Source:          func(i int) workload.Source { return &sliceSource{items: items[i]} },
-		NewSampler:      WHSFactory(),
-		Cost:            census,
-		Duration:        span,
-		Queries:         []query.Kind{query.Sum, query.Count},
-		Seed:            21,
-		AllowedLateness: span, // nothing late, however jittered
+		LiveConfig: LiveConfig{
+			Spec:            spec,
+			Source:          func(i int) workload.Source { return &sliceSource{items: items[i]} },
+			NewSampler:      WHSFactory(),
+			Cost:            census,
+			Queries:         []query.Kind{query.Sum, query.Count},
+			Seed:            21,
+			AllowedLateness: span, // nothing late, however jittered
+		},
+		Duration: span,
 	})
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)
 	}
-	if sim.Generated != slots*perSlot {
-		t.Fatalf("sim generated %d, want %d", sim.Generated, slots*perSlot)
+	if sim.Produced != slots*perSlot {
+		t.Fatalf("sim generated %d, want %d", sim.Produced, slots*perSlot)
 	}
 	if sim.LateDropped != 0 {
 		t.Fatalf("sim dropped %d items with full-span lateness", sim.LateDropped)
@@ -287,7 +289,7 @@ func TestCrossModeEventTimeEquivalence(t *testing.T) {
 		simCount += sim.Windows[i].EstimatedInput
 		liveCount += live.Windows[i].EstimatedInput
 	}
-	assertCountInvariant(t, "sim event-time", simCount, float64(sim.Generated))
+	assertCountInvariant(t, "sim event-time", simCount, float64(sim.Produced))
 	assertCountInvariant(t, "live event-time", liveCount, float64(live.Produced))
 }
 
@@ -539,15 +541,17 @@ func TestEventTimeIdleSourceTimeout(t *testing.T) {
 // nothing dropped.
 func TestEventTimeSimJitterExactCounts(t *testing.T) {
 	res, err := RunSim(SimConfig{
-		Spec:            topology.Testbed(),
-		Source:          microSource(21, 500),
-		NewSampler:      WHSFactory(),
-		Cost:            EffectiveFractionBudget{Fraction: 0.25},
-		Duration:        4 * time.Second,
-		Queries:         []query.Kind{query.Sum, query.Count},
-		Seed:            21,
-		AllowedLateness: 200 * time.Millisecond,
-		LinkJitter:      30 * time.Millisecond,
+		LiveConfig: LiveConfig{
+			Spec:            topology.Testbed(),
+			Source:          microSource(21, 500),
+			NewSampler:      WHSFactory(),
+			Cost:            EffectiveFractionBudget{Fraction: 0.25},
+			Queries:         []query.Kind{query.Sum, query.Count},
+			Seed:            21,
+			AllowedLateness: 200 * time.Millisecond,
+		},
+		Duration:   4 * time.Second,
+		LinkJitter: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("RunSim: %v", err)
@@ -567,7 +571,7 @@ func TestEventTimeSimJitterExactCounts(t *testing.T) {
 		}
 		last = w.Start.UnixNano()
 	}
-	assertCountInvariant(t, "sim jitter", estimated, float64(res.Generated))
+	assertCountInvariant(t, "sim jitter", estimated, float64(res.Produced))
 }
 
 // TestEventTimeIdleShardedRejected pins the liveness gate: with the idle
@@ -609,18 +613,20 @@ func TestEventTimeIdleShardedRejected(t *testing.T) {
 // could move it.
 func TestEventTimeSRSStreaming(t *testing.T) {
 	sim, err := RunSim(SimConfig{
-		Spec:       topology.Testbed(),
-		Source:     microSource(1, 100),
-		NewSampler: SRSFactory(1),
-		Cost:       FractionBudget{Fraction: 1},
-		Duration:   time.Second,
-		Queries:    []query.Kind{query.Sum, query.Count},
-		Streaming:  true,
+		LiveConfig: LiveConfig{
+			Spec:       topology.Testbed(),
+			Source:     microSource(1, 100),
+			NewSampler: SRSFactory(1),
+			Cost:       FractionBudget{Fraction: 1},
+			Queries:    []query.Kind{query.Sum, query.Count},
+		},
+		Duration:  time.Second,
+		Streaming: true,
 	})
 	if err != nil {
 		t.Fatalf("RunSim(SRS, Streaming): %v", err)
 	}
-	assertCountInvariant(t, "simulated SRS", sim.TotalEstimate(query.Count), float64(sim.Generated))
+	assertCountInvariant(t, "simulated SRS", sim.TotalEstimate(query.Count), float64(sim.Produced))
 	s, err := OpenLive(nil, LiveConfig{
 		Spec:       topology.Testbed(),
 		NewSampler: SRSFactory(1),

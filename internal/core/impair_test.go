@@ -20,8 +20,8 @@ func TestSimJitterPreservesInvariant(t *testing.T) {
 		t.Fatalf("RunSim with jitter: %v", err)
 	}
 	gotCount := res.TotalEstimate(query.Count)
-	if rel := math.Abs(gotCount-float64(res.Generated)) / float64(res.Generated); rel > 1e-9 {
-		t.Fatalf("jitter broke Eq. 8: %g vs %d", gotCount, res.Generated)
+	if rel := math.Abs(gotCount-float64(res.Produced)) / float64(res.Produced); rel > 1e-9 {
+		t.Fatalf("jitter broke Eq. 8: %g vs %d", gotCount, res.Produced)
 	}
 	if loss := res.AccuracyLoss(query.Sum); loss > 0.05 {
 		t.Fatalf("jitter degraded accuracy to %.3f", loss)
@@ -39,7 +39,7 @@ func TestSimPacketLossDegradesGracefully(t *testing.T) {
 		t.Fatalf("RunSim with loss: %v", err)
 	}
 	gotCount := res.TotalEstimate(query.Count)
-	ratio := gotCount / float64(res.Generated)
+	ratio := gotCount / float64(res.Produced)
 	// Loss applies per hop (3 hops): survival ≈ 0.9³ ≈ 0.73. Edge batches
 	// are fewer and larger than source chunks, so the realized ratio has
 	// wide variance; it must land strictly between "everything" and
@@ -63,12 +63,12 @@ func TestSimLossAndFailureCombined(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunSim with combined impairments: %v", err)
 	}
-	if res.Generated == 0 || len(res.Windows) == 0 {
+	if res.Produced == 0 || len(res.Windows) == 0 {
 		t.Fatal("no output under combined impairments")
 	}
 	got := res.TotalEstimate(query.Count)
-	if got <= 0 || got >= float64(res.Generated) {
-		t.Fatalf("estimated count %.0f of %d implausible", got, res.Generated)
+	if got <= 0 || got >= float64(res.Produced) {
+		t.Fatalf("estimated count %.0f of %d implausible", got, res.Produced)
 	}
 }
 

@@ -275,15 +275,17 @@ func TestKeepaliveSim(t *testing.T) {
 	} {
 		var beats int64
 		res, err := RunSim(SimConfig{
-			Spec: topology.Testbed(),
-			Source: func(i int) workload.Source {
-				return stillSource{src: stream.SourceID(string(rune('a' + i))), ts: simEpoch.Add(100 * time.Millisecond)}
+			LiveConfig: LiveConfig{
+				Spec: topology.Testbed(),
+				Source: func(i int) workload.Source {
+					return stillSource{src: stream.SourceID(string(rune('a' + i))), ts: simEpoch.Add(100 * time.Millisecond)}
+				},
+				NewSampler:  WHSFactory(),
+				Cost:        EffectiveFractionBudget{Fraction: 1},
+				Queries:     []query.Kind{query.Count},
+				IdleTimeout: c.idle,
 			},
-			NewSampler:  WHSFactory(),
-			Cost:        EffectiveFractionBudget{Fraction: 1},
-			Duration:    duration,
-			Queries:     []query.Kind{query.Count},
-			IdleTimeout: c.idle,
+			Duration: duration,
 			onSend: func(layer int, at time.Time) {
 				if layer == 1 && at.Before(simEpoch.Add(duration)) {
 					beats++
@@ -296,7 +298,7 @@ func TestKeepaliveSim(t *testing.T) {
 		if beats != c.want {
 			t.Fatalf("IdleTimeout %v: %d records into edge2 before the end of stream, want %d", c.idle, beats, c.want)
 		}
-		if res.LateDropped != 0 || len(res.Windows) != 1 || res.Windows[0].EstimatedInput != float64(res.Generated) {
+		if res.LateDropped != 0 || len(res.Windows) != 1 || res.Windows[0].EstimatedInput != float64(res.Produced) {
 			t.Fatalf("IdleTimeout %v: %d late, %d windows — want every item in one window", c.idle, res.LateDropped, len(res.Windows))
 		}
 	}

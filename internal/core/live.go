@@ -27,10 +27,11 @@ import (
 // Live mode measures compute throughput; WAN characteristics are the
 // simulated mode's job.
 //
-// Three entry points share this config: OpenNode runs one tier of the tree
+// Four entry points share this config: OpenNode runs one tier of the tree
 // per process, OpenLive returns a long-lived LiveSession handle running every
-// tier with push ingestion, and RunLive is the batch-shaped wrapper
-// (generator-fed, fixed item count, blocks until drained).
+// tier with push ingestion, RunLive is the batch-shaped wrapper
+// (generator-fed, fixed item count, blocks until drained), and RunSim runs
+// every tier in virtual time (SimConfig embeds this config).
 type LiveConfig struct {
 	// Spec gives the tree structure (link parameters are ignored live).
 	Spec topology.TreeSpec
@@ -42,8 +43,9 @@ type LiveConfig struct {
 	// creation is idempotent across clients, so several processes can open
 	// sessions against the same bus and share the tree's topics.
 	Bus transport.Bus
-	// Source builds source node i's generator. Required by RunLive; ignored
-	// by OpenLive, whose sessions are fed by pushes.
+	// Source builds source node i's generator. Required by RunLive and
+	// RunSim, which push what it generates through the source valves;
+	// ignored by OpenLive, whose sessions are fed by pushes.
 	Source func(i int) workload.Source
 	// NewSampler builds each node's strategy. Required.
 	NewSampler SamplerFactory
@@ -91,7 +93,8 @@ type LiveConfig struct {
 	// single-member groups (ErrEventTimeIdleSharded otherwise).
 	IdleTimeout time.Duration
 	// RootWork is the artificial per-item query execution cost at the
-	// datacenter, modelling the paper's saturated root (default 0).
+	// datacenter, modelling the paper's saturated root (default 0). Live
+	// root members spin on it; RunSim queues the root's input behind it.
 	RootWork time.Duration
 	// Queries lists the root's aggregates (default SUM).
 	Queries []query.Kind
@@ -862,12 +865,12 @@ func (p *rootProcessor) processLocked(msg streams.Message) int64 {
 	}
 	spin(time.Duration(h.Count) * p.work)
 	now := p.ctx.Now()
-	// Items are stamped with their publish instant at the source (Pub —
-	// with EventTime off Ts is the same instant; the simulator stamps its
-	// virtual send), so this is genuine end-to-end latency: edge window
-	// waits, hops, and the root's own service time all count. Every item of one Push carries the
-	// same instant, so the histogram takes each run of equal instants — read
-	// off the wire block, before anything is decoded — in one observation
+	// Items are stamped with their publish instant at the source valve (Pub
+	// — with EventTime off Ts is the same instant), so this is genuine
+	// end-to-end latency: edge window waits, hops, and the root's own
+	// service time all count. Every item of one Push carries the same
+	// instant, so the histogram takes each run of equal instants — read off
+	// the wire block, before anything is decoded — in one observation
 	// instead of one per item.
 	nowNanos := now.UnixNano()
 	for lo := 0; lo < h.Count; {

@@ -168,9 +168,6 @@ func (n *Node) reserve(slot int32, src stream.SourceID, w float64, count int) []
 // Observed returns the number of items received in the current interval.
 func (n *Node) Observed() int { return n.observed }
 
-// LastWeight returns the carried W^in for a sub-stream (1 if never seen).
-func (n *Node) LastWeight(src stream.SourceID) float64 { return n.weight(n.slot(src)) }
-
 // CloseInterval ends the current interval: the sampler reduces Ψ under the
 // cost function's budget and the node resets for the next interval. The
 // returned batches carry W^out and are ready to forward to the parent (or,

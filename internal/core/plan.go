@@ -272,16 +272,6 @@ func (p *Plan) Topics() []TopicDesc {
 	return out
 }
 
-// EdgeNodes returns the non-root descriptors bottom-up, in deterministic
-// (layer, node) order.
-func (p *Plan) EdgeNodes() []NodeDesc {
-	var out []NodeDesc
-	for l := 0; l < p.RootLayer(); l++ {
-		out = append(out, p.Layers[l]...)
-	}
-	return out
-}
-
 // NewNode instantiates a descriptor as a sampling node, seeding its sampler
 // from the plan's seed lineage.
 func (p *Plan) NewNode(d NodeDesc) *Node {
@@ -342,8 +332,7 @@ func memberID(d NodeDesc, shard int) string {
 }
 
 // sourceFrom names source slot i's watermark chain origin — the identity
-// its ingestion valve (live) or generator (simulated) stamps on the
-// records it produces.
+// its ingestion valve stamps on the records it produces.
 func sourceFrom(slot int) string { return fmt.Sprintf("src%d", slot) }
 
 // ExpectedProducers lists the watermark origins statically known to feed

@@ -38,15 +38,8 @@ func TestSimResultHelpers(t *testing.T) {
 	if got := res.AccuracyLoss(query.Mean); got != 0 {
 		t.Fatalf("AccuracyLoss(Mean) = %g, want 0 (unsupported)", got)
 	}
-	truth := res.TotalTruth()
-	var direct float64
-	for _, v := range res.TruthSum {
-		direct += v
-	}
-	// Both sums iterate the same map; Go randomizes iteration order, so the
-	// two can differ by float non-associativity — compare relatively.
-	if math.Abs(truth-direct) > 1e-12*math.Abs(direct) {
-		t.Fatalf("TotalTruth = %g, want %g", truth, direct)
+	if res.TruthSum == 0 {
+		t.Fatal("TruthSum not recorded")
 	}
 }
 
@@ -74,8 +67,8 @@ func TestFixedBudgetTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotCount := res.TotalEstimate(query.Count)
-	if rel := math.Abs(gotCount-float64(res.Generated)) / float64(res.Generated); rel > 1e-9 {
-		t.Fatalf("FixedBudget broke Eq. 8: %g vs %d", gotCount, res.Generated)
+	if rel := math.Abs(gotCount-float64(res.Produced)) / float64(res.Produced); rel > 1e-9 {
+		t.Fatalf("FixedBudget broke Eq. 8: %g vs %d", gotCount, res.Produced)
 	}
 	for _, w := range res.Windows {
 		// Root keeps ≤ 200 + fairness floors (4 sub-streams, ≥1 each).
@@ -94,7 +87,7 @@ func TestFailureDuringWholeRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := res.TotalEstimate(query.Count)
-	ratio := got / float64(res.Generated)
+	ratio := got / float64(res.Produced)
 	// Layer-1 node 0 serves half the sources.
 	if ratio < 0.4 || ratio > 0.6 {
 		t.Fatalf("estimated/generated = %.3f with half the tree down, want ~0.5", ratio)

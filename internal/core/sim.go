@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/approxiot/approxiot/internal/metrics"
 	"github.com/approxiot/approxiot/internal/mq"
 	"github.com/approxiot/approxiot/internal/netsim"
 	"github.com/approxiot/approxiot/internal/query"
@@ -14,10 +13,8 @@ import (
 	"github.com/approxiot/approxiot/internal/stats"
 	"github.com/approxiot/approxiot/internal/stream"
 	"github.com/approxiot/approxiot/internal/streams"
-	"github.com/approxiot/approxiot/internal/topology"
 	"github.com/approxiot/approxiot/internal/transport"
 	"github.com/approxiot/approxiot/internal/vclock"
-	"github.com/approxiot/approxiot/internal/workload"
 	"github.com/approxiot/approxiot/internal/xrand"
 )
 
@@ -51,15 +48,6 @@ func SRSFactory(fraction float64) SamplerFactory {
 	}
 }
 
-// SRSBudgetFactory configures coin-flip sampling whose keep probability
-// tracks the node's interval budget instead of a fixed fraction (windowed
-// operation).
-func SRSBudgetFactory() SamplerFactory {
-	return func(layer, node int, seed uint64) sample.Sampler {
-		return sample.NewCoinFlip(xrandFor(layer, node, seed))
-	}
-}
-
 // NativeFactory disables sampling everywhere — the native baseline.
 func NativeFactory() SamplerFactory {
 	return func(int, int, uint64) sample.Sampler { return sample.Passthrough{} }
@@ -81,66 +69,35 @@ type Failure struct {
 	For   time.Duration
 }
 
-// SimConfig describes one simulated experiment.
+// SimConfig describes one simulated experiment: the engine's config, run in
+// virtual time, plus what only virtual time has. Source is required.
+//
+// RunSim always runs event time (EventTime on, Window = Spec.Window) with
+// neither backpressure nor pacing (MaxIngestLag < 0, SourceRate 0): both wait
+// on wall-clock timers the simulator's one thread cannot run. It ignores Bus,
+// Items, DrainTimeout and Checkpoint. RootWork models the saturated
+// datacenter: a root member does not spin on it — each record reaching the
+// root instead queues behind one server for RootWork per item. Partitions,
+// RootShards and LayerShards size the groups as they do live, and every
+// member sends over a link of its own.
 type SimConfig struct {
-	// Spec is the tree deployment (topology.Testbed() reproduces §V-A).
-	Spec topology.TreeSpec
-	// Source returns the workload generator for source node i. Required.
-	Source func(i int) workload.Source
-	// NewSampler builds each node's strategy. Required.
-	NewSampler SamplerFactory
-	// Cost is the budget→sample-size policy, shared by all nodes. Required.
-	Cost CostFunction
+	LiveConfig
 	// Duration is how long sources generate. At its end every source signs
 	// off with end-of-stream heartbeats, and the run lasts until the close
 	// cascade they start has reached the root.
 	Duration time.Duration
-	// RootServiceRate is the datacenter's processing capacity in
-	// items/second (0 = infinite). The saturation experiments set this.
-	RootServiceRate float64
 	// ChunksPerWindow is the source send granularity (default 8): a source
-	// ships what it generated every Spec.Window/ChunksPerWindow, each chunk
+	// pushes what it generated every Spec.Window/ChunksPerWindow, each chunk
 	// at its end.
 	ChunksPerWindow int
-	// Queries lists the aggregates the root runs per window (default SUM).
-	Queries []query.Kind
-	// Slide, when ≥ 2, composes sliding-window estimates from the last
-	// Slide tumbling panes at the root (pane composition): each reported
-	// window additionally carries WindowResult.Sliding for the additive
-	// query kinds (SUM/COUNT), with variances added across panes.
-	Slide int
 	// Streaming makes edge nodes forward immediately instead of buffering
 	// event windows: each arriving batch is sampled and shipped on the
 	// spot. This models the SRS and native baselines, which need no window
 	// at the edge layers (the Fig. 9 contrast) — only the root's event
 	// windows remain. Reservoir-based strategies need Streaming=false.
 	Streaming bool
-	// AllowedLateness is how far event time may run behind the watermark
-	// before a window closes (see LiveConfig.AllowedLateness).
-	AllowedLateness time.Duration
-	// IdleTimeout bounds how long a silent sub-stream can hold the
-	// watermark back, in virtual time (default 4×Spec.Window, raised to
-	// AllowedLateness if that is larger; negative disables the exclusion).
-	IdleTimeout time.Duration
-	// Confidence for error bounds (default 95%).
-	Confidence stats.Confidence
-	// Seed drives all samplers.
-	Seed uint64
-	// Feedback, when set, closes the §IV-B loop on the simulated tree:
-	// every node's budget reads the controller's fraction (effective
-	// end-to-end semantics, like EffectiveFractionBudget), and at each
-	// root window close the controller observes the result of the first
-	// registered non-COUNT query kind (COUNT is exact by Eq. 8, so its
-	// bound is uninformative) and adjusts. Feedback takes precedence over
-	// Cost (which may then be nil). The fractions travel the control topic
-	// as they do live, landing at the instant the root publishes them, so
-	// every node's next window close reads the new one. A controller is
-	// stateful — use a fresh one per run.
-	Feedback *FeedbackController
-	// OnWindow, if set, observes every window result as it is produced,
-	// after the feedback step.
-	OnWindow func(WindowResult)
-	// Failures optionally crash nodes mid-run.
+	// Failures optionally crash nodes mid-run: every member of a failed
+	// node drops what it sends while the failure holds.
 	Failures []Failure
 	// LinkJitter perturbs every link's propagation delay by a seeded
 	// uniform ± amount (0 = none). Links stay FIFO: jitter varies each
@@ -157,53 +114,15 @@ type SimConfig struct {
 	onSend func(layer int, at time.Time)
 }
 
-// SimResult is everything a simulated run measured.
+// SimResult is the engine's result of a simulated run plus the traffic its
+// links carried. Elapsed spans the first push to the last root-side
+// processing, in virtual time.
 type SimResult struct {
-	// Windows holds every non-empty root window result in event-time order.
-	Windows []WindowResult
-	// Latency is the end-to-end item latency distribution (the source's
-	// virtual send → root-side processing), over the items that reached
-	// the root — the live runner's measure, taken by the same root member.
-	Latency *metrics.Histogram
+	LiveResult
 	// LayerBytes[l] is the total bytes carried by the links into layer l.
 	LayerBytes []int64
 	// LayerMessages[l] counts link-level messages into layer l.
 	LayerMessages []int64
-	// Generated counts items produced at the sources.
-	Generated int64
-	// TruthSum and TruthCount are exact per-sub-stream ground truth
-	// accumulated at generation time.
-	TruthSum   map[stream.SourceID]float64
-	TruthCount map[stream.SourceID]int64
-	// RootObserved counts items that reached the root (post edge
-	// sampling, pre root sampling).
-	RootObserved int64
-	// LateDropped counts items that arrived past the lateness horizon:
-	// their window had already closed at the node that would have buffered
-	// them (counted once, at the first node that rejects them).
-	LateDropped int64
-	// LateDroppedInput is the estimated original input the late-dropped
-	// records represent (each drop weighted by its batch's compounded
-	// weight). At leaves this equals LateDropped; when an interior node
-	// drops an already-sampled batch it exceeds it. The exact identity is
-	// Σ Windows.EstimatedInput + LateDroppedInput == Produced.
-	LateDroppedInput float64
-	// Fractions is the adaptive trajectory: the controller's fraction
-	// after observing each entry of Windows, in order. Nil when Feedback
-	// is not configured.
-	Fractions []float64
-	// Elapsed is the simulated time covered: Duration plus the close
-	// cascade.
-	Elapsed time.Duration
-}
-
-// TotalTruth returns the exact total of all generated item values.
-func (r *SimResult) TotalTruth() float64 {
-	var t float64
-	for _, v := range r.TruthSum {
-		t += v
-	}
-	return t
 }
 
 // TotalEstimate sums a query kind's estimates across windows. For SUM and
@@ -222,11 +141,9 @@ func (r *SimResult) AccuracyLoss(kind query.Kind) float64 {
 	var exact float64
 	switch kind {
 	case query.Sum:
-		exact = r.TotalTruth()
+		exact = r.TruthSum
 	case query.Count:
-		for _, c := range r.TruthCount {
-			exact += float64(c)
-		}
+		exact = float64(r.Produced)
 	default:
 		return 0
 	}
@@ -244,9 +161,9 @@ func (r *SimResult) TotalBytes() int64 {
 
 // Configuration errors.
 var (
-	ErrNoSourceFunc = errors.New("core: SimConfig.Source is required")
-	ErrNoSampler    = errors.New("core: SimConfig.NewSampler is required")
-	ErrNoCost       = errors.New("core: SimConfig.Cost is required")
+	ErrNoSourceFunc = errors.New("core: LiveConfig.Source is required")
+	ErrNoSampler    = errors.New("core: LiveConfig.NewSampler is required")
+	ErrNoCost       = errors.New("core: LiveConfig.Cost is required")
 	ErrNoDuration   = errors.New("core: SimConfig.Duration must be positive")
 )
 
@@ -259,34 +176,27 @@ func xrandFor(layer, node int, seed uint64) *xrand.Rand {
 }
 
 // RunSim executes one experiment and returns its measurements. It opens the
-// engine the live sessions run — every edge layer and the root: the same
-// members, sweep and emit path — in virtual time (LiveConfig.sim), on one
-// thread with no goroutine, over a bus whose every send crosses a netsim link
-// (impairBus). The sources ship onto the leaf topics through that bus; each
-// delivery steps the runtimes consuming its topic, and every runtime's
-// deadline and the root's next sweep are one armed simulator event each
-// (simLoop). The run ends when the event queue is empty: after Duration the
-// sources' end-of-stream heartbeats cascade up the tree and close every window
-// that still holds data.
+// engine the live sessions run — every edge layer, the root and the source
+// valves: the same members, sweep and emit path — in virtual time
+// (LiveConfig.sim), on one thread with no goroutine, over a bus whose every
+// send crosses a netsim link (impairBus). Each source pushes what it generated
+// through its slot's valve once a chunk; each delivery steps the runtimes
+// consuming its topic, and every runtime's deadline and the root's next sweep
+// are one armed simulator event each (simLoop). The run ends when the event
+// queue is empty: after Duration the valves' end-of-stream heartbeats cascade
+// up the tree and close every window that still holds data.
 func RunSim(cfg SimConfig) (*SimResult, error) {
 	sim := vclock.NewSim(simStart)
-	lcfg, plan, err := compileLive(LiveConfig{
-		Spec:            cfg.Spec,
-		NewSampler:      cfg.NewSampler,
-		Cost:            cfg.Cost,
-		Window:          cfg.Spec.Window,
-		EventTime:       true,
-		AllowedLateness: cfg.AllowedLateness,
-		IdleTimeout:     cfg.IdleTimeout,
-		Queries:         cfg.Queries,
-		Slide:           cfg.Slide,
-		Confidence:      cfg.Confidence,
-		Seed:            cfg.Seed,
-		Feedback:        cfg.Feedback,
-		OnWindow:        cfg.OnWindow,
-		sim:             sim,
-		streaming:       cfg.Streaming,
-	})
+	live := cfg.LiveConfig
+	live.Window = live.Spec.Window
+	live.EventTime = true
+	live.MaxIngestLag = -1
+	live.SourceRate = 0
+	live.Checkpoint = nil
+	live.RootWork = 0 // the bus queues the root's input instead (impairBus.arrive)
+	live.sim = sim
+	live.streaming = cfg.Streaming
+	lcfg, plan, err := compileLive(live)
 	if err != nil {
 		return nil, err
 	}
@@ -309,16 +219,12 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	res := &SimResult{
 		LayerBytes:    make([]int64, len(spec.Layers)),
 		LayerMessages: make([]int64, len(spec.Layers)),
-		TruthSum:      make(map[stream.SourceID]float64),
-		TruthCount:    make(map[stream.SourceID]int64),
 	}
 	mem := transport.NewMem()
 	defer mem.Close()
 	bus := newImpairBus(mem, sim, &cfg, plan, res)
 	lcfg.Bus = bus
-	tier := everyTier(spec)
-	tier.Ingest = false // the sources below are the simulator's own
-	e, err := openEngine(context.Background(), lcfg, plan, tier, false, nil)
+	e, err := openEngine(context.Background(), lcfg, plan, everyTier(spec), false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -331,8 +237,25 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		chunk = spec.Window
 	}
 	end := simStart.Add(cfg.Duration)
-	for s, src := range plan.Sources {
-		startSource(sim, bus.NewProducer(), src.Topic, s, cfg.Source(s), chunk, end, res)
+	for s := range plan.Sources {
+		in, err := e.ingester(s)
+		if err != nil {
+			return nil, err
+		}
+		gen := cfg.Source(s)
+		var tick func()
+		tick = func() {
+			now := sim.Now()
+			// Nothing stops admitting before the last tick, and the bus's
+			// sends cannot fail: the push lands.
+			_ = in.Push(gen.Generate(now.Add(-chunk), chunk)...)
+			if now.Before(end) {
+				sim.After(chunk, tick)
+			} else {
+				in.sendEOS()
+			}
+		}
+		sim.At(simStart.Add(chunk), tick)
 	}
 	// The sources' stream ends at Duration: keepalives go quiet, exactly as a
 	// live drain quiesces them, and the end-of-stream records carry every
@@ -345,65 +268,13 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	})
 
 	sim.Run()
-	e.stopAll()
-	e.finalize(sim.Now())
-	res.Windows = e.res.Windows
-	res.Fractions = e.res.Fractions
-	res.Latency = e.res.Latency
-	res.RootObserved = e.res.RootProcessed
-	res.LateDropped = e.res.LateDropped
-	res.LateDroppedInput = e.res.LateDroppedInput
-	res.Elapsed = e.res.Elapsed
+	e.shutdown(nil)
+	res.LiveResult = *e.res
 	return res, nil
 }
 
 // simStart is the virtual instant every simulated run starts at.
 var simStart = time.Date(2018, 7, 2, 0, 0, 0, 0, time.UTC)
-
-// startSource starts source s: every chunk it ships what gen generated over
-// the chunk just ended onto topic — one record per sub-stream, each item
-// stamped with the send as its publish instant and the record with the
-// sub-stream's highest event timestamp so far as its watermark, as a live
-// Ingester valve does — and at end it signs off every sub-stream it sent.
-// Generation and ground truth are counted into res.
-func startSource(sim *vclock.Sim, prod transport.Producer, topic string, s int, gen workload.Source, chunk time.Duration, end time.Time, res *SimResult) {
-	from := sourceFrom(s)
-	marks := make(map[stream.SourceID]time.Time)
-	var enc batchEncoder // a fresh block per send: the links hold the records
-	var tick func()
-	tick = func() {
-		now := sim.Now()
-		items := gen.Generate(now.Add(-chunk), chunk)
-		res.Generated += int64(len(items))
-		pub := now.UnixNano()
-		for lo := 0; lo < len(items); {
-			src, hi := items[lo].Source, lo
-			mark := marks[src]
-			for ; hi < len(items) && items[hi].Source == src; hi++ {
-				it := &items[hi]
-				it.Pub = pub
-				res.TruthSum[src] += it.Value
-				res.TruthCount[src]++
-				if it.Ts.After(mark) {
-					mark = it.Ts
-				}
-			}
-			marks[src] = mark
-			enc.add(stream.Batch{Source: src, Weight: 1, Items: items[lo:hi]}, mq.Watermark{From: from, At: mark})
-			lo = hi
-		}
-		if now.Before(end) {
-			sim.After(chunk, tick)
-		} else {
-			for _, src := range eosSources(marks, s) {
-				enc.add(heartbeat(src), mq.Watermark{From: from, At: eosWatermark})
-			}
-		}
-		_ = prod.SendBatch(topic, enc.records(nil))
-		enc.reset()
-	}
-	sim.At(simStart.Add(chunk), tick)
-}
 
 // simLoop runs a driven engine on its simulator's one thread, doing what
 // the pumps and the sweeper goroutine do live: when the bus delivers to a
@@ -505,7 +376,7 @@ func (a *alarm) set(sim *vclock.Sim, due time.Time, fire func()) {
 // records, so the bus retains what is sent. On the way the bus counts each
 // layer's traffic, drops what a node sends while a Failure holds it down,
 // spares end-of-stream heartbeats from loss, and queues root deliveries
-// behind RootServiceRate. The control topic has no link: it lands at the send
+// behind RootWork per item. The control topic has no link: it lands at the send
 // instant, so every member's next window close reads the fraction the root
 // just published.
 type impairBus struct {
@@ -517,8 +388,8 @@ type impairBus struct {
 	links   map[[2]string]*simLink // (sender, topic) → its link
 	root    string                 // the root topic
 	deliver func(topic string)     // the loop: a record reached topic
-	// With RootServiceRate: the instant the root's server frees up, and the
-	// table its queue reads record sizes with.
+	// With RootWork: the instant the root's server frees up, and the table
+	// its queue reads record sizes with.
 	rootBusy time.Time
 	counts   *stream.SourceTable
 	one      [1]transport.Record // land's scratch
@@ -530,9 +401,10 @@ type simLink struct {
 	node  *NodeDesc // the sending node, nil for a source
 }
 
-// newImpairBus wraps mem with a link from every sender of plan's tree to its
-// parent topic, salting each link's jitter and loss seeds by its place in
-// creation order: member uplinks top layer first, then the sources'.
+// newImpairBus wraps mem with a link from every sender of plan's tree — each
+// member of every edge group, and each source valve — to its parent topic,
+// salting each link's jitter and loss seeds by its place in creation order:
+// member uplinks top layer first, then the sources'.
 func newImpairBus(mem *transport.Mem, sim *vclock.Sim, cfg *SimConfig, plan *Plan, res *SimResult) *impairBus {
 	b := &impairBus{
 		Bus:   mem,
@@ -558,7 +430,9 @@ func newImpairBus(mem *transport.Mem, sim *vclock.Sim, cfg *SimConfig, plan *Pla
 	for l := plan.RootLayer() - 1; l >= 0; l-- {
 		for i := range plan.Layers[l] {
 			desc := &plan.Layers[l][i]
-			add(desc.ID, desc.ParentTopic, desc.ParentLayer, desc)
+			for shard := 0; shard < desc.Shards; shard++ {
+				add(memberID(*desc, shard), desc.ParentTopic, desc.ParentLayer, desc)
+			}
 		}
 	}
 	for s, src := range plan.Sources {
@@ -635,11 +509,10 @@ func (b *impairBus) down(node *NodeDesc, t time.Time) bool {
 	return false
 }
 
-// arrive lands a record its link delivered — behind a server with a fixed
-// per-item cost when it reached the root with RootServiceRate set, so a
-// saturated root queues.
+// arrive lands a record its link delivered — behind a server that takes
+// RootWork per item when it reached the root, so a saturated root queues.
 func (b *impairBus) arrive(topic string, partition int, rec transport.Record) {
-	if topic != b.root || b.cfg.RootServiceRate <= 0 {
+	if topic != b.root || b.cfg.RootWork <= 0 {
 		b.land(topic, partition, rec)
 		return
 	}
@@ -651,7 +524,7 @@ func (b *impairBus) arrive(topic string, partition int, rec transport.Record) {
 	if b.rootBusy.After(start) {
 		start = b.rootBusy
 	}
-	b.rootBusy = start.Add(time.Duration(float64(h.Count) / b.cfg.RootServiceRate * float64(time.Second)))
+	b.rootBusy = start.Add(time.Duration(h.Count) * b.cfg.RootWork)
 	b.sim.At(b.rootBusy, func() { b.land(topic, partition, rec) })
 }
 

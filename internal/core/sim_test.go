@@ -22,13 +22,15 @@ func microSource(seed uint64, perStreamRate float64) func(i int) workload.Source
 
 func testbedConfig(fraction float64) SimConfig {
 	return SimConfig{
-		Spec:       topology.Testbed(),
-		Source:     microSource(1, 250), // 4 sub-streams × 250/s × 8 sources = 8000 items/s
-		NewSampler: WHSFactory(),
-		Cost:       EffectiveFractionBudget{Fraction: fraction},
-		Duration:   5 * time.Second,
-		Queries:    []query.Kind{query.Sum, query.Count},
-		Seed:       7,
+		LiveConfig: LiveConfig{
+			Spec:       topology.Testbed(),
+			Source:     microSource(1, 250), // 4 sub-streams × 250/s × 8 sources = 8000 items/s
+			NewSampler: WHSFactory(),
+			Cost:       EffectiveFractionBudget{Fraction: fraction},
+			Queries:    []query.Kind{query.Sum, query.Count},
+			Seed:       7,
+		},
+		Duration: 5 * time.Second,
 	}
 }
 
@@ -80,13 +82,13 @@ func TestSimCountInvariantEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RunSim(f=%g): %v", fraction, err)
 		}
-		if res.Generated == 0 {
+		if res.Produced == 0 {
 			t.Fatal("no items generated")
 		}
 		gotCount := res.TotalEstimate(query.Count)
-		if rel := math.Abs(gotCount-float64(res.Generated)) / float64(res.Generated); rel > 1e-9 {
+		if rel := math.Abs(gotCount-float64(res.Produced)) / float64(res.Produced); rel > 1e-9 {
 			t.Errorf("f=%g: estimated count %.1f vs generated %d (rel %.2e) — Eq. 8 violated",
-				fraction, gotCount, res.Generated, rel)
+				fraction, gotCount, res.Produced, rel)
 		}
 	}
 }
@@ -120,8 +122,8 @@ func TestSimNativeIsExact(t *testing.T) {
 	if got := res.AccuracyLoss(query.Sum); got > 1e-9 {
 		t.Fatalf("native execution accuracy loss = %g, want 0", got)
 	}
-	if res.RootObserved != res.Generated {
-		t.Fatalf("native root observed %d of %d items", res.RootObserved, res.Generated)
+	if res.RootProcessed != res.Produced {
+		t.Fatalf("native root observed %d of %d items", res.RootProcessed, res.Produced)
 	}
 }
 
@@ -172,14 +174,14 @@ func TestSimLatencyReflectsRootSaturation(t *testing.T) {
 	fast := testbedConfig(1)
 	fast.NewSampler = NativeFactory()
 	fast.Streaming = true
-	fast.RootServiceRate = 1e9 // effectively unloaded
+	fast.RootWork = 0 // unloaded
 	unloaded, err := RunSim(fast)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	slow := fast
-	slow.RootServiceRate = 4000 // offered 8000/s → 2× overload
+	slow.RootWork = time.Second / 4000 // offered 8000/s → 2× overload
 	saturated, err := RunSim(slow)
 	if err != nil {
 		t.Fatal(err)
@@ -274,11 +276,11 @@ func TestSimNodeFailureDegradesGracefully(t *testing.T) {
 	// items than generated, but the run completes and the remaining
 	// estimate stays sane.
 	gotCount := res.TotalEstimate(query.Count)
-	if gotCount >= float64(res.Generated) {
-		t.Fatalf("failure had no effect: estimated %g of %d", gotCount, res.Generated)
+	if gotCount >= float64(res.Produced) {
+		t.Fatalf("failure had no effect: estimated %g of %d", gotCount, res.Produced)
 	}
-	if gotCount < float64(res.Generated)/2 {
-		t.Fatalf("single node failure lost too much: %g of %d", gotCount, res.Generated)
+	if gotCount < float64(res.Produced)/2 {
+		t.Fatalf("single node failure lost too much: %g of %d", gotCount, res.Produced)
 	}
 	if len(res.Windows) == 0 {
 		t.Fatal("no windows produced")
@@ -297,8 +299,8 @@ func TestSimSingleNodeTopology(t *testing.T) {
 		t.Fatalf("RunSim single-node: %v", err)
 	}
 	gotCount := res.TotalEstimate(query.Count)
-	if rel := math.Abs(gotCount-float64(res.Generated)) / float64(res.Generated); rel > 1e-9 {
-		t.Fatalf("single-node Eq. 8 violated: %g vs %d", gotCount, res.Generated)
+	if rel := math.Abs(gotCount-float64(res.Produced)) / float64(res.Produced); rel > 1e-9 {
+		t.Fatalf("single-node Eq. 8 violated: %g vs %d", gotCount, res.Produced)
 	}
 }
 
@@ -310,8 +312,8 @@ func TestSimParallelWHSFactory(t *testing.T) {
 		t.Fatalf("RunSim parallel: %v", err)
 	}
 	gotCount := res.TotalEstimate(query.Count)
-	if rel := math.Abs(gotCount-float64(res.Generated)) / float64(res.Generated); rel > 1e-9 {
-		t.Fatalf("parallel WHS Eq. 8 violated: %g vs %d", gotCount, res.Generated)
+	if rel := math.Abs(gotCount-float64(res.Produced)) / float64(res.Produced); rel > 1e-9 {
+		t.Fatalf("parallel WHS Eq. 8 violated: %g vs %d", gotCount, res.Produced)
 	}
 }
 
@@ -352,8 +354,13 @@ func TestSimDeterministicAcrossRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Generated != b.Generated {
-				t.Fatalf("generated differ: %d vs %d", a.Generated, b.Generated)
+			if a.Produced != b.Produced {
+				t.Fatalf("produced differ: %d vs %d", a.Produced, b.Produced)
+			}
+			// Truth is summed per valve, then in slot order: bit for bit.
+			if a.TruthSum != b.TruthSum || a.AccuracyLoss(query.Sum) != b.AccuracyLoss(query.Sum) {
+				t.Fatalf("truth differs: %v (loss %v) vs %v (loss %v)",
+					a.TruthSum, a.AccuracyLoss(query.Sum), b.TruthSum, b.AccuracyLoss(query.Sum))
 			}
 			if len(a.Windows) != len(b.Windows) {
 				t.Fatalf("window counts differ: %d vs %d", len(a.Windows), len(b.Windows))
@@ -390,8 +397,9 @@ func TestSimDeterministicAcrossRuns(t *testing.T) {
 // TestSimStartsNoGoroutine: RunSim drives the engine on the caller's
 // goroutine alone. No member pump, sweeper or context watcher starts, so
 // every window closes with the goroutine count RunSim began with — for the
-// windowed tree under feedback (control consumers in every member) and for
-// the streaming one behind a saturated root.
+// windowed tree under feedback (control consumers in every member), for the
+// streaming one behind a saturated root, and for a sharded tree (groups of
+// several members over partitioned topics, beats broadcast per partition).
 func TestSimStartsNoGoroutine(t *testing.T) {
 	adaptive := testbedConfig(0.25)
 	adaptive.Cost = nil
@@ -399,8 +407,10 @@ func TestSimStartsNoGoroutine(t *testing.T) {
 	streaming := testbedConfig(1)
 	streaming.NewSampler = NativeFactory()
 	streaming.Streaming = true
-	streaming.RootServiceRate = 4000
-	for name, cfg := range map[string]SimConfig{"adaptive": adaptive, "streaming": streaming} {
+	streaming.RootWork = time.Second / 4000
+	sharded := testbedConfig(0.25)
+	sharded.Partitions, sharded.RootShards, sharded.LayerShards = 4, 2, []int{2, 2}
+	for name, cfg := range map[string]SimConfig{"adaptive": adaptive, "streaming": streaming, "sharded": sharded} {
 		t.Run(name, func(t *testing.T) {
 			cfg.Duration = 2 * time.Second
 			before := settledGoroutines()
@@ -452,7 +462,7 @@ func TestSimErrorBoundCoversTruth(t *testing.T) {
 		varSum += r.Estimate.Variance
 	}
 	bound := 3 * math.Sqrt(varSum) // 99.7%
-	truth := res.TotalTruth()
+	truth := res.TruthSum
 	if math.Abs(est-truth) > bound {
 		t.Fatalf("run total %0.f outside truth %0.f ± %0.f", est, truth, bound)
 	}
@@ -478,8 +488,8 @@ func TestSimLongTailedStreams(t *testing.T) {
 		}
 		// Invariant must hold regardless of burstiness.
 		gotCount := res.TotalEstimate(query.Count)
-		if rel := math.Abs(gotCount-float64(res.Generated)) / float64(res.Generated); rel > 1e-9 {
-			t.Fatalf("bursty=%v: Eq. 8 violated (%g vs %d)", bursty, gotCount, res.Generated)
+		if rel := math.Abs(gotCount-float64(res.Produced)) / float64(res.Produced); rel > 1e-9 {
+			t.Fatalf("bursty=%v: Eq. 8 violated (%g vs %d)", bursty, gotCount, res.Produced)
 		}
 		return res.AccuracyLoss(query.Sum)
 	}

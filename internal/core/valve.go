@@ -358,24 +358,9 @@ func slotSource(slot int) stream.SourceID {
 	return stream.SourceID("source" + strconv.Itoa(slot))
 }
 
-// eosSources lists the sub-streams source slot signs off at end of stream, in
-// SourceID order: every sub-stream in its marks, or the slot's default
-// stratum if it never sent one.
-func eosSources(marks map[stream.SourceID]time.Time, slot int) []stream.SourceID {
-	srcs := make([]stream.SourceID, 0, len(marks)+1)
-	for src := range marks {
-		srcs = append(srcs, src)
-	}
-	if len(srcs) == 0 {
-		srcs = append(srcs, slotSource(slot))
-	}
-	slices.Sort(srcs)
-	return srcs
-}
-
 // sendEOS publishes an end-of-stream watermark heartbeat for every
-// sub-stream that ever pushed through this valve — or for the slot's
-// default stratum if nothing ever did: a zero-item batch carrying
+// sub-stream that ever pushed through this valve, in SourceID order — or for
+// the slot's default stratum if nothing ever did: a zero-item batch carrying
 // eosWatermark, which closes every remaining event window at the leaf and
 // lets the close wave cascade to the root. An unused valve still speaks:
 // every member statically expects it (Plan.ExpectedProducers), and
@@ -387,8 +372,16 @@ func eosSources(marks map[stream.SourceID]time.Time, slot int) []stream.SourceID
 func (in *Ingester) sendEOS() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	srcs := make([]stream.SourceID, 0, len(in.marks)+1)
+	for src := range in.marks {
+		srcs = append(srcs, src)
+	}
+	if len(srcs) == 0 {
+		srcs = append(srcs, slotSource(in.slot))
+	}
+	slices.Sort(srcs)
 	var signoffs []transport.Record
-	for _, src := range eosSources(in.marks, in.slot) {
+	for _, src := range srcs {
 		signoffs = append(signoffs, transport.Record{
 			Key:       []byte(src),
 			Value:     heartbeat(src).Marshal(),

@@ -1,15 +1,16 @@
-// Package metrics provides the measurement instruments for the paper's three
-// evaluation metrics (§V-A): throughput (items processed per second),
-// end-to-end latency (log-bucketed histogram with quantiles), and network
-// bandwidth (byte counters feeding the Fig. 7 saving rate).
+// Package metrics provides the measurement instruments for two of the
+// paper's three evaluation metrics (§V-A): end-to-end latency (log-bucketed
+// histogram with quantiles) and network bandwidth (byte counters feeding the
+// Fig. 7 saving rate). The third, throughput, is a run's produced items over
+// its elapsed span (core.LiveResult.Throughput).
 //
 // The instruments sit on the live tree's per-record hot path, so the write
-// sides are lock-free: Throughput.Add and Histogram.Observe are atomic
-// (per-bucket counters, CAS min/max), and BandwidthAccount hands hot-path
-// writers private per-member counters (Counter) that the read side folds in.
-// Readers (Snapshot, Quantile, Total, ...) may observe a sample mid-flight —
-// e.g. a bucket incremented before its count — which is fine for telemetry:
-// every accessor is eventually consistent and exact once writers quiesce.
+// sides are lock-free: Histogram.Observe is atomic (per-bucket counters, CAS
+// min/max), and BandwidthAccount hands hot-path writers private per-member
+// counters (Counter) that the read side folds in. Readers (Snapshot,
+// Quantile, Total, ...) may observe a sample mid-flight — e.g. a bucket
+// incremented before its count — which is fine for telemetry: every accessor
+// is eventually consistent and exact once writers quiesce.
 package metrics
 
 import (
@@ -19,47 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Throughput measures items per second over an explicit time span. Add is
-// atomic — shard members on the hot path never contend on a lock.
-type Throughput struct {
-	count atomic.Int64
-	start int64        // unix nanos, fixed at construction
-	end   atomic.Int64 // unix nanos, monotone max over Add instants
-}
-
-// NewThroughput returns a meter whose span starts at start.
-func NewThroughput(start time.Time) *Throughput {
-	t := &Throughput{start: start.UnixNano()}
-	t.end.Store(start.UnixNano())
-	return t
-}
-
-// Add records n processed items at instant now.
-func (t *Throughput) Add(n int64, now time.Time) {
-	t.count.Add(n)
-	storeMax(&t.end, now.UnixNano())
-}
-
-// Count returns the total items recorded.
-func (t *Throughput) Count() int64 { return t.count.Load() }
-
-// Rate returns items/second over the observed span (0 if the span is empty).
-func (t *Throughput) Rate() float64 {
-	span := time.Duration(t.end.Load() - t.start)
-	if span <= 0 {
-		return 0
-	}
-	return float64(t.count.Load()) / span.Seconds()
-}
-
-// RateOver returns items/second against an externally-measured duration.
-func (t *Throughput) RateOver(d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(t.Count()) / d.Seconds()
-}
 
 // storeMax raises a to at least v (CAS loop; lock-free monotone max).
 func storeMax(a *atomic.Int64, v int64) {

@@ -10,50 +10,6 @@ import (
 
 var epoch = time.Date(2018, 7, 2, 0, 0, 0, 0, time.UTC)
 
-func TestThroughputRate(t *testing.T) {
-	m := NewThroughput(epoch)
-	m.Add(500, epoch.Add(time.Second))
-	m.Add(500, epoch.Add(2*time.Second))
-	if got := m.Rate(); got != 500 {
-		t.Fatalf("Rate = %g items/s, want 500", got)
-	}
-	if got := m.Count(); got != 1000 {
-		t.Fatalf("Count = %d, want 1000", got)
-	}
-}
-
-func TestThroughputEmptySpan(t *testing.T) {
-	m := NewThroughput(epoch)
-	m.Add(100, epoch) // zero elapsed
-	if got := m.Rate(); got != 0 {
-		t.Fatalf("Rate over empty span = %g, want 0", got)
-	}
-	if got := m.RateOver(2 * time.Second); got != 50 {
-		t.Fatalf("RateOver(2s) = %g, want 50", got)
-	}
-	if got := m.RateOver(0); got != 0 {
-		t.Fatalf("RateOver(0) = %g, want 0", got)
-	}
-}
-
-func TestThroughputConcurrent(t *testing.T) {
-	m := NewThroughput(epoch)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				m.Add(1, epoch.Add(time.Second))
-			}
-		}()
-	}
-	wg.Wait()
-	if m.Count() != 8000 {
-		t.Fatalf("Count = %d, want 8000", m.Count())
-	}
-}
-
 func TestHistogramBasicStats(t *testing.T) {
 	h := NewHistogram()
 	for _, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {

@@ -163,16 +163,6 @@ func (g *Generator) Generate(from time.Time, dt time.Duration) []stream.Item {
 	return items
 }
 
-// Reset restores the generator to its initial state (carries cleared, epoch
-// unpinned). RNG state is not rewound; use a fresh Generator for bit-exact
-// reproduction.
-func (g *Generator) Reset() {
-	for i := range g.carry {
-		g.carry[i] = 0
-	}
-	g.begun = false
-}
-
 // avgModulation approximates the mean of a RateFunc over [elapsed,
 // elapsed+dt) by midpoint sampling, so fast-cycling modulators (OnOff
 // bursts shorter than the interval) do not alias against the interval grid.

@@ -263,16 +263,6 @@ func TestAR1MeanReversion(t *testing.T) {
 	}
 }
 
-func TestGeneratorReset(t *testing.T) {
-	g := New(1, SubstreamSpec{Source: "s", Rate: 0.5, Value: Constant{1}})
-	g.Generate(epoch, time.Second) // leaves carry = 0.5
-	g.Reset()
-	items := g.Generate(epoch, time.Second)
-	if len(items) != 0 {
-		t.Fatalf("carry survived Reset: %d items", len(items))
-	}
-}
-
 func TestTotalRate(t *testing.T) {
 	g := GaussianMicro(1, 250)
 	if got := g.TotalRate(); got != 1000 {
