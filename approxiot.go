@@ -328,9 +328,11 @@ type Config struct {
 	// OnWindow, if set, observes every non-empty window result as it
 	// closes, after the feedback step — incremental observation in both
 	// modes (live runs additionally offer the Deployment.Windows
-	// subscription). It runs on the runner's window-close path: keep it
-	// fast, and from a live Deployment never call Close inside it (Close
-	// waits for the sweeper, so that deadlocks); Snapshot is safe.
+	// subscription). It runs on the runner's window-close path — live, on
+	// the pump of the root member that closed the window, so a slow hook
+	// delays that member's consumption: keep it fast, and from a live
+	// Deployment never call Close inside it (Close waits for the root
+	// pumps to stop, so that deadlocks); Snapshot is safe.
 	OnWindow func(WindowResult)
 	// Partitions is the partition count of every live mq topic (default 1).
 	// Records are keyed by sub-stream, so ordering within a stratum is

@@ -135,8 +135,8 @@ func (d *Deployment) Ingester(slot int) (*Ingester, error) {
 // WindowResult the root closes from now on is delivered in order, and the
 // channel is closed when the Deployment closes. A subscriber that falls
 // more than a buffer behind misses intermediate results (every window
-// remains in the final LiveResult.Windows) — the sweeper never
-// blocks on a slow reader.
+// remains in the final LiveResult.Windows) — the root member whose pump
+// emits a result never blocks on a slow reader.
 func (d *Deployment) Windows() <-chan WindowResult { return d.s.Windows() }
 
 // Snapshot captures the Deployment's telemetry mid-run: counters, latency,

@@ -354,8 +354,8 @@ func TestOpenEventTimeLateDrop(t *testing.T) {
 	if err := d.Ingest("sensor", items...); err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	// Wait until the straggler's window has actually closed (the ticker
-	// sweeps due windows every Window; RootProcessed alone would only prove
+	// Wait until the straggler's window has actually closed (the root closes
+	// windows as its watermark crosses them; RootProcessed alone would only prove
 	// the records arrived, not that window 0 is closed territory yet).
 	deadline := time.Now().Add(10 * time.Second)
 	for d.Snapshot().WindowsClosed < 3 && time.Now().Before(deadline) {

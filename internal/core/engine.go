@@ -26,17 +26,22 @@ import (
 // time.
 // Every capability lives here and acts on what the tier hosts: topics
 // created, the tier's shard groups built with one edge- and one root-member
-// constructor (addEdgeGroup, addRootGroup) and started, the sweeper, the run
-// counters the members write and the bandwidth account, the root watermark
-// merge and emit path with the feedback step, the snapshot, the quiescence
-// probe, the push valves and their truth fold, the elastic verbs
-// (elastic.go) — and one lifecycle: one push fence (stopAdmitting), one drain
-// loop (settle), one close sequence (shutdown) and one context watcher.
+// constructor (addEdgeGroup, addRootGroup) and started, the run counters the
+// members write and the bandwidth account, the root watermark merge and emit
+// path with the feedback step, the snapshot, the quiescence probe, the push
+// valves and their truth fold, the elastic verbs (elastic.go) — and one
+// lifecycle: one push fence (stopAdmitting), one drain loop (settle), one
+// close sequence (shutdown) and one context watcher.
 //
 // Every instant the engine and its members read comes from clock: the wall
 // clock, or — in a driven engine (LiveConfig.sim, set by RunSim) — the
-// simulator's, whose event loop steps every member runtime and runs the
-// sweeps on its one thread (simLoop, sim.go).
+// simulator's, whose event loop steps every member runtime on its one thread
+// (simLoop, sim.go).
+//
+// Root windows close on the root members' own pumps (rootProcessor), which
+// race into closeRoot. One locking rule keeps them apart: windowMu is taken
+// before a root member's mu, never while holding one — a member releases its
+// mu before it closes.
 type engine struct {
 	cfg   LiveConfig
 	plan  *Plan
@@ -44,9 +49,6 @@ type engine struct {
 	tier  NodeTier
 	eval  *query.Engine
 	clock vclock.Clock
-	// loop runs a driven engine's sweeps (nil live, where the sweeper
-	// goroutine does).
-	loop *simLoop
 
 	groups    []*shardGroup          // this process's groups, bottom-up, root last
 	groupByID map[string]*shardGroup // node ID → its group (root included)
@@ -57,10 +59,6 @@ type engine struct {
 	// ckptErrs counts checkpoint-save failures across every member
 	// (LiveSnapshot.CheckpointErrors) — counted, never fatal.
 	ckptErrs atomic.Int64
-	// sweepNudge is the sweeper's one-slot wake: a root member whose batch
-	// makes a window closeable, or a valve that starts carrying a
-	// sub-stream, asks for a sweep through it (nudgeSweep).
-	sweepNudge chan struct{}
 
 	// res is the run's result as it is assembled: Latency and Bandwidth from
 	// the start, Windows and Fractions under windowMu, the counters at
@@ -99,9 +97,10 @@ type engine struct {
 	sliding *slidingState
 	// lastWindow publishes the most recently emitted window for Snapshot.
 	lastWindow atomic.Pointer[WindowResult]
-	// atEOS runs on the sweeper once the merged root watermark carries the
-	// end-of-stream promise, after the final windows are out (node mode's
-	// completion marker; nil in process, where Close ends the stream).
+	// atEOS runs on a root member's pump once the merged root watermark
+	// carries the end-of-stream promise, after the final windows are out
+	// (node mode's completion marker; nil in process, where Close ends the
+	// stream).
 	atEOS func()
 
 	// Windows() subscriptions.
@@ -122,15 +121,13 @@ type engine struct {
 	// Lifecycle. drainCh is closed when the session stops admitting pushes,
 	// waking pacing sleeps and backpressure waits; closed when the close
 	// sequence has run; watched when the context watcher has exited.
-	state       atomic.Int32
-	ctx         context.Context
-	drainCh     chan struct{}
-	admitOnce   sync.Once
-	closeOnce   sync.Once
-	closed      chan struct{}
-	watched     chan struct{}
-	cancelSweep context.CancelFunc
-	sweepWG     sync.WaitGroup
+	state     atomic.Int32
+	ctx       context.Context
+	drainCh   chan struct{}
+	admitOnce sync.Once
+	closeOnce sync.Once
+	closed    chan struct{}
+	watched   chan struct{}
 
 	// closeErr is the error the session closed with (under errMu).
 	errMu    sync.Mutex
@@ -162,9 +159,8 @@ func everyTier(spec topology.TreeSpec) NodeTier {
 	return tier
 }
 
-// openEngine creates the plan's topics on cfg.Bus, builds and starts the shard
-// groups tier selects, and — on a root tier, or one whose valves stamp at
-// ingest — starts the sweeper, with atEOS run once the merged watermark
+// openEngine creates the plan's topics on cfg.Bus and builds and starts the
+// shard groups tier selects, with atEOS run once the merged root watermark
 // reaches end of stream. It returns as soon as the groups are pumping; on
 // failure every group it started is stopped again.
 func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, ownsBus bool, atEOS func()) (*engine, error) {
@@ -181,23 +177,21 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, 
 			Latency:   metrics.NewHistogram(),
 			Bandwidth: metrics.NewBandwidthAccount(),
 		},
-		groupByID:  make(map[string]*shardGroup),
-		sliding:    newSlidingState(cfg.Slide, plan.Spec.Window, cfg.Confidence, plan.Queries),
-		atEOS:      atEOS,
-		valves:     make([]*Ingester, plan.Spec.Sources),
-		lags:       make(map[string]*carriedLag),
-		ctx:        ctx,
-		sweepNudge: make(chan struct{}, 1),
-		drainCh:    make(chan struct{}),
-		closed:     make(chan struct{}),
-		watched:    make(chan struct{}),
+		groupByID: make(map[string]*shardGroup),
+		sliding:   newSlidingState(cfg.Slide, plan.Spec.Window, cfg.Confidence, plan.Queries),
+		atEOS:     atEOS,
+		valves:    make([]*Ingester, plan.Spec.Sources),
+		lags:      make(map[string]*carriedLag),
+		ctx:       ctx,
+		drainCh:   make(chan struct{}),
+		closed:    make(chan struct{}),
+		watched:   make(chan struct{}),
 	}
 	if tier.Ingest {
 		e.truth = make([]paddedFloat, plan.Spec.Sources)
 	}
 	if cfg.sim != nil {
 		e.clock = cfg.sim
-		e.loop = &simLoop{e: e, sim: cfg.sim}
 	}
 	now := e.clock.Now()
 	e.startNanos.Store(now.UnixNano())
@@ -245,96 +239,7 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, 
 	if e.controller() != nil {
 		e.ctlProducer = bus.NewProducer()
 	}
-	if e.loop == nil && (tier.Root || tier.Ingest && !cfg.EventTime) {
-		// The sweeper closes root windows while the members pump and beats
-		// idle ingest-stamping valves. Its context is private: shutdown
-		// stops it in order.
-		sweepCtx, cancel := context.WithCancel(context.Background())
-		e.cancelSweep = cancel
-		e.sweepWG.Add(1)
-		go func() {
-			defer e.sweepWG.Done()
-			e.sweeper(sweepCtx)
-		}()
-	}
 	return e, nil
-}
-
-// sweeper runs sweep on events, never on a tick: when a root member nudges
-// (its batch made a window closeable) or a valve starts carrying a
-// sub-stream, and at the earliest instant a sweep has work without one —
-// a root member's watermark losing an entry to idleness, or an
-// ingest-stamping valve's idle beat (nextSweep). With neither pending it
-// parks on the nudge alone.
-func (e *engine) sweeper(ctx context.Context) {
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for at := e.clock.Now(); ; {
-		stopTimer(timer)
-		var expiry <-chan time.Time
-		if next := e.nextSweep(at); !next.IsZero() {
-			timer.Reset(max(next.Sub(e.clock.Now()), 0))
-			expiry = timer.C
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-e.sweepNudge:
-		case <-expiry:
-		}
-		at = e.clock.Now()
-		e.sweep(at)
-	}
-}
-
-// stopTimer stops t and empties its channel, leaving it safe to Reset: the
-// module's go line predates Go 1.23, so an expiry nobody waited for stays
-// buffered in t.C until it is taken out.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// nudgeSweep asks the sweeper for a sweep without blocking: the one-slot
-// channel coalesces nudges that arrive while one is pending. A driven engine's
-// simulator's loop schedules the sweep instead.
-func (e *engine) nudgeSweep() {
-	if e.loop != nil {
-		e.loop.nudge()
-		return
-	}
-	select {
-	case e.sweepNudge <- struct{}{}:
-	default:
-	}
-}
-
-// nextSweep returns the earliest instant after at when a sweep has work that
-// no nudge announces, zero for none: a root member's cached watermark
-// reaching its idle horizon (watermarkTracker.nextAging), and an
-// ingest-stamping valve's next idle beat.
-func (e *engine) nextSweep(at time.Time) time.Time {
-	var next time.Time
-	if e.tier.Root {
-		for _, rp := range e.rootProcs {
-			next = earlier(next, rp.nextAging(at))
-		}
-	}
-	if !e.cfg.EventTime {
-		e.valveMu.Lock()
-		valves := append([]*Ingester(nil), e.valves...)
-		e.valveMu.Unlock()
-		for _, in := range valves {
-			if in != nil {
-				next = earlier(next, in.beatAt(at))
-			}
-		}
-	}
-	return next
 }
 
 // addEdgeGroup instantiates one compiled edge node as a consumer group of
@@ -420,7 +325,7 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 
 // addRootGroup instantiates the root consumer group: RootShards members
 // split the root topic's partitions, each aggregating its share under its own
-// lock, and the sweep merges every member's Θ and runs the queries once. The
+// lock, and closeRoot merges every member's Θ and runs the queries once. The
 // controller is colocated with the root (the paper's datacenter), so adaptive
 // root members take fraction updates directly at the merge instead of
 // round-tripping through the control topic.
@@ -439,7 +344,7 @@ func (e *engine) addRootGroup(now time.Time) error {
 			processed:    &e.rootProcessed,
 			decodeErrs:   &e.decodeErrs,
 			lastActivity: &e.lastActivity,
-			nudge:        e.nudgeSweep,
+			closeRoot:    e.closeRoot,
 			work:         cfg.RootWork,
 			// Private histogram: shards must not serialize on one mutex in
 			// the per-item hot path. Merged into res.Latency at finalize (and
@@ -510,15 +415,11 @@ func (e *engine) stopAll() {
 	}
 }
 
-// stop ends the engine in order: the sweeper, then the root group — whose
-// members fully drain the records they fetched — then one final close of
-// everything that reached the root, to the end-of-stream watermark, then
+// stop ends the engine in order: the root group — whose members fully drain
+// the records they fetched and close no window after — then one final close
+// of everything that reached the root, to the end-of-stream watermark, then
 // every other group.
 func (e *engine) stop() {
-	if e.cancelSweep != nil {
-		e.cancelSweep()
-		e.sweepWG.Wait()
-	}
 	if e.rootGrp != nil {
 		e.rootGrp.stop()
 		e.closeEventWindows(e.clock.Now(), eosWatermark)
@@ -695,25 +596,13 @@ func (e *engine) markStarted() {
 	}
 }
 
-// sweep is one pass of the sweeper: it beats the tier's idle valves when they
-// stamp at ingest, then merges the root members' watermarks and emits every
+// closeRoot is the root's one window close, run on a root member's pump at
+// clock reading at: it merges the root members' watermarks and emits every
 // event window the merged watermark makes due, in event-time order — and once
 // that watermark carries the end-of-stream promise, empties every member and
-// runs atEOS.
-func (e *engine) sweep(at time.Time) {
-	if !e.cfg.EventTime {
-		e.valveMu.Lock()
-		valves := append([]*Ingester(nil), e.valves...)
-		e.valveMu.Unlock()
-		for _, in := range valves {
-			if in != nil {
-				in.beatIfIdle()
-			}
-		}
-	}
-	if !e.tier.Root {
-		return
-	}
+// runs atEOS. Root pumps race into it; windowMu serializes their closes, and
+// a close to a bound already passed closes nothing.
+func (e *engine) closeRoot(at time.Time) {
 	wm := mergedWatermark(e.rootProcs, at)
 	e.closeEventWindows(at, wm)
 	if e.atEOS != nil && !wm.Before(eosHorizon) {
@@ -764,9 +653,9 @@ func (e *engine) closeEventWindows(at, wm time.Time) {
 	}
 }
 
-// rootMerge is the sweeper's scratch for merging the root members' closed
-// windows, kept across sweeps so a sweep that closes windows allocates only
-// their results.
+// rootMerge is the scratch for merging the root members' closed windows,
+// kept across closes so a close that emits windows allocates only their
+// results.
 type rootMerge struct {
 	closed [][]closedWindow // per member: what advanceTo returned
 	wins   []rootWindow     // merged Θ per window start
@@ -902,8 +791,8 @@ func (e *engine) Target() float64 {
 // root closes from now on is delivered in order, and the channel is closed
 // when the session closes. The per-subscriber buffer holds windowSubBuffer
 // results; a subscriber that falls further behind misses intermediate
-// results (every window remains in the final result) — the sweeper
-// never blocks on a slow reader.
+// results (every window remains in the final result) — a root member's
+// pump never blocks on a slow reader.
 func (e *engine) Windows() <-chan WindowResult {
 	ch := make(chan WindowResult, windowSubBuffer)
 	e.subMu.Lock()
@@ -1152,6 +1041,12 @@ func (e *engine) ingester(slot int) (*Ingester, error) {
 			marks:     make(map[stream.SourceID]time.Time),
 			enc:       encoderFor(e.bus),
 		},
+	}
+	if in.stampTs {
+		// Built stopped, and assigned before the valve is shared: a timer
+		// assigned after AfterFunc returns would race its own callback.
+		in.idle = time.AfterFunc(time.Hour, in.beatIfIdle)
+		in.idle.Stop()
 	}
 	e.valves[slot] = in
 	return in, nil

@@ -840,7 +840,7 @@ func (t *watermarkTracker) allStale(now time.Time) bool {
 // watermarkState is watermark plus the reason a zero came back: blocked
 // reports that a non-idle expectation placeholder is holding the node —
 // as opposed to the tracker being empty or fully idle. Merging layers (the
-// live root sweeper) must treat a blocked member as a veto, not as a member
+// root close, mergedWatermark) must treat a blocked member as a veto, not as a member
 // with no opinion. It answers from the cached scan while that still covers
 // now, and scans otherwise.
 func (t *watermarkTracker) watermarkState(now time.Time) (wm time.Time, blocked bool) {
@@ -893,7 +893,7 @@ func (t *watermarkTracker) scan(now time.Time) (wm time.Time, blocked bool) {
 // producer blocks the minimum and nothing is cached — the earliest instant any
 // entry not yet aged can age. Zero when nothing can age: aging is off, or
 // every entry is aged already or an end-of-stream promise. It is the idle
-// deadline of an edge member's pump and, for the root members, the sweeper's.
+// deadline of every member's pump, edge and root.
 func (t *watermarkTracker) nextAging(now time.Time) time.Time {
 	if t.idle <= 0 {
 		return time.Time{}

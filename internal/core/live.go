@@ -166,10 +166,11 @@ type LiveConfig struct {
 	// wedged drain).
 	DrainTimeout time.Duration
 	// OnWindow, if set, observes every non-empty window result as it
-	// closes, after the feedback step. It runs on the sweeper
-	// goroutine — keep it fast, and never call the session's Close from
-	// it (Close waits for the sweeper, so that deadlocks). Snapshot is
-	// safe to call from the hook.
+	// closes, after the feedback step. It runs on the pump of the root
+	// member whose batch or deadline closed the window, so a slow hook
+	// delays that member's consumption — keep it fast, and never call the
+	// session's Close from it (Close waits for the root pumps to stop, so
+	// that deadlocks). Snapshot is safe to call from the hook.
 	OnWindow func(WindowResult)
 	// Checkpoint, when set, makes every edge shard-group member durable:
 	// at each punctuation flush (a window boundary, where committed
@@ -198,7 +199,7 @@ type LiveConfig struct {
 
 	// sim drives the engine in virtual time (RunSim): every instant comes
 	// from it, no goroutine starts, and the simulator's loop steps the
-	// member runtimes and runs the sweeps (sim.go). Nil runs live.
+	// member runtimes (sim.go). Nil runs live.
 	sim *vclock.Sim
 	// streaming runs every edge member as a forwardingProcessor, which
 	// samples and forwards each record as it arrives (SimConfig.Streaming).
@@ -598,7 +599,7 @@ func (p *samplingProcessor) Deadline(now time.Time) time.Time {
 
 // Punctuate is the member's flush at clock reading now, run once its
 // Deadline has passed: re-derive the watermark (idle sources may now be
-// excluded) and sweep windows that became due, then re-assert liveness
+// excluded) and close windows that became due, then re-assert liveness
 // upstream if that is due — a member buffering data behind the lateness
 // horizon has forwarded nothing yet, and without the keepalive its parent
 // could age it out of the minimum and close windows its buffered data
@@ -802,21 +803,22 @@ func (p *samplingProcessor) Close() error {
 
 // rootProcessor is the root-flavored shard member: it buckets Θ per event
 // window and tracks its per-source watermark in wt, both under mu, instead of
-// forwarding; the session's sweeper merges the members' watermarks and
-// drives every member's window closes to the same bound. A batch that carries
-// the member's watermark across a window end nudges the sweeper, so a window
-// closes as soon as the merged watermark passes it. It spins the configured
-// per-item query cost and maintains the run's root-side counters. In-flight
-// records are covered by the member Runtime's Busy gauge; buffered root Θ
-// awaits the sweeper, not the drain, so no pending counter is needed here.
+// forwarding. It closes the root's windows on its own pump (engine.closeRoot,
+// which merges every member's watermark and drives every member's closes to
+// the same bound): after a batch that carries its watermark across a window
+// end, so a window closes as soon as the merged watermark passes it, and at
+// its Deadline, when its watermark can move without a record. It spins the
+// configured per-item query cost and maintains the run's root-side counters.
+// In-flight records are covered by the member Runtime's Busy gauge; buffered
+// root Θ awaits a close, not the drain, so no pending counter is needed here.
 type rootProcessor struct {
 	mu sync.Mutex
 	ew *eventWindows
 	wt *watermarkTracker
 	// lastWM is the member's watermark after its previous batch (under mu),
-	// and nudge the sweeper's wake (engine.nudgeSweep).
-	lastWM time.Time
-	nudge  func()
+	// and closeRoot the engine's root close, called with mu released.
+	lastWM    time.Time
+	closeRoot func(at time.Time)
 	// ctx is the member's clock, and reports the consumer's partition
 	// assignment for the tracker's lane floors (the root consumes, it never
 	// signs off itself).
@@ -830,7 +832,7 @@ type rootProcessor struct {
 	latency      *metrics.Histogram // private per member; merged into the result at shutdown
 }
 
-var _ streams.Processor = (*rootProcessor)(nil)
+var _ streams.Punctuator = (*rootProcessor)(nil)
 
 func (p *rootProcessor) Init(ctx streams.ProcessorContext) error {
 	p.ctx = ctx
@@ -839,9 +841,10 @@ func (p *rootProcessor) Init(ctx streams.ProcessorContext) error {
 }
 
 // ProcessBatch ingests one polled batch under a single mutex acquisition:
-// each member owns its node privately and only the sweeper ever contends.
+// each member owns its node privately and only root closes ever contend.
 // Decode, the watermark fold, and late accounting stay per-message inside the
-// loop, so batching changes no window content.
+// loop, so batching changes no window content. A batch that crossed a window
+// end closes the root once mu is released.
 func (p *rootProcessor) ProcessBatch(msgs []streams.Message) error {
 	p.lastActivity.Store(p.ctx.Now().UnixNano())
 	var total int64
@@ -849,10 +852,14 @@ func (p *rootProcessor) ProcessBatch(msgs []streams.Message) error {
 	for i := range msgs {
 		total += p.processLocked(msgs[i])
 	}
-	p.nudgeOnAdvance(p.ctx.Now())
+	now := p.ctx.Now()
+	crossed := p.crossedLocked(now)
 	p.mu.Unlock()
 	p.processed.Add(total)
 	p.lastActivity.Store(p.ctx.Now().UnixNano())
+	if crossed {
+		p.closeRoot(now)
+	}
 	return nil
 }
 
@@ -900,29 +907,32 @@ func latencyRef(h stream.Header, i int) int64 {
 
 func (p *rootProcessor) Close() error { return nil }
 
-// nudgeOnAdvance nudges the sweeper when the batch just ingested carried the
-// member's watermark across a window end not yet closed — or reopened a
-// window behind the close bound — so the root closes the window as soon as
-// the merged watermark passes it. Once per crossing: a member ahead of its
-// siblings nudged when it crossed, and the last sibling to cross nudges for
-// the close. A watermark that loses its value (blocked, every chain idle)
+// crossedLocked reports whether the batch just ingested carried the member's
+// watermark across a window end not yet closed — or reopened a window behind
+// the close bound — so the root closes the window as soon as the merged
+// watermark passes it. Once per crossing: a member ahead of its siblings
+// closes (to no effect) when it crosses, and the last sibling to cross closes
+// the window. A watermark that loses its value (blocked, every chain idle)
 // crosses again when it comes back. Callers hold p.mu.
-func (p *rootProcessor) nudgeOnAdvance(now time.Time) {
+func (p *rootProcessor) crossedLocked(now time.Time) bool {
 	wm := p.wt.watermark(now)
 	crossed := !wm.IsZero() && (p.lastWM.IsZero() || p.ew.closeBoundFor(wm) > p.ew.closeBoundFor(p.lastWM))
 	p.lastWM = wm
-	if p.ew.behind || crossed && p.ew.moves(wm) {
-		p.nudge()
-	}
+	return p.ew.behind || crossed && p.ew.moves(wm)
 }
 
-// nextAging returns the instant the member's watermark can next change
-// without a record (watermarkTracker.nextAging): the sweeper's idle deadline.
-func (p *rootProcessor) nextAging(now time.Time) time.Time {
+// Deadline implements streams.Punctuator: the instant the member's watermark
+// can next change without a record (watermarkTracker.nextAging) — an unheard
+// producer's placeholder or an idle chain ageing out — when the merged
+// watermark may make a window due.
+func (p *rootProcessor) Deadline(now time.Time) time.Time {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.wt.nextAging(now)
 }
+
+// Punctuate closes the root at its deadline.
+func (p *rootProcessor) Punctuate(now time.Time) { p.closeRoot(now) }
 
 // watermarkState returns the member's current watermark (zero
 // when the member has seen no live chains) and whether an expected-but-
@@ -934,7 +944,7 @@ func (p *rootProcessor) watermarkState(now time.Time) (time.Time, bool) {
 }
 
 // advanceTo closes the member's event windows up to the merged watermark
-// the session's sweeper derived. All members advance to the same bound, so
+// closeRoot derived. All members advance to the same bound, so
 // a window is merged across members exactly once.
 func (p *rootProcessor) advanceTo(wm time.Time) []closedWindow {
 	p.mu.Lock()
@@ -994,7 +1004,7 @@ func (m *groupMember) live() bool { return !m.dead && !m.removed }
 // coordination, which is also what makes the group elastic: members can
 // join, leave, die, and rejoin mid-run (see elastic.go) without a merge
 // barrier to renegotiate. The root node is a shardGroup too (its members
-// merely don't sink — the sweeper merges their Θ instead — and the
+// merely don't sink — closeRoot merges their Θ instead — and the
 // root group is not elastic).
 type shardGroup struct {
 	desc NodeDesc

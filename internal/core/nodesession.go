@@ -135,8 +135,8 @@ func openNode(ctx context.Context, cfg LiveConfig, tier NodeTier, ownsBus bool) 
 		ctx = context.Background()
 	}
 	n := &NodeSession{done: make(chan struct{})}
-	// The sweeper may run atEOS before openEngine returns, so it must not
-	// reach the engine through n.
+	// A root member's pump may run atEOS before openEngine returns, so it
+	// must not reach the engine through n.
 	atEOS := func() { n.completeRoot(cfg.Bus, plan.ControlTopic) }
 	if n.engine, err = openEngine(ctx, cfg, plan, tier, ownsBus, atEOS); err != nil {
 		return nil, err
@@ -147,7 +147,7 @@ func openNode(ctx context.Context, cfg LiveConfig, tier NodeTier, ownsBus bool) 
 
 // completeRoot publishes the run's completion marker on the control topic
 // — the in-band signal edge-tier processes WaitDone on — and closes Done.
-// Once, no matter how many sweeps see the end-of-stream watermark.
+// Once, no matter how many root closes see the end-of-stream watermark.
 func (n *NodeSession) completeRoot(bus transport.Bus, controlTopic string) {
 	n.doneOnce.Do(func() {
 		// Best-effort: a failed send only degrades remote WaitDone to its

@@ -21,8 +21,8 @@ import (
 // original RunLive was batch-shaped — produce a fixed item count, block, and
 // return — the session separates the lifecycle into explicit phases:
 //
-//	OpenLive    compile the plan, create topics, start every shard group
-//	            and the sweeper; return immediately
+//	OpenLive    compile the plan, create topics, start every shard group;
+//	            return immediately
 //	ingesting   callers push items (Ingest / Ingester), subscribe to
 //	            window results (Windows), read telemetry (Snapshot), and
 //	            steer the adaptive controller (SetTarget)
@@ -81,7 +81,8 @@ func (s SessionState) String() string {
 
 // windowSubBuffer is the per-subscriber buffer of Windows channels. A
 // subscriber that falls further behind misses results (they remain in the
-// final LiveResult.Windows) rather than stalling the sweeper.
+// final LiveResult.Windows) rather than stalling the root member whose pump
+// emits them.
 const windowSubBuffer = 128
 
 // defaultMaxIngestLag is the push-side backpressure high-water mark: an

@@ -177,14 +177,14 @@ func xrandFor(layer, node int, seed uint64) *xrand.Rand {
 
 // RunSim executes one experiment and returns its measurements. It opens the
 // engine the live sessions run — every edge layer, the root and the source
-// valves: the same members, sweep and emit path — in virtual time
+// valves: the same members, root close and emit path — in virtual time
 // (LiveConfig.sim), on one thread with no goroutine, over a bus whose every
 // send crosses a netsim link (impairBus). Each source pushes what it generated
 // through its slot's valve once a chunk; each delivery steps the runtimes
-// consuming its topic, and every runtime's deadline and the root's next sweep
-// are one armed simulator event each (simLoop). The run ends when the event
-// queue is empty: after Duration the valves' end-of-stream heartbeats cascade
-// up the tree and close every window that still holds data.
+// consuming its topic, and every runtime's deadline is one armed simulator
+// event (simLoop). The run ends when the event queue is empty: after Duration
+// the valves' end-of-stream heartbeats cascade up the tree and close every
+// window that still holds data.
 func RunSim(cfg SimConfig) (*SimResult, error) {
 	sim := vclock.NewSim(simStart)
 	live := cfg.LiveConfig
@@ -228,7 +228,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := e.loop
+	d := &simLoop{e: e, sim: sim}
 	d.attach()
 	bus.deliver = d.deliver
 
@@ -277,19 +277,13 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 var simStart = time.Date(2018, 7, 2, 0, 0, 0, 0, time.UTC)
 
 // simLoop runs a driven engine on its simulator's one thread, doing what
-// the pumps and the sweeper goroutine do live: when the bus delivers to a
-// topic it steps the runtimes consuming it, it keeps one event armed at each
-// runtime's deadline, and it sweeps the root when a root member nudges and at
-// engine.nextSweep.
+// the pumps do live: when the bus delivers to a topic it steps the runtimes
+// consuming it, and it keeps one event armed at each runtime's deadline.
 type simLoop struct {
 	e     *engine
 	sim   *vclock.Sim
 	pumps map[string][]*simPump // topic → the runtimes consuming it
 	edges []*simPump            // the edge members, top layer first
-	// sweeping marks a sweep scheduled at the current instant, which every
-	// nudge before it runs joins.
-	sweeping bool
-	next     alarm // the sweep at engine.nextSweep
 }
 
 type simPump struct {
@@ -313,14 +307,10 @@ func (d *simLoop) attach() {
 	}
 }
 
-// deliver steps every runtime consuming topic, which a record just reached;
-// a root delivery moves the next sweep.
+// deliver steps every runtime consuming topic, which a record just reached.
 func (d *simLoop) deliver(topic string) {
 	for _, p := range d.pumps[topic] {
 		d.step(p)
-	}
-	if topic == d.e.plan.Root().Topic {
-		d.armSweep()
 	}
 }
 
@@ -328,22 +318,6 @@ func (d *simLoop) deliver(topic string) {
 func (d *simLoop) step(p *simPump) {
 	p.due.set(d.sim, p.rt.Step(), func() { d.step(p) })
 }
-
-// nudge is the root members' wake: a sweep at the current instant, after
-// whatever else is due now.
-func (d *simLoop) nudge() {
-	if !d.sweeping {
-		d.sweeping = true
-		d.sim.At(d.sim.Now(), func() { d.sweeping = false; d.sweep() })
-	}
-}
-
-func (d *simLoop) sweep() {
-	d.e.sweep(d.sim.Now())
-	d.armSweep()
-}
-
-func (d *simLoop) armSweep() { d.next.set(d.sim, d.e.nextSweep(d.sim.Now()), d.sweep) }
 
 // alarm keeps one event armed at a deadline read again after everything that
 // may move it: an unchanged reading keeps the event, another replaces it, and

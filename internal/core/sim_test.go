@@ -395,7 +395,7 @@ func TestSimDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestSimStartsNoGoroutine: RunSim drives the engine on the caller's
-// goroutine alone. No member pump, sweeper or context watcher starts, so
+// goroutine alone. No member pump, valve timer or context watcher starts, so
 // every window closes with the goroutine count RunSim began with — for the
 // windowed tree under feedback (control consumers in every member), for the
 // streaming one behind a saturated root, and for a sharded tree (groups of

@@ -141,6 +141,10 @@ type Ingester struct {
 	mu    sync.Mutex
 	valve           // the publishing half (under mu)
 	epoch time.Time // pacing schedule origin: the valve's first push
+	// idle is the idle-beat timer of a valve that stamps at ingest (nil
+	// otherwise), on the wall clock and built stopped with the valve. Each
+	// push sets it a Window out, and each beat re-arms it (beatIfIdle).
+	idle *time.Timer
 }
 
 // NodePusher is the name a node session's valve goes by.
@@ -196,12 +200,11 @@ func (in *Ingester) Push(items ...stream.Item) error {
 	// Ground truth goes item by item into the slot's running sum, so the
 	// per-slot total is bit-identical to a per-item accumulator and the
 	// final fold (slot order, at shutdown) is deterministic.
-	fresh := len(in.marks) == 0
 	if err := in.publish(e.clock.Now(), items, in.truth); err != nil {
 		return err
 	}
-	if fresh && in.stampTs {
-		e.nudgeSweep() // the sweeper's first idle beat of this valve to arm
+	if in.idle != nil {
+		in.idle.Reset(e.cfg.Window)
 	}
 	sent := in.sent.Add(int64(len(items)))
 	e.produced.Add(int64(len(items)))
@@ -307,17 +310,17 @@ func (in *Ingester) backpressure() error {
 	}
 }
 
-// beatIfIdle keeps ingest-stamped time moving when pushes stop: a valve that
-// stamps at ingest promises that no later record is older than the instant it
-// is sent, so one idle for a whole window heartbeats every sub-stream it has
-// carried at the current instant, and the windows its last pushes filled
-// close on time. A valve whose mutex is held is pushing, not idle. Beats
-// follow Push's admission rules — never once the session stops admitting or
-// the leaf is detached.
+// beatIfIdle is the idle timer's callback. It keeps ingest-stamped time
+// moving when pushes stop: a valve that stamps at ingest promises that no
+// later record is older than the instant it is sent, so one idle for a whole
+// window heartbeats every sub-stream it has carried at the current instant,
+// and the windows its last pushes filled close on time; the beat re-arms the
+// timer. A push that held the mutex when the timer fired has set it again,
+// and the beat waits for that. Beats follow Push's admission rules: once the
+// session stops admitting or the leaf is detached, the timer neither beats
+// nor re-arms.
 func (in *Ingester) beatIfIdle() {
-	if !in.mu.TryLock() {
-		return
-	}
+	in.mu.Lock()
 	defer in.mu.Unlock()
 	now := in.e.clock.Now()
 	if at := in.idleBeatAt(); at.IsZero() || now.Before(at) {
@@ -328,17 +331,7 @@ func (in *Ingester) beatIfIdle() {
 		in.queue(src, nil, now)
 	}
 	_ = in.send() // a failed beat is the next one's to repeat
-}
-
-// beatAt returns the instant beatIfIdle next has work, read at now — the
-// sweeper's deadline for this valve: zero when it has none, a Window from
-// now while a push holds the valve (the push moves its last send there).
-func (in *Ingester) beatAt(now time.Time) time.Time {
-	if !in.mu.TryLock() {
-		return now.Add(in.e.cfg.Window)
-	}
-	defer in.mu.Unlock()
-	return in.idleBeatAt()
+	in.idle.Reset(in.e.cfg.Window)
 }
 
 // idleBeatAt is the instant the valve's next idle beat is due: a Window after

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -105,7 +106,7 @@ func TestIdleMemberParks(t *testing.T) {
 
 // LiveConfig.Window paces no close. With a 1 s Window and 50 ms event
 // windows, a root member whose batch carries its watermark past a window's
-// end nudges the sweeper: the window's result is out within 100 ms of the
+// end closes the root on its own pump: the window's result is out within 100 ms of the
 // push that carries the merged watermark past it, and not before that push.
 func TestRootClosesOnAdvance(t *testing.T) {
 	const w = 50 * time.Millisecond
@@ -147,37 +148,91 @@ func TestRootClosesOnAdvance(t *testing.T) {
 	assertCountInvariant(t, "advance-closed session", res.EstimateCount+res.LateDroppedInput, float64(res.Produced))
 }
 
-// The sweeper's own deadline is the earliest of what no nudge announces: a
-// root member's idle horizon (here an unheard producer's placeholder, which
-// blocks the merged watermark until it ages out) and, where valves stamp at
-// ingest, a valve's idle beat a Window after its last send.
-func TestSweeperDeadline(t *testing.T) {
+// A root member's deadline is the instant its watermark can next move without
+// a record: here an unheard producer's placeholder, which blocks the merged
+// watermark until it ages out, so the member's pump closes the root then.
+func TestRootMemberDeadline(t *testing.T) {
 	const idle = time.Second
 	wall := time.Unix(5000, 0)
 	rp := &rootProcessor{wt: newWatermarkTracker(idle, stream.NewSourceTable())}
 	rp.wt.expect("edge1-0", wall)
-	e := &engine{
-		cfg:       LiveConfig{EventTime: true, Window: 50 * time.Millisecond},
-		tier:      NodeTier{Root: true},
-		rootProcs: []*rootProcessor{rp},
-		ctx:       context.Background(),
-	}
 	aged := wall.Add(idle + time.Nanosecond)
-	if got := e.nextSweep(wall); !got.Equal(aged) {
-		t.Fatalf("sweeper deadline = %v, want the placeholder's ageing at %v", got, aged)
+	if got := rp.Deadline(wall); !got.Equal(aged) {
+		t.Fatalf("root member deadline = %v, want the placeholder's ageing at %v", got, aged)
 	}
+	if got := rp.Deadline(aged); !got.IsZero() {
+		t.Fatalf("root member deadline once the placeholder aged = %v, want none", got)
+	}
+}
 
-	e.cfg.EventTime = false
-	in := &Ingester{e: e, valve: valve{marks: map[stream.SourceID]time.Time{"a": wall}, last: wall}}
-	e.valves = []*Ingester{in}
-	if got, want := e.nextSweep(wall), wall.Add(e.cfg.Window); !got.Equal(want) {
-		t.Fatalf("sweeper deadline with an ingest-stamping valve = %v, want its idle beat at %v", got, want)
+// An ingest-stamping valve's idle timer beats a Window after the valve's last
+// push and re-arms after its own beat; once a fence — FinishIngest, Close or
+// a detach of the valve's leaf — has passed the valve, it neither beats nor
+// re-arms. Beats are counted as the records the valve sends: one per
+// sub-stream, and the pushes here carry one each.
+func TestValveIdleTimer(t *testing.T) {
+	const window = 40 * time.Millisecond
+	for _, fence := range []string{"FinishIngest", "Close", "detach"} {
+		t.Run(fence, func(t *testing.T) {
+			cfg := wakeConfig(window)
+			cfg.EventTime = false
+			cfg.Window = window
+			s, err := OpenLive(nil, cfg)
+			if err != nil {
+				t.Fatalf("OpenLive: %v", err)
+			}
+			defer s.Close()
+			in, err := s.Ingester(0)
+			if err != nil {
+				t.Fatalf("Ingester(0): %v", err)
+			}
+			sent := func() int64 { return in.carried.sent.Load() }
+			// waitSent polls until the valve has sent n records, failing
+			// after a generous bound: the timer runs on a shared machine.
+			waitSent := func(n int64, what string) {
+				t.Helper()
+				for deadline := time.Now().Add(40 * window); sent() < n; time.Sleep(window / 8) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: valve sent %d records, want %d", what, sent(), n)
+					}
+				}
+			}
+			pushed := time.Now()
+			if err := in.Push(stream.Item{Value: 1}); err != nil {
+				t.Fatalf("Push: %v", err)
+			}
+			waitSent(2, "first idle beat")
+			if took := time.Since(pushed); took < window {
+				t.Fatalf("first idle beat %v after the push, want ≥ %v", took, window)
+			}
+			waitSent(3, "the beat after the timer's own")
+
+			switch fence {
+			case "FinishIngest":
+				err = s.FinishIngest()
+			case "Close":
+				_, err = s.Close()
+			case "detach":
+				err = s.RemoveEdgeNode(in.leaf.desc.ID)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", fence, err)
+			}
+			fenced := sent()
+			time.Sleep(3 * window)
+			if got := sent(); got != fenced {
+				t.Fatalf("valve sent %d records in 3 windows after %s, want none", got-fenced, fence)
+			}
+			if in.idle.Stop() {
+				t.Fatalf("the timer is still armed 3 windows after %s", fence)
+			}
+		})
 	}
 }
 
 // An ingest tier whose valves stamp at ingest keeps time moving when pushes
-// stop: its sweeper, armed by the valves' first pushes, beats an idle valve a
-// Window after its last send, so the root tier — another session on the same
+// stop: each valve's idle timer, armed by its first push, beats it a Window
+// after its last send, so the root tier — another session on the same
 // bus — closes the pushed window with no end of stream.
 func TestIngestTierBeatsWhenIdle(t *testing.T) {
 	cfg := wakeConfig(50 * time.Millisecond)
@@ -196,7 +251,7 @@ func TestIngestTierBeatsWhenIdle(t *testing.T) {
 	root := open(NodeTier{Root: true})
 	leaf := open(NodeTier{Layers: []int{0}, Ingest: true})
 	wins := root.Windows()
-	time.Sleep(2 * cfg.Window) // both sweepers park before anything is pushed
+	time.Sleep(2 * cfg.Window) // both tiers park before anything is pushed
 	for slot := 0; slot < cfg.Spec.Sources; slot++ {
 		if err := leaf.Push(slot, stream.Item{Value: 1}); err != nil {
 			t.Fatalf("Push(%d): %v", slot, err)
@@ -254,4 +309,69 @@ func TestDrainWakesStrandedMember(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	assertCountInvariant(t, "stranded member", res.EstimateCount+res.LateDroppedInput, float64(res.Produced))
+}
+
+// Two root members whose watermarks cross the same window end race into the
+// root close from their own pumps. Every window is emitted exactly once, in
+// ascending start order, and the count invariant holds: a close to a bound
+// the other member's close already passed emits nothing.
+func TestConcurrentRootCloses(t *testing.T) {
+	const (
+		w       = 10 * time.Millisecond
+		windows = 40
+		names   = 8 // sub-streams per slot, keyed across both partitions
+	)
+	cfg := wakeConfig(w)
+	cfg.Window = w
+	cfg.Partitions, cfg.RootShards = 2, 2
+	var emitted []time.Time // OnWindow runs under the engine's windowMu
+	cfg.OnWindow = func(win WindowResult) { emitted = append(emitted, win.Start) }
+	s, err := OpenLive(nil, cfg)
+	if err != nil {
+		t.Fatalf("OpenLive: %v", err)
+	}
+	t0 := time.Now().Truncate(w)
+	for k := 0; k < windows; k++ {
+		// Every slot moves every sub-stream into window k together, so the
+		// leaves flush window k-1 to both root partitions at once.
+		for slot := 0; slot < cfg.Spec.Sources; slot++ {
+			items := make([]stream.Item, names)
+			for n := range items {
+				items[n] = stream.Item{
+					Source: stream.SourceID(fmt.Sprintf("s%d-%d", slot, n)),
+					Value:  1,
+					Ts:     t0.Add(time.Duration(k)*w + time.Millisecond),
+				}
+			}
+			in, err := s.Ingester(slot)
+			if err != nil {
+				t.Fatalf("Ingester(%d): %v", slot, err)
+			}
+			if err := in.Push(items...); err != nil {
+				t.Fatalf("Push(%d): %v", slot, err)
+			}
+		}
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for shard := 0; shard < cfg.RootShards; shard++ {
+		if id := memberID(s.plan.Root(), shard); res.Nodes[id].Observed == 0 {
+			t.Fatalf("root member %s aggregated nothing: the closes did not race", id)
+		}
+	}
+	if len(emitted) != windows || len(res.Windows) != windows {
+		t.Fatalf("%d windows emitted, %d in the result, want %d each", len(emitted), len(res.Windows), windows)
+	}
+	for k, start := range emitted {
+		want := t0.Add(time.Duration(k) * w)
+		if !start.Equal(want) || !res.Windows[k].Start.Equal(want) {
+			t.Fatalf("window %d starts at %v (result %v), want %v: emitted twice or out of order", k, start, res.Windows[k].Start, want)
+		}
+		if got := res.Windows[k].EstimatedInput; got != float64(cfg.Spec.Sources*names) {
+			t.Fatalf("window %d holds %.0f items, want %d", k, got, cfg.Spec.Sources*names)
+		}
+	}
+	assertCountInvariant(t, "racing root closes", res.EstimateCount+res.LateDroppedInput, float64(res.Produced))
 }

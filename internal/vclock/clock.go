@@ -10,14 +10,15 @@
 //     traffic finish in milliseconds and are exactly reproducible.
 //
 // The engine (internal/core) and its member runtimes (internal/streams) read
-// every instant from their Clock: the member contexts and pumps, the
-// sweeper, session open and finalize, the valves' publish stamps and idle
+// every instant from their Clock: the member contexts and pumps, the root
+// close, session open and finalize, the valves' publish stamps and idle
 // beats, the elastic verbs. Wall time remains only where a driven engine
 // never goes:
 //
-//   - the real timers a live pump and the live sweeper park on (the instants
-//     they wait for come from the Clock; a driven engine arms Sim events
-//     instead);
+//   - the real timer a live pump parks on (the instant it waits for comes
+//     from the Clock; a driven engine arms Sim events instead);
+//   - the idle timer of a valve that stamps at ingest, which a driven engine
+//     never builds (RunSim forces EventTime on);
 //   - a valve's SourceRate pacing and its backpressure waits;
 //   - the drain probe and its DrainTimeout deadline;
 //   - the RootWork spin, which burns real CPU by design.
