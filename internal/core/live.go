@@ -916,23 +916,42 @@ func (p *rootProcessor) Close() error { return nil }
 // crosses again when it comes back. Callers hold p.mu.
 func (p *rootProcessor) crossedLocked(now time.Time) bool {
 	wm := p.wt.watermark(now)
-	crossed := !wm.IsZero() && (p.lastWM.IsZero() || p.ew.closeBoundFor(wm) > p.ew.closeBoundFor(p.lastWM))
+	crossed := p.crossesLocked(wm)
 	p.lastWM = wm
-	return p.ew.behind || crossed && p.ew.moves(wm)
+	return p.ew.behind || crossed
 }
 
-// Deadline implements streams.Punctuator: the instant the member's watermark
-// can next change without a record (watermarkTracker.nextAging) — an unheard
-// producer's placeholder or an idle chain ageing out — when the merged
-// watermark may make a window due.
+// crossesLocked reports whether watermark wm is past a window end the
+// member's previous watermark was not, with a window there to close.
+// Callers hold p.mu.
+func (p *rootProcessor) crossesLocked(wm time.Time) bool {
+	return !wm.IsZero() && (p.lastWM.IsZero() || p.ew.closeBoundFor(wm) > p.ew.closeBoundFor(p.lastWM)) && p.ew.moves(wm)
+}
+
+// Deadline implements streams.Punctuator: now, when an ageing has carried
+// the member's watermark across a window end since its last close — the
+// close is due, and no record will bring it — else the instant the watermark
+// can next change without a record (watermarkTracker.nextAging): an unheard
+// producer's placeholder or an idle chain ageing out. nextAging is always
+// after now, so without the first answer a pump woken at its deadline would
+// find nothing due and close nothing.
 func (p *rootProcessor) Deadline(now time.Time) time.Time {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.crossesLocked(p.wt.watermark(now)) {
+		return now
+	}
 	return p.wt.nextAging(now)
 }
 
-// Punctuate closes the root at its deadline.
-func (p *rootProcessor) Punctuate(now time.Time) { p.closeRoot(now) }
+// Punctuate closes the root at its deadline, taking the crossing as its own
+// (once per crossing, as after a batch).
+func (p *rootProcessor) Punctuate(now time.Time) {
+	p.mu.Lock()
+	p.crossedLocked(now)
+	p.mu.Unlock()
+	p.closeRoot(now)
+}
 
 // watermarkState returns the member's current watermark (zero
 // when the member has seen no live chains) and whether an expected-but-

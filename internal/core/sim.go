@@ -15,6 +15,7 @@ import (
 	"github.com/approxiot/approxiot/internal/streams"
 	"github.com/approxiot/approxiot/internal/transport"
 	"github.com/approxiot/approxiot/internal/vclock"
+	"github.com/approxiot/approxiot/internal/workload"
 	"github.com/approxiot/approxiot/internal/xrand"
 )
 
@@ -243,12 +244,22 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 			return nil, err
 		}
 		gen := cfg.Source(s)
+		generate := gen.Generate
+		if g, ok := gen.(*workload.Generator); ok {
+			// The valve has encoded a chunk's items by the time Push returns,
+			// so one scratch slice serves every tick of the slot.
+			var scratch []stream.Item
+			generate = func(from time.Time, dt time.Duration) []stream.Item {
+				scratch = g.GenerateInto(scratch[:0], from, dt)
+				return scratch
+			}
+		}
 		var tick func()
 		tick = func() {
 			now := sim.Now()
 			// Nothing stops admitting before the last tick, and the bus's
 			// sends cannot fail: the push lands.
-			_ = in.Push(gen.Generate(now.Add(-chunk), chunk)...)
+			_ = in.Push(generate(now.Add(-chunk), chunk)...)
 			if now.Before(end) {
 				sim.After(chunk, tick)
 			} else {

@@ -165,6 +165,52 @@ func TestRootMemberDeadline(t *testing.T) {
 	}
 }
 
+// A root whose input has gone silent closes a window by ageing alone: its
+// deadline wakes its pump when a silent chain ages out of the merged
+// watermark, with no record left to bring it there. Here edge1-1 dies holding
+// the root inside window 0, edge1-0 carries its chain past the window's end
+// and then dies too, and nothing reaches the root any more — only the root
+// member's own deadline can close the window.
+func TestRootClosesBySilentAgeing(t *testing.T) {
+	const (
+		w    = 50 * time.Millisecond
+		idle = 300 * time.Millisecond
+	)
+	cfg := wakeConfig(w)
+	cfg.Window = time.Second
+	cfg.IdleTimeout = idle
+	s, err := OpenLive(nil, cfg)
+	if err != nil {
+		t.Fatalf("OpenLive: %v", err)
+	}
+	defer s.Close()
+	wins := s.Windows()
+	t0 := time.Now().Truncate(w)
+	pushAt(t, s, 0, t0.Add(10*time.Millisecond))
+	pushAt(t, s, 1, t0.Add(10*time.Millisecond))
+	time.Sleep(100 * time.Millisecond) // both chains reach the root
+	if err := s.KillMember("edge1-1"); err != nil {
+		t.Fatalf("KillMember(edge1-1): %v", err)
+	}
+	pushAt(t, s, 0, t0.Add(w+10*time.Millisecond))
+	select {
+	case win := <-wins:
+		t.Fatalf("window %v closed while edge1-1's chain still held the root inside it", win.Start)
+	case <-time.After(100 * time.Millisecond): // edge1-0's advance reaches the root
+	}
+	if err := s.KillMember("edge1-0"); err != nil {
+		t.Fatalf("KillMember(edge1-0): %v", err)
+	}
+	select {
+	case win := <-wins:
+		if !win.Start.Equal(t0) {
+			t.Fatalf("first result is window %v, want window %v", win.Start, t0)
+		}
+	case <-time.After(idle + 2*time.Second):
+		t.Fatalf("no window closed within %v of the root's input going silent: nothing woke the root to age edge1-1 out", idle+2*time.Second)
+	}
+}
+
 // An ingest-stamping valve's idle timer beats a Window after the valve's last
 // push and re-arms after its own beat; once a fence — FinishIngest, Close or
 // a detach of the valve's leaf — has passed the valve, it neither beats nor

@@ -32,6 +32,7 @@ type group struct {
 type groupOffset struct {
 	mu  sync.Mutex
 	off int64
+	by  string // the member whose claim last advanced off
 }
 
 func newGroup(partitions int) *group {
@@ -173,9 +174,23 @@ func (g *group) claim(id string, epoch int64, p int, dst []Record, fetch func(ds
 		return dst, err
 	}
 	if next := dst[len(dst)-1].Offset + 1; next > po.off {
-		po.off = next
+		po.off, po.by = next, id
 	}
 	return dst, nil
+}
+
+// rewind moves partition p's committed offset from end back to from on
+// behalf of member id — only while it still stands at end and id's claim
+// put it there, so no other member has fetched past it.
+func (g *group) rewind(id string, p int, from, end int64) bool {
+	po := &g.committed[p]
+	po.mu.Lock()
+	defer po.mu.Unlock()
+	if po.off != end || po.by != id || from > end {
+		return false
+	}
+	po.off = from
+	return true
 }
 
 // Consumer reads records from one topic, either as a member of a consumer
@@ -199,6 +214,8 @@ type Consumer struct {
 	// mutated, so a concurrent poll holding the old one stays valid.
 	owned      []int
 	ownedEpoch int64 // 0: no snapshot yet (a joined group's epoch is ≥ 1)
+
+	w waiter // WaitChan's registration with the topic
 }
 
 // NewConsumer returns a standalone consumer over every partition of topic,
@@ -257,7 +274,7 @@ func (c *Consumer) PollInto(ctx context.Context, dst []Record, max int) ([]Recor
 		}
 		c.mu.Unlock()
 
-		wait := c.topic.waitCh() // arm before reading to avoid lost wakeups
+		wait := c.WaitChan() // arm before reading to avoid lost wakeups
 		out, err := c.pollOnce(dst, max)
 		if err != nil {
 			return dst, err
@@ -285,16 +302,19 @@ func (c *Consumer) TryPollInto(dst []Record, max int) ([]Record, error) {
 	return c.pollOnce(dst, max)
 }
 
-// WaitChan returns a channel closed on the topic's next append or group
-// membership change (or already closed if the topic is shut down). Arm it
-// *before* a TryPollInto, then block on it only if the poll came back empty —
-// the arm-before-read order makes a wakeup between the poll and the wait
-// impossible to lose, and the rebalance wakeup means a member that a leaving
-// member's backlog passes to finds it without waiting for an append. After a
-// wakeup with no records, check TopicClosed: a shut-down topic wakes
+// WaitChan arms the consumer's wake channel and returns it: it receives at
+// the next append to a partition this consumer owns or the group's next
+// membership change (a closed channel if the topic is shut down). The
+// channel is the consumer's own and is reused, so take one receive per arm.
+// Arm it *before* a TryPollInto, then block on it only if the poll came back
+// empty — the arm-before-read order makes a wakeup between the poll and the
+// wait impossible to lose, and the rebalance wakeup means a member that a
+// leaving member's backlog passes to finds it without waiting for an append.
+// After a wakeup with no records, check TopicClosed: a shut-down topic wakes
 // immediately and forever.
 func (c *Consumer) WaitChan() <-chan struct{} {
-	return c.topic.waitCh()
+	owned, epoch := c.assignmentNow()
+	return c.topic.arm(&c.w, owned, c.grp, epoch)
 }
 
 // TopicClosed reports whether the consumer's topic has been shut down.
@@ -307,19 +327,11 @@ func (c *Consumer) TopicClosed() bool {
 // slice (dst unextended when nothing is ready). The append-into shape keeps
 // the hot poll path allocation-free once dst's capacity has warmed up.
 func (c *Consumer) pollOnce(dst []Record, max int) ([]Record, error) {
-	var cur int64 // the group's fencing epoch now; 0 standalone
-	if c.grp != nil {
-		cur = c.grp.currentEpoch()
-	}
-	c.mu.Lock()
-	if cur != c.ownedEpoch {
-		c.owned, c.ownedEpoch = c.grp.assignmentEpoch(c.id, c.topic.Partitions())
-	}
-	owned, epoch := c.owned, c.ownedEpoch
+	owned, epoch := c.assignmentNow()
 	if len(owned) == 0 {
-		c.mu.Unlock()
 		return dst, nil
 	}
+	c.mu.Lock()
 	start := c.rrStart % len(owned)
 	c.rrStart++
 	c.mu.Unlock()
@@ -369,6 +381,21 @@ func (c *Consumer) pollOnce(dst []Record, max int) ([]Record, error) {
 	return out, nil
 }
 
+// assignmentNow returns the owned snapshot and the fencing epoch it was taken
+// at, refreshed first if the group's epoch has moved on.
+func (c *Consumer) assignmentNow() ([]int, int64) {
+	var cur int64 // the group's fencing epoch now; 0 standalone
+	if c.grp != nil {
+		cur = c.grp.currentEpoch()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur != c.ownedEpoch {
+		c.owned, c.ownedEpoch = c.grp.assignmentEpoch(c.id, c.topic.Partitions())
+	}
+	return c.owned, c.ownedEpoch
+}
+
 func (c *Consumer) position(p int) int64 {
 	if c.grp != nil {
 		return c.grp.committedOffset(p)
@@ -414,6 +441,17 @@ func (c *Consumer) RebalanceChan() <-chan struct{} {
 // group's committed offset in group mode, the private position standalone.
 func (c *Consumer) Committed(p int) int64 {
 	return c.position(p)
+}
+
+// Rewind hands back records a group member claimed but never processed:
+// partition p's committed offset moves from end, where the member's last
+// claim left it, back to from, so the partition's next owner fetches
+// [from, end) again. It happens only while nobody has claimed past end —
+// the offset still stands at end and this member's claim put it there —
+// so a record is never handed to two members. It reports whether it
+// rewound; a standalone consumer never does.
+func (c *Consumer) Rewind(p int, from, end int64) bool {
+	return c.grp != nil && c.grp.rewind(c.id, p, from, end)
 }
 
 // Seek moves a standalone consumer's position for partition p. It returns

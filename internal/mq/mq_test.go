@@ -780,3 +780,117 @@ func TestControlTopicFanout(t *testing.T) {
 		}
 	}
 }
+
+// An append wakes only the consumers that can fetch it: a member's WaitChan
+// stays open across an append to a partition another member owns, and the
+// rebalance that hands it that partition's backlog fires it.
+func TestWaitChanIsPerPartition(t *testing.T) {
+	b := NewBroker()
+	newTestTopic(t, b, "t", 2)
+	a, err := NewGroupConsumer(b, "t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewGroupConsumer(b, "t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Assignment(); len(got) != 1 {
+		t.Fatalf("a owns %v, want one of two partitions", got)
+	}
+	foreign := 1 - a.Assignment()[0]
+	wait := a.WaitChan()
+	p := NewProducer(b)
+	if err := p.SendTo("t", foreign, []Record{{Value: []byte("backlog")}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-wait:
+		t.Fatalf("an append to partition %d, which a does not own, woke a", foreign)
+	default:
+	}
+	other.Close()
+	select {
+	case <-wait:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the rebalance that handed a the backlog did not wake it")
+	}
+	recs, err := a.TryPollInto(nil, 8)
+	if err != nil || len(recs) != 1 || recs[0].Partition != foreign {
+		t.Fatalf("after the wake a polled %v, %v; want the backlog record", recs, err)
+	}
+}
+
+// A member's Rewind hands back only what nobody has claimed past: it moves
+// the offset its own claim left, and refuses once another member claimed.
+func TestRewindIsFencedByLastClaim(t *testing.T) {
+	b := NewBroker()
+	newTestTopic(t, b, "t", 1)
+	p := NewProducer(b)
+	for i := 0; i < 4; i++ {
+		if err := p.SendTo("t", 0, []Record{{Value: []byte{byte(i)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := NewGroupConsumer(b, "t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := a.TryPollInto(nil, 4); err != nil || len(recs) != 4 {
+		t.Fatalf("a polled %d records, %v", len(recs), err)
+	}
+	if a.Rewind(0, 1, 3) {
+		t.Fatal("a rewind from an end the offset does not stand at succeeded")
+	}
+	if !a.Rewind(0, 2, 4) || a.Committed(0) != 2 {
+		t.Fatalf("a's rewind of its own claim left committed at %d, want 2", a.Committed(0))
+	}
+	c, err := NewGroupConsumer(b, "t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	if recs, err := c.TryPollInto(nil, 4); err != nil || len(recs) != 2 || recs[0].Value[0] != 2 {
+		t.Fatalf("the next owner polled %v, %v; want records 2 and 3", recs, err)
+	}
+	if a.Rewind(0, 0, 4) {
+		t.Fatal("a rewound past another member's claim")
+	}
+	s, err := NewConsumer(b, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Rewind(0, 0, 0) {
+		t.Fatal("a standalone consumer rewound a group offset")
+	}
+}
+
+// A member that armed on an assignment taken before a rebalance whose wake it
+// missed still wakes for the partitions the rebalance handed it: the arm sees
+// the group past the snapshot's epoch and watches every partition.
+func TestWaitChanArmedOnStaleAssignment(t *testing.T) {
+	b := NewBroker()
+	newTestTopic(t, b, "t", 2)
+	a, err := NewGroupConsumer(b, "t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewGroupConsumer(b, "t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned, epoch := a.assignmentNow()
+	if len(owned) != 1 {
+		t.Fatalf("a owns %v, want one of two partitions", owned)
+	}
+	other.Close() // the rebalance's wake: a is not armed yet
+	wait := a.topic.arm(&a.w, owned, a.grp, epoch)
+	if err := NewProducer(b).SendTo("t", 1-owned[0], []Record{{Value: []byte("moved")}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-wait:
+	case <-time.After(5 * time.Second):
+		t.Fatal("an append to a partition the rebalance handed a did not wake a member armed on its old assignment")
+	}
+}

@@ -2,6 +2,7 @@ package mq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -66,19 +67,44 @@ type Topic struct {
 	mu     sync.Mutex
 	groups map[string]*group
 	closed bool
-	// changed is closed and replaced whenever any partition receives an
-	// append, waking blocked consumers — once a waiter has taken it (armed):
-	// an append nobody waits on allocates no channel.
-	changed chan struct{}
-	armed   bool
+	// waiting holds the armed waiters. The first append to a partition a
+	// waiter watches fires it — puts a token in its channel and takes it off
+	// the list — so an append wakes only the consumers that can fetch it.
+	waiting []*waiter
+}
+
+// waiter is one consumer's wake channel and the partitions it watches.
+// The channel holds one token and is the consumer's for its lifetime: a
+// wake allocates nothing. Guarded by its topic's mu.
+type waiter struct {
+	ch    chan struct{} // capacity 1: a token is a wake not yet taken
+	parts []int         // the watched partitions, unless all
+	all   bool
+	armed bool // on the topic's waiting list
+}
+
+// watches reports whether an append of recs touches a watched partition.
+// recs come in runs of one partition, so each run is looked up once.
+func (w *waiter) watches(recs []Record) bool {
+	if w.all {
+		return true
+	}
+	for i := range recs {
+		if i > 0 && recs[i].Partition == recs[i-1].Partition {
+			continue
+		}
+		if slices.Contains(w.parts, recs[i].Partition) {
+			return true
+		}
+	}
+	return false
 }
 
 func newTopic(name string, partitions int, opts ...TopicOption) *Topic {
 	t := &Topic{
-		name:    name,
-		parts:   make([]*partition, partitions),
-		groups:  make(map[string]*group),
-		changed: make(chan struct{}),
+		name:   name,
+		parts:  make([]*partition, partitions),
+		groups: make(map[string]*group),
 	}
 	for _, opt := range opts {
 		opt(t)
@@ -99,7 +125,8 @@ func (t *Topic) Partitions() int { return len(t.parts) }
 
 // appendBatch appends a batch of records — each with Partition already
 // assigned by the producer — under a single topic-lock acquisition, waking
-// blocked consumers once for the whole batch instead of once per record.
+// the blocked consumers that watch its partitions once for the whole batch
+// instead of once per record.
 // Consecutive records sharing a partition are appended as one run under
 // that partition's lock.
 func (t *Topic) appendBatch(recs []Record) error {
@@ -120,7 +147,7 @@ func (t *Topic) appendBatch(recs []Record) error {
 		t.parts[p].appendRun(recs[lo:hi], p)
 		lo = hi
 	}
-	t.fireUnlock()
+	t.fireUnlock(recs)
 
 	if t.retain > 0 {
 		for lo := 0; lo < len(recs); {
@@ -136,62 +163,86 @@ func (t *Topic) appendBatch(recs []Record) error {
 	return nil
 }
 
-// closedChan is returned by waitCh on a shut-down topic so waiters armed
-// after the close still wake immediately.
+// closedChan is returned by arm on a shut-down topic so waiters armed after
+// the close still wake immediately.
 var closedChan = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
 	return c
 }()
 
-// waitCh returns a channel closed on the next append, or an already-closed
-// channel if the topic is shut down.
-func (t *Topic) waitCh() <-chan struct{} {
+// arm puts w on the waiting list and returns its channel, which receives a
+// token at the next append to a watched partition or the next wake — or a
+// closed channel if the topic is shut down. A standalone consumer (g nil)
+// watches every partition, a group member parts, its assignment at fencing
+// epoch epoch — or every partition if the group has moved past that epoch:
+// the rebalance's wake may have come before this arm, and the member may own
+// partitions parts does not name. A token left from before the arm is
+// dropped: the poll that follows an arm sees every record appended before
+// it. Re-arming an armed waiter replaces what it watches.
+func (t *Topic) arm(w *waiter, parts []int, g *group, epoch int64) <-chan struct{} {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return closedChan
 	}
-	t.armed = true
-	return t.changed
-}
-
-// fireUnlock wakes the waiters armed on the current wait channel, if any, by
-// closing it and installing a fresh one, and releases t.mu, which the caller
-// holds.
-func (t *Topic) fireUnlock() {
-	if !t.armed {
-		t.mu.Unlock()
-		return
+	all := g == nil || g.currentEpoch() != epoch
+	if w.ch == nil {
+		w.ch = make(chan struct{}, 1)
 	}
-	old := t.changed
-	t.changed, t.armed = make(chan struct{}), false
-	t.mu.Unlock()
-	close(old)
+	select {
+	case <-w.ch:
+	default:
+	}
+	if !w.armed {
+		w.armed = true
+		t.waiting = append(t.waiting, w)
+	}
+	w.parts, w.all = parts, all
+	return w.ch
 }
 
-// wake fires the current wait channel without appending: a group's
-// membership changed, and a member it handed a partition with a backlog must
-// look again. Members of other groups on the topic re-poll and find nothing —
-// a spurious wakeup, which WaitChan's contract allows.
+// fireUnlock fires the armed waiters that watch a partition of recs — every
+// armed waiter when recs is nil — and releases t.mu, which the caller holds.
+func (t *Topic) fireUnlock(recs []Record) {
+	keep := t.waiting[:0]
+	for _, w := range t.waiting {
+		if recs != nil && !w.watches(recs) {
+			keep = append(keep, w)
+			continue
+		}
+		select {
+		case w.ch <- struct{}{}:
+		default:
+		}
+		w.armed = false
+	}
+	clear(t.waiting[len(keep):])
+	t.waiting = keep
+	t.mu.Unlock()
+}
+
+// wake fires every armed waiter without appending: a group's membership
+// changed, and a member it handed a partition with a backlog must look
+// again. Members of other groups on the topic re-poll and find nothing — a
+// spurious wakeup, which WaitChan's contract allows.
 func (t *Topic) wake() {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return
 	}
-	t.fireUnlock()
+	t.fireUnlock(nil)
 }
 
 func (t *Topic) close() {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.closed {
+		t.mu.Unlock()
 		return
 	}
 	t.closed = true
-	close(t.changed)
-	t.changed = make(chan struct{}) // keep waitCh non-nil for stragglers
+	t.fireUnlock(nil)
 }
 
 func (t *Topic) isClosed() bool {

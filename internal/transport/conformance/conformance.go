@@ -3,8 +3,10 @@
 // implementation to the in-memory broker's observable semantics — per-key
 // ordering, group rebalance with generation-fenced exactly-once commits,
 // bit-for-bit watermark propagation, end-of-stream broadcast, truthful lag
-// probes, offset-addressed replay, blocking-poll wakeups, who owns which
-// bytes across the boundary and until when, and shutdown behavior. The
+// probes, offset-addressed replay, blocking-poll wakeups, committed offsets
+// that count what polls handed out (however far a backend fetched ahead),
+// who owns which bytes across the boundary and until when, and shutdown
+// behavior. The
 // in-memory Mem backend runs it as a self-check; the TCP backend runs it to
 // prove the wire adds latency but not semantics.
 //
@@ -53,6 +55,8 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("WakeAfterDrained", func(t *testing.T) { testWakeAfterDrained(t, mk(t)) })
 	t.Run("RebalanceBacklogFound", func(t *testing.T) { testRebalanceBacklogFound(t, mk(t)) })
 	t.Run("TryPollStaysExact", func(t *testing.T) { testTryPollStaysExact(t, mk(t)) })
+	t.Run("CommittedAtCut", func(t *testing.T) { testCommittedAtCut(t, mk(t)) })
+	t.Run("CloseHandsBackHeld", func(t *testing.T) { testCloseHandsBackHeld(t, mk(t)) })
 	t.Run("FetchAt", func(t *testing.T) { testFetchAt(t, mk(t)) })
 	t.Run("BufferOwnership", func(t *testing.T) { testBufferOwnership(t, mk(t)) })
 	t.Run("BackendShutdown", func(t *testing.T) {
@@ -699,6 +703,124 @@ func testTryPollStaysExact(t *testing.T, be Backend) {
 			t.Fatalf("round %d: TryPollInto right after a completed send returned %d records, want that one", round, len(recs))
 		}
 	}
+}
+
+// pollSome runs the pump's arm/try/park sequence until a lending poll of at
+// most max records hands some out, and returns them.
+func pollSome(t *testing.T, c transport.Consumer, scratch []transport.Record, max int) []transport.Record {
+	t.Helper()
+	deadline := time.Now().Add(suiteDeadline)
+	for time.Now().Before(deadline) {
+		wake := c.WaitChan()
+		var err error
+		if scratch, err = c.TryPollInto(scratch[:0], max); err != nil {
+			t.Fatalf("TryPollInto: %v", err)
+		}
+		if len(scratch) > 0 {
+			return scratch
+		}
+		select {
+		case <-wake:
+		case <-time.After(time.Until(deadline)):
+		}
+	}
+	t.Fatalf("no record within %v", suiteDeadline)
+	return nil
+}
+
+// testCommittedAtCut: Committed is the processed view — the offset past the
+// last record a poll has handed out — at every cut between polls, however
+// much the backend has fetched ahead for the consumer, and a batch that lands
+// while the consumer is parked does not move it. Checkpoints are cut there.
+func testCommittedAtCut(t *testing.T, be Backend) {
+	bus := be.Bus
+	mustCreate(t, bus, "t", 1)
+	c, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := bus.NewProducer()
+	for i := 0; i < 10; i++ {
+		send(t, p, nil, []byte{byte(i)})
+	}
+	var scratch []transport.Record
+	for taken := 0; taken < 10; {
+		scratch = pollSome(t, c, scratch, 3)
+		for _, r := range scratch {
+			if r.Offset != int64(taken) {
+				t.Fatalf("record at offset %d handed out as number %d", r.Offset, taken)
+			}
+			taken++
+		}
+		if got := c.Committed(0); got != int64(taken) {
+			t.Fatalf("Committed(0) = %d after polls handed out %d records", got, taken)
+		}
+	}
+	// A batch lands while the consumer is parked: nothing is handed out, so
+	// the cut stays where the polls left it.
+	wake := c.WaitChan()
+	if scratch, err = c.TryPollInto(scratch[:0], 3); err != nil || len(scratch) != 0 {
+		t.Fatalf("TryPollInto on a drained consumer = %d records, %v", len(scratch), err)
+	}
+	if err := p.SendBatch("t", []transport.Record{{Value: []byte{10}}, {Value: []byte{11}}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-wake:
+	case <-time.After(suiteDeadline):
+		t.Fatal("the armed WaitChan did not fire after a send")
+	}
+	if got := c.Committed(0); got != 10 {
+		t.Fatalf("Committed(0) = %d with a batch landed and not polled, want 10", got)
+	}
+	if got := c.Lag(); got != 2 {
+		t.Fatalf("Lag = %d with two records landed and not polled, want 2", got)
+	}
+}
+
+// testCloseHandsBackHeld: a member that closes holding records it never
+// handed out — fetched ahead by the backend — leaves them to the group: the
+// next member gets exactly those, each once, and none it did hand out.
+func testCloseHandsBackHeld(t *testing.T, be Backend) {
+	bus := be.Bus
+	mustCreate(t, bus, "t", 1)
+	a, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bus.NewProducer()
+	for i := 0; i < 20; i++ {
+		send(t, p, nil, []byte{byte(i)})
+	}
+	first := pollSome(t, a, nil, 5)
+	handed := len(first)
+	if got := a.Committed(0); got != int64(handed) {
+		t.Fatalf("Committed(0) = %d after %d records handed out", got, handed)
+	}
+	a.Close()
+	b, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rest := drainN(t, b, 20-handed)
+	for i, r := range rest {
+		if want := byte(handed + i); r.Value[0] != want || r.Offset != int64(want) {
+			t.Fatalf("the next member's record %d is value %d at offset %d, want %d", i, r.Value[0], r.Offset, want)
+		}
+	}
+	if extra := drainExtra(b); extra != 0 {
+		t.Fatalf("the next member got %d records more than the %d left", extra, 20-handed)
+	}
+}
+
+// drainExtra polls c briefly and counts what it still delivers.
+func drainExtra(c transport.Consumer) int {
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	recs, _ := c.PollInto(ctx, nil, 64)
+	return len(recs)
 }
 
 func testFetchAt(t *testing.T, be Backend) {

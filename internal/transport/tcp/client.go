@@ -1,12 +1,10 @@
 package tcp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/approxiot/approxiot/internal/mq"
@@ -15,31 +13,24 @@ import (
 
 const (
 	dialTimeout = 5 * time.Second
-	// ioGrace pads every read deadline past the request's server-side wait
-	// budget: a response later than wait+grace means the conn is dead, not
-	// slow.
+	// ioGrace bounds the wait for an answer: a response later than this
+	// means the conn is dead, not slow.
 	ioGrace = 15 * time.Second
-	// longPollMs is the client's blocking-poll round: PollInto re-issues
-	// fetches of this length, checking its context between rounds.
-	longPollMs = 250
-	// watchPollMs is the long-poll round of the background WaitChan
-	// watcher — longer than fetch rounds because an idle watcher's only cost
-	// is holding a parked request open.
-	watchPollMs = 2000
-	// watchRetry is the beat a watcher waits after a failed round before it
-	// tries again, rather than spinning on a dead daemon or a stale handle.
-	watchRetry = 100 * time.Millisecond
+	// ringFrames is the push frames a consumer holds at once — the credit it
+	// grants the daemon. Freed frames are granted back once half the ring is
+	// free: one grant per ringFrames/2 pushes.
+	ringFrames = 8
 )
 
 // Client mounts a remote Server as a transport.Bus. Producers and consumers
-// each own a dedicated connection (their request streams are independent and
-// a blocking fetch must not head-of-line-block an unrelated send); Bus-level
-// ops share one admin connection. Every connection transparently redials
-// once per failed call: producers retry the send (at-least-once, like a
-// non-idempotent Kafka producer), consumers re-open their server-side
-// handle — rejoining their group or re-seeking their standalone positions to
-// the exact next offsets — before the call is retried, so a broker bounce
-// surfaces as at most one failed call, not a wedged pipeline.
+// each own a dedicated connection (their streams are independent, and a
+// consumer's pushes must not queue behind an unrelated send); Bus-level ops
+// share one admin connection. Every connection transparently redials once
+// per failed call: producers retry the send (at-least-once, like a
+// non-idempotent Kafka producer), consumers re-open and re-subscribe their
+// server-side handle — rejoining their group or re-seeking their standalone
+// positions to the exact next offsets — so a broker bounce surfaces as at
+// most one failed call, not a wedged pipeline.
 type Client struct {
 	addr string
 	ctr  counters
@@ -66,13 +57,13 @@ func Dial(addr string) (*Client, error) {
 }
 
 // Counters returns this client's wire-traffic counters, summed over all of
-// its connections (admin, producers, consumers, watchers).
+// its connections (admin, producers, consumers).
 func (cl *Client) Counters() transport.Counters { return cl.ctr.snapshot() }
 
 // Close drops every connection this client opened. The remote daemon — and
 // the topics, groups, and records it holds — keeps running; only this
-// process's producers, consumers, and watchers go away (the server reaps
-// their handles as the conns drop, so group members leave and rebalance).
+// process's producers and consumers go away (the server reaps their handles
+// as the conns drop, so group members leave and rebalance).
 func (cl *Client) Close() error {
 	cl.mu.Lock()
 	if cl.closed {
@@ -93,20 +84,17 @@ func (cl *Client) Close() error {
 
 // CreateTopic creates (or idempotently re-creates) a topic on the daemon.
 func (cl *Client) CreateTopic(name string, partitions, retain int) error {
-	return cl.admin.call(0, func(req []byte) []byte {
-		req = append(req, opCreateTopic)
-		req = appendStr(req, name)
-		req = appendUvarint(req, uint64(partitions))
-		return appendUvarint(req, uint64(retain))
+	return cl.admin.call(func(g *gather) {
+		g.hdr = appendStr(append(g.hdr, opCreateTopic), name)
+		g.hdr = appendUvarint(appendUvarint(g.hdr, uint64(partitions)), uint64(retain))
 	}, nil)
 }
 
 // TopicPartitions returns the partition count of an existing topic.
 func (cl *Client) TopicPartitions(name string) (int, error) {
 	var n int
-	err := cl.admin.call(0, func(req []byte) []byte {
-		req = append(req, opTopicParts)
-		return appendStr(req, name)
+	err := cl.admin.call(func(g *gather) {
+		g.hdr = appendStr(append(g.hdr, opTopicParts), name)
 	}, func(r *wireReader) error {
 		n = int(r.uvarint())
 		return r.err
@@ -116,13 +104,13 @@ func (cl *Client) TopicPartitions(name string) (int, error) {
 
 // GroupLag returns a group's total lag on a topic — the remote form of the
 // ingest-backpressure probe, answered from the daemon's own committed
-// offsets and high watermarks so it is exactly as truthful as in-process.
+// offsets and high watermarks. Records pushed to the group's members and
+// still held in their rings count as consumed: the daemon committed them
+// when it pushed them.
 func (cl *Client) GroupLag(topic, group string) (int64, error) {
 	var lag int64
-	err := cl.admin.call(0, func(req []byte) []byte {
-		req = append(req, opGroupLag)
-		req = appendStr(req, topic)
-		return appendStr(req, group)
+	err := cl.admin.call(func(g *gather) {
+		g.hdr = appendStr(appendStr(append(g.hdr, opGroupLag), topic), group)
 	}, func(r *wireReader) error {
 		lag = int64(r.uvarint())
 		return r.err
@@ -133,10 +121,8 @@ func (cl *Client) GroupLag(topic, group string) (int64, error) {
 // GroupCommitted returns a group's committed offset per partition.
 func (cl *Client) GroupCommitted(topic, group string) ([]int64, error) {
 	var offs []int64
-	err := cl.admin.call(0, func(req []byte) []byte {
-		req = append(req, opGroupCommitted)
-		req = appendStr(req, topic)
-		return appendStr(req, group)
+	err := cl.admin.call(func(g *gather) {
+		g.hdr = appendStr(appendStr(append(g.hdr, opGroupCommitted), topic), group)
 	}, func(r *wireReader) error {
 		n := r.count(1)
 		if r.err != nil {
@@ -156,12 +142,9 @@ func (cl *Client) GroupCommitted(topic, group string) ([]int64, error) {
 // per batch: the records own them.
 func (cl *Client) FetchInto(dst []transport.Record, topic string, partition int, from int64, max int) ([]transport.Record, error) {
 	out := dst
-	err := cl.admin.call(0, func(req []byte) []byte {
-		req = append(req, opFetchAt)
-		req = appendStr(req, topic)
-		req = appendUvarint(req, uint64(partition))
-		req = appendUvarint(req, uint64(from))
-		return appendUvarint(req, uint64(max))
+	err := cl.admin.call(func(g *gather) {
+		g.hdr = appendUvarint(appendStr(append(g.hdr, opFetchAt), topic), uint64(partition))
+		g.hdr = appendUvarint(appendUvarint(g.hdr, uint64(from)), uint64(max))
 	}, func(r *wireReader) error {
 		var derr error
 		out, derr = decodeRecords(r, out, false)
@@ -198,17 +181,12 @@ func (cl *Client) NewGroupConsumer(topic, group string) (transport.Consumer, err
 }
 
 func (cl *Client) newConsumer(topic, group string) (*clientConsumer, error) {
-	cc := &clientConsumer{
-		cl:         cl,
-		topic:      topic,
-		group:      group,
-		positions:  make(map[int]int64),
-		drainedSig: make(chan struct{}, 1),
-	}
-	// The open runs inside the reconnect hook so a redial re-establishes the
-	// server-side handle (rejoin the group / re-seek standalone positions)
-	// before the failed call is retried.
+	cc := newClientConsumer(cl, topic, group)
+	// The open and the subscription run inside the reconnect hook, so a
+	// redial re-establishes the server-side handle (rejoin the group /
+	// re-seek standalone positions) before the failed call is retried.
 	cc.rc = cl.newRconn(cc.reopen)
+	cc.rc.sub = cc
 	if err := cc.rc.connect(); err != nil {
 		cc.rc.close()
 		return nil, err
@@ -217,7 +195,7 @@ func (cl *Client) newConsumer(topic, group string) (*clientConsumer, error) {
 }
 
 func (cl *Client) newRconn(hook func(raw rawCall) error) *rconn {
-	rc := &rconn{cl: cl, hook: hook, reqBuf: make([]byte, frameStart, 64)}
+	rc := &rconn{cl: cl, hook: hook}
 	cl.mu.Lock()
 	if cl.closed {
 		rc.closed = true
@@ -240,21 +218,25 @@ func (cl *Client) dropConn(rc *rconn) {
 // no locking or retry — the primitive reconnect hooks are handed to rebuild
 // session state. req is a bare frame (no headroom; the hook path is cold
 // and copies it into one); the returned reader is valid until the next call.
-type rawCall func(req []byte, waitMs uint64) (*wireReader, error)
+type rawCall func(req []byte) (*wireReader, error)
 
 // rconn is one client connection: calls are serialized by mu, and a call
 // that hits an I/O error closes the conn, redials once, replays the
 // reconnect hook, rebuilds the request, and retries. The conn pointer and
 // closed flag live under their own cmu (never held across I/O) so close()
-// can interrupt a parked long-poll from another goroutine.
+// can interrupt a blocked read from another goroutine. A consumer's
+// connection is subscribed (sub): its reader goroutine, started on every
+// dial, owns the reads, and a call's answer is the next response frame the
+// reader meets between the pushes.
 type rconn struct {
 	cl   *Client
 	hook func(raw rawCall) error
+	sub  *clientConsumer
 
-	mu     sync.Mutex // serializes calls
-	reqBuf []byte     // request under construction, frameStart headroom first
-	rbuf   []byte     // response frame, unless the call brings its own buffer
-	rd     wireReader // walks the response; reset per call
+	mu   sync.Mutex // serializes calls and, subscribed, credit grants
+	req  gather     // the request under construction
+	rbuf []byte     // response frame of a request/response connection
+	rd   wireReader // walks the response; reset per call
 
 	cmu        sync.Mutex
 	conn       net.Conn
@@ -282,7 +264,7 @@ func (rc *rconn) close() {
 	}
 	rc.closed = true
 	if rc.conn != nil {
-		rc.conn.Close() // interrupts any parked read immediately
+		rc.conn.Close() // interrupts any blocked read immediately
 		rc.conn = nil
 	}
 	rc.cmu.Unlock()
@@ -318,6 +300,9 @@ func (rc *rconn) ensureLocked() error {
 	if conn != nil {
 		return nil
 	}
+	if rc.sub != nil {
+		rc.sub.awaitReader() // the last connection's reader has let go
+	}
 	conn, err = net.DialTimeout("tcp", rc.cl.addr, dialTimeout)
 	if err != nil {
 		return err
@@ -334,10 +319,14 @@ func (rc *rconn) ensureLocked() error {
 	rc.everDialed = true
 	rc.conn = conn
 	rc.cmu.Unlock()
+	if rc.sub != nil {
+		rc.sub.startReader(conn)
+	}
 	if rc.hook != nil {
-		raw := func(req []byte, waitMs uint64) (*wireReader, error) {
-			framed := append(make([]byte, frameStart, frameStart+len(req)), req...)
-			frame, err := rc.exchange(conn, framed, waitMs, &rc.rbuf)
+		raw := func(req []byte) (*wireReader, error) {
+			rc.req.reset()
+			rc.req.hdr = append(rc.req.hdr, req...)
+			frame, err := rc.exchange(conn)
 			if err != nil {
 				return nil, err
 			}
@@ -351,19 +340,19 @@ func (rc *rconn) ensureLocked() error {
 	return nil
 }
 
-// exchange seals and writes one request — built after frameStart bytes of
-// headroom, so it goes out as it stands, in one Write — and reads the
-// response frame through *rbuf (grown as needed). Callers hold rc.mu; the
-// returned frame aliases *rbuf and is valid until the next exchange into it.
-func (rc *rconn) exchange(conn net.Conn, req []byte, waitMs uint64, rbuf *[]byte) ([]byte, error) {
-	conn.SetDeadline(time.Now().Add(ioGrace + time.Duration(waitMs)*time.Millisecond))
-	n, err := conn.Write(sealFrame(req))
-	rc.cl.ctr.bytesOut.Add(int64(n))
-	if err != nil {
+// exchange writes the request built in rc.req — gathered: its large fields
+// go out from where they live — and returns the response frame, valid until
+// the next exchange. Callers hold rc.mu.
+func (rc *rconn) exchange(conn net.Conn) ([]byte, error) {
+	if rc.sub != nil {
+		return rc.sub.exchange(conn, &rc.req)
+	}
+	conn.SetDeadline(time.Now().Add(ioGrace))
+	if err := rc.req.writeTo(conn, &rc.cl.ctr.bytesOut); err != nil {
 		return nil, err
 	}
 	rc.cl.ctr.roundTrips.Add(1)
-	frame, rn, err := readFrame(conn, rbuf)
+	frame, rn, err := readFrame(conn, &rc.rbuf)
 	rc.cl.ctr.bytesIn.Add(int64(rn))
 	if err != nil {
 		return nil, err
@@ -373,19 +362,11 @@ func (rc *rconn) exchange(conn net.Conn, req []byte, waitMs uint64, rbuf *[]byte
 
 // call runs one request with redial-and-retry. build is re-invoked per
 // attempt (the reconnect hook may have changed state the request embeds,
-// e.g. a re-opened consumer handle); decode runs on the stOK payload while
-// the frame buffer is still valid. Server-reported errors are returned
-// as-is and never retried — only conn-level I/O failures trigger the
-// redial.
-func (rc *rconn) call(waitMs uint64, build func(req []byte) []byte, decode func(*wireReader) error) error {
-	return rc.callInto(&rc.rbuf, waitMs, build, decode)
-}
-
-// callInto is call reading the response into the caller's frame buffer
-// instead of the connection's — for a caller that keeps views into the frame
-// after the call returns, which rbuf cannot promise: any goroutine's next
-// call on this connection overwrites it.
-func (rc *rconn) callInto(rbuf *[]byte, waitMs uint64, build func(req []byte) []byte, decode func(*wireReader) error) error {
+// e.g. a re-opened consumer handle) and appends the request to g.hdr after
+// its headroom; decode runs on the stOK payload while the frame is still
+// valid, still under the call lock. Server-reported errors are returned
+// as-is and never retried — only conn-level I/O failures trigger the redial.
+func (rc *rconn) call(build func(g *gather), decode func(*wireReader) error) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	var lastErr error
@@ -400,8 +381,9 @@ func (rc *rconn) callInto(rbuf *[]byte, waitMs uint64, build func(req []byte) []
 		if err != nil {
 			return err
 		}
-		rc.reqBuf = build(rc.reqBuf[:frameStart])
-		frame, err := rc.exchange(conn, rc.reqBuf, waitMs, rbuf)
+		rc.req.reset()
+		build(&rc.req)
+		frame, err := rc.exchange(conn)
 		if err != nil {
 			rc.dropLive(conn)
 			lastErr = err
@@ -432,9 +414,9 @@ func parseResp(r *wireReader, frame []byte) error {
 	return nil
 }
 
-// minRecordBytes is the least a record occupies in a fetch response: two
-// empty length-prefixed fields, two absent instants, an empty origin, and
-// one-byte partition and offset.
+// minRecordBytes is the least a record occupies in a push frame or an
+// opFetchAt answer: two empty length-prefixed fields, two absent instants,
+// an empty origin, and one-byte partition and offset.
 const minRecordBytes = 7
 
 // decodeRecords appends the counted records at r onto dst. With lend, Key
@@ -488,394 +470,23 @@ func (p *clientProducer) SendTo(topic string, partition int, recs []mq.Record) e
 }
 
 // send writes one send frame — with the partition after the topic for
-// opSendTo — and waits for the daemon's answer.
+// opSendTo — and waits for the daemon's answer. Keys and values go out with
+// the frame from the caller's memory, gathered, not copied into it.
 func (p *clientProducer) send(op byte, topic string, partition int, recs []mq.Record) error {
-	err := p.rc.call(0, func(req []byte) []byte {
-		req = append(req, op)
-		req = appendStr(req, topic)
+	err := p.rc.call(func(g *gather) {
+		g.hdr = appendStr(append(g.hdr, op), topic)
 		if op == opSendTo {
-			req = appendUvarint(req, uint64(partition))
+			g.hdr = appendUvarint(g.hdr, uint64(partition))
 		}
-		req = appendUvarint(req, uint64(len(recs)))
+		g.hdr = appendUvarint(g.hdr, uint64(len(recs)))
 		for i := range recs {
-			req = appendBytes(req, recs[i].Key)
-			req = appendBytes(req, recs[i].Value)
-			req = appendWatermark(req, recs[i].Watermark)
+			g.bytes(recs[i].Key)
+			g.bytes(recs[i].Value)
+			g.hdr = appendWatermark(g.hdr, recs[i].Watermark)
 		}
-		return req
 	}, nil)
 	if err != nil {
 		p.cl.ctr.sendErrs.Add(1)
 	}
 	return err
-}
-
-// ---- consumer ----
-
-// closedChan is returned by WaitChan once the topic (or consumer) is done:
-// a woken caller re-polls, finds nothing, and checks TopicClosed — the
-// shut-down topic's "wakes immediately and forever" contract.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-type clientConsumer struct {
-	cl    *Client
-	topic string
-	group string // "" = standalone
-	rc    *rconn
-
-	handle      atomic.Uint64
-	closed      atomic.Bool
-	topicClosed atomic.Bool
-
-	// frame is the response buffer of the polls, whose records point into it
-	// until the next one. The consumer's own, not the connection's
-	// rbuf: Lag, Committed or Close from another goroutine run their calls
-	// on the same connection and would overwrite views the poller still
-	// reads.
-	frame []byte
-
-	// positions tracks a standalone consumer's next offset per partition so
-	// a reconnect can re-seek the fresh server-side consumer to exactly
-	// where this one left off (group offsets live server-side and need no
-	// client copy).
-	pmu       sync.Mutex
-	positions map[int]int64
-
-	// drained is the daemon's last word on this handle: the latest fetch came
-	// back short with no lag behind it, and no wait-ready round has said
-	// ready since. While it stands — and a watcher runs to take it down —
-	// TryPollInto finds nothing without asking. Every fetch answer sets or
-	// clears it; a fetch error, a reconnect and Close clear it; a closed
-	// topic overrides it.
-	drained atomic.Bool
-	// watching reports that the WaitChan watcher is running: without one
-	// nothing would ever clear drained, so nobody may act on it.
-	watching atomic.Bool
-
-	// WaitChan machinery: a lazily-started watcher that, while the consumer
-	// is drained, long-polls the handle's readiness over its own conn and
-	// closes waitCh when there is something to fetch. drainedSig (one slot:
-	// it carries "look at drained again", not a count) is how the fetch path
-	// rouses it.
-	wmu        sync.Mutex
-	waitCh     chan struct{}
-	waitRC     *rconn
-	drainedSig chan struct{}
-}
-
-var _ transport.Consumer = (*clientConsumer)(nil)
-
-// reopen is the reconnect hook: it re-establishes the server-side consumer
-// on a fresh conn. Group consumers rejoin (a new member under a bumped
-// generation; committed offsets are group-owned and survive); standalone
-// consumers re-seek every tracked position so no record is re-delivered.
-func (cc *clientConsumer) reopen(raw rawCall) error {
-	req := []byte{opOpenConsumer}
-	req = appendStr(req, cc.topic)
-	req = appendStr(req, cc.group)
-	r, err := raw(req, 0)
-	if err != nil {
-		return err
-	}
-	h := r.uvarint()
-	if r.err != nil {
-		return r.err
-	}
-	cc.handle.Store(h)
-	cc.drained.Store(false) // a fresh handle: nothing is known about it yet
-	if cc.group != "" {
-		return nil
-	}
-	cc.pmu.Lock()
-	seeks := make(map[int]int64, len(cc.positions))
-	for p, off := range cc.positions {
-		seeks[p] = off
-	}
-	cc.pmu.Unlock()
-	for p, off := range seeks {
-		req := []byte{opSeek}
-		req = appendUvarint(req, h)
-		req = appendUvarint(req, uint64(p))
-		req = appendUvarint(req, uint64(off))
-		if _, err := raw(req, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fetch runs one poll round: non-blocking at waitMs 0, else a server-side
-// long poll. Topic-closed and drained state piggyback on every response. The
-// response lands in cc.frame and the records alias it.
-func (cc *clientConsumer) fetch(dst []mq.Record, max int, waitMs uint64) ([]mq.Record, error) {
-	if cc.closed.Load() {
-		return dst, mq.ErrClosed
-	}
-	if max <= 0 {
-		max = 1
-	}
-	out := dst
-	err := cc.rc.callInto(&cc.frame, waitMs, func(req []byte) []byte {
-		req = append(req, opFetch)
-		req = appendUvarint(req, cc.handle.Load())
-		req = appendUvarint(req, uint64(max))
-		return appendUvarint(req, waitMs)
-	}, func(r *wireReader) error {
-		flags := r.byteVal()
-		if r.err != nil {
-			return r.err
-		}
-		if flags&flagTopicClosed != 0 {
-			cc.topicClosed.Store(true)
-		}
-		var derr error
-		if out, derr = decodeRecords(r, out, true); derr != nil {
-			return derr
-		}
-		cc.setDrained(flags&flagDrained != 0)
-		return nil
-	})
-	if err != nil {
-		cc.drained.Store(false)
-		if errors.Is(err, mq.ErrClosed) {
-			cc.topicClosed.Store(true)
-		} else {
-			cc.cl.ctr.pollErrs.Add(1)
-		}
-		return dst, err
-	}
-	if cc.group == "" && len(out) > len(dst) {
-		cc.pmu.Lock()
-		for i := len(dst); i < len(out); i++ {
-			cc.positions[out[i].Partition] = out[i].Offset + 1
-		}
-		cc.pmu.Unlock()
-	}
-	return out, nil
-}
-
-// PollInto lends: the records' Key/Value point into the fetch frame and are
-// valid until the next PollInto or TryPollInto on this consumer.
-func (cc *clientConsumer) PollInto(ctx context.Context, dst []mq.Record, max int) ([]mq.Record, error) {
-	for {
-		out, err := cc.fetch(dst, max, longPollMs)
-		if err != nil {
-			return dst, err
-		}
-		if len(out) > len(dst) {
-			return out, nil
-		}
-		if cc.topicClosed.Load() {
-			return dst, mq.ErrClosed
-		}
-		select {
-		case <-ctx.Done():
-			return dst, ctx.Err()
-		default:
-		}
-	}
-}
-
-// TryPollInto lends, as PollInto does. It alone takes the daemon's word that
-// the consumer is drained: while that stands, with a watcher running to take
-// it down and fire WaitChan when it falls, the answer is "nothing" and costs
-// no round trip. Without a watcher — a consumer that never called WaitChan —
-// it always asks, as PollInto does.
-func (cc *clientConsumer) TryPollInto(dst []mq.Record, max int) ([]mq.Record, error) {
-	if cc.drained.Load() && cc.watching.Load() && !cc.topicClosed.Load() {
-		return dst, nil
-	}
-	return cc.fetch(dst, max, 0)
-}
-
-// setDrained records the daemon's latest word and, when it is "drained",
-// rouses the watcher to ask the daemon when that stops being true.
-func (cc *clientConsumer) setDrained(drained bool) {
-	cc.drained.Store(drained)
-	if drained {
-		cc.rouseWatcher()
-	}
-}
-
-// rouseWatcher has a watcher asleep on drainedSig look at drained (and
-// closed) again.
-func (cc *clientConsumer) rouseWatcher() {
-	select {
-	case cc.drainedSig <- struct{}{}:
-	default:
-	}
-}
-
-// meta fetches the handle's lag/assignment snapshot.
-func (cc *clientConsumer) meta() (lag int64, assign []int, err error) {
-	err = cc.rc.call(0, func(req []byte) []byte {
-		req = append(req, opMeta)
-		return appendUvarint(req, cc.handle.Load())
-	}, func(r *wireReader) error {
-		flags := r.byteVal()
-		lag = int64(r.uvarint())
-		n := r.count(1)
-		if r.err != nil {
-			return r.err
-		}
-		if flags&flagTopicClosed != 0 {
-			cc.topicClosed.Store(true)
-		}
-		assign = make([]int, n)
-		for i := range assign {
-			assign[i] = int(r.uvarint())
-		}
-		return r.err
-	})
-	return lag, assign, err
-}
-
-func (cc *clientConsumer) Assignment() []int {
-	_, assign, err := cc.meta()
-	if err != nil {
-		return nil
-	}
-	return assign
-}
-
-func (cc *clientConsumer) Lag() int64 {
-	lag, _, err := cc.meta()
-	if err != nil {
-		return 0
-	}
-	return lag
-}
-
-func (cc *clientConsumer) Committed(p int) int64 {
-	var off int64
-	err := cc.rc.call(0, func(req []byte) []byte {
-		req = append(req, opCommitted)
-		req = appendUvarint(req, cc.handle.Load())
-		return appendUvarint(req, uint64(p))
-	}, func(r *wireReader) error {
-		off = int64(r.uvarint())
-		return r.err
-	})
-	if err != nil {
-		return 0
-	}
-	return off
-}
-
-// TopicClosed reports the last observed topic state: every fetch, meta, and
-// watcher response refreshes it, so a polling caller observes closure on
-// its next round — the pump's arm/try/check sequence needs nothing fresher.
-func (cc *clientConsumer) TopicClosed() bool {
-	return cc.topicClosed.Load()
-}
-
-// WaitChan returns a channel closed when new records may be available. The
-// first call starts a background watcher on a dedicated conn. It makes no
-// traffic while the consumer keeps finding records: only once a fetch has
-// come back drained does it park one wait-ready long-poll at the daemon, and
-// fire when that answers ready. A wakeup therefore lags an append by up to a
-// round trip, and spurious wakeups are possible after transport errors — both
-// within the interface's stated contract — but it is never lost: the
-// readiness answer is a level, re-asked for as long as the handle is drained.
-func (cc *clientConsumer) WaitChan() <-chan struct{} {
-	if cc.closed.Load() || cc.topicClosed.Load() {
-		return closedChan
-	}
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	if cc.waitCh == nil {
-		cc.waitCh = make(chan struct{})
-	}
-	if cc.waitRC == nil {
-		cc.waitRC = cc.cl.newRconn(nil)
-		cc.watching.Store(true)
-		go cc.waitWatcher(cc.waitRC)
-	}
-	return cc.waitCh
-}
-
-func (cc *clientConsumer) fireWait() {
-	cc.wmu.Lock()
-	if cc.waitCh != nil {
-		close(cc.waitCh)
-		cc.waitCh = nil
-	}
-	cc.wmu.Unlock()
-}
-
-// waitWatcher turns "drained" back into a wakeup. While the consumer is not
-// drained it sleeps on drainedSig; while it is, it keeps one opWaitReady
-// parked at the daemon. A ready answer takes drained down BEFORE firing, so
-// the woken caller's TryPollInto asks the daemon. The answer is a level (the
-// handle's lag when the request is looked at), so it does not matter how the
-// request, the fetch that reported drained and an append interleave; a fetch
-// that re-reports drained after a ready answer only costs one more round.
-func (cc *clientConsumer) waitWatcher(rc *rconn) {
-	defer rc.close()
-	defer cc.fireWait()
-	defer cc.watching.Store(false) // whatever ended it: polls ask the daemon again
-	for !cc.closed.Load() {
-		if !cc.drained.Load() {
-			<-cc.drainedSig // a drained fetch answer, or Close
-			continue
-		}
-		var flags byte
-		err := rc.call(watchPollMs, func(req []byte) []byte {
-			req = append(req, opWaitReady)
-			req = appendUvarint(req, cc.handle.Load())
-			return appendUvarint(req, watchPollMs)
-		}, func(r *wireReader) error {
-			flags = r.byteVal()
-			return r.err
-		})
-		switch {
-		case err == nil && flags&flagTopicClosed != 0:
-			cc.topicClosed.Store(true)
-			return
-		case err == nil && flags&flagReady != 0:
-			cc.drained.Store(false)
-			cc.fireWait()
-		case err == nil:
-			// The round ran out (or the daemon is shutting down) with nothing
-			// to fetch: still drained, park again.
-		case rc.isClosed() || errors.Is(err, mq.ErrClosed):
-			cc.topicClosed.Store(errors.Is(err, mq.ErrClosed))
-			return
-		default:
-			// Transient — or, after the main conn reconnected, a handle the
-			// daemon no longer knows: stop trusting drained, wake waiters
-			// (spurious wakeups are allowed) and let the next fetch, through
-			// the re-opened handle, say where things stand.
-			cc.drained.Store(false)
-			cc.fireWait()
-			time.Sleep(watchRetry)
-		}
-	}
-}
-
-// Close releases the consumer: the server-side handle is closed
-// (best-effort — a dropped conn reaps it anyway), the group membership
-// leaves, and local waiters are woken.
-func (cc *clientConsumer) Close() {
-	if cc.closed.Swap(true) {
-		return
-	}
-	_ = cc.rc.call(0, func(req []byte) []byte {
-		req = append(req, opCloseConsumer)
-		return appendUvarint(req, cc.handle.Load())
-	}, nil)
-	cc.rc.close()
-	cc.wmu.Lock()
-	wrc := cc.waitRC
-	cc.wmu.Unlock()
-	if wrc != nil {
-		wrc.close()
-	}
-	cc.drained.Store(false)
-	cc.rouseWatcher() // it sees closed and exits
-	cc.fireWait()
 }

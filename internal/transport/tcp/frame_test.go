@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -98,9 +99,9 @@ const recordBytes = 3 * int(unsafe.Sizeof(mq.Record{})) / minRecordBytes
 // process-wide counter also sees the fuzz worker's goroutines.
 const slack = 64 << 10
 
-// FuzzFetchResponse feeds arbitrary bytes to the client's response path,
-// read both as a consumer fetch (status, flags, records) and as a FetchInto
-// (status, records), lending and owning.
+// FuzzFetchResponse feeds arbitrary bytes to the client's record decoding,
+// read both with a flags byte ahead of the records (as a push carries them)
+// and as a FetchInto answer (status, records), lending and owning.
 func FuzzFetchResponse(f *testing.F) {
 	f.Add(fetchResponse(3, 40, "leaf-1", "leaf-2"))
 	f.Add(fetchResponse(0, 0, ""))
@@ -158,14 +159,15 @@ func FuzzFetchResponse(f *testing.F) {
 // dispatchFixture is a daemon's dispatch state over a fresh in-memory bus,
 // without a listener: topic "t" (2 partitions, 3 records), a standalone
 // consumer under handle 1 and a member of group "g" under handle 2 — opened
-// through dispatch itself. The server's context is already cancelled, so a
-// request that would park (a long-poll fetch, opWaitReady) answers at once.
+// through dispatch itself — on a connection that discards what is written to
+// it. The server's context is already cancelled, so a push loop a
+// subscription starts ends at once.
 func dispatchFixture(t testing.TB) (*Server, *connState) {
 	broker := mq.NewBroker()
 	t.Cleanup(broker.Close)
 	s := newServer(transport.WrapBroker(broker))
 	s.cancel()
-	cs := s.newConnState(nil)
+	cs := s.newConnState(discardConn{})
 	ok := func(req []byte) {
 		if resp := s.dispatch(cs, req, nil); len(resp) == 0 || resp[0] != stOK {
 			t.Fatalf("fixture request % x answered % x", req, resp)
@@ -177,6 +179,12 @@ func dispatchFixture(t testing.TB) (*Server, *connState) {
 	ok(appendStr(appendStr([]byte{opOpenConsumer}, "t"), "g"))
 	return s, cs
 }
+
+// discardConn is a connection that takes every write and never has anything
+// to read.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
 
 // A retained partition allocates its log for 2 × retain records in one piece,
 // so the daemon refuses a retention past maxRetain: a few small sends must
@@ -252,19 +260,23 @@ func TestDirectedSendPartitionIsChecked(t *testing.T) {
 	}
 }
 
-// The op bytes are the wire: each survivor keeps its value, and the two
-// retired ones — 3, a one-record send, and 16, a rebalance long-poll — get
-// the unknown-op answer, their old operands and all.
+// The op bytes are the wire: each survivor keeps its value, and the four
+// retired ones — 3, a one-record send; 7, a fetch; 15, a wait-for-ready
+// long-poll; 16, a rebalance long-poll — get the unknown-op answer, their
+// old operands and all.
 func TestRetiredOpsAreUnknown(t *testing.T) {
-	live := []byte{opCreateTopic, opTopicParts, opSendTo, opSendBatch, opOpenConsumer, opFetch, opMeta,
-		opCommitted, opSeek, opCloseConsumer, opGroupLag, opGroupCommitted, opFetchAt, opWaitReady}
-	if was := []byte{1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}; !bytes.Equal(live, was) {
+	live := []byte{opCreateTopic, opTopicParts, opSendTo, opSendBatch, opOpenConsumer, opMeta,
+		opCommitted, opSeek, opCloseConsumer, opGroupLag, opGroupCommitted, opFetchAt,
+		opSubscribe, opCredit, opUnsubscribe}
+	if was := []byte{1, 2, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 17, 18, 19}; !bytes.Equal(live, was) {
 		t.Fatalf("the live ops are % d on the wire, were % d", live, was)
 	}
 	s, cs := dispatchFixture(t)
 	u := appendUvarint
 	for _, req := range [][]byte{
 		appendWatermark(appendBytes(appendBytes(appendStr([]byte{3}, "t"), []byte("k")), []byte("v")), mq.Watermark{From: "s"}),
+		u(u(u([]byte{7}, 2), 16), 250),
+		u(u([]byte{15}, 2), 2000),
 		u(u(u([]byte{16}, 2), 0), 2000),
 	} {
 		var rd wireReader
@@ -278,9 +290,10 @@ func TestRetiredOpsAreUnknown(t *testing.T) {
 // FuzzDispatch feeds arbitrary request frames to the daemon's dispatch. The
 // frame's numbers reach a broker that trusts its callers, so whatever they
 // are the answer is a well-formed response — status, then a result or an
-// error text — from a daemon that is still standing, for no more memory than
-// the frame's size accounts for (beyond the constant a legitimate request of
-// the same op may cost: a topic of maxPartitions partitions is the largest).
+// error text; none at all to an opCredit, which is never answered — from a
+// daemon that is still standing, for no more memory than the frame's size
+// accounts for (beyond the constant a legitimate request of the same op may
+// cost: a topic of maxPartitions partitions is the largest).
 func FuzzDispatch(f *testing.F) {
 	u := appendUvarint
 	f.Add(u(u(appendStr([]byte{opCreateTopic}, "t2"), 4), 0))
@@ -291,8 +304,8 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(sendToRequest("t", 1<<63+1, mq.Record{Value: []byte("v")})) // wraps int
 	f.Add(sendBatchRequest("t", 2, 16))
 	f.Add(appendStr(appendStr([]byte{opOpenConsumer}, "t"), "g2"))
-	f.Add(u(u(u([]byte{opFetch}, 1), 16), 0))
-	f.Add(u(u(u([]byte{opFetch}, 2), 16), 250))
+	f.Add(u(u(u([]byte{7}, 1), 16), 0))   // retired: a fetch
+	f.Add(u(u(u([]byte{7}, 2), 16), 250)) // retired: a long-poll fetch
 	f.Add(u([]byte{opMeta}, 2))
 	f.Add(u(u([]byte{opCommitted}, 2), 1))
 	f.Add(u(u(u([]byte{opSeek}, 1), 0), 2))
@@ -300,10 +313,17 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(appendStr(appendStr([]byte{opGroupLag}, "t"), "g"))
 	f.Add(appendStr(appendStr([]byte{opGroupCommitted}, "t"), "g"))
 	f.Add(u(u(u(appendStr([]byte{opFetchAt}, "t"), 0), 1), 8))
-	f.Add(u(u([]byte{opWaitReady}, 2), 2000))
-	f.Add(u([]byte{opWaitReady}, 1))                // cut before waitMs
-	f.Add(u(u([]byte{opWaitReady}, 99), 2000))      // a handle nobody opened
-	f.Add(u(u([]byte{opWaitReady}, 1), ^uint64(0))) // waitMs 2^64-1: capped, not slept
+	f.Add(u(u([]byte{15}, 2), 2000))                // retired: wait for ready
+	f.Add(u([]byte{opSubscribe}, 1))                // cut before the credit
+	f.Add(u(u([]byte{opSubscribe}, 99), 4))         // a handle nobody opened
+	f.Add(u(u([]byte{opSubscribe}, 1), ^uint64(0))) // credit 2^64-1: refused, not stored
+	f.Add(u(u([]byte{opSubscribe}, 2), 4))
+	f.Add(u(u([]byte{opCredit}, 2), 2))
+	f.Add(u(u([]byte{opCredit}, 2), ^uint64(0)))
+	f.Add(u([]byte{opCredit}, 99))
+	f.Add(u([]byte{opUnsubscribe}, 2))
+	f.Add(u(u(u(u(u([]byte{opCloseConsumer}, 2), 1), 0), 1), 3)) // a rewind of [1, 3) on partition 0
+	f.Add(u(u(u(u(u([]byte{opCloseConsumer}, 2), 1), 9), 0), 1)) // a rewind on a partition past the topic
 	const standing = 1 << 20
 	f.Fuzz(func(t *testing.T, req []byte) {
 		s, cs := dispatchFixture(t)
@@ -315,6 +335,10 @@ func FuzzDispatch(f *testing.F) {
 		var rd wireReader
 		rd.reset(resp)
 		switch st := rd.byteVal(); {
+		case len(req) > 0 && req[0] == opCredit:
+			if len(resp) != 0 {
+				t.Fatalf("a credit grant was answered % x", resp)
+			}
 		case rd.err != nil:
 			t.Fatal("empty response")
 		case st > stUnknownHandle:
@@ -481,24 +505,81 @@ func TestReadFrameUnderHostileChunking(t *testing.T) {
 	}
 }
 
-// The protocol is one request, one response: a second frame before the first
-// is answered is a peer that has lost its place, and is refused — not merged
-// into the first, not dropped, not kept for later.
-func TestReadFrameRefusesBackToBackFrames(t *testing.T) {
-	one := sealFrame(append(make([]byte, frameStart), "first"...))
-	two := sealFrame(append(make([]byte, frameStart), "second"...))
+// A subscribed connection carries pushes between its answers, and a daemon
+// reads credit grants nobody answers, so frames come back to back: the stream
+// reader takes every one, whole and in order, into the buffer named for it,
+// however the stream is cut into Reads, and counts every wire byte once.
+// 508 bytes is the frame that fills a fresh buffer exactly. A
+// request/response connection's readFrame still refuses a second frame
+// before the first is answered.
+func TestPushStreamTakesBackToBackFrames(t *testing.T) {
+	chunkers := map[string]func(io.Reader) io.Reader{
+		"whole":         func(r io.Reader) io.Reader { return r },
+		"OneByteReader": iotest.OneByteReader,
+		"HalfReader":    iotest.HalfReader,
+		"DataErrReader": iotest.DataErrReader,
+		"prefix+half":   func(r io.Reader) io.Reader { return &prefixAndHalfReader{r: r} },
+	}
+	sizes := []int{0, 1, 507, 508, 509, 65536, 509, 508, 507, 1, 0, 3, 2}
+	var wire []byte
+	var bodies [][]byte
+	for i, size := range sizes {
+		body := bytes.Repeat([]byte{byte(i + 1)}, size)
+		if size > 0 {
+			body[size-1] = 0xFE
+		}
+		bodies = append(bodies, body)
+		wire = append(wire, sealFrame(append(make([]byte, frameStart), body...))...)
+	}
+	for name, chunk := range chunkers {
+		t.Run(name, func(t *testing.T) {
+			fr := frameReader{r: chunk(bytes.NewReader(wire))}
+			var ring [3][]byte // frames land in turn in buffers of their own
+			total := 0
+			for i, want := range bodies {
+				buf := &ring[i%len(ring)]
+				got, n, err := fr.next(buf)
+				if err != nil {
+					t.Fatalf("frame %d (%d bytes): %v", i, len(want), err)
+				}
+				total += n
+				if !bytes.Equal(got, want) {
+					t.Fatalf("frame %d: read %d bytes, want %d", i, len(got), len(want))
+				}
+				if !inside((*buf)[:cap(*buf)], got) {
+					t.Fatalf("frame %d was not read into the buffer named for it", i)
+				}
+			}
+			if total != len(wire) {
+				t.Fatalf("%d frames counted %d wire bytes, sent %d", len(bodies), total, len(wire))
+			}
+			if _, _, err := fr.next(&ring[0]); err != io.EOF {
+				t.Fatalf("past the last frame: %v, want EOF", err)
+			}
+		})
+	}
 	var buf []byte
-	frame, n, err := readFrame(bytes.NewReader(append(one, two...)), &buf)
-	if err == nil {
-		t.Fatalf("two frames written back to back were read as %q (%d wire bytes)", frame, n)
+	if frame, _, err := readFrame(bytes.NewReader(wire), &buf); err == nil {
+		t.Fatalf("readFrame took back-to-back frames as one %d-byte frame", len(frame))
 	}
-	if frame != nil {
-		t.Fatalf("the refusal still handed out a frame: %q", frame)
-	}
-	// The same two frames, each waiting for its answer, are fine.
-	for _, wire := range [][]byte{one, two} {
-		if _, _, err := readFrame(bytes.NewReader(wire), &buf); err != nil {
-			t.Fatalf("a lone frame after the refusal: %v", err)
+	// A length over maxFrame is refused on the prefix alone, carried or read.
+	for _, lead := range [][]byte{nil, sealFrame(make([]byte, frameStart+3))} {
+		stream := append(append([]byte(nil), lead...), binary.LittleEndian.AppendUint32(nil, maxFrame+1)...)
+		stream = append(stream, make([]byte, 64)...)
+		fr := frameReader{r: bytes.NewReader(stream)}
+		buf := make([]byte, minReadBuf)
+		if lead != nil {
+			if _, _, err := fr.next(&buf); err != nil {
+				t.Fatalf("the frame before the oversize one: %v", err)
+			}
+		}
+		var err error
+		cost := allocated(func() { _, _, err = fr.next(&buf) })
+		if err == nil {
+			t.Fatal("a frame length over maxFrame was accepted")
+		}
+		if cap(buf) != minReadBuf || cost > slack {
+			t.Fatalf("refusing the length left a %d-byte buffer and allocated %d bytes", cap(buf), cost)
 		}
 	}
 }
@@ -517,4 +598,83 @@ func TestReadFrameRefusesOversizeBeforeAllocating(t *testing.T) {
 	if cap(buf) != minReadBuf || cost > slack {
 		t.Fatalf("refusing the length left a %d-byte buffer and allocated %d bytes", cap(buf), cost)
 	}
+}
+
+// pushFrameBytes is a push frame of recs as the daemon writes it, gathered
+// pieces joined, without its length prefix.
+func pushFrameBytes(flags byte, recs ...mq.Record) []byte {
+	var g gather
+	g.appendPush(flags, recs)
+	var out bytes.Buffer
+	var sent atomic.Int64
+	if err := g.writeTo(&out, &sent); err != nil {
+		panic(err)
+	}
+	return out.Bytes()[frameStart:]
+}
+
+// FuzzPushFrame feeds arbitrary frames to a consumer's landing path, as its
+// reader hands them over: a push is decoded in place and queued, anything
+// else taken for an answer to no call. Whatever the bytes, a frame is
+// refused with its slot back in the ring, or its records — lent from the
+// frame, never pointing outside it — come out of polls in order, and the
+// processed-view bookkeeping (Committed's first held offset, Close's rewinds)
+// reads them without fault, for no memory the frame does not pay for.
+func FuzzPushFrame(f *testing.F) {
+	at := time.Unix(1723000000, 0)
+	rec := func(part int, off int64, valueLen int) mq.Record {
+		return mq.Record{Key: []byte{'k'}, Value: bytes.Repeat([]byte{byte(off)}, valueLen), Ts: at,
+			Watermark: mq.Watermark{From: "edge1-0", At: at}, Partition: part, Offset: off}
+	}
+	f.Add(pushFrameBytes(0, rec(0, 4, 8), rec(1, 9, 8), rec(0, 5, 8)))
+	f.Add(pushFrameBytes(0, rec(0, 7, gatherMin+1)))
+	f.Add(pushFrameBytes(flagTopicClosed))
+	f.Add(pushFrameBytes(0, rec(0, 4, 8))[:9])
+	f.Add([]byte{pushMark})
+	f.Add([]byte{stOK, 3})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		cc := newClientConsumer(nil, "t", "g")
+		i := cc.takeSlot()
+		var err error
+		cost := allocated(func() { err = cc.land(nil, i, frame) })
+		if limit := uint64(2*recordBytes*len(frame) + len(frame) + slack); cost > limit {
+			t.Fatalf("landing a %d-byte frame allocated %d bytes (limit %d)", len(frame), cost, limit)
+		}
+		if err != nil {
+			if len(cc.idle) != ringFrames+1 || cc.held != 0 || len(cc.queue) != 0 {
+				t.Fatalf("a refused frame left %d slots free, %d held, %d queued", len(cc.idle), cc.held, len(cc.queue))
+			}
+			return
+		}
+		if len(frame) == 0 || frame[0] != pushMark {
+			return // an answer: copied out for the call waiting on it
+		}
+		held := 0
+		cc.heldBefore(^uint64(0), func(*mq.Record) bool { held++; return true })
+		if held > len(frame)/minRecordBytes {
+			t.Fatalf("%d records held from %d bytes", held, len(frame))
+		}
+		rw := cc.untaken()
+		for _, w := range rw {
+			if w.from >= w.end {
+				t.Fatalf("rewind of partition %d is [%d, %d)", w.part, w.from, w.end)
+			}
+		}
+		var got []mq.Record
+		for len(got) < held {
+			n := len(got)
+			got, _, _ = cc.take(got, 3)
+			if len(got) == n {
+				t.Fatalf("polls stopped at %d of %d held records", n, held)
+			}
+		}
+		for k, r := range got {
+			if !inside(frame, r.Key) || !inside(frame, r.Value) {
+				t.Fatalf("record %d points outside its frame", k)
+			}
+		}
+		if more, _, _ := cc.take(nil, 3); len(more) != 0 || cc.held != 0 {
+			t.Fatalf("after every record: %d more, %d frames held", len(more), cc.held)
+		}
+	})
 }

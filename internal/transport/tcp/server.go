@@ -9,17 +9,10 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/approxiot/approxiot/internal/mq"
 	"github.com/approxiot/approxiot/internal/transport"
 )
-
-// maxWaitMs caps how long a single blocking request (fetch long-poll,
-// wait-ready) may park server-side. Clients re-issue; the cap
-// bounds how long a dispatch loop can sit in one request after the peer
-// vanishes.
-const maxWaitMs = 30_000
 
 // Bounds on the numbers a request frame supplies. They size allocations and
 // index the broker's tables, and the broker trusts its in-process callers:
@@ -32,10 +25,16 @@ const (
 	// partition allocates its log, 2 × retain records, in one piece once it
 	// outgrows a few records.
 	maxRetain = 1 << 16
-	// maxFetch bounds the records of one fetch; anything larger is served as
-	// this many and the client polls again.
+	// maxFetch bounds the records of one opFetchAt; anything larger is
+	// served as this many and the client reads again.
 	maxFetch = 1 << 16
+	// maxCredit bounds the push frames a subscription may have outstanding.
+	maxCredit = 1 << 10
 )
+
+// maxPush bounds the records of one push frame: the streams pump's poll
+// batch, so a frame is what one pump cycle takes.
+const maxPush = 512
 
 // counters is the shared atomic backing for transport.Counters. Both the
 // server and every client handle own one; conns account into it directly.
@@ -66,8 +65,7 @@ type Server struct {
 	bus *transport.Mem
 	ln  net.Listener
 
-	// baseCtx is cancelled by Close so blocking requests (long-poll fetch,
-	// opWaitReady) return promptly instead of riding out their waitMs.
+	// baseCtx is cancelled by Close, ending every parked push loop at once.
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
@@ -87,6 +85,26 @@ type serverHandle struct {
 	c     *mq.Consumer
 	owner net.Conn
 	parts int // the topic's partition count: the range a wire-supplied partition is checked against
+
+	// mu makes a push — claim and write — one step against the answers about
+	// the handle: an opMeta or opCommitted answer is computed after every
+	// push of a record it counts as fetched has been written.
+	mu   sync.Mutex
+	push atomic.Pointer[pusher] // nil until subscribed
+}
+
+// pusher is a subscription's state: the connection its pushes go out on,
+// the push loop's credit, and the scratch its pushes are built in (used
+// under the handle's mu).
+type pusher struct {
+	cs      *connState
+	credit  atomic.Int64
+	more    chan struct{} // one slot: credit arrived
+	ctx     context.Context
+	cancel  context.CancelFunc
+	done    chan struct{} // closed when the loop exits
+	scratch []mq.Record
+	out     gather
 }
 
 // Serve starts serving bus on ln and returns immediately. The server does
@@ -171,11 +189,13 @@ func (s *Server) acceptLoop() {
 }
 
 // connState is the per-connection dispatch state. Requests on one conn are
-// strictly serial (request, response, request, ...), so the scratch buffers
-// here are single-owner and recycle across frames.
+// dispatched one at a time, so the scratch buffers here are single-owner and
+// recycle across frames. The connection's writes are not: push loops write
+// their frames between the answers, and wmu keeps each frame whole.
 type connState struct {
 	srv  *Server
 	conn net.Conn
+	wmu  sync.Mutex // serializes writes: answers and push frames
 
 	producer transport.Producer
 	owned    map[uint64]struct{} // consumer handles this conn opened
@@ -193,47 +213,60 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	cs := s.newConnState(conn)
 	defer cs.teardown()
+	fr := frameReader{r: conn}
 	var reqBuf []byte
 	respBuf := make([]byte, frameStart, 64)
 	for {
-		req, n, err := readFrame(conn, &reqBuf)
+		req, n, err := fr.next(&reqBuf)
 		s.ctr.bytesIn.Add(int64(n))
 		if err != nil {
 			return
 		}
 		// The response is built after the headroom its length goes into and
-		// written from where it was built.
+		// written from where it was built. The request is counted before the
+		// answer goes out: a client that has its answer finds it counted.
 		respBuf = s.dispatch(cs, req, respBuf[:frameStart])
-		// Counted before the write: a client that has its answer finds it
-		// counted. A short write takes back what did not go out.
-		frame := sealFrame(respBuf)
 		s.ctr.roundTrips.Add(1)
-		s.ctr.bytesOut.Add(int64(len(frame)))
-		n, err = conn.Write(frame)
-		if err != nil {
-			s.ctr.bytesOut.Add(int64(n - len(frame)))
-			return
+		if len(respBuf) > frameStart { // an opCredit has no answer
+			// Counted before the write, as every frame is (gather.writeTo).
+			frame := sealFrame(respBuf)
+			s.ctr.bytesOut.Add(int64(len(frame)))
+			cs.wmu.Lock()
+			n, err = conn.Write(frame)
+			cs.wmu.Unlock()
+			if err != nil {
+				s.ctr.bytesOut.Add(int64(n - len(frame)))
+				return
+			}
 		}
 	}
 }
 
 func (cs *connState) teardown() {
-	cs.conn.Close()
+	cs.conn.Close() // a push loop blocked in a write returns
 	s := cs.srv
 	s.mu.Lock()
 	delete(s.conns, cs.conn)
-	var dead []*mq.Consumer
+	var dead []*serverHandle
 	for id := range cs.owned {
 		if h, ok := s.handles[id]; ok {
-			dead = append(dead, h.c)
+			dead = append(dead, h)
 			delete(s.handles, id)
 		}
 	}
 	s.mu.Unlock()
 	// Close outside the lock: group members leaving takes the group lock.
-	for _, c := range dead {
-		c.Close()
+	for _, h := range dead {
+		h.stopPush()
+		h.c.Close()
 	}
+}
+
+// write sends one gathered frame on the connection, between its answers.
+func (cs *connState) write(g *gather) error {
+	cs.wmu.Lock()
+	defer cs.wmu.Unlock()
+	return g.writeTo(cs.conn, &cs.srv.ctr.bytesOut)
 }
 
 // register files a new server-side consumer on a topic of parts partitions
@@ -248,15 +281,8 @@ func (s *Server) register(cs *connState, c *mq.Consumer, parts int) uint64 {
 	return id
 }
 
-// lookup resolves a handle id to its consumer; nil if unknown (closed, or
-// reaped when its conn dropped).
-func (s *Server) lookup(id uint64) *mq.Consumer {
-	if h := s.lookupHandle(id); h != nil {
-		return h.c
-	}
-	return nil
-}
-
+// lookupHandle resolves a handle id; nil if unknown (closed, or reaped when
+// its conn dropped).
 func (s *Server) lookupHandle(id uint64) *serverHandle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -265,7 +291,7 @@ func (s *Server) lookupHandle(id uint64) *serverHandle {
 
 // partitionOf resolves a handle and checks a wire-supplied partition against
 // its topic: the broker indexes its per-partition tables with it unchecked.
-func (s *Server) partitionOf(id, part uint64) (*mq.Consumer, int, error) {
+func (s *Server) partitionOf(id, part uint64) (*serverHandle, int, error) {
 	h := s.lookupHandle(id)
 	if h == nil {
 		return nil, 0, errUnknownHandle
@@ -273,16 +299,16 @@ func (s *Server) partitionOf(id, part uint64) (*mq.Consumer, int, error) {
 	if part >= uint64(h.parts) {
 		return nil, 0, fmt.Errorf("%w: partition %d of %d", mq.ErrOutOfRange, part, h.parts)
 	}
-	return h.c, int(part), nil
+	return h, int(part), nil
 }
 
-func (s *Server) unregister(cs *connState, id uint64) *mq.Consumer {
+func (s *Server) unregister(cs *connState, id uint64) *serverHandle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(cs.owned, id)
 	if h, ok := s.handles[id]; ok {
 		delete(s.handles, id)
-		return h.c
+		return h
 	}
 	return nil
 }
@@ -358,25 +384,30 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		resp = append(resp, stOK)
 		return appendUvarint(resp, id)
 
-	case opFetch:
-		return s.handleFetch(cs, r, resp)
-
 	case opMeta:
 		id := r.uvarint()
 		if r.err != nil {
 			return appendErr(resp, r.err)
 		}
-		c := s.lookup(id)
-		if c == nil {
+		h := s.lookupHandle(id)
+		if h == nil {
 			return appendErr(resp, errUnknownHandle)
 		}
+		h.mu.Lock()
+		if pl := h.push.Load(); pl != nil {
+			// Push what can be claimed now, so the answer follows it: a
+			// poll that asks finds every send that completed before it.
+			pushLocked(h, pl)
+		}
 		var flags byte
-		if c.TopicClosed() {
+		if h.c.TopicClosed() {
 			flags |= flagTopicClosed
 		}
-		assign := c.Assignment()
+		assign := h.c.Assignment()
+		lag := h.c.Lag()
+		h.mu.Unlock()
 		resp = append(resp, stOK, flags)
-		resp = appendUvarint(resp, uint64(c.Lag()))
+		resp = appendUvarint(resp, uint64(lag))
 		resp = appendUvarint(resp, uint64(len(assign)))
 		for _, p := range assign {
 			resp = appendUvarint(resp, uint64(p))
@@ -389,12 +420,15 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		if r.err != nil {
 			return appendErr(resp, r.err)
 		}
-		c, part, err := s.partitionOf(id, wirePart)
+		h, part, err := s.partitionOf(id, wirePart)
 		if err != nil {
 			return appendErr(resp, err)
 		}
+		h.mu.Lock()
+		off := h.c.Committed(part)
+		h.mu.Unlock()
 		resp = append(resp, stOK)
-		return appendUvarint(resp, uint64(c.Committed(part)))
+		return appendUvarint(resp, uint64(off))
 
 	case opSeek:
 		id := r.uvarint()
@@ -403,24 +437,50 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		if r.err != nil {
 			return appendErr(resp, r.err)
 		}
-		c, part, err := s.partitionOf(id, wirePart)
+		h, part, err := s.partitionOf(id, wirePart)
 		if err != nil {
 			return appendErr(resp, err)
 		}
-		if err := c.Seek(part, off); err != nil {
+		if err := h.c.Seek(part, off); err != nil {
 			return appendErr(resp, err)
 		}
 		return append(resp, stOK)
 
 	case opCloseConsumer:
+		return s.handleClose(cs, r, resp)
+
+	case opSubscribe:
+		return s.handleSubscribe(cs, r, resp)
+
+	case opCredit:
+		// Never answered: a grant for a handle that is gone, or a frame that
+		// does not parse, is dropped.
+		id := r.uvarint()
+		n := r.uvarint()
+		if r.err != nil || n > maxCredit {
+			return resp
+		}
+		if h := s.lookupHandle(id); h != nil {
+			if pl := h.push.Load(); pl != nil {
+				pl.credit.Add(int64(n))
+				select {
+				case pl.more <- struct{}{}:
+				default:
+				}
+			}
+		}
+		return resp
+
+	case opUnsubscribe:
 		id := r.uvarint()
 		if r.err != nil {
 			return appendErr(resp, r.err)
 		}
-		// Idempotent: closing an unknown (already-reaped) handle succeeds.
-		if c := s.unregister(cs, id); c != nil {
-			c.Close()
+		h := s.lookupHandle(id)
+		if h == nil {
+			return appendErr(resp, errUnknownHandle)
 		}
+		h.stopPush() // the answer goes out after its last push
 		return append(resp, stOK)
 
 	case opGroupLag:
@@ -473,9 +533,6 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 		}
 		cs.fetchScratch = recs[:0]
 		return resp
-
-	case opWaitReady:
-		return s.handleWaitReady(r, resp)
 
 	default:
 		return appendErr(resp, errors.New("tcp: unknown op"))
@@ -543,99 +600,135 @@ func blockCopy(block, b []byte) ([]byte, []byte) {
 	return block, block[start:len(block):len(block)]
 }
 
-// handleFetch runs one poll round against the handle's server-side
-// consumer: non-blocking when waitMs is 0, otherwise parked up to waitMs
-// (capped) in a real blocking PollInto so the client's long-poll inherits
-// the broker's wakeup machinery instead of spinning. A poll that came back
-// short of max from a consumer with no lag left is flagged drained: the
-// client may take it that further fetches find nothing until an opWaitReady
-// on the handle says ready. Lag is read after the poll, so an append — or a
-// rebalance handing over a backlog — that the poll missed shows in it.
-func (s *Server) handleFetch(cs *connState, r *wireReader, resp []byte) []byte {
+// handleSubscribe starts pushing a handle's records on the connection that
+// opened it, credit frames ahead.
+func (s *Server) handleSubscribe(cs *connState, r *wireReader, resp []byte) []byte {
 	id := r.uvarint()
-	max := int(min(r.uvarint(), maxFetch))
-	waitMs := r.uvarint()
+	credit := r.uvarint()
 	if r.err != nil {
 		return appendErr(resp, r.err)
 	}
-	c := s.lookup(id)
-	if c == nil {
+	if credit > maxCredit {
+		return appendErr(resp, fmt.Errorf("tcp: credit of %d frames exceeds the limit of %d", credit, maxCredit))
+	}
+	h := s.lookupHandle(id)
+	if h == nil || h.owner != cs.conn {
 		return appendErr(resp, errUnknownHandle)
 	}
-	dst := cs.fetchScratch[:0]
-	var recs []mq.Record
-	var err error
-	if waitMs == 0 {
-		recs, err = c.TryPollInto(dst, max)
-	} else {
-		ctx, cancel := context.WithTimeout(s.baseCtx, time.Duration(min(waitMs, maxWaitMs))*time.Millisecond)
-		recs, err = c.PollInto(ctx, dst, max)
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	pl := &pusher{cs: cs, more: make(chan struct{}, 1), ctx: ctx, cancel: cancel, done: make(chan struct{})}
+	pl.credit.Store(int64(credit))
+	if !h.push.CompareAndSwap(nil, pl) {
 		cancel()
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// Long-poll timeout (or server shutdown): an empty round, not an
-			// error — the client decides whether to re-issue.
-			recs, err = dst, nil
-		}
+		return appendErr(resp, errors.New("tcp: handle already subscribed"))
 	}
-	if err != nil {
-		cs.fetchScratch = recs[:0]
-		return appendErr(resp, err)
-	}
-	var flags byte
-	if c.TopicClosed() {
-		flags |= flagTopicClosed
-	}
-	if len(recs) < max && c.Lag() == 0 {
-		flags |= flagDrained
-	}
-	resp = append(resp, stOK, flags)
-	resp = appendUvarint(resp, uint64(len(recs)))
-	for i := range recs {
-		resp = appendRecord(resp, &recs[i])
-	}
-	cs.fetchScratch = recs[:0]
-	return resp
+	go pushLoop(h, pl)
+	return append(resp, stOK)
 }
 
-// handleWaitReady is the long-poll behind client WaitChans: it answers as
-// soon as the handle's consumer has something to fetch. Readiness is a level
-// on the handle — its lag, read after both channels are armed — not an edge
-// on the topic, so no wakeup can be lost however the request and the append
-// interleave, an append to a partition another member owns wakes nobody
-// (the handler looks and parks again), and a rebalance that hands this member
-// a partition with a backlog wakes it without a new append. Otherwise it
-// answers not-ready at the deadline or at shutdown, and closed with the topic.
-func (s *Server) handleWaitReady(r *wireReader, resp []byte) []byte {
+// stopPush ends the handle's subscription: once it returns, no further push
+// of the handle's is written.
+func (h *serverHandle) stopPush() {
+	h.mu.Lock()
+	pl := h.push.Swap(nil)
+	h.mu.Unlock()
+	if pl != nil {
+		pl.cancel()
+		<-pl.done
+	}
+}
+
+// pushLoop is one subscription: while the client has credit it parks in
+// the handle's consumer's wake channel — the broker's own machinery, per
+// partition and per rebalance — and pushes what it can claim.
+func pushLoop(h *serverHandle, pl *pusher) {
+	defer close(pl.done)
+	for {
+		for pl.credit.Load() <= 0 {
+			select {
+			case <-pl.more:
+			case <-pl.ctx.Done():
+				return
+			}
+		}
+		wake := h.c.WaitChan() // armed before the claim: no append is missed
+		h.mu.Lock()
+		pushed, over, err := pushLocked(h, pl)
+		h.mu.Unlock()
+		switch {
+		case err != nil || over:
+			return
+		case pushed:
+			continue
+		}
+		select {
+		case <-wake:
+		case <-pl.ctx.Done():
+			return
+		}
+	}
+}
+
+// pushLocked claims what the handle can fetch — committing at fetch, as an
+// in-process poll does — and writes it as one push frame, if the
+// subscription is still pl and has credit. A closed topic with nothing left
+// to claim gets the empty frame that ends the stream (over). Callers hold
+// h.mu.
+func pushLocked(h *serverHandle, pl *pusher) (pushed, over bool, err error) {
+	if h.push.Load() != pl || pl.credit.Load() <= 0 {
+		return false, false, nil
+	}
+	closed := h.c.TopicClosed() // before the claim: nothing is appended after it
+	recs, err := h.c.TryPollInto(pl.scratch[:0], maxPush)
+	if err != nil {
+		return false, false, err
+	}
+	var flags byte
+	if len(recs) == 0 {
+		if !closed {
+			return false, false, nil
+		}
+		flags, over = flagTopicClosed, true
+	}
+	pl.out.appendPush(flags, recs)
+	pl.credit.Add(-1)
+	err = pl.cs.write(&pl.out)
+	clear(recs) // drop the aliases into the log before recycling the scratch
+	pl.scratch = recs[:0]
+	return true, over, err
+}
+
+// handleClose closes a handle: its subscription ends, the rewinds the client
+// sends hand back what it held and never took, and the member leaves. A
+// rewind is [partition][from][end]: the records [from, end) of the
+// partition, the tail of what the handle claimed there. Each is applied only
+// where nobody has claimed past end (mq.Consumer.Rewind), and before the
+// member leaves, so the rebalance hands the partition's next owner those
+// records again — once.
+func (s *Server) handleClose(cs *connState, r *wireReader, resp []byte) []byte {
 	id := r.uvarint()
-	waitMs := r.uvarint()
 	if r.err != nil {
 		return appendErr(resp, r.err)
 	}
-	c := s.lookup(id)
-	if c == nil {
-		return appendErr(resp, errUnknownHandle)
+	// Idempotent: closing an unknown (already-reaped) handle succeeds.
+	h := s.unregister(cs, id)
+	if h == nil {
+		return append(resp, stOK)
 	}
-	deadline := time.Now().Add(time.Duration(min(waitMs, maxWaitMs)) * time.Millisecond)
-	for {
-		wait, reb := c.WaitChan(), c.RebalanceChan() // arm before reading the lag
-		var flags byte
-		if c.Lag() > 0 {
-			flags |= flagReady
-		}
-		if c.TopicClosed() {
-			flags |= flagTopicClosed
-		}
-		remaining := time.Until(deadline)
-		if flags != 0 || remaining <= 0 || s.baseCtx.Err() != nil {
-			return append(resp, stOK, flags)
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-wait:
-		case <-reb:
-		case <-timer.C:
-		case <-s.baseCtx.Done():
-		}
-		timer.Stop()
+	h.stopPush()
+	n := 0
+	if r.off < len(r.buf) {
+		n = r.count(3)
 	}
+	for i := 0; i < n && r.err == nil; i++ {
+		part, from, end := r.uvarint(), r.uvarint(), r.uvarint()
+		if r.err == nil && part < uint64(h.parts) && from <= end && end <= math.MaxInt64 {
+			h.c.Rewind(int(part), int64(from), int64(end))
+		}
+	}
+	h.c.Close()
+	if r.err != nil {
+		return appendErr(resp, r.err)
+	}
+	return append(resp, stOK)
 }

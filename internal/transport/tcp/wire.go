@@ -16,13 +16,24 @@
 // end-of-stream broadcast — across the wire unchanged.
 //
 // The framing follows the repo codec's append-style marshaling (uvarint
-// lengths, little-endian fixints, appends into reusable scratch): requests
-// and responses are [u32 little-endian frame length][frame], where a
-// request frame is [op byte][operands] and a response frame is [status
-// byte][optional error text][result]. Both sends share one frame —
-// [topic][partition, opSendTo only][count][key value watermark]... — and
-// one handler. Known mq sentinel errors cross the wire as dedicated status
-// codes so errors.Is keeps working remotely.
+// lengths, little-endian fixints, appends into reusable scratch): every frame
+// is [u32 little-endian frame length][frame]. A request frame is [op
+// byte][operands]; a response frame is [status byte][optional error
+// text][result]. Both sends share one frame — [topic][partition, opSendTo
+// only][count][key value watermark]... — and one handler. Known mq sentinel
+// errors cross the wire as dedicated status codes so errors.Is keeps working
+// remotely.
+//
+// Consumers are pushed to, not polled for. A consumer's connection
+// subscribes its handle once with a credit: the number of push frames the
+// client can hold. The daemon then runs one push loop per handle that parks
+// in the broker's own wake machinery, claims what the handle can fetch
+// (committing at fetch, as an in-process poll does) and writes it as a push
+// frame — [pushMark][flags][count][record]... — while credit lasts. The
+// client reads pushes and responses off the one connection in order, lends
+// polls out of the frames it holds, and grants freed frames back with
+// opCredit, which gets no answer. Senders stay synchronous: a send returns
+// once the daemon has appended it.
 package tcp
 
 import (
@@ -30,6 +41,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"sync/atomic"
 	"time"
 
 	"github.com/approxiot/approxiot/internal/mq"
@@ -37,36 +50,56 @@ import (
 
 // Protocol ops (request frame byte 0). The values are the wire: each is
 // spelled out so that retiring an op never renumbers the ones after it, and
-// a retired value (3 was a one-record send, 16 a rebalance long-poll) gets
-// the unknown-op answer.
+// a retired value gets the unknown-op answer: 3 was a one-record send, 7 a
+// fetch, 15 a wait-for-ready long-poll and 16 a rebalance long-poll. An
+// answer of "-" is the status alone.
+//
+//	op               operands                         answer
+//	opCreateTopic    topic, partitions, retain        -
+//	opTopicParts     topic                            partitions
+//	opSendTo         topic, partition, records        -
+//	opSendBatch      topic, records                   -
+//	opOpenConsumer   topic, group ("" standalone)     handle
+//	opMeta           handle                           flags, lag, assignment
+//	opCommitted      handle, partition                offset
+//	opSeek           handle, partition, offset        -
+//	opCloseConsumer  handle [, rewinds]               -
+//	opGroupLag       topic, group                     lag
+//	opGroupCommitted topic, group                     offsets
+//	opFetchAt        topic, partition, from, max      records
+//	opSubscribe      handle, credit                   - (then pushes)
+//	opCredit         handle, frames                   none: never answered
+//	opUnsubscribe    handle                           - (after the last push)
+//
+// Answers about a subscribed handle — opMeta, opCommitted — leave after the
+// push of every record their figures count as fetched, and opMeta first
+// pushes what the handle can claim, credit allowing: its answer comes after
+// every record the daemon could push when it was asked.
 const (
 	opCreateTopic    byte = 1
 	opTopicParts     byte = 2
 	opSendTo         byte = 4 // opSendBatch's frame with a partition after the topic
 	opSendBatch      byte = 5
 	opOpenConsumer   byte = 6
-	opFetch          byte = 7
 	opMeta           byte = 8
 	opCommitted      byte = 9
 	opSeek           byte = 10 // re-positions a reconnecting standalone consumer
-	opCloseConsumer  byte = 11
+	opCloseConsumer  byte = 11 // its rewinds hand back what the client never took
 	opGroupLag       byte = 12
 	opGroupCommitted byte = 13
 	opFetchAt        byte = 14
-	opWaitReady      byte = 15
+	opSubscribe      byte = 17
+	opCredit         byte = 18
+	opUnsubscribe    byte = 19
 )
 
-// Flag bits of a fetch, meta or wait-ready response.
-const (
-	// flagTopicClosed: the topic has been shut down.
-	flagTopicClosed byte = 1 << iota
-	// flagDrained (fetch): the poll came back short of its max and the
-	// handle's consumer had no lag left — nothing more to fetch until the
-	// daemon says otherwise. flagReady (wait-ready) is the daemon saying
-	// otherwise: the handle's consumer has lag. One bit, two responses.
-	flagDrained
-	flagReady = flagDrained
-)
+// pushMark is byte 0 of a push frame; no response status takes its value.
+const pushMark byte = 0x80
+
+// flagTopicClosed (push and meta flags): the topic has been shut down. On a
+// push it comes once, on the empty frame that ends the stream — after the
+// last record the handle could claim.
+const flagTopicClosed byte = 1
 
 // Response status codes (response frame byte 0). Non-zero statuses carry an
 // error message string; the sentinel codes additionally map back onto the
@@ -88,9 +121,9 @@ const (
 // handle was closed. Clients recover by re-opening.
 var errUnknownHandle = errors.New("tcp: unknown consumer handle")
 
-// maxFrame bounds a single frame. Fetch batches are bounded by the poll max
-// (hundreds of records of modest payloads), so anything near this size is a
-// corrupt length prefix, not a legitimate frame.
+// maxFrame bounds a single frame. Push frames are bounded by maxPush records
+// of modest payloads, so anything near this size is a corrupt length prefix,
+// not a legitimate frame.
 const maxFrame = 64 << 20
 
 // statusOf maps an error to its wire status.
@@ -172,7 +205,8 @@ func appendWatermark(dst []byte, wm mq.Watermark) []byte {
 	return appendTime(dst, wm.At)
 }
 
-// appendRecord encodes one full record (fetch responses).
+// appendRecord encodes one full record (opFetchAt answers; a push frame
+// gathers the same fields).
 func appendRecord(dst []byte, r *mq.Record) []byte {
 	dst = appendBytes(dst, r.Key)
 	dst = appendBytes(dst, r.Value)
@@ -250,7 +284,8 @@ func (r *wireReader) count(each int) int {
 
 // bytesVal returns a view into the frame — NOT a copy. Callers that keep
 // the bytes past the frame's lifetime must copy (decodeRecords does, for
-// FetchInto) or own the frame (handleSend parses its own clone).
+// FetchInto) or own the frame (handleSend parses its own clone; a consumer
+// holds a push frame until the poll after the one that lent it).
 func (r *wireReader) bytesVal() []byte {
 	n := r.count(1)
 	if r.err != nil {
@@ -315,6 +350,73 @@ func sealFrame(buf []byte) []byte {
 	return buf
 }
 
+// gatherMin is the length from which a Key or Value is written from where it
+// lives instead of being copied into its frame.
+const gatherMin = 256
+
+// gather builds one outgoing frame for a gathered write (writev): the
+// frame's own bytes — prefix, op or flags, lengths, short fields — are
+// appended to hdr, and a Key or Value of gatherMin bytes or more is listed as
+// a piece of its own, written straight from the memory it lives in, which
+// must stay unchanged until the write returns.
+type gather struct {
+	hdr  []byte      // the frame's own bytes, frameStart bytes of headroom first
+	iov  net.Buffers // the pieces listed so far
+	out  net.Buffers // the write's cursor over iov (WriteTo consumes it)
+	mark int         // where hdr's bytes not yet listed start
+}
+
+// reset starts a new frame: hdr holds the headroom, ready for appends.
+func (g *gather) reset() {
+	clear(g.iov)
+	g.iov, g.mark = g.iov[:0], 0
+	if cap(g.hdr) < minReadBuf {
+		g.hdr = make([]byte, frameStart, minReadBuf)
+	}
+	g.hdr = g.hdr[:frameStart]
+}
+
+// bytes appends a length-prefixed field: copied in when short, listed as a
+// piece of its own when long. The pieces already listed keep pointing at
+// hdr's bytes even if an append moves hdr: those bytes do not change.
+func (g *gather) bytes(b []byte) {
+	g.hdr = binary.AppendUvarint(g.hdr, uint64(len(b)))
+	if len(b) < gatherMin {
+		g.hdr = append(g.hdr, b...)
+		return
+	}
+	g.iov = append(g.iov, g.hdr[g.mark:len(g.hdr):len(g.hdr)], b)
+	g.mark = len(g.hdr)
+}
+
+// writeTo seals the frame and writes it: one Write when nothing was listed,
+// one writev otherwise. The frame's bytes are counted into sent before the
+// write — a peer that has read them finds them counted — and a short write
+// takes back what did not go out. It drops its hold on the listed pieces
+// either way.
+func (g *gather) writeTo(w io.Writer, sent *atomic.Int64) error {
+	if len(g.iov) == 0 {
+		frame := sealFrame(g.hdr)
+		sent.Add(int64(len(frame)))
+		n, err := w.Write(frame)
+		sent.Add(int64(n - len(frame)))
+		return err
+	}
+	g.iov = append(g.iov, g.hdr[g.mark:])
+	total := 0
+	for _, p := range g.iov {
+		total += len(p)
+	}
+	binary.LittleEndian.PutUint32(g.iov[0], uint32(total-frameStart))
+	sent.Add(int64(total))
+	g.out = g.iov
+	n, err := g.out.WriteTo(w)
+	sent.Add(n - int64(total))
+	clear(g.iov)
+	g.iov = g.iov[:0]
+	return err
+}
+
 // minReadBuf is the least a connection's read buffer holds: room for the
 // length prefix and any control frame, so those arrive in one Read.
 const minReadBuf = 512
@@ -323,10 +425,11 @@ const minReadBuf = 512
 // kept across calls and grown to the largest frame seen — and returns it (a
 // view into *buf, valid until the next call) plus the wire bytes consumed.
 // One Read takes the length prefix and whatever of the frame has arrived
-// with it; only a frame that outruns that Read costs a second. The protocol
-// is strictly request/response per connection, so nothing may follow a frame
-// before it is answered: bytes past its end are a protocol error, refused
-// rather than dropped or taken for the next frame.
+// with it; only a frame that outruns that Read costs a second. It serves the
+// connections that are strictly request/response — admin and producers —
+// where nothing may follow a frame before it is answered: bytes past its end
+// are a protocol error, refused rather than dropped or taken for the next
+// frame.
 func readFrame(r io.Reader, buf *[]byte) ([]byte, int, error) {
 	b := *buf
 	if cap(b) < minReadBuf {
@@ -358,4 +461,87 @@ func readFrame(r io.Reader, buf *[]byte) ([]byte, int, error) {
 		}
 	}
 	return b[frameStart:end], got, nil
+}
+
+// frameReader reads a stream of frames that may come back to back: a
+// subscribed consumer's connection carries pushes between its answers, and
+// the daemon reads a client's unanswered credit grants. Each frame is read
+// into the buffer the caller names — a consumer's push ring puts every frame
+// into a frame buffer of its own — and one Read takes the length prefix and
+// whatever of the frame has arrived with it. Bytes that Read brings past the
+// frame's end are the next frame's start: they are carried, copied once into
+// the next frame's buffer, and the rest of a frame is read exactly.
+type frameReader struct {
+	r     io.Reader
+	carry []byte // bytes read past the last frame, carry[lo:] not yet taken
+	lo    int
+}
+
+// next reads the next frame into *dst, grown to fit, and returns it (a view
+// into *dst) plus the wire bytes read from the stream. A length over
+// maxFrame is refused before anything is grown for it.
+func (fr *frameReader) next(dst *[]byte) ([]byte, int, error) {
+	b := *dst
+	if cap(b) < minReadBuf {
+		b = make([]byte, minReadBuf)
+		*dst = b
+	}
+	b = b[:cap(b)]
+	wire := 0
+	got := copy(b[:frameStart], fr.carry[fr.lo:])
+	fr.lo += got
+	if got < frameStart {
+		// The carry is spent: one Read for the prefix and what follows it.
+		m, err := io.ReadAtLeast(fr.r, b[got:], frameStart-got)
+		got += m
+		wire += m
+		if err != nil {
+			return nil, wire, err
+		}
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n > maxFrame {
+		return nil, wire, fmt.Errorf("tcp: frame length %d exceeds limit", n)
+	}
+	end := frameStart + int(n)
+	if got > end {
+		// Only a Read overshoots, and only once the carry was spent.
+		fr.carry, fr.lo = append(fr.carry[:0], b[end:got]...), 0
+		got = end
+	}
+	if end > len(b) {
+		b = append(make([]byte, 0, end), b[:got]...)[:end]
+		*dst = b
+	}
+	c := copy(b[got:end], fr.carry[fr.lo:])
+	fr.lo += c
+	got += c
+	if got < end {
+		m, err := io.ReadFull(fr.r, b[got:end])
+		wire += m
+		if err != nil {
+			return nil, wire, err
+		}
+	}
+	if fr.lo == len(fr.carry) {
+		fr.carry, fr.lo = fr.carry[:0], 0
+	}
+	return b[frameStart:end], wire, nil
+}
+
+// appendPush builds a push frame of recs into g: [pushMark][flags][count]
+// and each record as appendRecord lays it out, Key and Value gathered.
+func (g *gather) appendPush(flags byte, recs []mq.Record) {
+	g.reset()
+	g.hdr = append(g.hdr, pushMark, flags)
+	g.hdr = appendUvarint(g.hdr, uint64(len(recs)))
+	for i := range recs {
+		r := &recs[i]
+		g.bytes(r.Key)
+		g.bytes(r.Value)
+		g.hdr = appendTime(g.hdr, r.Ts)
+		g.hdr = appendWatermark(g.hdr, r.Watermark)
+		g.hdr = appendUvarint(g.hdr, uint64(r.Partition))
+		g.hdr = appendUvarint(g.hdr, uint64(r.Offset))
+	}
 }

@@ -34,8 +34,10 @@
 //     next PollInto or TryPollInto on the same consumer, and are read-only. A
 //     caller that keeps a lent record past that point copies it. (The
 //     in-memory backend lends views of its immutable log, which happen to
-//     stay valid; callers must not lean on that.) Bus.FetchInto, the replay
-//     read, returns records that own their Key and Value.
+//     stay valid; callers must not lean on that. A network client lends views
+//     of the push frame the record arrived in, and reads the next push into
+//     that frame once the poll after has freed it.) Bus.FetchInto, the
+//     replay read, returns records that own their Key and Value.
 package transport
 
 import (
@@ -95,20 +97,19 @@ type Consumer interface {
 	// unextended when nothing is ready. A consumer that has never called
 	// WaitChan always asks the backend, so a TryPollInto issued after a send
 	// completed finds that record. Once WaitChan has been called, "nothing is
-	// ready" may be answered from what the backend last learned rather than
-	// by asking again: a remote backend that has been told the consumer is
-	// drained finds nothing, for no round trip, until its wake path hears
-	// otherwise — so a TryPollInto may find nothing for up to a round trip
-	// after an append, and the channel armed before it fires when it would
-	// find something. PollInto always asks.
+	// ready" may be answered from what has reached the consumer rather than
+	// by asking: a remote backend whose daemon pushes records finds nothing,
+	// for no round trip, until the push lands — so a TryPollInto may find
+	// nothing for up to a network hop after an append, and the channel armed
+	// before it fires when it would find something.
 	TryPollInto(dst []Record, max int) ([]Record, error)
-	// WaitChan returns a channel closed when new records may be available
-	// to this consumer (or already closed if the topic is shut down). Arm it
-	// BEFORE a TryPollInto, block on it only if the poll came back empty:
-	// an armed channel fires whenever a TryPollInto that found nothing
-	// would now find something — after an append to a partition the
-	// consumer owns, and after a rebalance that hands it a partition with a
-	// backlog. Backends may deliver spurious wakeups (a woken caller re-polls
+	// WaitChan returns a channel that becomes ready — receives, or is closed
+	// — when new records may be available to this consumer (closed if the
+	// topic is shut down); take one receive per call. Arm it BEFORE a
+	// TryPollInto, block on it only if the poll came back empty: an armed
+	// channel fires whenever a TryPollInto that found nothing would now find
+	// something — after an append to a partition the consumer owns, and
+	// after a rebalance that hands it a partition with a backlog. Backends may deliver spurious wakeups (a woken caller re-polls
 	// and finds nothing), and a remote backend's wakeup may lag the append by
 	// a network round trip; but a wakeup is never lost. Callers may park on
 	// the channel with no timer of their own, as the streams pump does.
@@ -118,13 +119,20 @@ type Consumer interface {
 	TopicClosed() bool
 	// Assignment returns the partitions this consumer currently owns.
 	Assignment() []int
-	// Committed returns the consumer's read position for partition p.
+	// Committed returns the consumer's read position for partition p — the
+	// processed view: the offset past the last record of p a poll has handed
+	// out, however far the backend has fetched ahead for the consumer (a
+	// network client holds pushed records the daemon has already committed).
+	// Read between polls, it is the cut a checkpoint records.
 	Committed(p int) int64
 	// Lag returns the total records between this consumer's positions and
-	// the high watermarks of its owned partitions.
+	// the high watermarks of its owned partitions, counting records fetched
+	// ahead for the consumer and not yet handed out.
 	Lag() int64
 	// Close releases the consumer; group members leave the group,
-	// triggering a rebalance for the remaining members.
+	// triggering a rebalance for the remaining members. Records fetched
+	// ahead for the consumer and never handed out go back to the group: the
+	// partition's next owner gets them, once.
 	Close()
 }
 
@@ -160,7 +168,10 @@ type Bus interface {
 	// GroupLag returns the total records between a group's committed
 	// offsets and the topic's high watermarks — the ingest-backpressure
 	// probe, which must stay truthful on every backend (a remote bus that
-	// under-reported lag would quietly disable backpressure).
+	// under-reported lag would quietly disable backpressure). Records a
+	// backend has fetched ahead for the group's members count as consumed:
+	// a network daemon commits what it pushes, so the records buffered at
+	// clients — at most a few push frames per member — are not in it.
 	GroupLag(topic, group string) (int64, error)
 	// GroupCommitted returns a group's committed offset per partition
 	// (index = partition). The snapshot is not atomic across partitions.
@@ -184,10 +195,11 @@ type Counters struct {
 	// BytesOut / BytesIn count wire bytes written and read by this handle,
 	// frame headers included.
 	BytesOut, BytesIn int64
-	// RoundTrips counts request/response exchanges: requests a client handle
-	// issued, requests a server answered. Every one is a write and a read on
-	// each side whether or not it moved a record, so round trips per record
-	// is the transport's overhead figure.
+	// RoundTrips counts requests: those a client handle issued, those a
+	// server served. Each is a write and a read on each side — plus, unless
+	// it is a credit grant, which nobody answers, the answer's — whether or
+	// not it moved a record, so round trips per record is the transport's
+	// overhead figure. Records a daemon pushes to consumers are not requests.
 	RoundTrips int64
 	// Reconnects counts connections re-established after a loss.
 	Reconnects int64

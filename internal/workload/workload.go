@@ -133,12 +133,20 @@ func (g *Generator) TotalRate() float64 {
 // evenly through the interval. The first call pins the generator's epoch for
 // rate modulation.
 func (g *Generator) Generate(from time.Time, dt time.Duration) []stream.Item {
+	return g.GenerateInto(nil, from, dt)
+}
+
+// GenerateInto is Generate appending onto dst — pass a recycled dst[:0], and
+// a caller that is done with each chunk before asking for the next allocates
+// nothing once dst has grown to a chunk's size. It draws exactly what
+// Generate draws.
+func (g *Generator) GenerateInto(dst []stream.Item, from time.Time, dt time.Duration) []stream.Item {
 	if !g.begun {
 		g.start = from
 		g.begun = true
 	}
 	elapsed := from.Sub(g.start)
-	var items []stream.Item
+	items := dst
 	for i, spec := range g.specs {
 		rate := spec.Rate
 		if spec.Modulate != nil {
