@@ -201,8 +201,16 @@ func openEngine(ctx context.Context, cfg LiveConfig, plan *Plan, tier NodeTier, 
 	// before any runtime subscribes. Creation is idempotent across bus
 	// clients at equal partition counts, so processes sharing a bus race
 	// their startups safely and no tier depends on another being up first.
+	// Consumed records are kept for replay only where a checkpoint store can
+	// replay them (RestartMember refuses without one); otherwise a partition
+	// keeps the least CreateTopic takes, and frees what its readers are done
+	// with.
+	retain := 1
+	if cfg.Checkpoint != nil {
+		retain = 4096
+	}
 	for _, td := range plan.Topics() {
-		if err := bus.CreateTopic(td.Name, td.Partitions, 4096); err != nil {
+		if err := bus.CreateTopic(td.Name, td.Partitions, retain); err != nil {
 			return nil, err
 		}
 	}
@@ -267,7 +275,7 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 	grp, err := newShardGroup(e.bus, desc, e.runtimeOptions(), func(shard int) (streams.Processor, *samplingProcessor) {
 		mk := func() *Node { return plan.NewNodeShard(desc, shard) }
 		if cfg.streaming {
-			return &forwardingProcessor{id: memberID(desc, shard), node: mk(), wt: e.newTracker(desc, stream.NewSourceTable(), now), enc: encoderFor(e.bus)}, nil
+			return &forwardingProcessor{id: memberID(desc, shard), node: mk(), wt: e.newTracker(desc, stream.NewSourceTable(), now)}, nil
 		}
 		if gb != nil {
 			mb := gb.join(memberID(desc, shard))
@@ -289,7 +297,6 @@ func (e *engine) addEdgeGroup(desc NodeDesc, now time.Time) error {
 			// Private lock-free byte counter for the member's parent link;
 			// the account folds it in at read time.
 			bwc: e.res.Bandwidth.Counter(desc.ParentTopic),
-			enc: encoderFor(e.bus),
 		}
 		sp.wt = e.newTracker(desc, sp.ew.strata, now)
 		if dc != nil {
@@ -1039,7 +1046,6 @@ func (e *engine) ingester(slot int) (*Ingester, error) {
 			from:      sourceFrom(slot),
 			stampTs:   !e.cfg.EventTime,
 			marks:     make(map[stream.SourceID]time.Time),
-			enc:       encoderFor(e.bus),
 		},
 	}
 	if in.stampTs {

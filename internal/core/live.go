@@ -363,13 +363,12 @@ type samplingProcessor struct {
 
 // batchEncoder collects the batches of one outbound flush and encodes them
 // once, into one block sized from the batches' exact WireSize, with the keys
-// and values sliced out of it — one allocation per flush at most, never one
-// per record, and no scratch copy. Whose block that is follows the bus
-// (transport.Bus.RetainsSent): the in-memory broker keeps produced Key/Value
-// bytes in its partition logs, so there every flush gets a fresh block nobody
-// writes again — the retained one; a network client has written them to the
-// socket by the time the send returns, so there the encoder keeps block and
-// encodes every flush into it (reuse). add only notes the batch: its items
+// and values sliced out of it — no allocation per record, and no scratch
+// copy. The block is the encoder's own, grown to the largest flush seen and
+// reused by every flush: a send is synchronous (the sink's SendBatch inside
+// ForwardBatch, the valve's own) and the bus is done with the bytes when it
+// returns — the broker has copied what it keeps — so the block is free again
+// when flushEmits / valve.send return. add only notes the batch: its items
 // must stay untouched until the flush has materialized (the Ψ storage behind
 // a closed window is recycled after flushEmits, never before).
 type batchEncoder struct {
@@ -377,18 +376,7 @@ type batchEncoder struct {
 	wms     []mq.Watermark
 	size    int   // block bytes: keys + payloads
 	payload int64 // payload bytes alone
-
-	// reuse is !bus.RetainsSent() (encoderFor, where the owner is built).
-	// The sends are synchronous (the sink's SendBatch inside ForwardBatch,
-	// the valve's own), so the block is dead when flushEmits / valve.send
-	// return.
-	reuse bool
-	block []byte
-}
-
-// encoderFor returns the encoder of a member or valve that sends on bus.
-func encoderFor(bus transport.Bus) batchEncoder {
-	return batchEncoder{reuse: !bus.RetainsSent()}
+	block   []byte
 }
 
 // add queues one outbound record: the batch, keyed by its sub-stream so a
@@ -419,23 +407,14 @@ func (e *batchEncoder) encode(block []byte, i int) (extended, key, value []byte)
 	return block, block[ks:ke:ke], block[ke:len(block):len(block)]
 }
 
-// newBlock returns the empty block the queued records encode into: fresh
-// where the bus retains it, the encoder's own (grown to the largest flush
-// seen) where it does not.
-func (e *batchEncoder) newBlock() []byte {
-	if !e.reuse {
-		return make([]byte, 0, e.size)
-	}
+// records materializes the queued records appended onto dst, backed by the
+// encoder's block (see type comment) — what a member forwards and a valve
+// sends.
+func (e *batchEncoder) records(dst []transport.Record) []transport.Record {
 	if cap(e.block) < e.size {
 		e.block = make([]byte, 0, e.size)
 	}
-	return e.block
-}
-
-// records materializes the queued records appended onto dst, backed by one
-// block (see type comment) — what a member forwards and a valve sends.
-func (e *batchEncoder) records(dst []transport.Record) []transport.Record {
-	block := e.newBlock()
+	block := e.block[:0]
 	for i := range e.batches {
 		var key, value []byte
 		block, key, value = e.encode(block, i)
@@ -451,7 +430,7 @@ func (e *batchEncoder) reset() {
 	e.batches = e.batches[:0]
 	e.wms = e.wms[:0]
 	e.size, e.payload = 0, 0
-	if poisonSentBlocks && e.reuse {
+	if poisonSentBlocks {
 		sent := e.block[:cap(e.block)]
 		for i := range sent {
 			sent[i] = 0xA5
@@ -459,9 +438,9 @@ func (e *batchEncoder) reset() {
 	}
 }
 
-// poisonSentBlocks, which only tests set, makes an encoder that reuses its
-// block scribble over it as soon as the flush has been sent — the earliest
-// the next flush could. A bus that still reads the sender's bytes after the
+// poisonSentBlocks, which only tests set, makes an encoder scribble over its
+// block as soon as the flush has been sent — the earliest the next flush
+// could. A bus that still reads the sender's bytes after the
 // send returned then delivers garbage at once, on every record, instead of
 // whenever two flushes happen to race.
 var poisonSentBlocks bool

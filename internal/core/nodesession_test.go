@@ -74,7 +74,9 @@ func nodeTestConfig(spec topology.TreeSpec, cost CostFunction, lateness time.Dur
 // single-process OpenLive run of the same shuffled workload. At census
 // budget the estimates match too; at half budget Eq. 8 still forces exact
 // counts because per-window estimated input telescopes independently of
-// which items the samplers kept.
+// which items the samplers kept. Items are pushed one at a time, a record
+// each, so every broker — the single process's and the daemon's — fills and
+// frees segments, each scribbled as it is freed (poisonStaleBytes).
 func TestNodeTiersMatchSingleProcess(t *testing.T) {
 	poisonStaleBytes(t)
 	spec := topology.Testbed() // 8 sources, layers 4/2/1, 1 s windows
@@ -111,9 +113,10 @@ func TestNodeTiersMatchSingleProcess(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ref Ingester(%d): %v", slot, err)
 				}
-				buf := append([]stream.Item(nil), its...)
-				if err := ing.Push(buf...); err != nil {
-					t.Fatalf("ref push slot %d: %v", slot, err)
+				for _, it := range its {
+					if err := ing.Push(it); err != nil {
+						t.Fatalf("ref push slot %d: %v", slot, err)
+					}
 				}
 			}
 			res, err := s.Close()
@@ -151,9 +154,10 @@ func TestNodeTiersMatchSingleProcess(t *testing.T) {
 		defer leaf.Close()
 
 		for slot, its := range shuffled {
-			buf := append([]stream.Item(nil), its...)
-			if err := leaf.Push(slot, buf...); err != nil {
-				t.Fatalf("leaf push slot %d: %v", slot, err)
+			for _, it := range its {
+				if err := leaf.Push(slot, it); err != nil {
+					t.Fatalf("leaf push slot %d: %v", slot, err)
+				}
 			}
 		}
 		if err := leaf.FinishIngest(); err != nil {

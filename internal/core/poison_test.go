@@ -4,25 +4,34 @@ import (
 	"context"
 	"testing"
 
+	"github.com/approxiot/approxiot/internal/mq"
 	"github.com/approxiot/approxiot/internal/transport"
 )
 
 // Stale-alias poisoning for the transport's buffer-ownership rule. The rule
-// lets two parties write bytes another party was just reading: a consumer's
-// backend, into the frame a lending poll's records point at, at the next
-// lending poll; and an encoder that reuses its block, once its send has
-// returned. Whether anybody still reads those bytes by then normally shows
-// only when a frame or flush happens to land on them. The tests that run a
-// tree over TCP make it show always: every byte that may be rewritten IS
+// lets three parties write bytes another party was just reading: a
+// consumer's backend, into the frame a lending poll's records point at, at
+// the next lending poll; an encoder, into its block once its send has
+// returned; and the broker, into a segment it has freed once nothing holds
+// it. Whether anybody still reads those bytes by then normally shows only
+// when a frame, flush or append happens to land on them. The tests that run
+// a tree over TCP make it show always: every byte that may be rewritten IS
 // rewritten, with 0xA5, at the first instant the rule allows.
 
-// poisonStaleBytes turns the encoder half on for the test (the consumer half
-// is poisonBus, which dialNodeBus applies). Call it before opening anything:
-// members read the switch from their own goroutines.
+// poisonStaleBytes turns the encoder and broker halves on for the test (the
+// consumer half is poisonBus, which dialNodeBus applies): every flush's block
+// is scribbled once sent, and every segment of every broker — the TCP
+// daemon's and an in-process session's — as it enters the free list. Call it
+// before opening anything: members read the switch from their own
+// goroutines.
 func poisonStaleBytes(t *testing.T) {
 	t.Helper()
 	poisonSentBlocks = true
-	t.Cleanup(func() { poisonSentBlocks = false })
+	mq.PoisonFreedSegments.Store(true)
+	t.Cleanup(func() {
+		poisonSentBlocks = false
+		mq.PoisonFreedSegments.Store(false)
+	})
 }
 
 // poisonBus wraps a bus whose polls lend (a network client) so that every

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -426,20 +427,9 @@ func newImpairBus(mem *transport.Mem, sim *vclock.Sim, cfg *SimConfig, plan *Pla
 	return b
 }
 
-// CreateTopic implements transport.Bus with a short retention: the loop
-// consumes every record the instant it lands, so the broker need keep few
-// consumed ones — the engine's live figure would have every partition
-// allocate a log for thousands, once per run.
-func (b *impairBus) CreateTopic(name string, partitions, _ int) error {
-	return b.Bus.CreateTopic(name, partitions, 64)
-}
-
 // NewProducer implements transport.Bus: the bus is its one producer, whose
 // sends cross links.
 func (b *impairBus) NewProducer() transport.Producer { return b }
-
-// RetainsSent implements transport.Bus: a link holds a record until it lands.
-func (b *impairBus) RetainsSent() bool { return true }
 
 // SendBatch implements transport.Producer.
 func (b *impairBus) SendBatch(topic string, recs []transport.Record) error {
@@ -475,6 +465,9 @@ func (b *impairBus) send(topic string, partition int, rec transport.Record) {
 	if b.cfg.onSend != nil {
 		b.cfg.onSend(l.layer, now)
 	}
+	// The sender's block is its own again when the send returns: the link
+	// carries a copy of what it holds in flight.
+	rec.Key, rec.Value = bytes.Clone(rec.Key), bytes.Clone(rec.Value)
 	arrive := func() { b.arrive(topic, partition, rec) }
 	lost := l.MessagesLost()
 	at := l.Send(len(rec.Value), arrive)

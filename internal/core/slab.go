@@ -17,7 +17,7 @@ import (
 // or under the lock, that already serializes that owner, so it needs no
 // synchronization of its own. A slab belongs to exactly one lineage from
 // get until the window it served has been closed AND its Θ is dead (encoded
-// into the retained block on an edge tier, queried at the root); only then
+// into the flush's block on an edge tier, queried at the root); only then
 // is it put back. While a lineage owns a slab, the decoder is the only writer
 // of its tail: Node.reserve hands out the next slots and stream.Header.Decode
 // (or the copy in addPair) fills every one before anything reads the pair;

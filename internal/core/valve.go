@@ -35,9 +35,8 @@ type valve struct {
 	last  time.Time
 	// enc / outRecs are the valve's publish scratch: one push queues every
 	// same-source run in enc and lands the whole set with a single
-	// SendBatch (one topic lock, one consumer wakeup), encoded into one
-	// block per push — fresh or the encoder's own, as the bus retains sent
-	// bytes or not (batchEncoder; encoderFor, where the valve is built).
+	// SendBatch (one topic lock, one consumer wakeup), encoded into the
+	// encoder's one block, which every push reuses (batchEncoder).
 	enc     batchEncoder
 	outRecs []transport.Record
 }
@@ -114,8 +113,6 @@ func (v *valve) send() error {
 		err = v.producer.SendBatch(v.topic, recs[lo:lo+step])
 	}
 	v.enc.reset()
-	// Scrub before recycling: spare capacity must not pin a retained block.
-	clear(recs)
 	v.outRecs = recs[:0]
 	return err
 }

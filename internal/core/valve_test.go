@@ -136,7 +136,7 @@ func TestValveDefaultSourceAddsNoAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := &valve{slot: 3, topic: "leaf", producer: bus.NewProducer(), bwc: metrics.NewBandwidthAccount().Counter("leaf"),
-		from: sourceFrom(3), marks: make(map[stream.SourceID]time.Time), enc: encoderFor(bus)}
+		from: sourceFrom(3), marks: make(map[stream.SourceID]time.Time)}
 	var truth paddedFloat
 	items := make([]stream.Item, 16)
 	push := func(src stream.SourceID) func() {

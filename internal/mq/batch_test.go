@@ -241,7 +241,8 @@ func TestSendBatchOversizedSpansPolls(t *testing.T) {
 // TestPollIntoReusesScratch pins the allocation contract of the batched poll
 // path: once the scratch slice has warmed up to the batch size, a
 // produce/TryPollInto cycle performs no per-poll slice allocation (the
-// records' Key/Value bytes alias the broker's log and are not copied).
+// records' Key/Value bytes are lent views of the partition's segments, not
+// copies).
 func TestPollIntoReusesScratch(t *testing.T) {
 	b := NewBroker()
 	newTestTopic(t, b, "t", 1)

@@ -8,8 +8,10 @@
 //   - consumer groups whose members split a topic's partitions and track
 //     committed offsets, rebalancing as members join and leave,
 //   - blocking polls with context cancellation, and
-//   - size-bounded retention so long benchmark runs do not grow without
-//     bound.
+//   - partition logs that own their bytes — an append copies each record
+//     into segments recycled through a broker-wide free list — and free a
+//     segment once nothing can read it again, keeping a bounded replay
+//     window of consumed records, so long runs do not grow without bound.
 //
 // Edge-computing layers are connected by pre-defined topics exactly as in
 // the paper's Figure 4: each layer's sampling processors consume the topic
@@ -37,6 +39,7 @@ type Broker struct {
 	mu     sync.RWMutex
 	topics map[string]*Topic
 	closed bool
+	pool   segPool // the free segments every topic's partitions draw from
 }
 
 // NewBroker returns an empty broker.
@@ -57,7 +60,7 @@ func (b *Broker) CreateTopic(name string, partitions int, opts ...TopicOption) (
 	if _, ok := b.topics[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrTopicExists, name)
 	}
-	t := newTopic(name, partitions, opts...)
+	t := newTopic(name, partitions, &b.pool, opts...)
 	b.topics[name] = t
 	return t, nil
 }

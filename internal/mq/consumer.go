@@ -3,8 +3,11 @@ package mq
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // group coordinates the members of one consumer group on one topic: it
@@ -201,6 +204,12 @@ type Consumer struct {
 	grp   *group
 	id    string
 
+	// holds is what the consumer keeps readable, one per partition, each
+	// guarded by its partition's mu; gen numbers the polls, so a new poll
+	// lets go of everything the last one lent at once.
+	holds []hold
+	gen   atomic.Int64
+
 	mu        sync.Mutex
 	positions map[int]int64 // standalone mode read positions
 	rrStart   int           // fairness rotation across partitions
@@ -230,6 +239,7 @@ func NewConsumer(b *Broker, topic string) (*Consumer, error) {
 		c.positions[p] = t.LowWatermark(p)
 		c.owned = append(c.owned, p)
 	}
+	t.register(c)
 	return c, nil
 }
 
@@ -242,8 +252,55 @@ func NewGroupConsumer(b *Broker, topic, groupName string) (*Consumer, error) {
 	}
 	g := t.group(groupName)
 	c := &Consumer{topic: t, grp: g, id: g.join()}
+	t.register(c)
 	t.wake() // the rebalance is news to parked members (see WaitChan)
 	return c, nil
+}
+
+// hold is what one consumer keeps readable in one partition: the first
+// record its last poll lent there, and an offset it holds from (Hold).
+// Guarded by the partition's mu.
+type hold struct {
+	lent    int64
+	lentGen int64 // the number of the poll that lent it; 0: none yet
+	pinned  int64 // -1: none
+}
+
+// from returns the lowest offset h keeps readable, math.MaxInt64 for none,
+// where gen is the consumer's current poll.
+func (h *hold) from(gen int64) int64 {
+	off := int64(math.MaxInt64)
+	if h.lentGen == gen && h.lentGen != 0 {
+		off = h.lent
+	}
+	if h.pinned >= 0 {
+		off = min(off, h.pinned)
+	}
+	return off
+}
+
+// register files c with its topic: from now on what it has not read, and
+// what it has lent or holds, stays readable.
+func (t *Topic) register(c *Consumer) {
+	c.holds = make([]hold, len(t.parts))
+	for i := range c.holds {
+		c.holds[i].pinned = -1
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.consumers = append(t.consumers, c)
+}
+
+// unregister forgets a closed consumer. Its holds are left as they are: a
+// compaction that listed it before it closed still reads them, so what it
+// handed back (Rewind) before closing — now behind the group's committed
+// offset — is held either way.
+func (t *Topic) unregister(c *Consumer) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i := slices.Index(t.consumers, c); i >= 0 {
+		t.consumers = slices.Delete(t.consumers, i, i+1)
+	}
 }
 
 // Assignment returns the partitions this consumer currently owns.
@@ -259,9 +316,10 @@ func (c *Consumer) Assignment() []int {
 // record is available, ctx is cancelled, or the topic closes. Group consumers
 // read from and advance the group's committed offsets (auto-commit);
 // standalone consumers advance private positions. A steady-state poll loop
-// allocates nothing per poll. The records — including their Key/Value bytes,
-// which alias the broker's retained log — remain valid after the call; only
-// the slice header is recycled by the caller.
+// allocates nothing per poll. The records' Key/Value bytes are lent: views
+// of the partition's segments, read-only, and valid until this consumer's
+// next PollInto or TryPollInto — the partition holds them until then, and
+// may reuse them after.
 func (c *Consumer) PollInto(ctx context.Context, dst []Record, max int) ([]Record, error) {
 	if max <= 0 {
 		max = 1
@@ -293,8 +351,8 @@ func (c *Consumer) PollInto(ctx context.Context, dst []Record, max int) ([]Recor
 	}
 }
 
-// TryPollInto is a non-blocking PollInto; it returns dst unextended when no
-// records are ready.
+// TryPollInto is a non-blocking PollInto (same lending rule); it returns dst
+// unextended when no records are ready.
 func (c *Consumer) TryPollInto(dst []Record, max int) ([]Record, error) {
 	if max <= 0 {
 		max = 1
@@ -327,6 +385,7 @@ func (c *Consumer) TopicClosed() bool {
 // slice (dst unextended when nothing is ready). The append-into shape keeps
 // the hot poll path allocation-free once dst's capacity has warmed up.
 func (c *Consumer) pollOnce(dst []Record, max int) ([]Record, error) {
+	gen := c.gen.Add(1) // what the last poll lent expires here
 	owned, epoch := c.assignmentNow()
 	if len(owned) == 0 {
 		return dst, nil
@@ -348,11 +407,11 @@ func (c *Consumer) pollOnce(dst []Record, max int) ([]Record, error) {
 			// deliver the same record twice nor fetch a partition that
 			// has moved to another member.
 			got, err := c.grp.claim(c.id, epoch, p, out, func(dst []Record, from int64) ([]Record, error) {
-				got, err := c.topic.FetchInto(dst, p, from, budget)
+				got, err := c.lend(dst, p, from, budget, gen)
 				if err == ErrOutOfRange {
 					// The log was compacted past the committed offset;
 					// skip forward to the oldest retained record.
-					return c.topic.FetchInto(dst, p, c.topic.LowWatermark(p), budget)
+					return c.lend(dst, p, c.topic.LowWatermark(p), budget, gen)
 				}
 				return got, err
 			})
@@ -363,7 +422,7 @@ func (c *Consumer) pollOnce(dst []Record, max int) ([]Record, error) {
 			continue
 		}
 		from := c.position(p)
-		got, err := c.topic.FetchInto(out, p, from, budget)
+		got, err := c.lend(out, p, from, budget, gen)
 		if err == ErrOutOfRange {
 			// The log was compacted past our position; skip forward.
 			c.setPosition(p, c.topic.LowWatermark(p))
@@ -379,6 +438,23 @@ func (c *Consumer) pollOnce(dst []Record, max int) ([]Record, error) {
 		out = got
 	}
 	return out, nil
+}
+
+// lend is poll number gen's fetch from partition p: views of the stored
+// bytes, held until the consumer's next poll.
+func (c *Consumer) lend(dst []Record, p int, from int64, max int, gen int64) ([]Record, error) {
+	return c.topic.parts[p].fetchInto(dst, from, max, &c.holds[p], gen)
+}
+
+// Hold keeps partition p's records from offset from on readable past this
+// consumer's next poll, until the next Hold of p or until the consumer
+// closes; a negative from lets them go. A daemon that pushes polled records
+// to a remote client holds what the client may still hand back (Rewind).
+func (c *Consumer) Hold(p int, from int64) {
+	part := c.topic.parts[p]
+	part.mu.Lock()
+	defer part.mu.Unlock()
+	c.holds[p].pinned = from
 }
 
 // assignmentNow returns the owned snapshot and the fencing epoch it was taken
@@ -479,8 +555,8 @@ func (c *Consumer) Lag() int64 {
 	return lag
 }
 
-// Close releases the consumer; group members leave the group, triggering a
-// rebalance for the remaining members.
+// Close releases the consumer, and with it everything it held; group
+// members leave the group, triggering a rebalance for the remaining members.
 func (c *Consumer) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -489,6 +565,7 @@ func (c *Consumer) Close() {
 	}
 	c.closed = true
 	c.mu.Unlock()
+	c.topic.unregister(c)
 	if c.grp != nil {
 		c.grp.leave(c.id)
 		c.topic.wake()

@@ -44,10 +44,10 @@ func NewProducer(broker *Broker, opts ...ProducerOption) *Producer {
 // round-robin per run, not per record (the sticky-partitioner trade Kafka's
 // batching producer makes). An empty batch is a no-op.
 //
-// recs is written in place (Ts/Partition assignment) but not retained; the
-// caller may reuse it. Values ARE retained by the broker's partition logs —
-// callers must not mutate a sent Value (see the codec's buffer-ownership
-// rule).
+// recs is written in place (Ts/Partition assignment) but not retained, and
+// the partition logs copy each record's Key and Value into their own
+// segments: once the send returns, the caller may reuse both the slice and
+// the bytes.
 func (p *Producer) SendBatch(topic string, recs []Record) error {
 	if len(recs) == 0 {
 		return nil

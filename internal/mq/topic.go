@@ -2,9 +2,11 @@ package mq
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -50,10 +52,11 @@ func (w Watermark) IsZero() bool { return w.From == "" && w.At.IsZero() }
 // TopicOption customizes topic creation.
 type TopicOption func(*Topic)
 
-// WithRetention bounds each partition to at most n fully-consumed records:
-// once every registered consumer group has committed past them, older
-// records may be discarded down to the most recent n. Without this option
-// logs grow without bound, as in Kafka with unlimited retention.
+// WithRetention keeps, in each partition, the newest n records every reader
+// has consumed — the replay window crash recovery reads back (Kafka's
+// retention) — and frees the rest once nothing can read them (see compact).
+// Without this option logs grow without bound, as in Kafka with unlimited
+// retention.
 func WithRetention(n int) TopicOption {
 	return func(t *Topic) { t.retain = n }
 }
@@ -63,10 +66,12 @@ type Topic struct {
 	name   string
 	parts  []*partition
 	retain int // 0 = unlimited
+	pool   *segPool
 
-	mu     sync.Mutex
-	groups map[string]*group
-	closed bool
+	mu        sync.Mutex
+	groups    map[string]*group
+	consumers []*Consumer // open consumers: their positions and lends hold records
+	closed    bool
 	// waiting holds the armed waiters. The first append to a partition a
 	// waiter watches fires it — puts a token in its channel and takes it off
 	// the list — so an append wakes only the consumers that can fetch it.
@@ -100,17 +105,18 @@ func (w *waiter) watches(recs []Record) bool {
 	return false
 }
 
-func newTopic(name string, partitions int, opts ...TopicOption) *Topic {
+func newTopic(name string, partitions int, pool *segPool, opts ...TopicOption) *Topic {
 	t := &Topic{
 		name:   name,
 		parts:  make([]*partition, partitions),
+		pool:   pool,
 		groups: make(map[string]*group),
 	}
 	for _, opt := range opts {
 		opt(t)
 	}
 	for i := range t.parts {
-		// While its groups keep up, compaction holds a retained log under
+		// While its readers keep up, compaction holds a retained log under
 		// 2 × retain records: the log to allocate once (see room).
 		t.parts[i] = &partition{logCap: 2 * t.retain}
 	}
@@ -128,7 +134,8 @@ func (t *Topic) Partitions() int { return len(t.parts) }
 // the blocked consumers that watch its partitions once for the whole batch
 // instead of once per record.
 // Consecutive records sharing a partition are appended as one run under
-// that partition's lock.
+// that partition's lock, their bytes copied into its segments; a partition
+// whose run sealed a segment is compacted after.
 func (t *Topic) appendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -144,7 +151,7 @@ func (t *Topic) appendBatch(recs []Record) error {
 		for hi < len(recs) && recs[hi].Partition == p {
 			hi++
 		}
-		t.parts[p].appendRun(recs[lo:hi], p)
+		t.parts[p].appendRun(recs[lo:hi], p, t.pool)
 		lo = hi
 	}
 	t.fireUnlock(recs)
@@ -156,7 +163,9 @@ func (t *Topic) appendBatch(recs []Record) error {
 			for hi < len(recs) && recs[hi].Partition == p {
 				hi++
 			}
-			t.maybeCompact(p)
+			if t.parts[p].sealed.Swap(false) {
+				t.compact(p)
+			}
 			lo = hi
 		}
 	}
@@ -263,39 +272,71 @@ func (t *Topic) LowWatermark(p int) int64 {
 
 // Fetch reads up to max records from partition p starting at offset from.
 // It never blocks; an empty result means the caller is at the high
-// watermark. Reading below the low watermark returns ErrOutOfRange.
+// watermark. Reading below the low watermark returns ErrOutOfRange. The
+// records own their Key/Value bytes: nothing holds the segments they were
+// read from, so they are copied out, into one block per call.
 func (t *Topic) Fetch(p int, from int64, max int) ([]Record, error) {
-	return t.parts[p].fetchInto(nil, from, max)
+	return t.FetchInto(nil, p, from, max)
 }
 
-// FetchInto is the scratch-reusing form of Fetch: records are appended to
-// dst (which may be nil or a recycled slice) and the extended slice is
-// returned, so a steady-state poll loop allocates nothing. On error the
-// returned slice is dst unchanged.
+// FetchInto is Fetch appending onto dst (which may be nil or a recycled
+// slice) and returning the extended slice. On error the returned slice is
+// dst unchanged.
 func (t *Topic) FetchInto(dst []Record, p int, from int64, max int) ([]Record, error) {
-	return t.parts[p].fetchInto(dst, from, max)
+	return t.parts[p].fetchInto(dst, from, max, nil, 0)
 }
 
-// maybeCompact drops records that every group has committed past, keeping at
-// least the latest retain records. Compaction runs only once a partition has
-// accumulated twice its retention, so its cost is amortized O(1) per append.
-func (t *Topic) maybeCompact(p int) {
-	if t.parts[p].length() < 2*t.retain {
-		return
-	}
+// compact frees what nobody can read again in partition idx: the records
+// below the partition's hold and every sealed segment wholly below it. The
+// hold is the lowest of
+//
+//   - every group's committed offset and every standalone consumer's
+//     position, less the retention: the newest retain records all of them
+//     have consumed stay for replay;
+//   - the first record each open consumer lent in its last poll, which the
+//     caller may read until its next one;
+//   - every offset a consumer holds from (Consumer.Hold).
+//
+// With no group and no consumer nothing has been read, and nothing goes. It
+// runs after an append has sealed a segment — once per segment, not per
+// append. Committed offsets and positions are read before the partition's
+// lock: they only move forward, so a stale one holds more, never less. What
+// a poll lends it records under the partition's lock as it fetches, so the
+// lends read under it here are exact.
+func (t *Topic) compact(idx int) {
+	p := t.parts[idx]
+	p.cmu.Lock()
+	defer p.cmu.Unlock()
 	t.mu.Lock()
-	minCommitted := int64(-1)
 	for _, g := range t.groups {
-		c := g.committedOffset(p)
-		if minCommitted == -1 || c < minCommitted {
-			minCommitted = c
+		p.groups = append(p.groups, g)
+	}
+	p.readers = append(p.readers, t.consumers...)
+	t.mu.Unlock()
+
+	read := int64(math.MaxInt64)
+	for _, g := range p.groups {
+		read = min(read, g.committedOffset(idx))
+	}
+	for _, c := range p.readers {
+		if c.grp == nil {
+			read = min(read, c.position(idx))
 		}
 	}
-	t.mu.Unlock()
-	if minCommitted <= 0 {
-		return
+	if read != math.MaxInt64 {
+		hold := read - int64(t.retain)
+		p.mu.Lock()
+		for _, c := range p.readers {
+			hold = min(hold, c.holds[idx].from(c.gen.Load()))
+		}
+		p.freed = p.dropBelow(hold, p.freed)
+		p.mu.Unlock()
+		t.pool.put(p.freed)
 	}
-	t.parts[p].truncate(minCommitted, t.retain)
+	clear(p.groups)
+	clear(p.readers)
+	clear(p.freed)
+	p.groups, p.readers, p.freed = p.groups[:0], p.readers[:0], p.freed[:0]
 }
 
 // Groups returns the names of the consumer groups registered on the topic,
@@ -359,12 +400,23 @@ func (t *Topic) group(name string) *group {
 	return g
 }
 
-// partition is a single append-only log with a sliding base offset.
+// partition is a single append-only log with a sliding base offset: its
+// records' headers, and the segments their bytes are stored in.
 type partition struct {
 	mu      sync.Mutex
-	records []Record
-	base    int64 // offset of records[0]
-	logCap  int   // 2 × retain: the retained log's one full-size allocation; 0 = grow by append
+	records []Record // records[head:] are retained; the dropped ones before them are zeroed
+	head    int
+	base    int64       // offset of records[head]
+	logCap  int         // 2 × retain: the retained log's one full-size allocation; 0 = grow by append
+	segs    []segment   // oldest first; the last takes the appends
+	sealed  atomic.Bool // a segment was sealed since the last compaction
+
+	// cmu serializes compactions; it is taken with no other lock held, and
+	// guards compact's scratch below.
+	cmu     sync.Mutex
+	groups  []*group
+	readers []*Consumer
+	freed   [][]byte
 }
 
 // smallLog is how many records a retained log holds before it moves to its
@@ -372,29 +424,51 @@ type partition struct {
 // broadcast, a partition a rescale left idle) costs kilobytes, not a full log.
 const smallLog = 64
 
-// room makes space for n more records. A retained log grows by append up to
+// room makes space for n more records. Dropped records are squeezed out
+// first once they fill half the log. A retained log grows by append up to
 // smallLog records and then, the first time it needs more, is allocated once
 // at its full 2 × retain — not grown step by step, which costs about five
 // times the final log in allocations. Callers hold mu.
 func (p *partition) room(n int) {
+	if len(p.records)+n <= cap(p.records) {
+		return
+	}
+	if p.head > 0 && 2*p.head >= len(p.records) {
+		k := copy(p.records, p.records[p.head:])
+		clear(p.records[k:])
+		p.records, p.head = p.records[:k], 0
+	}
 	need := len(p.records) + n
 	if need > smallLog && need > cap(p.records) && cap(p.records) < p.logCap {
-		grown := make([]Record, len(p.records), max(p.logCap, need))
-		copy(grown, p.records)
-		p.records = grown
+		grown := make([]Record, len(p.records)-p.head, max(p.logCap, need-p.head))
+		copy(grown, p.records[p.head:])
+		p.records, p.head = grown, 0
 	}
 }
 
 // appendRun appends a run of records destined for this partition under one
-// lock acquisition. The stored copies get their Partition/Offset assigned;
-// the caller's slice is left untouched.
-func (p *partition) appendRun(recs []Record, idx int) {
+// lock acquisition, copying each record's Key and Value into the partition's
+// segments. The stored copies get their Partition/Offset assigned; the
+// caller's slice and bytes are left untouched. Sealing a segment makes a
+// compaction due.
+func (p *partition) appendRun(recs []Record, idx int, pool *segPool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.room(len(recs))
 	for _, rec := range recs {
 		rec.Partition = idx
-		rec.Offset = p.base + int64(len(p.records))
+		rec.Offset = p.base + int64(len(p.records)-p.head)
+		n := len(rec.Key) + len(rec.Value)
+		if k := len(p.segs); k == 0 || !p.segs[k-1].fits(n) {
+			if k > 0 {
+				p.sealed.Store(true)
+			}
+			p.segs = append(p.segs, segment{buf: pool.get(n)})
+		}
+		s := &p.segs[len(p.segs)-1]
+		rec.Key, rec.Value = s.store(rec.Key), s.store(rec.Value)
+		s.n++
+		s.next = rec.Offset + 1
 		p.records = append(p.records, rec)
 	}
 }
@@ -402,7 +476,7 @@ func (p *partition) appendRun(recs []Record, idx int) {
 func (p *partition) highWatermark() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.base + int64(len(p.records))
+	return p.base + int64(len(p.records)-p.head)
 }
 
 func (p *partition) lowWatermark() int64 {
@@ -412,51 +486,63 @@ func (p *partition) lowWatermark() int64 {
 }
 
 // fetchInto appends up to max records starting at offset from onto dst and
-// returns the extended slice — the zero-alloc fetch the hot poll path uses
-// (pass nil dst for the allocating form). On error dst is returned unchanged.
-func (p *partition) fetchInto(dst []Record, from int64, max int) ([]Record, error) {
+// returns the extended slice; on error dst is returned unchanged. A lending
+// fetch — a consumer's poll, h its hold on the partition and gen the poll's
+// number — appends views of the stored bytes and records the lend in h
+// before the lock is let go, so no compaction frees them until the
+// consumer's next poll. Without h the records are copied out, into one block.
+func (p *partition) fetchInto(dst []Record, from int64, max int, h *hold, gen int64) ([]Record, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if from < p.base {
 		return dst, ErrOutOfRange
 	}
+	live := p.records[p.head:]
 	start := from - p.base
-	if start >= int64(len(p.records)) {
+	if start >= int64(len(live)) {
 		return dst, nil
 	}
-	end := start + int64(max)
-	if end > int64(len(p.records)) {
-		end = int64(len(p.records))
+	got := live[start:min(start+int64(max), int64(len(live)))]
+	if h != nil {
+		if h.lentGen != gen {
+			h.lent, h.lentGen = from, gen
+		}
+		return append(dst, got...), nil
 	}
-	return append(dst, p.records[start:end]...), nil
+	size := 0
+	for i := range got {
+		size += len(got[i].Key) + len(got[i].Value)
+	}
+	s := segment{buf: make([]byte, 0, size)}
+	for _, rec := range got {
+		rec.Key, rec.Value = s.store(rec.Key), s.store(rec.Value)
+		dst = append(dst, rec)
+	}
+	return dst, nil
 }
 
-// length returns the number of retained records.
-func (p *partition) length() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.records)
-}
-
-// truncate drops records with offset < upTo, retaining at least keep
-// records. The surviving records are copied down in place and the freed
-// tail zeroed so payload memory is reclaimable — no reallocation.
-func (p *partition) truncate(upTo int64, keep int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	limit := p.base + int64(len(p.records)) - int64(keep)
-	if upTo > limit {
-		upTo = limit
+// dropBelow drops the records below offset hold and appends onto freed the
+// sealed segments that held only those, returning the extended list. The
+// dropped headers are zeroed; the records after them stay where they are
+// until room squeezes them down. Callers hold mu.
+func (p *partition) dropBelow(hold int64, freed [][]byte) [][]byte {
+	hold = min(hold, p.base+int64(len(p.records)-p.head))
+	if hold <= p.base {
+		return freed
 	}
-	if upTo <= p.base {
-		return
+	n := int(hold - p.base)
+	clear(p.records[p.head : p.head+n])
+	p.head += n
+	p.base = hold
+	k := 0
+	for k < len(p.segs)-1 && p.segs[k].next <= hold {
+		freed = append(freed, p.segs[k].buf)
+		k++
 	}
-	drop := upTo - p.base
-	n := copy(p.records, p.records[drop:])
-	tail := p.records[n:]
-	for i := range tail {
-		tail[i] = Record{}
+	if k > 0 {
+		m := copy(p.segs, p.segs[k:])
+		clear(p.segs[m:])
+		p.segs = p.segs[:m]
 	}
-	p.records = p.records[:n]
-	p.base = upTo
+	return freed
 }

@@ -125,15 +125,13 @@ func (b Batch) Marshal() []byte {
 
 // AppendMarshal encodes the batch onto buf and returns the extended slice.
 // Callers that own their buffers (and hand encoded bytes to consumers that
-// do not retain them) can reuse one buffer across batches to avoid the
-// per-batch allocation Marshal pays. Note the mq broker retains produced
-// values in its partition logs (zero-copy append), so a reused buffer must
-// never be sent to it: the hot produce path sizes one block per flush from
-// WireSize, which is exact, and AppendMarshals every batch of the flush
-// straight into it (the batchEncoder in internal/core — one allocation per
-// flush instead of one Marshal per batch; a fresh block never written again
-// on a bus that retains sent bytes, the same block every flush on one that
-// does not); anything simpler should keep using Marshal.
+// do not keep them past the call) can reuse one buffer across batches to
+// avoid the per-batch allocation Marshal pays. A bus send is such a
+// consumer — the broker copies what it keeps — so the hot produce path
+// sizes its block from WireSize, which is exact, and AppendMarshals every
+// batch of a flush straight into it (the batchEncoder in internal/core: the
+// same block every flush, no allocation once it has grown to the largest
+// flush); anything simpler should keep using Marshal.
 func (b Batch) AppendMarshal(buf []byte) []byte {
 	buf = append(buf, codecVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Source)))

@@ -57,6 +57,9 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("TryPollStaysExact", func(t *testing.T) { testTryPollStaysExact(t, mk(t)) })
 	t.Run("CommittedAtCut", func(t *testing.T) { testCommittedAtCut(t, mk(t)) })
 	t.Run("CloseHandsBackHeld", func(t *testing.T) { testCloseHandsBackHeld(t, mk(t)) })
+	t.Run("CloseHandsBackHeldMinimalRetention", func(t *testing.T) { testCloseHandsBackHeldMinimal(t, mk(t)) })
+	t.Run("LendOutlivesCompaction", func(t *testing.T) { testLendOutlivesCompaction(t, mk(t)) })
+	t.Run("UnreadOutlivesCompaction", func(t *testing.T) { testUnreadOutlivesCompaction(t, mk(t)) })
 	t.Run("FetchAt", func(t *testing.T) { testFetchAt(t, mk(t)) })
 	t.Run("BufferOwnership", func(t *testing.T) { testBufferOwnership(t, mk(t)) })
 	t.Run("BackendShutdown", func(t *testing.T) {
@@ -72,6 +75,38 @@ func mustCreate(t *testing.T, bus transport.Bus, topic string, parts int) {
 	t.Helper()
 	if err := bus.CreateTopic(topic, parts, 0); err != nil {
 		t.Fatalf("CreateTopic(%q): %v", topic, err)
+	}
+}
+
+// minRetain is the least retention CreateTopic takes short of unlimited —
+// what the engine asks for without a checkpoint store to replay for. At it
+// a partition keeps one consumed record: everything else nobody reads any
+// more is freed, its segments reused by the next appends.
+const minRetain = 1
+
+// bigValue is a record size at which every append seals a segment of the
+// in-memory broker (64 KiB), so compaction runs at every send and a freed
+// segment is rewritten by the next one.
+const bigValue = 40 << 10
+
+// bigSender sends records of bigValue bytes, value i repeated, out of one
+// block it scribbles over as soon as each send returns — the sender's right
+// — and returns a copy of what it sent.
+func bigSender(t *testing.T, p transport.Producer) func(i int) []byte {
+	block := make([]byte, bigValue)
+	return func(i int) []byte {
+		t.Helper()
+		for j := range block {
+			block[j] = byte(i)
+		}
+		if err := p.SendBatch("t", []transport.Record{{Value: block}}); err != nil {
+			t.Fatalf("SendBatch: %v", err)
+		}
+		want := bytes.Repeat([]byte{byte(i)}, bigValue)
+		for j := range block {
+			block[j] = 0xEE
+		}
+		return want
 	}
 }
 
@@ -823,6 +858,130 @@ func drainExtra(c transport.Consumer) int {
 	return len(recs)
 }
 
+// testCloseHandsBackHeldMinimal is CloseHandsBackHeld at the engine's
+// minimal retention, with the log moving on while the member holds its
+// records: another group reads everything and more records are sent, so
+// compaction runs past what the member was handed. What it held and never
+// handed out must still be readable when its close hands it back — over TCP
+// the daemon has claimed (committed) all of it, and only the push frames the
+// client has not credited back hold it.
+func testCloseHandsBackHeldMinimal(t *testing.T, be Backend) {
+	bus := be.Bus
+	if err := bus.CreateTopic("t", 1, minRetain); err != nil {
+		t.Fatal(err)
+	}
+	a, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := bus.NewGroupConsumer("t", "other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	sendBig := bigSender(t, bus.NewProducer())
+	const first, total = 10, 20
+	for i := 0; i < first; i++ {
+		sendBig(i)
+	}
+	handed := len(pollSome(t, a, nil, 3))
+	drainN(t, other, first)
+	for i := first; i < total; i++ {
+		sendBig(i)
+		drainN(t, other, 1)
+	}
+	a.Close()
+	b, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	rest := drainN(t, b, total-handed)
+	for i, r := range rest {
+		want := handed + i
+		if r.Offset != int64(want) || !bytes.Equal(r.Value, bytes.Repeat([]byte{byte(want)}, bigValue)) {
+			t.Fatalf("the next member's record %d is at offset %d reading % x..., want offset %d reading %02x...", i, r.Offset, r.Value[:4], want, want)
+		}
+	}
+	if extra := drainExtra(b); extra != 0 {
+		t.Fatalf("the next member got %d records more than the %d left", extra, total-handed)
+	}
+}
+
+// testLendOutlivesCompaction: a lending poll's records stay intact until the
+// consumer's next poll, however far the log moves on meanwhile — another
+// group reads past them and more records are sent, at the engine's minimal
+// retention, so compaction runs and frees what it may at every send. (The
+// in-memory backend lends views of its segments; freed, they would be
+// rewritten by the next sends.)
+func testLendOutlivesCompaction(t *testing.T, be Backend) {
+	bus := be.Bus
+	if err := bus.CreateTopic("t", 1, minRetain); err != nil {
+		t.Fatal(err)
+	}
+	a, err := bus.NewGroupConsumer("t", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	other, err := bus.NewGroupConsumer("t", "other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	sendBig := bigSender(t, bus.NewProducer())
+	const lent, more = 4, 16
+	var want [][]byte
+	for i := 0; i < lent; i++ {
+		want = append(want, sendBig(i))
+	}
+	got := pollSome(t, a, nil, lent)
+	if len(got) < 2 {
+		t.Fatalf("the lending poll took %d records, want at least two (a partition keeps its newest consumed one anyway)", len(got))
+	}
+	drainN(t, other, lent)
+	for i := lent; i < lent+more; i++ {
+		sendBig(i)
+		drainN(t, other, 1)
+	}
+	for i, r := range got {
+		if r.Offset != int64(i) || !bytes.Equal(r.Value, want[i]) {
+			t.Fatalf("lent record %d reads offset %d, % x... after the log moved on; it was offset %d, %02x...", i, r.Offset, r.Value[:4], i, i)
+		}
+	}
+}
+
+// testUnreadOutlivesCompaction: a standalone consumer's unread records stay
+// readable however far a group reads past them, at the engine's minimal
+// retention — its position holds them.
+func testUnreadOutlivesCompaction(t *testing.T, be Backend) {
+	bus := be.Bus
+	if err := bus.CreateTopic("t", 1, minRetain); err != nil {
+		t.Fatal(err)
+	}
+	s, err := bus.NewConsumer("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g, err := bus.NewGroupConsumer("t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	sendBig := bigSender(t, bus.NewProducer())
+	const n = 12
+	for i := 0; i < n; i++ {
+		sendBig(i)
+		drainN(t, g, 1)
+	}
+	for i, r := range drainN(t, s, n) {
+		if r.Offset != int64(i) || !bytes.Equal(r.Value, bytes.Repeat([]byte{byte(i)}, bigValue)) {
+			t.Fatalf("the standalone consumer's record %d is at offset %d reading % x..., want %02x...", i, r.Offset, r.Value[:4], i)
+		}
+	}
+}
+
 func testFetchAt(t *testing.T, be Backend) {
 	bus := be.Bus
 	mustCreate(t, bus, "t", 2)
@@ -850,12 +1009,15 @@ func testFetchAt(t *testing.T, be Backend) {
 }
 
 // testBufferOwnership pins the package's buffer-ownership rule from both
-// sides of the bus. Every record of the test has the same size, so a backend
-// that recycles a buffer it had promised away rewrites exactly the bytes an
-// earlier record still points at.
+// sides of the bus, at the engine's minimal retention. Every record of the
+// test has the same size, so a backend that recycles a buffer it had
+// promised away rewrites exactly the bytes an earlier record still points
+// at; the sender scribbles over its block as soon as each send returns.
 func testBufferOwnership(t *testing.T, be Backend) {
 	bus := be.Bus
-	mustCreate(t, bus, "t", 1)
+	if err := bus.CreateTopic("t", 1, minRetain); err != nil {
+		t.Fatal(err)
+	}
 	c, err := bus.NewGroupConsumer("t", "g")
 	if err != nil {
 		t.Fatal(err)
@@ -863,22 +1025,30 @@ func testBufferOwnership(t *testing.T, be Backend) {
 	defer c.Close()
 	p := bus.NewProducer()
 
+	const valueLen = 4 << 10 // 16 records to a 64 KiB segment of the in-memory broker
 	seq := 0
-	// send appends n records (key k<seq>, value 256 bytes of seq) and returns
-	// private copies of what it sent, in order.
+	var block []byte
+	// send appends n records (key k<seq>, value valueLen bytes of seq) out of
+	// one block it overwrites once the send returns, and returns private
+	// copies of what it sent, in order.
 	send := func(n int) (want []transport.Record) {
 		t.Helper()
+		block = block[:0]
 		batch := make([]transport.Record, n)
 		for i := range batch {
-			batch[i] = transport.Record{
-				Key:   []byte(fmt.Sprintf("k%06d", seq)),
-				Value: bytes.Repeat([]byte{byte(seq), byte(seq >> 8)}, 128),
-			}
+			ks := len(block)
+			block = append(block, fmt.Sprintf("k%06d", seq)...)
+			ke := len(block)
+			block = append(block, bytes.Repeat([]byte{byte(seq), byte(seq >> 8)}, valueLen/2)...)
+			batch[i] = transport.Record{Key: block[ks:ke:ke], Value: block[ke:len(block):len(block)]}
 			want = append(want, transport.Record{Key: bytes.Clone(batch[i].Key), Value: bytes.Clone(batch[i].Value)})
 			seq++
 		}
 		if err := p.SendBatch("t", batch); err != nil {
 			t.Fatalf("SendBatch: %v", err)
+		}
+		for i := range block {
+			block[i] = 0xEE
 		}
 		return want
 	}
@@ -938,7 +1108,8 @@ func testBufferOwnership(t *testing.T, be Backend) {
 	same("PollInto after a FetchInto", lent, wantLent)
 	lend(more)
 
-	// 64 further sends and polls, frames of varying size.
+	// 64 further sends and polls, frames of varying size: the records read
+	// first are consumed, their segments freed and rewritten.
 	for i := 0; i < 64; i++ {
 		n := 1 + i%4
 		lend(send(n))
@@ -946,32 +1117,10 @@ func testBufferOwnership(t *testing.T, be Backend) {
 			t.Fatalf("FetchInto: %v", err)
 		}
 	}
-	same("FetchInto after 64 further sends and polls", gotFetch, wantFetch)
-
-	// Sent bytes: where the bus does not retain them they are the sender's
-	// again once the send returns, and the sender here overwrites them at
-	// once. (Where it does retain them, the log now aliases this block and
-	// nobody writes it again.)
-	block := make([]byte, 0, 4*(7+256))
-	batch := make([]transport.Record, 4)
-	var want []transport.Record
-	for i := range batch {
-		ks := len(block)
-		block = append(block, fmt.Sprintf("r%06d", i)...)
-		ke := len(block)
-		block = append(block, bytes.Repeat([]byte{0xC0 | byte(i)}, 256)...)
-		batch[i] = transport.Record{Key: block[ks:ke:ke], Value: block[ke:len(block):len(block)]}
-		want = append(want, transport.Record{Key: bytes.Clone(batch[i].Key), Value: bytes.Clone(batch[i].Value)})
+	if _, err := bus.FetchInto(nil, "t", 0, 0, 1); !errors.Is(err, mq.ErrOutOfRange) {
+		t.Fatalf("FetchInto of the first record after %d consumed ones at retention %d: %v, want mq.ErrOutOfRange", seq, minRetain, err)
 	}
-	if err := p.SendBatch("t", batch); err != nil {
-		t.Fatalf("SendBatch: %v", err)
-	}
-	if !bus.RetainsSent() {
-		for i := range block {
-			block[i] = 0xEE
-		}
-	}
-	lend(want)
+	same("FetchInto after its records were freed and 64 further sends and polls", gotFetch, wantFetch)
 }
 
 func testShutdown(t *testing.T, be Backend) {

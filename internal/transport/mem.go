@@ -73,9 +73,6 @@ func (m *Mem) NewProducer() Producer {
 	return mq.NewProducer(m.b)
 }
 
-// RetainsSent implements Bus: the broker's partition logs alias sent bytes.
-func (m *Mem) RetainsSent() bool { return true }
-
 // NewConsumer implements Bus.
 func (m *Mem) NewConsumer(topic string) (Consumer, error) {
 	return mq.NewConsumer(m.b, topic)
@@ -104,7 +101,8 @@ func (m *Mem) GroupCommitted(topic, group string) ([]int64, error) {
 	return t.GroupCommitted(group)
 }
 
-// FetchInto implements Bus. The partition is bounds-checked here because
+// FetchInto implements Bus: the records are copied out of the log, so they
+// own their Key/Value bytes. The partition is bounds-checked here because
 // this path now serves remote callers through the TCP daemon: a malformed
 // request must come back as an error, not a panic in the broker.
 func (m *Mem) FetchInto(dst []Record, topic string, partition int, from int64, max int) ([]Record, error) {

@@ -156,11 +156,6 @@ func (cl *Client) FetchInto(dst []transport.Record, topic string, partition int,
 	return out, nil
 }
 
-// RetainsSent implements transport.Bus: a send has been written to the
-// socket (and answered) by the time it returns, so the caller's bytes are
-// its own again.
-func (cl *Client) RetainsSent() bool { return false }
-
 // NewProducer returns a producer with its own connection, dialed lazily on
 // first send.
 func (cl *Client) NewProducer() transport.Producer {

@@ -16,11 +16,11 @@ import (
 	"github.com/approxiot/approxiot/internal/transport"
 )
 
-// Both ends of the wire alias the frames they parse — the daemon's log points
-// into its clone of a send request, a lending poll's records into the fetch
-// response — so the parsers are held to: an error, or fields that lie inside
-// the frame; never a panic; never memory the frame's own bytes do not pay
-// for.
+// Both ends of the wire alias the frames they parse — the daemon's send
+// hands the broker views into the request, a lending poll's records point
+// into the push frame — so the parsers are held to: an error, or fields that
+// lie inside the frame; never a panic; never memory the frame's own bytes do
+// not pay for.
 
 // fetchResponse builds a fetch response frame (status, flags, records) for n
 // records of valueLen-byte values, origins cycling through froms.

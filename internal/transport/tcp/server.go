@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -94,8 +93,8 @@ type serverHandle struct {
 }
 
 // pusher is a subscription's state: the connection its pushes go out on,
-// the push loop's credit, and the scratch its pushes are built in (used
-// under the handle's mu).
+// the push loop's credit, the scratch its pushes are built in, and what the
+// client may still hand back (the last three under the handle's mu).
 type pusher struct {
 	cs      *connState
 	credit  atomic.Int64
@@ -105,6 +104,68 @@ type pusher struct {
 	done    chan struct{} // closed when the loop exits
 	scratch []mq.Record
 	out     gather
+
+	// The client holds every push frame it has not credited back, and its
+	// Close hands the untaken records of those back (Rewind): the broker
+	// must still have them. held lists, for each such frame (numbered from
+	// 1 in push order, freed counting the frames credited back), where each
+	// partition's records in it start, oldest first; pinned[p] is the offset
+	// the handle's consumer holds partition p from (mq.Consumer.Hold), -1
+	// for none.
+	held   []heldRun
+	pushed uint64
+	freed  uint64
+	pinned []int64
+}
+
+// heldRun is where one partition's records start in one push frame.
+type heldRun struct {
+	frame uint64
+	part  int
+	from  int64
+}
+
+// hold notes the records of the push frame just built: the consumer holds
+// each partition from its first record in the oldest frame still out.
+func (pl *pusher) hold(c *mq.Consumer, recs []mq.Record) {
+	pl.pushed++
+	for i := range recs {
+		r := &recs[i]
+		if i > 0 && r.Partition == recs[i-1].Partition {
+			continue
+		}
+		pl.held = append(pl.held, heldRun{frame: pl.pushed, part: r.Partition, from: r.Offset})
+		if pl.pinned[r.Partition] < 0 {
+			pl.pinned[r.Partition] = r.Offset
+			c.Hold(r.Partition, r.Offset)
+		}
+	}
+}
+
+// release takes back n frames the client has freed, oldest first: each
+// partition they held is held from its first record in the frames still
+// out, or let go.
+func (pl *pusher) release(c *mq.Consumer, n uint64) {
+	pl.freed += n
+	k := 0
+	for k < len(pl.held) && pl.held[k].frame <= pl.freed {
+		k++
+	}
+	rest := pl.held[k:]
+	for _, gone := range pl.held[:k] {
+		next := int64(-1)
+		for _, r := range rest {
+			if r.part == gone.part {
+				next = r.from
+				break
+			}
+		}
+		if pl.pinned[gone.part] != next {
+			pl.pinned[gone.part] = next
+			c.Hold(gone.part, next)
+		}
+	}
+	pl.held = pl.held[:copy(pl.held, rest)]
 }
 
 // Serve starts serving bus on ln and returns immediately. The server does
@@ -461,13 +522,16 @@ func (s *Server) dispatch(cs *connState, req, resp []byte) []byte {
 			return resp
 		}
 		if h := s.lookupHandle(id); h != nil {
+			h.mu.Lock()
 			if pl := h.push.Load(); pl != nil {
+				pl.release(h.c, n)
 				pl.credit.Add(int64(n))
 				select {
 				case pl.more <- struct{}{}:
 				default:
 				}
 			}
+			h.mu.Unlock()
 		}
 		return resp
 
@@ -547,12 +611,9 @@ func (cs *connState) prod() transport.Producer {
 }
 
 // handleSend serves both sends: opSendBatch's frame, and opSendTo's, which
-// is the same with a partition after the topic. It keeps the one copy of a
-// batch the hop retains: the backing bus aliases Key/Value bytes in its log
-// and the request buffer is recycled on the next frame, so the frame's
-// record region is cloned once — unzeroed: append does not clear what it is
-// about to overwrite — and the records are parsed out of the clone, their
-// fields views into it.
+// is the same with a partition after the topic. The records are parsed out
+// of the request buffer, their fields views into it: the broker copies what
+// it keeps before the send returns, so the buffer can take the next frame.
 func (s *Server) handleSend(cs *connState, r *wireReader, resp []byte, directed bool) []byte {
 	topic := r.str()
 	var part uint64
@@ -566,7 +627,6 @@ func (s *Server) handleSend(cs *connState, r *wireReader, resp []byte, directed 
 	if part > math.MaxInt32 { // past any topic, and int(part) must not wrap
 		return appendErr(resp, fmt.Errorf("%w: partition %d", mq.ErrOutOfRange, part))
 	}
-	r.reset(bytes.Clone(r.buf[r.off:]))
 	recs := cs.batchScratch[:0]
 	for i := 0; i < n && r.err == nil; i++ {
 		var rec mq.Record
@@ -583,7 +643,7 @@ func (s *Server) handleSend(cs *connState, r *wireReader, resp []byte, directed 
 	default:
 		err = cs.prod().SendBatch(topic, recs)
 	}
-	// Drop the aliases into the retained block before recycling the scratch.
+	// Drop the views of the request before recycling the scratch.
 	clear(recs)
 	cs.batchScratch = recs[:0]
 	if err != nil {
@@ -616,7 +676,10 @@ func (s *Server) handleSubscribe(cs *connState, r *wireReader, resp []byte) []by
 		return appendErr(resp, errUnknownHandle)
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	pl := &pusher{cs: cs, more: make(chan struct{}, 1), ctx: ctx, cancel: cancel, done: make(chan struct{})}
+	pl := &pusher{cs: cs, more: make(chan struct{}, 1), ctx: ctx, cancel: cancel, done: make(chan struct{}), pinned: make([]int64, h.parts)}
+	for p := range pl.pinned {
+		pl.pinned[p] = -1
+	}
 	pl.credit.Store(int64(credit))
 	if !h.push.CompareAndSwap(nil, pl) {
 		cancel()
@@ -672,8 +735,10 @@ func pushLoop(h *serverHandle, pl *pusher) {
 // pushLocked claims what the handle can fetch — committing at fetch, as an
 // in-process poll does — and writes it as one push frame, if the
 // subscription is still pl and has credit. A closed topic with nothing left
-// to claim gets the empty frame that ends the stream (over). Callers hold
-// h.mu.
+// to claim gets the empty frame that ends the stream (over). The claim lends
+// the records' bytes until the handle's next claim, which is past the write
+// that gathers them; the frame's hold keeps them until the client credits it
+// back. Callers hold h.mu.
 func pushLocked(h *serverHandle, pl *pusher) (pushed, over bool, err error) {
 	if h.push.Load() != pl || pl.credit.Load() <= 0 {
 		return false, false, nil
@@ -691,9 +756,10 @@ func pushLocked(h *serverHandle, pl *pusher) (pushed, over bool, err error) {
 		flags, over = flagTopicClosed, true
 	}
 	pl.out.appendPush(flags, recs)
+	pl.hold(h.c, recs)
 	pl.credit.Add(-1)
 	err = pl.cs.write(&pl.out)
-	clear(recs) // drop the aliases into the log before recycling the scratch
+	clear(recs) // drop the views of the log before recycling the scratch
 	pl.scratch = recs[:0]
 	return true, over, err
 }

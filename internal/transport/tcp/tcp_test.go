@@ -450,18 +450,17 @@ func TestRoundTripsPerRecord(t *testing.T) {
 // BenchmarkTCPHop is the transport's share of one hop on loopback, as the
 // tree drives it: four 12 KB records encoded into a block the sender reuses,
 // one SendBatch — gathered: the values go out from the block — lending polls
-// until all four are back, pushed into the consumer's ring. The one copy the
-// hop retains is the daemon's clone of the request, so B/op sits just above
-// the payload (57.9 kB for 49.2 kB: a large allocation rounds up to whole
-// pages).
-// CI's bench-smoke job fails it above 1.25 × payload, never on time. With the
-// daemon's zeroed copy and the poll's copy it read 115 kB, 2.35 ×; the third
-// block of the old hop, the encoder's, was core's and is not in this loop.
+// until all four are back, pushed into the consumer's ring. The daemon's
+// broker copies the records into segments it recycles, so once the log has
+// reached its working size a hop allocates next to nothing; a block per
+// hop — a copy of the request kept by the daemon, a copying poll — would add
+// at least the 49.2 kB payload. CI's bench-smoke job gates B/op and
+// allocs/op, never time.
 func BenchmarkTCPHop(b *testing.B) {
 	h := newHarness(b)
-	// Retention lets the broker drop what the group has consumed, so the log
-	// does not grow with b.N.
-	if err := h.client.CreateTopic("t", 1, 64); err != nil {
+	// The engine's retention without a checkpoint store: the broker frees
+	// what the group has consumed, so the log does not grow with b.N.
+	if err := h.client.CreateTopic("t", 1, 1); err != nil {
 		b.Fatal(err)
 	}
 	c, err := h.client.NewGroupConsumer("t", "g")
@@ -501,8 +500,8 @@ func BenchmarkTCPHop(b *testing.B) {
 			}
 		}
 	}
-	for i := 0; i < 8; i++ {
-		hop(i) // buffers on both sides reach their working size
+	for i := 0; i < 32; i++ {
+		hop(i) // buffers on both sides, and the broker's segments, reach their working size
 	}
 	b.SetBytes(records * size)
 	b.ReportAllocs()

@@ -17,26 +17,23 @@
 // wrapper and its semantics remain the executable specification every other
 // backend's conformance run is held to (internal/transport/conformance).
 //
-// Buffer-ownership rule across the boundary — one retained block per record
-// per hop, and nobody else's bytes outlive the call that handed them over:
+// Buffer-ownership rule across the boundary — the broker owns what it
+// keeps, and nobody else's bytes outlive the call that handed them over:
 //
-//   - Sent bytes. A bus either retains the Key and Value bytes handed to a
-//     producer send (the in-memory broker aliases them in its partition
-//     logs) or has serialized them by the time the send returns (a network
-//     client). Bus.RetainsSent says which. Where it is true the sender never
-//     writes those bytes again — it materializes each flush into a fresh
-//     block, which becomes the retained one. Where it is false the bytes are
-//     the sender's again the moment the send returns, and the core encoder
-//     encodes every flush into the same block; the retained copy is made by
-//     whoever does retain (the daemon behind the wire, once per request).
+//   - Sent bytes. The Key and Value bytes handed to a producer send are the
+//     sender's again the moment the send returns: the in-memory broker has
+//     copied them into its partition's segments, a network client has
+//     written them to the socket (and the daemon behind it has copied them
+//     into its broker). So every sender encodes every flush into the same
+//     block.
 //   - Polled bytes. PollInto and TryPollInto — the consumer's two polls, both
 //     into caller-owned scratch — lend them: Key and Value are valid until the
 //     next PollInto or TryPollInto on the same consumer, and are read-only. A
 //     caller that keeps a lent record past that point copies it. (The
-//     in-memory backend lends views of its immutable log, which happen to
-//     stay valid; callers must not lean on that. A network client lends views
-//     of the push frame the record arrived in, and reads the next push into
-//     that frame once the poll after has freed it.) Bus.FetchInto, the
+//     in-memory backend lends views of its partition segments, which it holds
+//     until that next poll and may reuse after it; a network client lends
+//     views of the push frame the record arrived in, and reads the next push
+//     into that frame once the poll after has freed it.) Bus.FetchInto, the
 //     replay read, returns records that own their Key and Value.
 package transport
 
@@ -47,8 +44,8 @@ import (
 )
 
 // Record is one message on the bus — the mq record, reused verbatim so the
-// in-memory backend moves records without copying and every backend shares
-// one codec-facing shape. Key/Value are opaque payload bytes; Watermark is
+// in-memory backend needs no adapter and every backend shares one
+// codec-facing shape. Key/Value are opaque payload bytes; Watermark is
 // the piggybacked event-time low watermark; Partition/Offset locate the
 // record once appended.
 type Record = mq.Record
@@ -62,10 +59,9 @@ type Watermark = mq.Watermark
 // Producer appends records to the bus's topics. Both sends take a batch:
 // each record's Key, Value, and Watermark are taken as given, Ts/Partition/
 // Offset are assigned by the backend, and recs may be written in place but is
-// not retained. Both are synchronous: when a send returns, the backend has
-// either retained the Key/Value bytes or is done with them — Bus.RetainsSent
-// says which, and so whether the caller may write them again (see the
-// package buffer-ownership rule).
+// not retained. Both are synchronous: when a send returns, the backend is
+// done with the Key/Value bytes, and the caller may write them again (see
+// the package buffer-ownership rule).
 type Producer interface {
 	// SendBatch appends a batch in one shot — the amortization the hot path
 	// is built on. Partitions are chosen exactly as the in-memory broker
@@ -141,8 +137,9 @@ type Consumer interface {
 // hold. All methods are safe for concurrent use.
 type Bus interface {
 	// CreateTopic creates a topic with the given partition count; retain
-	// bounds each partition to at most that many fully-consumed records
-	// (0 = unlimited). Creation is idempotent across clients: creating a
+	// is how many records every reader has consumed each partition keeps for
+	// replay (FetchInto) — what no reader can read any more beyond those is
+	// freed — and 0 keeps everything. Creation is idempotent across clients: creating a
 	// topic that already exists with the SAME partition count succeeds
 	// (multi-process deployments race their nodes' startups and first
 	// wins), while a partition-count mismatch is an error — silently
@@ -152,13 +149,6 @@ type Bus interface {
 	TopicPartitions(name string) (int, error)
 	// NewProducer returns a producer bound to this bus.
 	NewProducer() Producer
-	// RetainsSent reports whether the bus keeps the Key/Value bytes handed
-	// to a producer send after the send returns (the in-memory broker: its
-	// log aliases them) or is done with them by then (a network client: they
-	// are on the wire). A property of the backend, fixed for its lifetime —
-	// senders read it once to decide whether their encode block can serve
-	// the next flush too.
-	RetainsSent() bool
 	// NewConsumer returns a standalone consumer over every partition of
 	// topic, starting at the current low watermarks.
 	NewConsumer(topic string) (Consumer, error)
@@ -190,7 +180,7 @@ type Bus interface {
 
 // Counters is a snapshot of one bus handle's transport-level counters.
 // Network backends account their wire traffic here; the in-memory backend,
-// which moves records by reference, reports zeros.
+// which has no wire, reports zeros.
 type Counters struct {
 	// BytesOut / BytesIn count wire bytes written and read by this handle,
 	// frame headers included.
